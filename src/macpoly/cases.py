@@ -89,7 +89,6 @@ class ExampleCase:
     # identification data
     gamma_basis: list = None  # restricted elements e_y, listed bottom-by-bottom
     gamma_bottoms: list = None  # bottom index receiving each basis element
-    cmap_diagonal: list = None  # diagonal of the basis automorphism
     t_map: object = None  # restricted J-dominant mu -> (bottom index, lam)
     J: tuple = ()  # parabolic subset of the restricted simple reflections
     aw: AWParams = None  # one-variable data (small-B cases)
@@ -215,7 +214,7 @@ class ExampleCase:
     # -- pairings and polynomial families -------------------------------------
 
     def nabla_engine(self, height_hint=8):
-        key = ("nabla", height_hint)
+        key = ("nabla", height_hint, self.order)
         if key not in self._cache:
             if self.aw is not None:
                 spec = aw_weight((self.aw_zonal.a, self.aw_zonal.b,
@@ -231,7 +230,7 @@ class ExampleCase:
         return self._cache[key]
 
     def delta_engine(self, height_hint=8):
-        key = ("delta", height_hint)
+        key = ("delta", height_hint, self.order)
         if key not in self._cache:
             spec = macdonald_nonsym_weight(self.restricted, self.qhat_log,
                                            self.t, self.lattice,
@@ -241,7 +240,7 @@ class ExampleCase:
         return self._cache[key]
 
     def family_spec(self, height_hint=8):
-        key = ("famspec", height_hint)
+        key = ("famspec", height_hint, self.order)
         if key not in self._cache:
             if self.aw is not None:
                 fs = PolyFamilySpec(
@@ -263,27 +262,13 @@ class ExampleCase:
     def _vector_pair(self, u, w):
         """<u, w> = sum ct(u_i M_ij flip(w_j) nabla)."""
         M = self.matrix_weight()
-        nb = len(self.bottoms)
         if self.aw is not None:
             # one-variable exact route: weight polynomial inserted into the
             # zonal moment functional
             L = self._cache.setdefault(
                 "awfun0", AWFunctional(self.aw_zonal, self.lattice))
             return L.value(u[0] * w[0].invol_inv() * M[0, 0])
-        eng = self.nabla_engine(self._vector_hint())
-        acc = None
-        for i in range(nb):
-            if u[i].is_zero():
-                continue
-            for j in range(nb):
-                if w[j].is_zero():
-                    continue
-                h = u[i] * M[i, j] * w[j].invol_inv()
-                val = eng.ct_pair(h)
-                acc = val if acc is None else acc + val
-        if acc is None:
-            acc = eng.ct_pair(GAElement.zero(self.lattice))
-        return acc
+        return self.nabla_engine(self._vector_hint()).vector_pair(u, M, w)
 
     def _vector_hint(self):
         return self._cache.get("vector_hint", 10)
@@ -335,7 +320,7 @@ class ExampleCase:
 
     def vector_member(self, b_idx, lam):
         """The orthogonal vector polynomial with leading m_lam in slot b."""
-        key = ("vec", b_idx, tuple(lam))
+        key = ("vec", b_idx, tuple(lam), self.order)
         if key in self._cache:
             return self._cache[key]
         nb = len(self.bottoms)
@@ -357,7 +342,7 @@ class ExampleCase:
         return MatGAElement(rows)
 
     def gram_block(self, lam, mu):
-        """mat_pair of Q_lam and Q_mu under the case weight."""
+        """Matrix of pairings <column i of Q_lam, column j of Q_mu>."""
         A = self.matrix_q(lam)
         B = self.matrix_q(mu)
         nb = len(self.bottoms)
@@ -470,7 +455,7 @@ class ExampleCase:
 
     # -- recurrence ------------------------------------------------------------
 
-    def recurrence_coeffs(self, i, lam, weight_table=None):
+    def recurrence_coeffs(self, i, lam):
         """Expansion of P_{pi_i} * Q_lam over the matrix family."""
         spec = self.family_spec(self._vector_hint())
         pi = tuple(int(k == i) for k in range(self.rank))
@@ -646,7 +631,6 @@ class ExampleCase:
 def qkrawtchouk(i, y, p, N):
     """Terminating basic hypergeometric sum in base q^{-2}, evaluated at y."""
     acc = ExactScalar.zero()
-    term_num_a = lambda k: q_pochhammer(Q(2 * i), -2, k)
     for k in range(0, min(i, N) + 1):
         num = (q_pochhammer(Q(2 * i), -2, k) *
                q_pochhammer(y, -2, k) *
@@ -987,9 +971,7 @@ def _build_a2_family(tag):
         qhat_log=qhat_log, t=t, tau_scalar=Q(tlog),
         bottom_weights=bottom_weights, golden_matrix_fn=golden,
         gamma_basis=[e1, es1, es2s1], gamma_bottoms=[2, 1, 0],
-        cmap_diagonal=[ONE, (tau_sc ** 2).inv(), (tau_sc ** 4).inv()],
-        t_map=t_map, J=(1,),
-        extra={"sigma_swap": (2, 1, 0)})
+        t_map=t_map, J=(1,))
     return case
 
 
@@ -1059,17 +1041,14 @@ def _build_dii(n):
     basis[theta_slot] = GAElement.one(lat, 1)  # v1 maps to the theta bottom
     basis[id_slot] = v2
     gamma = [basis[0], basis[1]]
-    cdiag = [None, None]
-    cdiag[theta_slot] = Q(n - 1)
-    cdiag[id_slot] = Q(1 - n)
 
     case = ExampleCase(
         tag=tag, satake=satake, restricted=restricted, lattice=lat,
         qhat_log=2, t=Q(2 * (n - 1)), tau_scalar=Q(n - 1),
         bottom_weights=bottom_weights, golden_matrix_fn=golden,
         gamma_basis=gamma, gamma_bottoms=[0, 1],
-        cmap_diagonal=cdiag, t_map=t_map, J=(),
-        extra={"n": n, "sigma_swap": (0, 1)})
+        t_map=t_map, J=(),
+        extra={"n": n})
     return case
 
 
@@ -1142,7 +1121,7 @@ def _build_small_b(kind, n, s, c_param=None):
         qhat_log=2, t=None, tau_scalar=None,
         bottom_weights=bottom_weights, golden_matrix_fn=golden,
         gamma_basis=[GAElement.one(lat, 1)], gamma_bottoms=[0],
-        cmap_diagonal=[ONE], t_map=t_map, J=(0,),
+        t_map=t_map, J=(0,),
         aw=aw, aw_zonal=aw_zonal,
         extra={"n": n, "s": s, "kind": kind, "C": Cc, "c_param": c_param})
     return case

@@ -34,8 +34,16 @@ CONFIG_ERROR = 2
 CHECK_FAILED = 1
 
 
+class ConfigError(ValueError):
+    """A bad command-line value; reported in one line with exit code 2."""
+
+
 def _parse_coords(text):
-    return tuple(int(x) for x in text.split(",") if x.strip() != "")
+    try:
+        return tuple(int(x) for x in text.split(",") if x.strip() != "")
+    except ValueError:
+        raise ConfigError("--lam needs comma-separated integers, got %r"
+                          % (text,)) from None
 
 
 def _render_ga(f, fmt, symbol="e", wsym="\\varpi"):
@@ -175,7 +183,10 @@ def _t_inverse(case, b, lam):
     return None
 
 
-def run_verify(case_id, height=2, order=60, jobs=1):
+def run_verify(case_id, height=2, order=60):
+    if height < 0:
+        return ({"error": "lambda height must be >= 0, got %d" % height},
+                CONFIG_ERROR)
     try:
         case = build_case(case_id)
     except ValueError as exc:
@@ -299,7 +310,7 @@ def cmd_verify(args):
     if args.cache_dir:
         weights_mod.set_cache_dir(args.cache_dir)
     report, status = run_verify(args.case, height=args.lambda_height,
-                                order=args.order, jobs=args.jobs)
+                                order=args.order)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.report:
         with open(args.report, "w") as fh:
@@ -340,8 +351,6 @@ def main(argv=None):
     p.add_argument("--lambda-height", type=int, default=2)
     p.add_argument("--order", type=int, default=60)
     p.add_argument("--report", default=None)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="reserved; checks currently run serially")
     p.add_argument("--cache-dir", default=os.environ.get("MACPOLY_CACHE"))
     p.set_defaults(fn=cmd_verify)
 
@@ -357,7 +366,11 @@ def main(argv=None):
     p.set_defaults(fn=cmd_render)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return CONFIG_ERROR
 
 
 if __name__ == "__main__":

@@ -223,13 +223,6 @@ class GAElement:
                     rem[ee] = s
         return GAElement(quot, self.lattice)
 
-    def divides_exactly(self, other):
-        try:
-            self.exact_div(other)
-            return True
-        except (ArithmeticError, KeyError):
-            return False
-
     # -- rendering ----------------------------------------------------------
 
     def sorted_items(self):

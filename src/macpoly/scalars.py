@@ -434,6 +434,58 @@ class ExactScalar:
         return SeriesScalar({e: c for e, c in out.items() if c and e < prec}, prec)
 
 
+def exact_sum_of_products(products):
+    """Sum over `products` (tuples of ExactScalar factors) of each product.
+
+    Numerators are multiplied and added unreduced, one accumulator per
+    distinct denominator, and each accumulator is reduced once at the end;
+    the value equals the term-by-term reduced sum.
+    """
+    # id(factor) -> (factor, index of its denominator in dens); holding the
+    # factor keeps its id from being reused within the call
+    seen = {}
+    den_index = {}
+    dens = []
+    sums = {}  # tuple of denominator indices -> numerator accumulator
+    for factors in products:
+        key = []
+        num = None
+        for f in factors:
+            got = seen.get(id(f))
+            if got is None:
+                items = tuple(sorted(f.den.items()))
+                k = den_index.get(items)
+                if k is None:
+                    k = den_index[items] = len(dens)
+                    dens.append(f.den)
+                got = seen[id(f)] = (f, k)
+            key.append(got[1])
+            num = f.num if num is None else _lp_mul(num, f.num)
+        key = tuple(key)
+        acc = sums.get(key)
+        if acc is None:
+            acc = sums[key] = {}
+        for e, c in num.items():
+            acc[e] = acc.get(e, 0) + c
+    by_den = {}
+    for key, num in sums.items():
+        den = {0: 1}
+        for k in key:
+            den = _lp_mul(den, dens[k])
+        items = tuple(sorted(den.items()))
+        got = by_den.get(items)
+        if got is None:
+            by_den[items] = (den, num)
+        else:
+            acc = got[1]
+            for e, c in num.items():
+                acc[e] = acc.get(e, 0) + c
+    total = ExactScalar.zero()
+    for den, num in by_den.values():
+        total = total + ExactScalar(num, den)
+    return total
+
+
 def _coerce(x):
     if isinstance(x, ExactScalar):
         return x

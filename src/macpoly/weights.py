@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .galg import GAElement
-from .scalars import ExactScalar, SeriesScalar
+from .scalars import ExactScalar, SeriesScalar, exact_sum_of_products
 
 INF = None  # length tag for infinite Pochhammer factors
 
@@ -405,6 +405,7 @@ class WeightEngine:
         self._plus_terms = None
         self._minus_terms = None
         self._guaranteed = None
+        self._moments = {}
         if backend == "auto" and self.spec.is_finite():
             self._build_exact()
         elif backend in ("auto", "series"):
@@ -564,6 +565,100 @@ class WeightEngine:
     def ct_norm(self):
         return self.ct_pair(GAElement.one(self.spec.lattice, self.spec.rank))
 
+    def vector_pair(self, u, M, w):
+        """sum_{i,j} ct(u_i M_ij flip(w_j) W) for vectors u, w and matrix M.
+
+        Exact weights pair through moment tables of M, series weights
+        through the materialised products, whose coefficient orders the
+        truncated pairing has to see to certify its result.
+        """
+        if self._exact_product is not None:
+            return self.vector_pair_moments(u, M, w)
+        return self.vector_pair_products(u, M, w)
+
+    def vector_pair_products(self, u, M, w):
+        """The vector pairing as ct_pair of each u_i M_ij flip(w_j)."""
+        acc = None
+        for i, ui in enumerate(u):
+            if ui.is_zero():
+                continue
+            for j, wj in enumerate(w):
+                if wj.is_zero():
+                    continue
+                val = self.ct_pair(ui * M[i, j] * wj.invol_inv())
+                acc = val if acc is None else acc + val
+        if acc is None:
+            acc = self.ct_pair(GAElement.zero(M.lattice))
+        return acc
+
+    def vector_pair_moments(self, u, M, w):
+        """The vector pairing on an exact weight, from the moments of M:
+        sum over u_i[a] w_j[b] m_ij(a - b), m_ij(nu) = ct(e^nu M_ij W)."""
+        tables = self._moment_tables(M)
+
+        def products():
+            for i, ui in enumerate(u):
+                for j, wj in enumerate(w):
+                    table = tables[i][j]
+                    for a, ca in ui.terms.items():
+                        for b, cb in wj.terms.items():
+                            m = table.get(tuple(x - y for x, y in zip(a, b)))
+                            if m is not None:
+                                yield ca, cb, m
+
+        return exact_sum_of_products(products())
+
+    def _moment_tables(self, M):
+        """Per-entry moment tables of M against this (exact) weight; equal
+        entries share one table.
+
+        Keyed by id(M); the entry holds M, so the id stays M's while kept.
+        """
+        got = self._moments.get(id(M))
+        if got is None:
+            W = self._exact_product.terms
+            distinct = []
+            rows = []
+            for row in M.rows:
+                out = []
+                for f in row:
+                    table = next((t for t in distinct if t.f == f), None)
+                    if table is None:
+                        table = _MomentTable(f, W)
+                        distinct.append(table)
+                    out.append(table)
+                rows.append(out)
+            got = self._moments[id(M)] = (M, rows)
+        return got[1]
+
+
+class _MomentTable:
+    """nu -> ct(e^nu f W) = sum_e f[e] W[-(e + nu)], filled on demand;
+    None where the moment vanishes."""
+
+    __slots__ = ("f", "W", "values")
+
+    def __init__(self, f, W):
+        self.f = f
+        self.W = W
+        self.values = {}
+
+    def get(self, nu):
+        try:
+            return self.values[nu]
+        except KeyError:
+            pass
+        W = self.W
+        pairs = []
+        for e, c in self.f.terms.items():
+            w = W.get(tuple(-(x + y) for x, y in zip(e, nu)))
+            if w is not None:
+                pairs.append((c, w))
+        m = exact_sum_of_products(pairs)
+        m = None if m.is_zero() else m
+        self.values[nu] = m
+        return m
+
 
 def sym_pair(f, g, engine, conj="flip", normalized=False):
     """ct((f * conj(g)) W), optionally divided by ct(W)."""
@@ -572,13 +667,6 @@ def sym_pair(f, g, engine, conj="flip", normalized=False):
     if normalized:
         val = val / engine.ct_norm()
     return val
-
-
-def mat_pair(A, B, M, engine, conj="flip"):
-    """Matrix of ct((A^T M conj(B))_{b,b'} W) values."""
-    G = A.transpose() * M * B.map_entries(lambda x: x.conjugate(conj))
-    return [[engine.ct_pair(G[i, j]) for j in range(G.size)]
-            for i in range(G.size)]
 
 
 # ---------------------------------------------------------------------------

@@ -292,3 +292,86 @@ class TestRecurrence:
         assert rep["residual_zero"]
         assert rep["steps_in_weights"]
         assert rep["top_nonzero"]
+
+
+class TestCaches:
+    def test_engines_follow_order(self):
+        # engines, family specs and vector members are cached per order, so
+        # changing the order never returns an object built at the old one
+        case = build_case("AI2")
+        case.order = 20
+        nabla, delta = case.nabla_engine(4), case.delta_engine(4)
+        spec = case.family_spec(4)
+        case.order = 30
+        assert case.nabla_engine(4) is not nabla
+        assert case.nabla_engine(4).order == 30
+        assert case.delta_engine(4) is not delta
+        assert case.delta_engine(4).order == 30
+        assert case.family_spec(4) is not spec
+        assert case.family_spec(4).engine_sym.order == 30
+        case.order = 20
+        assert case.nabla_engine(4) is nabla
+
+    def test_vector_members_follow_order(self):
+        case = build_case("DII:n=2")
+        case.set_grid_height(1)
+        member = case.vector_member(0, (1,))
+        case.order = 40
+        assert case.vector_member(0, (1,)) is not member
+
+
+class TestMomentPairing:
+    """The moment-table pairing against the materialised-product oracle."""
+
+    @staticmethod
+    def _random_vectors(case, rng, count):
+        den = ExactScalar.one() + Q(1)
+        out = []
+        for _ in range(count):
+            vec = []
+            for _ in case.bottoms:
+                f = GAElement.zero(case.lattice)
+                for _ in range(rng.randint(0, 2)):
+                    e = tuple(rng.randint(-2, 2) for _ in range(case.rank))
+                    c = Q(rng.randint(-2, 2))
+                    if rng.random() < 0.5:
+                        c = c / den
+                    f = f + GAElement.monomial(e, case.lattice, c)
+                vec.append(f)
+            out.append(vec)
+        return out
+
+    @pytest.mark.parametrize("cid", ["A2G", "AII5", "DII:n=2"])
+    def test_matches_materialised_products(self, cid):
+        import itertools
+        import random
+
+        case = build_case(cid)
+        case.set_grid_height(2)
+        eng = case.nabla_engine(case._vector_hint())
+        assert eng._exact_product is not None
+        M = case.matrix_weight()
+        if case.rank == 1:
+            grid = [(m,) for m in range(3)]
+        else:
+            grid = [(x, y) for x in range(3) for y in range(3 - x)]
+        members = [case.vector_member(b, lam).slots
+                   for lam in grid for b in range(len(case.bottoms))]
+        for u, w in itertools.combinations_with_replacement(members, 2):
+            assert (eng.vector_pair_moments(u, M, w) ==
+                    eng.vector_pair_products(u, M, w))
+        rng = random.Random(11)
+        vecs = self._random_vectors(case, rng, 8) + rng.sample(members, 4)
+        for u in vecs:
+            for w in vecs:
+                assert (eng.vector_pair_moments(u, M, w) ==
+                        eng.vector_pair_products(u, M, w))
+
+    def test_exact_engine_takes_moment_route(self):
+        case = build_case("A2G")
+        case.set_grid_height(1)
+        eng = case.nabla_engine(case._vector_hint())
+        u = [case.m_of((1, 0)), case.one(), GAElement.zero(case.lattice)]
+        assert not eng._moments
+        case._vector_pair(u, u)
+        assert len(eng._moments) == 1

@@ -39,6 +39,12 @@ class TestCompute:
         rc = main(["compute", "--case", "AI2", "--family", "sym", "--lam", "1"])
         assert rc == 2
 
+    def test_non_integer_lam_exit_code(self, capsys):
+        rc = main(["compute", "--case", "AI2", "--lam", "1,x"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestRender:
     def test_latex_matrix(self, capsys):
@@ -47,6 +53,12 @@ class TestRender:
         assert rc == 0
         out = capsys.readouterr().out
         assert out.startswith("\\begin{pmatrix}")
+
+    def test_non_integer_lam_exit_code(self, capsys):
+        rc = main(["render", "--case", "DII:n=2", "--what", "Q", "--lam", "x"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_json_matrix(self, capsys):
         rc = main(["render", "--case", "A2G", "--what", "M",
@@ -84,6 +96,12 @@ class TestVerify:
     def test_config_error_exit_code(self, capsys):
         rc = main(["verify", "--case", "nope"])
         assert rc == 2
+
+    def test_negative_height_exit_code(self, capsys):
+        rc = main(["verify", "--case", "DII:n=2", "--lambda-height", "-1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_cache_reproducibility(self, tmp_path):
         env = os.environ.get("MACPOLY_CACHE")
