@@ -21,7 +21,7 @@ from .families import (
     monomial,
     orthogonalize_step,
 )
-from .galg import GAElement, MatGAElement
+from .galg import GAElement, MatGAElement, solve_linear
 from .roots import (
     RestrictedSystem,
     SatakeDatum,
@@ -270,6 +270,9 @@ class ExampleCase:
             return L.value(u[0] * w[0].invol_inv() * M[0, 0])
         return self.nabla_engine(self._vector_hint()).vector_pair(u, M, w)
 
+    def _vec_pair(self, f, g):
+        return self._vector_pair(f.slots, g.slots)
+
     def _vector_hint(self):
         return self._cache.get("vector_hint", 10)
 
@@ -295,15 +298,7 @@ class ExampleCase:
         """Pairs (b', mu) strictly below (b, lam) in the ambient dominance."""
         key = self._pair_key(b_idx, lam)
         out = []
-        H = self.restricted.height2(lam) + 2
-        cands = set()
-        for x in range(0, H + 1):
-            if self.rank == 1:
-                cands.add((x,))
-            else:
-                for y in range(0, H + 1 - x):
-                    cands.add((x, y))
-        for mu in cands:
+        for mu in self.restricted.grid(self.restricted.height2(lam) + 2):
             for bp in range(len(self.bottoms)):
                 k = self._pair_key(bp, mu)
                 if k < key and self._dominated(bp, mu, b_idx, lam):
@@ -328,9 +323,8 @@ class ExampleCase:
         lead[b_idx] = self.m_of(lam)
         prevs = [self.vector_member(bp, mu)
                  for bp, mu in self._vector_downset(b_idx, lam)]
-        vec = orthogonalize_step(_VecPoly(lead, self), prevs and prevs or [],
-                                 lambda f, g: self._vector_pair(f.slots, g.slots),
-                                 "%s vector (%s, %s)" % (self.tag, b_idx, lam))
+        _, vec = orthogonalize_step(_VecPoly(lead, self), prevs, self._vec_pair,
+                                    "%s vector (%s, %s)" % (self.tag, b_idx, lam))
         self._cache[key] = vec
         return vec
 
@@ -391,16 +385,9 @@ class ExampleCase:
 
     def expand_in_gamma_basis(self, f):
         """Coefficients of f over the basis e_y, W-invariant coefficients."""
-        keys = sorted({self.restricted.order_key(e)[0] for e in f.support()})
-        H = (max(keys) if keys else 0) + 2
-        doms = set()
-        for x in range(0, H + 1):
-            if self.rank == 1:
-                doms.add((x,))
-            else:
-                for y in range(0, H + 1 - x):
-                    doms.add((x, y))
-        doms = sorted(doms)
+        H = max((self.restricted.order_key(e)[0] for e in f.support()),
+                default=0) + 2
+        doms = self.restricted.grid(H)
         cols = []
         labels = []
         for yi, g in enumerate(self.gamma_basis):
@@ -415,7 +402,7 @@ class ExampleCase:
         zero = ExactScalar.zero()
         rows = [[c.terms.get(e, zero) for c in cols] for e in support]
         rhs = [f.terms.get(e, zero) for e in support]
-        sol = _solve_rect(rows, rhs)
+        sol = solve_linear(rows, rhs)
         out = [GAElement.zero(self.lattice) for _ in self.gamma_basis]
         for (yi, d), c in zip(labels, sol):
             if not c.is_zero():
@@ -461,57 +448,29 @@ class ExampleCase:
         pi = tuple(int(k == i) for k in range(self.rank))
         P = spec.family_member(tuple(range(self.rank)), pi)
         nb = len(self.bottoms)
+        top = tuple(a + c for a, c in zip(lam, pi))
+        # everything at or below lam + pi in the ambient order
+        grid = self.restricted.grid(self.restricted.height2(top) + 2)
         out = {}
         residual_cols = []
         for b in range(nb):
             col = self.vector_member(b, lam)
             target = _VecPoly([P * s for s in col.slots], self)
-            down = [(b, lam)] + self._vector_downset(b, lam)
-            # everything at or below lam + pi in the ambient order
-            ups = []
-            H = self.restricted.height2(lam) + self.restricted.height2(pi) + 2
-            cands = set()
-            for x in range(0, H + 1):
-                if self.rank == 1:
-                    cands.add((x,))
-                else:
-                    for y in range(0, H + 1 - x):
-                        cands.add((x, y))
-            for mu in sorted(cands):
-                for bp in range(nb):
-                    if self._dominated2(bp, mu, b, lam, pi):
-                        ups.append((bp, mu))
-            ups.sort(key=lambda t: self._pair_key(*t))
-            rem = target
-            coeffs = {}
+            ups = sorted(((bp, mu) for mu in grid for bp in range(nb)
+                          if self._dominated(bp, mu, b, top)),
+                         key=lambda t: self._pair_key(*t))
             mems = [self.vector_member(bp, mu) for bp, mu in ups]
-            norms = [self._vector_pair(m.slots, m.slots) for m in mems]
-            cross = {}
-            vals = [self._vector_pair(target.slots, m.slots) for m in mems]
-            cvec = [None] * len(ups)
-            for k in range(len(ups)):
-                acc = vals[k]
-                for j in range(k):
-                    ejk = cross.get((j, k))
-                    if ejk is None:
-                        ejk = self._vector_pair(mems[j].slots, mems[k].slots)
-                        cross[(j, k)] = ejk
-                    acc = acc - cvec[j] * ejk
-                cvec[k] = acc / norms[k]
-            for idx, ((bp, mu), c) in enumerate(zip(ups, cvec)):
-                if not c.is_zero():
-                    coeffs[(bp, mu)] = c
-                    rem = rem - _VecPoly([s.scale(c) for s in mems[idx].slots],
-                                         self)
+            cvec, rem = orthogonalize_step(
+                target, mems, self._vec_pair,
+                "%s recurrence (%s, %s)" % (self.tag, b, lam))
             residual_cols.append(all(s.is_zero() for s in rem.slots))
-            out[b] = coeffs
+            out[b] = {t: c for t, c in zip(ups, cvec) if not c.is_zero()}
         # every step must be a weight of the multiplier module, and the top
         # coefficient must be nonzero
         wset = self.multiplier_weights(i)
         steps_ok = True
         top_ok = True
         for b, coeffs in out.items():
-            top = tuple(a + c for a, c in zip(lam, pi))
             cval = coeffs.get((b, top))
             if cval is None or cval.is_zero():
                 top_ok = False
@@ -537,13 +496,6 @@ class ExampleCase:
             table = freudenthal(self.datum, hw)
             self._cache[key] = set(table.mult)
         return self._cache[key]
-
-    def _dominated2(self, bp, mu, b, lam, pi):
-        xm = self.satake.from_restricted(mu)
-        xt = self.satake.from_restricted(tuple(a + c for a, c in zip(lam, pi)))
-        lo = tuple(a + c for a, c in zip(xm, self.bottoms[bp]))
-        hi = tuple(a + c for a, c in zip(xt, self.bottoms[b]))
-        return self.datum.dominance_leq(lo, hi)
 
     # -- the rational weight ratio and its defining identity ---------------------
 
@@ -765,35 +717,6 @@ class _VecPoly:
     def __sub__(self, other):
         return _VecPoly([a - b for a, b in zip(self.slots, other.slots)],
                         self.case)
-
-
-def _solve_rect(rows, rhs):
-    """Solve a (possibly overdetermined) consistent system exactly."""
-    n = len(rows)
-    m = len(rows[0])
-    aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
-    row = 0
-    piv_cols = []
-    for col in range(m):
-        piv = next((r for r in range(row, n) if not aug[r][col].is_zero()), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for r in range(n):
-            if r != row and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        piv_cols.append(col)
-        row += 1
-    for r in range(row, n):
-        if not aug[r][m].is_zero():
-            raise ArithmeticError("inconsistent basis expansion")
-    sol = [ExactScalar.zero()] * m
-    for r, col in enumerate(piv_cols):
-        sol[col] = aug[r][m]
-    return sol
 
 
 # ---------------------------------------------------------------------------

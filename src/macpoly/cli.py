@@ -38,12 +38,12 @@ class ConfigError(ValueError):
     """A bad command-line value; reported in one line with exit code 2."""
 
 
-def _parse_coords(text):
+def _parse_coords(text, flag="--lam"):
     try:
         return tuple(int(x) for x in text.split(",") if x.strip() != "")
     except ValueError:
-        raise ConfigError("--lam needs comma-separated integers, got %r"
-                          % (text,)) from None
+        raise ConfigError("%s needs comma-separated integers, got %r"
+                          % (flag, text)) from None
 
 
 def _render_ga(f, fmt, symbol="e", wsym="\\varpi"):
@@ -77,6 +77,16 @@ def cmd_compute(args):
     if len(lam) != case.rank:
         print("error: --lam needs %d coordinates" % case.rank, file=sys.stderr)
         return CONFIG_ERROR
+    if args.family == "intermediate":
+        J = _parse_coords(args.J, "--J") if args.J else case.J
+    else:
+        J = () if args.family == "nonsym" else tuple(range(case.rank))
+    if not all(j in range(case.rank) for j in J):
+        raise ConfigError("--J indices must lie in 0..%d, got %s"
+                          % (case.rank - 1, list(J)))
+    if not case.restricted.is_dominant(lam, J):
+        raise ConfigError("--lam %s is not dominant for J=%s"
+                          % (list(lam), list(J)))
     hint = max(args.height, case.restricted.height2(case.restricted.dominant_rep(lam)) + 2)
     spec = case.family_spec(2 * hint)
     if args.family == "sym":
@@ -87,7 +97,6 @@ def cmd_compute(args):
             return CONFIG_ERROR
         out = nonsym_macdonald(spec, lam[0])
     elif args.family == "intermediate":
-        J = tuple(int(x) for x in args.J.split(",")) if args.J else case.J
         out = intermediate_macdonald(spec, J, lam)
     elif args.family == "matrix":
         case.set_grid_height(case.restricted.height2(
@@ -149,13 +158,6 @@ def cmd_render(args):
 # ---------------------------------------------------------------------------
 
 
-def _grid(case, H):
-    if case.rank == 1:
-        return [(m,) for m in range(H + 1)]
-    return [(x, y) for x in range(H + 1) for y in range(H + 1 - x)
-            if x + y <= H]
-
-
 def _identify_grid(case, H):
     if case.rank == 1:
         if case.aw is not None:
@@ -165,7 +167,7 @@ def _identify_grid(case, H):
             out += [(m,), (-m,)]
         return out
     out = []
-    for lam in _grid(case, H - 1):
+    for lam in case.restricted.grid(H - 1):
         for b in range(len(case.bottoms)):
             mu = _t_inverse(case, b, lam)
             if mu is not None:
@@ -211,7 +213,7 @@ def run_verify(case_id, height=2, order=60):
         record("ratio_identity", case.delta0_identity_check())
 
     case.set_grid_height(height)
-    grid = _grid(case, height)
+    grid = case.restricted.grid(height)
     # orthogonality: all distinct column pairs
     ortho_ok = True
     for i, lam in enumerate(grid):

@@ -32,7 +32,7 @@ def monomial_J(restricted, J, lam, lattice):
     """Orbit sum over the parabolic subgroup generated by J."""
     if not restricted.is_dominant(lam, J):
         raise ValueError("%s is not dominant for J=%s" % (lam, J))
-    orbit = restricted.orbit(lam, gens=J)
+    orbit = restricted.weyl_orbit(lam, J)
     return GAElement({e: ONE for e in orbit}, lattice)
 
 
@@ -42,7 +42,7 @@ def j_dominant_below(restricted, J, mu):
     key_mu = restricted.order_key(mu)
     out = set()
     for d in restricted.dominant_below(rep):
-        for x in restricted.orbit(d):
+        for x in restricted.weyl_orbit(d):
             if restricted.is_dominant(x, J) and restricted.order_key(x) < key_mu:
                 out.add(x)
     return sorted(out, key=restricted.order_key)
@@ -88,8 +88,9 @@ class PolyFamilySpec:
         cands = j_dominant_below(self.restricted, J, mu)
         prevs = [self.family_member(J, nu) for nu in cands]
         pair = lambda f, g: self.pair(f, g, symmetric)
-        return orthogonalize_step(m, prevs, pair, "%s/%s at %s"
-                                  % (self.label, J, mu))
+        _, member = orthogonalize_step(m, prevs, pair, "%s/%s at %s"
+                                       % (self.label, J, mu))
+        return member
 
     def dense_solve_member(self, J, mu):
         """Independent construction by one linear solve; oracle path.
@@ -115,8 +116,9 @@ class PolyFamilySpec:
 
 
 def orthogonalize_step(lead, prevs, pair, what=""):
-    """lead minus its projection onto prevs, new member in the left slot.
+    """Project lead onto prevs, lead in the left slot of the pairing.
 
+    Returns (coeffs, residual) with residual = lead - sum coeffs[k] prevs[k].
     The pairing need not be symmetric; the family satisfies <P_i, P_j> = 0
     for j earlier than i, which makes the Gram matrix of `prevs` triangular,
     so the projection coefficients come from one forward substitution.
@@ -139,7 +141,7 @@ def orthogonalize_step(lead, prevs, pair, what=""):
     out = lead
     for c, p in zip(coeffs, prevs):
         out = out - p.scale(c)
-    return out
+    return coeffs, out
 
 
 def sym_macdonald(spec, lam):

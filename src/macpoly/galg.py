@@ -299,10 +299,6 @@ class MatGAElement:
             return MatGAElement(out)
         return MatGAElement([[entry * other for entry in row] for row in self.rows])
 
-    def transpose(self):
-        n = self.size
-        return MatGAElement([[self.rows[j][i] for j in range(n)] for i in range(n)])
-
     def map_entries(self, fn):
         return MatGAElement([[fn(entry) for entry in row] for row in self.rows])
 

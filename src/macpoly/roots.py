@@ -10,9 +10,12 @@ integral.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
+from .galg import GAElement, solve_linear
 from .scalars import ExactScalar, ZERO
 
 
@@ -105,19 +108,11 @@ def _igcd(a, b):
 
 
 def _mat_inv_fractions(A):
+    """Inverse of an invertible rational matrix, as rows of Fractions."""
     n = len(A)
-    aug = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(i == j) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    rows = [[ExactScalar.from_fraction(a) for a in row] for row in A]
+    ident = [[ExactScalar.from_int(int(i == j)) for j in range(n)] for i in range(n)]
+    return [[c.as_fraction() for c in row] for row in solve_linear(rows, ident)]
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +142,7 @@ class RootDatum:
                    for i in range(self.rank))
 
     def pair_simple(self, i, x):
-        return sum(self.pairing_rows[i][j] * x[j] for j in range(self.rank))
+        return sum(p * c for p, c in zip(self.pairing_rows[i], x))
 
     def pair_two_rho(self, x):
         """<2 rho, x>, always an integer."""
@@ -156,15 +151,7 @@ class RootDatum:
 
     def reflect(self, i, x):
         c = self.pair_simple(i, x)
-        return tuple(x[j] - c * self.alpha_coords[i][j] for j in range(self.rank))
-
-    def coreflect(self, i, h):
-        """Simple reflection on Y in h-coordinates (Fractions allowed)."""
-        c = sum(Fraction(h[k]) * self.pairing_rows[k][j] * self.alpha_coords[i][j]
-                for k in range(self.rank) for j in range(self.rank))
-        out = list(Fraction(x) for x in h)
-        out[i] -= c
-        return tuple(out)
+        return tuple(a - c * b for a, b in zip(x, self.alpha_coords[i]))
 
     def act_word(self, word, x):
         """Apply s_{i_1} ... s_{i_k} (word applied right to left) to x in X."""
@@ -172,13 +159,16 @@ class RootDatum:
             x = self.reflect(i, x)
         return x
 
-    def weyl_orbit(self, x):
+    def weyl_orbit(self, x, J=None):
+        """Orbit of x under the subgroup generated by the reflections in J
+        (all simple reflections by default)."""
+        gens = range(self.rank) if J is None else J
         seen = {tuple(x)}
         frontier = [tuple(x)]
         while frontier:
             nxt = []
             for y in frontier:
-                for i in range(self.rank):
+                for i in gens:
                     z = self.reflect(i, y)
                     if z not in seen:
                         seen.add(z)
@@ -186,8 +176,10 @@ class RootDatum:
             frontier = nxt
         return seen
 
-    def is_dominant(self, x):
-        return all(self.pair_simple(i, x) >= 0 for i in range(self.rank))
+    def is_dominant(self, x, J=None):
+        """Dominance for the simple coroots in J (all by default)."""
+        idx = range(self.rank) if J is None else J
+        return all(self.pair_simple(i, x) >= 0 for i in idx)
 
     def dominant_rep(self, x):
         x = tuple(x)
@@ -249,15 +241,6 @@ class RootDatum:
         """2*h_x in h-coordinates (Fractions), <h_x, mu> = x . mu."""
         ax = self.alpha_expansion(x)
         return tuple(2 * ax[i] * self.eps[i] for i in range(self.rank))
-
-    def coroot_of(self, beta):
-        """h-coordinates of the coroot of the root beta (integer)."""
-        ab = self.alpha_expansion(beta)
-        norm = self.bilinear(beta, beta)
-        out = tuple(2 * ab[i] * self.eps[i] / norm for i in range(self.rank))
-        if any(c.denominator != 1 for c in out):
-            raise ValueError("%s is not a root" % (beta,))
-        return tuple(int(c) for c in out)
 
     def reflection_word(self, beta):
         """A Weyl word acting as the reflection in the root beta."""
@@ -434,8 +417,6 @@ def _in_hull(datum, lam, xi):
 
 def weyl_character(datum, lam):
     """Character of L(lam) by the alternating-sum formula; oracle use only."""
-    from .galg import GAElement
-
     n = datum.rank
     rho2 = tuple(2 * r for r in datum.rho_x())
     assert all(r.denominator == 1 for r in rho2)
@@ -655,41 +636,23 @@ class SatakeDatum:
                          for k in range(len(self.pi_vectors)))
                      for i in range(n))
 
+    @cached_property
+    def _left_inverse(self):
+        """(P^T P)^{-1} P^T, P the matrix with the pi_vectors as columns."""
+        P = self.pi_vectors
+        gram = [[sum(a * b for a, b in zip(u, w)) for w in P] for u in P]
+        inv = _mat_inv_fractions(gram)
+        return tuple(tuple(sum(inv[k][l] * P[l][i] for l in range(len(P)))
+                           for i in range(self.datum.rank))
+                     for k in range(len(P)))
+
     def to_restricted(self, x):
         """Coordinates of x in the 2L basis; None if x is not in 2L."""
-        r = len(self.pi_vectors)
-        n = self.datum.rank
-        # solve the overdetermined system by Gaussian elimination
-        rows = [[Fraction(self.pi_vectors[k][i]) for k in range(r)] +
-                [Fraction(x[i])] for i in range(n)]
-        sol = [None] * r
-        col = 0
-        for k in range(r):
-            piv = next((i for i in range(col, n) if rows[i][k]), None)
-            if piv is None:
-                continue
-            rows[col], rows[piv] = rows[piv], rows[col]
-            pv = rows[col][k]
-            rows[col] = [v / pv for v in rows[col]]
-            for i in range(n):
-                if i != col and rows[i][k]:
-                    f = rows[i][k]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
-            col += 1
-        for i in range(col, n):
-            if rows[i][r]:
-                return None
-        out = []
-        for k in range(r):
-            row = next((rw for rw in rows[:col] if rw[k] == 1 and
-                        all(rw[j] == 0 for j in range(r) if j != k)), None)
-            if row is None:
-                return None
-            val = row[r]
-            if val.denominator != 1:
-                return None
-            out.append(int(val))
-        return tuple(out)
+        c = [sum(a * b for a, b in zip(row, x)) for row in self._left_inverse]
+        if any(v.denominator != 1 for v in c):
+            return None
+        c = tuple(int(v) for v in c)
+        return c if self.from_restricted(c) == tuple(x) else None
 
     def check(self):
         """Structural sanity of the stored tables."""
@@ -717,39 +680,24 @@ class SatakeDatum:
 # ---------------------------------------------------------------------------
 
 
-class RestrictedSystem:
-    """Type A root system of rank 1 or 2 in fundamental-weight coordinates.
+class RestrictedSystem(RootDatum):
+    """The type A root datum of rank 1 or 2, in fundamental-weight coordinates.
 
     This is the system in which the orthogonal-polynomial families live;
-    its roots are the doubled restricted roots of the ambient datum.
+    its roots are the doubled restricted roots of the ambient datum.  On top
+    of the datum it carries the family order and the height grid.
     """
 
     def __init__(self, rank):
         if rank not in (1, 2):
             raise ValueError("restricted systems implemented for rank 1 and 2")
-        self.rank = rank
-        if rank == 1:
-            self.simple = ((2,),)
-        else:
-            self.simple = ((2, -1), (-1, 2))
-        self.cartan = cartan_matrix("A", rank)
+        a = build_root_datum("A", rank)
+        super().__init__(a.series, a.rank, a.lattice, a.A, a.eps,
+                         a.pairing_rows, a.alpha_coords, a.two_rho)
 
-    @property
-    def zero(self):
-        return (0,) * self.rank
-
-    def pair_simple(self, i, x):
-        # <a_i^vee, x> = x_i in the weight basis
-        return x[i]
-
-    def reflect(self, i, x):
-        c = x[i]
-        return tuple(x[j] - c * self.simple[i][j] for j in range(self.rank))
-
-    def act_word(self, word, x):
-        for i in reversed(word):
-            x = self.reflect(i, x)
-        return x
+    # bound in this class too: perfbench/tracer.py times
+    # RestrictedSystem.dominance_leq by name
+    dominance_leq = RootDatum.dominance_leq
 
     def weyl_elements(self):
         """All group elements as reduced words."""
@@ -757,48 +705,11 @@ class RestrictedSystem:
             return [(), (0,)]
         return [(), (0,), (1,), (0, 1), (1, 0), (0, 1, 0)]
 
-    def orbit(self, x, gens=None):
-        gens = range(self.rank) if gens is None else gens
-        seen = {tuple(x)}
-        frontier = [tuple(x)]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for i in gens:
-                    z = self.reflect(i, y)
-                    if z not in seen:
-                        seen.add(z)
-                        nxt.append(z)
-            frontier = nxt
-        return seen
-
-    def is_dominant(self, x, J=None):
-        idx = range(self.rank) if J is None else J
-        return all(x[i] >= 0 for i in idx)
-
-    def dominant_rep(self, x):
-        x = tuple(x)
-        while True:
-            for i in range(self.rank):
-                if x[i] < 0:
-                    x = self.reflect(i, x)
-                    break
-            else:
-                return x
-
     def height2(self, x):
         """Twice the root-coordinate sum of x (integer for lattice points)."""
         if self.rank == 1:
             return x[0]
         return x[0] + x[1]  # (x+y) is the height of x wrt the simple roots
-
-    def dominance_leq(self, mu, lam):
-        d = tuple(lam[i] - mu[i] for i in range(self.rank))
-        if self.rank == 1:
-            return d[0] >= 0 and d[0] % 2 == 0
-        a = Fraction(2 * d[0] + d[1], 3)
-        b = Fraction(d[0] + 2 * d[1], 3)
-        return a.denominator == 1 and b.denominator == 1 and a >= 0 and b >= 0
 
     def min_coset_length(self, x):
         """Length of the minimal w with w(x) dominant."""
@@ -806,7 +717,7 @@ class RestrictedSystem:
         length = 0
         while True:
             for i in range(self.rank):
-                if x[i] < 0:
+                if self.pair_simple(i, x) < 0:
                     x = self.reflect(i, x)
                     length += 1
                     break
@@ -833,18 +744,17 @@ class RestrictedSystem:
         orthogonalisation.
         """
         key = self.order_key(lam)
-        out = []
-        if self.rank == 1:
-            out = [(k,) for k in range(0, lam[0] + 1)]
-        else:
-            H = self.height2(lam)
-            for x in range(0, H + 1):
-                for y in range(0, H + 1 - x):
-                    if self.order_key((x, y)) <= key:
-                        out.append((x, y))
+        out = [x for x in self.grid(self.height2(lam)) if self.order_key(x) <= key]
         return sorted(out, key=self.order_key)
 
+    def grid(self, H):
+        """Dominant labels with height2 <= H, in lexicographic order."""
+        return [x for x in itertools.product(range(H + 1), repeat=self.rank)
+                if self.height2(x) <= H]
+
     def _positive_roots(self):
+        # this order, not the sorted one of positive_roots(), is the order
+        # of the weight factors, and so part of the weight-cache key
         if self.rank == 1:
             return ((2,),)
         return ((2, -1), (-1, 2), (1, 1))

@@ -64,10 +64,6 @@ def _lp_ord(a):
     return min(a) if a else None
 
 
-def _lp_deg(a):
-    return max(a) if a else None
-
-
 def _lp_content(a):
     g = 0
     for c in a.values():
@@ -294,9 +290,6 @@ class ExactScalar:
         if not self.num:
             return None
         return _lp_ord(self.num)
-
-    def is_polynomial(self):
-        return self.den == {0: 1} or len(self.den) == 1
 
     def as_fraction(self):
         """The value as a rational number, if it is constant in v."""

@@ -44,12 +44,6 @@ def _announce(num, name, ok, detail=""):
     assert ok, line
 
 
-def _grid3(case):
-    if case.rank == 1:
-        return [(m,) for m in range(4)]
-    return [(x, y) for x in range(4) for y in range(4 - x)]
-
-
 @pytest.fixture(scope="module")
 def grid_cases():
     """The case instances with their full height-3 matrix families built."""
@@ -59,7 +53,7 @@ def grid_cases():
         case = build_case(cid)
         case.order = order
         case.set_grid_height(3)
-        for lam in _grid3(case):
+        for lam in case.restricted.grid(3):
             for b in range(len(case.bottoms)):
                 case.vector_member(b, lam)
         out[cid] = case
@@ -87,7 +81,7 @@ class TestCriterion2:
         details = []
         for cid, case in grid_cases.items():
             t0 = time.time()
-            grid = _grid3(case)
+            grid = case.restricted.grid(3)
             nb = len(case.bottoms)
             min_prec = None
             good = True
@@ -154,14 +148,14 @@ class TestCriterion4:
         for cid, case in grid_cases.items():
             if cid == "AI2":
                 continue  # the exact reconstruction runs at higher order below
-            for lam in _grid3(case):
+            for lam in case.restricted.grid(3):
                 res = case.qinv_check(lam)
                 ok = ok and res["status"] == "pass"
             details.append(cid)
         big = build_case("AI2")
         big.order = 150
         big.set_grid_height(3)
-        for lam in _grid3(big):
+        for lam in big.restricted.grid(3):
             res = big.qinv_check(lam)
             ok = ok and res["status"] == "pass"
         details.append("AI2(reconstructed)")

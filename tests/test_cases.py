@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from macpoly.cases import (
@@ -30,6 +32,20 @@ class TestCaseIds:
             build_case("CII:n=2,s=0")
         with pytest.raises(ValueError):
             build_case("DII:n=1")
+
+
+class TestRestrictedCoordinates:
+    # per case, one ambient weight off 2L: a non-integral or an out-of-span one
+    OFF = {"A2G": (1, 0, 0, 0), "AII5": (1, 0, 0, 0, 0), "AI2": (1, 0),
+           "DII:n=2": (1, 0), "BII:n=2,s=1": (0, 1)}
+
+    @pytest.mark.parametrize("cid", sorted(OFF))
+    def test_round_trip(self, cid):
+        satake = build_case(cid).satake
+        r = len(satake.pi_vectors)
+        for c in itertools.product(range(-3, 4), repeat=r):
+            assert satake.to_restricted(satake.from_restricted(c)) == c
+        assert satake.to_restricted(self.OFF[cid]) is None
 
 
 class TestBottomData:

@@ -45,6 +45,19 @@ class TestCompute:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_non_dominant_lam_exit_code(self, capsys):
+        rc = main(["compute", "--case", "A2G", "--family", "sym", "--lam=-1,0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_out_of_range_J_exit_code(self, capsys):
+        rc = main(["compute", "--case", "A2G", "--family", "intermediate",
+                   "--lam", "1,0", "--J", "5"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestRender:
     def test_latex_matrix(self, capsys):

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from macpoly.roots import (
     RestrictedSystem,
+    RootDatum,
     build_root_datum,
     central_scalar,
     freudenthal,
@@ -168,8 +170,8 @@ class TestRestrictedSystem:
 
     def test_rank2_orbits(self):
         r = RestrictedSystem(2)
-        assert len(r.orbit((1, 0))) == 3
-        assert len(r.orbit((1, 1))) == 6
+        assert len(r.weyl_orbit((1, 0))) == 3
+        assert len(r.weyl_orbit((1, 1))) == 6
 
     def test_dominance(self):
         r = RestrictedSystem(2)
@@ -188,3 +190,27 @@ class TestRestrictedSystem:
         r = RestrictedSystem(2)
         assert r.min_coset_length((1, 1)) == 0
         assert r.min_coset_length((-1, -1)) == 3
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_agrees_with_type_a_datum(self, rank):
+        r, d = RestrictedSystem(rank), build_root_datum("A", rank)
+        assert isinstance(r, RootDatum)
+        for x in itertools.product(range(-5, 6), repeat=rank):
+            for i in range(rank):
+                assert r.reflect(i, x) == d.reflect(i, x)
+                assert r.is_dominant(x, (i,)) == d.is_dominant(x, (i,))
+            assert r.dominant_rep(x) == d.dominant_rep(x)
+            assert r.is_dominant(x) == d.is_dominant(x)
+            assert r.weyl_orbit(x) == d.weyl_orbit(x)
+
+    def test_positive_root_order(self):
+        # the weight factors, and so the weight-cache keys, follow this order
+        assert RestrictedSystem(1)._positive_roots() == ((2,),)
+        r = RestrictedSystem(2)
+        assert r._positive_roots() == ((2, -1), (-1, 2), (1, 1))
+        assert sorted(r._positive_roots()) == list(r.positive_roots())
+
+    def test_grid(self):
+        assert RestrictedSystem(1).grid(2) == [(0,), (1,), (2,)]
+        assert RestrictedSystem(2).grid(2) == [(0, 0), (0, 1), (0, 2), (1, 0),
+                                               (1, 1), (2, 0)]
