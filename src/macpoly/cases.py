@@ -31,7 +31,6 @@ from .roots import (
 from .scalars import ExactScalar, QuadExt, q_number, q_pochhammer
 from .weights import (
     WeightEngine,
-    aw_weight,
     macdonald_nonsym_weight,
     macdonald_sym_weight,
 )
@@ -216,15 +215,9 @@ class ExampleCase:
     def nabla_engine(self, height_hint=8):
         key = ("nabla", height_hint, self.order)
         if key not in self._cache:
-            if self.aw is not None:
-                spec = aw_weight((self.aw_zonal.a, self.aw_zonal.b,
-                                  self.aw_zonal.c, self.aw_zonal.d),
-                                 self.lattice, self.aw_zonal.qhat_log,
-                                 tag="zonal:" + self.tag)
-            else:
-                spec = macdonald_sym_weight(self.restricted, self.qhat_log,
-                                            self.t, self.lattice,
-                                            tag="zonal:" + self.tag)
+            spec = macdonald_sym_weight(self.restricted, self.qhat_log,
+                                        self.t, self.lattice,
+                                        tag="zonal:" + self.tag)
             self._cache[key] = WeightEngine(spec, order=self.order,
                                             height_hint=height_hint)
         return self._cache[key]
@@ -245,7 +238,6 @@ class ExampleCase:
             if self.aw is not None:
                 fs = PolyFamilySpec(
                     restricted=self.restricted, lattice=self.lattice,
-                    engine_sym=self.nabla_engine(height_hint),
                     exact_functional=AWFunctional(self.aw, self.lattice),
                     label=self.tag)
             else:
@@ -265,8 +257,10 @@ class ExampleCase:
         if self.aw is not None:
             # one-variable exact route: weight polynomial inserted into the
             # zonal moment functional
-            L = self._cache.setdefault(
-                "awfun0", AWFunctional(self.aw_zonal, self.lattice))
+            L = self._cache.get("awfun0")
+            if L is None:
+                L = self._cache["awfun0"] = AWFunctional(self.aw_zonal,
+                                                         self.lattice)
             return L.value(u[0] * w[0].invol_inv() * M[0, 0])
         return self.nabla_engine(self._vector_hint()).vector_pair(u, M, w)
 

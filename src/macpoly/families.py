@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .galg import GAElement, solve_linear
-from .scalars import ExactScalar
+from .scalars import ExactScalar, exact_sum_of_products
 from .weights import WeightEngine, sym_pair
 
 ONE = ExactScalar.one()
@@ -280,23 +280,35 @@ def aw_eigenvalue(params, m):
 class AWFunctional:
     """Exact moment functional of the one-variable weight.
 
-    Built from the three-term recurrence: a symmetric Laurent polynomial is
-    expanded over the recurrence family and the functional reads off the
-    constant component.  Normalised so that L(1) = 1.
+    Built from the three-term recurrence: the moment
+    mu_k = L(e^k + e^-k) is read off the constant component of the
+    expansion of e^k + e^-k over the recurrence family, once per k, and
+    L(h) = h_0 + sum_{k>0} h_k mu_k.  Normalised so that L(1) = 1.
     """
 
     def __init__(self, params, lattice="aw"):
         self.params = params
         self.lattice = lattice
+        self._x = (GAElement.monomial((1,), lattice)
+                   + GAElement.monomial((-1,), lattice))
         self._family = [GAElement.one(lattice, 1)]
+        self._moments = [ONE]
 
     def _extend(self, m):
+        """Grow the recurrence family one step at a time up to degree m."""
         while len(self._family) <= m:
-            k = len(self._family)
-            self._family.append(aw_oracle(self.params, k, self.lattice))
+            k = len(self._family) - 1
+            cur = self._family[k]
+            prev = self._family[k - 1] if k else GAElement.zero(self.lattice)
+            bk, ck = aw_recurrence(self.params, k)
+            self._family.append(self._x * cur - cur.scale(bk) - prev.scale(ck))
 
-    def value(self, h):
-        """L(h) for a W-invariant h."""
+    def _reduce(self, h):
+        """L(h) by reduction against the recurrence family, term by term.
+
+        The oracle behind the moment table; only the top exponent is
+        compared with its mirror at each step.
+        """
         acc = ExactScalar.zero()
         rem = h
         while not rem.is_zero():
@@ -311,6 +323,26 @@ class AWFunctional:
             self._extend(k)
             rem = rem - self._family[k].scale(lead)
         return acc
+
+    def _moment(self, k):
+        """mu_k = L(e^k + e^-k) for k > 0, and mu_0 = L(1) = 1."""
+        while len(self._moments) <= k:
+            j = len(self._moments)
+            self._moments.append(self._reduce(
+                GAElement.monomial((j,), self.lattice)
+                + GAElement.monomial((-j,), self.lattice)))
+        return self._moments[k]
+
+    def value(self, h):
+        """L(h) for a W-invariant h."""
+        terms = h.terms
+        for (e,), c in terms.items():
+            if terms.get((-e,)) != c:
+                raise ValueError("functional argument is not W-invariant")
+        c0 = terms.get((0,))
+        products = [] if c0 is None else [(c0,)]
+        products += [(c, self._moment(e)) for (e,), c in terms.items() if e > 0]
+        return exact_sum_of_products(products)
 
     def pair(self, f, g, conj="flip"):
         return self.value(f * g.conjugate(conj))

@@ -508,8 +508,16 @@ def _render_poly(d):
 
 
 def parse_scalar(text):
-    """Parse the output of ExactScalar.render back into an ExactScalar."""
+    """Parse the output of ExactScalar.render or SeriesScalar.render."""
     text = text.strip()
+    body, sep, tail = text.rpartition("O(v^")
+    if sep:
+        body = body.rstrip().removesuffix("+").strip()
+        prec = int(tail.removesuffix(")"))
+        if body.startswith("(") and ") / " in body:
+            num, den = body[1:].split(") / ")
+            return SeriesScalar(_parse_poly(num), prec, _den=int(den))
+        return SeriesScalar(_parse_poly(body), prec, _den=1)
     if text.startswith("(") and ") / (" in text:
         left, right = text[1:-1].split(") / (")
         return ExactScalar(_parse_poly(left), _parse_poly(right))
@@ -723,6 +731,13 @@ class SeriesScalar:
     def __repr__(self):
         terms = ["%s*v^%d" % (c, e) for e, c in sorted(self.coeffs.items())]
         return "SeriesScalar(%s + O(v^%d))" % (" + ".join(terms) or "0", self.prec)
+
+    def render(self):
+        """Integer numerator over the common denominator, then the order."""
+        n = _render_poly(self.num)
+        if self.den != 1:
+            n = "(%s) / %d" % (n, self.den)
+        return "%s + O(v^%d)" % (n, self.prec)
 
 
 # ---------------------------------------------------------------------------

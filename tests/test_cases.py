@@ -10,7 +10,7 @@ from macpoly.cases import (
     parse_case_id,
     qkrawtchouk,
 )
-from macpoly.families import aw_oracle
+from macpoly.families import AWFunctional, aw_oracle
 from macpoly.galg import GAElement
 from macpoly.roots import regularity_scalar
 from macpoly.scalars import ExactScalar
@@ -334,6 +334,27 @@ class TestCaches:
         member = case.vector_member(0, (1,))
         case.order = 40
         assert case.vector_member(0, (1,)) is not member
+
+
+class TestAWMomentPairing:
+    """The one-variable moment table against term-by-term reduction."""
+
+    @pytest.mark.parametrize("cid", ["BII:n=2,s=1", "CII:n=3,s=2"])
+    def test_pairing_products(self, cid):
+        case = build_case(cid)
+        case.set_grid_height(2)
+        M = case.matrix_weight()
+        L = AWFunctional(case.aw_zonal, case.lattice)
+        members = [case.vector_member(b, (m,)).slots
+                   for m in range(3) for b in range(len(case.bottoms))]
+        for u in members:
+            for w in members:
+                h = u[0] * w[0].invol_inv() * M[0, 0]
+                assert L.value(h) == L._reduce(h)
+
+    def test_no_series_weight(self):
+        case = build_case("BII:n=2,s=1")
+        assert case.family_spec(case._vector_hint()).engine_sym is None
 
 
 class TestMomentPairing:

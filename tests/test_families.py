@@ -137,6 +137,50 @@ class TestAWFunctional:
             series = eng.ct_pair(mk) / norm
             assert (exact.to_series(series.prec) - series).is_zero()
 
+    def test_rejects_non_invariant(self):
+        p = AWParams.from_labels(Fraction(3, 2), Fraction(5, 2), 0, 0)
+        L = AWFunctional(p, "2L")
+        with pytest.raises(ValueError):
+            L.value(mono((-3,)))
+        with pytest.raises(ValueError):
+            L.value(mono((1,)) + mono((-1,)) + mono((-3,)))
+
+    @staticmethod
+    def _random_invariant(rng):
+        den = ONE + Q(1)
+        h = GAElement.zero("2L")
+        for _ in range(rng.randint(1, 5)):
+            k = rng.randint(0, 8)
+            c = Q(rng.randint(-3, 3), rng.choice([1, -1, 2]))
+            if rng.random() < 0.5:
+                c = c / (den if rng.random() < 0.5 else ONE - Q(2))
+            h = h + mono((k,), c)
+            if k:
+                h = h + mono((-k,), c)
+        return h
+
+    @pytest.mark.parametrize("labels", [
+        (Fraction(3, 2), Fraction(5, 2), 0, 0),
+        (Fraction(5, 2), Fraction(3, 2), 1, 0)])
+    def test_moment_table_matches_reduction(self, labels):
+        import random
+
+        p = AWParams.from_labels(*labels)
+        L = AWFunctional(p, "2L")
+        oracle = AWFunctional(p, "2L")
+        rng = random.Random(7)
+        for _ in range(12):
+            h = self._random_invariant(rng)
+            assert L.value(h) == oracle._reduce(h)
+        assert len(L._moments) == 9
+
+    def test_family_grows_by_recurrence(self):
+        p = AWParams.from_labels(Fraction(5, 2), Fraction(3, 2), 1, 0)
+        L = AWFunctional(p, "2L")
+        L._extend(8)
+        for m in range(9):
+            assert L._family[m] == aw_oracle(p, m, "2L")
+
 
 class TestGramSchmidtCalibration:
     def test_aw_via_series_pairing_matches_oracle(self):

@@ -140,6 +140,22 @@ class TestSeries:
         s = SeriesScalar({0: Fraction(1, 3)}, 10)
         assert (3 * s - 1).is_zero()
 
+    def test_render_roundtrip(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            prec = rng.randint(-2, 12)
+            coeffs = {rng.randint(-4, 14): Fraction(rng.randint(-9, 9),
+                                                    rng.randint(1, 6))
+                      for _ in range(rng.randint(0, 6))}
+            s = SeriesScalar(coeffs, prec)
+            back = parse_scalar(s.render())
+            assert isinstance(back, SeriesScalar)
+            assert back.prec == s.prec
+            assert back.num == s.num and back.den == s.den
+        assert SeriesScalar({}, 5).render() == "0 + O(v^5)"
+        assert (SeriesScalar({0: Fraction(1, 2), 3: -1}, 6).render()
+                == "(1 - 2*v^3) / 2 + O(v^6)")
+
 
 class TestQuadExt:
     def test_square_root(self):
