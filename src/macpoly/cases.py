@@ -212,9 +212,16 @@ class ExampleCase:
 
     # -- pairings and polynomial families -------------------------------------
 
+    def _require_series_weight(self):
+        if self.aw is not None:
+            raise ValueError(
+                "case %s has no series weight: it pairs through the "
+                "one-variable moment functional" % self.tag)
+
     def nabla_engine(self, height_hint=8):
         key = ("nabla", height_hint, self.order)
         if key not in self._cache:
+            self._require_series_weight()
             spec = macdonald_sym_weight(self.restricted, self.qhat_log,
                                         self.t, self.lattice,
                                         tag="zonal:" + self.tag)
@@ -225,6 +232,7 @@ class ExampleCase:
     def delta_engine(self, height_hint=8):
         key = ("delta", height_hint, self.order)
         if key not in self._cache:
+            self._require_series_weight()
             spec = macdonald_nonsym_weight(self.restricted, self.qhat_log,
                                            self.t, self.lattice,
                                            tag="nonsym:" + self.tag)
@@ -252,7 +260,8 @@ class ExampleCase:
     # -- vector-valued family --------------------------------------------------
 
     def _vector_pair(self, u, w):
-        """<u, w> = sum ct(u_i M_ij flip(w_j) nabla)."""
+        """<u, w> = sum ct(u_i M_ij flip(w_j) nabla), from the moment tables
+        of M on the nabla engine (exact or series)."""
         M = self.matrix_weight()
         if self.aw is not None:
             # one-variable exact route: weight polynomial inserted into the
@@ -272,8 +281,9 @@ class ExampleCase:
 
     def set_grid_height(self, H):
         """Plan expansions for vector pairings up to family height H."""
-        # supports of products u_i M_ij flip(w_j): heights up to
-        # 2*H plus the weight-matrix spread
+        # a vector pairing reads the weight at exponents e + a - b for e in
+        # the support of M_ij and a, b in those of u_i and w_j: heights up
+        # to 2*H plus the weight-matrix spread
         M = self.matrix_weight()
         spread = 0
         for row in M.rows:

@@ -29,6 +29,7 @@ from .families import (
     sym_macdonald,
 )
 from .roots import central_scalar, regularity_scalar
+from .scalars import SeriesScalar
 
 CONFIG_ERROR = 2
 CHECK_FAILED = 1
@@ -200,107 +201,149 @@ def run_verify(case_id, height=2, order=60):
     case.order = order
     checks = []
 
-    def record(name, result):
+    def record(name, check):
+        # a check that raises is recorded as an error; later checks still run
+        try:
+            result = check()
+        except Exception as exc:
+            result = {"status": "error",
+                      "detail": "%s: %s" % (type(exc).__name__, exc)}
         entry = {"name": name}
         entry.update(result)
         checks.append(entry)
 
-    case.bottom_restrictions()
-    record("bottom_normalisation", {"status": "pass"})
-    record("matrix_weight", case.matrix_weight_check())
-    record("weight_symmetry", case.weight_symmetry_check())
+    def bottom_normalisation():
+        case.bottom_restrictions()
+        return {"status": "pass"}
+
+    record("bottom_normalisation", bottom_normalisation)
+    record("matrix_weight", case.matrix_weight_check)
+    record("weight_symmetry", case.weight_symmetry_check)
     if case.t is not None:
-        record("ratio_identity", case.delta0_identity_check())
+        record("ratio_identity", case.delta0_identity_check)
 
     case.set_grid_height(height)
     grid = case.restricted.grid(height)
-    # orthogonality: all distinct column pairs
-    ortho_ok = True
-    for i, lam in enumerate(grid):
-        for mu in grid[: i + 1]:
-            blocks = case.gram_block(lam, mu)
-            nb = len(blocks)
-            for r in range(nb):
-                for c in range(nb):
-                    val = blocks[r][c]
-                    if lam == mu and r == c:
-                        if val.is_zero():
-                            ortho_ok = False
-                    elif not val.is_zero():
-                        ortho_ok = False
-    record("orthogonality", {"status": "pass" if ortho_ok else "fail",
-                             "grid": [list(g) for g in grid]})
 
-    idents = [case.identify(mu) for mu in _identify_grid(case, height)]
-    record("identification", {
-        "status": "pass" if all(r["status"] == "pass" for r in idents) else "fail",
-        "constants": {str(r["mu"]): r.get("constant") for r in idents}})
+    def orthogonality():
+        # all distinct column pairs; the certified order is the lowest
+        # precision among series Gram entries
+        ok = True
+        certified = None
+        for i, lam in enumerate(grid):
+            for mu in grid[: i + 1]:
+                blocks = case.gram_block(lam, mu)
+                nb = len(blocks)
+                for r in range(nb):
+                    for c in range(nb):
+                        val = blocks[r][c]
+                        if isinstance(val, SeriesScalar):
+                            certified = (val.prec if certified is None
+                                         else min(certified, val.prec))
+                        if lam == mu and r == c:
+                            if val.is_zero():
+                                ok = False
+                        elif not val.is_zero():
+                            ok = False
+        return {"status": "pass" if ok else "fail",
+                "grid": [list(g) for g in grid],
+                "certified_order": "exact" if certified is None else certified}
 
-    qinv_ok = all(case.qinv_check(lam)["status"] == "pass" for lam in grid)
-    record("q_inversion", {"status": "pass" if qinv_ok else "fail"})
+    record("orthogonality", orthogonality)
 
-    rec = case.recurrence_coeffs(0, grid[min(1, len(grid) - 1)])
-    record("recurrence", {
-        "status": "pass" if rec["residual_zero"] and rec["steps_in_weights"]
-        and rec["top_nonzero"] else "fail"})
+    def identification():
+        idents = [case.identify(mu) for mu in _identify_grid(case, height)]
+        return {"status": ("pass" if all(r["status"] == "pass" for r in idents)
+                           else "fail"),
+                "constants": {str(r["mu"]): r.get("constant") for r in idents}}
+
+    record("identification", identification)
+
+    def q_inversion():
+        ok = all(case.qinv_check(lam)["status"] == "pass" for lam in grid)
+        return {"status": "pass" if ok else "fail"}
+
+    record("q_inversion", q_inversion)
+
+    def recurrence():
+        rec = case.recurrence_coeffs(0, grid[min(1, len(grid) - 1)])
+        ok = (rec["residual_zero"] and rec["steps_in_weights"]
+              and rec["top_nonzero"])
+        return {"status": "pass" if ok else "fail"}
+
+    record("recurrence", recurrence)
 
     if case.aw is not None:
-        s = case.extra["s"]
-        eig_ok = kravchuk_consistency(case)
-        evs = []
-        for i in range(s + 1):
-            r = kravchuk_eigen(case, i)
-            eig_ok = eig_ok and r["residual_zero"] and r["nonzero"]
-            evs.append(r["eigenvalue"])
-        eig_ok = eig_ok and all(not (evs[i] - evs[j]).is_zero()
-                                for i in range(len(evs)) for j in range(i))
-        eig_ok = eig_ok and not kravchuk_orthogonality_denominator(case, 0).is_zero()
-        record("kravchuk_eigen", {"status": "pass" if eig_ok else "fail"})
-        # operator diagonalisation on the identified one-variable family
-        op_ok = True
-        seen = []
-        for m in range(5):
-            P = aw_oracle(case.aw, m, case.lattice)
-            lam_m = aw_eigenvalue(case.aw, m)
-            if not (aw_operator_apply(case.aw, P) - P.scale(lam_m)).is_zero():
-                op_ok = False
-            if any((lam_m - x).is_zero() for x in seen):
-                op_ok = False
-            seen.append(lam_m)
-        record("difference_operator", {"status": "pass" if op_ok else "fail"})
+        def kravchuk():
+            s = case.extra["s"]
+            ok = kravchuk_consistency(case)
+            evs = []
+            for i in range(s + 1):
+                r = kravchuk_eigen(case, i)
+                ok = ok and r["residual_zero"] and r["nonzero"]
+                evs.append(r["eigenvalue"])
+            ok = ok and all(not (evs[i] - evs[j]).is_zero()
+                            for i in range(len(evs)) for j in range(i))
+            ok = ok and not kravchuk_orthogonality_denominator(case, 0).is_zero()
+            return {"status": "pass" if ok else "fail"}
+
+        record("kravchuk_eigen", kravchuk)
+
+        def difference_operator():
+            # operator diagonalisation on the identified one-variable family
+            ok = True
+            seen = []
+            for m in range(5):
+                P = aw_oracle(case.aw, m, case.lattice)
+                lam_m = aw_eigenvalue(case.aw, m)
+                if not (aw_operator_apply(case.aw, P) - P.scale(lam_m)).is_zero():
+                    ok = False
+                if any((lam_m - x).is_zero() for x in seen):
+                    ok = False
+                seen.append(lam_m)
+            return {"status": "pass" if ok else "fail"}
+
+        record("difference_operator", difference_operator)
 
     if case.tag == "AI2":
-        hyper = []
-        reg_ok = True
-        seqs = [((0,),), ((1,),), ((0, 0),), ((0, 1),), ((1, 0),), ((1, 1),)]
-        for (K,) in seqs:
-            rep = regularity_scalar(case.satake, tuple(() for _ in K), K)
-            if rep["exponent"].is_constant() and rep["exponent"].const == 0:
-                reg_ok = False
-            hyper.append({"K": list(K), "locus": rep.get("exceptional")})
-        record("regularity", {"status": "pass" if reg_ok else "fail",
-                              "exceptional": hyper})
-        # spectrum separation: the first column separates the grid by itself;
-        # the diagram-symmetric column only separates jointly (the flip-related
-        # pair 3w1/3w2 shares its value there, by the flip symmetry)
-        datum = case.datum
-        grid6 = [(0, 0), (1, 1), (3, 0), (0, 3)]
-        cols = {}
-        for mu in [(1, 0), (1, 1)]:
-            cols[mu] = [central_scalar(datum, lam, mu)[0] for lam in grid6]
-        spec_ok = True
-        first = cols[(1, 0)]
-        for i in range(len(grid6)):
-            for j in range(i):
-                if (first[i] - first[j]).is_zero():
-                    spec_ok = False
-        joint = list(zip(*cols.values()))
-        for i in range(len(grid6)):
-            for j in range(i):
-                if all((a - b).is_zero() for a, b in zip(joint[i], joint[j])):
-                    spec_ok = False
-        record("central_spectrum", {"status": "pass" if spec_ok else "fail",
-                                    "grid": [list(g) for g in grid6]})
+        def regularity():
+            hyper = []
+            ok = True
+            seqs = [((0,),), ((1,),), ((0, 0),), ((0, 1),), ((1, 0),), ((1, 1),)]
+            for (K,) in seqs:
+                rep = regularity_scalar(case.satake, tuple(() for _ in K), K)
+                if rep["exponent"].is_constant() and rep["exponent"].const == 0:
+                    ok = False
+                hyper.append({"K": list(K), "locus": rep.get("exceptional")})
+            return {"status": "pass" if ok else "fail", "exceptional": hyper}
+
+        record("regularity", regularity)
+
+        def central_spectrum():
+            # the first column separates the grid by itself; the
+            # diagram-symmetric column only separates jointly (the
+            # flip-related pair 3w1/3w2 shares its value there, by the flip
+            # symmetry)
+            datum = case.datum
+            grid6 = [(0, 0), (1, 1), (3, 0), (0, 3)]
+            cols = {}
+            for mu in [(1, 0), (1, 1)]:
+                cols[mu] = [central_scalar(datum, lam, mu)[0] for lam in grid6]
+            ok = True
+            first = cols[(1, 0)]
+            for i in range(len(grid6)):
+                for j in range(i):
+                    if (first[i] - first[j]).is_zero():
+                        ok = False
+            joint = list(zip(*cols.values()))
+            for i in range(len(grid6)):
+                for j in range(i):
+                    if all((a - b).is_zero() for a, b in zip(joint[i], joint[j])):
+                        ok = False
+            return {"status": "pass" if ok else "fail",
+                    "grid": [list(g) for g in grid6]}
+
+        record("central_spectrum", central_spectrum)
 
     status = 0 if all(c["status"] == "pass" for c in checks) else CHECK_FAILED
     report = {"case": case.tag, "preset": "flip", "order": order,

@@ -533,31 +533,43 @@ class WeightEngine:
                     acc = acc + c * w
             return acc
         # series: ct(h * pref * P * conj(M)) = sum_e h_e * W_{-e}
-        hts = [abs(self.spec.heightfn(e)) for e in h.terms]
-        if hts and max(hts) > self.height_hint:
-            raise TruncationError(
-                "pairing support height %d exceeds the planned hint %d"
-                % (max(hts), self.height_hint))
+        for e in h.terms:
+            self._check_height(e)
         prec = self._work
-        acc = SeriesScalar.zero(prec)
-        pref = self.spec.prefactor.to_series(prec)
-        slack = max(0, -(self.spec.prefactor.v_order() or 0))
         worst = 0
         for c in h.terms.values():
             o = c.min_order() if isinstance(c, SeriesScalar) else c.v_order()
             if o is not None and o < worst:
                 worst = o
-        slack += -worst
-        if slack > self.margin:
-            raise TruncationError(
-                "coefficient orders consume %d of the %d-order margin"
-                % (slack, self.margin))
+        self._check_slack(worst)
+        acc = SeriesScalar.zero(prec)
         for e, c in h.terms.items():
             ce = c if isinstance(c, SeriesScalar) else c.to_series(prec)
             w = self._weight_coefficient(tuple(-x for x in e))
             if not w.is_zero():
                 acc = acc + ce * w
-        out = acc * pref
+        return self._finish(acc)
+
+    def _check_height(self, e):
+        """Refuse a pairing exponent beyond the planned expansion height."""
+        h = abs(self.spec.heightfn(e))
+        if h > self.height_hint:
+            raise TruncationError(
+                "pairing support height %d exceeds the planned hint %d"
+                % (h, self.height_hint))
+
+    def _check_slack(self, worst):
+        """Refuse coefficients of v-order `worst` (<= 0) that, with the
+        prefactor, use up more than the margin."""
+        slack = max(0, -(self.spec.prefactor.v_order() or 0)) - worst
+        if slack > self.margin:
+            raise TruncationError(
+                "coefficient orders consume %d of the %d-order margin"
+                % (slack, self.margin))
+
+    def _finish(self, acc):
+        """Series sum times the prefactor, truncated at the guaranteed order."""
+        out = acc * self.spec.prefactor.to_series(self._work)
         return SeriesScalar(
             {e: c for e, c in out.coeffs.items() if e < self._guaranteed},
             min(out.prec, self._guaranteed))
@@ -566,18 +578,68 @@ class WeightEngine:
         return self.ct_pair(GAElement.one(self.spec.lattice, self.spec.rank))
 
     def vector_pair(self, u, M, w):
-        """sum_{i,j} ct(u_i M_ij flip(w_j) W) for vectors u, w and matrix M.
+        """sum_{i,j} ct(u_i M_ij flip(w_j) W) for vectors u, w and matrix M,
+        from the moments m_ij(nu) = ct(e^nu M_ij W) of M.
 
-        Exact weights pair through moment tables of M, series weights
-        through the materialised products, whose coefficient orders the
-        truncated pairing has to see to certify its result.
+        Exact weights sum u_i[a] w_j[b] m_ij(a - b) with one reduction per
+        distinct denominator.  Series weights first add s_ij(d), the sum of
+        u_i[a] w_j[b] over a - b = d, so cancellations happen before a
+        moment is applied, then add s_ij(d) m_ij(d); the truncation guards
+        of `ct_pair` are applied to the exponents e + d read from the weight
+        and, conservatively, to the orders of s_ij(d) times M_ij.
         """
+        tables = self._moment_tables(M)
         if self._exact_product is not None:
-            return self.vector_pair_moments(u, M, w)
-        return self.vector_pair_products(u, M, w)
+            def products():
+                for i, ui in enumerate(u):
+                    for j, wj in enumerate(w):
+                        table = tables[i][j]
+                        for a, ca in ui.terms.items():
+                            for b, cb in wj.terms.items():
+                                m = self._moment(
+                                    table, tuple(x - y for x, y in zip(a, b)))
+                                if m is not None:
+                                    yield ca, cb, m
+
+            return exact_sum_of_products(products())
+        work = self._work
+
+        def series_terms(f):
+            return [(e, c if isinstance(c, SeriesScalar) else c.to_series(work))
+                    for e, c in f.terms.items()]
+
+        us = [series_terms(ui) for ui in u]
+        ws = [series_terms(wj) for wj in w]
+        sums = []
+        worst = 0
+        for i, ui in enumerate(us):
+            for j, wj in enumerate(ws):
+                table = tables[i][j]
+                if not ui or not wj or table.order is None:
+                    continue
+                s_by_d = {}
+                for a, ca in ui:
+                    for b, cb in wj:
+                        d = tuple(x - y for x, y in zip(a, b))
+                        p = ca * cb
+                        s = s_by_d.get(d)
+                        s_by_d[d] = p if s is None else s + p
+                for d, s in s_by_d.items():
+                    o = s.min_order()
+                    if o is not None:
+                        worst = min(worst, o + table.order)
+                        sums.append((table, d, s))
+        self._check_slack(worst)
+        acc = SeriesScalar.zero(work)
+        for table, d, s in sums:
+            m = self._moment(table, d)
+            if m is not None:
+                acc = acc + s * m
+        return self._finish(acc)
 
     def vector_pair_products(self, u, M, w):
-        """The vector pairing as ct_pair of each u_i M_ij flip(w_j)."""
+        """The vector pairing as ct_pair of each materialised product
+        u_i M_ij flip(w_j); the independent oracle of `vector_pair`."""
         acc = None
         for i, ui in enumerate(u):
             if ui.is_zero():
@@ -591,32 +653,14 @@ class WeightEngine:
             acc = self.ct_pair(GAElement.zero(M.lattice))
         return acc
 
-    def vector_pair_moments(self, u, M, w):
-        """The vector pairing on an exact weight, from the moments of M:
-        sum over u_i[a] w_j[b] m_ij(a - b), m_ij(nu) = ct(e^nu M_ij W)."""
-        tables = self._moment_tables(M)
-
-        def products():
-            for i, ui in enumerate(u):
-                for j, wj in enumerate(w):
-                    table = tables[i][j]
-                    for a, ca in ui.terms.items():
-                        for b, cb in wj.terms.items():
-                            m = table.get(tuple(x - y for x, y in zip(a, b)))
-                            if m is not None:
-                                yield ca, cb, m
-
-        return exact_sum_of_products(products())
-
     def _moment_tables(self, M):
-        """Per-entry moment tables of M against this (exact) weight; equal
-        entries share one table.
+        """Per-entry moment tables of M against this weight; equal entries
+        share one table.
 
         Keyed by id(M); the entry holds M, so the id stays M's while kept.
         """
         got = self._moments.get(id(M))
         if got is None:
-            W = self._exact_product.terms
             distinct = []
             rows = []
             for row in M.rows:
@@ -624,40 +668,57 @@ class WeightEngine:
                 for f in row:
                     table = next((t for t in distinct if t.f == f), None)
                     if table is None:
-                        table = _MomentTable(f, W)
+                        table = _MomentTable(
+                            f, None if self._exact_product is not None
+                            else self._work)
                         distinct.append(table)
                     out.append(table)
                 rows.append(out)
             got = self._moments[id(M)] = (M, rows)
         return got[1]
 
-
-class _MomentTable:
-    """nu -> ct(e^nu f W) = sum_e f[e] W[-(e + nu)], filled on demand;
-    None where the moment vanishes."""
-
-    __slots__ = ("f", "W", "values")
-
-    def __init__(self, f, W):
-        self.f = f
-        self.W = W
-        self.values = {}
-
-    def get(self, nu):
+    def _moment(self, table, nu):
+        """ct(e^nu f W) = sum_e f[e] W[-(e + nu)] for the entry f of
+        `table`, filled into the table once; None where it vanishes."""
         try:
-            return self.values[nu]
+            return table.values[nu]
         except KeyError:
             pass
-        W = self.W
-        pairs = []
-        for e, c in self.f.terms.items():
-            w = W.get(tuple(-(x + y) for x, y in zip(e, nu)))
-            if w is not None:
-                pairs.append((c, w))
-        m = exact_sum_of_products(pairs)
+        if self._exact_product is not None:
+            W = self._exact_product.terms
+            pairs = []
+            for e, c in table.terms:
+                w = W.get(tuple(-(x + y) for x, y in zip(e, nu)))
+                if w is not None:
+                    pairs.append((c, w))
+            m = exact_sum_of_products(pairs)
+        else:
+            m = SeriesScalar.zero(self._work)
+            for e, c in table.terms:
+                k = tuple(-(x + y) for x, y in zip(e, nu))
+                self._check_height(k)
+                w = self._weight_coefficient(k)
+                if not w.is_zero():
+                    m = m + c * w
         m = None if m.is_zero() else m
-        self.values[nu] = m
+        table.values[nu] = m
         return m
+
+
+class _MomentTable:
+    """The moments of one entry f of M, nu -> ct(e^nu f W), as filled by
+    `WeightEngine._moment`.  `terms` holds f's terms, with coefficients
+    expanded to order `work` on a series weight; `order` is the lowest
+    v-order among them (None for f = 0)."""
+
+    __slots__ = ("f", "terms", "order", "values")
+
+    def __init__(self, f, work=None):
+        self.f = f
+        self.terms = [(e, c if work is None else c.to_series(work))
+                      for e, c in f.terms.items()]
+        self.order = min((c.v_order() for c in f.terms.values()), default=None)
+        self.values = {}
 
 
 def sym_pair(f, g, engine, conj="flip", normalized=False):

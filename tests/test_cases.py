@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +14,7 @@ from macpoly.cases import (
 from macpoly.families import AWFunctional, aw_oracle
 from macpoly.galg import GAElement
 from macpoly.roots import regularity_scalar
-from macpoly.scalars import ExactScalar
+from macpoly.scalars import ExactScalar, SeriesScalar
 
 Q = ExactScalar.q_power
 
@@ -395,13 +396,13 @@ class TestMomentPairing:
         members = [case.vector_member(b, lam).slots
                    for lam in grid for b in range(len(case.bottoms))]
         for u, w in itertools.combinations_with_replacement(members, 2):
-            assert (eng.vector_pair_moments(u, M, w) ==
+            assert (eng.vector_pair(u, M, w) ==
                     eng.vector_pair_products(u, M, w))
         rng = random.Random(11)
         vecs = self._random_vectors(case, rng, 8) + rng.sample(members, 4)
         for u in vecs:
             for w in vecs:
-                assert (eng.vector_pair_moments(u, M, w) ==
+                assert (eng.vector_pair(u, M, w) ==
                         eng.vector_pair_products(u, M, w))
 
     def test_exact_engine_takes_moment_route(self):
@@ -412,3 +413,123 @@ class TestMomentPairing:
         assert not eng._moments
         case._vector_pair(u, u)
         assert len(eng._moments) == 1
+
+
+def _perturb_tail(f, rng, extra=40):
+    """f with random coefficients filled in above each series precision."""
+    terms = {}
+    for e, c in f.terms.items():
+        if isinstance(c, SeriesScalar):
+            coeffs = dict(c.coeffs)
+            for k in range(c.prec, c.prec + extra):
+                coeffs[k] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            c = SeriesScalar(coeffs, c.prec + extra)
+        terms[e] = c
+    return GAElement(terms, f.lattice)
+
+
+@pytest.fixture(scope="module")
+def ai2_pairings():
+    """AI2 at order 100, height 2: every unordered pair of vector members,
+    paired from moment tables and through materialised products."""
+    case = build_case("AI2")
+    case.order = 100
+    case.set_grid_height(2)
+    eng = case.nabla_engine(case._vector_hint())
+    M = case.matrix_weight()
+    members = [case.vector_member(b, lam).slots
+               for lam in case.restricted.grid(2)
+               for b in range(len(case.bottoms))]
+    pairs = [(u, w, eng.vector_pair(u, M, w), eng.vector_pair_products(u, M, w))
+             for u, w in itertools.combinations_with_replacement(members, 2)]
+    return case, eng, M, members, pairs
+
+
+class TestSeriesMomentPairing:
+    """Series-weight moment tables against the materialised-product oracle."""
+
+    def test_members_match_products(self, ai2_pairings):
+        _, eng, _, _, pairs = ai2_pairings
+        assert eng._exact_product is None
+        for _, _, moment, product in pairs:
+            assert moment.prec >= product.prec
+            assert (moment - product).is_zero()
+        # the moment route is never certified lower, and sometimes higher
+        assert any(m.prec > p.prec for _, _, m, p in pairs)
+        assert min(m.prec for _, _, m, _ in pairs) == eng._guaranteed
+
+    def test_random_vectors_match_products(self, ai2_pairings):
+        import random
+
+        case, eng, M, members, _ = ai2_pairings
+        rng = random.Random(17)
+
+        def coefficient():
+            if rng.random() < 0.5:
+                return Q(rng.randint(-1, 1)) / (ExactScalar.one() + Q(1))
+            o = rng.randint(-2, 0)
+            return SeriesScalar({o: rng.randint(-3, 3) or 1,
+                                 o + 1: Fraction(rng.randint(-3, 3), 2),
+                                 o + 5: rng.randint(-3, 3)},
+                                rng.choice([96, 100, 104]))
+
+        vecs = []
+        for _ in range(6):
+            vec = []
+            for _ in case.bottoms:
+                terms = {}
+                for _ in range(rng.randint(0, 3)):
+                    e = tuple(rng.randint(-1, 1) for _ in range(case.rank))
+                    terms[e] = coefficient()
+                vec.append(GAElement(terms, case.lattice))
+            vecs.append(vec)
+        vecs += rng.sample(members, 3)
+        for u, w in itertools.combinations_with_replacement(vecs, 2):
+            moment = eng.vector_pair(u, M, w)
+            product = eng.vector_pair_products(u, M, w)
+            assert moment.prec >= product.prec
+            assert (moment - product).is_zero()
+
+    def test_higher_orders_are_sound(self, ai2_pairings):
+        # where the moment route certifies more than the products route,
+        # any completion of the coefficients above their precision, paired
+        # on a weight expanded to a higher order, agrees below the claim
+        import random
+
+        case, eng, M, _, pairs = ai2_pairings
+        higher = [(u, w, m) for u, w, m, p in pairs if m.prec > p.prec]
+        assert higher
+        case.order = 140
+        try:
+            big = case.nabla_engine(eng.height_hint)
+        finally:
+            case.order = 100
+        rng = random.Random(3)
+        for u, w, moment in higher:
+            for _ in range(2):
+                got = big.vector_pair_products(
+                    [_perturb_tail(f, rng) for f in u], M,
+                    [_perturb_tail(f, rng) for f in w])
+                assert got.prec >= moment.prec
+                assert (got - moment).is_zero()
+
+    def test_equal_entries_share_a_table(self, ai2_pairings):
+        _, eng, M, _, _ = ai2_pairings
+        tables = eng._moment_tables(M)
+        cells = [(i, j) for i in range(M.size) for j in range(M.size)]
+        for a in cells:
+            for b in cells:
+                assert (tables[a[0]][a[1]] is tables[b[0]][b[1]]) == (M[a] == M[b])
+        assert tables[0][0] is tables[2][2]
+        filled = [m for row in tables for t in row for m in t.values.values()]
+        assert filled and all(isinstance(m, SeriesScalar) for m in filled
+                              if m is not None)
+
+
+class TestSeriesWeightRequired:
+    @pytest.mark.parametrize("cid", ["BII:n=2,s=1", "CII:n=3,s=2"])
+    def test_one_variable_cases_have_no_series_weight(self, cid):
+        case = build_case(cid)
+        for method in (case.nabla_engine, case.delta_engine):
+            with pytest.raises(ValueError, match="no series weight"):
+                method()

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from macpoly.cli import main, run_verify
 
 
@@ -125,6 +127,37 @@ class TestVerify:
 
         case.golden_matrix_fn = broken
         assert case.matrix_weight_check()["status"] == "fail"
+
+    def test_raising_check_is_recorded(self, monkeypatch, tmp_path, capsys):
+        # a check that raises becomes an error entry; the later checks still
+        # run and the report is still written
+        from macpoly.cases import ExampleCase
+        from macpoly.weights import TruncationError
+
+        def boom(self, mu):
+            raise TruncationError("planned height exceeded")
+
+        monkeypatch.setattr(ExampleCase, "identify", boom)
+        path = tmp_path / "r.json"
+        rc = main(["verify", "--case", "DII:n=2", "--lambda-height", "1",
+                   "--report", str(path)])
+        assert rc == 1
+        checks = json.loads(path.read_text())["checks"]
+        names = [c["name"] for c in checks]
+        entry = checks[names.index("identification")]
+        assert entry == {"name": "identification", "status": "error",
+                         "detail": "TruncationError: planned height exceeded"}
+        later = names[names.index("identification") + 1:]
+        assert later == ["q_inversion", "recurrence"]
+        assert all(c["status"] == "pass" for c in checks if c is not entry)
+        assert "identification         error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cid,certified", [("AI2", 100), ("A2G", "exact")])
+    def test_certified_order(self, cid, certified):
+        report, status = run_verify(cid, height=1)
+        assert status == 0
+        ortho = next(c for c in report["checks"] if c["name"] == "orthogonality")
+        assert ortho["certified_order"] == certified
 
     def test_config_error_exit_code(self, capsys):
         rc = main(["verify", "--case", "nope"])

@@ -1,3 +1,4 @@
+import operator
 import random
 
 from fractions import Fraction
@@ -176,3 +177,51 @@ class TestQuadExt:
         lhs = (1 + w) * (1 - w)
         assert lhs.a == 1 - d
         assert lhs.b.is_zero()
+
+
+class TestAgainstSympy:
+    """Q(v) arithmetic and reduction against sympy.cancel on random input."""
+
+    @staticmethod
+    def _check(op):
+        hypothesis = pytest.importorskip("hypothesis")
+        sympy = pytest.importorskip("sympy")
+        st = hypothesis.strategies
+        v = sympy.Symbol("v")
+        laurent = st.dictionaries(st.integers(-3, 3), st.integers(-5, 5),
+                                  max_size=3)
+
+        def to_sympy(x):
+            num = sum(c * v ** e for e, c in x.num.items())
+            den = sum(c * v ** e for e, c in x.den.items())
+            return num / den
+
+        def reduced(x):
+            # den is a polynomial with a constant term, num is v^k times one,
+            # and the two share no nonconstant factor
+            assert min(x.den) == 0 and x.den[max(x.den)] > 0
+            if not x.num:
+                return x.den == {0: 1}
+            k = min(x.num)
+            num = sum(c * v ** (e - k) for e, c in x.num.items())
+            den = sum(c * v ** e for e, c in x.den.items())
+            return sympy.degree(sympy.gcd(num, den), v) == 0
+
+        @hypothesis.settings(max_examples=60, deadline=None, database=None)
+        @hypothesis.given(laurent, laurent, laurent, laurent)
+        def run(an, ad, bn, bd):
+            if not any(ad.values()) or not any(bd.values()):
+                return
+            a, b = ExactScalar(an, ad), ExactScalar(bn, bd)
+            if op == "div" and b.is_zero():
+                return
+            fn = getattr(operator, op if op != "div" else "truediv")
+            got = fn(a, b)
+            assert sympy.cancel(to_sympy(got) - fn(to_sympy(a), to_sympy(b))) == 0
+            assert reduced(a) and reduced(b) and reduced(got)
+
+        run()
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    def test_operation(self, op):
+        self._check(op)

@@ -1,8 +1,8 @@
 import pytest
 
-from macpoly.galg import GAElement
+from macpoly.galg import GAElement, MatGAElement
 from macpoly.roots import RestrictedSystem
-from macpoly.scalars import ExactScalar
+from macpoly.scalars import ExactScalar, SeriesScalar
 from macpoly.weights import (
     INF,
     PochFactor,
@@ -178,3 +178,70 @@ class TestRank2Weights:
         W = WeightEngine(spec)._exact_product
         for i in range(2):
             assert W.weyl_act(lambda e: R2.reflect(i, e)) == W
+
+
+class TestSeriesVectorPair:
+    """vector_pair on a series weight: moment tables, guards, sharing."""
+
+    @staticmethod
+    def _engines():
+        spec = macdonald_sym_weight(R1, 2, Q(2), "2L")
+        return (WeightEngine(spec, order=30, height_hint=4, backend="series"),
+                WeightEngine(spec))
+
+    @staticmethod
+    def _matrix():
+        one = GAElement.one("2L", 1)
+        f = mono((1,)) + mono((-1,))
+        return MatGAElement([[one, f], [f, one.scale(Q(-1))]])
+
+    def test_matches_exact_weight_and_products(self):
+        import random
+
+        series, exact = self._engines()
+        M = self._matrix()
+        rng = random.Random(2)
+
+        def vec():
+            return [mono((rng.randint(-1, 1),), Q(rng.randint(-1, 1))) +
+                    mono((rng.randint(-1, 1),)) for _ in range(2)]
+
+        for _ in range(8):
+            u, w = vec(), vec()
+            got = series.vector_pair(u, M, w)
+            assert got.prec == series._guaranteed
+            assert (got - exact.vector_pair(u, M, w).to_series(got.prec)).is_zero()
+            assert (got - series.vector_pair_products(u, M, w)).is_zero()
+
+    def test_height_guard(self):
+        series, _ = self._engines()
+        M = MatGAElement([[GAElement.one("2L", 1)]])
+        u, w = [mono((5,))], [GAElement.one("2L", 1)]
+        with pytest.raises(TruncationError, match="height"):
+            series.vector_pair(u, M, w)
+        with pytest.raises(TruncationError, match="height"):
+            series.vector_pair_products(u, M, w)
+        series.vector_pair([mono((4,))], M, w)
+
+    def test_margin_guard(self):
+        # the orders of the coefficients and of M together exceed the margin
+        series, _ = self._engines()
+        M = MatGAElement([[mono((0,), ExactScalar.v_power(-4))]])
+        one = [GAElement.one("2L", 1)]
+        deep = [mono((0,), SeriesScalar({-5: 1, -4: 2}, 30))]
+        with pytest.raises(TruncationError, match="margin"):
+            series.vector_pair(deep, M, one)
+        with pytest.raises(TruncationError, match="margin"):
+            series.vector_pair_products(deep, M, one)
+        series.vector_pair([mono((0,), SeriesScalar({-4: 1}, 30))], M, one)
+
+    def test_equal_entries_share_a_series_table(self):
+        series, _ = self._engines()
+        M = self._matrix()
+        tables = series._moment_tables(M)
+        assert tables[0][1] is tables[1][0]
+        assert tables[0][0] is not tables[1][1]
+        series.vector_pair([mono((1,)), mono((0,))], M, [mono((0,)), mono((1,))])
+        filled = [m for row in tables for t in row for m in t.values.values()]
+        assert filled and all(isinstance(m, SeriesScalar) for m in filled
+                              if m is not None)
