@@ -212,16 +212,16 @@ class ExampleCase:
 
     # -- pairings and polynomial families -------------------------------------
 
-    def _require_series_weight(self):
-        if self.aw is not None:
-            raise ValueError(
-                "case %s has no series weight: it pairs through the "
-                "one-variable moment functional" % self.tag)
-
     def nabla_engine(self, height_hint=8):
+        """The zonal weight's engine; on BII/CII the one-variable moment
+        functional, exact at every hint and order."""
+        if self.aw is not None:
+            if "nabla" not in self._cache:
+                self._cache["nabla"] = WeightEngine.from_moments(
+                    AWFunctional(self.aw_zonal, self.lattice).weight)
+            return self._cache["nabla"]
         key = ("nabla", height_hint, self.order)
         if key not in self._cache:
-            self._require_series_weight()
             spec = macdonald_sym_weight(self.restricted, self.qhat_log,
                                         self.t, self.lattice,
                                         tag="zonal:" + self.tag)
@@ -232,7 +232,10 @@ class ExampleCase:
     def delta_engine(self, height_hint=8):
         key = ("delta", height_hint, self.order)
         if key not in self._cache:
-            self._require_series_weight()
+            if self.aw is not None:
+                raise ValueError(
+                    "case %s has no series weight: it pairs through the "
+                    "one-variable moment functional" % self.tag)
             spec = macdonald_nonsym_weight(self.restricted, self.qhat_log,
                                            self.t, self.lattice,
                                            tag="nonsym:" + self.tag)
@@ -261,20 +264,9 @@ class ExampleCase:
 
     def _vector_pair(self, u, w):
         """<u, w> = sum ct(u_i M_ij flip(w_j) nabla), from the moment tables
-        of M on the nabla engine (exact or series)."""
-        M = self.matrix_weight()
-        if self.aw is not None:
-            # one-variable exact route: weight polynomial inserted into the
-            # zonal moment functional
-            L = self._cache.get("awfun0")
-            if L is None:
-                L = self._cache["awfun0"] = AWFunctional(self.aw_zonal,
-                                                         self.lattice)
-            return L.value(u[0] * w[0].invol_inv() * M[0, 0])
-        return self.nabla_engine(self._vector_hint()).vector_pair(u, M, w)
-
-    def _vec_pair(self, f, g):
-        return self._vector_pair(f.slots, g.slots)
+        of M on the nabla engine (exact, series or one-variable)."""
+        return self.nabla_engine(self._vector_hint()).vector_pair(
+            u, self.matrix_weight(), w)
 
     def _vector_hint(self):
         return self._cache.get("vector_hint", 10)
@@ -327,8 +319,9 @@ class ExampleCase:
         lead[b_idx] = self.m_of(lam)
         prevs = [self.vector_member(bp, mu)
                  for bp, mu in self._vector_downset(b_idx, lam)]
-        _, vec = orthogonalize_step(_VecPoly(lead, self), prevs, self._vec_pair,
-                                    "%s vector (%s, %s)" % (self.tag, b_idx, lam))
+        _, vec = orthogonalize_step(
+            _VecPoly(lead, self), prevs, self._vector_pair,
+            "%s vector (%s, %s)" % (self.tag, b_idx, lam))
         self._cache[key] = vec
         return vec
 
@@ -341,16 +334,10 @@ class ExampleCase:
 
     def gram_block(self, lam, mu):
         """Matrix of pairings <column i of Q_lam, column j of Q_mu>."""
-        A = self.matrix_q(lam)
-        B = self.matrix_q(mu)
+        A, B = self.matrix_q(lam), self.matrix_q(mu)
         nb = len(self.bottoms)
-        out = []
-        for i in range(nb):
-            row = []
-            for j in range(nb):
-                row.append(self._vector_pair(A.column(i), B.column(j)))
-            out.append(row)
-        return out
+        return [[self._vector_pair(A.column(i), B.column(j))
+                 for j in range(nb)] for i in range(nb)]
 
     def qinv_check(self, lam):
         """Every entry of Q_lam fixed under q -> 1/q, exactly.
@@ -465,7 +452,7 @@ class ExampleCase:
                          key=lambda t: self._pair_key(*t))
             mems = [self.vector_member(bp, mu) for bp, mu in ups]
             cvec, rem = orthogonalize_step(
-                target, mems, self._vec_pair,
+                target, mems, self._vector_pair,
                 "%s recurrence (%s, %s)" % (self.tag, b, lam))
             residual_cols.append(all(s.is_zero() for s in rem.slots))
             out[b] = {t: c for t, c in zip(ups, cvec) if not c.is_zero()}
@@ -707,7 +694,8 @@ def kravchuk_consistency(case):
 
 
 class _VecPoly:
-    """Vector of restricted-lattice polynomials with scale/sub support."""
+    """Vector of restricted-lattice polynomials with scale/sub support;
+    iterates over its slots, so it pairs like a list of them."""
 
     __slots__ = ("slots", "case")
 
@@ -721,6 +709,9 @@ class _VecPoly:
     def __sub__(self, other):
         return _VecPoly([a - b for a, b in zip(self.slots, other.slots)],
                         self.case)
+
+    def __iter__(self):
+        return iter(self.slots)
 
 
 # ---------------------------------------------------------------------------

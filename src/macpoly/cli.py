@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 at least one verification check failed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -61,6 +62,13 @@ def _render_ga(f, fmt, symbol="e", wsym="\\varpi"):
     return f.render(symbol)
 
 
+def _build_case(case_id):
+    try:
+        return build_case(case_id)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def cmd_cases(args):
     for c in list_cases():
         print(c)
@@ -68,16 +76,13 @@ def cmd_cases(args):
 
 
 def cmd_compute(args):
-    try:
-        case = build_case(args.case)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return CONFIG_ERROR
+    case = _build_case(args.case)
+    if args.order <= 0:
+        raise ConfigError("--order must be > 0, got %d" % args.order)
     case.order = args.order
     lam = _parse_coords(args.lam)
     if len(lam) != case.rank:
-        print("error: --lam needs %d coordinates" % case.rank, file=sys.stderr)
-        return CONFIG_ERROR
+        raise ConfigError("--lam needs %d coordinates" % case.rank)
     if args.family == "intermediate":
         J = _parse_coords(args.J, "--J") if args.J else case.J
     else:
@@ -94,8 +99,7 @@ def cmd_compute(args):
         out = sym_macdonald(spec, lam)
     elif args.family == "nonsym":
         if case.rank != 1:
-            print("error: non-symmetric family is rank-1 only", file=sys.stderr)
-            return CONFIG_ERROR
+            raise ConfigError("non-symmetric family is rank-1 only")
         out = nonsym_macdonald(spec, lam[0])
     elif args.family == "intermediate":
         out = intermediate_macdonald(spec, J, lam)
@@ -110,8 +114,7 @@ def cmd_compute(args):
         _emit(text, args.output)
         return 0
     else:
-        print("error: unknown family %r" % args.family, file=sys.stderr)
-        return CONFIG_ERROR
+        raise ConfigError("unknown family %r" % args.family)
     _emit(_render_ga(out, args.format), args.output)
     return 0
 
@@ -125,11 +128,7 @@ def _emit(text, output):
 
 
 def cmd_render(args):
-    try:
-        case = build_case(args.case)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return CONFIG_ERROR
+    case = _build_case(args.case)
     if args.what == "M":
         M = case.matrix_weight()
     else:
@@ -190,14 +189,18 @@ def run_verify(case_id, height=2, order=60):
     if height < 0:
         return ({"error": "lambda height must be >= 0, got %d" % height},
                 CONFIG_ERROR)
+    if order <= 0:
+        return {"error": "order must be > 0, got %d" % order}, CONFIG_ERROR
     try:
         case = build_case(case_id)
     except ValueError as exc:
         return {"error": str(exc)}, CONFIG_ERROR
-    if case.tag == "AI2":
+    if case.tag == "AI2" and order < 100:
         # the exact rational reconstruction behind the q -> 1/q check needs
         # a comfortable working order
-        order = max(order, 100)
+        print("note: AI2 runs at order 100, not %d, for the q -> 1/q check"
+              % order, file=sys.stderr)
+        order = 100
     case.order = order
     checks = []
 
@@ -352,16 +355,19 @@ def run_verify(case_id, height=2, order=60):
 
 
 def cmd_verify(args):
-    if args.cache_dir:
-        weights_mod.set_cache_dir(args.cache_dir)
-    report, status = run_verify(args.case, height=args.lambda_height,
-                                order=args.order)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    try:
+        if args.cache_dir:
+            weights_mod.set_cache_dir(args.cache_dir)
+        # opened before any check runs, so a bad path costs no work
+        out = (open(args.report, "w") if args.report
+               else contextlib.nullcontext(sys.stdout))
+    except OSError as exc:
+        raise ConfigError("cannot use %r: %s"
+                          % (exc.filename, exc.strerror)) from None
+    with out as fh:
+        report, status = run_verify(args.case, height=args.lambda_height,
+                                    order=args.order)
+        print(json.dumps(report, indent=2, sort_keys=True), file=fh)
     if "error" in report:
         print("error: %s" % report["error"], file=sys.stderr)
     else:

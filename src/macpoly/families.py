@@ -61,18 +61,17 @@ class PolyFamilySpec:
     lattice: str
     engine_sym: WeightEngine = None  # W-invariant pairing weight
     engine_nonsym: WeightEngine = None  # weight for the non-invariant families
-    conj: str = "flip"
     exact_functional: object = None  # optional exact pairing for rank 1
     label: str = ""
     _cache: dict = field(default_factory=dict)
 
     def pair(self, f, g, symmetric):
         if symmetric and self.exact_functional is not None:
-            return self.exact_functional.pair(f, g, self.conj)
+            return self.exact_functional.pair(f, g)
         engine = self.engine_sym if symmetric else self.engine_nonsym
         if engine is None:
             raise ValueError("no pairing configured for this family")
-        return sym_pair(f, g, engine, conj=self.conj)
+        return sym_pair(f, g, engine)
 
     def family_member(self, J, mu):
         J = tuple(sorted(J))
@@ -283,7 +282,9 @@ class AWFunctional:
     Built from the three-term recurrence: the moment
     mu_k = L(e^k + e^-k) is read off the constant component of the
     expansion of e^k + e^-k over the recurrence family, once per k, and
-    L(h) = h_0 + sum_{k>0} h_k mu_k.  Normalised so that L(1) = 1.
+    L(h) = h_0 + sum_{k>0} h_k mu_k.  Normalised so that L(1) = 1.  On
+    W-invariants L is the constant-term pairing with the flip-symmetric
+    weight lambda(0) = 1, lambda(+-k) = mu_k / 2 (`weight`).
     """
 
     def __init__(self, params, lattice="aw"):
@@ -293,6 +294,7 @@ class AWFunctional:
                    + GAElement.monomial((-1,), lattice))
         self._family = [GAElement.one(lattice, 1)]
         self._moments = [ONE]
+        self._weight = [ONE]
 
     def _extend(self, m):
         """Grow the recurrence family one step at a time up to degree m."""
@@ -333,6 +335,13 @@ class AWFunctional:
                 + GAElement.monomial((-j,), self.lattice)))
         return self._moments[k]
 
+    def weight(self, nu):
+        """lambda(nu): mu_|k| / 2 at nu = (k,) != 0, and 1 at 0."""
+        k = abs(nu[0])
+        while len(self._weight) <= k:
+            self._weight.append(self._moment(len(self._weight)) / 2)
+        return self._weight[k]
+
     def value(self, h):
         """L(h) for a W-invariant h."""
         terms = h.terms
@@ -344,8 +353,8 @@ class AWFunctional:
         products += [(c, self._moment(e)) for (e,), c in terms.items() if e > 0]
         return exact_sum_of_products(products)
 
-    def pair(self, f, g, conj="flip"):
-        return self.value(f * g.conjugate(conj))
+    def pair(self, f, g):
+        return self.value(f * g.invol_inv())
 
 
 def eigen_check(params, upto, central_rows=None):

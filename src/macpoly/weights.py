@@ -9,6 +9,8 @@ with explicit accounting of the v-order lost to truncation.
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -356,16 +358,15 @@ _cache_dir = None
 
 
 def set_cache_dir(path):
+    """Cache series weights under `path` (None: off); unchanged on error."""
     global _cache_dir
-    _cache_dir = path
     if path:
-        import os
-
         os.makedirs(path, exist_ok=True)
+    _cache_dir = path
 
 
 def _cache_key(spec, order, hint, margin):
-    import hashlib
+    import hashlib  # here, not at the top: it maps libcrypto (+3.5 MB RSS)
 
     blob = repr((CACHE_VERSION, spec.to_json(), order, hint, margin))
     return hashlib.sha1(blob.encode()).hexdigest()
@@ -379,8 +380,6 @@ def _series_terms_to_json(terms):
 
 
 def _series_terms_from_json(data):
-    from fractions import Fraction
-
     out = {}
     for item in data:
         out[tuple(item["e"])] = SeriesScalar(
@@ -391,9 +390,12 @@ def _series_terms_from_json(data):
 class WeightEngine:
     """Prepared weight for constant-term pairing against finite elements.
 
-    Finite specs are multiplied out once and paired exactly.  Infinite
-    specs are expanded to a height at which the order envelope proves that
-    every discarded cross term sits above the working order.
+    The exact backend reads the weight through one coefficient lookup
+    `_exact_weight(nu)` (None where there is no term): the terms of a
+    finite spec multiplied out once, or a weight known by its moments
+    (`from_moments`).  Infinite specs are expanded to a height at which the
+    order envelope proves that every discarded cross term sits above the
+    working order.
     """
 
     def __init__(self, spec, order=60, height_hint=6, margin=8, backend="auto"):
@@ -402,6 +404,7 @@ class WeightEngine:
         self.height_hint = height_hint
         self.margin = margin
         self._exact_product = None
+        self._exact_weight = None
         self._plus_terms = None
         self._minus_terms = None
         self._guaranteed = None
@@ -412,6 +415,15 @@ class WeightEngine:
             self._build_series()
         else:
             raise ValueError("backend must be 'auto' or 'series'")
+
+    @classmethod
+    def from_moments(cls, weight):
+        """Exact engine over the coefficient lookup `weight(nu)` alone, such
+        as the one-variable moment functional's `AWFunctional.weight`; it
+        has no spec and expands nothing."""
+        engine = cls.__new__(cls)
+        engine.spec, engine._exact_weight, engine._moments = None, weight, {}
+        return engine
 
     # -- construction --------------------------------------------------------
 
@@ -426,31 +438,23 @@ class WeightEngine:
               if spec.minus else one)
         me = me.conjugate(self.spec.minus_conj)
         self._exact_product = (pe * me).scale(spec.prefactor)
+        self._exact_weight = self._exact_product.terms.get
 
     def _build_series(self):
-        spec = self.spec
-        if _cache_dir is not None:
-            import json
-            import os
-
-            path = os.path.join(_cache_dir, _cache_key(
-                spec, self.order, self.height_hint, self.margin) + ".json")
-            if os.path.exists(path):
-                with open(path) as fh:
-                    data = json.load(fh)
-                self._plus_terms = _series_terms_from_json(data["plus"])
-                self._minus_terms = _series_terms_from_json(data["minus"])
-                self._work = data["work"]
-                self._guaranteed = data["guaranteed"]
-                self._w_cache = {}
-                return
-        self._build_series_fresh()
-        if _cache_dir is not None:
-            import json
-            import os
-
-            path = os.path.join(_cache_dir, _cache_key(
-                spec, self.order, self.height_hint, self.margin) + ".json")
+        if _cache_dir is None:
+            return self._build_series_fresh()
+        path = os.path.join(_cache_dir, _cache_key(
+            self.spec, self.order, self.height_hint, self.margin) + ".json")
+        if os.path.exists(path):
+            with open(path) as fh:
+                data = json.load(fh)
+            self._plus_terms = _series_terms_from_json(data["plus"])
+            self._minus_terms = _series_terms_from_json(data["minus"])
+            self._work = data["work"]
+            self._guaranteed = data["guaranteed"]
+            self._w_cache = {}
+        else:
+            self._build_series_fresh()
             with open(path + ".tmp", "w") as fh:
                 json.dump({"plus": _series_terms_to_json(self._plus_terms),
                            "minus": _series_terms_to_json(self._minus_terms),
@@ -524,14 +528,8 @@ class WeightEngine:
 
     def ct_pair(self, h):
         """ct(h * W) for a finite h; exact or series per the weight."""
-        if self._exact_product is not None:
-            W = self._exact_product
-            acc = ExactScalar.zero()
-            for e, c in h.terms.items():
-                w = W.terms.get(tuple(-x for x in e))
-                if w is not None:
-                    acc = acc + c * w
-            return acc
+        if self._exact_weight is not None:
+            return self._exact_sum(h.terms.items())
         # series: ct(h * pref * P * conj(M)) = sum_e h_e * W_{-e}
         for e in h.terms:
             self._check_height(e)
@@ -589,7 +587,7 @@ class WeightEngine:
         and, conservatively, to the orders of s_ij(d) times M_ij.
         """
         tables = self._moment_tables(M)
-        if self._exact_product is not None:
+        if self._exact_weight is not None:
             def products():
                 for i, ui in enumerate(u):
                     for j, wj in enumerate(w):
@@ -640,17 +638,10 @@ class WeightEngine:
     def vector_pair_products(self, u, M, w):
         """The vector pairing as ct_pair of each materialised product
         u_i M_ij flip(w_j); the independent oracle of `vector_pair`."""
-        acc = None
+        acc = self.ct_pair(GAElement.zero(M.lattice))
         for i, ui in enumerate(u):
-            if ui.is_zero():
-                continue
             for j, wj in enumerate(w):
-                if wj.is_zero():
-                    continue
-                val = self.ct_pair(ui * M[i, j] * wj.invol_inv())
-                acc = val if acc is None else acc + val
-        if acc is None:
-            acc = self.ct_pair(GAElement.zero(M.lattice))
+                acc = acc + self.ct_pair(ui * M[i, j] * wj.invol_inv())
         return acc
 
     def _moment_tables(self, M):
@@ -669,7 +660,7 @@ class WeightEngine:
                     table = next((t for t in distinct if t.f == f), None)
                     if table is None:
                         table = _MomentTable(
-                            f, None if self._exact_product is not None
+                            f, None if self._exact_weight is not None
                             else self._work)
                         distinct.append(table)
                     out.append(table)
@@ -684,14 +675,8 @@ class WeightEngine:
             return table.values[nu]
         except KeyError:
             pass
-        if self._exact_product is not None:
-            W = self._exact_product.terms
-            pairs = []
-            for e, c in table.terms:
-                w = W.get(tuple(-(x + y) for x, y in zip(e, nu)))
-                if w is not None:
-                    pairs.append((c, w))
-            m = exact_sum_of_products(pairs)
+        if self._exact_weight is not None:
+            m = self._exact_sum(table.terms, nu)
         else:
             m = SeriesScalar.zero(self._work)
             for e, c in table.terms:
@@ -703,6 +688,19 @@ class WeightEngine:
         m = None if m.is_zero() else m
         table.values[nu] = m
         return m
+
+    def _exact_sum(self, terms, nu=None):
+        """sum_e c W(-(e + nu)) over the (e, c) in `terms` on the exact
+        weight, as one exact sum; nu = None is the zero shift."""
+        W = self._exact_weight
+        pairs = []
+        for e, c in terms:
+            if nu is not None:
+                e = tuple(x + y for x, y in zip(e, nu))
+            w = W(tuple(-x for x in e))
+            if w is not None:
+                pairs.append((c, w))
+        return exact_sum_of_products(pairs)
 
 
 class _MomentTable:
@@ -721,13 +719,9 @@ class _MomentTable:
         self.values = {}
 
 
-def sym_pair(f, g, engine, conj="flip", normalized=False):
-    """ct((f * conj(g)) W), optionally divided by ct(W)."""
-    h = f * g.conjugate(conj)
-    val = engine.ct_pair(h)
-    if normalized:
-        val = val / engine.ct_norm()
-    return val
+def sym_pair(f, g, engine):
+    """ct(f * flip(g) * W)."""
+    return engine.ct_pair(f * g.invol_inv())
 
 
 # ---------------------------------------------------------------------------

@@ -342,20 +342,47 @@ class TestAWMomentPairing:
 
     @pytest.mark.parametrize("cid", ["BII:n=2,s=1", "CII:n=3,s=2"])
     def test_pairing_products(self, cid):
+        # the engine's lambda route against the functional on the
+        # materialised product, for members and random W-invariant vectors
+        import random
+
         case = build_case(cid)
         case.set_grid_height(2)
         M = case.matrix_weight()
         L = AWFunctional(case.aw_zonal, case.lattice)
         members = [case.vector_member(b, (m,)).slots
                    for m in range(3) for b in range(len(case.bottoms))]
-        for u in members:
-            for w in members:
+        rng = random.Random(7)
+        den = ExactScalar.one() + Q(1)
+        invariants = []
+        for _ in range(6):
+            f = GAElement.zero(case.lattice)
+            for k in rng.sample(range(4), rng.randint(1, 3)):
+                c = Q(rng.randint(-2, 2))
+                if rng.random() < 0.5:
+                    c = c / den
+                f = f + GAElement({(k,): c, (-k,): c}, case.lattice)
+            invariants.append([f])
+        for u in members + invariants:
+            for w in members + invariants:
                 h = u[0] * w[0].invol_inv() * M[0, 0]
-                assert L.value(h) == L._reduce(h)
+                assert case._vector_pair(u, w) == L.value(h) == L._reduce(h)
 
     def test_no_series_weight(self):
         case = build_case("BII:n=2,s=1")
         assert case.family_spec(case._vector_hint()).engine_sym is None
+
+    def test_verify_expands_no_series_weight(self, monkeypatch):
+        from macpoly.cli import run_verify
+        from macpoly.weights import WeightEngine
+
+        def refuse(self):
+            raise AssertionError("series weight expanded")
+
+        monkeypatch.setattr(WeightEngine, "_build_series", refuse)
+        report, status = run_verify("BII:n=2,s=1", height=1)
+        assert status == 0
+        assert all(c["status"] == "pass" for c in report["checks"])
 
 
 class TestMomentPairing:
@@ -379,7 +406,8 @@ class TestMomentPairing:
             out.append(vec)
         return out
 
-    @pytest.mark.parametrize("cid", ["A2G", "AII5", "DII:n=2"])
+    @pytest.mark.parametrize("cid", ["A2G", "AII5", "DII:n=2", "BII:n=2,s=1",
+                                     "CII:n=3,s=2"])
     def test_matches_materialised_products(self, cid):
         import itertools
         import random
@@ -387,7 +415,7 @@ class TestMomentPairing:
         case = build_case(cid)
         case.set_grid_height(2)
         eng = case.nabla_engine(case._vector_hint())
-        assert eng._exact_product is not None
+        assert eng._exact_weight is not None
         M = case.matrix_weight()
         if case.rank == 1:
             grid = [(m,) for m in range(3)]
@@ -399,7 +427,8 @@ class TestMomentPairing:
             assert (eng.vector_pair(u, M, w) ==
                     eng.vector_pair_products(u, M, w))
         rng = random.Random(11)
-        vecs = self._random_vectors(case, rng, 8) + rng.sample(members, 4)
+        vecs = (self._random_vectors(case, rng, 8)
+                + rng.sample(members, min(4, len(members))))
         for u in vecs:
             for w in vecs:
                 assert (eng.vector_pair(u, M, w) ==
@@ -529,7 +558,11 @@ class TestSeriesMomentPairing:
 class TestSeriesWeightRequired:
     @pytest.mark.parametrize("cid", ["BII:n=2,s=1", "CII:n=3,s=2"])
     def test_one_variable_cases_have_no_series_weight(self, cid):
+        # the zonal engine is the exact one-variable moment functional, the
+        # same at every hint; there is no non-symmetric weight
         case = build_case(cid)
-        for method in (case.nabla_engine, case.delta_engine):
-            with pytest.raises(ValueError, match="no series weight"):
-                method()
+        eng = case.nabla_engine()
+        assert eng.spec is None and eng._exact_weight is not None
+        assert case.nabla_engine(4) is eng
+        with pytest.raises(ValueError, match="no series weight"):
+            case.delta_engine()

@@ -153,11 +153,14 @@ class TestVerify:
         assert "identification         error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cid,certified", [("AI2", 100), ("A2G", "exact")])
-    def test_certified_order(self, cid, certified):
+    def test_certified_order(self, cid, certified, capsys):
         report, status = run_verify(cid, height=1)
         assert status == 0
         ortho = next(c for c in report["checks"] if c["name"] == "orthogonality")
         assert ortho["certified_order"] == certified
+        # raising AI2's order to 100 is said once on stderr
+        notes = capsys.readouterr().err.count("note: AI2 runs at order 100")
+        assert notes == (cid == "AI2")
 
     def test_config_error_exit_code(self, capsys):
         rc = main(["verify", "--case", "nope"])
@@ -165,6 +168,44 @@ class TestVerify:
 
     def test_negative_height_exit_code(self, capsys):
         rc = main(["verify", "--case", "DII:n=2", "--lambda-height", "-1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_cache_dir_naming_a_file_exit_code(self, tmp_path, capsys):
+        import macpoly.weights as wm
+
+        path = tmp_path / "f"
+        path.write_text("")
+        rc = main(["verify", "--case", "DII:n=2", "--lambda-height", "0",
+                   "--cache-dir", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert wm._cache_dir != str(path)
+
+    def test_report_under_a_file_exit_code(self, monkeypatch, tmp_path,
+                                           capsys):
+        # the report path is checked before any check runs
+        import macpoly.cli as cli_mod
+
+        def no_checks(*args, **kwargs):
+            raise AssertionError("checks ran before the report was checked")
+
+        monkeypatch.setattr(cli_mod, "run_verify", no_checks)
+        (tmp_path / "f").write_text("")
+        rc = main(["verify", "--case", "DII:n=2",
+                   "--report", str(tmp_path / "f" / "r.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("order", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--case", "DII:n=2", "--lam", "1"],
+        ["verify", "--case", "DII:n=2", "--lambda-height", "0"]])
+    def test_nonpositive_order_exit_code(self, argv, order, capsys):
+        rc = main(argv + ["--order", order])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -191,7 +191,7 @@ class TestGramSchmidtCalibration:
             restricted=R1, lattice="2L",
             engine_sym=WeightEngine(aw_weight((p.a, p.b, p.c, p.d), "2L"),
                                     order=50, height_hint=8),
-            conj="flip", label="aw-series")
+            label="aw-series")
         for m in range(3):
             P = sym_macdonald(spec, (m,))
             O = aw_oracle(p, m, "2L")
@@ -208,7 +208,7 @@ class TestGramSchmidtCalibration:
         spec = PolyFamilySpec(
             restricted=R1, lattice="2L",
             exact_functional=AWFunctional(p, "2L"),
-            conj="flip", label="aw-exact")
+            label="aw-exact")
         for m in range(5):
             assert sym_macdonald(spec, (m,)) == aw_oracle(p, m, "2L")
 

@@ -129,7 +129,7 @@ class TestPairings:
                           [PochFactor(ONE, (2,), 2, 1, 1)], "2L", ht1, rank=1)
         eng = WeightEngine(spec)
         one = GAElement.one("2L", 1)
-        assert sym_pair(one, one, eng, normalized=True).is_one()
+        assert (sym_pair(one, one, eng) / eng.ct_norm()).is_one()
 
     def test_orbit_sum_orthogonal_to_one(self):
         # single-parameter one-variable weight at the first nontrivial level
