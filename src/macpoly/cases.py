@@ -21,7 +21,7 @@ from .families import (
     monomial,
     orthogonalize_step,
 )
-from .galg import GAElement, MatGAElement, solve_linear
+from .galg import GAElement, MatGAElement
 from .roots import (
     RestrictedSystem,
     SatakeDatum,
@@ -218,7 +218,8 @@ class ExampleCase:
         if self.aw is not None:
             if "nabla" not in self._cache:
                 self._cache["nabla"] = WeightEngine.from_moments(
-                    AWFunctional(self.aw_zonal, self.lattice).weight)
+                    AWFunctional(self.aw_zonal, self.lattice).weight,
+                    self.rank)
             return self._cache["nabla"]
         key = ("nabla", height_hint, self.order)
         if key not in self._cache:
@@ -375,30 +376,82 @@ class ExampleCase:
     # -- identification ---------------------------------------------------------
 
     def expand_in_gamma_basis(self, f):
-        """Coefficients of f over the basis e_y, W-invariant coefficients."""
+        """Coefficients of a W_J-invariant f over the basis g_y: the
+        W-invariant c_y with f = sum_y c_y g_y.
+
+        The products m_d g_y have pairwise distinct leads (R^{W_J} is free
+        over R^W on the gamma basis), so f is peeled from its top
+        J-dominant exponent down; see `_gamma_peel`.
+        """
         H = max((self.restricted.order_key(e)[0] for e in f.support()),
                 default=0) + 2
-        doms = self.restricted.grid(H)
-        cols = []
-        labels = []
-        for yi, g in enumerate(self.gamma_basis):
-            for d in doms:
-                cols.append(self.m_of(d) * g)
-                labels.append((yi, d))
-        support = set()
-        for c in cols:
-            support |= c.support()
-        support |= f.support()
-        support = sorted(support)
-        zero = ExactScalar.zero()
-        rows = [[c.terms.get(e, zero) for c in cols] for e in support]
-        rhs = [f.terms.get(e, zero) for e in support]
-        sol = solve_linear(rows, rhs)
         out = [GAElement.zero(self.lattice) for _ in self.gamma_basis]
-        for (yi, d), c in zip(labels, sol):
-            if not c.is_zero():
-                out[yi] = out[yi] + self.m_of(d).scale(c)
+        for (yi, d), c in self._gamma_peel(f, H).items():
+            out[yi] = out[yi] + self.m_of(d).scale(c)
         return out
+
+    def _top_j_dominant(self, exponents):
+        """The order_key-maximal J-dominant exponent, or None."""
+        R = self.restricted
+        return max((e for e in exponents if R.is_dominant(e, self.J)),
+                   key=R.order_key, default=None)
+
+    def _gamma_table(self, H):
+        """lead -> (y, d, column, lead coefficient) over the columns
+        m_d g_y, d in grid(H); the lead is the column's top J-dominant
+        exponent.  Raises ArithmeticError on a lead clash."""
+        key = ("gamma_table", H)
+        if key not in self._cache:
+            table = {}
+            for yi, g in enumerate(self.gamma_basis):
+                for d in self.restricted.grid(H):
+                    col = self.m_of(d) * g
+                    lead = self._top_j_dominant(col.terms)
+                    if lead in table:
+                        raise ArithmeticError(
+                            "gamma-basis columns %s and %s share the lead %s"
+                            % (table[lead][:2], (yi, d), lead))
+                    table[lead] = (yi, d, col, col.terms[lead])
+            self._cache[key] = table
+        return self._cache[key]
+
+    def _gamma_peel(self, f, H):
+        """{(y, d): c} with f = sum c m_d g_y over d in grid(H), by
+        subtracting, for the top J-dominant exponent of the remainder, the
+        column with that lead.
+
+        Each step removes the top J-dominant exponent and adds only lower
+        ones, so it terminates.  Raises ArithmeticError naming the exponent
+        when a top exponent has no column in the table of height H, or
+        when a nonzero remainder has no J-dominant exponent (f is not
+        W_J-invariant).
+        """
+        table = self._gamma_table(H)
+        rem = dict(f.terms)
+        coeffs = {}
+        while rem:
+            top = self._top_j_dominant(rem)
+            if top is None:
+                raise ArithmeticError(
+                    "remainder has no J-dominant exponent, e.g. %s: the "
+                    "input is not W_J-invariant" % (min(rem),))
+            if top not in table:
+                raise ArithmeticError(
+                    "exponent %s has no gamma-basis column of height <= %d"
+                    % (top, H))
+            yi, d, col, lead_c = table[top]
+            c = rem.pop(top) / lead_c
+            coeffs[(yi, d)] = c
+            for e, ce in col.terms.items():
+                if e == top:
+                    continue
+                s = rem.get(e)
+                s = -(c * ce) if s is None else s - c * ce
+                if s.is_zero():
+                    rem.pop(e, None)
+                else:
+                    rem[e] = s
+        return coeffs
 
     def identify(self, mu):
         """Match the J-invariant family member at mu with a matrix column."""

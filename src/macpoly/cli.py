@@ -22,9 +22,9 @@ from .cases import (
     list_cases,
 )
 from .families import (
+    AWFunctional,
     aw_eigenvalue,
-    aw_operator_apply,
-    aw_oracle,
+    aw_operator,
     intermediate_macdonald,
     nonsym_macdonald,
     sym_macdonald,
@@ -296,10 +296,12 @@ def run_verify(case_id, height=2, order=60):
             # operator diagonalisation on the identified one-variable family
             ok = True
             seen = []
+            family = AWFunctional(case.aw, case.lattice)
+            operator = aw_operator(case.aw, case.lattice)
             for m in range(5):
-                P = aw_oracle(case.aw, m, case.lattice)
+                P = family.member(m)
                 lam_m = aw_eigenvalue(case.aw, m)
-                if not (aw_operator_apply(case.aw, P) - P.scale(lam_m)).is_zero():
+                if not (operator(P) - P.scale(lam_m)).is_zero():
                     ok = False
                 if any((lam_m - x).is_zero() for x in seen):
                     ok = False

@@ -243,32 +243,41 @@ def aw_oracle(params, m, lattice="aw"):
     return cur
 
 
-def aw_operator_apply(params, f):
-    """Second-order q-difference operator on symmetric Laurent polynomials.
+def aw_operator(params, lattice):
+    """Second-order q-difference operator on symmetric Laurent polynomials,
+    as a map f -> D f; the factors that depend on the parameters alone are
+    built once.
 
     Constants are eigenfunctions with eigenvalue 0; the m-th family member
     has eigenvalue q^{-m}(1-q^m)(1-abcd q^{m-1}) in the base q of the weight.
     """
-    lat = f.lattice
     qh = params.qhat
+    one = GAElement.one(lattice, 1)
+
+    def lin(p, e):
+        return one - GAElement.monomial(e, lattice, p)
+
+    def quartic(e):
+        return (lin(params.a, e) * lin(params.b, e) * lin(params.c, e)
+                * lin(params.d, e))
+
+    def dfac(e):
+        return lin(ONE, e) * lin(qh, e)
+
+    Dplus, Dminus = dfac((2,)), dfac((-2,))
+    up = quartic((1,)) * Dminus
+    down = quartic((-1,)) * Dplus
+    den = Dplus * Dminus
 
     def shift(g, sgn):
-        return GAElement({e: c * (qh ** (sgn * e[0])) for e, c in g.terms.items()}, lat)
+        return GAElement({e: c * (qh ** (sgn * e[0]))
+                          for e, c in g.terms.items()}, lattice)
 
-    one = GAElement.one(lat, 1)
-    z = GAElement.monomial((1,), lat)
-    zi = GAElement.monomial((-1,), lat)
+    def apply(f):
+        num = up * (shift(f, 1) - f) + down * (shift(f, -1) - f)
+        return num.exact_div(den)
 
-    def lin(p, mono):
-        return one - mono.scale(p)
-
-    Nplus = lin(params.a, z) * lin(params.b, z) * lin(params.c, z) * lin(params.d, z)
-    Nminus = lin(params.a, zi) * lin(params.b, zi) * lin(params.c, zi) * lin(params.d, zi)
-    Dplus = (one - z * z) * (one - (z * z).scale(qh))
-    Dminus = (one - zi * zi) * (one - (zi * zi).scale(qh))
-    num = (Nplus * Dminus * (shift(f, 1) - f) +
-           Nminus * Dplus * (shift(f, -1) - f))
-    return num.exact_div(Dplus * Dminus)
+    return apply
 
 
 def aw_eigenvalue(params, m):
@@ -304,6 +313,11 @@ class AWFunctional:
             prev = self._family[k - 1] if k else GAElement.zero(self.lattice)
             bk, ck = aw_recurrence(self.params, k)
             self._family.append(self._x * cur - cur.scale(bk) - prev.scale(ck))
+
+    def member(self, m):
+        """The degree-m member of the recurrence family."""
+        self._extend(m)
+        return self._family[m]
 
     def _reduce(self, h):
         """L(h) by reduction against the recurrence family, term by term.
@@ -364,11 +378,13 @@ def eigen_check(params, upto, central_rows=None):
     asserting a zero residual and pairwise-distinct eigenvalues.  Optional
     `central_rows` data is attached unchanged for side-by-side reporting.
     """
+    family = AWFunctional(params)
+    operator = aw_operator(params, family.lattice)
     rows = []
     seen = []
     for m in range(upto + 1):
-        P = aw_oracle(params, m)
-        image = aw_operator_apply(params, P)
+        P = family.member(m)
+        image = operator(P)
         lam = aw_eigenvalue(params, m)
         residual = image - P.scale(lam)
         if not residual.is_zero():

@@ -11,6 +11,7 @@ integral.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -191,23 +192,44 @@ class RootDatum:
             else:
                 return x
 
-    def alpha_expansion(self, x):
-        """Coordinates of x in the simple-root basis (Fractions)."""
+    def _alpha_inverse(self):
+        """Inverse of the matrix with the alpha_coords as columns (Fractions)."""
         key = ("ainv",)
         if key not in self._cache:
-            # columns of M are the alpha_coords
             M = [[self.alpha_coords[j][i] for j in range(self.rank)]
                  for i in range(self.rank)]
             self._cache[key] = _mat_inv_fractions(M)
-        inv = self._cache[key]
+        return self._cache[key]
+
+    def alpha_expansion(self, x):
+        """Coordinates of x in the simple-root basis (Fractions)."""
+        inv = self._alpha_inverse()
         return tuple(sum(inv[i][j] * x[j] for j in range(self.rank))
                      for i in range(self.rank))
 
+    def _alpha_inverse_int(self):
+        """(D, N) with N = D * inverse an integer matrix, D > 0 minimal."""
+        key = ("ainv_int",)
+        if key not in self._cache:
+            inv = self._alpha_inverse()
+            D = math.lcm(*(c.denominator for row in inv for c in row))
+            N = tuple(tuple(int(c * D) for c in row) for row in inv)
+            self._cache[key] = (D, N)
+        return self._cache[key]
+
     def dominance_leq(self, mu, lam):
-        """mu <= lam: the difference is a nonnegative integer root combination."""
-        diff = tuple(lam[i] - mu[i] for i in range(self.rank))
-        coords = self.alpha_expansion(diff)
-        return all(c.denominator == 1 and c >= 0 for c in coords)
+        """mu <= lam: the difference is a nonnegative integer root combination.
+
+        Integer-only: D * (root coordinates of lam - mu) = N (lam - mu) must
+        be nonnegative and divisible by D.
+        """
+        D, N = self._alpha_inverse_int()
+        diff = [a - b for a, b in zip(lam, mu)]
+        for row in N:
+            s = sum(n * d for n, d in zip(row, diff))
+            if s < 0 or s % D:
+                return False
+        return True
 
     def height(self, x):
         """Root-basis coordinate sum; raises if x is not in the root lattice."""

@@ -417,12 +417,14 @@ class WeightEngine:
             raise ValueError("backend must be 'auto' or 'series'")
 
     @classmethod
-    def from_moments(cls, weight):
-        """Exact engine over the coefficient lookup `weight(nu)` alone, such
-        as the one-variable moment functional's `AWFunctional.weight`; it
-        has no spec and expands nothing."""
+    def from_moments(cls, weight, rank):
+        """Exact engine over the coefficient lookup `weight(nu)` alone, for
+        exponents nu of length `rank`, such as the one-variable moment
+        functional's `AWFunctional.weight`; it has no spec and expands
+        nothing."""
         engine = cls.__new__(cls)
         engine.spec, engine._exact_weight, engine._moments = None, weight, {}
+        engine._rank = rank
         return engine
 
     # -- construction --------------------------------------------------------
@@ -573,6 +575,9 @@ class WeightEngine:
             min(out.prec, self._guaranteed))
 
     def ct_norm(self):
+        """ct(W), the constant term of the weight."""
+        if self.spec is None:
+            return self._exact_sum([((0,) * self._rank, ExactScalar.one())])
         return self.ct_pair(GAElement.one(self.spec.lattice, self.spec.rank))
 
     def vector_pair(self, u, M, w):

@@ -1,4 +1,6 @@
 import itertools
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,7 @@ from macpoly.cases import (
     qkrawtchouk,
 )
 from macpoly.families import AWFunctional, aw_oracle
-from macpoly.galg import GAElement
+from macpoly.galg import GAElement, solve_linear
 from macpoly.roots import regularity_scalar
 from macpoly.scalars import ExactScalar, SeriesScalar
 
@@ -230,6 +232,122 @@ class TestIdentification:
             for m in range(4):
                 Qm = case.matrix_q((m,))
                 assert (Qm[0, 0] - aw_oracle(case.aw, m, case.lattice)).is_zero()
+
+
+def _dense_gamma_expansion(case, f):
+    """Coefficients of f over the gamma basis by one dense solve over every
+    m_d g_y with d of height <= the top height of f + 2; oracle of the
+    triangular peeling."""
+    H = max((case.restricted.order_key(e)[0] for e in f.support()),
+            default=0) + 2
+    cols, labels = [], []
+    for yi, g in enumerate(case.gamma_basis):
+        for d in case.restricted.grid(H):
+            cols.append(case.m_of(d) * g)
+            labels.append((yi, d))
+    support = set(f.support())
+    for c in cols:
+        support |= c.support()
+    support = sorted(support)
+    zero = ExactScalar.zero()
+    rows = [[c.terms.get(e, zero) for c in cols] for e in support]
+    sol = solve_linear(rows, [f.terms.get(e, zero) for e in support])
+    out = [GAElement.zero(case.lattice) for _ in case.gamma_basis]
+    for (yi, d), c in zip(labels, sol):
+        out[yi] = out[yi] + case.m_of(d).scale(c)
+    return out
+
+
+def _j_labels(case, H):
+    """Every J-dominant label whose dominant representative has height2 <= H."""
+    R = case.restricted
+    box = range(-2 * H - 2, 2 * H + 3)
+    return sorted(mu for mu in itertools.product(box, repeat=R.rank)
+                  if R.is_dominant(mu, case.J)
+                  and R.height2(R.dominant_rep(mu)) <= H)
+
+
+class TestGammaPeel:
+    """Triangular peeling over the gamma basis against the dense solve."""
+
+    @pytest.mark.parametrize("cid,H,order", [("A2G", 3, 60), ("AII5", 3, 60),
+                                             ("AI2", 1, 72), ("DII:n=2", 3, 60)])
+    def test_matches_dense_solve(self, cid, H, order):
+        case = build_case(cid)
+        case.order = order
+        case.set_grid_height(H)
+        spec = case.family_spec(case._vector_hint())
+        for mu in _j_labels(case, H):
+            P = spec.family_member(case.J, mu)
+            peeled = case.expand_in_gamma_basis(P)
+            dense = _dense_gamma_expansion(case, P)
+            for a, b in zip(peeled, dense):
+                assert a.support() == b.support(), (cid, mu)
+                for e, c in a.terms.items():
+                    assert (c - b.terms[e]).is_zero(), (cid, mu, e)
+                    if isinstance(c, SeriesScalar):
+                        assert c.prec == b.terms[e].prec
+
+    @pytest.mark.parametrize("cid", ["A2G", "AII5", "AI2", "DII:n=2",
+                                     "BII:n=2,s=1"])
+    def test_recovers_random_coefficients(self, cid):
+        case = build_case(cid)
+        rng = random.Random(11)
+        doms = case.restricted.grid(3)
+        for _ in range(6):
+            coeffs = {}
+            f = GAElement.zero(case.lattice)
+            for yi, g in enumerate(case.gamma_basis):
+                for d in rng.sample(doms, rng.randint(1, 3)):
+                    c = ExactScalar.from_fraction(
+                        Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                                 rng.randint(1, 4)))
+                    coeffs[(yi, d)] = c
+                    f = f + (case.m_of(d) * g).scale(c)
+            H = max(case.restricted.order_key(e)[0] for e in f.support()) + 2
+            assert case._gamma_peel(f, H) == coeffs
+            got = case.expand_in_gamma_basis(f)
+            for yi in range(len(case.gamma_basis)):
+                want = GAElement.zero(case.lattice)
+                for (y, d), c in coeffs.items():
+                    if y == yi:
+                        want = want + case.m_of(d).scale(c)
+                assert got[yi] == want
+
+    @pytest.mark.parametrize("exponent", [(1, -1), (0, -2)])
+    def test_non_j_dominant_input_raises(self, exponent):
+        case = build_case("A2G")
+        f = GAElement.monomial(exponent, case.lattice)
+        named = re.escape("e.g. %s" % (exponent,))
+        with pytest.raises(ArithmeticError, match=named):
+            case.expand_in_gamma_basis(f)
+        # an invariant part on top is peeled off first
+        with pytest.raises(ArithmeticError, match=named):
+            case.expand_in_gamma_basis(
+                f + case.m_of((1, 1)) * case.gamma_basis[1])
+
+    def test_missing_orbit_partner_raises(self):
+        # (1, 1) is J-dominant, but its J-orbit partner (2, -1) is missing
+        case = build_case("A2G")
+        f = GAElement.monomial((1, 1), case.lattice)
+        with pytest.raises(ArithmeticError, match="not W_J-invariant"):
+            case.expand_in_gamma_basis(f)
+
+    def test_top_above_table_raises(self):
+        case = build_case("A2G")
+        f = case.m_of((2, 1)) * case.gamma_basis[2]
+        top = case._top_j_dominant(f.terms)
+        with pytest.raises(ArithmeticError, match=re.escape(
+                "exponent %s has no gamma-basis column" % (top,))):
+            case._gamma_peel(f, 1)
+        assert case._gamma_peel(f, 3) == {(2, (2, 1)): ExactScalar.one()}
+
+    def test_lead_clash_raises(self):
+        case = build_case("DII:n=2")
+        case.gamma_basis = case.gamma_basis + case.gamma_basis[:1]
+        with pytest.raises(ArithmeticError, match=re.escape(
+                "columns (0, (0,)) and (2, (0,)) share the lead")):
+            case.expand_in_gamma_basis(case.one())
 
 
 class TestKravchuk:
@@ -566,3 +684,12 @@ class TestSeriesWeightRequired:
         assert case.nabla_engine(4) is eng
         with pytest.raises(ValueError, match="no series weight"):
             case.delta_engine()
+
+    @pytest.mark.parametrize("cid", ["BII:n=2,s=1", "CII:n=3,s=2"])
+    def test_one_variable_ct_norm(self, cid):
+        # ct(W) of the moment engine is lambda(0) = L(1) = 1, exactly
+        case = build_case(cid)
+        norm = case.nabla_engine().ct_norm()
+        assert isinstance(norm, ExactScalar) and norm.is_one()
+        L = AWFunctional(case.aw_zonal, case.lattice)
+        assert norm == L.value(case.one())

@@ -7,7 +7,7 @@ from macpoly.families import (
     AWParams,
     PolyFamilySpec,
     aw_eigenvalue,
-    aw_operator_apply,
+    aw_operator,
     aw_oracle,
     aw_recurrence,
     eigen_check,
@@ -98,14 +98,15 @@ class TestAWOracle:
 
     def test_constant_eigenvalue_zero(self):
         one = GAElement.one("2L", 1)
-        assert aw_operator_apply(self.PARAMS, one).is_zero()
+        assert aw_operator(self.PARAMS, "2L")(one).is_zero()
         assert aw_eigenvalue(self.PARAMS, 0).is_zero()
 
     def test_operator_vs_recurrence_family(self):
         p = AWParams.from_labels(Fraction(5, 2), Fraction(3, 2), 1, 0)
+        operator = aw_operator(p, "2L")
         for m in range(4):
             P = aw_oracle(p, m, "2L")
-            assert aw_operator_apply(p, P) == P.scale(aw_eigenvalue(p, m))
+            assert operator(P) == P.scale(aw_eigenvalue(p, m))
 
 
 class TestAWFunctional:
@@ -177,7 +178,7 @@ class TestAWFunctional:
     def test_family_grows_by_recurrence(self):
         p = AWParams.from_labels(Fraction(5, 2), Fraction(3, 2), 1, 0)
         L = AWFunctional(p, "2L")
-        L._extend(8)
+        assert L.member(8) == aw_oracle(p, 8, "2L")
         for m in range(9):
             assert L._family[m] == aw_oracle(p, m, "2L")
 

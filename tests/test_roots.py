@@ -162,6 +162,41 @@ class TestCentralScalar:
             central_scalar(d, (1, 0), (1, 0))
 
 
+def _dominance_by_fractions(d, mu, lam):
+    """mu <= lam read off the Fraction root coordinates; the oracle of the
+    integer-only `dominance_leq`."""
+    coords = d.alpha_expansion(tuple(a - b for a, b in zip(lam, mu)))
+    return all(c.denominator == 1 and c >= 0 for c in coords)
+
+
+class TestIntegerDominance:
+    def test_matches_fraction_oracle(self):
+        from macpoly.cases import build_case
+
+        data = {"B2": build_root_datum("B", 2), "G2": build_root_datum("G", 2)}
+        for cid in ["AI2", "A2G", "AII5", "DII:n=2", "DII:n=3", "BII:n=2,s=1",
+                    "BII:n=3,s=1", "CII:n=3,s=1"]:
+            case = build_case(cid)
+            data[cid] = case.datum
+            data[cid + " restricted"] = case.restricted
+        # both sides depend on lam - mu alone, so pairs (mu, mu + diff) from
+        # one base point mu cover every pair of the box of radius 4 at rank
+        # <= 3, where diff runs over the box of radius 8; above, diff runs
+        # over the box of radius 4
+        denominators = set()
+        for name, d in data.items():
+            radius = 8 if d.rank <= 3 else 4
+            mu = tuple((-1) ** i * (i % 3) for i in range(d.rank))
+            for diff in itertools.product(range(-radius, radius + 1),
+                                          repeat=d.rank):
+                lam = tuple(a + b for a, b in zip(mu, diff))
+                assert (d.dominance_leq(mu, lam)
+                        == _dominance_by_fractions(d, mu, lam)), (name, diff)
+            denominators.add(d._alpha_inverse_int()[0])
+        # D > 1 is exercised, including D = 6 (A5)
+        assert denominators >= {1, 2, 3, 4, 6}
+
+
 class TestRestrictedSystem:
     def test_rank1_order(self):
         r = RestrictedSystem(1)
