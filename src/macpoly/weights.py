@@ -10,7 +10,9 @@ with explicit accounting of the v-order lost to truncation.
 from __future__ import annotations
 
 import json
+import math
 import os
+import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -247,6 +249,64 @@ def _factor_terms(f, kmax):
     return out
 
 
+def _flat_factor_terms(f, kmax, bar):
+    """(low, series) for the factor's terms k <= kmax, q -> 1/q applied if
+    `bar`: `low` <= 0 bounds their v-orders from below, and series(prec)
+    lists them as (k, SeriesScalar) exact below prec.
+
+    Finite factors go through their exact terms.  An infinite factor's terms
+    follow term_k = term_{k-1} * sign * c * v^shift(k) / (1 - v^{pk}), with
+    p the base's v-exponent (the Euler expansions; under q -> 1/q,
+    (q^-b; q^-b)_k = (-1)^k v^{pk(k+1)/2} (q^b; q^b)_k), so they are
+    computed in the series ring, and their orders k ord(c) + sum shift(j)
+    are known before any term is.
+    """
+    if f.length is not INF:
+        terms = _factor_terms(f, kmax)
+        if bar:
+            terms = [(k, c.bar()) for k, c in terms]
+        low = min(0, min(c.v_order() for _, c in terms))
+        return low, lambda prec: [(k, c.to_series(prec)) for k, c in terms]
+    p = 2 * f.base_log
+    c = f.coeff.bar() if bar else f.coeff
+    sign = f.side if bar else -f.side
+    if bar:
+        shifts = [p * k if f.side == -1 else p for k in range(kmax + 1)]
+    else:
+        shifts = [0 if f.side == -1 else p * (k - 1) for k in range(kmax + 1)]
+    oc = c.v_order()
+    low = order = 0
+    for k in range(1, kmax + 1):
+        order += oc + shifts[k]
+        low = min(low, order)
+
+    def series(prec):
+        # a coefficient of negative order costs that much precision per step
+        work = prec + kmax * max(0, -oc)
+        step = c.to_series(work) * sign
+        term = SeriesScalar.one(work)
+        out = [(0, term)]
+        for k in range(1, kmax + 1):
+            t = term * step
+            t = SeriesScalar({e + shifts[k]: n for e, n in t.num.items()},
+                             t.prec + shifts[k], _den=t.den)
+            term = _over_one_minus(t, p * k)
+            out.append((k, term))
+        return out
+
+    return low, series
+
+
+def _over_one_minus(x, step):
+    """x / (1 - v^step) for step > 0, to x's precision."""
+    out = {}
+    for e in range(min(x.num, default=x.prec), x.prec):
+        c = x.num.get(e, 0) + out.get(e - step, 0)
+        if c:
+            out[e] = c
+    return SeriesScalar(out, x.prec, _den=x.den)
+
+
 def _factor_env(f, k):
     """Lower bound on the v-order of the factor's k-th term; None if absent."""
     if k == 0:
@@ -267,7 +327,13 @@ def _factor_env(f, k):
 
 
 class ConePart:
-    """Height-bounded expansion of a product of positive-cone factors."""
+    """Height-bounded expansion of a product of positive-cone factors.
+
+    Build parts through `cone_part`, which shares one part among all
+    holders of the same factors, lattice and height function.  A part
+    keeps each envelope and expansion it has computed, so every holder
+    reads the same tables.
+    """
 
     def __init__(self, factors, lattice, heightfn):
         self.factors = factors
@@ -278,32 +344,42 @@ class ConePart:
             if h <= 0:
                 raise ValueError("factor exponent %s is not in the positive cone"
                                  % (f.exponent,))
+        self._envelopes = {}
+        self._expansions = {}
 
     def expand(self, H, prec=None, bar=False):
         """All terms of height <= H; exact, or series coefficients if prec.
 
-        Per-factor term coefficients are always produced exactly (they are
-        single Pochhammer fractions); with `prec` the accumulation runs in
-        the series backend, and `bar` sends q -> 1/q through each factor
-        coefficient first.
+        With `prec` every coefficient is exact below the v-order `prec`
+        and carries `prec` as its order (a flat cut); terms that vanish
+        below it are left out.  `bar` sends q -> 1/q through each factor
+        coefficient first.  Computed once per (H, prec, bar); the result
+        is shared, so holders must not change it.
         """
+        key = (H, prec, bar)
+        got = self._expansions.get(key)
+        if got is None:
+            got = self._expansions[key] = self._expand(H, prec, bar)
+        return got
+
+    def _expand(self, H, prec, bar):
+        rows, widest = self._shapes(H)
+        if prec is not None:
+            return GAElement(self._flat_table(H, prec, bar, rows, widest),
+                             self.lattice)
+        terms = {}
+        for shape, (f, kmax) in widest.items():
+            got = _factor_terms(f, kmax)
+            terms[shape] = [(k, c.bar()) for k, c in got] if bar else got
         rank = len(self.factors[0].exponent) if self.factors else 1
-        unit = ExactScalar.one() if prec is None else SeriesScalar.one(prec)
-        acc = {(0,) * rank: unit}
-        for f in self.factors:
-            hf = self.heightfn(f.exponent)
-            kmax = H // hf
-            terms = _factor_terms(f, kmax)
-            if bar:
-                terms = [(k, c.bar()) for k, c in terms]
-            if prec is not None:
-                terms = [(k, c.to_series(prec)) for k, c in terms]
+        acc = {(0,) * rank: ExactScalar.one()}
+        for f, hf, shape in rows:
             nxt = {}
             for e, c in acc.items():
                 he = self.heightfn(e)
-                for k, fc in terms:
+                for k, fc in terms[shape]:
                     if he + k * hf > H:
-                        continue
+                        break
                     ee = tuple(x + k * y for x, y in zip(e, f.exponent))
                     prod = c * fc
                     s = nxt.get(ee)
@@ -315,8 +391,81 @@ class ConePart:
             acc = nxt
         return GAElement(acc, self.lattice)
 
+    def _shapes(self, H):
+        """Each factor as (factor, height, shape), and for each shape
+        (coeff, base_log, length, side) the factor with the most terms below
+        height H.  Factors of one shape differ only in their exponent and
+        share one expansion of their terms, taken from that factor."""
+        rows, widest = [], {}
+        for f in self.factors:
+            hf = self.heightfn(f.exponent)
+            shape = (f.coeff, f.base_log, f.length, f.side)
+            if shape not in widest or H // hf > widest[shape][1]:
+                widest[shape] = (f, H // hf)
+            rows.append((f, hf, shape))
+        return rows, widest
+
+    def _flat_table(self, H, cut, bar, rows, widest):
+        """The expansion as exponent -> SeriesScalar, exact below `cut`.
+
+        The product is accumulated as exponent -> {v-power: int} over one
+        common denominator.  Factor terms may have negative v-order, so the
+        running product is kept to `cut` minus the lowest order the factors
+        still to come can add, and each factor's terms to `cut` minus the
+        lowest order all the other factors can add.
+        """
+        lows, series = {}, {}
+        for shape, (f, kmax) in widest.items():
+            lows[shape], series[shape] = _flat_factor_terms(f, kmax, bar)
+        rest = total = sum(lows[shape] for _, _, shape in rows)
+        tables = {}
+        for shape, low in lows.items():
+            terms = series[shape](cut - total + low)
+            fden = math.lcm(*(s.den for _, s in terms))
+            tables[shape] = fden, [
+                (k, min(s.num),
+                 sorted((v, n * (fden // s.den)) for v, n in s.num.items()))
+                for k, s in terms if s.num]
+        rank = len(self.factors[0].exponent) if self.factors else 1
+        acc = {(0,) * rank: {0: 1}}
+        den = 1
+        for f, hf, shape in rows:
+            fden, table = tables[shape]
+            den *= fden
+            rest -= lows[shape]
+            limit = cut - rest
+            nxt = {}
+            for e, poly in acc.items():
+                he = self.heightfn(e)
+                items = sorted(poly.items())
+                for k, v0, row in table:
+                    if he + k * hf > H:
+                        break
+                    ee = tuple(x + k * y for x, y in zip(e, f.exponent))
+                    out = nxt.get(ee)
+                    if out is None:
+                        out = nxt[ee] = {}
+                    for v1, c1 in items:
+                        if v1 + v0 >= limit:
+                            break
+                        for v2, c2 in row:
+                            v = v1 + v2
+                            if v >= limit:
+                                break
+                            out[v] = out.get(v, 0) + c1 * c2
+            acc = {}
+            for ee, poly in nxt.items():
+                poly = {v: c for v, c in poly.items() if c}
+                if poly:
+                    acc[ee] = poly
+        return {e: SeriesScalar(poly, cut, _den=den) for e, poly in acc.items()}
+
     def order_envelope(self, H):
-        """env[h]: lower bound for the v-order of any term at height h."""
+        """env[h]: lower bound for the v-order of any term at height h;
+        computed once per H."""
+        got = self._envelopes.get(H)
+        if got is not None:
+            return got
         BIG = 1 << 60
         env = [0] + [BIG] * H
         for f in self.factors:
@@ -339,7 +488,27 @@ class ConePart:
                     if val < nxt[hh]:
                         nxt[hh] = val
             env = nxt
+        self._envelopes[H] = env
         return env
+
+
+_parts = weakref.WeakValueDictionary()
+
+
+def cone_part(factors, lattice, heightfn):
+    """The shared ConePart of `factors` on `lattice` under `heightfn`.
+
+    Parts are told apart by every field of every factor, in order, by the
+    lattice and by the height function.  The registry holds parts weakly: a
+    part lives while some holder (an engine) keeps it, and a later request
+    for the same part while it lives gets the same object.
+    """
+    key = (tuple((f.coeff, f.exponent, f.base_log, f.length, f.side)
+                 for f in factors), lattice, heightfn)
+    part = _parts.get(key)
+    if part is None:
+        part = _parts[key] = ConePart(factors, lattice, heightfn)
+    return part
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +521,9 @@ class TruncationError(ArithmeticError):
 
 
 # optional on-disk cache for expanded series weights; versioned, invalidated
-# on bump
-CACHE_VERSION = 1
+# on bump.  Version 2 stores each cone part as one flat table: integer
+# numerators over one denominator, all exact below one order.
+CACHE_VERSION = 2
 _cache_dir = None
 
 
@@ -372,19 +542,21 @@ def _cache_key(spec, order, hint, margin):
     return hashlib.sha1(blob.encode()).hexdigest()
 
 
-def _series_terms_to_json(terms):
-    return [{"e": list(e),
-             "c": [[k, str(v)] for k, v in sorted(c.coeffs.items())],
-             "p": c.prec}
-            for e, c in sorted(terms.items())]
+def _part_to_json(terms):
+    """A flat cone-part table: its terms' integer numerators over their
+    common denominator, and the order they share (None if no terms)."""
+    den = math.lcm(*(c.den for c in terms.values()))
+    return {"den": den,
+            "prec": next((c.prec for c in terms.values()), None),
+            "terms": [[list(e), [[k, n * (den // c.den)]
+                                 for k, n in sorted(c.num.items())]]
+                      for e, c in sorted(terms.items())]}
 
 
-def _series_terms_from_json(data):
-    out = {}
-    for item in data:
-        out[tuple(item["e"])] = SeriesScalar(
-            {k: Fraction(v) for k, v in item["c"]}, item["p"])
-    return out
+def _part_from_json(data):
+    den, prec = data["den"], data["prec"]
+    return {tuple(e): SeriesScalar(dict(num), prec, _den=den)
+            for e, num in data["terms"]}
 
 
 class WeightEngine:
@@ -409,6 +581,7 @@ class WeightEngine:
         self._minus_terms = None
         self._guaranteed = None
         self._moments = {}
+        self._parts = ()  # the shared cone parts this engine expanded
         if backend == "auto" and self.spec.is_finite():
             self._build_exact()
         elif backend in ("auto", "series"):
@@ -429,15 +602,22 @@ class WeightEngine:
 
     # -- construction --------------------------------------------------------
 
+    def _hold_parts(self):
+        """The spec's plus and minus cone parts, shared and kept alive by
+        this engine."""
+        spec = self.spec
+        self._parts = tuple(cone_part(fs, spec.lattice, spec.heightfn)
+                            for fs in (spec.plus, spec.minus))
+        return self._parts
+
     def _build_exact(self):
         spec = self.spec
+        plus, minus = self._hold_parts()
         one = GAElement.one(spec.lattice, spec.rank)
         Hp = sum(spec.heightfn(f.exponent) * f.length for f in spec.plus)
         Hm = sum(spec.heightfn(f.exponent) * f.length for f in spec.minus)
-        pe = (ConePart(spec.plus, spec.lattice, spec.heightfn).expand(Hp)
-              if spec.plus else one)
-        me = (ConePart(spec.minus, spec.lattice, spec.heightfn).expand(Hm)
-              if spec.minus else one)
+        pe = plus.expand(Hp) if spec.plus else one
+        me = minus.expand(Hm) if spec.minus else one
         me = me.conjugate(self.spec.minus_conj)
         self._exact_product = (pe * me).scale(spec.prefactor)
         self._exact_weight = self._exact_product.terms.get
@@ -447,27 +627,28 @@ class WeightEngine:
             return self._build_series_fresh()
         path = os.path.join(_cache_dir, _cache_key(
             self.spec, self.order, self.height_hint, self.margin) + ".json")
-        if os.path.exists(path):
+        try:
             with open(path) as fh:
                 data = json.load(fh)
-            self._plus_terms = _series_terms_from_json(data["plus"])
-            self._minus_terms = _series_terms_from_json(data["minus"])
+            self._plus_terms = _part_from_json(data["plus"])
+            self._minus_terms = _part_from_json(data["minus"])
             self._work = data["work"]
             self._guaranteed = data["guaranteed"]
             self._w_cache = {}
-        else:
-            self._build_series_fresh()
-            with open(path + ".tmp", "w") as fh:
-                json.dump({"plus": _series_terms_to_json(self._plus_terms),
-                           "minus": _series_terms_to_json(self._minus_terms),
-                           "work": self._work,
-                           "guaranteed": self._guaranteed}, fh)
-            os.replace(path + ".tmp", path)
+            return
+        except (OSError, ValueError, LookupError, TypeError):
+            pass  # missing, unreadable or malformed: a miss, rebuilt below
+        self._build_series_fresh()
+        tmp = "%s.%d.tmp" % (path, os.getpid())
+        with open(tmp, "w") as fh:
+            json.dump({"plus": _part_to_json(self._plus_terms),
+                       "minus": _part_to_json(self._minus_terms),
+                       "work": self._work,
+                       "guaranteed": self._guaranteed}, fh)
+        os.replace(tmp, path)
 
     def _build_series_fresh(self):
-        spec = self.spec
-        plus = ConePart(spec.plus, spec.lattice, spec.heightfn)
-        minus = ConePart(spec.minus, spec.lattice, spec.heightfn)
+        plus, minus = self._hold_parts()
         K = self.height_hint
         target = self.order + self.margin
         H_cap = 4 * (target + K) + 32
@@ -500,8 +681,15 @@ class WeightEngine:
         self._guaranteed = self.order
         work = self.order + self.margin - min(0, min_m) - min(0, min_p)
         bar = self.spec.minus_conj == "bar_flip"
-        self._plus_terms = plus.expand(Hp, prec=work).terms
-        self._minus_terms = minus.expand(Hm, prec=work, bar=bar).terms
+        # each part is cut flat where its products with the other part no
+        # longer reach below `work`: at `work` less the other part's lowest
+        # order.  A barred part can reach below its unbarred envelope, so
+        # the plus part is cut against the orders the minus terms really have
+        self._minus_terms = minus.expand(
+            Hm, prec=work - min(0, min_p), bar=bar).terms
+        low_m = min([min_m] + [c.min_order()
+                               for c in self._minus_terms.values()])
+        self._plus_terms = plus.expand(Hp, prec=work - min(0, low_m)).terms
         self._work = work
         self._w_cache = {}
 

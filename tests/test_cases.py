@@ -481,9 +481,12 @@ class TestAWMomentPairing:
                     c = c / den
                 f = f + GAElement({(k,): c, (-k,): c}, case.lattice)
             invariants.append([f])
-        for u in members + invariants:
-            for w in members + invariants:
-                h = u[0] * w[0].invol_inv() * M[0, 0]
+        vectors = members + invariants
+        # flip(w) * M once per w; the 81 products are u * (flip(w) * M)
+        flipped = [w[0].invol_inv() * M[0, 0] for w in vectors]
+        for u in vectors:
+            for w, wm in zip(vectors, flipped):
+                h = u[0] * wm
                 assert case._vector_pair(u, w) == L.value(h) == L._reduce(h)
 
     def test_no_series_weight(self):

@@ -227,3 +227,24 @@ class TestVerify:
         assert s1 == s2 == 0
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
         assert os.listdir(cache)
+
+    def test_corrupt_cache_file_is_a_miss(self, monkeypatch, tmp_path):
+        # unreadable or malformed cache files are rebuilt and overwritten,
+        # and the report equals the one from an empty cache
+        import macpoly.weights as wm
+
+        monkeypatch.setattr(wm, "_cache_dir", None)
+        cache = tmp_path / "cache"
+        argv = ["verify", "--case", "AI2", "--lambda-height", "0",
+                "--cache-dir", str(cache)]
+        assert main(argv + ["--report", str(tmp_path / "cold.json")]) == 0
+        files = sorted(cache.iterdir())
+        assert len(files) == 2
+        good = [f.read_bytes() for f in files]
+        files[0].write_bytes(good[0][:len(good[0]) // 2])
+        files[1].write_text('{"plus": []}')
+        assert main(argv + ["--report", str(tmp_path / "warm.json")]) == 0
+        assert sorted(cache.iterdir()) == files
+        assert [f.read_bytes() for f in files] == good
+        assert ((tmp_path / "warm.json").read_text()
+                == (tmp_path / "cold.json").read_text())

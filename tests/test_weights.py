@@ -245,3 +245,199 @@ class TestSeriesVectorPair:
         filled = [m for row in tables for t in row for m in t.values.values()]
         assert filled and all(isinstance(m, SeriesScalar) for m in filled
                               if m is not None)
+
+
+class TestCacheKey:
+    """Every input of a series expansion is in its disk-cache key."""
+
+    @staticmethod
+    def _spec(plus=None, **kw):
+        plus = plus or [PochFactor(ONE, (2,), 2, INF, 1),
+                        PochFactor(Q(2), (2,), 2, INF, -1)]
+        return WeightSpec(plus, list(plus), "2L", ht1, rank=1, **kw)
+
+    def test_version(self, monkeypatch):
+        import macpoly.weights as wm
+
+        key = wm._cache_key(self._spec(), 60, 6, 8)
+        monkeypatch.setattr(wm, "CACHE_VERSION", wm.CACHE_VERSION + 1)
+        assert wm._cache_key(self._spec(), 60, 6, 8) != key
+
+    def test_every_field(self):
+        from dataclasses import replace
+
+        from macpoly.weights import _cache_key
+
+        base = self._spec()
+        keys = {_cache_key(base, 60, 6, 8)}
+        f = base.plus[1]
+        for change in ({"coeff": Q(4)}, {"exponent": (4,)}, {"base_log": 4},
+                       {"length": 3}, {"side": 1}):
+            keys.add(_cache_key(
+                self._spec([base.plus[0], replace(f, **change)]), 60, 6, 8))
+        keys.add(_cache_key(self._spec(prefactor=Q(1)), 60, 6, 8))
+        keys.add(_cache_key(self._spec(minus_conj="bar_flip"), 60, 6, 8))
+        keys |= {_cache_key(base, 61, 6, 8), _cache_key(base, 60, 7, 8),
+                 _cache_key(base, 60, 6, 9)}
+        assert len(keys) == 11
+        assert _cache_key(self._spec(), 60, 6, 8) in keys
+
+
+class TestSharedParts:
+    """One cone part per (factors, lattice, height function), held weakly,
+    with one envelope and one expansion per argument tuple."""
+
+    FACTORS = [PochFactor(Q(1), (1,), 2, INF, -1), PochFactor(ONE, (2,), 2, INF, 1)]
+
+    def test_registry_keys(self):
+        from dataclasses import replace
+
+        from macpoly.weights import cone_part
+
+        part = cone_part(self.FACTORS, "2L", ht1)
+        assert cone_part(list(self.FACTORS), "2L", ht1) is part
+        others = [cone_part([self.FACTORS[0], replace(self.FACTORS[1], **c)],
+                            "2L", ht1)
+                  for c in ({"coeff": Q(2)}, {"exponent": (4,)},
+                            {"base_log": 4}, {"length": 3}, {"side": -1})]
+        others.append(cone_part(self.FACTORS, "aw", ht1))
+        others.append(cone_part(self.FACTORS, "2L", lambda e: e[0]))
+        assert len({id(p) for p in [part] + others}) == 8
+
+    def test_memo_keys(self):
+        from macpoly.weights import cone_part
+
+        part = cone_part(self.FACTORS, "2L", ht1)
+        assert part.order_envelope(6) is part.order_envelope(6)
+        assert part.order_envelope(6) is not part.order_envelope(7)
+        got = part.expand(4, prec=20)
+        assert part.expand(4, prec=20) is got
+        variants = [part.expand(5, prec=20), part.expand(4, prec=21),
+                    part.expand(4, prec=20, bar=True), part.expand(4)]
+        assert all(v is not got for v in variants)
+        assert variants[0].terms.keys() > got.terms.keys()
+        assert {c.prec for c in variants[1].terms.values()} == {21}
+
+    @staticmethod
+    def _check_flat(part, H, cut, bar=False):
+        # the flat table equals the exact expansion cut at `cut`, term by
+        # term, and holds no term that vanishes below the cut
+        flat = part.expand(H, prec=cut, bar=bar).terms
+        exact = part.expand(H, bar=bar).terms
+        kept = 0
+        for e, c in exact.items():
+            s = c.to_series(cut)
+            if s.is_zero():
+                assert e not in flat
+            else:
+                assert flat[e].prec == cut and (flat[e] - s).is_zero()
+                kept += 1
+        assert len(flat) == kept
+        return flat
+
+    def test_flat_matches_exact_ai2(self):
+        from macpoly.cases import build_case
+        from macpoly.weights import cone_part
+
+        case = build_case("AI2")
+        for builder in (macdonald_sym_weight, macdonald_nonsym_weight):
+            spec = builder(case.restricted, case.qhat_log, case.t,
+                           case.lattice).simplified()
+            for factors in (spec.plus, spec.minus):
+                part = cone_part(factors, spec.lattice, spec.heightfn)
+                assert len(self._check_flat(part, 8, 24)) > 1
+
+    def test_flat_matches_exact_bar_and_negative_orders(self):
+        from macpoly.weights import cone_part
+
+        # a barred infinite part, and finite factors whose terms reach
+        # negative v-orders, so the running product is cut above `cut`
+        self._check_flat(cone_part(self.FACTORS, "2L", ht1), 6, 12, bar=True)
+        mixed = [PochFactor(ExactScalar.v_power(-2), (2,), 2, 2, 1),
+                 PochFactor(ExactScalar.v_power(-1, 3), (1,), 2, 2, -1),
+                 PochFactor(Q(1), (1,), 2, INF, -1)]
+        part = cone_part(mixed, "2L", ht1)
+        flat = self._check_flat(part, 6, 10)
+        assert min(c.min_order() for c in flat.values()) < 0
+
+    def test_series_cut_with_negative_minimum_order(self):
+        # a finite spec forced through the series backend: the plus part
+        # reaches order -2, so the minus part is cut at work + 2, and the
+        # pairings agree with the exact engine below the guaranteed order
+        plus = [PochFactor(ExactScalar.v_power(-2), (2,), 2, 2, 1)]
+        minus = [PochFactor(ONE, (2,), 2, 2, 1)]
+        spec = WeightSpec(plus, minus, "2L", ht1, rank=1)
+        series = WeightEngine(spec, order=20, height_hint=4, backend="series")
+        exact = WeightEngine(spec)
+        assert min(c.min_order() for c in series._plus_terms.values()) == -2
+        minus_part = series._parts[1]
+        (H, cut, bar), = [k for k in minus_part._expansions if k[1] is not None]
+        assert cut == series._work + 2 and not bar
+        assert minus_part.expand(H, prec=cut).terms is series._minus_terms
+        self._check_flat(minus_part, H, cut)
+        for m in range(-2, 3):
+            f = mono((m,), ONE + Q(1))
+            got = series.ct_pair(f)
+            assert got.prec == series._guaranteed
+            assert (got - exact.ct_pair(f).to_series(got.prec)).is_zero()
+
+    def test_series_cut_against_a_barred_minus_part(self):
+        # q -> 1/q takes the minus part below its unbarred envelope (0) to
+        # order -4, so the plus part is cut at work + 4
+        spec = macdonald_sym_weight(R1, 2, Q(4), "2L", minus_conj="bar_flip")
+        series = WeightEngine(spec, order=20, height_hint=4, backend="series")
+        exact = WeightEngine(spec)
+        assert min(c.min_order() for c in series._minus_terms.values()) == -4
+        assert {c.prec for c in series._plus_terms.values()} == {
+            series._work + 4}
+        for m in range(3):
+            f = mono((m,)) + mono((-m,)) if m else GAElement.one("2L", 1)
+            got = series.ct_pair(f)
+            assert got.prec == series._guaranteed
+            assert (got - exact.ct_pair(f).to_series(got.prec)).is_zero()
+
+    def test_engines_share_the_plus_part(self):
+        from macpoly.cases import build_case
+
+        case = build_case("AI2")
+        nabla, delta = case.nabla_engine(), case.delta_engine()
+        assert nabla._plus_terms is delta._plus_terms
+        assert nabla._plus_terms is nabla._minus_terms
+
+    def test_cold_ai2_verify_expands_two_parts(self, monkeypatch):
+        import macpoly.weights as wm
+        from macpoly.cli import run_verify
+
+        monkeypatch.setattr(wm, "_cache_dir", None)
+        calls = []
+        expand = wm.ConePart._expand
+
+        def counted(self, H, prec, bar):
+            calls.append((H, prec, bar))
+            return expand(self, H, prec, bar)
+
+        monkeypatch.setattr(wm.ConePart, "_expand", counted)
+        report, status = run_verify("AI2", height=1)
+        assert status == 0
+        assert len(calls) == 2
+
+    def test_parts_die_with_their_case(self):
+        import gc
+        import weakref
+
+        import macpoly.weights as wm
+        from macpoly.cases import build_case
+
+        gc.collect()
+        before = len(wm._parts)
+        case = build_case("AI2")
+        parts = case.nabla_engine()._parts + case.delta_engine()._parts
+        refs = [weakref.ref(p) for p in parts]
+        # the zonal plus and minus parts and the plus part of the
+        # non-symmetric weight are one part
+        assert len({id(p) for p in parts}) == 2
+        assert len(wm._parts) == before + 2
+        del case, parts
+        gc.collect()
+        assert all(r() is None for r in refs)
+        assert len(wm._parts) == before
