@@ -218,7 +218,7 @@ class ExampleCase:
         if self.aw is not None:
             if "nabla" not in self._cache:
                 self._cache["nabla"] = WeightEngine.from_moments(
-                    AWFunctional(self.aw_zonal, self.lattice).weight,
+                    self.aw_functional(self.aw_zonal).weight,
                     self.rank)
             return self._cache["nabla"]
         key = ("nabla", height_hint, self.order)
@@ -244,13 +244,21 @@ class ExampleCase:
                                             height_hint=height_hint)
         return self._cache[key]
 
+    def aw_functional(self, params):
+        """The one-variable moment functional for `params`, one per case and
+        parameter set, shared by every height hint and check."""
+        key = ("awfun", params)
+        if key not in self._cache:
+            self._cache[key] = AWFunctional(params, self.lattice)
+        return self._cache[key]
+
     def family_spec(self, height_hint=8):
         key = ("famspec", height_hint, self.order)
         if key not in self._cache:
             if self.aw is not None:
                 fs = PolyFamilySpec(
                     restricted=self.restricted, lattice=self.lattice,
-                    exact_functional=AWFunctional(self.aw, self.lattice),
+                    exact_functional=self.aw_functional(self.aw),
                     label=self.tag)
             else:
                 fs = PolyFamilySpec(

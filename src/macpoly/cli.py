@@ -22,7 +22,6 @@ from .cases import (
     list_cases,
 )
 from .families import (
-    AWFunctional,
     aw_eigenvalue,
     aw_operator,
     intermediate_macdonald,
@@ -93,63 +92,76 @@ def cmd_compute(args):
     if not case.restricted.is_dominant(lam, J):
         raise ConfigError("--lam %s is not dominant for J=%s"
                           % (list(lam), list(J)))
-    hint = max(args.height, case.restricted.height2(case.restricted.dominant_rep(lam)) + 2)
-    spec = case.family_spec(2 * hint)
-    if args.family == "sym":
-        out = sym_macdonald(spec, lam)
-    elif args.family == "nonsym":
-        if case.rank != 1:
-            raise ConfigError("non-symmetric family is rank-1 only")
-        out = nonsym_macdonald(spec, lam[0])
-    elif args.family == "intermediate":
-        out = intermediate_macdonald(spec, J, lam)
-    elif args.family == "matrix":
-        case.set_grid_height(case.restricted.height2(
-            case.restricted.dominant_rep(lam)) + 1)
-        Qm = case.matrix_q(lam)
-        rows = [[_render_ga(Qm[i, j], args.format) for j in range(Qm.size)]
-                for i in range(Qm.size)]
-        text = (json.dumps(rows, sort_keys=True) if args.format == "json"
-                else "\n".join(" | ".join(r) for r in rows))
-        _emit(text, args.output)
-        return 0
-    else:
-        raise ConfigError("unknown family %r" % args.family)
-    _emit(_render_ga(out, args.format), args.output)
+    if args.family == "nonsym" and case.rank != 1:
+        raise ConfigError("non-symmetric family is rank-1 only")
+    if case.aw is not None and J != tuple(range(case.rank)):
+        raise ConfigError("case %s has only W-invariant families: it pairs "
+                          "through the one-variable moment functional"
+                          % case.tag)
+    with _open_output(args.output) as fh:
+        if args.family == "matrix":
+            case.set_grid_height(case.restricted.height2(
+                case.restricted.dominant_rep(lam)) + 1)
+            Qm = case.matrix_q(lam)
+            rows = [[_render_ga(Qm[i, j], args.format) for j in range(Qm.size)]
+                    for i in range(Qm.size)]
+            print(json.dumps(rows, sort_keys=True) if args.format == "json"
+                  else "\n".join(" | ".join(r) for r in rows), file=fh)
+            return 0
+        hint = max(args.height, case.restricted.height2(
+            case.restricted.dominant_rep(lam)) + 2)
+        spec = case.family_spec(2 * hint)
+        if args.family == "sym":
+            out = sym_macdonald(spec, lam)
+        elif args.family == "nonsym":
+            out = nonsym_macdonald(spec, lam[0])
+        else:
+            out = intermediate_macdonald(spec, J, lam)
+        print(_render_ga(out, args.format), file=fh)
     return 0
 
 
-def _emit(text, output):
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _open_output(path):
+    """The output stream; a file is opened before any work, so a bad path
+    costs none."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise _path_error(exc) from None
+
+
+def _path_error(exc):
+    return ConfigError("cannot use %r: %s" % (exc.filename, exc.strerror))
 
 
 def cmd_render(args):
     case = _build_case(args.case)
-    if args.what == "M":
-        M = case.matrix_weight()
-    else:
+    if args.what == "Q":
         lam = _parse_coords(args.lam)
-        case.set_grid_height(case.restricted.height2(
-            case.restricted.dominant_rep(lam)) + 1)
-        M = case.matrix_q(lam)
-    wsym = "\\varpi"
-    if args.basis == "ambient":
-        M = M.map_entries(lambda f: f.relabel(
-            "X-view", case.satake.from_restricted))
-        wsym = "\\omega"
-    rows = [[_render_ga(M[i, j], args.format, "e", wsym)
-             for j in range(M.size)] for i in range(M.size)]
-    if args.format == "latex":
-        body = " \\\\\n".join(" & ".join(r) for r in rows)
-        _emit("\\begin{pmatrix}\n%s\n\\end{pmatrix}" % body, args.output)
-    elif args.format == "json":
-        _emit(json.dumps(rows, sort_keys=True), args.output)
-    else:
-        _emit("\n".join(" | ".join(r) for r in rows), args.output)
+    with _open_output(args.output) as fh:
+        if args.what == "M":
+            M = case.matrix_weight()
+        else:
+            case.set_grid_height(case.restricted.height2(
+                case.restricted.dominant_rep(lam)) + 1)
+            M = case.matrix_q(lam)
+        wsym = "\\varpi"
+        if args.basis == "ambient":
+            M = M.map_entries(lambda f: f.relabel(
+                "X-view", case.satake.from_restricted))
+            wsym = "\\omega"
+        rows = [[_render_ga(M[i, j], args.format, "e", wsym)
+                 for j in range(M.size)] for i in range(M.size)]
+        if args.format == "latex":
+            body = " \\\\\n".join(" & ".join(r) for r in rows)
+            text = "\\begin{pmatrix}\n%s\n\\end{pmatrix}" % body
+        elif args.format == "json":
+            text = json.dumps(rows, sort_keys=True)
+        else:
+            text = "\n".join(" | ".join(r) for r in rows)
+        print(text, file=fh)
     return 0
 
 
@@ -296,7 +308,7 @@ def run_verify(case_id, height=2, order=60):
             # operator diagonalisation on the identified one-variable family
             ok = True
             seen = []
-            family = AWFunctional(case.aw, case.lattice)
+            family = case.aw_functional(case.aw)
             operator = aw_operator(case.aw, case.lattice)
             for m in range(5):
                 P = family.member(m)
@@ -357,16 +369,12 @@ def run_verify(case_id, height=2, order=60):
 
 
 def cmd_verify(args):
-    try:
-        if args.cache_dir:
+    if args.cache_dir:
+        try:
             weights_mod.set_cache_dir(args.cache_dir)
-        # opened before any check runs, so a bad path costs no work
-        out = (open(args.report, "w") if args.report
-               else contextlib.nullcontext(sys.stdout))
-    except OSError as exc:
-        raise ConfigError("cannot use %r: %s"
-                          % (exc.filename, exc.strerror)) from None
-    with out as fh:
+        except OSError as exc:
+            raise _path_error(exc) from None
+    with _open_output(args.report) as fh:
         report, status = run_verify(args.case, height=args.lambda_height,
                                     order=args.order)
         print(json.dumps(report, indent=2, sort_keys=True), file=fh)

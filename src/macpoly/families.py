@@ -16,6 +16,9 @@ from .scalars import ExactScalar, exact_sum_of_products
 from .weights import WeightEngine, sym_pair
 
 ONE = ExactScalar.one()
+# -s_k of (z + 1/z) n_k = n_{k+1} + s_k n_{k-1}: -2 at k = 1, -1 for k >= 2
+_MINUS_TWO = ExactScalar.from_int(-2)
+_MINUS_ONE = ExactScalar.from_int(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +246,11 @@ def aw_oracle(params, m, lattice="aw"):
     return cur
 
 
-def aw_operator(params, lattice):
-    """Second-order q-difference operator on symmetric Laurent polynomials,
-    as a map f -> D f; the factors that depend on the parameters alone are
-    built once.
-
-    Constants are eigenfunctions with eigenvalue 0; the m-th family member
-    has eigenvalue q^{-m}(1-q^m)(1-abcd q^{m-1}) in the base q of the weight.
+def _aw_operator_direct(params, lattice):
+    """The q-difference operator applied directly, as a map f -> D f:
+    `up`/`down` times the shifted differences of f over Q(v), then one exact
+    division.  Builds the columns of `aw_operator`, and is the tests' oracle
+    on general f.
     """
     qh = params.qhat
     one = GAElement.one(lattice, 1)
@@ -280,6 +281,43 @@ def aw_operator(params, lattice):
     return apply
 
 
+def aw_operator(params, lattice):
+    """Second-order q-difference operator on symmetric Laurent polynomials,
+    as a map f -> D f applied by linearity on n_k = e^k + e^-k.
+
+    Each column D(n_k) is computed once per operator, on first use, by the
+    direct route on the integer input n_k, so its coefficients have no
+    denominator; D f = sum_{k>0} f_k D(n_k) is then one exact sum of
+    products per output exponent.  A non-symmetric f raises ValueError.
+
+    Constants are eigenfunctions with eigenvalue 0; the m-th family member
+    has eigenvalue q^{-m}(1-q^m)(1-abcd q^{m-1}) in the base q of the weight.
+    """
+    direct = _aw_operator_direct(params, lattice)
+    columns = {}
+
+    def column(k):
+        col = columns.get(k)
+        if col is None:
+            n_k = GAElement({(k,): ONE, (-k,): ONE}, lattice)
+            col = columns[k] = direct(n_k).terms
+        return col
+
+    def apply(f):
+        terms = f.terms
+        products = {}
+        for (k,), c in terms.items():
+            if terms.get((-k,)) != c:
+                raise ValueError("operator argument is not W-invariant")
+            if k > 0:
+                for e, d in column(k).items():
+                    products.setdefault(e, []).append((c, d))
+        return GAElement({e: exact_sum_of_products(p)
+                          for e, p in products.items()}, lattice)
+
+    return apply
+
+
 def aw_eigenvalue(params, m):
     qh = params.qhat
     return (qh ** (-m)) * (ONE - qh ** m) * (ONE - params.abcd() * qh ** (m - 1))
@@ -288,12 +326,20 @@ def aw_eigenvalue(params, m):
 class AWFunctional:
     """Exact moment functional of the one-variable weight.
 
-    Built from the three-term recurrence: the moment
-    mu_k = L(e^k + e^-k) is read off the constant component of the
-    expansion of e^k + e^-k over the recurrence family, once per k, and
-    L(h) = h_0 + sum_{k>0} h_k mu_k.  Normalised so that L(1) = 1.  On
-    W-invariants L is the constant-term pairing with the flip-symmetric
-    weight lambda(0) = 1, lambda(+-k) = mu_k / 2 (`weight`).
+    Built from the three-term recurrence
+    (z + 1/z) P_j = P_{j+1} + b_j P_j + c_j P_{j-1}.  The moment
+    mu_k = L(e^k + e^-k) is the constant coefficient a_{k,0} of the
+    expansion n_k = e^k + e^-k = sum_j a_{k,j} P_j (n_0 = 1).  The rows of
+    that expansion grow by the scalar recurrence
+    a_{k+1,j} = a_{k,j-1} + b_j a_{k,j} + c_{j+1} a_{k,j+1} - s_k a_{k-1,j},
+    with s_0 = 0, s_1 = 2 and s_k = 1 for k >= 2 (from
+    (z + 1/z) n_k = n_{k+1} + s_k n_{k-1}), one exact sum of products per
+    entry (the modified Chebyshev algorithm; Gautschi, Orthogonal
+    Polynomials, 2004, 2.1.7).  L(h) = h_0 + sum_{k>0} h_k mu_k, normalised
+    so that L(1) = 1.  On W-invariants L is the constant-term pairing with
+    the flip-symmetric weight lambda(0) = 1, lambda(+-k) = mu_k / 2
+    (`weight`).  The recurrence family itself (`member`) and the reduction
+    against it (`_reduce`, the moments' oracle) grow only when asked for.
     """
 
     def __init__(self, params, lattice="aw"):
@@ -302,8 +348,18 @@ class AWFunctional:
         self._x = (GAElement.monomial((1,), lattice)
                    + GAElement.monomial((-1,), lattice))
         self._family = [GAElement.one(lattice, 1)]
+        self._recurrence = []
         self._moments = [ONE]
+        # the last two rows a_{k-1}, a_k of the expansion of n_k
+        self._rows = ([], [ONE])
         self._weight = [ONE]
+
+    def _coeffs(self, j):
+        """(b_j, c_j) of the three-term recurrence, computed once each."""
+        while len(self._recurrence) <= j:
+            self._recurrence.append(
+                aw_recurrence(self.params, len(self._recurrence)))
+        return self._recurrence[j]
 
     def _extend(self, m):
         """Grow the recurrence family one step at a time up to degree m."""
@@ -311,7 +367,7 @@ class AWFunctional:
             k = len(self._family) - 1
             cur = self._family[k]
             prev = self._family[k - 1] if k else GAElement.zero(self.lattice)
-            bk, ck = aw_recurrence(self.params, k)
+            bk, ck = self._coeffs(k)
             self._family.append(self._x * cur - cur.scale(bk) - prev.scale(ck))
 
     def member(self, m):
@@ -322,8 +378,8 @@ class AWFunctional:
     def _reduce(self, h):
         """L(h) by reduction against the recurrence family, term by term.
 
-        The oracle behind the moment table; only the top exponent is
-        compared with its mirror at each step.
+        The moment table's oracle; only the top exponent is compared with
+        its mirror at each step.
         """
         acc = ExactScalar.zero()
         rem = h
@@ -343,10 +399,20 @@ class AWFunctional:
     def _moment(self, k):
         """mu_k = L(e^k + e^-k) for k > 0, and mu_0 = L(1) = 1."""
         while len(self._moments) <= k:
-            j = len(self._moments)
-            self._moments.append(self._reduce(
-                GAElement.monomial((j,), self.lattice)
-                + GAElement.monomial((-j,), self.lattice)))
+            k0 = len(self._moments) - 1
+            prev, cur = self._rows
+            minus_s = _MINUS_TWO if k0 == 1 else _MINUS_ONE
+            row = []
+            for j in range(k0 + 2):
+                products = [(cur[j - 1],)] if j else []
+                if j <= k0:
+                    products.append((self._coeffs(j)[0], cur[j]))
+                if j < k0:
+                    products.append((self._coeffs(j + 1)[1], cur[j + 1]))
+                    products.append((minus_s, prev[j]))
+                row.append(exact_sum_of_products(products))
+            self._rows = (cur, row)
+            self._moments.append(row[0])
         return self._moments[k]
 
     def weight(self, nu):

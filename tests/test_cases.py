@@ -489,6 +489,31 @@ class TestAWMomentPairing:
                 h = u[0] * wm
                 assert case._vector_pair(u, w) == L.value(h) == L._reduce(h)
 
+    @pytest.mark.parametrize("cid", ["BII:n=2,s=1", "CII:n=3,s=2"])
+    def test_one_functional_per_parameter_set(self, cid, monkeypatch):
+        # family_spec at every hint, the nabla engine and the
+        # difference_operator check share one functional per parameter set
+        import macpoly.cases as cases_mod
+        from macpoly.cli import run_verify
+
+        built = []
+
+        class Counted(AWFunctional):
+            def __init__(self, params, lattice):
+                built.append(params)
+                super().__init__(params, lattice)
+
+        monkeypatch.setattr(cases_mod, "AWFunctional", Counted)
+        case = build_case(cid)
+        assert (case.family_spec(4).exact_functional
+                is case.family_spec(8).exact_functional
+                is case.aw_functional(case.aw))
+        built.clear()
+        report, _ = run_verify(cid, height=1)
+        assert all(c["status"] == "pass" for c in report["checks"])
+        assert sorted(built, key=repr) == sorted({case.aw, case.aw_zonal},
+                                                 key=repr)
+
     def test_no_series_weight(self):
         case = build_case("BII:n=2,s=1")
         assert case.family_spec(case._vector_hint()).engine_sym is None

@@ -80,6 +80,44 @@ class TestCompute:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["--case", "BII:n=2,s=1", "--family", "nonsym"],
+        ["--case", "CII:n=3,s=1", "--family", "nonsym"],
+        ["--case", "BII:n=2,s=1", "--family", "intermediate", "--J", ","]])
+    def test_non_invariant_family_of_aw_case_exit_code(self, argv, capsys):
+        # the one-variable cases pair W-invariants only
+        rc = main(["compute"] + argv + ["--lam", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, method", [
+        (["compute", "--case", "DII:n=2", "--lam", "1"], "family_spec"),
+        (["render", "--case", "DII:n=2", "--what", "M"], "matrix_weight")])
+    def test_output_under_a_file_exit_code(self, argv, method, monkeypatch,
+                                           tmp_path, capsys):
+        # the output path is checked before any work
+        from macpoly.cases import ExampleCase
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the output was checked")
+
+        monkeypatch.setattr(ExampleCase, method, no_work)
+        (tmp_path / "f").write_text("")
+        rc = main(argv + ["--output", str(tmp_path / "f" / "out.txt")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_output_file_matches_stdout(self, tmp_path, capsys):
+        argv = ["compute", "--case", "DII:n=2", "--family", "nonsym",
+                "--lam", "-1"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert main(argv + ["--output", str(tmp_path / "o.txt")]) == 0
+        assert capsys.readouterr().out == ""
+        assert (tmp_path / "o.txt").read_text() == out
+
 
 class TestRender:
     def test_latex_matrix(self, capsys):

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from macpoly.cases import build_case
 from macpoly.families import (
     AWFunctional,
     AWParams,
     PolyFamilySpec,
+    _aw_operator_direct,
     aw_eigenvalue,
     aw_operator,
     aw_oracle,
@@ -33,6 +35,8 @@ Q = ExactScalar.q_power
 ONE = ExactScalar.one()
 R1 = RestrictedSystem(1)
 R2 = RestrictedSystem(2)
+ONE_VARIABLE = ["%s,s=%d" % (base, s) for base in ("BII:n=2", "BII:n=3", "CII:n=3")
+                for s in range(3)]
 
 
 def mono(e, c=None, lat="2L"):
@@ -109,6 +113,39 @@ class TestAWOracle:
             assert operator(P) == P.scale(aw_eigenvalue(p, m))
 
 
+class TestAWColumnOperator:
+    """The operator applied by columns against the direct route."""
+
+    @pytest.mark.parametrize("cid", ONE_VARIABLE)
+    def test_members(self, cid):
+        case = build_case(cid)
+        L = AWFunctional(case.aw, case.lattice)
+        operator = aw_operator(case.aw, case.lattice)
+        direct = _aw_operator_direct(case.aw, case.lattice)
+        for m in range(6):
+            P = L.member(m)
+            assert operator(P) == direct(P), m
+
+    def test_random_symmetric(self):
+        import random
+
+        p = AWParams.from_labels(Fraction(5, 2), Fraction(3, 2), 1, 0)
+        operator = aw_operator(p, "2L")
+        direct = _aw_operator_direct(p, "2L")
+        rng = random.Random(11)
+        for _ in range(12):
+            f = TestAWFunctional._random_invariant(rng)
+            assert operator(f) == direct(f)
+
+    def test_rejects_non_invariant(self):
+        p = AWParams.from_labels(Fraction(3, 2), Fraction(5, 2), 0, 0)
+        operator = aw_operator(p, "2L")
+        with pytest.raises(ValueError):
+            operator(mono((2,)))
+        with pytest.raises(ValueError):
+            operator(mono((1,)) + mono((-1,), Q(1)))
+
+
 class TestAWFunctional:
     def test_orthogonality(self):
         p = AWParams.from_labels(Fraction(3, 2), Fraction(5, 2), 0, 0)
@@ -174,6 +211,20 @@ class TestAWFunctional:
             h = self._random_invariant(rng)
             assert L.value(h) == oracle._reduce(h)
         assert len(L._moments) == 9
+
+    @pytest.mark.parametrize("cid", ONE_VARIABLE)
+    def test_moments_match_reduction(self, cid):
+        # the connection-coefficient rows against reduction over the family
+        case = build_case(cid)
+        for params in (case.aw, case.aw_zonal):
+            L = AWFunctional(params, case.lattice)
+            oracle = AWFunctional(params, case.lattice)
+            for k in range(9):
+                n_k = (GAElement.one(case.lattice, 1) if k == 0 else
+                       mono((k,), lat=case.lattice)
+                       + mono((-k,), lat=case.lattice))
+                assert L._moment(k) == oracle._reduce(n_k), (params, k)
+            assert len(L._family) == 1
 
     def test_family_grows_by_recurrence(self):
         p = AWParams.from_labels(Fraction(5, 2), Fraction(3, 2), 1, 0)
