@@ -216,13 +216,16 @@ def run_verify(case_id, height=2, order=60):
     case.order = order
     checks = []
 
+    def error(exc):
+        return {"status": "error",
+                "detail": "%s: %s" % (type(exc).__name__, exc)}
+
     def record(name, check):
         # a check that raises is recorded as an error; later checks still run
         try:
             result = check()
         except Exception as exc:
-            result = {"status": "error",
-                      "detail": "%s: %s" % (type(exc).__name__, exc)}
+            result = error(exc)
         entry = {"name": name}
         entry.update(result)
         checks.append(entry)
@@ -237,8 +240,14 @@ def run_verify(case_id, height=2, order=60):
     if case.t is not None:
         record("ratio_identity", case.delta0_identity_check)
 
-    case.set_grid_height(height)
-    grid = case.restricted.grid(height)
+    try:
+        case.set_grid_height(height)
+        grid = case.restricted.grid(height)
+    except Exception as exc:
+        # the checks over the label grid need the pairing plan: record why
+        # they are skipped and run the others
+        checks.append({"name": "grid_setup", **error(exc)})
+        grid = None
 
     def orthogonality():
         # all distinct column pairs; the certified order is the lowest
@@ -264,7 +273,8 @@ def run_verify(case_id, height=2, order=60):
                 "grid": [list(g) for g in grid],
                 "certified_order": "exact" if certified is None else certified}
 
-    record("orthogonality", orthogonality)
+    if grid is not None:
+        record("orthogonality", orthogonality)
 
     def identification():
         idents = [case.identify(mu) for mu in _identify_grid(case, height)]
@@ -272,13 +282,15 @@ def run_verify(case_id, height=2, order=60):
                            else "fail"),
                 "constants": {str(r["mu"]): r.get("constant") for r in idents}}
 
-    record("identification", identification)
+    if grid is not None:
+        record("identification", identification)
 
     def q_inversion():
         ok = all(case.qinv_check(lam)["status"] == "pass" for lam in grid)
         return {"status": "pass" if ok else "fail"}
 
-    record("q_inversion", q_inversion)
+    if grid is not None:
+        record("q_inversion", q_inversion)
 
     def recurrence():
         rec = case.recurrence_coeffs(0, grid[min(1, len(grid) - 1)])
@@ -286,7 +298,8 @@ def run_verify(case_id, height=2, order=60):
               and rec["top_nonzero"])
         return {"status": "pass" if ok else "fail"}
 
-    record("recurrence", recurrence)
+    if grid is not None:
+        record("recurrence", recurrence)
 
     if case.aw is not None:
         def kravchuk():

@@ -6,6 +6,17 @@ such polynomials; the denominator is normalised to have lowest exponent 0
 and positive leading coefficient, and gcd(num, den) = 1 holds after every
 operation.
 
+Denominators built from factors like (1 - q^k t^m) are products of
+cyclotomic polynomials Phi_k(v), and each `ExactScalar` carries that
+factorisation, den = lead * prod Phi_k^e_k, next to its denominator.  The
+gcd of num and den is then prod Phi_k^min(e_k, v_k(num)), so reduction needs
+no polynomial gcd: the exact divisibility tests of `cyclotomic` give each
+multiplicity, and the exact divisions that follow verify the result.  Sums
+and products test only the Phi_k that can cancel (gcd-pruned fraction
+arithmetic, Henrici 1956).  A denominator that is not such a product, or a
+divisor whose numerator is not one, falls back to the pseudo-remainder gcd
+`_lp_gcd`.
+
 A truncated Laurent-series backend (`SeriesScalar`) mirrors the same
 arithmetic modulo O(v^prec) and is used wherever infinite products have to
 be expanded.  `QuadExt` adjoins a single formal square root on top of the
@@ -16,6 +27,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
+
+from .cyclotomic import div_monic, phi_factors, phi_multiplicity, phi_product
+
 
 # ---------------------------------------------------------------------------
 # sparse integer Laurent polynomials: dict {exponent: coeff}, no zero coeffs
@@ -137,10 +151,91 @@ def _lp_gcd(a, b):
     return {i: c for i, c in enumerate(la) if c}
 
 
-class ExactScalar:
-    """An element of Q(v) in canonical reduced form."""
+# ---------------------------------------------------------------------------
+# gcd-free cancellation against cyclotomic denominators
+# ---------------------------------------------------------------------------
 
-    __slots__ = ("num", "den")
+
+def _cyc_dict(pairs, scale=1):
+    """scale * prod Phi_k^e as a Laurent polynomial dict."""
+    return {i: c * scale for i, c in enumerate(phi_product(pairs)) if c}
+
+
+def _lp_div_cyc(a, pairs):
+    """Exact quotient of the Laurent polynomial a by prod Phi_k^e."""
+    al, sh = _lp_to_list(a)
+    g = phi_product(pairs)
+    q = div_monic(al, len(g) - 1, [(j, c) for j, c in enumerate(g[:-1]) if c])
+    return {i + sh: c for i, c in enumerate(q) if c}
+
+
+def _common(p, pairs, skip=()):
+    """The (k, m) with Phi_k^m, m > 0, in gcd(p, prod Phi_k^e), over the
+    (k, e) pairs whose k is not in `skip`."""
+    pairs = [(k, e) for k, e in pairs if k not in skip]
+    if not pairs or len(p) == 1:
+        return []
+    al, lo = _lp_to_list(p)
+    return [(k, m) for k, e in pairs if (m := phi_multiplicity(al, lo, k, e))]
+
+
+def _make(num, den, cyc):
+    out = ExactScalar.__new__(ExactScalar)
+    out.num = num
+    out.den = den
+    out.cyc = cyc
+    return out
+
+
+def _cyc_less(cyc, cut):
+    """cyc with the (k, m) of `cut` taken off; the pairs left as they were
+    are shared with cyc."""
+    m = dict(cut)
+    return tuple(p if p[0] not in m else (p[0], p[1] - m[p[0]])
+                 for p in cyc if p[1] != m.get(p[0]))
+
+
+def _settle(num, cyc, lead, tests, den=None):
+    """The reduced form of num / (lead * prod Phi_k^e over the pairs of cyc).
+
+    Only the Phi_k of `tests`, (k, cap) pairs, and the integer content can
+    cancel.  `den` is the denominator's polynomial if the caller has it;
+    otherwise it is built from the factors left.
+    """
+    if not num:
+        return ExactScalar.zero()
+    cut = _common(num, tests)
+    if cut:
+        cyc = _cyc_less(cyc, cut)
+        num = _lp_div_cyc(num, cut)
+        if den is not None:
+            den = _lp_div_cyc(den, cut)
+    if lead > 1:
+        cg = int_gcd(_lp_content(num), lead)
+        if cg > 1:
+            num = {e: x // cg for e, x in num.items()}
+            lead //= cg
+            if den is not None:
+                den = {e: x // cg for e, x in den.items()}
+    if den is None:
+        den = _cyc_dict(cyc, lead)
+    return _make(num, den, cyc)
+
+
+def _lp_scale(a, m):
+    return a if m == 1 else {e: c * m for e, c in a.items()}
+
+
+class ExactScalar:
+    """An element of Q(v) in canonical reduced form.
+
+    `cyc` factors the denominator as den = lead * prod Phi_k^e: sorted
+    (k, e) pairs, () for an integer denominator, None when den is not a
+    product of cyclotomic polynomials (then every operation on the value
+    reduces with the pseudo-remainder gcd).
+    """
+
+    __slots__ = ("num", "den", "cyc")
 
     def __init__(self, num, den=None, reduce=True):
         if den is None:
@@ -150,19 +245,23 @@ class ExactScalar:
         if not den:
             raise ZeroDivisionError("zero denominator in Q(v)")
         if reduce:
-            num, den = self._reduce(num, den)
+            num, den, cyc = self._reduce(num, den)
+        else:
+            cyc = () if len(den) == 1 else phi_factors(den)
         self.num = num
         self.den = den
+        self.cyc = cyc
 
     @staticmethod
     def _reduce(num, den):
+        """(num, den, cyc) of the reduced fraction num / den."""
         # pull the denominator's lowest v-power into the numerator
         shift = _lp_ord(den)
         if shift:
             den = _lp_shift(den, -shift)
             num = _lp_shift(num, -shift)
         if not num:
-            return {}, {0: 1}
+            return {}, {0: 1}, ()
         if len(den) == 1:
             c = den[0]
             if c < 0:
@@ -172,7 +271,19 @@ class ExactScalar:
             if g > 1:
                 num = {e: x // g for e, x in num.items()}
                 c //= g
-            return num, {0: c}
+            return num, {0: c}, ()
+        if den[max(den)] < 0:
+            num, den = _lp_neg(num), _lp_neg(den)
+        cyc = phi_factors(den)
+        if cyc is not None:
+            r = _settle(num, cyc, den[max(den)], cyc, den)
+            return r.num, r.den, r.cyc
+        return ExactScalar._gcd_reduce(num, den)
+
+    @staticmethod
+    def _gcd_reduce(num, den):
+        """(num, den, cyc) of num / den by the pseudo-remainder gcd; den has
+        lowest exponent 0 and more than one term."""
         if len(num) == 1:
             # den starts at order 0, so only integer content can cancel
             if den[max(den)] < 0:
@@ -181,7 +292,7 @@ class ExactScalar:
             if cg > 1:
                 num = {e: x // cg for e, x in num.items()}
                 den = {e: x // cg for e, x in den.items()}
-            return num, den
+            return num, den, None
         g = _lp_gcd(num, den)
         if len(g) > 1 or _lp_ord(g) != 0 or g.get(0) != 1:
             gl, gsh = _lp_to_list(g)
@@ -198,7 +309,8 @@ class ExactScalar:
         if cg > 1:
             num = {e: x // cg for e, x in num.items()}
             den = {e: x // cg for e, x in den.items()}
-        return num, den
+        # the gcd may have taken the non-cyclotomic part of den away
+        return num, den, (phi_factors(den) if len(g) > 1 else None)
 
     @staticmethod
     def _exact_list_div(a, bl, bsh):
@@ -305,23 +417,43 @@ class ExactScalar:
         if isinstance(other, (SeriesScalar, QuadExt)):
             return NotImplemented
         other = _coerce(other)
-        if self.is_zero():
+        if not self.num:
             return other
-        if other.is_zero():
+        if not other.num:
             return self
-        if self.den == other.den:
-            return ExactScalar(_lp_add(self.num, other.num), dict(self.den))
-        num = _lp_add(_lp_mul(self.num, other.den), _lp_mul(other.num, self.den))
-        return ExactScalar(num, _lp_mul(self.den, other.den))
+        fa, fb = self.cyc, other.cyc
+        a, b = self.den, other.den
+        if fa is None or fb is None:
+            if a == b:
+                return _by_gcd(_lp_add(self.num, other.num), a)
+            return _by_gcd(_lp_add(_lp_mul(self.num, b), _lp_mul(other.num, a)),
+                           _lp_mul(a, b))
+        ca, cb = a[max(a)], b[max(b)]
+        g = int_gcd(ca, cb)
+        ma, mb = cb // g, ca // g
+        if fa == fb:
+            num = _lp_add(_lp_scale(self.num, ma), _lp_scale(other.num, mb))
+            return _settle(num, fa, ca * ma, fa, _lp_scale(a, ma))
+        # over the lcm: only a Phi_k at the same power in both can cancel
+        ea, eb = dict(fa), dict(fb)
+        up_a = [(k, e - ea.get(k, 0)) for k, e in fb if e > ea.get(k, 0)]
+        up_b = [(k, e - eb.get(k, 0)) for k, e in fa if e > eb.get(k, 0)]
+        cof_a = _cyc_dict(up_a, ma)
+        num = _lp_add(_lp_mul(self.num, cof_a),
+                      _lp_mul(other.num, _cyc_dict(up_b, mb)))
+        tests = [(k, e) for k, e in fa if eb.get(k) == e]
+        top = {p[0]: p for p in fa}
+        for p in fb:
+            if p[1] > ea.get(p[0], 0):
+                top[p[0]] = p
+        return _settle(num, tuple(top[k] for k in sorted(top)), ca * ma,
+                       tests, _lp_mul(a, cof_a))
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        out = ExactScalar.__new__(ExactScalar)
-        out.num = _lp_neg(self.num)
-        out.den = dict(self.den)
-        return out
+        return _make(_lp_neg(self.num), self.den, self.cyc)
 
     def __sub__(self, other):
         if isinstance(other, (SeriesScalar, QuadExt)):
@@ -341,8 +473,39 @@ class ExactScalar:
             return other
         if other.is_one():
             return self
-        return ExactScalar(_lp_mul(self.num, other.num),
+        fa, fb = self.cyc, other.cyc
+        if fa is None or fb is None:
+            return _by_gcd(_lp_mul(self.num, other.num),
                            _lp_mul(self.den, other.den))
+        a, b, c, d = self.num, self.den, other.num, other.den
+        # a/b and c/d are reduced, so only a against the Phi_k of d alone
+        # and c against those of b alone can cancel
+        cut_a = _common(a, fb, dict(fa))
+        cut_c = _common(c, fa, dict(fb))
+        if cut_a:
+            a, d = _lp_div_cyc(a, cut_a), _lp_div_cyc(d, cut_a)
+            fb = _cyc_less(fb, cut_a)
+        if cut_c:
+            c, b = _lp_div_cyc(c, cut_c), _lp_div_cyc(b, cut_c)
+            fa = _cyc_less(fa, cut_c)
+        lb, ld = b[max(b)], d[max(d)]
+        if ld > 1:
+            g = int_gcd(_lp_content(a), ld)
+            if g > 1:
+                a = {e: x // g for e, x in a.items()}
+                d = {e: x // g for e, x in d.items()}
+        if lb > 1:
+            g = int_gcd(_lp_content(c), lb)
+            if g > 1:
+                c = {e: x // g for e, x in c.items()}
+                b = {e: x // g for e, x in b.items()}
+        if fa and fb:
+            both = {p[0]: p for p in fa}
+            for p in fb:
+                q = both.get(p[0])
+                both[p[0]] = p if q is None else (p[0], q[1] + p[1])
+            fa = tuple(both[k] for k in sorted(both))
+        return _make(_lp_mul(a, c), _lp_mul(b, d), fa or fb)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -355,8 +518,19 @@ class ExactScalar:
             raise ZeroDivisionError("division by zero in Q(v)")
         if self.is_zero():
             return ExactScalar.zero()
-        return ExactScalar(_lp_mul(self.num, other.den),
-                           _lp_mul(self.den, other.num))
+        if self.cyc is not None and other.cyc is not None:
+            # d/c is reduced; it needs c factored as a denominator
+            c = other.num
+            s = min(c)
+            p = _lp_shift(c, -s) if s else c
+            if p[max(p)] < 0:
+                p, d = _lp_neg(p), _lp_neg(other.den)
+            else:
+                d = other.den
+            cyc = () if len(p) == 1 else phi_factors(p)
+            if cyc is not None:
+                return self.__mul__(_make(_lp_shift(d, -s), p, cyc))
+        return _by_gcd(_lp_mul(self.num, other.den), _lp_mul(self.den, other.num))
 
     def __rtruediv__(self, other):
         return _coerce(other).__truediv__(self)
@@ -431,14 +605,15 @@ def exact_sum_of_products(products):
     """Sum over `products` (tuples of ExactScalar factors) of each product.
 
     Numerators are multiplied and added unreduced, one accumulator per
-    distinct denominator, and each accumulator is reduced once at the end;
-    the value equals the term-by-term reduced sum.
+    distinct denominator product.  The accumulators are put over the lcm of
+    those products, a maximum of cyclotomic exponents, and the sum is
+    reduced once; the value equals the term-by-term reduced sum.
     """
     # id(factor) -> (factor, index of its denominator in dens); holding the
     # factor keeps its id from being reused within the call
     seen = {}
     den_index = {}
-    dens = []
+    dens = []  # (den, cyc, lead)
     sums = {}  # tuple of denominator indices -> numerator accumulator
     for factors in products:
         key = []
@@ -446,11 +621,14 @@ def exact_sum_of_products(products):
         for f in factors:
             got = seen.get(id(f))
             if got is None:
-                items = tuple(sorted(f.den.items()))
-                k = den_index.get(items)
+                den, cyc = f.den, f.cyc
+                lead = den[max(den)]
+                ident = ((cyc, lead) if cyc is not None
+                         else (None, tuple(sorted(den.items()))))
+                k = den_index.get(ident)
                 if k is None:
-                    k = den_index[items] = len(dens)
-                    dens.append(f.den)
+                    k = den_index[ident] = len(dens)
+                    dens.append((den, cyc, lead))
                 got = seen[id(f)] = (f, k)
             key.append(got[1])
             num = f.num if num is None else _lp_mul(num, f.num)
@@ -460,23 +638,61 @@ def exact_sum_of_products(products):
             acc = sums[key] = {}
         for e, c in num.items():
             acc[e] = acc.get(e, 0) + c
-    by_den = {}
+    if any(cyc is None for _, cyc, _ in dens):
+        total = ExactScalar.zero()
+        for key, num in sums.items():
+            den = {0: 1}
+            for k in key:
+                den = _lp_mul(den, dens[k][0])
+            total = total + ExactScalar(num, den)
+        return total
+    groups = {}  # (cyc, lead) of a denominator product -> numerator
     for key, num in sums.items():
-        den = {0: 1}
+        exps = {}
+        lead = 1
         for k in key:
-            den = _lp_mul(den, dens[k])
-        items = tuple(sorted(den.items()))
-        got = by_den.get(items)
-        if got is None:
-            by_den[items] = (den, num)
+            _, cyc, c = dens[k]
+            lead *= c
+            for p, e in cyc:
+                exps[p] = exps.get(p, 0) + e
+        ident = (tuple(sorted(exps.items())), lead)
+        acc = groups.get(ident)
+        if acc is None:
+            groups[ident] = num
         else:
-            acc = got[1]
             for e, c in num.items():
                 acc[e] = acc.get(e, 0) + c
-    total = ExactScalar.zero()
-    for den, num in by_den.values():
-        total = total + ExactScalar(num, den)
-    return total
+    top = {}
+    lcm = 1
+    for cyc, c in groups:
+        lcm = lcm * c // int_gcd(lcm, c)
+        for k, e in cyc:
+            if e > top.get(k, 0):
+                top[k] = e
+    total = {}
+    for (cyc, c), num in groups.items():
+        have = dict(cyc)
+        cof = _cyc_dict(sorted((k, e - have.get(k, 0)) for k, e in top.items()
+                               if e > have.get(k, 0)), lcm // c)
+        for e1, c1 in num.items():
+            if c1:
+                for e2, c2 in cof.items():
+                    e = e1 + e2
+                    total[e] = total.get(e, 0) + c1 * c2
+    top = tuple(sorted(top.items()))
+    return _settle(_lp_norm(total), top, lcm, top)
+
+
+def _by_gcd(num, den):
+    """The reduced num / den by the pseudo-remainder gcd: the route for a
+    denominator not known to be a product of cyclotomic polynomials."""
+    shift = _lp_ord(den)
+    if shift:
+        den = _lp_shift(den, -shift)
+        num = _lp_shift(num, -shift)
+    if not num or len(den) == 1:
+        return ExactScalar(num, den)
+    return _make(*ExactScalar._gcd_reduce(num, den))
 
 
 def _coerce(x):

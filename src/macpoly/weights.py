@@ -249,17 +249,26 @@ def _factor_terms(f, kmax):
     return out
 
 
+def _euler_shifts(f, kmax, bar):
+    """The v-shifts of an infinite factor's term recurrence (k <= kmax):
+    term_k = term_{k-1} * sign * c * v^shift(k) / (1 - v^{pk}), with p the
+    base's v-exponent and q -> 1/q applied if `bar` (the Euler expansions;
+    under q -> 1/q, (q^-b; q^-b)_k = (-1)^k v^{pk(k+1)/2} (q^b; q^b)_k)."""
+    p = 2 * f.base_log
+    if bar:
+        return [p * k if f.side == -1 else p for k in range(kmax + 1)]
+    return [0 if f.side == -1 else p * (k - 1) for k in range(kmax + 1)]
+
+
 def _flat_factor_terms(f, kmax, bar):
     """(low, series) for the factor's terms k <= kmax, q -> 1/q applied if
     `bar`: `low` <= 0 bounds their v-orders from below, and series(prec)
     lists them as (k, SeriesScalar) exact below prec.
 
     Finite factors go through their exact terms.  An infinite factor's terms
-    follow term_k = term_{k-1} * sign * c * v^shift(k) / (1 - v^{pk}), with
-    p the base's v-exponent (the Euler expansions; under q -> 1/q,
-    (q^-b; q^-b)_k = (-1)^k v^{pk(k+1)/2} (q^b; q^b)_k), so they are
-    computed in the series ring, and their orders k ord(c) + sum shift(j)
-    are known before any term is.
+    follow the recurrence of `_euler_shifts`, so they are computed in the
+    series ring, and their orders k ord(c) + sum shift(j) are known before
+    any term is.
     """
     if f.length is not INF:
         terms = _factor_terms(f, kmax)
@@ -270,18 +279,12 @@ def _flat_factor_terms(f, kmax, bar):
     p = 2 * f.base_log
     c = f.coeff.bar() if bar else f.coeff
     sign = f.side if bar else -f.side
-    if bar:
-        shifts = [p * k if f.side == -1 else p for k in range(kmax + 1)]
-    else:
-        shifts = [0 if f.side == -1 else p * (k - 1) for k in range(kmax + 1)]
-    oc = c.v_order()
-    low = order = 0
-    for k in range(1, kmax + 1):
-        order += oc + shifts[k]
-        low = min(low, order)
+    shifts = _euler_shifts(f, kmax, bar)
+    low = min(_factor_env(f, kmax, bar))
 
     def series(prec):
         # a coefficient of negative order costs that much precision per step
+        oc = c.v_order()
         work = prec + kmax * max(0, -oc)
         step = c.to_series(work) * sign
         term = SeriesScalar.one(work)
@@ -307,23 +310,25 @@ def _over_one_minus(x, step):
     return SeriesScalar(out, x.prec, _den=x.den)
 
 
-def _factor_env(f, k):
-    """Lower bound on the v-order of the factor's k-th term; None if absent."""
-    if k == 0:
-        return 0
-    oc = f.coeff.v_order()
-    p = 2 * f.base_log
+def _factor_env(f, kmax, bar=False):
+    """Lower bounds on the v-orders of the factor's terms k <= kmax (fewer
+    if the factor has fewer terms), q -> 1/q applied if `bar`."""
+    oc = (f.coeff.bar() if bar else f.coeff).v_order()
     if f.length is not INF:
+        # q -> 1/q turns each q^{bj} into q^{-bj}
+        steps = [(-2 if bar else 2) * f.base_log * j for j in range(f.length)]
         if f.side == 1:
-            if k > f.length:
-                return None
-            lowest = sorted(p * j for j in range(f.length))[:k]
-            return k * oc + sum(lowest)
+            lowest = sorted(steps)
+            return [k * oc + sum(lowest[:k])
+                    for k in range(min(kmax, f.length) + 1)]
         # geometric terms repeat factors: k copies of the cheapest one
-        return k * oc + k * min(0, min((p * j for j in range(f.length)), default=0))
-    if f.side == -1:
-        return k * oc
-    return k * oc + p * (k * (k - 1) // 2)
+        cheapest = oc + min(0, min(steps, default=0))
+        return [k * cheapest for k in range(kmax + 1)]
+    shifts = _euler_shifts(f, kmax, bar)
+    out = [0]
+    for k in range(1, kmax + 1):
+        out.append(out[-1] + oc + shifts[k])
+    return out
 
 
 class ConePart:
@@ -460,22 +465,17 @@ class ConePart:
                     acc[ee] = poly
         return {e: SeriesScalar(poly, cut, _den=den) for e, poly in acc.items()}
 
-    def order_envelope(self, H):
-        """env[h]: lower bound for the v-order of any term at height h;
-        computed once per H."""
-        got = self._envelopes.get(H)
+    def order_envelope(self, H, bar=False):
+        """env[h]: lower bound for the v-order of any term at height h,
+        q -> 1/q applied if `bar`; computed once per (H, bar)."""
+        got = self._envelopes.get((H, bar))
         if got is not None:
             return got
         BIG = 1 << 60
         env = [0] + [BIG] * H
         for f in self.factors:
             hf = self.heightfn(f.exponent)
-            fenv = []
-            for k in range(H // hf + 1):
-                fo = _factor_env(f, k)
-                if fo is None:
-                    break
-                fenv.append(fo)
+            fenv = _factor_env(f, H // hf, bar)
             nxt = [BIG] * (H + 1)
             for h in range(H + 1):
                 if env[h] >= BIG:
@@ -488,7 +488,7 @@ class ConePart:
                     if val < nxt[hh]:
                         nxt[hh] = val
             env = nxt
-        self._envelopes[H] = env
+        self._envelopes[(H, bar)] = env
         return env
 
 
@@ -652,8 +652,9 @@ class WeightEngine:
         K = self.height_hint
         target = self.order + self.margin
         H_cap = 4 * (target + K) + 32
+        bar = self.spec.minus_conj == "bar_flip"
         env_p = plus.order_envelope(H_cap)
-        env_m = minus.order_envelope(H_cap)
+        env_m = minus.order_envelope(H_cap, bar)
         min_m = min(env_m)
         min_p = min(env_p)
         need_p = target - min(0, min_m) + K
@@ -680,16 +681,12 @@ class WeightEngine:
         Hm = choose(env_m, need_q) + K
         self._guaranteed = self.order
         work = self.order + self.margin - min(0, min_m) - min(0, min_p)
-        bar = self.spec.minus_conj == "bar_flip"
         # each part is cut flat where its products with the other part no
         # longer reach below `work`: at `work` less the other part's lowest
-        # order.  A barred part can reach below its unbarred envelope, so
-        # the plus part is cut against the orders the minus terms really have
+        # order
         self._minus_terms = minus.expand(
             Hm, prec=work - min(0, min_p), bar=bar).terms
-        low_m = min([min_m] + [c.min_order()
-                               for c in self._minus_terms.values()])
-        self._plus_terms = plus.expand(Hp, prec=work - min(0, low_m)).terms
+        self._plus_terms = plus.expand(Hp, prec=work - min(0, min_m)).terms
         self._work = work
         self._w_cache = {}
 

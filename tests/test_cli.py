@@ -190,6 +190,26 @@ class TestVerify:
         assert all(c["status"] == "pass" for c in checks if c is not entry)
         assert "identification         error" in capsys.readouterr().err
 
+    def test_raising_grid_setup_is_recorded(self, monkeypatch, tmp_path):
+        # planning the grid reads the matrix weight; when that raises, the
+        # grid checks are skipped, the others run and the report is written
+        from macpoly.cases import ExampleCase
+
+        def boom(self):
+            raise ArithmeticError("no weight")
+
+        monkeypatch.setattr(ExampleCase, "matrix_weight", boom)
+        path = tmp_path / "r.json"
+        rc = main(["verify", "--case", "BII:n=2,s=1", "--lambda-height", "1",
+                   "--report", str(path)])
+        assert rc == 1
+        checks = json.loads(path.read_text())["checks"]
+        assert [(c["name"], c["status"]) for c in checks] == [
+            ("bottom_normalisation", "pass"), ("matrix_weight", "error"),
+            ("weight_symmetry", "error"), ("grid_setup", "error"),
+            ("kravchuk_eigen", "pass"), ("difference_operator", "pass")]
+        assert checks[3]["detail"] == "ArithmeticError: no weight"
+
     @pytest.mark.parametrize("cid,certified", [("AI2", 100), ("A2G", "exact")])
     def test_certified_order(self, cid, certified, capsys):
         report, status = run_verify(cid, height=1)

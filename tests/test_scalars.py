@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from macpoly import cyclotomic, scalars
 from macpoly.scalars import (
     ExactScalar,
     QuadExt,
     SeriesScalar,
+    exact_sum_of_products,
     parse_scalar,
     q_number,
     q_pochhammer,
@@ -225,3 +227,201 @@ class TestAgainstSympy:
     @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
     def test_operation(self, op):
         self._check(op)
+
+
+def _lp_pow(p, n):
+    out = {0: 1}
+    for _ in range(n):
+        out = scalars._lp_mul(out, p)
+    return out
+
+
+def _gcd_route(num, den):
+    """The reference: reduce num / den with the pseudo-remainder gcd."""
+    return scalars._by_gcd(scalars._lp_norm(num), scalars._lp_norm(den))
+
+
+def _gcd_op(op, a, b):
+    """op(a, b) from unreduced numerator and denominator, by the gcd."""
+    mul = scalars._lp_mul
+    if op == "mul":
+        return _gcd_route(mul(a.num, b.num), mul(a.den, b.den))
+    if op == "div":
+        return _gcd_route(mul(a.num, b.den), mul(a.den, b.num))
+    bn = b.num if op == "add" else scalars._lp_neg(b.num)
+    return _gcd_route(scalars._lp_add(mul(a.num, b.den), mul(bn, a.den)),
+                      mul(a.den, b.den))
+
+
+def _consistent(x):
+    """den is normalised and, where cyc is known, equals lead * prod Phi_k^e."""
+    assert min(x.den) == 0 and x.den[max(x.den)] > 0
+    if x.cyc is not None:
+        assert x.cyc == tuple(sorted(x.cyc)) and all(e > 0 for _, e in x.cyc)
+        assert scalars._cyc_dict(x.cyc, x.den[max(x.den)]) == x.den
+
+
+class TestCyclotomicHelpers:
+    def test_polynomials_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        v = sympy.Symbol("v")
+        for k in range(1, 61):
+            coeffs = sympy.Poly(sympy.cyclotomic_poly(k, v), v).all_coeffs()[::-1]
+            assert cyclotomic.phi_product([(k, 1)]) == [int(c) for c in coeffs], k
+
+    def test_k_bound(self):
+        for k in range(1, 3000):
+            assert k <= cyclotomic.k_bound(cyclotomic.totient(k)), k
+
+    def test_factors(self):
+        rng = random.Random(4)
+        for _ in range(40):
+            pairs = sorted({rng.randint(1, 70): rng.randint(1, 3)
+                            for _ in range(rng.randint(0, 4))}.items())
+            lead = rng.randint(1, 5)
+            assert cyclotomic.phi_factors(scalars._cyc_dict(pairs, lead)) \
+                == tuple(pairs)
+        # palindromic but not a product of cyclotomic polynomials
+        assert cyclotomic.phi_factors({0: 1, 4: -1, 12: 2, 20: -1, 24: 1}) is None
+        assert cyclotomic.phi_factors({0: 1, 1: 3, 2: 1}) is None
+
+    def test_multiplicity(self):
+        p = scalars._lp_mul(scalars._cyc_dict([(3, 2), (12, 3)]), {-2: 5, 1: 1})
+        al, lo = scalars._lp_to_list(p)
+        assert cyclotomic.phi_multiplicity(al, lo, 3, 9) == 2
+        assert cyclotomic.phi_multiplicity(al, lo, 12, 9) == 3
+        assert cyclotomic.phi_multiplicity(al, lo, 12, 2) == 2
+        assert cyclotomic.phi_multiplicity(al, lo, 4, 9) == 0
+
+
+class TestCyclotomicReduction:
+    """Gcd-free reduction over cyclotomic denominators against the gcd
+    route and sympy.cancel."""
+
+    @staticmethod
+    def _strategies():
+        st = pytest.importorskip("hypothesis").strategies
+        # 1 +- v^k, Phi_k and 1 - q^k t^m with q = v^2 and t = q^s
+        binomial = st.builds(lambda s, k: {0: 1, k: s},
+                             st.sampled_from([1, -1]), st.integers(1, 12))
+        phi = st.integers(1, 36).map(lambda k: scalars._cyc_dict([(k, 1)]))
+        qt = st.builds(lambda k, m, s: {0: 1, 2 * (k + s * m): -1},
+                       st.integers(0, 3), st.integers(1, 2), st.integers(1, 3))
+        factor = st.one_of(binomial, phi, qt)
+        powers = st.lists(st.tuples(factor, st.integers(1, 3)), max_size=3)
+
+        def product(first, rest):
+            out = _lp_pow(*first)
+            for f, e in rest:
+                out = scalars._lp_mul(out, _lp_pow(f, e))
+            return out
+
+        # at least one factor with multiplicity >= 2
+        den_part = st.builds(product, st.tuples(factor, st.integers(2, 3)), powers)
+        laurent = st.dictionaries(st.integers(-3, 3), st.integers(-5, 5),
+                                  min_size=1, max_size=3)
+
+        @st.composite
+        def scalar(draw):
+            den = draw(den_part)
+            content = draw(st.integers(1, 6)) * draw(st.sampled_from([1, -1]))
+            shift = draw(st.integers(-3, 3))
+            den = {e + shift: c * content for e, c in den.items()}
+            num = draw(laurent)
+            if draw(st.booleans()):  # share factors with the denominator
+                num = scalars._lp_mul(num, draw(den_part))
+            num = {e: c * draw(st.integers(1, 4)) for e, c in num.items()}
+            return num, den
+
+        return scalar()
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    def test_operation(self, op):
+        hypothesis = pytest.importorskip("hypothesis")
+        sympy = pytest.importorskip("sympy")
+        v = sympy.Symbol("v")
+        scalar = self._strategies()
+
+        def to_sympy(x):
+            # (num, den) as sympy polynomials, both shifted by one v-power
+            s = -min(0, min(x.num, default=0), min(x.den))
+            return tuple(sympy.Poly.from_dict({(e + s,): c for e, c in d.items()}, v)
+                         for d in (x.num, x.den))
+
+        def apply(p, q):
+            (pn, pd), (qn, qd) = p, q
+            if op == "mul":
+                return pn * qn, pd * qd
+            if op == "div":
+                return pn * qd, pd * qn
+            return pn * qd + (qn if op == "add" else -qn) * pd, pd * qd
+
+        @hypothesis.settings(max_examples=40, deadline=None, database=None)
+        @hypothesis.given(scalar, scalar)
+        def run(x, y):
+            a, b = ExactScalar(*x), ExactScalar(*y)
+            for z, (num, den) in ((a, x), (b, y)):
+                ref = _gcd_route(num, den)
+                assert (z.num, z.den) == (ref.num, ref.den)
+                assert z.cyc is not None
+                _consistent(z)
+            if op == "div" and b.is_zero():
+                return
+            got = getattr(operator, op if op != "div" else "truediv")(a, b)
+            ref = _gcd_op(op, a, b)
+            assert (got.num, got.den) == (ref.num, ref.den)
+            _consistent(got)
+            # the value, by cross-multiplication in sympy's polynomial ring
+            (gn, gd), (wn, wd) = to_sympy(got), apply(to_sympy(a), to_sympy(b))
+            assert (gn * wd - wn * gd).is_zero
+            # round trips whose last step must cancel the other operand's
+            # factors
+            if b.is_zero():
+                return
+            if op in ("add", "sub"):
+                back = got - b if op == "add" else got + b
+            else:
+                back = got / b if op == "mul" else got * b
+            assert (back.num, back.den, back.cyc) == (a.num, a.den, a.cyc)
+
+        run()
+
+    def test_sum_of_products(self):
+        rng = random.Random(8)
+        pool = [ExactScalar(*pair) for pair in [
+            ({0: 1, 2: -1}, {0: 1, 4: -1}), ({1: 3}, scalars._cyc_dict([(4, 2)], 2)),
+            ({0: 2}, {0: 3}), ({0: -1, 6: 1}, scalars._cyc_dict([(2, 1), (6, 2)])),
+            ({-1: 1, 1: 1}, scalars._cyc_dict([(1, 1), (4, 1), (12, 1)], 5))]]
+        for _ in range(30):
+            products = [tuple(rng.choice(pool) for _ in range(rng.randint(1, 3)))
+                        for _ in range(rng.randint(1, 6))]
+            want = ExactScalar.zero()
+            for factors in products:
+                term = ExactScalar.one()
+                for f in factors:
+                    term = term * f
+                want = want + term
+            got = exact_sum_of_products(products)
+            assert got == want
+            _consistent(got)
+
+    def test_non_cyclotomic_divisor_takes_the_counted_fallback(self, monkeypatch):
+        calls = []
+        gcd = scalars._lp_gcd
+
+        def counted(a, b):
+            calls.append(1)
+            return gcd(a, b)
+
+        monkeypatch.setattr(scalars, "_lp_gcd", counted)
+        p = ExactScalar({24: 1, 20: -1, 12: 2, 4: -1, 0: 1})
+        y = ExactScalar({0: 1, 2: 1}, scalars._cyc_dict([(1, 1), (8, 2)], 3))
+        assert not calls
+        # the divisor's numerator is no product of Phi_k: the gcd reduces
+        x = (y * p) / p
+        assert calls
+        assert (x.num, x.den, x.cyc) == (y.num, y.den, y.cyc)
+        z = y / p
+        assert z.cyc is None and z.den == scalars._lp_mul(y.den, p.num)
+        _consistent(z)
+        assert z * p == y and (z + y) - y == z

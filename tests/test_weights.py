@@ -390,6 +390,17 @@ class TestSharedParts:
         assert min(c.min_order() for c in series._minus_terms.values()) == -4
         assert {c.prec for c in series._plus_terms.values()} == {
             series._work + 4}
+        # the barred envelope bounds the minus part's real orders at every
+        # height, so its height plan is proven
+        minus = series._parts[1]
+        H = max(spec.heightfn(e) for e in series._minus_terms)
+        env = minus.order_envelope(H, bar=True)
+        lowest = {}
+        for e, c in minus.expand(H, bar=True).terms.items():
+            h = spec.heightfn(e)
+            lowest[h] = min(lowest.get(h, c.v_order()), c.v_order())
+        assert lowest and all(env[h] <= o for h, o in lowest.items())
+        assert min(env) == -4 < min(minus.order_envelope(H))
         for m in range(3):
             f = mono((m,)) + mono((-m,)) if m else GAElement.one("2L", 1)
             got = series.ct_pair(f)
