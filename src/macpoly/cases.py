@@ -40,35 +40,42 @@ Q = ExactScalar.q_power
 V = ExactScalar.v_power
 
 
+# the parameters each case takes
+_CASE_KEYS = {"BII": ("n", "s"), "CII": ("n", "s"), "DII": ("n",),
+              "AI2": (), "A2G": (), "AII5": ()}
+
+
 def parse_case_id(text):
+    """(head, {key: int}); ValueError for an unknown case, or a key the case
+    does not take or that is given twice."""
     head, _, rest = text.partition(":")
+    head = head.strip()
+    if head not in _CASE_KEYS:
+        raise ValueError("unknown case id %r" % (text,))
     params = {}
-    if rest:
-        for item in rest.split(","):
-            k, _, v = item.partition("=")
-            params[k.strip()] = int(v)
-    return head.strip(), params
+    for item in rest.split(",") if rest else ():
+        k, _, v = item.partition("=")
+        k, keys = k.strip(), _CASE_KEYS[head]
+        if k not in keys or k in params:
+            raise ValueError("case %s: unknown or repeated parameter %r (it "
+                             "takes %s)"
+                             % (head, item, ", ".join(keys) or "none"))
+        params[k] = int(v)
+    return head, params
 
 
-def build_case(case_id, **overrides):
+def build_case(case_id):
     head, params = parse_case_id(case_id)
-    params.update(overrides)
-    if head == "AI2":
-        return _build_a2_family("AI2")
-    if head == "A2G":
-        return _build_a2_family("A2G")
-    if head == "AII5":
-        return _build_a2_family("AII5")
+    if head in ("AI2", "A2G", "AII5"):
+        return _build_a2_family(head)
     if head == "DII":
         return _build_dii(params.get("n", 2))
-    if head in ("BII", "CII"):
-        return _build_small_b(head, params.get("n", 2), params.get("s", 0))
-    raise ValueError("unknown case id %r" % (case_id,))
+    return _build_small_b(head, params.get("n", 2), params.get("s", 0))
 
 
 def list_cases():
-    return ["BII:n=<int>,s=<int>", "CII:n=<int>,s=<int>", "DII:n=<int>",
-            "AI2", "A2G", "AII5"]
+    return [head + (":" + ",".join(k + "=<int>" for k in keys) if keys else "")
+            for head, keys in _CASE_KEYS.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +225,7 @@ class ExampleCase:
         if self.aw is not None:
             if "nabla" not in self._cache:
                 self._cache["nabla"] = WeightEngine.from_moments(
-                    self.aw_functional(self.aw_zonal).weight,
-                    self.rank)
+                    self.aw_functional(self.aw_zonal).weight)
             return self._cache["nabla"]
         key = ("nabla", height_hint, self.order)
         if key not in self._cache:
@@ -275,7 +281,7 @@ class ExampleCase:
         """<u, w> = sum ct(u_i M_ij flip(w_j) nabla), from the moment tables
         of M on the nabla engine (exact, series or one-variable)."""
         return self.nabla_engine(self._vector_hint()).vector_pair(
-            u, self.matrix_weight(), w)
+            u, self.matrix_weight(), w, self.restricted)
 
     def _vector_hint(self):
         return self._cache.get("vector_hint", 10)

@@ -22,8 +22,7 @@ from .cases import (
     list_cases,
 )
 from .families import (
-    aw_eigenvalue,
-    aw_operator,
+    eigen_check,
     intermediate_macdonald,
     nonsym_macdonald,
     sym_macdonald,
@@ -45,6 +44,17 @@ def _parse_coords(text, flag="--lam"):
     except ValueError:
         raise ConfigError("%s needs comma-separated integers, got %r"
                           % (flag, text)) from None
+
+
+def _parse_label(case, text, J):
+    """--lam as a label of `case` dominant for the indices J."""
+    lam = _parse_coords(text)
+    if len(lam) != case.rank:
+        raise ConfigError("--lam needs %d coordinates" % case.rank)
+    if not case.restricted.is_dominant(lam, J):
+        raise ConfigError("--lam %s is not dominant for J=%s"
+                          % (list(lam), list(J)))
+    return lam
 
 
 def _render_ga(f, fmt, symbol="e", wsym="\\varpi"):
@@ -79,9 +89,6 @@ def cmd_compute(args):
     if args.order <= 0:
         raise ConfigError("--order must be > 0, got %d" % args.order)
     case.order = args.order
-    lam = _parse_coords(args.lam)
-    if len(lam) != case.rank:
-        raise ConfigError("--lam needs %d coordinates" % case.rank)
     if args.family == "intermediate":
         J = _parse_coords(args.J, "--J") if args.J else case.J
     else:
@@ -89,9 +96,7 @@ def cmd_compute(args):
     if not all(j in range(case.rank) for j in J):
         raise ConfigError("--J indices must lie in 0..%d, got %s"
                           % (case.rank - 1, list(J)))
-    if not case.restricted.is_dominant(lam, J):
-        raise ConfigError("--lam %s is not dominant for J=%s"
-                          % (list(lam), list(J)))
+    lam = _parse_label(case, args.lam, J)
     if args.family == "nonsym" and case.rank != 1:
         raise ConfigError("non-symmetric family is rank-1 only")
     if case.aw is not None and J != tuple(range(case.rank)):
@@ -139,7 +144,7 @@ def _path_error(exc):
 def cmd_render(args):
     case = _build_case(args.case)
     if args.what == "Q":
-        lam = _parse_coords(args.lam)
+        lam = _parse_label(case, args.lam, range(case.rank))
     with _open_output(args.output) as fh:
         if args.what == "M":
             M = case.matrix_weight()
@@ -319,18 +324,8 @@ def run_verify(case_id, height=2, order=60):
 
         def difference_operator():
             # operator diagonalisation on the identified one-variable family
-            ok = True
-            seen = []
-            family = case.aw_functional(case.aw)
-            operator = aw_operator(case.aw, case.lattice)
-            for m in range(5):
-                P = family.member(m)
-                lam_m = aw_eigenvalue(case.aw, m)
-                if not (operator(P) - P.scale(lam_m)).is_zero():
-                    ok = False
-                if any((lam_m - x).is_zero() for x in seen):
-                    ok = False
-                seen.append(lam_m)
+            report = eigen_check(case.aw_functional(case.aw), 4)
+            ok = report["residual_zero"] and report["distinct"]
             return {"status": "pass" if ok else "fail"}
 
         record("difference_operator", difference_operator)

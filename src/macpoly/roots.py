@@ -177,6 +177,14 @@ class RootDatum:
             frontier = nxt
         return seen
 
+    def orbit(self, x):
+        """The full Weyl orbit of x as a frozenset, computed once per x."""
+        key = ("orbit", x)
+        got = self._cache.get(key)
+        if got is None:
+            got = self._cache[key] = frozenset(self.weyl_orbit(x))
+        return got
+
     def is_dominant(self, x, J=None):
         """Dominance for the simple coroots in J (all by default)."""
         idx = range(self.rank) if J is None else J

@@ -590,14 +590,12 @@ class WeightEngine:
             raise ValueError("backend must be 'auto' or 'series'")
 
     @classmethod
-    def from_moments(cls, weight, rank):
-        """Exact engine over the coefficient lookup `weight(nu)` alone, for
-        exponents nu of length `rank`, such as the one-variable moment
-        functional's `AWFunctional.weight`; it has no spec and expands
-        nothing."""
+    def from_moments(cls, weight):
+        """Exact engine over the coefficient lookup `weight(nu)` alone, such
+        as the one-variable moment functional's `AWFunctional.weight`; it
+        has no spec and expands nothing."""
         engine = cls.__new__(cls)
         engine.spec, engine._exact_weight, engine._moments = None, weight, {}
-        engine._rank = rank
         return engine
 
     # -- construction --------------------------------------------------------
@@ -630,11 +628,9 @@ class WeightEngine:
         try:
             with open(path) as fh:
                 data = json.load(fh)
-            self._plus_terms = _part_from_json(data["plus"])
-            self._minus_terms = _part_from_json(data["minus"])
-            self._work = data["work"]
-            self._guaranteed = data["guaranteed"]
-            self._w_cache = {}
+            self._set_parts(_part_from_json(data["plus"]),
+                            _part_from_json(data["minus"]), data["work"],
+                            data["guaranteed"])
             return
         except (OSError, ValueError, LookupError, TypeError):
             pass  # missing, unreadable or malformed: a miss, rebuilt below
@@ -679,37 +675,54 @@ class WeightEngine:
 
         Hp = choose(env_p, need_p) + K
         Hm = choose(env_m, need_q) + K
-        self._guaranteed = self.order
         work = self.order + self.margin - min(0, min_m) - min(0, min_p)
         # each part is cut flat where its products with the other part no
         # longer reach below `work`: at `work` less the other part's lowest
         # order
-        self._minus_terms = minus.expand(
-            Hm, prec=work - min(0, min_p), bar=bar).terms
-        self._plus_terms = plus.expand(Hp, prec=work - min(0, min_m)).terms
-        self._work = work
+        minus_terms = minus.expand(Hm, prec=work - min(0, min_p), bar=bar)
+        self._set_parts(plus.expand(Hp, prec=work - min(0, min_m)).terms,
+                        minus_terms.terms, work, self.order)
+
+    def _set_parts(self, plus, minus, work, guaranteed):
+        """Hold the expanded parts, with the common denominator of each."""
+        self._plus_terms, self._minus_terms = plus, minus
+        self._work, self._guaranteed = work, guaranteed
+        self._w_dens = tuple(math.lcm(*(c.den for c in part.values()))
+                             for part in (plus, minus))
         self._w_cache = {}
 
     def _weight_coefficient(self, nu):
-        """Series coefficient of the weight at exponent nu (lazily cached)."""
+        """Series coefficient sum_mu plus[mu] minus[mu - nu] of the weight at
+        exponent nu (lazily cached).  The products are accumulated as
+        v-power -> int over the parts' common denominators, cut at the order
+        the series products and their sum would certify."""
         got = self._w_cache.get(nu)
         if got is not None:
             return got
-        work = self._work
-        acc = SeriesScalar.zero(work)
+        work = prec = self._work
         minus = self._minus_terms
+        pairs = []
         for mu, pc in self._plus_terms.items():
-            key = tuple(m - t for m, t in zip(mu, nu))
-            mc = minus.get(key)
-            if mc is None:
+            mc = minus.get(tuple(m - t for m, t in zip(mu, nu)))
+            if mc is None or not pc.num or not mc.num:
                 continue
-            op = pc.min_order()
-            om = mc.min_order()
-            if op is None or om is None or op + om >= work:
-                continue
-            acc = acc + pc * mc
-        self._w_cache[nu] = acc
-        return acc
+            op, om = min(pc.num), min(mc.num)
+            if op + om < work:
+                prec = min(prec, pc.prec + om, mc.prec + op)
+                pairs.append((pc, mc))
+        dp, dm = self._w_dens
+        out = {}
+        for pc, mc in pairs:
+            scale = (dp // pc.den) * (dm // mc.den)
+            row = mc.num.items()
+            for e1, c1 in pc.num.items():
+                cut = prec - e1
+                c1 *= scale
+                for e2, c2 in row:
+                    if e2 < cut:
+                        out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        got = self._w_cache[nu] = SeriesScalar(out, prec, _den=dp * dm)
+        return got
 
     # -- pairing --------------------------------------------------------------
 
@@ -759,71 +772,88 @@ class WeightEngine:
             {e: c for e, c in out.coeffs.items() if e < self._guaranteed},
             min(out.prec, self._guaranteed))
 
-    def ct_norm(self):
-        """ct(W), the constant term of the weight."""
-        if self.spec is None:
-            return self._exact_sum([((0,) * self._rank, ExactScalar.one())])
-        return self.ct_pair(GAElement.one(self.spec.lattice, self.spec.rank))
-
-    def vector_pair(self, u, M, w):
+    def vector_pair(self, u, M, w, group=None):
         """sum_{i,j} ct(u_i M_ij flip(w_j) W) for vectors u, w and matrix M,
         from the moments m_ij(nu) = ct(e^nu M_ij W) of M.
 
-        Exact weights sum u_i[a] w_j[b] m_ij(a - b) with one reduction per
-        distinct denominator.  Series weights first add s_ij(d), the sum of
-        u_i[a] w_j[b] over a - b = d, so cancellations happen before a
-        moment is applied, then add s_ij(d) m_ij(d); the truncation guards
-        of `ct_pair` are applied to the exponents e + d read from the weight
-        and, conservatively, to the orders of s_ij(d) times M_ij.
+        Each slot is cut into blocks (`_blocks`): orbits of `group` (a root
+        datum, read through its `orbit`) on which its coefficient is
+        constant, and single exponents.  By bilinearity the pairing is
+        sum u_i[A] w_j[B] G_ij(A, B) over blocks A of u_i and B of w_j, with
+        G_ij(A, B) the sum of m_ij(a - b) over a in A, b in B (`_gram`).
+        Exact weights sum the products with one reduction per distinct
+        denominator.  On series weights `_moment` applies the height guard
+        of `ct_pair` to each exponent it reads, and the margin guard covers
+        the orders of u_i[A], w_j[B] and M_ij.
         """
         tables = self._moment_tables(M)
-        if self._exact_weight is not None:
-            def products():
-                for i, ui in enumerate(u):
-                    for j, wj in enumerate(w):
-                        table = tables[i][j]
-                        for a, ca in ui.terms.items():
-                            for b, cb in wj.terms.items():
-                                m = self._moment(
-                                    table, tuple(x - y for x, y in zip(a, b)))
-                                if m is not None:
-                                    yield ca, cb, m
-
-            return exact_sum_of_products(products())
-        work = self._work
-
-        def series_terms(f):
-            return [(e, c if isinstance(c, SeriesScalar) else c.to_series(work))
-                    for e, c in f.terms.items()]
-
-        us = [series_terms(ui) for ui in u]
-        ws = [series_terms(wj) for wj in w]
-        sums = []
-        worst = 0
-        for i, ui in enumerate(us):
-            for j, wj in enumerate(ws):
-                table = tables[i][j]
-                if not ui or not wj or table.order is None:
-                    continue
-                s_by_d = {}
-                for a, ca in ui:
-                    for b, cb in wj:
-                        d = tuple(x - y for x, y in zip(a, b))
-                        p = ca * cb
-                        s = s_by_d.get(d)
-                        s_by_d[d] = p if s is None else s + p
-                for d, s in s_by_d.items():
-                    o = s.min_order()
-                    if o is not None:
-                        worst = min(worst, o + table.order)
-                        sums.append((table, d, s))
-        self._check_slack(worst)
-        acc = SeriesScalar.zero(work)
-        for table, d, s in sums:
-            m = self._moment(table, d)
-            if m is not None:
-                acc = acc + s * m
+        exact = self._exact_weight is not None
+        us = [self._blocks(f, group) for f in u]
+        ws = [self._blocks(f, group) for f in w]
+        cells = [(tables[i][j], ui, wj) for i, ui in enumerate(us)
+                 for j, wj in enumerate(ws) if tables[i][j].order is not None]
+        if not exact:
+            self._check_slack(min([0] + [
+                ca.min_order() + cb.min_order() + table.order
+                for table, ui, wj in cells for _, ca in ui for _, cb in wj]))
+        products = []
+        for table, ui, wj in cells:
+            for A, ca in ui:
+                for B, cb in wj:
+                    g = self._gram(table, A, B)
+                    if g is not None:
+                        products.append((ca, cb, g))
+        if exact:
+            return exact_sum_of_products(products)
+        acc = SeriesScalar.zero(self._work)
+        for ca, cb, g in products:
+            acc = acc + ca * cb * g
         return self._finish(acc)
+
+    def _blocks(self, f, group):
+        """f as (block, coefficient) pairs: each orbit of `group` (None: no
+        orbits) on which f has one coefficient is a block, and each other
+        exponent is a block of its own.  Series weights get coefficients
+        expanded to the working order."""
+        terms = f.terms
+        out, done = [], set()
+        for e, c in terms.items():
+            if e in done:
+                continue
+            orbit = frozenset((e,)) if group is None else group.orbit(e)
+            if all(_same(terms.get(x), c) for x in orbit):
+                parts = [(orbit, c)]
+            else:
+                parts = [(frozenset((x,)), terms[x]) for x in orbit
+                         if x in terms]
+            for block, c in parts:
+                done |= block
+                if (self._exact_weight is None
+                        and not isinstance(c, SeriesScalar)):
+                    c = c.to_series(self._work)
+                if not c.is_zero():
+                    out.append((block, c))
+        return out
+
+    def _gram(self, table, A, B):
+        """G(A, B) = sum_{a in A, b in B} ct(e^{a - b} f W) for the entry f
+        of `table`, cached on the table; None where it vanishes."""
+        key = (A, B)
+        try:
+            return table.grams[key]
+        except KeyError:
+            pass
+        moments = [m for m in (self._moment(table, tuple(
+            x - y for x, y in zip(a, b))) for a in A for b in B)
+            if m is not None]
+        if not moments:
+            g = None
+        elif self._exact_weight is not None:
+            g = exact_sum_of_products((m,) for m in moments)
+        else:
+            g = sum(moments[1:], moments[0])
+        g = table.grams[key] = None if g is None or g.is_zero() else g
+        return g
 
     def vector_pair_products(self, u, M, w):
         """The vector pairing as ct_pair of each materialised product
@@ -899,7 +929,7 @@ class _MomentTable:
     expanded to order `work` on a series weight; `order` is the lowest
     v-order among them (None for f = 0)."""
 
-    __slots__ = ("f", "terms", "order", "values")
+    __slots__ = ("f", "terms", "order", "values", "grams")
 
     def __init__(self, f, work=None):
         self.f = f
@@ -907,6 +937,16 @@ class _MomentTable:
                       for e, c in f.terms.items()]
         self.order = min((c.v_order() for c in f.terms.values()), default=None)
         self.values = {}
+        self.grams = {}  # (block A, block B) -> G(A, B), from `_gram`
+
+
+def _same(a, b):
+    """a and b are one coefficient: equal exactly, or as series to the same
+    order."""
+    if isinstance(b, SeriesScalar):
+        return (isinstance(a, SeriesScalar) and a.prec == b.prec
+                and a.den == b.den and a.num == b.num)
+    return isinstance(a, ExactScalar) and a == b
 
 
 def sym_pair(f, g, engine):
@@ -941,17 +981,3 @@ def macdonald_nonsym_weight(restricted, qhat_log, t, lattice, tag=""):
         minus.append(PochFactor(qh * t, a, qhat_log, INF, -1))
     return WeightSpec(plus, minus, lattice, restricted.height2,
                       minus_conj="flip", tag=tag)
-
-
-def aw_plus_factors(params, qhat_log=2):
-    """One-variable weight numerator (z^2;qh)_inf over four shifted factors."""
-    out = [PochFactor(ExactScalar.one(), (2,), qhat_log, INF, 1)]
-    for p in params:
-        out.append(PochFactor(p, (1,), qhat_log, INF, -1))
-    return out
-
-
-def aw_weight(params, lattice, qhat_log=2, minus_conj="flip", tag=""):
-    plus = aw_plus_factors(params, qhat_log)
-    return WeightSpec(plus, list(plus), lattice, lambda e: e[0],
-                      minus_conj=minus_conj, tag=tag)

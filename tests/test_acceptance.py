@@ -19,7 +19,7 @@ from macpoly.cases import (
     kravchuk_eigen,
     kravchuk_orthogonality_denominator,
 )
-from macpoly.families import AWParams, aw_oracle, eigen_check
+from macpoly.families import AWFunctional, AWParams, aw_oracle, eigen_check
 from macpoly.roots import (
     build_root_datum,
     central_scalar,
@@ -28,7 +28,9 @@ from macpoly.roots import (
     weyl_character,
 )
 from macpoly.scalars import ExactScalar, SeriesScalar
-from macpoly.weights import WeightEngine, aw_weight
+from macpoly.weights import WeightEngine
+
+from oracles import aw_weight, ct_norm
 
 Q = ExactScalar.q_power
 
@@ -190,8 +192,9 @@ class TestCriterion5:
 class TestCriterion6:
     def test_operator_and_central_spectrum(self):
         params = AWParams.from_labels(Fraction(3, 2), Fraction(5, 2), 0, 0)
-        report = eigen_check(params, 4)
-        ok = report["distinct"] and len(report["rows"]) == 5
+        report = eigen_check(AWFunctional(params), 4)
+        ok = (report["residual_zero"] and report["distinct"]
+              and len(report["rows"]) == 5)
 
         datum = build_root_datum("A", 2)
         grid = [(0, 0), (1, 1), (3, 0), (0, 3)]  # dominant, height <= 3
@@ -316,7 +319,7 @@ class TestCriterion8:
         eng = WeightEngine(aw_weight(
             (case.aw.a, case.aw.b, case.aw.c, case.aw.d), case.lattice),
             order=60, height_hint=8)
-        norm = eng.ct_norm()
+        norm = ct_norm(eng)
         ok = True
         for m in range(1, 5):
             for k in range(m):

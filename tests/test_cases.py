@@ -18,6 +18,8 @@ from macpoly.galg import GAElement, solve_linear
 from macpoly.roots import regularity_scalar
 from macpoly.scalars import ExactScalar, SeriesScalar
 
+from oracles import ct_norm, weight_coefficient_sum
+
 Q = ExactScalar.q_power
 
 
@@ -29,6 +31,12 @@ class TestCaseIds:
     def test_unknown(self):
         with pytest.raises(ValueError):
             build_case("ZII:n=2")
+
+    @pytest.mark.parametrize("cid", ["AI2:n=5", "A2G:s=0", "BII:n=2,n=3",
+                                     "BII:n=2,s=0,t=1", "DII:s=1", "BII:n=2,"])
+    def test_unknown_or_repeated_parameter(self, cid):
+        with pytest.raises(ValueError, match="parameter"):
+            parse_case_id(cid)
 
     def test_bad_rank(self):
         with pytest.raises(ValueError):
@@ -701,6 +709,68 @@ class TestSeriesMomentPairing:
                               if m is not None)
 
 
+class TestOrbitPairing:
+    """The block route of `vector_pair` on AI2 at order 100, height 2."""
+
+    def test_members_pair_through_orbit_blocks(self, ai2_pairings):
+        # every member slot is one block per orbit, so its pairings read
+        # fewer Gram entries than they have exponent pairs
+        case, eng, M, members, _ = ai2_pairings
+        W = case.restricted
+        tables = eng._moment_tables(M)
+        grams, exponent_pairs = set(), set()
+        for u, w in itertools.combinations_with_replacement(members, 2):
+            pair = eng.vector_pair(u, M, w, W)
+            assert pair.prec == eng._guaranteed
+            assert (pair - eng.vector_pair(u, M, w)).is_zero()
+            for i, ui in enumerate(u):
+                blocks_u = eng._blocks(ui, W)
+                assert all(A == W.orbit(next(iter(A))) for A, _ in blocks_u)
+                for j, wj in enumerate(w):
+                    table = tables[i][j]
+                    if table.order is None:
+                        continue
+                    exponent_pairs.update((id(table), a, b) for a in ui.terms
+                                          for b in wj.terms)
+                    for A, _ in blocks_u:
+                        for B, _ in eng._blocks(wj, W):
+                            assert (A, B) in table.grams
+                            grams.add((id(table), A, B))
+        assert 0 < len(grams) < len(exponent_pairs)
+
+    def test_changed_orbit_coefficient_matches_products(self, ai2_pairings):
+        # a slot that is not constant on an orbit pairs that orbit exponent
+        # by exponent; the value is the products route's, certified no lower
+        case, eng, M, members, _ = ai2_pairings
+        W = case.restricted
+        rng = random.Random(5)
+        wide = [u for u in members
+                if any(len(W.orbit(e)) > 1 for f in u for e in f.terms)]
+        for u in rng.sample(wide, 3):
+            slot, e = next((i, e) for i, f in enumerate(u)
+                           for e in sorted(f.terms) if len(W.orbit(e)) > 1)
+            changed = list(u)
+            changed[slot] = u[slot] + GAElement.monomial(e, case.lattice, Q(1))
+            assert ((frozenset((e,)), changed[slot].terms[e])
+                    in eng._blocks(changed[slot], W))
+            for w in rng.sample(members, 2):
+                for a, b in ((changed, w), (w, changed)):
+                    got = eng.vector_pair(a, M, b, W)
+                    want = eng.vector_pair_products(a, M, b)
+                    assert got.prec >= want.prec
+                    assert (got - want).is_zero()
+                    assert (got - eng.vector_pair(a, M, b)).is_zero()
+
+    def test_integer_weight_coefficients_match_series_sums(self, ai2_pairings):
+        # every coefficient the run read, against the sum of series products
+        _, eng, _, _, _ = ai2_pairings
+        assert eng._w_cache
+        for nu, got in eng._w_cache.items():
+            want = weight_coefficient_sum(eng, nu)
+            assert (got.num, got.den, got.prec) == (want.num, want.den,
+                                                    want.prec)
+
+
 class TestSeriesWeightRequired:
     @pytest.mark.parametrize("cid", ["BII:n=2,s=1", "CII:n=3,s=2"])
     def test_one_variable_cases_have_no_series_weight(self, cid):
@@ -717,7 +787,7 @@ class TestSeriesWeightRequired:
     def test_one_variable_ct_norm(self, cid):
         # ct(W) of the moment engine is lambda(0) = L(1) = 1, exactly
         case = build_case(cid)
-        norm = case.nabla_engine().ct_norm()
+        norm = ct_norm(case.nabla_engine())
         assert isinstance(norm, ExactScalar) and norm.is_one()
         L = AWFunctional(case.aw_zonal, case.lattice)
         assert norm == L.value(case.one())

@@ -133,6 +133,14 @@ class TestRender:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("lam", ["--lam=1", "--lam=-1,0"])
+    def test_bad_label_exit_code(self, lam, capsys):
+        # a label of the wrong length, and one that is not dominant
+        rc = main(["render", "--case", "A2G", "--what", "Q", lam])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --lam") and err.count("\n") == 1
+
     def test_json_matrix(self, capsys):
         rc = main(["render", "--case", "A2G", "--what", "M",
                    "--format", "json"])
@@ -223,6 +231,15 @@ class TestVerify:
     def test_config_error_exit_code(self, capsys):
         rc = main(["verify", "--case", "nope"])
         assert rc == 2
+
+    @pytest.mark.parametrize("cid", ["AI2:n=5", "BII:n=2,n=3",
+                                     "BII:n=2,s=0,t=1", "DII:n=2,s=1"])
+    def test_bad_case_parameters_exit_code(self, cid, capsys):
+        # a parameter the case does not take, or one given twice
+        rc = main(["verify", "--case", cid, "--lambda-height", "0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: case ") and err.count("\n") == 1
 
     def test_negative_height_exit_code(self, capsys):
         rc = main(["verify", "--case", "DII:n=2", "--lambda-height", "-1"])

@@ -18,7 +18,6 @@ from macpoly.families import (
     monomial,
     monomial_J,
     nonsym_macdonald,
-    support_triangular,
     sym_macdonald,
 )
 from macpoly.galg import GAElement
@@ -26,10 +25,11 @@ from macpoly.roots import RestrictedSystem, build_root_datum, weyl_character
 from macpoly.scalars import ExactScalar
 from macpoly.weights import (
     WeightEngine,
-    aw_weight,
     macdonald_nonsym_weight,
     macdonald_sym_weight,
 )
+
+from oracles import aw_weight, ct_norm, support_triangular
 
 Q = ExactScalar.q_power
 ONE = ExactScalar.one()
@@ -97,8 +97,9 @@ class TestAWOracle:
         assert P1 == mono((1,)) + mono((-1,)) - GAElement.one("2L", 1).scale(b0)
 
     def test_eigen_report(self):
-        report = eigen_check(self.PARAMS, 4)
-        assert report["distinct"] and len(report["rows"]) == 5
+        report = eigen_check(AWFunctional(self.PARAMS), 4)
+        assert report["residual_zero"] and report["distinct"]
+        assert len(report["rows"]) == 5
 
     def test_constant_eigenvalue_zero(self):
         one = GAElement.one("2L", 1)
@@ -168,7 +169,7 @@ class TestAWFunctional:
         L = AWFunctional(p, "2L")
         eng = WeightEngine(aw_weight((p.a, p.b, p.c, p.d), "2L"),
                            order=40, height_hint=6)
-        norm = eng.ct_norm()
+        norm = ct_norm(eng)
         for k in range(1, 4):
             mk = mono((k,)) + mono((-k,))
             exact = L.value(mk)
