@@ -46,8 +46,8 @@ _CASE_KEYS = {"BII": ("n", "s"), "CII": ("n", "s"), "DII": ("n",),
 
 
 def parse_case_id(text):
-    """(head, {key: int}); ValueError for an unknown case, or a key the case
-    does not take or that is given twice."""
+    """(head, {key: int}); ValueError for an unknown case, a key the case
+    does not take or that is given twice, or a value not an integer >= 0."""
     head, _, rest = text.partition(":")
     head = head.strip()
     if head not in _CASE_KEYS:
@@ -60,6 +60,10 @@ def parse_case_id(text):
             raise ValueError("case %s: unknown or repeated parameter %r (it "
                              "takes %s)"
                              % (head, item, ", ".join(keys) or "none"))
+        v = v.strip()
+        if not (v.isascii() and v.isdigit()):
+            raise ValueError("case %s: %s must be an integer >= 0, got %r"
+                             % (head, k, v))
         params[k] = int(v)
     return head, params
 
@@ -102,6 +106,8 @@ class ExampleCase:
     extra: dict = field(default_factory=dict)
     order: int = 60
     _cache: dict = field(default_factory=dict)
+    # ((b, lam), (b', mu), order) -> <vector member, vector member>
+    _gram: dict = field(default_factory=dict)
 
     # -- basic objects ------------------------------------------------------
 
@@ -262,17 +268,15 @@ class ExampleCase:
         key = ("famspec", height_hint, self.order)
         if key not in self._cache:
             if self.aw is not None:
-                fs = PolyFamilySpec(
-                    restricted=self.restricted, lattice=self.lattice,
-                    exact_functional=self.aw_functional(self.aw),
-                    label=self.tag)
+                sym = WeightEngine.from_moments(
+                    self.aw_functional(self.aw).weight)
+                nonsym = None
             else:
-                fs = PolyFamilySpec(
-                    restricted=self.restricted, lattice=self.lattice,
-                    engine_sym=self.nabla_engine(height_hint),
-                    engine_nonsym=self.delta_engine(height_hint),
-                    label=self.tag)
-            self._cache[key] = fs
+                sym = self.nabla_engine(height_hint)
+                nonsym = self.delta_engine(height_hint)
+            self._cache[key] = PolyFamilySpec(
+                restricted=self.restricted, lattice=self.lattice,
+                engine_sym=sym, engine_nonsym=nonsym, label=self.tag)
         return self._cache[key]
 
     # -- vector-valued family --------------------------------------------------
@@ -282,6 +286,15 @@ class ExampleCase:
         of M on the nabla engine (exact, series or one-variable)."""
         return self.nabla_engine(self._vector_hint()).vector_pair(
             u, self.matrix_weight(), w, self.restricted)
+
+    def _member_pair(self, x, y):
+        """<P_x, P_y> between the vector members at the labels
+        x = (b, lam) and y = (b', mu), paired once per order."""
+        key = (x, y, self.order)
+        if key not in self._gram:
+            self._gram[key] = self._vector_pair(self.vector_member(*x),
+                                                self.vector_member(*y))
+        return self._gram[key]
 
     def _vector_hint(self):
         return self._cache.get("vector_hint", 10)
@@ -332,10 +345,11 @@ class ExampleCase:
         nb = len(self.bottoms)
         lead = [GAElement.zero(self.lattice)] * nb
         lead[b_idx] = self.m_of(lam)
-        prevs = [self.vector_member(bp, mu)
-                 for bp, mu in self._vector_downset(b_idx, lam)]
+        below = self._vector_downset(b_idx, lam)
         _, vec = orthogonalize_step(
-            _VecPoly(lead, self), prevs, self._vector_pair,
+            _VecPoly(lead, self), [self.vector_member(*a) for a in below],
+            self._vector_pair,
+            lambda j, k: self._member_pair(below[j], below[k]),
             "%s vector (%s, %s)" % (self.tag, b_idx, lam))
         self._cache[key] = vec
         return vec
@@ -349,10 +363,10 @@ class ExampleCase:
 
     def gram_block(self, lam, mu):
         """Matrix of pairings <column i of Q_lam, column j of Q_mu>."""
-        A, B = self.matrix_q(lam), self.matrix_q(mu)
+        lam, mu = tuple(lam), tuple(mu)
         nb = len(self.bottoms)
-        return [[self._vector_pair(A.column(i), B.column(j))
-                 for j in range(nb)] for i in range(nb)]
+        return [[self._member_pair((i, lam), (j, mu)) for j in range(nb)]
+                for i in range(nb)]
 
     def qinv_check(self, lam):
         """Every entry of Q_lam fixed under q -> 1/q, exactly.
@@ -520,6 +534,7 @@ class ExampleCase:
             mems = [self.vector_member(bp, mu) for bp, mu in ups]
             cvec, rem = orthogonalize_step(
                 target, mems, self._vector_pair,
+                lambda j, k: self._member_pair(ups[j], ups[k]),
                 "%s recurrence (%s, %s)" % (self.tag, b, lam))
             residual_cols.append(all(s.is_zero() for s in rem.slots))
             out[b] = {t: c for t, c in zip(ups, cvec) if not c.is_zero()}

@@ -323,9 +323,11 @@ def run_verify(case_id, height=2, order=60):
         record("kravchuk_eigen", kravchuk)
 
         def difference_operator():
-            # operator diagonalisation on the identified one-variable family
+            # operator diagonalisation on the identified one-variable
+            # family, and its functional's moments against the family
             report = eigen_check(case.aw_functional(case.aw), 4)
-            ok = report["residual_zero"] and report["distinct"]
+            ok = (report["residual_zero"] and report["distinct"]
+                  and report["annihilated"])
             return {"status": "pass" if ok else "fail"}
 
         record("difference_operator", difference_operator)

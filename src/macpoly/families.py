@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .galg import GAElement, solve_linear
+from .galg import GAElement, MatGAElement, solve_linear
 from .scalars import ExactScalar, exact_sum_of_products
-from .weights import WeightEngine, sym_pair
+from .weights import WeightEngine
 
 ONE = ExactScalar.one()
 # -s_k of (z + 1/z) n_k = n_{k+1} + s_k n_{k-1}: -2 at k = 1, -1 for k >= 2
@@ -58,23 +58,28 @@ def j_dominant_below(restricted, J, mu):
 
 @dataclass
 class PolyFamilySpec:
-    """Everything needed to build one family of orthogonal polynomials."""
+    """Everything needed to build one family of orthogonal polynomials.  It
+    pairs through `WeightEngine.vector_pair` with the 1x1 unit it holds."""
 
     restricted: object
     lattice: str
     engine_sym: WeightEngine = None  # W-invariant pairing weight
     engine_nonsym: WeightEngine = None  # weight for the non-invariant families
-    exact_functional: object = None  # optional exact pairing for rank 1
     label: str = ""
     _cache: dict = field(default_factory=dict)
+    _gram: dict = field(default_factory=dict)  # (J, nu, nu') -> <P_nu, P_nu'>
+
+    def __post_init__(self):
+        self._unit = MatGAElement.identity(1, self.lattice, self.restricted.rank)
 
     def pair(self, f, g, symmetric):
-        if symmetric and self.exact_functional is not None:
-            return self.exact_functional.pair(f, g)
+        """ct(f flip(g) W): W-invariant families pair by Weyl orbits, the
+        others exponent by exponent."""
         engine = self.engine_sym if symmetric else self.engine_nonsym
         if engine is None:
             raise ValueError("no pairing configured for this family")
-        return sym_pair(f, g, engine)
+        return engine.vector_pair([f], self._unit, [g],
+                                  self.restricted if symmetric else None)
 
     def family_member(self, J, mu):
         J = tuple(sorted(J))
@@ -90,7 +95,14 @@ class PolyFamilySpec:
         cands = j_dominant_below(self.restricted, J, mu)
         prevs = [self.family_member(J, nu) for nu in cands]
         pair = lambda f, g: self.pair(f, g, symmetric)
-        _, member = orthogonalize_step(m, prevs, pair, "%s/%s at %s"
+
+        def gram(j, k):
+            key = (J, cands[j], cands[k])
+            if key not in self._gram:
+                self._gram[key] = pair(prevs[j], prevs[k])
+            return self._gram[key]
+
+        _, member = orthogonalize_step(m, prevs, pair, gram, "%s/%s at %s"
                                        % (self.label, J, mu))
         return member
 
@@ -117,29 +129,25 @@ class PolyFamilySpec:
         return out
 
 
-def orthogonalize_step(lead, prevs, pair, what=""):
+def orthogonalize_step(lead, prevs, pair, gram, what=""):
     """Project lead onto prevs, lead in the left slot of the pairing.
 
     Returns (coeffs, residual) with residual = lead - sum coeffs[k] prevs[k].
-    The pairing need not be symmetric; the family satisfies <P_i, P_j> = 0
-    for j earlier than i, which makes the Gram matrix of `prevs` triangular,
-    so the projection coefficients come from one forward substitution.
+    `gram(j, k)` = <prevs[j], prevs[k]> (j <= k) comes from the callers'
+    label-keyed memos.  The pairing need not be symmetric; the family
+    satisfies <P_i, P_j> = 0 for j earlier than i, which makes the Gram
+    matrix of `prevs` triangular, so the projection coefficients come from
+    one forward substitution.
     """
-    vals = [pair(lead, p) for p in prevs]
-    norms = [pair(p, p) for p in prevs]
-    cross = {}
-    coeffs = [None] * len(prevs)
-    for k in range(len(prevs)):
-        if norms[k].is_zero():
+    coeffs = []
+    for k, p in enumerate(prevs):
+        norm = gram(k, k)
+        if norm.is_zero():
             raise ArithmeticError("degenerate Gram entry (%s)" % what)
-        acc = vals[k]
+        acc = pair(lead, p)
         for j in range(k):
-            ejk = cross.get((j, k))
-            if ejk is None:
-                ejk = pair(prevs[j], prevs[k])
-                cross[(j, k)] = ejk
-            acc = acc - coeffs[j] * ejk
-        coeffs[k] = acc / norms[k]
+            acc = acc - coeffs[j] * gram(j, k)
+        coeffs.append(acc / norm)
     out = lead
     for c, p in zip(coeffs, prevs):
         out = out - p.scale(c)
@@ -332,8 +340,8 @@ class AWFunctional:
     Polynomials, 2004, 2.1.7).  L(h) = h_0 + sum_{k>0} h_k mu_k, normalised
     so that L(1) = 1.  On W-invariants L is the constant-term pairing with
     the flip-symmetric weight lambda(0) = 1, lambda(+-k) = mu_k / 2
-    (`weight`).  The recurrence family itself (`member`) and the reduction
-    against it (`_reduce`, the moments' oracle) grow only when asked for.
+    (`weight`).  The recurrence family itself (`member`) grows only when
+    asked for.
     """
 
     def __init__(self, params, lattice="aw"):
@@ -368,27 +376,6 @@ class AWFunctional:
         """The degree-m member of the recurrence family."""
         self._extend(m)
         return self._family[m]
-
-    def _reduce(self, h):
-        """L(h) by reduction against the recurrence family, term by term.
-
-        The moment table's oracle; only the top exponent is compared with
-        its mirror at each step.
-        """
-        acc = ExactScalar.zero()
-        rem = h
-        while not rem.is_zero():
-            k = max(e[0] for e in rem.terms)
-            k = max(k, 0)
-            if k == 0:
-                acc = acc + rem.constant_term()
-                break
-            lead = rem.terms.get((k,))
-            if lead is None or rem.terms.get((-k,)) != lead:
-                raise ValueError("functional argument is not W-invariant")
-            self._extend(k)
-            rem = rem - self._family[k].scale(lead)
-        return acc
 
     def _moment(self, k):
         """mu_k = L(e^k + e^-k) for k > 0, and mu_0 = L(1) = 1."""
@@ -427,21 +414,21 @@ class AWFunctional:
         products += [(c, self._moment(e)) for (e,), c in terms.items() if e > 0]
         return exact_sum_of_products(products)
 
-    def pair(self, f, g):
-        return self.value(f * g.invol_inv())
-
 
 def eigen_check(family, upto):
     """The one-variable operator on the members of `family` (an
     AWFunctional) up to degree `upto`: rows (m, eigenvalue), whether every
-    residual vanishes and whether the eigenvalues are distinct."""
+    residual vanishes, whether the eigenvalues are distinct and whether
+    L(P_m) = <P_m, 1> = 0 for m > 0 (the moments against the family)."""
     operator = aw_operator(family.params, family.lattice)
-    rows, exact, distinct = [], True, True
+    rows, exact, distinct, annihilated = [], True, True, True
     for m in range(upto + 1):
         P = family.member(m)
         lam = aw_eigenvalue(family.params, m)
         exact = exact and (operator(P) - P.scale(lam)).is_zero()
         distinct = distinct and all(not (lam - r["eigenvalue"]).is_zero()
                                     for r in rows)
+        annihilated = annihilated and (m == 0 or family.value(P).is_zero())
         rows.append({"m": m, "eigenvalue": lam})
-    return {"rows": rows, "residual_zero": exact, "distinct": distinct}
+    return {"rows": rows, "residual_zero": exact, "distinct": distinct,
+            "annihilated": annihilated}

@@ -302,9 +302,6 @@ class MatGAElement:
     def map_entries(self, fn):
         return MatGAElement([[fn(entry) for entry in row] for row in self.rows])
 
-    def column(self, j):
-        return [self.rows[i][j] for i in range(self.size)]
-
     def is_zero(self):
         return all(entry.is_zero() for row in self.rows for entry in row)
 

@@ -203,7 +203,7 @@ def _settle(num, cyc, lead, tests, den=None):
     otherwise it is built from the factors left.
     """
     if not num:
-        return ExactScalar.zero()
+        return _ZERO
     cut = _common(num, tests)
     if cut:
         cyc = _cyc_less(cyc, cut)
@@ -599,6 +599,11 @@ class ExactScalar:
                 if ee < prec:
                     work[ee] = work.get(ee, Fraction(0)) - c * Fraction(dc) / c0
         return SeriesScalar({e: c for e, c in out.items() if c and e < prec}, prec)
+
+
+# the zero every reduction returns; scalars are immutable, so the zero
+# entries a Gram memo keeps share it
+_ZERO = ExactScalar.zero()
 
 
 def exact_sum_of_products(products):

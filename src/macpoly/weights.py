@@ -581,6 +581,7 @@ class WeightEngine:
         self._minus_terms = None
         self._guaranteed = None
         self._moments = {}
+        self._singles = {}  # e -> {e}, one block per exponent for the Grams
         self._parts = ()  # the shared cone parts this engine expanded
         if backend == "auto" and self.spec.is_finite():
             self._build_exact()
@@ -595,7 +596,8 @@ class WeightEngine:
         as the one-variable moment functional's `AWFunctional.weight`; it
         has no spec and expands nothing."""
         engine = cls.__new__(cls)
-        engine.spec, engine._exact_weight, engine._moments = None, weight, {}
+        engine.spec, engine._exact_weight = None, weight
+        engine._moments, engine._singles = {}, {}
         return engine
 
     # -- construction --------------------------------------------------------
@@ -815,17 +817,18 @@ class WeightEngine:
         orbits) on which f has one coefficient is a block, and each other
         exponent is a block of its own.  Series weights get coefficients
         expanded to the working order."""
-        terms = f.terms
+        terms, singles = f.terms, self._singles
         out, done = [], set()
         for e, c in terms.items():
             if e in done:
                 continue
-            orbit = frozenset((e,)) if group is None else group.orbit(e)
+            orbit = (singles.setdefault(e, frozenset((e,))) if group is None
+                     else group.orbit(e))
             if all(_same(terms.get(x), c) for x in orbit):
                 parts = [(orbit, c)]
             else:
-                parts = [(frozenset((x,)), terms[x]) for x in orbit
-                         if x in terms]
+                parts = [(singles.setdefault(x, frozenset((x,))), terms[x])
+                         for x in orbit if x in terms]
             for block, c in parts:
                 done |= block
                 if (self._exact_weight is None
@@ -848,21 +851,12 @@ class WeightEngine:
             if m is not None]
         if not moments:
             g = None
-        elif self._exact_weight is not None:
-            g = exact_sum_of_products((m,) for m in moments)
-        else:
+        elif self._exact_weight is None or len(moments) == 1:
             g = sum(moments[1:], moments[0])
+        else:
+            g = exact_sum_of_products((m,) for m in moments)
         g = table.grams[key] = None if g is None or g.is_zero() else g
         return g
-
-    def vector_pair_products(self, u, M, w):
-        """The vector pairing as ct_pair of each materialised product
-        u_i M_ij flip(w_j); the independent oracle of `vector_pair`."""
-        acc = self.ct_pair(GAElement.zero(M.lattice))
-        for i, ui in enumerate(u):
-            for j, wj in enumerate(w):
-                acc = acc + self.ct_pair(ui * M[i, j] * wj.invol_inv())
-        return acc
 
     def _moment_tables(self, M):
         """Per-entry moment tables of M against this weight; equal entries
@@ -947,11 +941,6 @@ def _same(a, b):
         return (isinstance(a, SeriesScalar) and a.prec == b.prec
                 and a.den == b.den and a.num == b.num)
     return isinstance(a, ExactScalar) and a == b
-
-
-def sym_pair(f, g, engine):
-    """ct(f * flip(g) * W)."""
-    return engine.ct_pair(f * g.invol_inv())
 
 
 # ---------------------------------------------------------------------------

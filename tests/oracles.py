@@ -1,5 +1,6 @@
 """Oracles that only the tests use: the one-variable weight as a series
-spec, the constant term of a weight, support triangularity and a series
+spec and its functional by reduction, the constant term of a weight,
+pairings through materialised products, support triangularity and a series
 weight's coefficients as sums of series products."""
 
 from macpoly.galg import GAElement
@@ -27,6 +28,38 @@ def ct_norm(engine, rank=1):
     if engine.spec is None:
         return engine._exact_sum([((0,) * rank, ExactScalar.one())])
     return engine.ct_pair(GAElement.one(engine.spec.lattice, engine.spec.rank))
+
+
+def aw_reduce(L, h):
+    """L(h) for the one-variable functional L by reduction against its
+    recurrence family, term by term: the oracle of its moment table.  Only
+    the top exponent is compared with its mirror at each step."""
+    rem = h
+    while not rem.is_zero():
+        k = max(0, max(e[0] for e in rem.terms))
+        if k == 0:
+            return rem.constant_term()
+        lead = rem.terms.get((k,))
+        if lead is None or rem.terms.get((-k,)) != lead:
+            raise ValueError("functional argument is not W-invariant")
+        rem = rem - L.member(k).scale(lead)
+    return ExactScalar.zero()
+
+
+def vector_pair_products(engine, u, M, w):
+    """The vector pairing as ct_pair of each materialised product
+    u_i M_ij flip(w_j); the oracle of `WeightEngine.vector_pair`."""
+    acc = engine.ct_pair(GAElement.zero(M.lattice))
+    for i, ui in enumerate(u):
+        for j, wj in enumerate(w):
+            acc = acc + engine.ct_pair(ui * M[i, j] * wj.invol_inv())
+    return acc
+
+
+def sym_pair(f, g, engine):
+    """ct(f * flip(g) * W) as `ct_pair` of the materialised product; the
+    oracle of the families' pairing route `PolyFamilySpec.pair`."""
+    return engine.ct_pair(f * g.invol_inv())
 
 
 def support_triangular(restricted, poly, mu):

@@ -18,7 +18,12 @@ from macpoly.galg import GAElement, solve_linear
 from macpoly.roots import regularity_scalar
 from macpoly.scalars import ExactScalar, SeriesScalar
 
-from oracles import ct_norm, weight_coefficient_sum
+from oracles import (
+    aw_reduce,
+    ct_norm,
+    vector_pair_products,
+    weight_coefficient_sum,
+)
 
 Q = ExactScalar.q_power
 
@@ -36,6 +41,14 @@ class TestCaseIds:
                                      "BII:n=2,s=0,t=1", "DII:s=1", "BII:n=2,"])
     def test_unknown_or_repeated_parameter(self, cid):
         with pytest.raises(ValueError, match="parameter"):
+            parse_case_id(cid)
+
+    @pytest.mark.parametrize("cid, key, value", [("BII:n=2,s=-1", "s", "-1"),
+                                                 ("BII:n=2,s=x", "s", "x"),
+                                                 ("DII:n=", "n", "")])
+    def test_bad_parameter_value(self, cid, key, value):
+        with pytest.raises(ValueError, match="case [A-Z]+: %s must be an "
+                           "integer >= 0, got '%s'" % (key, value)):
             parse_case_id(cid)
 
     def test_bad_rank(self):
@@ -455,6 +468,29 @@ class TestCaches:
         case.order = 20
         assert case.nabla_engine(4) is nabla
 
+    def test_each_gram_entry_paired_once(self, monkeypatch):
+        # members are cached per label, so a pair of member objects stands
+        # for a pair of labels: over one verify no engine pairs the same two
+        # objects twice, vector and scalar families alike
+        from macpoly.cli import run_verify
+        from macpoly.weights import WeightEngine
+
+        seen, held, repeated = set(), [], []
+        vector_pair = WeightEngine.vector_pair
+
+        def counted(self, u, M, w, group=None):
+            held.append((u, w))  # keeps every id in `seen` taken
+            key = (id(self), id(M), tuple(map(id, u)), tuple(map(id, w)))
+            if key in seen:
+                repeated.append(key)
+            seen.add(key)
+            return vector_pair(self, u, M, w, group)
+
+        monkeypatch.setattr(WeightEngine, "vector_pair", counted)
+        report, status = run_verify("A2G", height=2)
+        assert status == 0
+        assert held and not repeated
+
     def test_vector_members_follow_order(self):
         case = build_case("DII:n=2")
         case.set_grid_height(1)
@@ -495,7 +531,7 @@ class TestAWMomentPairing:
         for u in vectors:
             for w, wm in zip(vectors, flipped):
                 h = u[0] * wm
-                assert case._vector_pair(u, w) == L.value(h) == L._reduce(h)
+                assert case._vector_pair(u, w) == L.value(h) == aw_reduce(L, h)
 
     @pytest.mark.parametrize("cid", ["BII:n=2,s=1", "CII:n=3,s=2"])
     def test_one_functional_per_parameter_set(self, cid, monkeypatch):
@@ -513,8 +549,9 @@ class TestAWMomentPairing:
 
         monkeypatch.setattr(cases_mod, "AWFunctional", Counted)
         case = build_case(cid)
-        assert (case.family_spec(4).exact_functional
-                is case.family_spec(8).exact_functional
+        # the family engines read the one functional's weight
+        assert (case.family_spec(4).engine_sym._exact_weight.__self__
+                is case.family_spec(8).engine_sym._exact_weight.__self__
                 is case.aw_functional(case.aw))
         built.clear()
         report, _ = run_verify(cid, height=1)
@@ -523,8 +560,12 @@ class TestAWMomentPairing:
                                                  key=repr)
 
     def test_no_series_weight(self):
+        # the invariant family pairs through the moments of the exact
+        # functional, an engine with no spec and nothing to expand
         case = build_case("BII:n=2,s=1")
-        assert case.family_spec(case._vector_hint()).engine_sym is None
+        engine = case.family_spec(case._vector_hint()).engine_sym
+        assert engine.spec is None
+        assert engine._exact_weight.__self__ is case.aw_functional(case.aw)
 
     def test_verify_expands_no_series_weight(self, monkeypatch):
         from macpoly.cli import run_verify
@@ -579,14 +620,14 @@ class TestMomentPairing:
                    for lam in grid for b in range(len(case.bottoms))]
         for u, w in itertools.combinations_with_replacement(members, 2):
             assert (eng.vector_pair(u, M, w) ==
-                    eng.vector_pair_products(u, M, w))
+                    vector_pair_products(eng, u, M, w))
         rng = random.Random(11)
         vecs = (self._random_vectors(case, rng, 8)
                 + rng.sample(members, min(4, len(members))))
         for u in vecs:
             for w in vecs:
                 assert (eng.vector_pair(u, M, w) ==
-                        eng.vector_pair_products(u, M, w))
+                        vector_pair_products(eng, u, M, w))
 
     def test_exact_engine_takes_moment_route(self):
         case = build_case("A2G")
@@ -623,7 +664,8 @@ def ai2_pairings():
     members = [case.vector_member(b, lam).slots
                for lam in case.restricted.grid(2)
                for b in range(len(case.bottoms))]
-    pairs = [(u, w, eng.vector_pair(u, M, w), eng.vector_pair_products(u, M, w))
+    pairs = [(u, w, eng.vector_pair(u, M, w),
+              vector_pair_products(eng, u, M, w))
              for u, w in itertools.combinations_with_replacement(members, 2)]
     return case, eng, M, members, pairs
 
@@ -669,7 +711,7 @@ class TestSeriesMomentPairing:
         vecs += rng.sample(members, 3)
         for u, w in itertools.combinations_with_replacement(vecs, 2):
             moment = eng.vector_pair(u, M, w)
-            product = eng.vector_pair_products(u, M, w)
+            product = vector_pair_products(eng, u, M, w)
             assert moment.prec >= product.prec
             assert (moment - product).is_zero()
 
@@ -690,8 +732,8 @@ class TestSeriesMomentPairing:
         rng = random.Random(3)
         for u, w, moment in higher:
             for _ in range(2):
-                got = big.vector_pair_products(
-                    [_perturb_tail(f, rng) for f in u], M,
+                got = vector_pair_products(
+                    big, [_perturb_tail(f, rng) for f in u], M,
                     [_perturb_tail(f, rng) for f in w])
                 assert got.prec >= moment.prec
                 assert (got - moment).is_zero()
@@ -756,7 +798,7 @@ class TestOrbitPairing:
             for w in rng.sample(members, 2):
                 for a, b in ((changed, w), (w, changed)):
                     got = eng.vector_pair(a, M, b, W)
-                    want = eng.vector_pair_products(a, M, b)
+                    want = vector_pair_products(eng, a, M, b)
                     assert got.prec >= want.prec
                     assert (got - want).is_zero()
                     assert (got - eng.vector_pair(a, M, b)).is_zero()

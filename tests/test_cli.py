@@ -241,6 +241,16 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: case ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("cid, value", [("BII:n=2,s=-1", "-1"),
+                                            ("BII:n=2,s=x", "x")])
+    def test_bad_case_parameter_value_exit_code(self, cid, value, capsys):
+        # the message names the parameter and the value given
+        rc = main(["verify", "--case", cid, "--lambda-height", "0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == ("error: case BII: s must be an integer >= 0, got %r\n"
+                       % value)
+
     def test_negative_height_exit_code(self, capsys):
         rc = main(["verify", "--case", "DII:n=2", "--lambda-height", "-1"])
         assert rc == 2

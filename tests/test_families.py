@@ -29,7 +29,13 @@ from macpoly.weights import (
     macdonald_sym_weight,
 )
 
-from oracles import aw_weight, ct_norm, support_triangular
+from oracles import (
+    aw_reduce,
+    aw_weight,
+    ct_norm,
+    support_triangular,
+    sym_pair,
+)
 
 Q = ExactScalar.q_power
 ONE = ExactScalar.one()
@@ -99,7 +105,14 @@ class TestAWOracle:
     def test_eigen_report(self):
         report = eigen_check(AWFunctional(self.PARAMS), 4)
         assert report["residual_zero"] and report["distinct"]
+        assert report["annihilated"]
         assert len(report["rows"]) == 5
+
+    def test_eigen_report_checks_the_moments(self):
+        L = AWFunctional(self.PARAMS)
+        L._moment(4)
+        L._moments[3] = L._moments[3] + ONE
+        assert not eigen_check(L, 4)["annihilated"]
 
     def test_constant_eigenvalue_zero(self):
         one = GAElement.one("2L", 1)
@@ -151,11 +164,12 @@ class TestAWFunctional:
     def test_orthogonality(self):
         p = AWParams.from_labels(Fraction(3, 2), Fraction(5, 2), 0, 0)
         L = AWFunctional(p, "2L")
+        pair = lambda f, g: L.value(f * g.invol_inv())
         for m in range(4):
             for k in range(m):
-                val = L.pair(aw_oracle(p, m, "2L"), aw_oracle(p, k, "2L"))
+                val = pair(aw_oracle(p, m, "2L"), aw_oracle(p, k, "2L"))
                 assert val.is_zero(), (m, k)
-            norm = L.pair(aw_oracle(p, m, "2L"), aw_oracle(p, m, "2L"))
+            norm = pair(aw_oracle(p, m, "2L"), aw_oracle(p, m, "2L"))
             assert not norm.is_zero()
 
     def test_normalisation(self):
@@ -210,7 +224,7 @@ class TestAWFunctional:
         rng = random.Random(7)
         for _ in range(12):
             h = self._random_invariant(rng)
-            assert L.value(h) == oracle._reduce(h)
+            assert L.value(h) == aw_reduce(oracle, h)
         assert len(L._moments) == 9
 
     @pytest.mark.parametrize("cid", ONE_VARIABLE)
@@ -224,7 +238,7 @@ class TestAWFunctional:
                 n_k = (GAElement.one(case.lattice, 1) if k == 0 else
                        mono((k,), lat=case.lattice)
                        + mono((-k,), lat=case.lattice))
-                assert L._moment(k) == oracle._reduce(n_k), (params, k)
+                assert L._moment(k) == aw_reduce(oracle, n_k), (params, k)
             assert len(L._family) == 1
 
     def test_family_grows_by_recurrence(self):
@@ -233,6 +247,53 @@ class TestAWFunctional:
         assert L.member(8) == aw_oracle(p, 8, "2L")
         for m in range(9):
             assert L._family[m] == aw_oracle(p, m, "2L")
+
+
+class TestPairingRoute:
+    """`PolyFamilySpec.pair`, the moment-table route, against `sym_pair`,
+    ct_pair of the materialised product f * flip(g)."""
+
+    @staticmethod
+    def _pairs(case, H=3):
+        """Every pair of members of the case's J-family and of its
+        W-invariant family whose labels lie in orbits of height <= H."""
+        R = case.restricted
+        spec = case.family_spec(case._vector_hint())
+        for J in sorted({tuple(case.J), tuple(range(case.rank))}):
+            symmetric = J == tuple(range(case.rank))
+            engine = spec.engine_sym if symmetric else spec.engine_nonsym
+            labels = sorted({x for d in R.grid(H) for x in R.weyl_orbit(d)
+                             if R.is_dominant(x, J)}, key=R.order_key)
+            members = [spec.family_member(J, mu) for mu in labels]
+            for f in members:
+                for g in members:
+                    yield spec.pair(f, g, symmetric), sym_pair(f, g, engine)
+
+    @pytest.mark.parametrize("cid", ["A2G", "AII5", "DII:n=2"])
+    def test_exact_weights(self, cid):
+        case = build_case(cid)
+        case.set_grid_height(3)
+        count = 0
+        for got, want in self._pairs(case):
+            assert isinstance(got, ExactScalar) and got == want
+            count += 1
+        assert count > 0
+
+    @pytest.mark.parametrize("order", [72, 100])
+    def test_series_weights(self, order):
+        # vector_pair guards the block orders plus the table order, ct_pair
+        # the orders of the product's terms: neither refuses a pair here,
+        # and the moment route certifies at least the product's order
+        case = build_case("AI2")
+        case.order = order
+        case.set_grid_height(3)
+        count = 0
+        for got, want in self._pairs(case):
+            assert got.prec >= want.prec
+            diff = got - want
+            assert diff.is_zero() and diff.prec == want.prec
+            count += 1
+        assert count > 0
 
 
 class TestGramSchmidtCalibration:
@@ -260,7 +321,7 @@ class TestGramSchmidtCalibration:
         p = AWParams.from_labels(Fraction(3, 2), Fraction(5, 2), 0, 0)
         spec = PolyFamilySpec(
             restricted=R1, lattice="2L",
-            exact_functional=AWFunctional(p, "2L"),
+            engine_sym=WeightEngine.from_moments(AWFunctional(p, "2L").weight),
             label="aw-exact")
         for m in range(5):
             assert sym_macdonald(spec, (m,)) == aw_oracle(p, m, "2L")
