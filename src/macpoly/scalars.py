@@ -888,41 +888,32 @@ class SeriesScalar:
         m = min(self.num)
         c0 = self.num[m]
         n = self.prec - m
-        # u = 1 - self/(c0 v^m); invert 1 - u by geometric series, over a
-        # common denominator c0 at each stage
-        u = {e - m: -c for e, c in self.num.items() if e != m}  # over den c0
-        out = {0: 1}
-        outden = 1
-        power = {0: 1}
-        powden = 1
-        for _ in range(n):
-            if not power or not u:
-                break
-            nxt = {}
-            for e1, c1 in power.items():
-                for e2, c2 in u.items():
-                    e = e1 + e2
-                    if e >= n:
-                        continue
-                    s = nxt.get(e, 0) + c1 * c2
-                    if s:
-                        nxt[e] = s
-                    else:
-                        nxt.pop(e, None)
-            power = nxt
-            powden = powden * c0
-            scale = powden // outden  # outden always divides powden here
-            out = {e: c * scale for e, c in out.items()}
-            outden = powden
-            for e, c in power.items():
-                s = out.get(e, 0) + c
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        # result = (den / c0) * sum out/outden; total denominator outden*c0/den
-        num = {e - m: c * self.den for e, c in out.items()}
-        return SeriesScalar(num, self.prec - 2 * m, _den=outden * c0)
+        # with a_j the numerator at v^(m+j), 1/self = den v^-m sum_k b_k v^k
+        # where b_k = B_k / c0^(k+1): B_0 = 1 and, in one pass,
+        # B_k = -sum_{j>=1} a_j c0^(j-1) B_{k-j}
+        steps = []
+        scale = 1
+        for j in range(1, n):
+            a = self.num.get(m + j)
+            if a:
+                steps.append((j, a * scale))
+            scale *= c0
+        Bs = [1]
+        for k in range(1, n):
+            s = 0
+            for j, a in steps:
+                if j > k:
+                    break
+                s += a * Bs[k - j]
+            Bs.append(-s)
+        # over the common denominator c0^n
+        num = {}
+        cpow = 1
+        for k in range(n - 1, -1, -1):
+            if Bs[k]:
+                num[k - m] = Bs[k] * cpow * self.den
+            cpow *= c0
+        return SeriesScalar(num, self.prec - 2 * m, _den=cpow)
 
     def __truediv__(self, other):
         return self.__mul__(self._coerce(other).inv())

@@ -15,6 +15,7 @@ import os
 import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import sub
 
 from .galg import GAElement
 from .scalars import ExactScalar, SeriesScalar, exact_sum_of_products
@@ -310,6 +311,36 @@ def _over_one_minus(x, step):
     return SeriesScalar(out, x.prec, _den=x.den)
 
 
+def _pack(num, low, g, B):
+    """{v-power: int} as one integer (Kronecker substitution): the
+    coefficient of v^(low + g*i) in the signed B-bit slot i.  Every power
+    must be low plus a multiple of g >= 0, and every coefficient below
+    2^(B-1) in absolute value; a product or sum of packs of one low grid
+    then holds its coefficients in the same slots while they stay in range."""
+    total = 0
+    for e, c in num.items():
+        total += c << (B * ((e - low) // g))
+    return total
+
+
+def _unpack(total, low, g, B, limit):
+    """The inverse of `_pack`, read below the v-power `limit`: the signed
+    B-bit slots of `total` as {low + g*i: coefficient}, zeros left out."""
+    out = {}
+    mask, half, full = (1 << B) - 1, 1 << (B - 1), 1 << B
+    e = low
+    while total and e < limit:
+        c = total & mask
+        total >>= B
+        if c >= half:  # a negative slot borrowed one from the slot above
+            c -= full
+            total += 1
+        if c:
+            out[e] = c
+        e += g
+    return out
+
+
 def _factor_env(f, kmax, bar=False):
     """Lower bounds on the v-orders of the factor's terms k <= kmax (fewer
     if the factor has fewer terms), q -> 1/q applied if `bar`."""
@@ -418,49 +449,68 @@ class ConePart:
         running product is kept to `cut` minus the lowest order the factors
         still to come can add, and each factor's terms to `cut` minus the
         lowest order all the other factors can add.
+
+        Each row multiplies packed integers (`_pack`) on the v-grid of
+        stride g, the gcd of every v-power of every factor term.  Products
+        that land on one exponent start at different v-orders, so g must
+        divide the powers themselves, not only their offsets from each
+        term's lowest one.  A row's slots hold B bits, from a bound on every
+        coefficient it sums: the largest l1 norm of a running polynomial
+        times the l1 norm of all the factor's terms.
         """
         lows, series = {}, {}
         for shape, (f, kmax) in widest.items():
             lows[shape], series[shape] = _flat_factor_terms(f, kmax, bar)
         rest = total = sum(lows[shape] for _, _, shape in rows)
-        tables = {}
+        tables, g = {}, 0
         for shape, low in lows.items():
-            terms = series[shape](cut - total + low)
+            terms = [(k, s) for k, s in series[shape](cut - total + low)
+                     if s.num]
             fden = math.lcm(*(s.den for _, s in terms))
-            tables[shape] = fden, [
-                (k, min(s.num),
-                 sorted((v, n * (fden // s.den)) for v, n in s.num.items()))
-                for k, s in terms if s.num]
+            table = [(k, {v: n * (fden // s.den) for v, n in s.num.items()})
+                     for k, s in terms]
+            for _, num in table:
+                g = math.gcd(g, *num)
+            tables[shape] = fden, table, sum(
+                abs(n) for _, num in table for n in num.values())
+        g = g or 1
         rank = len(self.factors[0].exponent) if self.factors else 1
         acc = {(0,) * rank: {0: 1}}
         den = 1
         for f, hf, shape in rows:
-            fden, table = tables[shape]
+            fden, table, mass = tables[shape]
             den *= fden
             rest -= lows[shape]
             limit = cut - rest
-            nxt = {}
+            B = (mass * max((sum(map(abs, poly.values()))
+                             for poly in acc.values()), default=0)
+                 ).bit_length() + 2
+            packed = [(k, min(num), _pack(num, min(num), g, B))
+                      for k, num in table]
+            nxt = {}  # exponent -> [lowest v-power, packed sum]
             for e, poly in acc.items():
                 he = self.heightfn(e)
-                items = sorted(poly.items())
-                for k, v0, row in table:
+                v1 = min(poly)
+                p1 = _pack(poly, v1, g, B)
+                for k, v2, p2 in packed:
                     if he + k * hf > H:
                         break
+                    low = v1 + v2
+                    if low >= limit:
+                        continue
                     ee = tuple(x + k * y for x, y in zip(e, f.exponent))
                     out = nxt.get(ee)
                     if out is None:
-                        out = nxt[ee] = {}
-                    for v1, c1 in items:
-                        if v1 + v0 >= limit:
-                            break
-                        for v2, c2 in row:
-                            v = v1 + v2
-                            if v >= limit:
-                                break
-                            out[v] = out.get(v, 0) + c1 * c2
+                        nxt[ee] = [low, p1 * p2]
+                    elif low >= out[0]:
+                        out[1] += (p1 * p2) << (B * ((low - out[0]) // g))
+                    else:
+                        out[1] = (out[1] << (B * ((out[0] - low) // g))
+                                  ) + p1 * p2
+                        out[0] = low
             acc = {}
-            for ee, poly in nxt.items():
-                poly = {v: c for v, c in poly.items() if c}
+            for ee, (low, t) in nxt.items():
+                poly = _unpack(t, low, g, B, limit)
                 if poly:
                     acc[ee] = poly
         return {e: SeriesScalar(poly, cut, _den=den) for e, poly in acc.items()}
@@ -686,18 +736,41 @@ class WeightEngine:
                         minus_terms.terms, work, self.order)
 
     def _set_parts(self, plus, minus, work, guaranteed):
-        """Hold the expanded parts, with the common denominator of each."""
+        """Hold the expanded parts, with the common denominator of each and
+        the grid of their packed coefficients (`_weight_coefficient`).
+
+        The stride g is the gcd of every v-power's offset from its part's
+        lowest one, so each coefficient packs on a grid of stride g from its
+        own lowest power, and a product's grid is fixed by its lowest power.
+        Slots hold B bits: a coefficient of W(nu) sums at most one product
+        per plus term, each bounded by the largest l1 norms of the two
+        parts' numerators over their common denominators.
+        """
         self._plus_terms, self._minus_terms = plus, minus
         self._work, self._guaranteed = work, guaranteed
         self._w_dens = tuple(math.lcm(*(c.den for c in part.values()))
                              for part in (plus, minus))
         self._w_cache = {}
+        g, norms = 0, []
+        for part, d in zip((plus, minus), self._w_dens):
+            low = min((min(c.num) for c in part.values() if c.num), default=0)
+            norm = 0
+            for c in part.values():
+                g = math.gcd(g, *(e - low for e in c.num))
+                norm = max(norm, sum(map(abs, c.num.values())) * (d // c.den))
+            norms.append(norm)
+        self._stride = g or 1
+        self._width = (len(plus) * norms[0] * norms[1]).bit_length() + 2
+        # each coefficient is packed the first time a product reads it
+        packs = {}
+        self._packs = (packs, packs if minus is plus else {})
 
     def _weight_coefficient(self, nu):
         """Series coefficient sum_mu plus[mu] minus[mu - nu] of the weight at
-        exponent nu (lazily cached).  The products are accumulated as
-        v-power -> int over the parts' common denominators, cut at the order
-        the series products and their sum would certify."""
+        exponent nu (lazily cached).  The products are packed integers
+        (`_pack`) over the parts' common denominators, summed on the grid of
+        the lowest product and cut at the order the series products and
+        their sum would certify."""
         got = self._w_cache.get(nu)
         if got is not None:
             return got
@@ -705,25 +778,30 @@ class WeightEngine:
         minus = self._minus_terms
         pairs = []
         for mu, pc in self._plus_terms.items():
-            mc = minus.get(tuple(m - t for m, t in zip(mu, nu)))
+            mk = tuple(map(sub, mu, nu))
+            mc = minus.get(mk)
             if mc is None or not pc.num or not mc.num:
                 continue
             op, om = min(pc.num), min(mc.num)
             if op + om < work:
                 prec = min(prec, pc.prec + om, mc.prec + op)
-                pairs.append((pc, mc))
-        dp, dm = self._w_dens
-        out = {}
-        for pc, mc in pairs:
-            scale = (dp // pc.den) * (dm // mc.den)
-            row = mc.num.items()
-            for e1, c1 in pc.num.items():
-                cut = prec - e1
-                c1 *= scale
-                for e2, c2 in row:
-                    if e2 < cut:
-                        out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        got = self._w_cache[nu] = SeriesScalar(out, prec, _den=dp * dm)
+                pairs.append((op + om, mu, pc, mk, mc))
+        g, B = self._stride, self._width
+        (dp, dm), (packs_p, packs_m) = self._w_dens, self._packs
+        base = min((p[0] for p in pairs), default=prec)
+        total = 0
+        for o, mu, pc, mk, mc in pairs:
+            p1 = packs_p.get(mu)
+            if p1 is None:
+                p1 = packs_p[mu] = _pack(pc.num, min(pc.num), g, B) * (
+                    dp // pc.den)
+            p2 = packs_m.get(mk)
+            if p2 is None:
+                p2 = packs_m[mk] = _pack(mc.num, min(mc.num), g, B) * (
+                    dm // mc.den)
+            total += (p1 * p2) << (B * ((o - base) // g))
+        got = self._w_cache[nu] = SeriesScalar(
+            _unpack(total, base, g, B, prec), prec, _den=dp * dm)
         return got
 
     # -- pairing --------------------------------------------------------------

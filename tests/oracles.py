@@ -1,7 +1,8 @@
 """Oracles that only the tests use: the one-variable weight as a series
 spec and its functional by reduction, the constant term of a weight,
-pairings through materialised products, support triangularity and a series
-weight's coefficients as sums of series products."""
+pairings through materialised products, support triangularity, a series
+weight's coefficients as sums of series products, a cone part's flat table
+by nested integer loops and series inversion by the geometric series."""
 
 from macpoly.galg import GAElement
 from macpoly.scalars import ExactScalar, SeriesScalar
@@ -84,3 +85,90 @@ def weight_coefficient_sum(engine, nu):
             continue
         acc = acc + pc * mc
     return acc
+
+
+def flat_table_loop(part, H, cut, bar=False):
+    """A cone part's flat table (`ConePart._flat_table`) by the nested
+    integer loops of the running product: every product of a running
+    polynomial and a factor term, term by term, cut at each row's limit."""
+    import math
+
+    from macpoly.weights import _flat_factor_terms
+
+    rows, widest = part._shapes(H)
+    lows, series = {}, {}
+    for shape, (f, kmax) in widest.items():
+        lows[shape], series[shape] = _flat_factor_terms(f, kmax, bar)
+    rest = total = sum(lows[shape] for _, _, shape in rows)
+    tables = {}
+    for shape, low in lows.items():
+        terms = series[shape](cut - total + low)
+        fden = math.lcm(*(s.den for _, s in terms))
+        tables[shape] = fden, [
+            (k, min(s.num),
+             sorted((v, n * (fden // s.den)) for v, n in s.num.items()))
+            for k, s in terms if s.num]
+    rank = len(part.factors[0].exponent) if part.factors else 1
+    acc = {(0,) * rank: {0: 1}}
+    den = 1
+    for f, hf, shape in rows:
+        fden, table = tables[shape]
+        den *= fden
+        rest -= lows[shape]
+        limit = cut - rest
+        nxt = {}
+        for e, poly in acc.items():
+            he = part.heightfn(e)
+            items = sorted(poly.items())
+            for k, v0, row in table:
+                if he + k * hf > H:
+                    break
+                ee = tuple(x + k * y for x, y in zip(e, f.exponent))
+                out = nxt.setdefault(ee, {})
+                for v1, c1 in items:
+                    if v1 + v0 >= limit:
+                        break
+                    for v2, c2 in row:
+                        v = v1 + v2
+                        if v >= limit:
+                            break
+                        out[v] = out.get(v, 0) + c1 * c2
+        acc = {}
+        for ee, poly in nxt.items():
+            poly = {v: c for v, c in poly.items() if c}
+            if poly:
+                acc[ee] = poly
+    return {e: SeriesScalar(poly, cut, _den=den) for e, poly in acc.items()}
+
+
+def series_inv_geometric(x):
+    """1/x for a SeriesScalar x by the geometric series in
+    u = 1 - x / (c0 v^m), one convolution per power of u over the common
+    denominator c0^k; the oracle of `SeriesScalar.inv`."""
+    if not x.num:
+        raise ZeroDivisionError("inverting a series that is 0 to working order")
+    m = min(x.num)
+    c0 = x.num[m]
+    n = x.prec - m
+    u = {e - m: -c for e, c in x.num.items() if e != m}  # over den c0
+    out, outden = {0: 1}, 1
+    power, powden = {0: 1}, 1
+    for _ in range(n):
+        if not power or not u:
+            break
+        nxt = {}
+        for e1, c1 in power.items():
+            for e2, c2 in u.items():
+                e = e1 + e2
+                if e < n:
+                    nxt[e] = nxt.get(e, 0) + c1 * c2
+        power = {e: c for e, c in nxt.items() if c}
+        powden *= c0
+        scale = powden // outden  # outden always divides powden here
+        out = {e: c * scale for e, c in out.items()}
+        outden = powden
+        for e, c in power.items():
+            out[e] = out.get(e, 0) + c
+    # x^-1 = (den / c0) v^-m sum out / outden
+    num = {e - m: c * x.den for e, c in out.items()}
+    return SeriesScalar(num, x.prec - 2 * m, _den=outden * c0)

@@ -16,6 +16,7 @@ from macpoly.scalars import (
     q_pochhammer,
 )
 
+from oracles import series_inv_geometric
 
 Q = ExactScalar.q_power
 V = ExactScalar.v_power
@@ -138,6 +139,42 @@ class TestSeries:
     def test_inverse_requires_nonzero(self):
         with pytest.raises(ZeroDivisionError):
             SeriesScalar.zero(10).inv()
+
+    @staticmethod
+    def _same_inverse(x):
+        got, want = x.inv(), series_inv_geometric(x)
+        assert (got.num, got.den, got.prec) == (want.num, want.den, want.prec)
+        return got
+
+    def test_inverse_matches_geometric_series(self):
+        # non-unit leading coefficients, negative leading orders and
+        # denominators other than 1, against the geometric-series oracle
+        rng = random.Random(11)
+        seen = set()
+        for _ in range(300):
+            m = rng.randint(-6, 4)
+            prec = m + rng.randint(1, 30)
+            num = {e: rng.randint(-9, 9) for e in range(m + 1, prec)
+                   if rng.random() < 0.4}
+            num[m] = rng.choice([1, -1, 2, -3, 4, 7, -12])
+            x = SeriesScalar(num, prec, _den=rng.choice([1, 2, 6, 35]))
+            got = self._same_inverse(x)
+            assert (x * got - 1).is_zero()
+            lead = x.num[min(x.num)]
+            seen |= {("lead", abs(lead) != 1), ("neg", m < 0),
+                     ("den", x.den != 1)}
+        assert {("lead", True), ("neg", True), ("den", True)} <= seen
+
+    def test_inverse_edge_shapes(self):
+        # a single term, and prec - m == 1 (one coefficient known)
+        for x in (SeriesScalar({-3: 5}, 9, _den=2),
+                  SeriesScalar({4: -3}, 12),
+                  SeriesScalar({2: 7, 5: 1}, 3, _den=3),
+                  SeriesScalar({-1: -2, 0: 5}, 0)):
+            got = self._same_inverse(x)
+            assert len(got.num) == 1
+        got = self._same_inverse(SeriesScalar({-1: -2, 0: 5}, 0))
+        assert (got.num, got.den, got.prec) == ({1: -1}, 2, 2)
 
     def test_fraction_coeffs(self):
         s = SeriesScalar({0: Fraction(1, 3)}, 10)

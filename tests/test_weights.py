@@ -17,6 +17,7 @@ from macpoly.weights import (
 from oracles import (
     aw_weight,
     ct_norm,
+    flat_table_loop,
     sym_pair,
     vector_pair_products,
     weight_coefficient_sum,
@@ -208,6 +209,136 @@ class TestSeriesWeightCoefficient:
         assert odd
 
 
+class TestPackedKernel:
+    """`_pack` and `_unpack`: signed B-bit slots on a strided v-grid."""
+
+    B = 9
+    TOP = (1 << (B - 1)) - 1  # the largest slot value
+
+    @pytest.mark.parametrize("g", [1, 2, 4])
+    @pytest.mark.parametrize("low", [-7, 0, 5])
+    def test_round_trip(self, g, low):
+        from macpoly.weights import _pack, _unpack
+
+        B, top = self.B, self.TOP
+        # extreme slots next to each other, runs of zero slots, and a
+        # negative top slot that leaves the packed integer negative
+        for coeffs in ([top, -top, 0, 0, 0, 1, -1, 0, 0, -top, top, 3],
+                       [-1, 0, 0, 0, top, 0, -top],
+                       [0, 0, 5],
+                       [-top]):
+            num = {low + g * i: c for i, c in enumerate(coeffs) if c}
+            packed = _pack(num, low, g, B)
+            high = low + g * (len(coeffs) - 1)  # the top slot's power
+            assert (packed < 0) == (coeffs[-1] < 0)
+            for limit in (high + 1, high + 5 * g + 3, 10 ** 6):
+                assert _unpack(packed, low, g, B, limit) == num
+            for limit in (low, low + 1, low + 2 * g, high, high - g + 1):
+                assert _unpack(packed, low, g, B, limit) == {
+                    e: c for e, c in num.items() if e < limit}
+
+    def test_empty(self):
+        from macpoly.weights import _pack, _unpack
+
+        assert _pack({}, 3, 2, self.B) == 0
+        assert _unpack(0, 3, 2, self.B, 100) == {}
+
+    @pytest.mark.parametrize("g", [1, 2, 4])
+    def test_products_and_sums(self, g):
+        import random
+
+        from macpoly.weights import _pack, _unpack
+
+        # a sum of packed products on one grid is the sum of the
+        # convolutions, while the slot bound holds
+        rng = random.Random(g)
+        for _ in range(50):
+            polys = []
+            for _ in range(6):
+                low = g * rng.randint(-5, 5)
+                polys.append((low, {low + g * i: rng.randint(-99, 99)
+                                    for i in range(rng.randint(1, 12))}))
+            base = min(a + b for (a, _), (b, _) in zip(polys[::2],
+                                                       polys[1::2]))
+            want, total = {}, 0
+            B = (3 * 12 * 99 * 99).bit_length() + 2
+            for (la, a), (lb, b) in zip(polys[::2], polys[1::2]):
+                for e1, c1 in a.items():
+                    for e2, c2 in b.items():
+                        want[e1 + e2] = want.get(e1 + e2, 0) + c1 * c2
+                total += (_pack(a, la, g, B) * _pack(b, lb, g, B)) << (
+                    B * ((la + lb - base) // g))
+            want = {e: c for e, c in want.items() if c}
+            assert _unpack(total, base, g, B, 10 ** 6) == want
+            cut = base + g * rng.randint(0, 12) + rng.randint(0, g - 1)
+            assert _unpack(total, base, g, B, cut) == {
+                e: c for e, c in want.items() if e < cut}
+
+
+class TestPackedWeightCoefficient:
+    """W(nu) from packed products on AI2's engines, and from a disk cache
+    that holds the nested loops' flat tables."""
+
+    def test_ai2_matches_series_sums(self):
+        from macpoly.cases import build_case
+
+        case = build_case("AI2")
+        case.order = 100
+        for eng in (case.nabla_engine(), case.delta_engine()):
+            assert eng._stride == 4
+            for a in range(-4, 5):
+                for b in range(-4, 5):
+                    got = eng._weight_coefficient((a, b))
+                    want = weight_coefficient_sum(eng, (a, b))
+                    assert (got.num, got.den, got.prec) == (
+                        want.num, want.den, want.prec)
+            # only the coefficients some product read were packed
+            packs_p, packs_m = eng._packs
+            assert 0 < len(packs_p) < len(eng._plus_terms)
+
+    def test_cache_of_the_loops_reads_back(self, tmp_path, monkeypatch):
+        import json
+
+        import macpoly.weights as wm
+
+        # a version-2 cache file written from the nested loops' tables is
+        # the file this build writes, and reads back to the same W(nu)
+        spec = macdonald_nonsym_weight(R2, 2, Q(3), "2L")
+        monkeypatch.setattr(wm, "_cache_dir", None)
+        fresh = WeightEngine(spec, order=24, height_hint=4)
+        tables = []
+        for part, terms in zip(fresh._parts, (fresh._plus_terms,
+                                              fresh._minus_terms)):
+            (key,) = [k for k, v in part._expansions.items()
+                      if v.terms is terms]
+            tables.append(flat_table_loop(part, *key))
+        name = wm._cache_key(fresh.spec, 24, 4, 8) + ".json"
+        loops = tmp_path / "loops"
+        loops.mkdir()
+        (loops / name).write_text(json.dumps({
+            "plus": wm._part_to_json(tables[0]),
+            "minus": wm._part_to_json(tables[1]),
+            "work": fresh._work, "guaranteed": fresh._guaranteed}))
+        monkeypatch.setattr(wm, "_cache_dir", str(tmp_path / "packed"))
+        (tmp_path / "packed").mkdir()
+        WeightEngine(spec, order=24, height_hint=4)
+        assert ((tmp_path / "packed" / name).read_bytes()
+                == (loops / name).read_bytes())
+
+        def no_expansion(*args):
+            raise AssertionError("a cache hit expands nothing")
+
+        monkeypatch.setattr(wm.ConePart, "_expand", no_expansion)
+        monkeypatch.setattr(wm, "_cache_dir", str(loops))
+        cached = WeightEngine(spec, order=24, height_hint=4)
+        for a in range(-4, 5):
+            for b in range(-4, 5):
+                got = cached._weight_coefficient((a, b))
+                want = fresh._weight_coefficient((a, b))
+                assert (got.num, got.den, got.prec) == (
+                    want.num, want.den, want.prec)
+
+
 class TestSeriesVectorPair:
     """vector_pair on a series weight: moment tables, guards, sharing."""
 
@@ -387,6 +518,57 @@ class TestSharedParts:
         part = cone_part(mixed, "2L", ht1)
         flat = self._check_flat(part, 6, 10)
         assert min(c.min_order() for c in flat.values()) < 0
+
+    @staticmethod
+    def _check_oracle(part, H, cut, bar=False):
+        # the flat table equals the nested loops' table in num, den and prec
+        got = part.expand(H, prec=cut, bar=bar).terms
+        want = flat_table_loop(part, H, cut, bar)
+        assert got.keys() == want.keys()
+        for e, c in got.items():
+            w = want[e]
+            assert (c.num, c.den, c.prec) == (w.num, w.den, w.prec)
+
+    @pytest.mark.parametrize("cut", [60, 150])
+    def test_flat_rows_off_the_offset_grid(self, cut):
+        from macpoly.weights import cone_part
+
+        # each term of 1/(v e^1; q^2)_inf has v-powers k + 4j, 4-strided from
+        # its lowest, and (e^2; q^2)_inf's powers are multiples of 4; so
+        # products that land on one exponent start at v-orders that differ
+        # by 1, 2 or 3, and only the stride 1 aligns their slots
+        factors = [PochFactor(ExactScalar.v_power(1), (1,), 2, INF, -1),
+                   PochFactor(ONE, (2,), 2, INF, 1),
+                   PochFactor(ExactScalar.v_power(2, -1), (1,), 2, INF, -1)]
+        part = cone_part(factors, "2L", ht1)
+        flat = self._check_flat(part, 10, cut)
+        self._check_oracle(part, 10, cut)
+        lows = {c.min_order() % 4 for c in flat.values()}
+        assert len(lows) > 2
+
+    def test_flat_matches_loops(self):
+        from macpoly.cases import build_case
+
+        # every flat table an AI2 engine builds, and the barred and
+        # negative-order parts above
+        case = build_case("AI2")
+        case.order = 100
+        engines = (case.nabla_engine(), case.delta_engine())
+        parts = {id(p): p for eng in engines for p in eng._parts}
+        seen = 0
+        for part in parts.values():
+            for H, cut, bar in list(part._expansions):
+                if cut is not None:
+                    self._check_oracle(part, H, cut, bar)
+                    seen += 1
+        assert seen == 2
+        from macpoly.weights import cone_part
+
+        self._check_oracle(cone_part(self.FACTORS, "2L", ht1), 6, 12, bar=True)
+        mixed = [PochFactor(ExactScalar.v_power(-2), (2,), 2, 2, 1),
+                 PochFactor(ExactScalar.v_power(-1, 3), (1,), 2, 2, -1),
+                 PochFactor(Q(1), (1,), 2, INF, -1)]
+        self._check_oracle(cone_part(mixed, "2L", ht1), 6, 10)
 
     def test_series_cut_with_negative_minimum_order(self):
         # a finite spec forced through the series backend: the plus part
