@@ -12,6 +12,7 @@ Case identifiers: "BII:n=<int>,s=<int>", "CII:n=<int>,s=<int>",
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .families import (
@@ -68,13 +69,21 @@ def parse_case_id(text):
     return head, params
 
 
-def build_case(case_id):
+def build_case(case_id, order=60, height=2):
+    """The case `case_id`, planned for one v-order `order` and for the
+    members of family height <= `height`; ValueError for a bad id or plan.
+    A second plan is a second case."""
+    if order <= 0:
+        raise ValueError("order must be > 0, got %d" % order)
+    if height < 0:
+        raise ValueError("height must be >= 0, got %d" % height)
     head, params = parse_case_id(case_id)
+    plan = {"order": order, "height": height}
     if head in ("AI2", "A2G", "AII5"):
-        return _build_a2_family(head)
+        return _build_a2_family(head, plan)
     if head == "DII":
-        return _build_dii(params.get("n", 2))
-    return _build_small_b(head, params.get("n", 2), params.get("s", 0))
+        return _build_dii(params.get("n", 2), plan)
+    return _build_small_b(head, params.get("n", 2), params.get("s", 0), plan)
 
 
 def list_cases():
@@ -85,8 +94,12 @@ def list_cases():
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ExampleCase:
+    """One case, planned once: its engines, family spec and vector members
+    are built for one v-order and one family height, so every memo is keyed
+    by labels only.  Re-plan with `build_case` or `dataclasses.replace`."""
+
     tag: str
     satake: SatakeDatum
     restricted: RestrictedSystem
@@ -104,10 +117,18 @@ class ExampleCase:
     aw: AWParams = None  # one-variable data (small-B cases)
     aw_zonal: AWParams = None
     extra: dict = field(default_factory=dict)
-    order: int = 60
-    _cache: dict = field(default_factory=dict)
-    # ((b, lam), (b', mu), order) -> <vector member, vector member>
-    _gram: dict = field(default_factory=dict)
+    order: int = 60  # working v-order of the series engines
+    height: int = 2  # family height the pairings are planned for
+    # (b, lam) -> vector member
+    _members: dict = field(init=False, default_factory=dict)
+    # ((b, lam), (b', mu)) -> <vector member, vector member>
+    _gram: dict = field(init=False, default_factory=dict)
+    # AWParams -> its one-variable moment functional
+    _functionals: dict = field(init=False, default_factory=dict)
+    # H -> gamma-basis lead table of height H
+    _gamma_tables: dict = field(init=False, default_factory=dict)
+    # i -> ambient weights of the i-th multiplier module
+    _multipliers: dict = field(init=False, default_factory=dict)
 
     # -- basic objects ------------------------------------------------------
 
@@ -141,8 +162,10 @@ class ExampleCase:
 
     def matrix_weight(self):
         """Trace-paired matrix weight in restricted coordinates."""
-        if "M" in self._cache:
-            return self._cache["M"]
+        return self._matrix_weight
+
+    @cached_property
+    def _matrix_weight(self):
         datum = self.datum
         nb = len(self.bottoms)
         rows = []
@@ -159,9 +182,7 @@ class ExampleCase:
                     acc = acc + self._to_restricted(prod)
                 row.append(acc)
             rows.append(row)
-        M = MatGAElement(rows)
-        self._cache["M"] = M
-        return M
+        return MatGAElement(rows)
 
     def _to_restricted(self, f):
         out = {}
@@ -184,24 +205,15 @@ class ExampleCase:
         """Computed vs printed matrix weight, up to one global scalar."""
         M = self.matrix_weight()
         G = self.golden_matrix()
-        kappa = None
-        for i in range(M.size):
-            for j in range(M.size):
-                if not M[i, j].is_zero():
-                    for e, c in M[i, j].terms.items():
-                        g = G[i, j].terms.get(e)
-                        if g is None:
-                            return {"status": "fail",
-                                    "detail": "support mismatch at %s" % ((i, j),)}
-                        kappa = g / c
-                        break
-                    break
-            if kappa is not None:
-                break
-        if kappa is None or kappa.is_zero():
+        cells = [(i, j) for i in range(M.size) for j in range(M.size)]
+        pairs = [(M[c], G[c]) for c in cells]
+        kappa = _ratio(pairs)
+        if isinstance(kappa, int):
+            return {"status": "fail",
+                    "detail": "support mismatch at %s" % (cells[kappa],)}
+        if kappa is None:
             return {"status": "fail", "detail": "no usable entry"}
-        ok = all((M[i, j].scale(kappa) - G[i, j]).is_zero()
-                 for i in range(M.size) for j in range(M.size))
+        ok = all((m.scale(kappa) - g).is_zero() for m, g in pairs)
         return {"status": "pass" if ok else "fail", "scalar": kappa.render()}
 
     def weight_symmetry_check(self):
@@ -225,93 +237,82 @@ class ExampleCase:
 
     # -- pairings and polynomial families -------------------------------------
 
-    def nabla_engine(self, height_hint=8):
-        """The zonal weight's engine; on BII/CII the one-variable moment
-        functional, exact at every hint and order."""
-        if self.aw is not None:
-            if "nabla" not in self._cache:
-                self._cache["nabla"] = WeightEngine.from_moments(
-                    self.aw_functional(self.aw_zonal).weight)
-            return self._cache["nabla"]
-        key = ("nabla", height_hint, self.order)
-        if key not in self._cache:
-            spec = macdonald_sym_weight(self.restricted, self.qhat_log,
-                                        self.t, self.lattice,
-                                        tag="zonal:" + self.tag)
-            self._cache[key] = WeightEngine(spec, order=self.order,
-                                            height_hint=height_hint)
-        return self._cache[key]
+    @cached_property
+    def pair_hint(self):
+        """The expansion height of the series engines.  A vector pairing
+        reads the weight at exponents e + a - b for e in the support of M_ij
+        and a, b in those of u_i and w_j: heights up to 2 * height plus the
+        weight-matrix spread."""
+        spread = max((abs(self.restricted.height2(e))
+                      for row in self.matrix_weight().rows for entry in row
+                      for e in entry.support()), default=0)
+        return 2 * self.height + spread + 2
 
-    def delta_engine(self, height_hint=8):
-        key = ("delta", height_hint, self.order)
-        if key not in self._cache:
-            if self.aw is not None:
-                raise ValueError(
-                    "case %s has no series weight: it pairs through the "
-                    "one-variable moment functional" % self.tag)
-            spec = macdonald_nonsym_weight(self.restricted, self.qhat_log,
-                                           self.t, self.lattice,
-                                           tag="nonsym:" + self.tag)
-            self._cache[key] = WeightEngine(spec, order=self.order,
-                                            height_hint=height_hint)
-        return self._cache[key]
+    def nabla_engine(self):
+        """The zonal weight's engine; on BII/CII the one-variable moment
+        functional, exact at every order."""
+        return self._nabla_engine
+
+    @cached_property
+    def _nabla_engine(self):
+        if self.aw is not None:
+            return WeightEngine.from_moments(
+                self.aw_functional(self.aw_zonal).weight)
+        spec = macdonald_sym_weight(self.restricted, self.qhat_log, self.t,
+                                    self.lattice, tag="zonal:" + self.tag)
+        return WeightEngine(spec, order=self.order,
+                            height_hint=self.pair_hint)
+
+    def delta_engine(self):
+        return self._delta_engine
+
+    @cached_property
+    def _delta_engine(self):
+        if self.aw is not None:
+            raise ValueError(
+                "case %s has no series weight: it pairs through the "
+                "one-variable moment functional" % self.tag)
+        spec = macdonald_nonsym_weight(self.restricted, self.qhat_log, self.t,
+                                       self.lattice, tag="nonsym:" + self.tag)
+        return WeightEngine(spec, order=self.order,
+                            height_hint=self.pair_hint)
 
     def aw_functional(self, params):
         """The one-variable moment functional for `params`, one per case and
-        parameter set, shared by every height hint and check."""
-        key = ("awfun", params)
-        if key not in self._cache:
-            self._cache[key] = AWFunctional(params, self.lattice)
-        return self._cache[key]
+        parameter set, shared by every check."""
+        if params not in self._functionals:
+            self._functionals[params] = AWFunctional(params, self.lattice)
+        return self._functionals[params]
 
-    def family_spec(self, height_hint=8):
-        key = ("famspec", height_hint, self.order)
-        if key not in self._cache:
-            if self.aw is not None:
-                sym = WeightEngine.from_moments(
-                    self.aw_functional(self.aw).weight)
-                nonsym = None
-            else:
-                sym = self.nabla_engine(height_hint)
-                nonsym = self.delta_engine(height_hint)
-            self._cache[key] = PolyFamilySpec(
-                restricted=self.restricted, lattice=self.lattice,
-                engine_sym=sym, engine_nonsym=nonsym, label=self.tag)
-        return self._cache[key]
+    def family_spec(self):
+        return self._family_spec
+
+    @cached_property
+    def _family_spec(self):
+        if self.aw is not None:
+            sym = WeightEngine.from_moments(self.aw_functional(self.aw).weight)
+            nonsym = None
+        else:
+            sym, nonsym = self.nabla_engine(), self.delta_engine()
+        return PolyFamilySpec(restricted=self.restricted, lattice=self.lattice,
+                              engine_sym=sym, engine_nonsym=nonsym,
+                              label=self.tag)
 
     # -- vector-valued family --------------------------------------------------
 
     def _vector_pair(self, u, w):
         """<u, w> = sum ct(u_i M_ij flip(w_j) nabla), from the moment tables
         of M on the nabla engine (exact, series or one-variable)."""
-        return self.nabla_engine(self._vector_hint()).vector_pair(
+        return self.nabla_engine().vector_pair(
             u, self.matrix_weight(), w, self.restricted)
 
     def _member_pair(self, x, y):
         """<P_x, P_y> between the vector members at the labels
-        x = (b, lam) and y = (b', mu), paired once per order."""
-        key = (x, y, self.order)
-        if key not in self._gram:
-            self._gram[key] = self._vector_pair(self.vector_member(*x),
-                                                self.vector_member(*y))
-        return self._gram[key]
-
-    def _vector_hint(self):
-        return self._cache.get("vector_hint", 10)
-
-    def set_grid_height(self, H):
-        """Plan expansions for vector pairings up to family height H."""
-        # a vector pairing reads the weight at exponents e + a - b for e in
-        # the support of M_ij and a, b in those of u_i and w_j: heights up
-        # to 2*H plus the weight-matrix spread
-        M = self.matrix_weight()
-        spread = 0
-        for row in M.rows:
-            for entry in row:
-                for e in entry.support():
-                    spread = max(spread, abs(self.restricted.height2(e)))
-        self._cache["vector_hint"] = 2 * H + spread + 2
-        return self._cache["vector_hint"]
+        x = (b, lam) and y = (b', mu), paired once."""
+        if (x, y) not in self._gram:
+            self._gram[x, y] = self._vector_pair(self.vector_member(*x),
+                                                 self.vector_member(*y))
+        return self._gram[x, y]
 
     def _pair_key(self, b_idx, lam):
         x = self.satake.from_restricted(lam)
@@ -339,19 +340,19 @@ class ExampleCase:
 
     def vector_member(self, b_idx, lam):
         """The orthogonal vector polynomial with leading m_lam in slot b."""
-        key = ("vec", b_idx, tuple(lam), self.order)
-        if key in self._cache:
-            return self._cache[key]
+        key = (b_idx, tuple(lam))
+        if key in self._members:
+            return self._members[key]
         nb = len(self.bottoms)
         lead = [GAElement.zero(self.lattice)] * nb
         lead[b_idx] = self.m_of(lam)
         below = self._vector_downset(b_idx, lam)
         _, vec = orthogonalize_step(
-            _VecPoly(lead, self), [self.vector_member(*a) for a in below],
+            _VecPoly(lead), [self.vector_member(*a) for a in below],
             self._vector_pair,
             lambda j, k: self._member_pair(below[j], below[k]),
             "%s vector (%s, %s)" % (self.tag, b_idx, lam))
-        self._cache[key] = vec
+        self._members[key] = vec
         return vec
 
     def matrix_q(self, lam):
@@ -428,8 +429,7 @@ class ExampleCase:
         """lead -> (y, d, column, lead coefficient) over the columns
         m_d g_y, d in grid(H); the lead is the column's top J-dominant
         exponent.  Raises ArithmeticError on a lead clash."""
-        key = ("gamma_table", H)
-        if key not in self._cache:
+        if H not in self._gamma_tables:
             table = {}
             for yi, g in enumerate(self.gamma_basis):
                 for d in self.restricted.grid(H):
@@ -440,8 +440,8 @@ class ExampleCase:
                             "gamma-basis columns %s and %s share the lead %s"
                             % (table[lead][:2], (yi, d), lead))
                     table[lead] = (yi, d, col, col.terms[lead])
-            self._cache[key] = table
-        return self._cache[key]
+            self._gamma_tables[H] = table
+        return self._gamma_tables[H]
 
     def _gamma_peel(self, f, H):
         """{(y, d): c} with f = sum c m_d g_y over d in grid(H), by
@@ -483,7 +483,7 @@ class ExampleCase:
 
     def identify(self, mu):
         """Match the J-invariant family member at mu with a matrix column."""
-        spec = self.family_spec(self._vector_hint())
+        spec = self.family_spec()
         P = spec.family_member(self.J, mu)
         coeffs = self.expand_in_gamma_basis(P)
         b_idx, lam = self.t_map(mu)
@@ -492,22 +492,13 @@ class ExampleCase:
         for yi, c in enumerate(coeffs):
             target[self.gamma_bottoms[yi]] = target[self.gamma_bottoms[yi]] + c
         # proportionality: target = C_mu * col
-        C = None
-        for t_entry, c_entry in zip(target, col):
-            if not c_entry.is_zero():
-                for e, cc in c_entry.terms.items():
-                    tt = t_entry.terms.get(e)
-                    if tt is None:
-                        return {"status": "fail", "mu": mu,
-                                "detail": "support mismatch"}
-                    C = tt / cc
-                    break
-                break
-        if C is None or C.is_zero():
+        pairs = list(zip(col, target))
+        C = _ratio(pairs)
+        if isinstance(C, int):
+            return {"status": "fail", "mu": mu, "detail": "support mismatch"}
+        if C is None:
             return {"status": "fail", "mu": mu, "detail": "no usable entry"}
-        residual_zero = all(
-            (t_entry - c_entry.scale(C)).is_zero()
-            for t_entry, c_entry in zip(target, col))
+        residual_zero = all((c.scale(C) - t).is_zero() for c, t in pairs)
         return {"status": "pass" if residual_zero else "fail", "mu": mu,
                 "column": (b_idx, lam),
                 "constant": C.render() if hasattr(C, "render") else repr(C)}
@@ -516,7 +507,7 @@ class ExampleCase:
 
     def recurrence_coeffs(self, i, lam):
         """Expansion of P_{pi_i} * Q_lam over the matrix family."""
-        spec = self.family_spec(self._vector_hint())
+        spec = self.family_spec()
         pi = tuple(int(k == i) for k in range(self.rank))
         P = spec.family_member(tuple(range(self.rank)), pi)
         nb = len(self.bottoms)
@@ -527,7 +518,7 @@ class ExampleCase:
         residual_cols = []
         for b in range(nb):
             col = self.vector_member(b, lam)
-            target = _VecPoly([P * s for s in col.slots], self)
+            target = _VecPoly([P * s for s in col.slots])
             ups = sorted(((bp, mu) for mu in grid for bp in range(nb)
                           if self._dominated(bp, mu, b, top)),
                          key=lambda t: self._pair_key(*t))
@@ -562,13 +553,12 @@ class ExampleCase:
         """Ambient weights of the module generated at the i-th generator."""
         from .roots import freudenthal
 
-        key = ("mweights", i)
-        if key not in self._cache:
+        if i not in self._multipliers:
             pi = tuple(int(k == i) for k in range(self.rank))
             hw = self.satake.from_restricted(pi)
             table = freudenthal(self.datum, hw)
-            self._cache[key] = set(table.mult)
-        return self._cache[key]
+            self._multipliers[i] = set(table.mult)
+        return self._multipliers[i]
 
     # -- the rational weight ratio and its defining identity ---------------------
 
@@ -620,29 +610,20 @@ class ExampleCase:
                     acc = acc + term
                 row.append(acc.exact_div(D).scale(count.inv()))
             m_rows.append(row)
+        gb = self.gamma_bottoms
+        columns = [[(m_rows[yi][yj], M[gb[yi], gb[yj]]) for yi in range(nb)]
+                   for yj in range(nb)]
         diag = []
-        for yj in range(nb):
-            d = None
-            for yi in range(nb):
-                lhs = m_rows[yi][yj]
-                target = M[self.gamma_bottoms[yi], self.gamma_bottoms[yj]]
-                if lhs.is_zero():
-                    continue
-                for e, c in lhs.terms.items():
-                    tc = target.terms.get(e)
-                    if tc is None:
-                        return {"status": "fail",
-                                "detail": "support (%d,%d)" % (yi, yj)}
-                    d = tc / c
-                    break
-                break
-            if d is None or d.is_zero():
+        for yj, pairs in enumerate(columns):
+            d = _ratio(pairs)
+            if isinstance(d, int):
+                return {"status": "fail",
+                        "detail": "support (%d,%d)" % (d, yj)}
+            if d is None:
                 return {"status": "fail", "detail": "column %d vanishes" % yj}
             diag.append(d)
-        ok = all(
-            (m_rows[yi][yj].scale(diag[yj]) -
-             M[self.gamma_bottoms[yi], self.gamma_bottoms[yj]]).is_zero()
-            for yi in range(nb) for yj in range(nb))
+        ok = all((m.scale(d) - t).is_zero()
+                 for pairs, d in zip(columns, diag) for m, t in pairs)
         return {"status": "pass" if ok else "fail",
                 "calibrated_diagonal": [d.render() for d in diag],
                 "conjugation": "bar_flip"}
@@ -670,12 +651,11 @@ def kravchuk_data(case):
     """Tridiagonal coefficients and closed-form constants for one case."""
     kind = case.extra["kind"]
     n, s = case.extra["n"], case.extra["s"]
-    c = case.extra["c_param"]
     two = q_number(2, 1)
     dq = Q(1) - Q(-1)  # q - 1/q
     if kind == "BII":
         sign = 1 if n % 2 == 0 else -1
-        disc = two * c * ExactScalar.from_int(sign)  # w^2 = (-1)^n [2]_q c
+        disc = two * ExactScalar.from_int(sign)  # w^2 = (-1)^n [2]_q
         w = QuadExt.root(disc)
         lift = lambda x: QuadExt.of(x, disc)
         a = lift(dq * V(2 * s + 2 * n - 3)) / w
@@ -686,22 +666,22 @@ def kravchuk_data(case):
             return ExactScalar.zero()
 
         def c_r(r):
-            val = (c * ExactScalar.from_int(sign) * Q(3 - 2 * n) * two *
+            val = (ExactScalar.from_int(sign) * Q(3 - 2 * n) * two *
                    (ONE - Q(2 * r)) * (ONE - Q(2 * (r - s - 1))))
             return -(val / (dq * dq))
     else:
         disc = None
         lift = lambda x: x
-        a = -(dq / c) * Q(s + 1)
+        a = -dq * Q(s + 1)
         Cc = -Q(4 - 2 * n)
         bshift = ONE - Q(2 * s + 4 - 2 * n)
 
         def b_r(r):
-            return -(c * (Q(r - 1 - s) * q_number(r, 1) +
-                          Q(r + 3 - 2 * n) * q_number(s - r, 1)))
+            return -(Q(r - 1 - s) * q_number(r, 1) +
+                     Q(r + 3 - 2 * n) * q_number(s - r, 1))
 
         def c_r(r):
-            val = (c * c * Q(2 - 2 * n) *
+            val = (Q(2 - 2 * n) *
                    (ONE - Q(2 * r)) * (ONE - Q(2 * (r - s - 1))))
             return -(val / (dq * dq))
 
@@ -775,22 +755,34 @@ def kravchuk_consistency(case):
     return ok
 
 
+def _ratio(pairs):
+    """The scalar c with target = c * source, read at the first term of the
+    first nonzero source over (source, target) pairs of GAElements.
+
+    Returns the index of that pair instead when its target lacks the term,
+    and None when every source vanishes.  The caller checks the residual.
+    """
+    for k, (source, target) in enumerate(pairs):
+        for e, c in source.terms.items():
+            t = target.terms.get(e)
+            return k if t is None else t / c
+    return None
+
+
 class _VecPoly:
     """Vector of restricted-lattice polynomials with scale/sub support;
     iterates over its slots, so it pairs like a list of them."""
 
-    __slots__ = ("slots", "case")
+    __slots__ = ("slots",)
 
-    def __init__(self, slots, case):
+    def __init__(self, slots):
         self.slots = list(slots)
-        self.case = case
 
     def scale(self, c):
-        return _VecPoly([s.scale(c) for s in self.slots], self.case)
+        return _VecPoly([s.scale(c) for s in self.slots])
 
     def __sub__(self, other):
-        return _VecPoly([a - b for a, b in zip(self.slots, other.slots)],
-                        self.case)
+        return _VecPoly([a - b for a, b in zip(self.slots, other.slots)])
 
     def __iter__(self):
         return iter(self.slots)
@@ -867,7 +859,7 @@ def _bullet_module_weights(datum, subset, hw):
     return out
 
 
-def _build_a2_family(tag):
+def _build_a2_family(tag, plan):
     lat = "2L:" + tag
     restricted = RestrictedSystem(2)
     if tag == "AI2":
@@ -971,11 +963,11 @@ def _build_a2_family(tag):
         qhat_log=qhat_log, t=t, tau_scalar=Q(tlog),
         bottom_weights=bottom_weights, golden_matrix_fn=golden,
         gamma_basis=[e1, es1, es2s1], gamma_bottoms=[2, 1, 0],
-        t_map=t_map, J=(1,))
+        t_map=t_map, J=(1,), **plan)
     return case
 
 
-def _build_dii(n):
+def _build_dii(n, plan):
     if n < 2:
         raise ValueError("the 2-vector one-variable case needs n >= 2")
     tag = "DII:n=%d" % n
@@ -1047,12 +1039,11 @@ def _build_dii(n):
         qhat_log=2, t=Q(2 * (n - 1)), tau_scalar=Q(n - 1),
         bottom_weights=bottom_weights, golden_matrix_fn=golden,
         gamma_basis=gamma, gamma_bottoms=[0, 1],
-        t_map=t_map, J=(),
-        extra={"n": n})
+        t_map=t_map, J=(), **plan)
     return case
 
 
-def _build_small_b(kind, n, s, c_param=None):
+def _build_small_b(kind, n, s, plan):
     if kind == "BII" and n < 2:
         raise ValueError("BII needs n >= 2")
     if kind == "CII" and n <= 2:
@@ -1061,7 +1052,6 @@ def _build_small_b(kind, n, s, c_param=None):
     lat = "2L:" + tag
     xlat = "X:" + tag
     restricted = RestrictedSystem(1)
-    c_param = ONE if c_param is None else c_param
     if kind == "BII":
         datum = build_root_datum("B", n)
         k_idx = 0
@@ -1123,6 +1113,6 @@ def _build_small_b(kind, n, s, c_param=None):
         gamma_basis=[GAElement.one(lat, 1)], gamma_bottoms=[0],
         t_map=t_map, J=(0,),
         aw=aw, aw_zonal=aw_zonal,
-        extra={"n": n, "s": s, "kind": kind, "C": Cc, "c_param": c_param})
+        extra={"n": n, "s": s, "kind": kind}, **plan)
     return case
 

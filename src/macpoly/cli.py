@@ -12,6 +12,7 @@ import contextlib
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import weights as weights_mod
 from .cases import (
@@ -20,6 +21,7 @@ from .cases import (
     kravchuk_eigen,
     kravchuk_orthogonality_denominator,
     list_cases,
+    parse_case_id,
 )
 from .families import (
     eigen_check,
@@ -71,9 +73,9 @@ def _render_ga(f, fmt, symbol="e", wsym="\\varpi"):
     return f.render(symbol)
 
 
-def _build_case(case_id):
+def _build_case(case_id, order=60):
     try:
-        return build_case(case_id)
+        return build_case(case_id, order=order)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -84,11 +86,14 @@ def cmd_cases(args):
     return 0
 
 
+def _planned(case, lam):
+    """`case` re-planned for the members up to the height of `lam`."""
+    R = case.restricted
+    return replace(case, height=R.height2(R.dominant_rep(lam)) + 1)
+
+
 def cmd_compute(args):
-    case = _build_case(args.case)
-    if args.order <= 0:
-        raise ConfigError("--order must be > 0, got %d" % args.order)
-    case.order = args.order
+    case = _build_case(args.case, args.order)
     if args.family == "intermediate":
         J = _parse_coords(args.J, "--J") if args.J else case.J
     else:
@@ -96,6 +101,8 @@ def cmd_compute(args):
     if not all(j in range(case.rank) for j in J):
         raise ConfigError("--J indices must lie in 0..%d, got %s"
                           % (case.rank - 1, list(J)))
+    if len(set(J)) != len(J):
+        raise ConfigError("--J repeats an index: %s" % list(J))
     lam = _parse_label(case, args.lam, J)
     if args.family == "nonsym" and case.rank != 1:
         raise ConfigError("non-symmetric family is rank-1 only")
@@ -103,19 +110,16 @@ def cmd_compute(args):
         raise ConfigError("case %s has only W-invariant families: it pairs "
                           "through the one-variable moment functional"
                           % case.tag)
+    case = _planned(case, lam)
     with _open_output(args.output) as fh:
         if args.family == "matrix":
-            case.set_grid_height(case.restricted.height2(
-                case.restricted.dominant_rep(lam)) + 1)
             Qm = case.matrix_q(lam)
             rows = [[_render_ga(Qm[i, j], args.format) for j in range(Qm.size)]
                     for i in range(Qm.size)]
             print(json.dumps(rows, sort_keys=True) if args.format == "json"
                   else "\n".join(" | ".join(r) for r in rows), file=fh)
             return 0
-        hint = max(args.height, case.restricted.height2(
-            case.restricted.dominant_rep(lam)) + 2)
-        spec = case.family_spec(2 * hint)
+        spec = case.family_spec()
         if args.family == "sym":
             out = sym_macdonald(spec, lam)
         elif args.family == "nonsym":
@@ -145,12 +149,11 @@ def cmd_render(args):
     case = _build_case(args.case)
     if args.what == "Q":
         lam = _parse_label(case, args.lam, range(case.rank))
+        case = _planned(case, lam)
     with _open_output(args.output) as fh:
         if args.what == "M":
             M = case.matrix_weight()
         else:
-            case.set_grid_height(case.restricted.height2(
-                case.restricted.dominant_rep(lam)) + 1)
             M = case.matrix_q(lam)
         wsym = "\\varpi"
         if args.basis == "ambient":
@@ -203,22 +206,17 @@ def _t_inverse(case, b, lam):
 
 
 def run_verify(case_id, height=2, order=60):
-    if height < 0:
-        return ({"error": "lambda height must be >= 0, got %d" % height},
-                CONFIG_ERROR)
-    if order <= 0:
-        return {"error": "order must be > 0, got %d" % order}, CONFIG_ERROR
     try:
-        case = build_case(case_id)
+        # the exact rational reconstruction behind AI2's q -> 1/q check
+        # needs a comfortable working order
+        raised = 0 < order < 100 and parse_case_id(case_id)[0] == "AI2"
+        case = build_case(case_id, order=100 if raised else order,
+                          height=height)
     except ValueError as exc:
         return {"error": str(exc)}, CONFIG_ERROR
-    if case.tag == "AI2" and order < 100:
-        # the exact rational reconstruction behind the q -> 1/q check needs
-        # a comfortable working order
+    if raised:
         print("note: AI2 runs at order 100, not %d, for the q -> 1/q check"
               % order, file=sys.stderr)
-        order = 100
-    case.order = order
     checks = []
 
     def error(exc):
@@ -246,7 +244,7 @@ def run_verify(case_id, height=2, order=60):
         record("ratio_identity", case.delta0_identity_check)
 
     try:
-        case.set_grid_height(height)
+        case.pair_hint  # plans the pairings from the matrix weight
         grid = case.restricted.grid(height)
     except Exception as exc:
         # the checks over the label grid need the pairing plan: record why
@@ -373,8 +371,8 @@ def run_verify(case_id, height=2, order=60):
         record("central_spectrum", central_spectrum)
 
     status = 0 if all(c["status"] == "pass" for c in checks) else CHECK_FAILED
-    report = {"case": case.tag, "preset": "flip", "order": order,
-              "height": height, "checks": checks}
+    report = {"case": case.tag, "preset": "flip", "order": case.order,
+              "height": case.height, "checks": checks}
     return report, status
 
 
@@ -412,7 +410,6 @@ def main(argv=None):
     p.add_argument("--J", default=None, help="comma separated parabolic indices")
     p.add_argument("--lam", "--lambda", dest="lam", required=True)
     p.add_argument("--order", type=int, default=60)
-    p.add_argument("--height", type=int, default=4)
     p.add_argument("--format", default="text", choices=["text", "json", "latex"])
     p.add_argument("--output", default=None)
     p.set_defaults(fn=cmd_compute)

@@ -52,9 +52,7 @@ def grid_cases():
     out = {}
     for cid, order in [("DII:n=2", 60), ("A2G", 60), ("AII5", 60),
                        ("AI2", 72), ("BII:n=2,s=1", 60), ("CII:n=3,s=1", 60)]:
-        case = build_case(cid)
-        case.order = order
-        case.set_grid_height(3)
+        case = build_case(cid, order=order, height=3)
         for lam in case.restricted.grid(3):
             for b in range(len(case.bottoms)):
                 case.vector_member(b, lam)
@@ -133,8 +131,7 @@ class TestCriterion3:
             count += 1
         # small-B quotients against the recurrence oracle
         for cid in SMALL_B_RANGE:
-            case = build_case(cid)
-            case.set_grid_height(3)
+            case = build_case(cid, height=3)
             for m in range(4):
                 Qm = case.matrix_q((m,))
                 diff = Qm[0, 0] - aw_oracle(case.aw, m, case.lattice)
@@ -154,9 +151,7 @@ class TestCriterion4:
                 res = case.qinv_check(lam)
                 ok = ok and res["status"] == "pass"
             details.append(cid)
-        big = build_case("AI2")
-        big.order = 150
-        big.set_grid_height(3)
+        big = build_case("AI2", order=150, height=3)
         for lam in big.restricted.grid(3):
             res = big.qinv_check(lam)
             ok = ok and res["status"] == "pass"
@@ -260,7 +255,7 @@ class TestCriterion8:
         count = 0
         specs = []
         for cid in ("A2G", "DII:n=2"):
-            specs.append(grid_cases[cid].family_spec(8))
+            specs.append(grid_cases[cid].family_spec())
         targets = {
             0: [((0, 1), (1, 1)), ((0, 1), (2, 0)), ((1,), (0, 1)),
                 ((1,), (-1, 1)), ((1,), (1, 1))],

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -150,8 +151,7 @@ class TestRatioIdentity:
 class TestMatrixFamily:
     def test_q0_identity(self):
         for cid in ["DII:n=2", "A2G"]:
-            case = build_case(cid)
-            case.set_grid_height(1)
+            case = build_case(cid, height=1)
             Q0 = case.matrix_q(case.restricted.zero)
             nb = len(case.bottoms)
             from macpoly.galg import MatGAElement
@@ -160,7 +160,6 @@ class TestMatrixFamily:
 
     def test_dii_first_column(self):
         case = build_case("DII:n=2")
-        case.set_grid_height(2)
         col = case.vector_member(1, (1,)).slots
         expected0 = GAElement.monomial((0,), case.lattice,
                                        -(ExactScalar.one() / (Q(1) + Q(-1))))
@@ -169,7 +168,6 @@ class TestMatrixFamily:
 
     def test_diagonal_leading_terms(self):
         case = build_case("A2G")
-        case.set_grid_height(2)
         lam = (1, 1)
         Qm = case.matrix_q(lam)
         for b in range(3):
@@ -178,7 +176,6 @@ class TestMatrixFamily:
 
     def test_diagonal_entries_invariant(self):
         case = build_case("AII5")
-        case.set_grid_height(2)
         Qm = case.matrix_q((1, 0))
         for b in range(3):
             f = Qm[b, b]
@@ -191,7 +188,6 @@ class TestMatrixFamily:
         import random
 
         case = build_case("A2G")
-        case.set_grid_height(2)
         rng = random.Random(5)
         for _ in range(6):
             u = [GAElement.monomial((rng.randint(-2, 2), rng.randint(-2, 2)),
@@ -223,8 +219,7 @@ class TestMatrixFamily:
 
 class TestIdentification:
     def test_dii_grid(self):
-        case = build_case("DII:n=2")
-        case.set_grid_height(3)
+        case = build_case("DII:n=2", height=3)
         for m in (0, 1, -1, 2):
             res = case.identify((m,))
             assert res["status"] == "pass", res
@@ -248,8 +243,7 @@ class TestIdentification:
 
     def test_bii_quotients_are_oracle(self):
         for s in (0, 1, 2):
-            case = build_case("BII:n=3,s=%d" % s)
-            case.set_grid_height(3)
+            case = build_case("BII:n=3,s=%d" % s, height=3)
             for m in range(4):
                 Qm = case.matrix_q((m,))
                 assert (Qm[0, 0] - aw_oracle(case.aw, m, case.lattice)).is_zero()
@@ -294,10 +288,8 @@ class TestGammaPeel:
     @pytest.mark.parametrize("cid,H,order", [("A2G", 3, 60), ("AII5", 3, 60),
                                              ("AI2", 1, 72), ("DII:n=2", 3, 60)])
     def test_matches_dense_solve(self, cid, H, order):
-        case = build_case(cid)
-        case.order = order
-        case.set_grid_height(H)
-        spec = case.family_spec(case._vector_hint())
+        case = build_case(cid, order=order, height=H)
+        spec = case.family_spec()
         for mu in _j_labels(case, H):
             P = spec.family_member(case.J, mu)
             peeled = case.expand_in_gamma_basis(P)
@@ -365,7 +357,8 @@ class TestGammaPeel:
 
     def test_lead_clash_raises(self):
         case = build_case("DII:n=2")
-        case.gamma_basis = case.gamma_basis + case.gamma_basis[:1]
+        case = dataclasses.replace(
+            case, gamma_basis=case.gamma_basis + case.gamma_basis[:1])
         with pytest.raises(ArithmeticError, match=re.escape(
                 "columns (0, (0,)) and (2, (0,)) share the lead")):
             case.expand_in_gamma_basis(case.one())
@@ -442,32 +435,54 @@ class TestRecurrence:
     @pytest.mark.parametrize("cid,lam", [("DII:n=2", (1,)), ("DII:n=3", (0,)),
                                          ("A2G", (0, 0))])
     def test_expansion(self, cid, lam):
-        case = build_case(cid)
-        case.set_grid_height(sum(abs(x) for x in lam) + 2)
+        case = build_case(cid, height=sum(abs(x) for x in lam) + 2)
         rep = case.recurrence_coeffs(0, lam)
         assert rep["residual_zero"]
         assert rep["steps_in_weights"]
         assert rep["top_nonzero"]
 
 
-class TestCaches:
-    def test_engines_follow_order(self):
-        # engines, family specs and vector members are cached per order, so
-        # changing the order never returns an object built at the old one
-        case = build_case("AI2")
-        case.order = 20
-        nabla, delta = case.nabla_engine(4), case.delta_engine(4)
-        spec = case.family_spec(4)
-        case.order = 30
-        assert case.nabla_engine(4) is not nabla
-        assert case.nabla_engine(4).order == 30
-        assert case.delta_engine(4) is not delta
-        assert case.delta_engine(4).order == 30
-        assert case.family_spec(4) is not spec
-        assert case.family_spec(4).engine_sym.order == 30
-        case.order = 20
-        assert case.nabla_engine(4) is nabla
+class TestPlan:
+    """A case is built for one order and one height, and keeps them."""
 
+    @pytest.mark.parametrize("name", ["order", "height"])
+    def test_plan_is_fixed(self, name):
+        case = build_case("DII:n=2")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(case, name, 3)
+
+    def test_two_orders_share_nothing(self):
+        # a second plan is a second case: no engine, spec or member of one
+        # is returned by the other
+        low = build_case("AI2", order=20, height=0)
+        high = build_case("AI2", order=30, height=0)
+        assert low.nabla_engine().order == low.delta_engine().order == 20
+        assert high.nabla_engine().order == high.delta_engine().order == 30
+        assert high.family_spec().engine_sym is high.nabla_engine()
+        for name in ("nabla_engine", "delta_engine", "family_spec"):
+            assert getattr(low, name)() is getattr(low, name)()
+            assert getattr(low, name)() is not getattr(high, name)()
+        assert (low.vector_member(0, (0, 0))
+                is not high.vector_member(0, (0, 0)))
+
+    def test_replace_shares_no_memo(self):
+        case = build_case("DII:n=2", height=1)
+        member = case.vector_member(0, (1,))
+        other = dataclasses.replace(case, order=40)
+        assert other.order == 40 and other.height == 1
+        assert other.vector_member(0, (1,)) is not member
+        assert case.vector_member(0, (1,)) is member
+
+    @pytest.mark.parametrize("plan, message", [
+        ({"order": 0}, "order must be > 0, got 0"),
+        ({"order": -3}, "order must be > 0, got -3"),
+        ({"height": -1}, "height must be >= 0, got -1")])
+    def test_bad_plan(self, plan, message):
+        with pytest.raises(ValueError, match=message):
+            build_case("DII:n=2", **plan)
+
+
+class TestCaches:
     def test_each_gram_entry_paired_once(self, monkeypatch):
         # members are cached per label, so a pair of member objects stands
         # for a pair of labels: over one verify no engine pairs the same two
@@ -491,13 +506,6 @@ class TestCaches:
         assert status == 0
         assert held and not repeated
 
-    def test_vector_members_follow_order(self):
-        case = build_case("DII:n=2")
-        case.set_grid_height(1)
-        member = case.vector_member(0, (1,))
-        case.order = 40
-        assert case.vector_member(0, (1,)) is not member
-
 
 class TestAWMomentPairing:
     """The one-variable moment table against term-by-term reduction."""
@@ -509,7 +517,6 @@ class TestAWMomentPairing:
         import random
 
         case = build_case(cid)
-        case.set_grid_height(2)
         M = case.matrix_weight()
         L = AWFunctional(case.aw_zonal, case.lattice)
         members = [case.vector_member(b, (m,)).slots
@@ -535,8 +542,8 @@ class TestAWMomentPairing:
 
     @pytest.mark.parametrize("cid", ["BII:n=2,s=1", "CII:n=3,s=2"])
     def test_one_functional_per_parameter_set(self, cid, monkeypatch):
-        # family_spec at every hint, the nabla engine and the
-        # difference_operator check share one functional per parameter set
+        # the family spec, the nabla engine and the difference_operator
+        # check share one functional per parameter set
         import macpoly.cases as cases_mod
         from macpoly.cli import run_verify
 
@@ -550,8 +557,7 @@ class TestAWMomentPairing:
         monkeypatch.setattr(cases_mod, "AWFunctional", Counted)
         case = build_case(cid)
         # the family engines read the one functional's weight
-        assert (case.family_spec(4).engine_sym._exact_weight.__self__
-                is case.family_spec(8).engine_sym._exact_weight.__self__
+        assert (case.family_spec().engine_sym._exact_weight.__self__
                 is case.aw_functional(case.aw))
         built.clear()
         report, _ = run_verify(cid, height=1)
@@ -563,7 +569,7 @@ class TestAWMomentPairing:
         # the invariant family pairs through the moments of the exact
         # functional, an engine with no spec and nothing to expand
         case = build_case("BII:n=2,s=1")
-        engine = case.family_spec(case._vector_hint()).engine_sym
+        engine = case.family_spec().engine_sym
         assert engine.spec is None
         assert engine._exact_weight.__self__ is case.aw_functional(case.aw)
 
@@ -608,8 +614,7 @@ class TestMomentPairing:
         import random
 
         case = build_case(cid)
-        case.set_grid_height(2)
-        eng = case.nabla_engine(case._vector_hint())
+        eng = case.nabla_engine()
         assert eng._exact_weight is not None
         M = case.matrix_weight()
         if case.rank == 1:
@@ -630,9 +635,8 @@ class TestMomentPairing:
                         vector_pair_products(eng, u, M, w))
 
     def test_exact_engine_takes_moment_route(self):
-        case = build_case("A2G")
-        case.set_grid_height(1)
-        eng = case.nabla_engine(case._vector_hint())
+        case = build_case("A2G", height=1)
+        eng = case.nabla_engine()
         u = [case.m_of((1, 0)), case.one(), GAElement.zero(case.lattice)]
         assert not eng._moments
         case._vector_pair(u, u)
@@ -656,10 +660,8 @@ def _perturb_tail(f, rng, extra=40):
 def ai2_pairings():
     """AI2 at order 100, height 2: every unordered pair of vector members,
     paired from moment tables and through materialised products."""
-    case = build_case("AI2")
-    case.order = 100
-    case.set_grid_height(2)
-    eng = case.nabla_engine(case._vector_hint())
+    case = build_case("AI2", order=100, height=2)
+    eng = case.nabla_engine()
     M = case.matrix_weight()
     members = [case.vector_member(b, lam).slots
                for lam in case.restricted.grid(2)
@@ -724,11 +726,8 @@ class TestSeriesMomentPairing:
         case, eng, M, _, pairs = ai2_pairings
         higher = [(u, w, m) for u, w, m, p in pairs if m.prec > p.prec]
         assert higher
-        case.order = 140
-        try:
-            big = case.nabla_engine(eng.height_hint)
-        finally:
-            case.order = 100
+        big = build_case("AI2", order=140, height=2).nabla_engine()
+        assert big.height_hint == eng.height_hint
         rng = random.Random(3)
         for u, w, moment in higher:
             for _ in range(2):
@@ -816,12 +815,12 @@ class TestOrbitPairing:
 class TestSeriesWeightRequired:
     @pytest.mark.parametrize("cid", ["BII:n=2,s=1", "CII:n=3,s=2"])
     def test_one_variable_cases_have_no_series_weight(self, cid):
-        # the zonal engine is the exact one-variable moment functional, the
-        # same at every hint; there is no non-symmetric weight
+        # the zonal engine is the exact one-variable moment functional;
+        # there is no non-symmetric weight
         case = build_case(cid)
         eng = case.nabla_engine()
         assert eng.spec is None and eng._exact_weight is not None
-        assert case.nabla_engine(4) is eng
+        assert case.nabla_engine() is eng
         with pytest.raises(ValueError, match="no series weight"):
             case.delta_engine()
 

@@ -258,7 +258,7 @@ class TestPairingRoute:
         """Every pair of members of the case's J-family and of its
         W-invariant family whose labels lie in orbits of height <= H."""
         R = case.restricted
-        spec = case.family_spec(case._vector_hint())
+        spec = case.family_spec()
         for J in sorted({tuple(case.J), tuple(range(case.rank))}):
             symmetric = J == tuple(range(case.rank))
             engine = spec.engine_sym if symmetric else spec.engine_nonsym
@@ -271,8 +271,7 @@ class TestPairingRoute:
 
     @pytest.mark.parametrize("cid", ["A2G", "AII5", "DII:n=2"])
     def test_exact_weights(self, cid):
-        case = build_case(cid)
-        case.set_grid_height(3)
+        case = build_case(cid, height=3)
         count = 0
         for got, want in self._pairs(case):
             assert isinstance(got, ExactScalar) and got == want
@@ -284,9 +283,7 @@ class TestPairingRoute:
         # vector_pair guards the block orders plus the table order, ct_pair
         # the orders of the product's terms: neither refuses a pair here,
         # and the moment route certifies at least the product's order
-        case = build_case("AI2")
-        case.order = order
-        case.set_grid_height(3)
+        case = build_case("AI2", order=order, height=3)
         count = 0
         for got, want in self._pairs(case):
             assert got.prec >= want.prec

@@ -282,8 +282,7 @@ class TestPackedWeightCoefficient:
     def test_ai2_matches_series_sums(self):
         from macpoly.cases import build_case
 
-        case = build_case("AI2")
-        case.order = 100
+        case = build_case("AI2", order=100)
         for eng in (case.nabla_engine(), case.delta_engine()):
             assert eng._stride == 4
             for a in range(-4, 5):
@@ -551,8 +550,7 @@ class TestSharedParts:
 
         # every flat table an AI2 engine builds, and the barred and
         # negative-order parts above
-        case = build_case("AI2")
-        case.order = 100
+        case = build_case("AI2", order=100)
         engines = (case.nabla_engine(), case.delta_engine())
         parts = {id(p): p for eng in engines for p in eng._parts}
         seen = 0
