@@ -377,11 +377,10 @@ def run_verify(case_id, height=2, order=60):
 
 
 def cmd_verify(args):
-    if args.cache_dir:
-        try:
-            weights_mod.set_cache_dir(args.cache_dir)
-        except OSError as exc:
-            raise _path_error(exc) from None
+    try:
+        weights_mod.set_cache_dir(args.cache_dir)
+    except OSError as exc:
+        raise _path_error(exc) from None
     with _open_output(args.report) as fh:
         report, status = run_verify(args.case, height=args.lambda_height,
                                     order=args.order)

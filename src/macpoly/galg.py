@@ -153,17 +153,6 @@ class GAElement:
         """q -> 1/q together with e^mu -> e^{-mu}."""
         return self.invol_inv().map_coeffs(lambda c: c.bar())
 
-    def conjugate(self, preset):
-        if preset == "flip":
-            return self.invol_inv()
-        if preset == "bar_flip":
-            return self.bar_full()
-        if preset == "zero":
-            return self.invol_zero()
-        if preset == "none":
-            return self
-        raise ValueError("unknown conjugation preset %r" % (preset,))
-
     def weyl_act(self, reflect_word):
         """Apply a lattice map given as a callable on exponent tuples."""
         return self.map_exponents(reflect_word)

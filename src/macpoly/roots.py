@@ -538,20 +538,20 @@ class AffineExponent:
         return "%s = %s" % (" + ".join(terms) if terms else "0", -self.const)
 
 
-def regularity_scalar(satake, J, K, h=None, params=None):
+def regularity_scalar(satake, J, K, h=None):
     """Certificate scalars (C, R) for a regular pair, plus a regularity flag.
 
     K is a sequence of I_circ indices, J a matching sequence of I_bullet
-    index sequences.  With h=None the q-exponent is returned symbolically
-    as an AffineExponent in the h-coordinates; otherwise h is an integer
-    h-coordinate vector and exact scalars are returned.
+    index sequences.  C and R are q powers with prefactor 1.  With h=None
+    each is returned symbolically as (prefactor, AffineExponent) in the
+    h-coordinates; otherwise h is an integer h-coordinate vector and exact
+    scalars are returned.
     """
     datum = satake.datum
     n = len(K)
     if len(J) != n:
         raise ValueError("J and K must have equal length")
-    if params is None:
-        params = {}
+    one = ExactScalar.one()
 
     def C_exp(Kseq, Jseq):
         i1 = Kseq[0]
@@ -570,70 +570,40 @@ def regularity_scalar(satake, J, K, h=None, params=None):
         lin = tuple(-(a1[t] - th_a1[t]) for t in range(datum.rank))
         coeffs = tuple(Fraction(datum.pair_simple(i, lin))
                        for i in range(datum.rank))
-        pref = _param_ratio(satake, i1, params)
-        return pref, AffineExponent(total, coeffs)
+        return AffineExponent(total, coeffs)
 
-    def _eval(pref, aff):
-        if h is None:
-            return pref, aff
+    def _eval(aff):
         gexp = aff.const + sum(aff.coeffs[i] * h[i] for i in range(datum.rank))
-        return pref * ExactScalar.q_power(gexp), None
+        return ExactScalar.q_power(gexp)
 
     if n == 0:
         # the empty pair imposes no condition: every h is regular
-        one = ExactScalar.one()
         return {"C": one, "R": one, "r_nonzero": True, "r_not_one": False,
                 "regular": True, "exponent": None}
 
-    prefs = []
     affs = []
     Kc, Jc = list(K), list(J)
     for _ in range(n):
-        p, a = C_exp(Kc, Jc)
-        prefs.append(p)
-        affs.append(a)
+        affs.append(C_exp(Kc, Jc))
         Kc = Kc[1:] + Kc[:1]
         Jc = Jc[1:] + Jc[:1]
 
     if h is None:
-        C_val = (prefs[0], affs[0])
         R_aff = affs[0]
-        R_pref = prefs[0]
-        for p, a in zip(prefs[1:], affs[1:]):
+        for a in affs[1:]:
             R_aff = R_aff + a
-            R_pref = R_pref * p
-        r_nonzero = not R_pref.is_zero()
-        # R = 1 on the hyperplane where the exponent cancels the prefactor
-        if R_pref.is_one():
-            r_not_one = not R_aff.is_constant() or R_aff.const != 0
-            locus = R_aff.hyperplane()
-        else:
-            r_not_one = True
-            locus = None if R_aff.is_constant() else R_aff.hyperplane()
-        return {"C": C_val, "R": (R_pref, R_aff), "r_nonzero": r_nonzero,
-                "r_not_one": r_not_one, "regular": r_nonzero and r_not_one,
-                "exceptional": locus, "exponent": R_aff}
+        # R = 1 exactly on the hyperplane where its exponent vanishes
+        r_not_one = not R_aff.is_constant() or R_aff.const != 0
+        return {"C": (one, affs[0]), "R": (one, R_aff), "r_nonzero": True,
+                "r_not_one": r_not_one, "regular": r_not_one,
+                "exceptional": R_aff.hyperplane(), "exponent": R_aff}
 
-    C0, _ = _eval(prefs[0], affs[0])
-    R = ExactScalar.one()
-    for p, a in zip(prefs, affs):
-        val, _ = _eval(p, a)
-        R = R * val
-    r_nonzero = not R.is_zero()
+    R = one
+    for a in affs:
+        R = R * _eval(a)
     r_not_one = not R.is_one()
-    return {"C": C0, "R": R, "r_nonzero": r_nonzero, "r_not_one": r_not_one,
-            "regular": r_nonzero and r_not_one, "exponent": None}
-
-
-def _param_ratio(satake, i1, params):
-    d = params.get("d", {}).get(satake.tau[i1])
-    c = params.get("c", {}).get(satake.tau[i1])
-    out = ExactScalar.one()
-    if d is not None:
-        out = out * d
-    if c is not None:
-        out = out / c
-    return out
+    return {"C": _eval(affs[0]), "R": R, "r_nonzero": True,
+            "r_not_one": r_not_one, "regular": r_not_one, "exponent": None}
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Weight distributions built from q-Pochhammer factors.
 
-A weight is a product P * conj(P') of two positive-cone parts; the second
-part is reflected into the negative cone (exponent flip), optionally with
-q -> 1/q on its coefficients.  Finite specs expand to exact Laurent
-polynomials; infinite specs are paired in the truncated-series backend
-with explicit accounting of the v-order lost to truncation.
+A weight is a product P * flip(P') of two positive-cone parts; the second
+part is reflected into the negative cone (e^mu -> e^-mu).  Each part is a
+product of numerator factors of any length over infinite denominator
+factors.  Finite specs expand to exact Laurent polynomials; infinite specs
+are paired in the truncated-series backend with explicit accounting of the
+v-order lost to truncation.
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ class PochFactor:
             raise ValueError("Pochhammer base exponent must be nonzero")
         if self.length is INF and self.base_log < 0:
             raise ValueError("infinite factors need a positive base")
-
-    def key(self):
-        return (self.coeff, self.exponent, self.base_log, self.length)
+        if self.length is not INF and self.side == -1:
+            raise ValueError("finite factors must be numerator factors")
 
     def to_json(self):
         return {"coeff": self.coeff.render(), "exponent": list(self.exponent),
@@ -54,23 +54,17 @@ def _qpow(k):
 
 
 class WeightSpec:
-    """plus-part factors and a reflected second part, with a global scalar.
+    """plus-part factors and a reflected second part.
 
     `minus` lists factors in positive-cone form; the weight contains their
-    image under e^mu -> e^-mu, with coefficients additionally sent through
-    q -> 1/q when minus_conj == "bar_flip".
+    image under e^mu -> e^-mu.
     """
 
-    def __init__(self, plus, minus, lattice, heightfn, prefactor=None,
-                 minus_conj="flip", tag="", rank=None):
+    def __init__(self, plus, minus, lattice, heightfn, tag="", rank=None):
         self.plus = list(plus)
         self.minus = list(minus)
         self.lattice = lattice
         self.heightfn = heightfn
-        self.prefactor = ExactScalar.one() if prefactor is None else prefactor
-        if minus_conj not in ("flip", "bar_flip"):
-            raise ValueError("minus_conj must be 'flip' or 'bar_flip'")
-        self.minus_conj = minus_conj
         self.tag = tag
         if rank is None:
             allf = self.plus + self.minus
@@ -78,17 +72,14 @@ class WeightSpec:
         self.rank = rank
 
     def is_finite(self):
-        return all(f.length is not INF and f.side == 1
-                   for f in self.plus + self.minus)
+        return all(f.length is not INF for f in self.plus + self.minus)
 
     def simplified(self):
         return WeightSpec(simplify_factors(self.plus), simplify_factors(self.minus),
-                          self.lattice, self.heightfn, self.prefactor,
-                          self.minus_conj, self.tag, self.rank)
+                          self.lattice, self.heightfn, self.tag, self.rank)
 
     def to_json(self):
-        return {"tag": self.tag, "prefactor": self.prefactor.render(),
-                "minus_conj": self.minus_conj,
+        return {"tag": self.tag,
                 "plus": [f.to_json() for f in self.plus],
                 "minus": [f.to_json() for f in self.minus]}
 
@@ -103,22 +94,11 @@ class WeightSpec:
 
 
 def simplify_factors(factors):
-    """Apply cancellation and merge rules until nothing changes."""
+    """Apply the infinite-ratio and sign-merge rules until nothing changes."""
     fs = list(factors)
     changed = True
     while changed:
         changed = False
-        # exact numerator/denominator cancellation
-        for i, f in enumerate(fs):
-            for j, g in enumerate(fs):
-                if i != j and f.side == -g.side and f.key() == g.key():
-                    fs = [x for k, x in enumerate(fs) if k not in (i, j)]
-                    changed = True
-                    break
-            if changed:
-                break
-        if changed:
-            continue
         # infinite ratio (x;p)_inf / (x p^k; p)_inf -> (x;p)_k
         for i, f in enumerate(fs):
             if f.side != 1 or f.length is not INF:
@@ -152,23 +132,6 @@ def simplify_factors(factors):
                     break
             if changed:
                 break
-        if changed:
-            continue
-        # base halving (x;p^2)_inf (xp;p^2)_inf -> (x;p)_inf, same side
-        for i, f in enumerate(fs):
-            if f.length is not INF or f.base_log % 2:
-                continue
-            half = f.base_log // 2
-            for j, g in enumerate(fs):
-                if (i != j and g.side == f.side and g.length is INF and
-                        g.exponent == f.exponent and g.base_log == f.base_log and
-                        g.coeff == f.coeff * _qpow(half)):
-                    fs = [x for t, x in enumerate(fs) if t not in (i, j)]
-                    fs.append(replace(f, base_log=half))
-                    changed = True
-                    break
-            if changed:
-                break
     return fs
 
 
@@ -196,41 +159,21 @@ def _factor_terms(f, kmax):
     p = 2 * f.base_log  # v-exponent of the base
     out = []
     if f.length is not INF:
-        if f.side == 1:
-            # expand the finite product directly
-            poly = {0: ExactScalar.one()}
-            for j in range(f.length):
-                fac = f.coeff * ExactScalar.v_power(p * j)
-                nxt = dict(poly)
-                for k, c in poly.items():
-                    add = -(c * fac)
-                    s = nxt.get(k + 1)
-                    s = add if s is None else s + add
-                    if s.is_zero():
-                        nxt.pop(k + 1, None)
-                    else:
-                        nxt[k + 1] = s
-                poly = nxt
-            return [(k, c) for k, c in sorted(poly.items()) if k <= kmax]
-        # finite denominator: product of geometric series, term-bounded
-        polys = []
+        # expand the finite (numerator) product directly
+        poly = {0: ExactScalar.one()}
         for j in range(f.length):
             fac = f.coeff * ExactScalar.v_power(p * j)
-            polys.append([fac ** k for k in range(kmax + 1)])
-        acc = {0: ExactScalar.one()}
-        for geo in polys:
-            nxt = {}
-            for k, c in acc.items():
-                for k2 in range(kmax + 1 - k):
-                    s = nxt.get(k + k2)
-                    term = c * geo[k2]
-                    s = term if s is None else s + term
-                    if s.is_zero():
-                        nxt.pop(k + k2, None)
-                    else:
-                        nxt[k + k2] = s
-            acc = nxt
-        return sorted(acc.items())
+            nxt = dict(poly)
+            for k, c in poly.items():
+                add = -(c * fac)
+                s = nxt.get(k + 1)
+                s = add if s is None else s + add
+                if s.is_zero():
+                    nxt.pop(k + 1, None)
+                else:
+                    nxt[k + 1] = s
+            poly = nxt
+        return [(k, c) for k, c in sorted(poly.items()) if k <= kmax]
     # infinite factors, Euler expansions
     pfac = ExactScalar.one()
     ppow = ExactScalar.one()
@@ -250,21 +193,18 @@ def _factor_terms(f, kmax):
     return out
 
 
-def _euler_shifts(f, kmax, bar):
+def _euler_shifts(f, kmax):
     """The v-shifts of an infinite factor's term recurrence (k <= kmax):
     term_k = term_{k-1} * sign * c * v^shift(k) / (1 - v^{pk}), with p the
-    base's v-exponent and q -> 1/q applied if `bar` (the Euler expansions;
-    under q -> 1/q, (q^-b; q^-b)_k = (-1)^k v^{pk(k+1)/2} (q^b; q^b)_k)."""
+    base's v-exponent (the Euler expansions)."""
     p = 2 * f.base_log
-    if bar:
-        return [p * k if f.side == -1 else p for k in range(kmax + 1)]
     return [0 if f.side == -1 else p * (k - 1) for k in range(kmax + 1)]
 
 
-def _flat_factor_terms(f, kmax, bar):
-    """(low, series) for the factor's terms k <= kmax, q -> 1/q applied if
-    `bar`: `low` <= 0 bounds their v-orders from below, and series(prec)
-    lists them as (k, SeriesScalar) exact below prec.
+def _flat_factor_terms(f, kmax):
+    """(low, series) for the factor's terms k <= kmax: `low` <= 0 bounds
+    their v-orders from below, and series(prec) lists them as
+    (k, SeriesScalar) exact below prec.
 
     Finite factors go through their exact terms.  An infinite factor's terms
     follow the recurrence of `_euler_shifts`, so they are computed in the
@@ -273,21 +213,16 @@ def _flat_factor_terms(f, kmax, bar):
     """
     if f.length is not INF:
         terms = _factor_terms(f, kmax)
-        if bar:
-            terms = [(k, c.bar()) for k, c in terms]
         low = min(0, min(c.v_order() for _, c in terms))
         return low, lambda prec: [(k, c.to_series(prec)) for k, c in terms]
     p = 2 * f.base_log
-    c = f.coeff.bar() if bar else f.coeff
-    sign = f.side if bar else -f.side
-    shifts = _euler_shifts(f, kmax, bar)
-    low = min(_factor_env(f, kmax, bar))
+    shifts = _euler_shifts(f, kmax)
+    low = min(_factor_env(f, kmax))
 
     def series(prec):
         # a coefficient of negative order costs that much precision per step
-        oc = c.v_order()
-        work = prec + kmax * max(0, -oc)
-        step = c.to_series(work) * sign
+        work = prec + kmax * max(0, -f.coeff.v_order())
+        step = f.coeff.to_series(work) * -f.side
         term = SeriesScalar.one(work)
         out = [(0, term)]
         for k in range(1, kmax + 1):
@@ -341,21 +276,15 @@ def _unpack(total, low, g, B, limit):
     return out
 
 
-def _factor_env(f, kmax, bar=False):
+def _factor_env(f, kmax):
     """Lower bounds on the v-orders of the factor's terms k <= kmax (fewer
-    if the factor has fewer terms), q -> 1/q applied if `bar`."""
-    oc = (f.coeff.bar() if bar else f.coeff).v_order()
+    if the factor has fewer terms)."""
+    oc = f.coeff.v_order()
     if f.length is not INF:
-        # q -> 1/q turns each q^{bj} into q^{-bj}
-        steps = [(-2 if bar else 2) * f.base_log * j for j in range(f.length)]
-        if f.side == 1:
-            lowest = sorted(steps)
-            return [k * oc + sum(lowest[:k])
-                    for k in range(min(kmax, f.length) + 1)]
-        # geometric terms repeat factors: k copies of the cheapest one
-        cheapest = oc + min(0, min(steps, default=0))
-        return [k * cheapest for k in range(kmax + 1)]
-    shifts = _euler_shifts(f, kmax, bar)
+        lowest = sorted(2 * f.base_log * j for j in range(f.length))
+        return [k * oc + sum(lowest[:k])
+                for k in range(min(kmax, f.length) + 1)]
+    shifts = _euler_shifts(f, kmax)
     out = [0]
     for k in range(1, kmax + 1):
         out.append(out[-1] + oc + shifts[k])
@@ -383,30 +312,27 @@ class ConePart:
         self._envelopes = {}
         self._expansions = {}
 
-    def expand(self, H, prec=None, bar=False):
+    def expand(self, H, prec=None):
         """All terms of height <= H; exact, or series coefficients if prec.
 
         With `prec` every coefficient is exact below the v-order `prec`
         and carries `prec` as its order (a flat cut); terms that vanish
-        below it are left out.  `bar` sends q -> 1/q through each factor
-        coefficient first.  Computed once per (H, prec, bar); the result
+        below it are left out.  Computed once per (H, prec); the result
         is shared, so holders must not change it.
         """
-        key = (H, prec, bar)
+        key = (H, prec)
         got = self._expansions.get(key)
         if got is None:
-            got = self._expansions[key] = self._expand(H, prec, bar)
+            got = self._expansions[key] = self._expand(H, prec)
         return got
 
-    def _expand(self, H, prec, bar):
+    def _expand(self, H, prec):
         rows, widest = self._shapes(H)
         if prec is not None:
-            return GAElement(self._flat_table(H, prec, bar, rows, widest),
+            return GAElement(self._flat_table(H, prec, rows, widest),
                              self.lattice)
-        terms = {}
-        for shape, (f, kmax) in widest.items():
-            got = _factor_terms(f, kmax)
-            terms[shape] = [(k, c.bar()) for k, c in got] if bar else got
+        terms = {shape: _factor_terms(f, kmax)
+                 for shape, (f, kmax) in widest.items()}
         rank = len(self.factors[0].exponent) if self.factors else 1
         acc = {(0,) * rank: ExactScalar.one()}
         for f, hf, shape in rows:
@@ -441,7 +367,7 @@ class ConePart:
             rows.append((f, hf, shape))
         return rows, widest
 
-    def _flat_table(self, H, cut, bar, rows, widest):
+    def _flat_table(self, H, cut, rows, widest):
         """The expansion as exponent -> SeriesScalar, exact below `cut`.
 
         The product is accumulated as exponent -> {v-power: int} over one
@@ -460,7 +386,7 @@ class ConePart:
         """
         lows, series = {}, {}
         for shape, (f, kmax) in widest.items():
-            lows[shape], series[shape] = _flat_factor_terms(f, kmax, bar)
+            lows[shape], series[shape] = _flat_factor_terms(f, kmax)
         rest = total = sum(lows[shape] for _, _, shape in rows)
         tables, g = {}, 0
         for shape, low in lows.items():
@@ -515,17 +441,17 @@ class ConePart:
                     acc[ee] = poly
         return {e: SeriesScalar(poly, cut, _den=den) for e, poly in acc.items()}
 
-    def order_envelope(self, H, bar=False):
-        """env[h]: lower bound for the v-order of any term at height h,
-        q -> 1/q applied if `bar`; computed once per (H, bar)."""
-        got = self._envelopes.get((H, bar))
+    def order_envelope(self, H):
+        """env[h]: lower bound for the v-order of any term at height h;
+        computed once per H."""
+        got = self._envelopes.get(H)
         if got is not None:
             return got
         BIG = 1 << 60
         env = [0] + [BIG] * H
         for f in self.factors:
             hf = self.heightfn(f.exponent)
-            fenv = _factor_env(f, H // hf, bar)
+            fenv = _factor_env(f, H // hf)
             nxt = [BIG] * (H + 1)
             for h in range(H + 1):
                 if env[h] >= BIG:
@@ -538,7 +464,7 @@ class ConePart:
                     if val < nxt[hh]:
                         nxt[hh] = val
             env = nxt
-        self._envelopes[(H, bar)] = env
+        self._envelopes[H] = env
         return env
 
 
@@ -576,19 +502,24 @@ class TruncationError(ArithmeticError):
 CACHE_VERSION = 2
 _cache_dir = None
 
+# v-orders a series weight is worked beyond its certified order, which the
+# pairing coefficients' negative orders may use up
+MARGIN = 8
+
 
 def set_cache_dir(path):
-    """Cache series weights under `path` (None: off); unchanged on error."""
+    """Cache series weights under `path` (None or empty: off); unchanged on
+    error."""
     global _cache_dir
     if path:
         os.makedirs(path, exist_ok=True)
-    _cache_dir = path
+    _cache_dir = path or None
 
 
-def _cache_key(spec, order, hint, margin):
+def _cache_key(spec, order, hint):
     import hashlib  # here, not at the top: it maps libcrypto (+3.5 MB RSS)
 
-    blob = repr((CACHE_VERSION, spec.to_json(), order, hint, margin))
+    blob = repr((CACHE_VERSION, spec.to_json(), order, hint, MARGIN))
     return hashlib.sha1(blob.encode()).hexdigest()
 
 
@@ -620,11 +551,10 @@ class WeightEngine:
     working order.
     """
 
-    def __init__(self, spec, order=60, height_hint=6, margin=8, backend="auto"):
+    def __init__(self, spec, order=60, height_hint=6, backend="auto"):
         self.spec = spec.simplified()
         self.order = order
         self.height_hint = height_hint
-        self.margin = margin
         self._exact_product = None
         self._exact_weight = None
         self._plus_terms = None
@@ -667,16 +597,15 @@ class WeightEngine:
         Hp = sum(spec.heightfn(f.exponent) * f.length for f in spec.plus)
         Hm = sum(spec.heightfn(f.exponent) * f.length for f in spec.minus)
         pe = plus.expand(Hp) if spec.plus else one
-        me = minus.expand(Hm) if spec.minus else one
-        me = me.conjugate(self.spec.minus_conj)
-        self._exact_product = (pe * me).scale(spec.prefactor)
+        me = minus.expand(Hm).invol_inv() if spec.minus else one
+        self._exact_product = pe * me
         self._exact_weight = self._exact_product.terms.get
 
     def _build_series(self):
         if _cache_dir is None:
             return self._build_series_fresh()
         path = os.path.join(_cache_dir, _cache_key(
-            self.spec, self.order, self.height_hint, self.margin) + ".json")
+            self.spec, self.order, self.height_hint) + ".json")
         try:
             with open(path) as fh:
                 data = json.load(fh)
@@ -688,21 +617,27 @@ class WeightEngine:
             pass  # missing, unreadable or malformed: a miss, rebuilt below
         self._build_series_fresh()
         tmp = "%s.%d.tmp" % (path, os.getpid())
-        with open(tmp, "w") as fh:
-            json.dump({"plus": _part_to_json(self._plus_terms),
-                       "minus": _part_to_json(self._minus_terms),
-                       "work": self._work,
-                       "guaranteed": self._guaranteed}, fh)
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "w") as fh:
+                json.dump({"plus": _part_to_json(self._plus_terms),
+                           "minus": _part_to_json(self._minus_terms),
+                           "work": self._work,
+                           "guaranteed": self._guaranteed}, fh)
+            os.replace(tmp, path)
+        except OSError:
+            # an unwritable cache costs only the store: keep the fresh build
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass
 
     def _build_series_fresh(self):
         plus, minus = self._hold_parts()
         K = self.height_hint
-        target = self.order + self.margin
+        target = self.order + MARGIN
         H_cap = 4 * (target + K) + 32
-        bar = self.spec.minus_conj == "bar_flip"
         env_p = plus.order_envelope(H_cap)
-        env_m = minus.order_envelope(H_cap, bar)
+        env_m = minus.order_envelope(H_cap)
         min_m = min(env_m)
         min_p = min(env_p)
         need_p = target - min(0, min_m) + K
@@ -727,13 +662,13 @@ class WeightEngine:
 
         Hp = choose(env_p, need_p) + K
         Hm = choose(env_m, need_q) + K
-        work = self.order + self.margin - min(0, min_m) - min(0, min_p)
+        work = target - min(0, min_m) - min(0, min_p)
         # each part is cut flat where its products with the other part no
         # longer reach below `work`: at `work` less the other part's lowest
         # order
-        minus_terms = minus.expand(Hm, prec=work - min(0, min_p), bar=bar)
         self._set_parts(plus.expand(Hp, prec=work - min(0, min_m)).terms,
-                        minus_terms.terms, work, self.order)
+                        minus.expand(Hm, prec=work - min(0, min_p)).terms,
+                        work, self.order)
 
     def _set_parts(self, plus, minus, work, guaranteed):
         """Hold the expanded parts, with the common denominator of each and
@@ -810,7 +745,7 @@ class WeightEngine:
         """ct(h * W) for a finite h; exact or series per the weight."""
         if self._exact_weight is not None:
             return self._exact_sum(h.terms.items())
-        # series: ct(h * pref * P * conj(M)) = sum_e h_e * W_{-e}
+        # series: ct(h * P * flip(M)) = sum_e h_e * W_{-e}
         for e in h.terms:
             self._check_height(e)
         prec = self._work
@@ -837,20 +772,18 @@ class WeightEngine:
                 % (h, self.height_hint))
 
     def _check_slack(self, worst):
-        """Refuse coefficients of v-order `worst` (<= 0) that, with the
-        prefactor, use up more than the margin."""
-        slack = max(0, -(self.spec.prefactor.v_order() or 0)) - worst
-        if slack > self.margin:
+        """Refuse coefficients of v-order `worst` (<= 0) that use up more
+        than the margin."""
+        if -worst > MARGIN:
             raise TruncationError(
                 "coefficient orders consume %d of the %d-order margin"
-                % (slack, self.margin))
+                % (-worst, MARGIN))
 
     def _finish(self, acc):
-        """Series sum times the prefactor, truncated at the guaranteed order."""
-        out = acc * self.spec.prefactor.to_series(self._work)
+        """Series sum truncated at the guaranteed order."""
         return SeriesScalar(
-            {e: c for e, c in out.coeffs.items() if e < self._guaranteed},
-            min(out.prec, self._guaranteed))
+            {e: c for e, c in acc.coeffs.items() if e < self._guaranteed},
+            min(acc.prec, self._guaranteed))
 
     def vector_pair(self, u, M, w, group=None):
         """sum_{i,j} ct(u_i M_ij flip(w_j) W) for vectors u, w and matrix M,
@@ -1026,15 +959,13 @@ def _same(a, b):
 # ---------------------------------------------------------------------------
 
 
-def macdonald_sym_weight(restricted, qhat_log, t, lattice, minus_conj="flip",
-                         tag=""):
+def macdonald_sym_weight(restricted, qhat_log, t, lattice, tag=""):
     """prod_{a>0} (e^a; qh)_inf / (t e^a; qh)_inf times its reflection."""
     plus = []
     for a in restricted._positive_roots():
         plus.append(PochFactor(ExactScalar.one(), a, qhat_log, INF, 1))
         plus.append(PochFactor(t, a, qhat_log, INF, -1))
-    return WeightSpec(plus, list(plus), lattice, restricted.height2,
-                      minus_conj=minus_conj, tag=tag)
+    return WeightSpec(plus, list(plus), lattice, restricted.height2, tag=tag)
 
 
 def macdonald_nonsym_weight(restricted, qhat_log, t, lattice, tag=""):
@@ -1046,5 +977,4 @@ def macdonald_nonsym_weight(restricted, qhat_log, t, lattice, tag=""):
         plus.append(PochFactor(t, a, qhat_log, INF, -1))
         minus.append(PochFactor(qh, a, qhat_log, INF, 1))
         minus.append(PochFactor(qh * t, a, qhat_log, INF, -1))
-    return WeightSpec(plus, minus, lattice, restricted.height2,
-                      minus_conj="flip", tag=tag)
+    return WeightSpec(plus, minus, lattice, restricted.height2, tag=tag)

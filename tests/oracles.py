@@ -17,10 +17,9 @@ def aw_plus_factors(params, qhat_log=2):
     return out
 
 
-def aw_weight(params, lattice, qhat_log=2, minus_conj="flip", tag=""):
+def aw_weight(params, lattice, qhat_log=2, tag=""):
     plus = aw_plus_factors(params, qhat_log)
-    return WeightSpec(plus, list(plus), lattice, lambda e: e[0],
-                      minus_conj=minus_conj, tag=tag)
+    return WeightSpec(plus, list(plus), lattice, lambda e: e[0], tag=tag)
 
 
 def ct_norm(engine, rank=1):
@@ -87,7 +86,7 @@ def weight_coefficient_sum(engine, nu):
     return acc
 
 
-def flat_table_loop(part, H, cut, bar=False):
+def flat_table_loop(part, H, cut):
     """A cone part's flat table (`ConePart._flat_table`) by the nested
     integer loops of the running product: every product of a running
     polynomial and a factor term, term by term, cut at each row's limit."""
@@ -98,7 +97,7 @@ def flat_table_loop(part, H, cut, bar=False):
     rows, widest = part._shapes(H)
     lows, series = {}, {}
     for shape, (f, kmax) in widest.items():
-        lows[shape], series[shape] = _flat_factor_terms(f, kmax, bar)
+        lows[shape], series[shape] = _flat_factor_terms(f, kmax)
     rest = total = sum(lows[shape] for _, _, shape in rows)
     tables = {}
     for shape, low in lows.items():

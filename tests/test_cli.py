@@ -345,3 +345,45 @@ class TestVerify:
         assert [f.read_bytes() for f in files] == good
         assert ((tmp_path / "warm.json").read_text()
                 == (tmp_path / "cold.json").read_text())
+
+    def test_unwritable_cache_file_is_a_miss(self, monkeypatch, tmp_path):
+        # a cache path that cannot be written (here a directory) costs only
+        # the store: every check passes, the report equals the one without
+        # a cache, and no temporary file is left behind
+        import macpoly.weights as wm
+
+        monkeypatch.setattr(wm, "_cache_dir", None)
+        monkeypatch.delenv("MACPOLY_CACHE", raising=False)
+        cache = tmp_path / "cache"
+        argv = ["verify", "--case", "AI2", "--lambda-height", "0"]
+        assert main(argv + ["--report", str(tmp_path / "plain.json")]) == 0
+        argv += ["--cache-dir", str(cache)]
+        assert main(argv + ["--report", str(tmp_path / "cold.json")]) == 0
+        names = sorted(os.listdir(cache))
+        assert len(names) == 2
+        for name in names:
+            (cache / name).unlink()
+            (cache / name).mkdir()
+        assert main(argv + ["--report", str(tmp_path / "blocked.json")]) == 0
+        assert sorted(os.listdir(cache)) == names
+        assert all((cache / name).is_dir() for name in names)
+        assert ((tmp_path / "blocked.json").read_text()
+                == (tmp_path / "plain.json").read_text())
+
+    def test_verify_without_cache_dir_uses_no_cache(self, monkeypatch,
+                                                     tmp_path):
+        # a verify without --cache-dir (and no MACPOLY_CACHE) neither reads
+        # nor writes the directory an earlier verify in the process used
+        import macpoly.weights as wm
+
+        monkeypatch.setattr(wm, "_cache_dir", None)
+        monkeypatch.delenv("MACPOLY_CACHE", raising=False)
+        cache = tmp_path / "cache"
+        argv = ["verify", "--case", "AI2", "--lambda-height", "0",
+                "--report", str(tmp_path / "r.json")]
+        assert main(argv + ["--cache-dir", str(cache)]) == 0
+        assert len(os.listdir(cache)) == 2
+        for name in os.listdir(cache):
+            (cache / name).unlink()
+        assert main(argv) == 0
+        assert os.listdir(cache) == []

@@ -38,11 +38,6 @@ def mono(e, c=None, lat="2L"):
 
 
 class TestSimplify:
-    def test_cancel(self):
-        f = PochFactor(Q(1), (2,), 2, INF, 1)
-        g = PochFactor(Q(1), (2,), 2, INF, -1)
-        assert simplify_factors([f, g]) == []
-
     def test_infinite_ratio(self):
         # (x; q^2)_inf / (q^{2(n-1)} x; q^2)_inf -> (x; q^2)_{n-1} at n = 3
         f = PochFactor(ONE, (2,), 2, INF, 1)
@@ -50,17 +45,24 @@ class TestSimplify:
         out = simplify_factors([f, g])
         assert len(out) == 1 and out[0].length == 2 and out[0].side == 1
 
-    def test_sign_merge_and_base_halving(self):
-        # the parameter set (1, q^{1/2}, -1, -q^{1/2}) collapses to weight 1
+    def test_sign_merge(self):
+        # the parameter set (1, q^{1/2}, -1, -q^{1/2}) merges in sign pairs
+        # into (e^2; q^2)_inf (q e^2; q^2)_inf, with the same expansion
+        from macpoly.weights import ConePart
+
         half = ExactScalar.v_power(1)
         fs = [
-            PochFactor(ONE, (2,), 1, INF, 1),
             PochFactor(ONE, (1,), 1, INF, -1),
             PochFactor(half, (1,), 1, INF, -1),
             PochFactor(ExactScalar.from_int(-1), (1,), 1, INF, -1),
             PochFactor(-half, (1,), 1, INF, -1),
         ]
-        assert simplify_factors(fs) == []
+        out = simplify_factors(fs)
+        assert len(out) == 2 and set(out) == {
+            PochFactor(ONE, (2,), 2, INF, -1),
+            PochFactor(Q(1), (2,), 2, INF, -1)}
+        assert (ConePart(out, "2L", ht1).expand(8)
+                == ConePart(fs, "2L", ht1).expand(8))
 
     def test_simplify_preserves_expansion(self):
         fs = [
@@ -77,6 +79,11 @@ class TestSimplify:
 
 
 class TestExpansion:
+    def test_finite_denominator_is_refused(self):
+        with pytest.raises(ValueError, match="numerator"):
+            PochFactor(ONE, (2,), 2, 3, -1)
+        PochFactor(ONE, (2,), 2, 3, 1)
+
     def test_empty(self):
         spec = WeightSpec([], [], "2L", ht1, rank=1)
         eng = WeightEngine(spec)
@@ -311,7 +318,7 @@ class TestPackedWeightCoefficient:
             (key,) = [k for k, v in part._expansions.items()
                       if v.terms is terms]
             tables.append(flat_table_loop(part, *key))
-        name = wm._cache_key(fresh.spec, 24, 4, 8) + ".json"
+        name = wm._cache_key(fresh.spec, 24, 4) + ".json"
         loops = tmp_path / "loops"
         loops.mkdir()
         (loops / name).write_text(json.dumps({
@@ -409,36 +416,38 @@ class TestCacheKey:
     """Every input of a series expansion is in its disk-cache key."""
 
     @staticmethod
-    def _spec(plus=None, **kw):
+    def _spec(plus=None):
         plus = plus or [PochFactor(ONE, (2,), 2, INF, 1),
                         PochFactor(Q(2), (2,), 2, INF, -1)]
-        return WeightSpec(plus, list(plus), "2L", ht1, rank=1, **kw)
+        return WeightSpec(plus, list(plus), "2L", ht1, rank=1)
 
     def test_version(self, monkeypatch):
         import macpoly.weights as wm
 
-        key = wm._cache_key(self._spec(), 60, 6, 8)
+        key = wm._cache_key(self._spec(), 60, 6)
         monkeypatch.setattr(wm, "CACHE_VERSION", wm.CACHE_VERSION + 1)
-        assert wm._cache_key(self._spec(), 60, 6, 8) != key
+        assert wm._cache_key(self._spec(), 60, 6) != key
 
-    def test_every_field(self):
+    def test_every_field(self, monkeypatch):
         from dataclasses import replace
 
-        from macpoly.weights import _cache_key
+        import macpoly.weights as wm
 
         base = self._spec()
-        keys = {_cache_key(base, 60, 6, 8)}
-        f = base.plus[1]
-        for change in ({"coeff": Q(4)}, {"exponent": (4,)}, {"base_log": 4},
-                       {"length": 3}, {"side": 1}):
-            keys.add(_cache_key(
-                self._spec([base.plus[0], replace(f, **change)]), 60, 6, 8))
-        keys.add(_cache_key(self._spec(prefactor=Q(1)), 60, 6, 8))
-        keys.add(_cache_key(self._spec(minus_conj="bar_flip"), 60, 6, 8))
-        keys |= {_cache_key(base, 61, 6, 8), _cache_key(base, 60, 7, 8),
-                 _cache_key(base, 60, 6, 9)}
-        assert len(keys) == 11
-        assert _cache_key(self._spec(), 60, 6, 8) in keys
+        keys = {wm._cache_key(base, 60, 6)}
+        # finite factors are numerator factors: the length goes on plus[0]
+        for i, change in ((1, {"coeff": Q(4)}), (1, {"exponent": (4,)}),
+                          (1, {"base_log": 4}), (0, {"length": 3}),
+                          (1, {"side": 1})):
+            plus = list(base.plus)
+            plus[i] = replace(plus[i], **change)
+            keys.add(wm._cache_key(self._spec(plus), 60, 6))
+        keys |= {wm._cache_key(base, 61, 6), wm._cache_key(base, 60, 7)}
+        monkeypatch.setattr(wm, "MARGIN", wm.MARGIN + 1)
+        keys.add(wm._cache_key(base, 60, 6))
+        assert len(keys) == 9
+        monkeypatch.undo()
+        assert wm._cache_key(self._spec(), 60, 6) in keys
 
 
 class TestSharedParts:
@@ -471,17 +480,17 @@ class TestSharedParts:
         got = part.expand(4, prec=20)
         assert part.expand(4, prec=20) is got
         variants = [part.expand(5, prec=20), part.expand(4, prec=21),
-                    part.expand(4, prec=20, bar=True), part.expand(4)]
+                    part.expand(4)]
         assert all(v is not got for v in variants)
         assert variants[0].terms.keys() > got.terms.keys()
         assert {c.prec for c in variants[1].terms.values()} == {21}
 
     @staticmethod
-    def _check_flat(part, H, cut, bar=False):
+    def _check_flat(part, H, cut):
         # the flat table equals the exact expansion cut at `cut`, term by
         # term, and holds no term that vanishes below the cut
-        flat = part.expand(H, prec=cut, bar=bar).terms
-        exact = part.expand(H, bar=bar).terms
+        flat = part.expand(H, prec=cut).terms
+        exact = part.expand(H).terms
         kept = 0
         for e, c in exact.items():
             s = c.to_series(cut)
@@ -505,24 +514,24 @@ class TestSharedParts:
                 part = cone_part(factors, spec.lattice, spec.heightfn)
                 assert len(self._check_flat(part, 8, 24)) > 1
 
-    def test_flat_matches_exact_bar_and_negative_orders(self):
+    MIXED = [PochFactor(ExactScalar.v_power(-2), (2,), 2, 2, 1),
+             PochFactor(ExactScalar.v_power(-1, 3), (1,), 2, 2, 1),
+             PochFactor(Q(1), (1,), 2, INF, -1)]
+
+    def test_flat_matches_exact_negative_orders(self):
         from macpoly.weights import cone_part
 
-        # a barred infinite part, and finite factors whose terms reach
-        # negative v-orders, so the running product is cut above `cut`
-        self._check_flat(cone_part(self.FACTORS, "2L", ht1), 6, 12, bar=True)
-        mixed = [PochFactor(ExactScalar.v_power(-2), (2,), 2, 2, 1),
-                 PochFactor(ExactScalar.v_power(-1, 3), (1,), 2, 2, -1),
-                 PochFactor(Q(1), (1,), 2, INF, -1)]
-        part = cone_part(mixed, "2L", ht1)
+        # finite factors whose terms reach negative v-orders, so the
+        # running product is cut above `cut`
+        part = cone_part(self.MIXED, "2L", ht1)
         flat = self._check_flat(part, 6, 10)
         assert min(c.min_order() for c in flat.values()) < 0
 
     @staticmethod
-    def _check_oracle(part, H, cut, bar=False):
+    def _check_oracle(part, H, cut):
         # the flat table equals the nested loops' table in num, den and prec
-        got = part.expand(H, prec=cut, bar=bar).terms
-        want = flat_table_loop(part, H, cut, bar)
+        got = part.expand(H, prec=cut).terms
+        want = flat_table_loop(part, H, cut)
         assert got.keys() == want.keys()
         for e, c in got.items():
             w = want[e]
@@ -548,25 +557,21 @@ class TestSharedParts:
     def test_flat_matches_loops(self):
         from macpoly.cases import build_case
 
-        # every flat table an AI2 engine builds, and the barred and
-        # negative-order parts above
+        # every flat table an AI2 engine builds, and the negative-order
+        # part above
         case = build_case("AI2", order=100)
         engines = (case.nabla_engine(), case.delta_engine())
         parts = {id(p): p for eng in engines for p in eng._parts}
         seen = 0
         for part in parts.values():
-            for H, cut, bar in list(part._expansions):
+            for H, cut in list(part._expansions):
                 if cut is not None:
-                    self._check_oracle(part, H, cut, bar)
+                    self._check_oracle(part, H, cut)
                     seen += 1
         assert seen == 2
         from macpoly.weights import cone_part
 
-        self._check_oracle(cone_part(self.FACTORS, "2L", ht1), 6, 12, bar=True)
-        mixed = [PochFactor(ExactScalar.v_power(-2), (2,), 2, 2, 1),
-                 PochFactor(ExactScalar.v_power(-1, 3), (1,), 2, 2, -1),
-                 PochFactor(Q(1), (1,), 2, INF, -1)]
-        self._check_oracle(cone_part(mixed, "2L", ht1), 6, 10)
+        self._check_oracle(cone_part(self.MIXED, "2L", ht1), 6, 10)
 
     def test_series_cut_with_negative_minimum_order(self):
         # a finite spec forced through the series backend: the plus part
@@ -579,38 +584,12 @@ class TestSharedParts:
         exact = WeightEngine(spec)
         assert min(c.min_order() for c in series._plus_terms.values()) == -2
         minus_part = series._parts[1]
-        (H, cut, bar), = [k for k in minus_part._expansions if k[1] is not None]
-        assert cut == series._work + 2 and not bar
+        (H, cut), = [k for k in minus_part._expansions if k[1] is not None]
+        assert cut == series._work + 2
         assert minus_part.expand(H, prec=cut).terms is series._minus_terms
         self._check_flat(minus_part, H, cut)
         for m in range(-2, 3):
             f = mono((m,), ONE + Q(1))
-            got = series.ct_pair(f)
-            assert got.prec == series._guaranteed
-            assert (got - exact.ct_pair(f).to_series(got.prec)).is_zero()
-
-    def test_series_cut_against_a_barred_minus_part(self):
-        # q -> 1/q takes the minus part below its unbarred envelope (0) to
-        # order -4, so the plus part is cut at work + 4
-        spec = macdonald_sym_weight(R1, 2, Q(4), "2L", minus_conj="bar_flip")
-        series = WeightEngine(spec, order=20, height_hint=4, backend="series")
-        exact = WeightEngine(spec)
-        assert min(c.min_order() for c in series._minus_terms.values()) == -4
-        assert {c.prec for c in series._plus_terms.values()} == {
-            series._work + 4}
-        # the barred envelope bounds the minus part's real orders at every
-        # height, so its height plan is proven
-        minus = series._parts[1]
-        H = max(spec.heightfn(e) for e in series._minus_terms)
-        env = minus.order_envelope(H, bar=True)
-        lowest = {}
-        for e, c in minus.expand(H, bar=True).terms.items():
-            h = spec.heightfn(e)
-            lowest[h] = min(lowest.get(h, c.v_order()), c.v_order())
-        assert lowest and all(env[h] <= o for h, o in lowest.items())
-        assert min(env) == -4 < min(minus.order_envelope(H))
-        for m in range(3):
-            f = mono((m,)) + mono((-m,)) if m else GAElement.one("2L", 1)
             got = series.ct_pair(f)
             assert got.prec == series._guaranteed
             assert (got - exact.ct_pair(f).to_series(got.prec)).is_zero()
@@ -631,9 +610,9 @@ class TestSharedParts:
         calls = []
         expand = wm.ConePart._expand
 
-        def counted(self, H, prec, bar):
-            calls.append((H, prec, bar))
-            return expand(self, H, prec, bar)
+        def counted(self, H, prec):
+            calls.append((H, prec))
+            return expand(self, H, prec)
 
         monkeypatch.setattr(wm.ConePart, "_expand", counted)
         report, status = run_verify("AI2", height=1)
