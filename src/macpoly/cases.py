@@ -574,42 +574,47 @@ class ExampleCase:
             den = den * (self.one() - _exp(nega, self.lattice, self.t))
         return num, den
 
+    def delta0_rows(self):
+        """m_{y,y'} = (1/#W) sum_w w(g_y conj(g_{y'}) / ratio), as rows.
+
+        By the Weyl denominator formula each entry is one alternant
+        quotient A(e^rho g_y conj(g_{y'}) den) / (#W A(e^rho)), with
+        A(f) = sum_w sgn(w) w(f) and den the ratio's denominator
+        (conjugation inverts both q and the exponents).
+        """
+        _, den = self.delta0()
+        R = self.restricted
+        rho2 = [sum(c) for c in zip(*R._positive_roots())]
+        if any(c % 2 for c in rho2):
+            raise ValueError("rho is not a lattice point for %s" % self.tag)
+        rho = tuple(c // 2 for c in rho2)
+        words = R.weyl_elements()  # reduced words: sgn(w) = (-1)^len(w)
+
+        def alternant(f):
+            # A(e^rho f)
+            acc = GAElement.zero(self.lattice)
+            for w in words:
+                term = f.map_exponents(lambda e: R.act_word(
+                    w, tuple(x + r for x, r in zip(e, rho))))
+                acc = acc - term if len(w) % 2 else acc + term
+            return acc
+
+        delta = alternant(self.one())
+        scale = ExactScalar.from_int(len(words)).inv()
+        g = self.gamma_basis
+        return [[alternant(gi * gj.bar_full() * den).exact_div(delta).scale(scale)
+                 for gj in g] for gi in g]
+
     def delta0_identity_check(self):
         """Symmetrised basis products against the matrix weight.
 
-        Computes m_{y,y'} = (1/#W) sum_w w(g_y conj(g_{y'}) / ratio) by cross
-        multiplication and exact division (conjugation inverts both q and
-        the exponents), then calibrates one diagonal map d so that
-        m_{y,y'} d_{y'} = M_{G(y),G(y')} for all entries.  The calibrated
+        Calibrates one diagonal map d so that m_{y,y'} d_{y'} =
+        M_{G(y),G(y')} for all entries of `delta0_rows`.  The calibrated
         diagonal is reported rather than asserted.
         """
-        num, den = self.delta0()
-        R = self.restricted
-        pos = R._positive_roots()
-        allroots = list(pos) + [tuple(-x for x in a) for a in pos]
-        D = self.one()
-        for b in allroots:
-            D = D * (self.one() - _exp(tuple(-x for x in b), self.lattice))
+        m_rows = self.delta0_rows()
         M = self.matrix_weight()
         nb = len(self.gamma_basis)
-        words = R.weyl_elements()
-        count = ExactScalar.from_int(len(words))
-        m_rows = []
-        for yi in range(nb):
-            row = []
-            for yj in range(nb):
-                G = self.gamma_basis[yi] * self.gamma_basis[yj].bar_full() * den
-                acc = GAElement.zero(self.lattice)
-                for w in words:
-                    wset = {R.act_word(w, a) for a in pos}
-                    comp = [b for b in allroots if b not in wset]
-                    term = G.weyl_act(lambda e: R.act_word(w, e))
-                    for b in comp:
-                        term = term * (self.one() -
-                                       _exp(tuple(-x for x in b), self.lattice))
-                    acc = acc + term
-                row.append(acc.exact_div(D).scale(count.inv()))
-            m_rows.append(row)
         gb = self.gamma_bottoms
         columns = [[(m_rows[yi][yj], M[gb[yi], gb[yj]]) for yi in range(nb)]
                    for yj in range(nb)]
@@ -625,8 +630,7 @@ class ExampleCase:
         ok = all((m.scale(d) - t).is_zero()
                  for pairs, d in zip(columns, diag) for m, t in pairs)
         return {"status": "pass" if ok else "fail",
-                "calibrated_diagonal": [d.render() for d in diag],
-                "conjugation": "bar_flip"}
+                "calibrated_diagonal": [d.render() for d in diag]}
 
 
 # ---------------------------------------------------------------------------

@@ -289,8 +289,16 @@ def run_verify(case_id, height=2, order=60):
         record("identification", identification)
 
     def q_inversion():
-        ok = all(case.qinv_check(lam)["status"] == "pass" for lam in grid)
-        return {"status": "pass" if ok else "fail"}
+        # every failing label with qinv_check's detail and entries
+        failed = []
+        for lam in grid:
+            res = case.qinv_check(lam)
+            if res["status"] != "pass":
+                res.pop("status")
+                failed.append({"lambda": list(lam), **res})
+        if not failed:
+            return {"status": "pass"}
+        return {"status": "fail", "failed_labels": failed}
 
     if grid is not None:
         record("q_inversion", q_inversion)
@@ -371,7 +379,7 @@ def run_verify(case_id, height=2, order=60):
         record("central_spectrum", central_spectrum)
 
     status = 0 if all(c["status"] == "pass" for c in checks) else CHECK_FAILED
-    report = {"case": case.tag, "preset": "flip", "order": case.order,
+    report = {"case": case.tag, "order": case.order,
               "height": case.height, "checks": checks}
     return report, status
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .galg import GAElement, MatGAElement, solve_linear
+from .galg import GAElement, MatGAElement
 from .scalars import ExactScalar, exact_sum_of_products
 from .weights import WeightEngine
 
@@ -105,28 +105,6 @@ class PolyFamilySpec:
         _, member = orthogonalize_step(m, prevs, pair, gram, "%s/%s at %s"
                                        % (self.label, J, mu))
         return member
-
-    def dense_solve_member(self, J, mu):
-        """Independent construction by one linear solve; oracle path.
-
-        Solves for <P, m_nu> = 0 over all lower nu, with the new member in
-        the left slot of the pairing (the same convention the recursive
-        construction uses).
-        """
-        J = tuple(sorted(J))
-        symmetric = J == tuple(range(self.restricted.rank))
-        cands = j_dominant_below(self.restricted, J, mu)
-        m_mu = monomial_J(self.restricted, J, mu, self.lattice)
-        if not cands:
-            return m_mu
-        basis = [monomial_J(self.restricted, J, nu, self.lattice) for nu in cands]
-        rows = [[self.pair(bk, bn, symmetric) for bk in basis] for bn in basis]
-        rhs = [-self.pair(m_mu, bn, symmetric) for bn in basis]
-        sol = solve_linear(rows, rhs)
-        out = m_mu
-        for c, b in zip(sol, basis):
-            out = out + b.scale(c)
-        return out
 
 
 def orthogonalize_step(lead, prevs, pair, gram, what=""):

@@ -125,12 +125,6 @@ class GAElement:
             return GAElement(dict(self.terms), lattice)
         return GAElement({tuple(fn(e)): c for e, c in self.terms.items()}, lattice)
 
-    def constant_term(self):
-        for e, c in self.terms.items():
-            if all(x == 0 for x in e):
-                return c
-        return ExactScalar.zero()
-
     def support(self):
         return set(self.terms)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .galg import GAElement, solve_linear
+from .galg import solve_linear
 from .scalars import ExactScalar, ZERO
 
 
@@ -91,21 +91,10 @@ def symmetrizers(A):
                 if i != j and A[i][j] and eps[j] is None:
                     eps[j] = eps[i] * A[i][j] / A[j][i]
                     queue.append(j)
-    lcm = 1
-    for e in eps:
-        lcm = lcm * e.denominator // _igcd(lcm, e.denominator)
+    lcm = math.lcm(*(e.denominator for e in eps))
     eps = [e * lcm for e in eps]
-    g = 0
-    for e in eps:
-        g = _igcd(g, e.numerator)
+    g = math.gcd(*(e.numerator for e in eps))
     return tuple(int(e / g) for e in eps)
-
-
-def _igcd(a, b):
-    a, b = abs(int(a)), abs(int(b))
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _mat_inv_fractions(A):
@@ -443,50 +432,6 @@ def freudenthal(datum, lam, dim_bound=12000):
 
 def _in_hull(datum, lam, xi):
     return datum.dominance_leq(datum.dominant_rep(xi), lam)
-
-
-def weyl_character(datum, lam):
-    """Character of L(lam) by the alternating-sum formula; oracle use only."""
-    n = datum.rank
-    rho2 = tuple(2 * r for r in datum.rho_x())
-    assert all(r.denominator == 1 for r in rho2)
-    rho2 = tuple(int(r) for r in rho2)
-
-    def alternating(shift):
-        elems = {}
-        # enumerate the Weyl group by orbit of a regular point with signs
-        start = tuple(Fraction(x) for x in shift)
-        frontier = {start: 1}
-        seen = {start: 1}
-        while frontier:
-            nxt = {}
-            for y, sgn in frontier.items():
-                for i in range(n):
-                    z = tuple(y[j] - datum.pair_simple(i, y) *
-                              datum.alpha_coords[i][j] for j in range(n))
-                    if z not in seen:
-                        seen[z] = -sgn
-                        nxt[z] = -sgn
-            frontier = nxt
-        for y, sgn in seen.items():
-            elems[tuple(int(c) for c in y)] = sgn
-        return elems
-
-    # numerator over denominator, exactly, in the doubled lattice so that
-    # rho-shifts stay integral
-    lam2rho2 = tuple(2 * lam[i] + rho2[i] for i in range(n))
-    num = alternating(lam2rho2)
-    den = alternating(rho2)
-    num_el = GAElement({e: ExactScalar.from_int(c) for e, c in num.items()}, "doubled")
-    den_el = GAElement({e: ExactScalar.from_int(c) for e, c in den.items()}, "doubled")
-    quot = num_el.exact_div(den_el)
-    out = {}
-    for e, c in quot.terms.items():
-        assert all(x % 2 == 0 for x in e)
-        fr = c.as_fraction()
-        assert fr.denominator == 1
-        out[tuple(x // 2 for x in e)] = int(fr)
-    return out
 
 
 def central_scalar(datum, lam, mu, table=None):

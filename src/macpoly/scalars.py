@@ -314,7 +314,10 @@ class ExactScalar:
 
     @staticmethod
     def _exact_list_div(a, bl, bsh):
-        """Divide Laurent poly a by dense poly bl (shifted by bsh); exact."""
+        """Divide Laurent poly a by dense poly bl (shifted by bsh); exact.
+
+        bl is a primitive gcd, so by Gauss's lemma every step divides over
+        the integers; one that does not raises ArithmeticError."""
         al, ash = _lp_to_list(a)
         if not al:
             return {}
@@ -324,8 +327,7 @@ class ExactScalar:
         for i in range(len(q) - 1, -1, -1):
             c = r[i + len(bl) - 1]
             if c % lb != 0:
-                # divide over Q instead
-                return ExactScalar._exact_list_div_q(al, ash, bl, bsh)
+                raise ArithmeticError("inexact polynomial division")
             qi = c // lb
             q[i] = qi
             if qi:
@@ -334,24 +336,6 @@ class ExactScalar:
         if any(r):
             raise ArithmeticError("inexact polynomial division")
         return {i + ash - bsh: c for i, c in enumerate(q) if c}
-
-    @staticmethod
-    def _exact_list_div_q(al, ash, bl, bsh):
-        aq = [Fraction(c) for c in al]
-        q = [Fraction(0)] * (len(al) - len(bl) + 1)
-        lb = Fraction(bl[-1])
-        for i in range(len(q) - 1, -1, -1):
-            qi = aq[i + len(bl) - 1] / lb
-            q[i] = qi
-            if qi:
-                for j, bc in enumerate(bl):
-                    aq[i + j] -= qi * bc
-        if any(aq):
-            raise ArithmeticError("inexact polynomial division")
-        m = 1
-        for c in q:
-            m = m * c.denominator // int_gcd(m, c.denominator)
-        return {i + ash - bsh: int(c * m) for i, c in enumerate(q) if c}
 
     # -- constructors -------------------------------------------------------
 

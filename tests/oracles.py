@@ -2,9 +2,14 @@
 spec and its functional by reduction, the constant term of a weight,
 pairings through materialised products, support triangularity, a series
 weight's coefficients as sums of series products, a cone part's flat table
-by nested integer loops and series inversion by the geometric series."""
+by nested integer loops, series inversion by the geometric series, family
+members by one dense solve, Weyl characters by the alternating-sum formula
+and the ratio identity's rows by the per-word loop."""
 
-from macpoly.galg import GAElement
+from fractions import Fraction
+
+from macpoly.families import j_dominant_below, monomial_J
+from macpoly.galg import GAElement, solve_linear
 from macpoly.scalars import ExactScalar, SeriesScalar
 from macpoly.weights import INF, PochFactor, WeightSpec
 
@@ -20,6 +25,14 @@ def aw_plus_factors(params, qhat_log=2):
 def aw_weight(params, lattice, qhat_log=2, tag=""):
     plus = aw_plus_factors(params, qhat_log)
     return WeightSpec(plus, list(plus), lattice, lambda e: e[0], tag=tag)
+
+
+def constant_term(f):
+    """The coefficient of e^0 in a group-algebra element."""
+    for e, c in f.terms.items():
+        if not any(e):
+            return c
+    return ExactScalar.zero()
 
 
 def ct_norm(engine, rank=1):
@@ -38,7 +51,7 @@ def aw_reduce(L, h):
     while not rem.is_zero():
         k = max(0, max(e[0] for e in rem.terms))
         if k == 0:
-            return rem.constant_term()
+            return constant_term(rem)
         lead = rem.terms.get((k,))
         if lead is None or rem.terms.get((-k,)) != lead:
             raise ValueError("functional argument is not W-invariant")
@@ -60,6 +73,43 @@ def sym_pair(f, g, engine):
     """ct(f * flip(g) * W) as `ct_pair` of the materialised product; the
     oracle of the families' pairing route `PolyFamilySpec.pair`."""
     return engine.ct_pair(f * g.invol_inv())
+
+
+def delta0_rows_by_complements(case):
+    """The rows of `ExampleCase.delta0_rows` by the per-word loop: for each
+    Weyl word w, w(g_y conj(g_{y'}) den) times the product of (1 - e^{-b})
+    over the roots b not in w(R+), summed and divided exactly by the
+    product D of (1 - e^{-b}) over all roots, then by #W."""
+    _, den = case.delta0()
+    R = case.restricted
+    pos = R._positive_roots()
+    allroots = list(pos) + [tuple(-x for x in a) for a in pos]
+
+    def factor(b):
+        return case.one() - GAElement.monomial(tuple(-x for x in b),
+                                               case.lattice)
+
+    D = case.one()
+    for b in allroots:
+        D = D * factor(b)
+    words = R.weyl_elements()
+    count = ExactScalar.from_int(len(words))
+    rows = []
+    for gi in case.gamma_basis:
+        row = []
+        for gj in case.gamma_basis:
+            G = gi * gj.bar_full() * den
+            acc = GAElement.zero(case.lattice)
+            for w in words:
+                wset = {R.act_word(w, a) for a in pos}
+                term = G.weyl_act(lambda e: R.act_word(w, e))
+                for b in allroots:
+                    if b not in wset:
+                        term = term * factor(b)
+                acc = acc + term
+            row.append(acc.exact_div(D).scale(count.inv()))
+        rows.append(row)
+    return rows
 
 
 def support_triangular(restricted, poly, mu):
@@ -171,3 +221,69 @@ def series_inv_geometric(x):
     # x^-1 = (den / c0) v^-m sum out / outden
     num = {e - m: c * x.den for e, c in out.items()}
     return SeriesScalar(num, x.prec - 2 * m, _den=outden * c0)
+
+
+def dense_solve_member(spec, J, mu):
+    """A `PolyFamilySpec` member by one linear solve, independent of the
+    recursive construction: <P, m_nu> = 0 over all lower nu, with the new
+    member in the left slot of the pairing (the convention the recursive
+    construction uses)."""
+    J = tuple(sorted(J))
+    symmetric = J == tuple(range(spec.restricted.rank))
+    cands = j_dominant_below(spec.restricted, J, mu)
+    m_mu = monomial_J(spec.restricted, J, mu, spec.lattice)
+    if not cands:
+        return m_mu
+    basis = [monomial_J(spec.restricted, J, nu, spec.lattice) for nu in cands]
+    rows = [[spec.pair(bk, bn, symmetric) for bk in basis] for bn in basis]
+    rhs = [-spec.pair(m_mu, bn, symmetric) for bn in basis]
+    sol = solve_linear(rows, rhs)
+    out = m_mu
+    for c, b in zip(sol, basis):
+        out = out + b.scale(c)
+    return out
+
+
+def weyl_character(datum, lam):
+    """Character of L(lam) as {weight: multiplicity}, by the alternating-sum
+    formula; the oracle of `roots.freudenthal`."""
+    n = datum.rank
+    rho2 = tuple(2 * r for r in datum.rho_x())
+    assert all(r.denominator == 1 for r in rho2)
+    rho2 = tuple(int(r) for r in rho2)
+
+    def alternating(shift):
+        elems = {}
+        # enumerate the Weyl group by orbit of a regular point with signs
+        start = tuple(Fraction(x) for x in shift)
+        frontier = {start: 1}
+        seen = {start: 1}
+        while frontier:
+            nxt = {}
+            for y, sgn in frontier.items():
+                for i in range(n):
+                    z = tuple(y[j] - datum.pair_simple(i, y) *
+                              datum.alpha_coords[i][j] for j in range(n))
+                    if z not in seen:
+                        seen[z] = -sgn
+                        nxt[z] = -sgn
+            frontier = nxt
+        for y, sgn in seen.items():
+            elems[tuple(int(c) for c in y)] = sgn
+        return elems
+
+    # numerator over denominator, exactly, in the doubled lattice so that
+    # rho-shifts stay integral
+    lam2rho2 = tuple(2 * lam[i] + rho2[i] for i in range(n))
+    num = alternating(lam2rho2)
+    den = alternating(rho2)
+    num_el = GAElement({e: ExactScalar.from_int(c) for e, c in num.items()}, "doubled")
+    den_el = GAElement({e: ExactScalar.from_int(c) for e, c in den.items()}, "doubled")
+    quot = num_el.exact_div(den_el)
+    out = {}
+    for e, c in quot.terms.items():
+        assert all(x % 2 == 0 for x in e)
+        fr = c.as_fraction()
+        assert fr.denominator == 1
+        out[tuple(x // 2 for x in e)] = int(fr)
+    return out

@@ -22,6 +22,7 @@ from macpoly.scalars import ExactScalar, SeriesScalar
 from oracles import (
     aw_reduce,
     ct_norm,
+    delta0_rows_by_complements,
     vector_pair_products,
     weight_coefficient_sum,
 )
@@ -124,8 +125,11 @@ class TestMatrixWeights:
         assert not (tampered.invol_inv() - M[1, 0]).is_zero()
 
 
+RATIO_CASES = ["DII:n=2", "DII:n=3", "A2G", "AII5", "AI2"]
+
+
 class TestRatioIdentity:
-    @pytest.mark.parametrize("cid", ["DII:n=2", "DII:n=3", "A2G", "AII5", "AI2"])
+    @pytest.mark.parametrize("cid", RATIO_CASES)
     def test_identity(self, cid):
         case = build_case(cid)
         res = case.delta0_identity_check()
@@ -133,6 +137,23 @@ class TestRatioIdentity:
         # one calibrated constant per column, all equal
         diag = res["calibrated_diagonal"]
         assert len(set(diag)) == 1
+
+    @pytest.mark.parametrize("cid", RATIO_CASES)
+    def test_rows_match_per_word_loop(self, cid):
+        case = build_case(cid)
+        rows = case.delta0_rows()
+        want = delta0_rows_by_complements(case)
+        assert len(rows) == len(want) == len(case.gamma_basis)
+        for row, want_row in zip(rows, want):
+            assert len(row) == len(want_row)
+            for m, w in zip(row, want_row):
+                assert m == w
+
+    @pytest.mark.parametrize("cid", RATIO_CASES)
+    def test_tampered_parameter_fails(self, cid):
+        case = build_case(cid)
+        tampered = dataclasses.replace(case, t=case.t * Q(1))
+        assert tampered.delta0_identity_check()["status"] == "fail"
 
     def test_displayed_rank1_form(self):
         # cross-multiplied form of the displayed one-variable ratio:

@@ -228,6 +228,30 @@ class TestVerify:
             ("kravchuk_eigen", "pass"), ("difference_operator", "pass")]
         assert checks[3]["detail"] == "ArithmeticError: no weight"
 
+    def test_q_inversion_failure_keeps_detail(self, monkeypatch):
+        # every failing label is reported with qinv_check's detail and
+        # entries; Q_0 is the identity, exact, so its label still passes
+        import macpoly.scalars as scalars_mod
+
+        monkeypatch.setattr(scalars_mod, "rational_reconstruct",
+                            lambda series, margin=6: None)
+        report, status = run_verify("AI2", height=1)
+        assert status == 1
+        entry = next(c for c in report["checks"] if c["name"] == "q_inversion")
+        assert entry["status"] == "fail"
+        failed = entry["failed_labels"]
+        assert sorted(f["lambda"] for f in failed) == [[0, 1], [1, 0]]
+        for f in failed:
+            assert f["detail"] == "reconstruction failed"
+            assert f["entries"]
+        json.dumps(report)
+
+    def test_q_inversion_pass_is_bare(self):
+        report, status = run_verify("DII:n=2", height=1)
+        assert status == 0
+        entry = next(c for c in report["checks"] if c["name"] == "q_inversion")
+        assert entry == {"name": "q_inversion", "status": "pass"}
+
     @pytest.mark.parametrize("cid,certified", [("AI2", 100), ("A2G", "exact")])
     def test_certified_order(self, cid, certified, capsys):
         report, status = run_verify(cid, height=1)

@@ -4,6 +4,8 @@ from macpoly.galg import GAElement, MatGAElement, ga_from_json, solve_linear
 from macpoly.roots import build_root_datum
 from macpoly.scalars import ExactScalar
 
+from oracles import constant_term
+
 Q = ExactScalar.q_power
 ONE = ExactScalar.one()
 
@@ -49,10 +51,10 @@ class TestStructureMaps:
         d = build_root_datum("A", 2)
         orbit = d.weyl_orbit((1, 0))
         m = GAElement({e: ONE for e in orbit}, "X")
-        assert m.constant_term().is_zero()
+        assert constant_term(m).is_zero()
         sq = (mono((1,)) + mono((-1,))).lattice  # smoke: 1-dim lattice tag
         f = GAElement({(1,): ONE, (-1,): ONE}, sq)
-        assert (f * f).constant_term() == 2
+        assert constant_term(f * f) == 2
 
     def test_simple_reflection_on_monomial(self):
         d = build_root_datum("A", 2)
@@ -76,7 +78,7 @@ class TestStructureMaps:
         for _ in range(10):
             f = rand_elem(rng)
             g = f.weyl_act(lambda e: d.act_word((0, 1), e))
-            assert f.constant_term() == g.constant_term()
+            assert constant_term(f) == constant_term(g)
 
     def test_shift_act(self):
         d = build_root_datum("A", 2)

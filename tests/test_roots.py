@@ -9,9 +9,10 @@ from macpoly.roots import (
     build_root_datum,
     central_scalar,
     freudenthal,
-    weyl_character,
 )
 from macpoly.scalars import ExactScalar
+
+from oracles import weyl_character
 
 Q = ExactScalar.q_power
 

@@ -442,6 +442,15 @@ class TestCyclotomicReduction:
             assert got == want
             _consistent(got)
 
+    def test_inexact_list_division_raises(self):
+        # the gcd route divides by a primitive gcd, where every step of the
+        # long division is exact over the integers; a step that is not
+        # raises instead of leaving Z
+        with pytest.raises(ArithmeticError):
+            ExactScalar._exact_list_div({0: 1, 1: 1}, [1, 2], 0)
+        assert ExactScalar._exact_list_div({0: 1, 2: -4}, [1, 2], 0) == \
+            {0: 1, 1: -2}
+
     def test_non_cyclotomic_divisor_takes_the_counted_fallback(self, monkeypatch):
         calls = []
         gcd = scalars._lp_gcd
