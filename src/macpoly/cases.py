@@ -29,7 +29,7 @@ from .roots import (
     build_composite_datum,
     build_root_datum,
 )
-from .scalars import ExactScalar, QuadExt, q_number, q_pochhammer
+from .scalars import ExactScalar, q_number, q_pochhammer
 from .weights import (
     WeightEngine,
     macdonald_nonsym_weight,
@@ -652,7 +652,11 @@ def qkrawtchouk(i, y, p, N):
 
 
 def kravchuk_data(case):
-    """Tridiagonal coefficients and closed-form constants for one case."""
+    """Tridiagonal coefficients and closed-form constants for one case.
+
+    The off-diagonal constant is a = x / w with w^2 = disc on BII and a = x
+    on CII.  Only x and a2 = a^2 are kept; both lie in Q(v).
+    """
     kind = case.extra["kind"]
     n, s = case.extra["n"], case.extra["s"]
     two = q_number(2, 1)
@@ -660,9 +664,8 @@ def kravchuk_data(case):
     if kind == "BII":
         sign = 1 if n % 2 == 0 else -1
         disc = two * ExactScalar.from_int(sign)  # w^2 = (-1)^n [2]_q
-        w = QuadExt.root(disc)
-        lift = lambda x: QuadExt.of(x, disc)
-        a = lift(dq * V(2 * s + 2 * n - 3)) / w
+        x = dq * V(2 * s + 2 * n - 3)
+        a2 = x * x / disc
         Cc = ExactScalar.from_int(-1)
         bshift = ExactScalar.zero()
 
@@ -674,9 +677,8 @@ def kravchuk_data(case):
                    (ONE - Q(2 * r)) * (ONE - Q(2 * (r - s - 1))))
             return -(val / (dq * dq))
     else:
-        disc = None
-        lift = lambda x: x
-        a = -dq * Q(s + 1)
+        x = -dq * Q(s + 1)
+        a2 = x * x
         Cc = -Q(4 - 2 * n)
         bshift = ONE - Q(2 * s + 4 - 2 * n)
 
@@ -689,42 +691,44 @@ def kravchuk_data(case):
                    (ONE - Q(2 * r)) * (ONE - Q(2 * (r - s - 1))))
             return -(val / (dq * dq))
 
-    return {"kind": kind, "n": n, "s": s, "a": a, "C": Cc, "bshift": bshift,
-            "b_r": b_r, "c_r": c_r, "lift": lift, "disc": disc}
+    return {"s": s, "x": x, "a2": a2, "C": Cc, "bshift": bshift,
+            "b_r": b_r, "c_r": c_r}
 
 
 def kravchuk_eigen(case, i):
     """Closed-form eigenvector and eigenvalue of the tridiagonal action.
 
-    Returns the vector (a_{s-r})_r, the eigenvalue, and the residual of the
-    three-term relation; the residual must be identically zero.
+    The eigenvector's entries are a_j = a^(-j) base_j with base_j in Q(v),
+    and its eigenvalue is lambda = mu / a.  Times a^(r+1), the three-term
+    relation at r reads
+        mu base_r = base_{r+1} + b_r x base_r + c_r a2 base_{r-1}
+    over Q(v); it takes b_r a = b_r x, which holds because b_r = 0 on BII,
+    the one case with a != x.  Returns the vector (base_{s-r})_r, the
+    eigenvalue as mu / x (lambda on CII, lambda / w on BII), and whether
+    every residual is identically zero.
     """
     data = kravchuk_data(case)
     s = data["s"]
     if not (0 <= i <= s):
         raise ValueError("eigenvector index out of range")
-    a, Cc, bshift, lift = data["a"], data["C"], data["bshift"], data["lift"]
+    x, a2, Cc = data["x"], data["a2"], data["C"]
     p = -(Cc * Q(2 * s))
-
-    def coef(j):
-        # evaluation point q^{2j}, i.e. x = j in the inverted base
-        base = q_pochhammer(Q(2 * s), -2, j) * qkrawtchouk(i, Q(2 * j), p, s)
-        return (a ** (-j)) * lift(base)
-
-    avec = [coef(j) for j in range(s + 1)]
-    lam = lift(Q(2 * i) + Cc * Q(2 * s - 2 * i) - bshift) / a
-    zero = lift(ExactScalar.zero())
+    # evaluation points q^{2j}, i.e. argument j in the inverted base
+    base = [q_pochhammer(Q(2 * s), -2, j) * qkrawtchouk(i, Q(2 * j), p, s)
+            for j in range(s + 1)]
+    mu = Q(2 * i) + Cc * Q(2 * s - 2 * i) - data["bshift"]
+    zero = ExactScalar.zero()
     residuals = []
     for r in range(s + 1):
-        up = avec[r + 1] if r + 1 <= s else zero
-        dn = avec[r - 1] if r - 1 >= 0 else zero
-        res = lam * avec[r] - (up + lift(data["b_r"](s - r)) * avec[r] +
-                               lift(data["c_r"](s + 1 - r)) * dn)
+        up = base[r + 1] if r + 1 <= s else zero
+        dn = base[r - 1] if r - 1 >= 0 else zero
+        res = mu * base[r] - (up + data["b_r"](s - r) * x * base[r] +
+                              data["c_r"](s + 1 - r) * a2 * dn)
         residuals.append(res)
-    vector = [avec[s - r] for r in range(s + 1)]
-    return {"vector": vector, "eigenvalue": lam,
+    vector = [base[s - r] for r in range(s + 1)]
+    return {"vector": vector, "eigenvalue": mu / x,
             "residual_zero": all(r.is_zero() for r in residuals),
-            "nonzero": any(not x.is_zero() for x in vector)}
+            "nonzero": any(not b.is_zero() for b in vector)}
 
 
 def kravchuk_orthogonality_denominator(case, i):
@@ -747,12 +751,11 @@ def kravchuk_consistency(case):
     """Cross-check of the tridiagonal data against the closed constants."""
     data = kravchuk_data(case)
     s = data["s"]
-    a, Cc, lift = data["a"], data["C"], data["lift"]
-    a2 = a * a
+    a2, Cc = data["a2"], data["C"]
     ok = True
     for r in range(0, s + 2):
-        lhs = lift(data["c_r"](s + 1 - r))
-        rhs = (lift(Cc * Q(2 * s)) / a2) * lift(
+        lhs = data["c_r"](s + 1 - r)
+        rhs = (Cc * Q(2 * s) / a2) * (
             (ONE - Q(-2 * r)) * (ONE - Q(-2 * r + 2 * s + 2)))
         if not (lhs - rhs).is_zero():
             ok = False
@@ -868,7 +871,6 @@ def _build_a2_family(tag, plan):
     restricted = RestrictedSystem(2)
     if tag == "AI2":
         datum = build_root_datum("A", 2)
-        tau_idx = (0, 1)
         theta_rows = _neg_rows(2)
         pi = ((2, 0), (0, 2))
         wwords = ((0,), (1,))
@@ -881,7 +883,7 @@ def _build_a2_family(tag, plan):
                 _balanced(a12, tuple(-x for x in a12), xlat, 1),
                 _balanced(a1, tuple(-x for x in a1), xlat, 1)]
         psi3 = [_exp((-1, 0), xlat), _exp((1, -1), xlat), _exp((0, 1), xlat)]
-        qhat_log, t, tau_scalar, tlog = 4, Q(2), Q(1), 1
+        qhat_log, t, tlog = 4, Q(2), 1
         prefactor = ONE
     elif tag == "A2G":
         datum = build_composite_datum([("A", 2), ("A", 2)])
@@ -899,11 +901,10 @@ def _build_a2_family(tag, plan):
                 _balanced((1, -1, 1, 0), (-1, 0, -1, 1), xlat, 1)]
         psi3 = [_exp((0, 0, -1, 0), xlat), _exp((0, 0, 1, -1), xlat),
                 _exp((0, 0, 0, 1), xlat)]
-        qhat_log, t, tau_scalar, tlog = 2, Q(2), Q(1), 1
+        qhat_log, t, tlog = 2, Q(2), 1
         prefactor = ONE
     elif tag == "AII5":
         datum = build_root_datum("A", 5)
-        tau_idx = tuple(range(5))
         wbullet = _matrix_of_word(datum, (0, 2, 4))
         theta_rows = tuple(tuple(-wbullet[i][j] for j in range(5))
                            for i in range(5))
@@ -923,14 +924,12 @@ def _build_a2_family(tag, plan):
         psi3 = [_exp((1, -1, 0, 0, 0), xlat), _exp((-1, 0, 0, 0, 0), xlat),
                 _exp((0, 0, 1, -1, 0), xlat), _exp((0, 1, -1, 0, 0), xlat),
                 _exp((0, 0, 0, 0, 1), xlat), _exp((0, 0, 0, 1, -1), xlat)]
-        qhat_log, t, tau_scalar, tlog = 2, Q(4), Q(2), 2
+        qhat_log, t, tlog = 2, Q(4), 2
         prefactor = Q(1) + Q(-1)
     else:
         raise ValueError(tag)
 
-    I_bullet = frozenset() if tag != "AII5" else frozenset({0, 2, 4})
-    satake = SatakeDatum(tag, datum, I_bullet, tau_idx, theta_rows,
-                         restricted, pi, wwords, bottoms)
+    satake = SatakeDatum(datum, theta_rows, restricted, pi, wwords, bottoms)
     satake.check()
 
     bottom_weights = [list(zip(mus, psi1)), list(zip(mus, psi2)),
@@ -964,7 +963,7 @@ def _build_a2_family(tag, plan):
 
     case = ExampleCase(
         tag=tag, satake=satake, restricted=restricted, lattice=lat,
-        qhat_log=qhat_log, t=t, tau_scalar=Q(tlog),
+        qhat_log=qhat_log, t=t, tau_scalar=tau_sc,
         bottom_weights=bottom_weights, golden_matrix_fn=golden,
         gamma_basis=[e1, es1, es2s1], gamma_bottoms=[2, 1, 0],
         t_map=t_map, J=(1,), **plan)
@@ -980,7 +979,6 @@ def _build_dii(n, plan):
     restricted = RestrictedSystem(1)
     if n == 2:
         datum = build_composite_datum([("A", 1), ("A", 1)])
-        tau_idx = (1, 0)
         theta_rows = ((0, -1), (-1, 0))
         pi = ((1, 1),)
         wwords = ((0, 1),)
@@ -989,7 +987,6 @@ def _build_dii(n, plan):
         mus = [(1, 0), (-1, 0)]
     else:
         datum = build_root_datum("D", n)
-        tau_idx = tuple(range(n))
         rows = [[int(i == j) for j in range(n)] for i in range(n)]
         rows[0][0] = -1
         for j in range(1, n - 2):
@@ -1004,9 +1001,7 @@ def _build_dii(n, plan):
         id_slot, theta_slot = 1, 0
         mus = sorted(datum.weyl_orbit(bottoms[1]))
 
-    I_bullet = frozenset(range(1, n)) if n > 2 else frozenset()
-    satake = SatakeDatum(tag, datum, I_bullet, tau_idx, theta_rows,
-                         restricted, pi, wwords, bottoms)
+    satake = SatakeDatum(datum, theta_rows, restricted, pi, wwords, bottoms)
     satake.check()
 
     def theta(mu):
@@ -1077,8 +1072,7 @@ def _build_small_b(kind, n, s, plan):
     wwords = (datum.reflection_word(datum.fundamental_weight(k_idx)),)
     bottoms = ((0,) * n,)  # single bottom, stored at the zero representative
 
-    satake = SatakeDatum(tag, datum, I_bullet, tuple(range(n)), theta_rows,
-                         restricted, pi, wwords, bottoms)
+    satake = SatakeDatum(datum, theta_rows, restricted, pi, wwords, bottoms)
     satake.check()
 
     # restriction: e^mu prod_{j<s} (1 - C q^{2j} e^{-w_k}) / (C; q^2)_s,

@@ -362,14 +362,10 @@ def _datum_from_cartan(series, A, lattice):
 
 @dataclass
 class WeightMultTable:
-    highest: tuple
     mult: dict  # weight -> positive int
 
     def dim(self):
         return sum(self.mult.values())
-
-    def weights(self):
-        return self.mult.keys()
 
 
 def freudenthal(datum, lam, dim_bound=12000):
@@ -424,7 +420,7 @@ def freudenthal(datum, lam, dim_bound=12000):
             val = acc / denom
             assert val.denominator == 1 and val > 0
             mult[nu] = int(val)
-    table = WeightMultTable(tuple(lam), mult)
+    table = WeightMultTable(mult)
     assert table.dim() == total, "Freudenthal total %d != Weyl dim %d" % (
         table.dim(), total)
     return table
@@ -560,10 +556,7 @@ def regularity_scalar(satake, J, K, h=None):
 class SatakeDatum:
     """Ambient datum plus the involution/restriction data of one case."""
 
-    name: str
     datum: RootDatum
-    I_bullet: frozenset
-    tau: tuple  # involutive index map
     theta_rows: tuple  # Theta as a matrix on X-coordinates (row per output)
     restricted: "RestrictedSystem"
     pi_vectors: tuple  # basis of 2L, as X-coordinate vectors

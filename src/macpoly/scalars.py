@@ -19,8 +19,9 @@ divisor whose numerator is not one, falls back to the pseudo-remainder gcd
 
 A truncated Laurent-series backend (`SeriesScalar`) mirrors the same
 arithmetic modulo O(v^prec) and is used wherever infinite products have to
-be expanded.  `QuadExt` adjoins a single formal square root on top of the
-exact field.
+be expanded.  A series is an integer Laurent polynomial over one integer
+denominator, and an exact value expands as its numerator times the series
+inverse of its denominator.  These two types are the whole scalar layer.
 """
 
 from __future__ import annotations
@@ -398,7 +399,7 @@ class ExactScalar:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (SeriesScalar, QuadExt)):
+        if isinstance(other, SeriesScalar):
             return NotImplemented
         other = _coerce(other)
         if not self.num:
@@ -440,7 +441,7 @@ class ExactScalar:
         return _make(_lp_neg(self.num), self.den, self.cyc)
 
     def __sub__(self, other):
-        if isinstance(other, (SeriesScalar, QuadExt)):
+        if isinstance(other, SeriesScalar):
             return NotImplemented
         return self.__add__(_coerce(other).__neg__())
 
@@ -448,7 +449,7 @@ class ExactScalar:
         return _coerce(other).__sub__(self)
 
     def __mul__(self, other):
-        if isinstance(other, (SeriesScalar, QuadExt)):
+        if isinstance(other, SeriesScalar):
             return NotImplemented
         other = _coerce(other)
         if self.is_zero() or other.is_zero():
@@ -495,7 +496,7 @@ class ExactScalar:
         return self.__mul__(other)
 
     def __truediv__(self, other):
-        if isinstance(other, (SeriesScalar, QuadExt)):
+        if isinstance(other, SeriesScalar):
             return NotImplemented
         other = _coerce(other)
         if other.is_zero():
@@ -561,28 +562,17 @@ class ExactScalar:
         return "(%s) / (%s)" % (n, _render_poly(self.den))
 
     def to_series(self, prec):
-        """Expand as a SeriesScalar valid strictly below order prec."""
-        if not self.num:
+        """Expand as a SeriesScalar valid strictly below order prec.
+
+        The denominator's lowest power is 0, so its inverse taken to order
+        prec - min(0, ord num) makes the product with the numerator exact
+        below prec."""
+        if not self.num or min(self.num) >= prec:
             return SeriesScalar({}, prec)
-        den_items = sorted(self.den.items())
-        c0 = Fraction(den_items[0][1])
-        rest = den_items[1:]
-        out = {}
-        work = {e: Fraction(c) / c0 for e, c in self.num.items()}
-        # long division: repeatedly peel off the lowest term of the remainder
-        while work:
-            e = min(work)
-            if e >= prec:
-                break
-            c = work.pop(e)
-            if not c:
-                continue
-            out[e] = out.get(e, Fraction(0)) + c
-            for de, dc in rest:
-                ee = e + de
-                if ee < prec:
-                    work[ee] = work.get(ee, Fraction(0)) - c * Fraction(dc) / c0
-        return SeriesScalar({e: c for e, c in out.items() if c and e < prec}, prec)
+        if len(self.den) == 1:
+            return SeriesScalar(self.num, prec, _den=self.den[0])
+        inv = SeriesScalar(self.den, prec - min(0, min(self.num))).inv()
+        return SeriesScalar(self.num, prec) * inv
 
 
 # the zero every reduction returns; scalars are immutable, so the zero
@@ -763,26 +753,15 @@ class SeriesScalar:
 
     __slots__ = ("num", "den", "prec")
 
-    def __init__(self, coeffs, prec, _den=None):
+    def __init__(self, num, prec, _den=1):
+        """`num` maps exponents to integer numerators over `_den`."""
         self.prec = prec
-        if _den is not None:
-            if _den < 0:
-                _den = -_den
-                coeffs = {e: -c for e, c in coeffs.items()}
-            self.num = {e: c for e, c in coeffs.items() if c and e < prec}
-            self.den = _den
-            self._reduce()
-            return
-        den = 1
-        vals = {}
-        for e, c in coeffs.items():
-            if not c or e >= prec:
-                continue
-            fr = Fraction(c)
-            vals[e] = fr
-            den = den * fr.denominator // int_gcd(den, fr.denominator)
-        self.num = {e: int(c * den) for e, c in vals.items()}
-        self.den = den
+        if _den < 0:
+            _den = -_den
+            num = {e: -c for e, c in num.items()}
+        self.num = {e: c for e, c in num.items() if c and e < prec}
+        self.den = _den
+        self._reduce()
 
     def _reduce(self):
         if not self.num:
@@ -921,7 +900,8 @@ class SeriesScalar:
         if isinstance(x, ExactScalar):
             return x.to_series(self.prec)
         if isinstance(x, (int, Fraction)):
-            return SeriesScalar({0: Fraction(x)}, self.prec)
+            fr = Fraction(x)
+            return SeriesScalar({0: fr.numerator}, self.prec, _den=fr.denominator)
         raise TypeError("cannot coerce %r into series ring" % (x,))
 
     def __repr__(self):
@@ -934,95 +914,6 @@ class SeriesScalar:
         if self.den != 1:
             n = "(%s) / %d" % (n, self.den)
         return "%s + O(v^%d)" % (n, self.prec)
-
-
-# ---------------------------------------------------------------------------
-# quadratic extension Q(v)(w), w^2 = disc
-# ---------------------------------------------------------------------------
-
-
-class QuadExt:
-    """a + b*w with w^2 = disc, over ExactScalar.
-
-    Used only where a single formal square root is needed; disc must agree
-    between operands.
-    """
-
-    __slots__ = ("a", "b", "disc")
-
-    def __init__(self, a, b, disc):
-        self.a = _coerce(a)
-        self.b = _coerce(b)
-        self.disc = disc
-
-    @classmethod
-    def of(cls, x, disc):
-        if isinstance(x, QuadExt):
-            return x
-        return cls(_coerce(x), ExactScalar.zero(), disc)
-
-    @classmethod
-    def root(cls, disc):
-        return cls(ExactScalar.zero(), ExactScalar.one(), disc)
-
-    def is_zero(self):
-        return self.a.is_zero() and self.b.is_zero()
-
-    def __add__(self, other):
-        other = QuadExt.of(other, self.disc)
-        return QuadExt(self.a + other.a, self.b + other.b, self.disc)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.disc)
-
-    def __sub__(self, other):
-        return self.__add__(QuadExt.of(other, self.disc).__neg__())
-
-    def __rsub__(self, other):
-        return QuadExt.of(other, self.disc).__sub__(self)
-
-    def __mul__(self, other):
-        other = QuadExt.of(other, self.disc)
-        return QuadExt(self.a * other.a + self.b * other.b * self.disc,
-                       self.a * other.b + self.b * other.a, self.disc)
-
-    __rmul__ = __mul__
-
-    def inv(self):
-        nrm = self.a * self.a - self.b * self.b * self.disc
-        if nrm.is_zero():
-            raise ZeroDivisionError("non-invertible element of quadratic extension")
-        return QuadExt(self.a / nrm, -self.b / nrm, self.disc)
-
-    def __truediv__(self, other):
-        return self.__mul__(QuadExt.of(other, self.disc).inv())
-
-    def __rtruediv__(self, other):
-        return QuadExt.of(other, self.disc).__truediv__(self)
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inv() ** (-n)
-        out = QuadExt.of(ExactScalar.one(), self.disc)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __eq__(self, other):
-        other = QuadExt.of(other, self.disc)
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        raise TypeError("QuadExt is unhashable")
-
-    def __repr__(self):
-        return "QuadExt(%s + (%s)*w)" % (self.a.render(), self.b.render())
 
 
 # ---------------------------------------------------------------------------

@@ -781,9 +781,8 @@ class WeightEngine:
 
     def _finish(self, acc):
         """Series sum truncated at the guaranteed order."""
-        return SeriesScalar(
-            {e: c for e, c in acc.coeffs.items() if e < self._guaranteed},
-            min(acc.prec, self._guaranteed))
+        return SeriesScalar(acc.num, min(acc.prec, self._guaranteed),
+                            _den=acc.den)
 
     def vector_pair(self, u, M, w, group=None):
         """sum_{i,j} ct(u_i M_ij flip(w_j) W) for vectors u, w and matrix M,

@@ -2,11 +2,13 @@
 spec and its functional by reduction, the constant term of a weight,
 pairings through materialised products, support triangularity, a series
 weight's coefficients as sums of series products, a cone part's flat table
-by nested integer loops, series inversion by the geometric series, family
-members by one dense solve, Weyl characters by the alternating-sum formula
-and the ratio identity's rows by the per-word loop."""
+by nested integer loops, series inversion by the geometric series, the
+series of an exact value by long division, family members by one dense
+solve, Weyl characters by the alternating-sum formula and the ratio
+identity's rows by the per-word loop."""
 
 from fractions import Fraction
+from math import lcm
 
 from macpoly.families import j_dominant_below, monomial_J
 from macpoly.galg import GAElement, solve_linear
@@ -221,6 +223,39 @@ def series_inv_geometric(x):
     # x^-1 = (den / c0) v^-m sum out / outden
     num = {e - m: c * x.den for e, c in out.items()}
     return SeriesScalar(num, x.prec - 2 * m, _den=outden * c0)
+
+
+def to_series_by_long_division(x, prec):
+    """An ExactScalar x as a SeriesScalar valid strictly below order prec,
+    by long division in Fraction arithmetic; the oracle of
+    `ExactScalar.to_series`."""
+    if not x.num:
+        return SeriesScalar({}, prec)
+    den_items = sorted(x.den.items())
+    c0 = Fraction(den_items[0][1])
+    rest = den_items[1:]
+    out = {}
+    work = {e: Fraction(c) / c0 for e, c in x.num.items()}
+    # long division: repeatedly peel off the lowest term of the remainder
+    while work:
+        e = min(work)
+        if e >= prec:
+            break
+        c = work.pop(e)
+        if not c:
+            continue
+        out[e] = out.get(e, Fraction(0)) + c
+        for de, dc in rest:
+            ee = e + de
+            if ee < prec:
+                work[ee] = work.get(ee, Fraction(0)) - c * Fraction(dc) / c0
+    out = {e: c for e, c in out.items() if c and e < prec}
+    # integer numerators over the lcm of the coefficient denominators
+    den = 1
+    for c in out.values():
+        den = lcm(den, c.denominator)
+    return SeriesScalar({e: int(c * den) for e, c in out.items()}, prec,
+                        _den=den)
 
 
 def dense_solve_member(spec, J, mu):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -17,7 +18,7 @@ from macpoly.cases import (
 from macpoly.families import AWFunctional, aw_oracle
 from macpoly.galg import GAElement, solve_linear
 from macpoly.roots import regularity_scalar
-from macpoly.scalars import ExactScalar, SeriesScalar
+from macpoly.scalars import ExactScalar, SeriesScalar, q_number
 
 from oracles import (
     aw_reduce,
@@ -397,10 +398,51 @@ class TestKravchuk:
             r = kravchuk_eigen(case, i)
             assert r["residual_zero"], (cid, i)
             assert r["nonzero"]
+            assert isinstance(r["eigenvalue"], ExactScalar)
             evs.append(r["eigenvalue"])
         for i in range(len(evs)):
             for j in range(i):
                 assert not (evs[i] - evs[j]).is_zero()
+
+    @staticmethod
+    def _tamper(monkeypatch, change):
+        """Make every Kravchuk check read data edited by `change`."""
+        from macpoly import cases
+
+        real = cases.kravchuk_data
+
+        def data(case):
+            d = real(case)
+            change(d)
+            return d
+
+        monkeypatch.setattr(cases, "kravchuk_data", data)
+
+    @pytest.mark.parametrize("cid,wrong", [
+        # BII: a2 = x^2 / disc, with disc dropped
+        ("BII:n=2,s=2", lambda d: d["x"] * d["x"]),
+        # CII: a2 = x^2, with a spurious [2]_q
+        ("CII:n=3,s=2", lambda d: d["x"] * d["x"] * q_number(2, 1))])
+    def test_tampered_a2_fails(self, cid, wrong, monkeypatch):
+        case = build_case(cid)
+        self._tamper(monkeypatch, lambda d: d.update(a2=wrong(d)))
+        assert not kravchuk_consistency(case)
+        for i in range(case.extra["s"] + 1):
+            assert not kravchuk_eigen(case, i)["residual_zero"], i
+
+    @pytest.mark.parametrize("cid", ["BII:n=2,s=2", "CII:n=3,s=2"])
+    def test_tampered_c_r_fails(self, cid, monkeypatch):
+        case = build_case(cid)
+        s = case.extra["s"]
+
+        def change(d):
+            c_r = d["c_r"]
+            d["c_r"] = lambda r: c_r(r) * 2 if r == s else c_r(r)
+
+        self._tamper(monkeypatch, change)
+        assert not kravchuk_consistency(case)
+        for i in range(s + 1):
+            assert not kravchuk_eigen(case, i)["residual_zero"], i
 
     def test_s_zero(self):
         case = build_case("BII:n=2,s=0")
@@ -669,10 +711,12 @@ def _perturb_tail(f, rng, extra=40):
     terms = {}
     for e, c in f.terms.items():
         if isinstance(c, SeriesScalar):
-            coeffs = dict(c.coeffs)
-            for k in range(c.prec, c.prec + extra):
-                coeffs[k] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-            c = SeriesScalar(coeffs, c.prec + extra)
+            tail = {k: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                    for k in range(c.prec, c.prec + extra)}
+            den = math.lcm(c.den, *(t.denominator for t in tail.values()))
+            num = {e: n * (den // c.den) for e, n in c.num.items()}
+            num.update((k, int(t * den)) for k, t in tail.items())
+            c = SeriesScalar(num, c.prec + extra, _den=den)
         terms[e] = c
     return GAElement(terms, f.lattice)
 
@@ -716,10 +760,10 @@ class TestSeriesMomentPairing:
             if rng.random() < 0.5:
                 return Q(rng.randint(-1, 1)) / (ExactScalar.one() + Q(1))
             o = rng.randint(-2, 0)
-            return SeriesScalar({o: rng.randint(-3, 3) or 1,
-                                 o + 1: Fraction(rng.randint(-3, 3), 2),
-                                 o + 5: rng.randint(-3, 3)},
-                                rng.choice([96, 100, 104]))
+            return SeriesScalar({o: 2 * (rng.randint(-3, 3) or 1),
+                                 o + 1: rng.randint(-3, 3),
+                                 o + 5: 2 * rng.randint(-3, 3)},
+                                rng.choice([96, 100, 104]), _den=2)
 
         vecs = []
         for _ in range(6):

@@ -1,14 +1,16 @@
+import math
 import operator
 import random
 
 from fractions import Fraction
 
+import hypothesis
 import pytest
+import sympy
 
 from macpoly import cyclotomic, scalars
 from macpoly.scalars import (
     ExactScalar,
-    QuadExt,
     SeriesScalar,
     exact_sum_of_products,
     parse_scalar,
@@ -16,7 +18,7 @@ from macpoly.scalars import (
     q_pochhammer,
 )
 
-from oracles import series_inv_geometric
+from oracles import series_inv_geometric, to_series_by_long_division
 
 Q = ExactScalar.q_power
 V = ExactScalar.v_power
@@ -177,8 +179,11 @@ class TestSeries:
         assert (got.num, got.den, got.prec) == ({1: -1}, 2, 2)
 
     def test_fraction_coeffs(self):
-        s = SeriesScalar({0: Fraction(1, 3)}, 10)
+        s = SeriesScalar({0: 1}, 10, _den=3)
         assert (3 * s - 1).is_zero()
+        # a Fraction coerces to its numerator over its denominator
+        assert s == Fraction(1, 3)
+        assert ((SeriesScalar.zero(10) + Fraction(-2, 6)) + s).is_zero()
 
     def test_render_roundtrip(self):
         rng = random.Random(5)
@@ -187,35 +192,58 @@ class TestSeries:
             coeffs = {rng.randint(-4, 14): Fraction(rng.randint(-9, 9),
                                                     rng.randint(1, 6))
                       for _ in range(rng.randint(0, 6))}
-            s = SeriesScalar(coeffs, prec)
+            den = math.lcm(*(c.denominator for c in coeffs.values()))
+            s = SeriesScalar({e: int(c * den) for e, c in coeffs.items()},
+                             prec, _den=den)
             back = parse_scalar(s.render())
             assert isinstance(back, SeriesScalar)
             assert back.prec == s.prec
             assert back.num == s.num and back.den == s.den
         assert SeriesScalar({}, 5).render() == "0 + O(v^5)"
-        assert (SeriesScalar({0: Fraction(1, 2), 3: -1}, 6).render()
+        assert (SeriesScalar({0: 1, 3: -2}, 6, _den=2).render()
                 == "(1 - 2*v^3) / 2 + O(v^6)")
 
 
-class TestQuadExt:
-    def test_square_root(self):
-        d = q_number(2, 1)  # w^2 = q + q^-1
-        w = QuadExt.root(d)
-        assert (w * w).a == d
-        assert (w * w).b.is_zero()
+class TestToSeries:
+    """ExactScalar.to_series against the long-division oracle."""
 
-    def test_inverse(self):
-        d = Q(2) + 1
-        x = QuadExt(Q(1), Q(-1) + 3, d)
-        y = x * x.inv()
-        assert y.a.is_one() and y.b.is_zero()
+    @staticmethod
+    def _same_series(f, prec):
+        got, want = f.to_series(prec), to_series_by_long_division(f, prec)
+        assert (got.num, got.den, got.prec) == (want.num, want.den, want.prec), (
+            f, prec)
+        return got
 
-    def test_arithmetic(self):
-        d = Q(2)
-        w = QuadExt.root(d)
-        lhs = (1 + w) * (1 - w)
-        assert lhs.a == 1 - d
-        assert lhs.b.is_zero()
+    def test_matches_long_division(self):
+        # negative numerator orders, integer leads and constant terms other
+        # than +-1, non-cyclotomic denominators, and precisions at or below
+        # 0, at or below the numerator's order, and far above it
+        rng = random.Random(29)
+        seen = set()
+        for _ in range(400):
+            f = rand_scalar(rng, size=rng.randint(1, 4))
+            o = f.v_order()
+            prec = rng.choice([rng.randint(-8, 0), (o or 0) - rng.randint(0, 3),
+                               rng.randint(1, 20), rng.randint(60, 120)])
+            self._same_series(f, prec)
+            if o is not None:
+                seen |= {("neg", o < 0), ("lead", abs(f.num[o]) > 1),
+                         ("c0", abs(f.den[0]) > 1), ("cyc", f.cyc is None),
+                         ("prec<=0", prec <= 0), ("prec<=ord", prec <= o),
+                         ("large", prec >= 60)}
+        assert {("neg", True), ("lead", True), ("c0", True), ("cyc", True),
+                ("prec<=0", True), ("prec<=ord", True),
+                ("large", True)} <= seen
+
+    def test_edge_shapes(self):
+        # zero, a polynomial, a pure v-power denominator, an order at prec
+        cases = [(ExactScalar.zero(), 5), (Q(-2) * 3 + 1, 1),
+                 (ExactScalar({-3: 4}, {0: 6}), -2),
+                 (ExactScalar({2: 5}, {0: 3, 1: 1}), 2),
+                 (ExactScalar({2: 5}, {0: 3, 1: 1}), 3),
+                 (ExactScalar({-1: 2}, {0: -3, 2: 7}), 150)]
+        for f, prec in cases:
+            self._same_series(f, prec)
 
 
 class TestAgainstSympy:
@@ -223,8 +251,6 @@ class TestAgainstSympy:
 
     @staticmethod
     def _check(op):
-        hypothesis = pytest.importorskip("hypothesis")
-        sympy = pytest.importorskip("sympy")
         st = hypothesis.strategies
         v = sympy.Symbol("v")
         laurent = st.dictionaries(st.integers(-3, 3), st.integers(-5, 5),
@@ -300,7 +326,6 @@ def _consistent(x):
 
 class TestCyclotomicHelpers:
     def test_polynomials_against_sympy(self):
-        sympy = pytest.importorskip("sympy")
         v = sympy.Symbol("v")
         for k in range(1, 61):
             coeffs = sympy.Poly(sympy.cyclotomic_poly(k, v), v).all_coeffs()[::-1]
@@ -337,7 +362,7 @@ class TestCyclotomicReduction:
 
     @staticmethod
     def _strategies():
-        st = pytest.importorskip("hypothesis").strategies
+        st = hypothesis.strategies
         # 1 +- v^k, Phi_k and 1 - q^k t^m with q = v^2 and t = q^s
         binomial = st.builds(lambda s, k: {0: 1, k: s},
                              st.sampled_from([1, -1]), st.integers(1, 12))
@@ -374,8 +399,6 @@ class TestCyclotomicReduction:
 
     @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
     def test_operation(self, op):
-        hypothesis = pytest.importorskip("hypothesis")
-        sympy = pytest.importorskip("sympy")
         v = sympy.Symbol("v")
         scalar = self._strategies()
 
