@@ -106,7 +106,6 @@ class ExampleCase:
     lattice: str
     qhat_log: int
     t: ExactScalar  # deformation scalar of the restricted weight
-    tau_scalar: ExactScalar  # square root of t used by the golden matrices
     bottom_weights: list  # per bottom: list of (mu in X-coords, GAElement in X)
     golden_matrix_fn: object
     # identification data
@@ -152,13 +151,16 @@ class ExampleCase:
 
     # -- bottom restrictions and the matrix weight ---------------------------
 
-    def bottom_restrictions(self):
-        """Golden restriction diagonals; checks the unit normalisation."""
-        for entries in self.bottom_weights:
-            for _, f in entries:
+    def bottom_normalisation_check(self):
+        """Every golden restriction is 1 under e^mu -> 1."""
+        for b, entries in enumerate(self.bottom_weights):
+            for mu, f in entries:
                 val = f.evaluate_at_one()
-                assert val.is_one(), "restriction not normalised at 1"
-        return self.bottom_weights
+                if not val.is_one():
+                    return {"status": "fail",
+                            "detail": "bottom %d, weight %s: restriction is "
+                                      "%s at 1, not 1" % (b, mu, val.render())}
+        return {"status": "pass"}
 
     def matrix_weight(self):
         """Trace-paired matrix weight in restricted coordinates."""
@@ -229,7 +231,8 @@ class ExampleCase:
                     failures.append(("qinv", i, j))
         for i in range(n):
             for w in range(self.rank):
-                img = M[i, i].weyl_act(lambda e: self.restricted.reflect(w, e))
+                img = M[i, i].map_exponents(
+                    lambda e: self.restricted.reflect(w, e))
                 if not (img - M[i, i]).is_zero():
                     failures.append(("weyl", i, w))
         return {"status": "pass" if not failures else "fail",
@@ -827,7 +830,6 @@ def _matrix_of_word(datum, word):
 
 def _longest_word(datum, subset):
     """Reduced word of the longest element of the parabolic on `subset`."""
-    rho_par = [sum(1 for i in subset if i == j) for j in range(datum.rank)]
     y = tuple(1 if j in subset else 0 for j in range(datum.rank))
     word = []
     while True:
@@ -849,7 +851,7 @@ def _bullet_module_weights(datum, subset, hw):
 
     subset = list(subset)
     subA = tuple(tuple(datum.A[i][j] for j in subset) for i in subset)
-    sub = _datum_from_cartan("sub", subA, "sc")
+    sub = _datum_from_cartan("sub", subA)
     sub_hw = tuple(int(datum.pair_simple(i, hw)) for i in subset)
     table = freudenthal(sub, sub_hw)
     out = []
@@ -935,19 +937,19 @@ def _build_a2_family(tag, plan):
     bottom_weights = [list(zip(mus, psi1)), list(zip(mus, psi2)),
                       list(zip(mus, psi3))]
 
+    tau_sc = Q(tlog)  # the square root of t
+
     def golden(case):
         m1, m2 = case.m_of((1, 0)), case.m_of((0, 1))
         m12 = case.m_of((1, 1))
         one = case.one()
-        tau = case.tau_scalar
         three = one.scale(q_number(3, tlog))
         mid = (m12 + one.scale(ExactScalar.from_int(2))).scale(
-            ((tau + tau.inv()) ** 2).inv()) + one
+            ((tau_sc + tau_sc.inv()) ** 2).inv()) + one
         rows = [[three, m2, m1], [m1, mid, m2], [m2, m1, three]]
         return MatGAElement([[e.scale(prefactor) for e in row] for row in rows])
 
     # basis of the J-invariants over the W-invariants, and the column map
-    tau_sc = Q(tlog)
     e1 = GAElement.one(lat, 2)
     es1 = _ga([((0, 1), ONE), ((1, -1), ONE)], lat).scale(
         (ONE + (tau_sc * tau_sc).inv()).inv())
@@ -963,7 +965,7 @@ def _build_a2_family(tag, plan):
 
     case = ExampleCase(
         tag=tag, satake=satake, restricted=restricted, lattice=lat,
-        qhat_log=qhat_log, t=t, tau_scalar=tau_sc,
+        qhat_log=qhat_log, t=t,
         bottom_weights=bottom_weights, golden_matrix_fn=golden,
         gamma_basis=[e1, es1, es2s1], gamma_bottoms=[2, 1, 0],
         t_map=t_map, J=(1,), **plan)
@@ -1035,7 +1037,7 @@ def _build_dii(n, plan):
 
     case = ExampleCase(
         tag=tag, satake=satake, restricted=restricted, lattice=lat,
-        qhat_log=2, t=Q(2 * (n - 1)), tau_scalar=Q(n - 1),
+        qhat_log=2, t=Q(2 * (n - 1)),
         bottom_weights=bottom_weights, golden_matrix_fn=golden,
         gamma_basis=gamma, gamma_bottoms=[0, 1],
         t_map=t_map, J=(), **plan)
@@ -1106,7 +1108,7 @@ def _build_small_b(kind, n, s, plan):
 
     case = ExampleCase(
         tag=tag, satake=satake, restricted=restricted, lattice=lat,
-        qhat_log=2, t=None, tau_scalar=None,
+        qhat_log=2, t=None,
         bottom_weights=bottom_weights, golden_matrix_fn=golden,
         gamma_basis=[GAElement.one(lat, 1)], gamma_bottoms=[0],
         t_map=t_map, J=(0,),

@@ -233,11 +233,7 @@ def run_verify(case_id, height=2, order=60):
         entry.update(result)
         checks.append(entry)
 
-    def bottom_normalisation():
-        case.bottom_restrictions()
-        return {"status": "pass"}
-
-    record("bottom_normalisation", bottom_normalisation)
+    record("bottom_normalisation", case.bottom_normalisation_check)
     record("matrix_weight", case.matrix_weight_check)
     record("weight_symmetry", case.weight_symmetry_check)
     if case.t is not None:

@@ -1,9 +1,9 @@
 """Sparse exact arithmetic in group algebras k[X] and k[2L].
 
 A GAElement is a finite map from integer exponent vectors to scalars.
-Coefficients may live in any of the scalar backends (exact rational
-functions, truncated series, quadratic extension); mixing lattices is an
-error, mixing backends is the caller's responsibility.
+Coefficients are exact rational functions (`ExactScalar`) or truncated
+series (`SeriesScalar`); mixing lattices is an error, mixing the two
+scalar types is the caller's responsibility.
 """
 
 from __future__ import annotations
@@ -106,6 +106,7 @@ class GAElement:
     # -- structure maps -----------------------------------------------------
 
     def map_exponents(self, fn):
+        """e^mu -> e^{fn(mu)}, such as a Weyl group action on exponents."""
         out = {}
         for e, c in self.terms.items():
             e2 = tuple(fn(e))
@@ -120,9 +121,8 @@ class GAElement:
     def map_coeffs(self, fn):
         return GAElement({e: fn(c) for e, c in self.terms.items()}, self.lattice)
 
-    def relabel(self, lattice, fn=None):
-        if fn is None:
-            return GAElement(dict(self.terms), lattice)
+    def relabel(self, lattice, fn):
+        """The element on `lattice`, each exponent e moved to fn(e)."""
         return GAElement({tuple(fn(e)): c for e, c in self.terms.items()}, lattice)
 
     def support(self):
@@ -147,10 +147,6 @@ class GAElement:
         """q -> 1/q together with e^mu -> e^{-mu}."""
         return self.invol_inv().map_coeffs(lambda c: c.bar())
 
-    def weyl_act(self, reflect_word):
-        """Apply a lattice map given as a callable on exponent tuples."""
-        return self.map_exponents(reflect_word)
-
     def shift_act(self, pairing_doubled):
         """h-shift: e^mu -> q^{<h, mu>} e^mu, via mu -> <2h, mu> (integer)."""
         out = {}
@@ -161,10 +157,6 @@ class GAElement:
                 raise ValueError("non-integral shift pairing at %s" % (e,))
             out[e] = c * ExactScalar.v_power(int(d))
         return GAElement(out, self.lattice)
-
-    def to_series(self, prec):
-        return GAElement({e: c.to_series(prec) for e, c in self.terms.items()},
-                         self.lattice)
 
     # -- division -----------------------------------------------------------
 

@@ -1,8 +1,9 @@
 """Finite-type root data, Weyl combinatorics and weight multiplicities.
 
-Weights carry integer coordinates in the fundamental-weight basis of X
-(simply connected datum) or in the simple-root basis (adjoint datum).
-Coweights carry integer coordinates in the simple-coroot basis of Y.
+Weights carry integer coordinates in the fundamental-weight basis of X,
+the weight lattice of a simply connected datum, so a weight's pairing with
+the i-th simple coroot is its i-th coordinate.  Coweights carry integer
+coordinates in the simple-coroot basis of Y.
 Half-integral objects (2*rho, the embedding lambda -> h_lambda) are kept
 doubled or as exact Fractions so that every pairing used downstream stays
 integral.
@@ -112,11 +113,8 @@ def _mat_inv_fractions(A):
 class RootDatum:
     series: str
     rank: int
-    lattice: str  # "sc" (X = weight lattice) or "adjoint" (X = root lattice)
     A: tuple
     eps: tuple
-    # pairing_rows[i][j] = <h_i, e_j> for the chosen X-basis (e_j)
-    pairing_rows: tuple
     alpha_coords: tuple  # simple roots in X-coordinates
     two_rho: tuple  # 2*rho in integer h-coordinates
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
@@ -125,14 +123,9 @@ class RootDatum:
     def zero(self):
         return (0,) * self.rank
 
-    def pair(self, h_coords, x):
-        """<h, x> for h in Fraction/int h-coordinates and x in X-coordinates."""
-        return sum(Fraction(h_coords[i]) * sum(self.pairing_rows[i][j] * x[j]
-                                               for j in range(self.rank))
-                   for i in range(self.rank))
-
     def pair_simple(self, i, x):
-        return sum(p * c for p, c in zip(self.pairing_rows[i], x))
+        """<h_i, x>: the i-th fundamental-weight coordinate of x."""
+        return x[i]
 
     def pair_two_rho(self, x):
         """<2 rho, x>, always an integer."""
@@ -282,9 +275,7 @@ class RootDatum:
             frontier = nxt
 
     def fundamental_weight(self, i):
-        if self.lattice == "sc":
-            return tuple(int(i == j) for j in range(self.rank))
-        raise ValueError("fundamental weights only live in the sc lattice")
+        return tuple(int(i == j) for j in range(self.rank))
 
     def weyl_dim(self, lam):
         """Dimension of the simple module with highest weight lam."""
@@ -309,7 +300,7 @@ class RootDatum:
         return self._cache[key]
 
 
-def build_composite_datum(parts, lattice="sc"):
+def build_composite_datum(parts):
     """Root datum of a product type, e.g. [("A", 2), ("A", 2)]."""
     blocks = [cartan_matrix(s, r) for s, r in parts]
     n = sum(len(b) for b in blocks)
@@ -321,33 +312,25 @@ def build_composite_datum(parts, lattice="sc"):
                 A[off + i][off + j] = v
         off += len(b)
     return _datum_from_cartan("x".join("%s%d" % p for p in parts),
-                              tuple(tuple(r) for r in A), lattice)
+                              tuple(tuple(r) for r in A))
 
 
-def build_root_datum(series, rank, lattice="sc"):
-    return _datum_from_cartan(series, cartan_matrix(series, rank), lattice)
+def build_root_datum(series, rank):
+    return _datum_from_cartan(series, cartan_matrix(series, rank))
 
 
-def _datum_from_cartan(series, A, lattice):
-    rank = len(A)
+def _datum_from_cartan(series, A):
+    n = len(A)
     eps = symmetrizers(A)
-    n = rank
-    if lattice == "sc":
-        pairing = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        alpha = tuple(tuple(A[i][j] for i in range(n)) for j in range(n))
-    elif lattice == "adjoint":
-        pairing = A
-        alpha = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    else:
-        raise ValueError("lattice must be 'sc' or 'adjoint'")
+    # alpha_j = sum_i <h_i, alpha_j> omega_i, the j-th column of A
+    alpha = tuple(tuple(A[i][j] for i in range(n)) for j in range(n))
     # 2 rho solves <2rho, alpha_j> = 2 eps_j
     AT = [[Fraction(A[i][j]) for i in range(n)] for j in range(n)]
     inv = _mat_inv_fractions(AT)
     two_rho = tuple(sum(inv[i][j] * 2 * eps[j] for j in range(n)) for i in range(n))
     if any(c.denominator != 1 for c in two_rho):
-        raise ValueError("2*rho is not integral for %s%d" % (series, rank))
-    datum = RootDatum(series, rank, lattice, A, eps, pairing, alpha,
-                      tuple(int(c) for c in two_rho))
+        raise ValueError("2*rho is not integral for %s%d" % (series, n))
+    datum = RootDatum(series, n, A, eps, alpha, tuple(int(c) for c in two_rho))
     for i in range(n):
         for j in range(n):
             assert datum.pair_simple(i, datum.alpha_coords[j]) == A[i][j]
@@ -360,6 +343,10 @@ def _datum_from_cartan(series, A, lattice):
 # ---------------------------------------------------------------------------
 
 
+# the largest module `freudenthal` tabulates
+FREUDENTHAL_DIM_BOUND = 12000
+
+
 @dataclass
 class WeightMultTable:
     mult: dict  # weight -> positive int
@@ -368,13 +355,14 @@ class WeightMultTable:
         return sum(self.mult.values())
 
 
-def freudenthal(datum, lam, dim_bound=12000):
+def freudenthal(datum, lam):
     """Multiplicity table of the simple module with highest weight lam."""
     if not datum.is_dominant(lam):
         raise ValueError("highest weight must be dominant")
     total = datum.weyl_dim(lam)
-    if total > dim_bound:
-        raise ValueError("dimension %d exceeds bound %d" % (total, dim_bound))
+    if total > FREUDENTHAL_DIM_BOUND:
+        raise ValueError("dimension %d exceeds bound %d"
+                         % (total, FREUDENTHAL_DIM_BOUND))
     n = datum.rank
     pos = datum.positive_roots()
     rho = datum.rho_x()
@@ -430,15 +418,14 @@ def _in_hull(datum, lam, xi):
     return datum.dominance_leq(datum.dominant_rep(xi), lam)
 
 
-def central_scalar(datum, lam, mu, table=None):
+def central_scalar(datum, lam, mu):
     """Sum of q^{-2 lam . nu - <2rho, nu>} dim L(mu)_nu over weights nu.
 
     Requires every v-exponent to be integral; 2 h_mu in Y is flagged (the
     corresponding element is central only in that case) but the scalar is
     still returned when the exponents close up.
     """
-    if table is None:
-        table = freudenthal(datum, mu)
+    table = freudenthal(datum, mu)
     h2 = datum.h_embed_doubled(mu)
     central = all(c.denominator == 1 for c in h2)
     acc = ZERO
@@ -630,8 +617,8 @@ class RestrictedSystem(RootDatum):
         if rank not in (1, 2):
             raise ValueError("restricted systems implemented for rank 1 and 2")
         a = build_root_datum("A", rank)
-        super().__init__(a.series, a.rank, a.lattice, a.A, a.eps,
-                         a.pairing_rows, a.alpha_coords, a.two_rho)
+        super().__init__(a.series, a.rank, a.A, a.eps, a.alpha_coords,
+                         a.two_rho)
 
     # bound in this class too: perfbench/tracer.py times
     # RestrictedSystem.dominance_leq by name

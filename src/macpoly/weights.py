@@ -1,11 +1,12 @@
 """Weight distributions built from q-Pochhammer factors.
 
 A weight is a product P * flip(P') of two positive-cone parts; the second
-part is reflected into the negative cone (e^mu -> e^-mu).  Each part is a
-product of numerator factors of any length over infinite denominator
-factors.  Finite specs expand to exact Laurent polynomials; infinite specs
-are paired in the truncated-series backend with explicit accounting of the
-v-order lost to truncation.
+part is reflected into the negative cone (e^mu -> e^-mu).  A spec's
+factors are all finite numerator factors, which expand to exact Laurent
+polynomials, or all infinite, numerators over denominators, which are
+paired in truncated series with explicit accounting of the v-order lost to
+truncation.  The weight builders pick the form: (c e^a; qh)_k where
+t = qh^k, the infinite ratio (c e^a; qh)_inf / (c t e^a; qh)_inf otherwise.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ import json
 import math
 import os
 import weakref
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 from operator import sub
 
 from .galg import GAElement
@@ -49,10 +49,6 @@ class PochFactor:
                 "side": self.side}
 
 
-def _qpow(k):
-    return ExactScalar.q_power(k)
-
-
 class WeightSpec:
     """plus-part factors and a reflected second part.
 
@@ -71,13 +67,6 @@ class WeightSpec:
             rank = len(allf[0].exponent) if allf else 1
         self.rank = rank
 
-    def is_finite(self):
-        return all(f.length is not INF for f in self.plus + self.minus)
-
-    def simplified(self):
-        return WeightSpec(simplify_factors(self.plus), simplify_factors(self.minus),
-                          self.lattice, self.heightfn, self.tag, self.rank)
-
     def to_json(self):
         return {"tag": self.tag,
                 "plus": [f.to_json() for f in self.plus],
@@ -86,67 +75,6 @@ class WeightSpec:
     def __repr__(self):
         return "WeightSpec(%s: %d plus, %d minus factors)" % (
             self.tag, len(self.plus), len(self.minus))
-
-
-# ---------------------------------------------------------------------------
-# factor-list simplification
-# ---------------------------------------------------------------------------
-
-
-def simplify_factors(factors):
-    """Apply the infinite-ratio and sign-merge rules until nothing changes."""
-    fs = list(factors)
-    changed = True
-    while changed:
-        changed = False
-        # infinite ratio (x;p)_inf / (x p^k; p)_inf -> (x;p)_k
-        for i, f in enumerate(fs):
-            if f.side != 1 or f.length is not INF:
-                continue
-            for j, g in enumerate(fs):
-                if (g.side == -1 and g.length is INF and i != j and
-                        g.exponent == f.exponent and g.base_log == f.base_log):
-                    k = _qpower_ratio(g.coeff, f.coeff, f.base_log)
-                    if k is not None and k >= 0:
-                        fs = [x for t, x in enumerate(fs) if t not in (i, j)]
-                        fs.append(replace(f, length=k))
-                        changed = True
-                        break
-            if changed:
-                break
-        if changed:
-            continue
-        # sign merge (cz;p)_L (-cz;p)_L -> (c^2 z^2; p^2)_L, same side
-        for i, f in enumerate(fs):
-            for j, g in enumerate(fs):
-                if (i < j and f.side == g.side and f.length == g.length and
-                        f.exponent == g.exponent and f.base_log == g.base_log and
-                        (f.coeff + g.coeff).is_zero()):
-                    merged = PochFactor(
-                        f.coeff * f.coeff,
-                        tuple(2 * e for e in f.exponent),
-                        2 * f.base_log, f.length, f.side)
-                    fs = [x for t, x in enumerate(fs) if t not in (i, j)]
-                    fs.append(merged)
-                    changed = True
-                    break
-            if changed:
-                break
-    return fs
-
-
-def _qpower_ratio(a, b, base_log):
-    """k >= 0 with a == b * q^{base_log * k}, else None."""
-    if b.is_zero():
-        return None
-    r = a / b
-    if len(r.num) != 1 or len(r.den) != 1 or 0 not in r.den:
-        return None
-    e = next(iter(r.num))
-    if r.num[e] != r.den[0]:
-        return None
-    k = Fraction(e, 2 * base_log)
-    return int(k) if k.denominator == 1 and k >= 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -202,19 +130,14 @@ def _euler_shifts(f, kmax):
 
 
 def _flat_factor_terms(f, kmax):
-    """(low, series) for the factor's terms k <= kmax: `low` <= 0 bounds
-    their v-orders from below, and series(prec) lists them as
+    """(low, series) for the infinite factor's terms k <= kmax: `low` <= 0
+    bounds their v-orders from below, and series(prec) lists them as
     (k, SeriesScalar) exact below prec.
 
-    Finite factors go through their exact terms.  An infinite factor's terms
-    follow the recurrence of `_euler_shifts`, so they are computed in the
-    series ring, and their orders k ord(c) + sum shift(j) are known before
-    any term is.
+    The terms follow the recurrence of `_euler_shifts`, so they are computed
+    in the series ring, and their orders k ord(c) + sum shift(j) are known
+    before any term is.
     """
-    if f.length is not INF:
-        terms = _factor_terms(f, kmax)
-        low = min(0, min(c.v_order() for _, c in terms))
-        return low, lambda prec: [(k, c.to_series(prec)) for k, c in terms]
     p = 2 * f.base_log
     shifts = _euler_shifts(f, kmax)
     low = min(_factor_env(f, kmax))
@@ -277,13 +200,9 @@ def _unpack(total, low, g, B, limit):
 
 
 def _factor_env(f, kmax):
-    """Lower bounds on the v-orders of the factor's terms k <= kmax (fewer
-    if the factor has fewer terms)."""
+    """Lower bounds on the v-orders of the infinite factor's terms
+    k <= kmax."""
     oc = f.coeff.v_order()
-    if f.length is not INF:
-        lowest = sorted(2 * f.base_log * j for j in range(f.length))
-        return [k * oc + sum(lowest[:k])
-                for k in range(min(kmax, f.length) + 1)]
     shifts = _euler_shifts(f, kmax)
     out = [0]
     for k in range(1, kmax + 1):
@@ -543,16 +462,16 @@ def _part_from_json(data):
 class WeightEngine:
     """Prepared weight for constant-term pairing against finite elements.
 
-    The exact backend reads the weight through one coefficient lookup
-    `_exact_weight(nu)` (None where there is no term): the terms of a
-    finite spec multiplied out once, or a weight known by its moments
-    (`from_moments`).  Infinite specs are expanded to a height at which the
-    order envelope proves that every discarded cross term sits above the
-    working order.
+    An exact engine reads the weight through one coefficient lookup
+    `_exact_weight(nu)` (None where there is no term): the terms of a spec
+    of finite factors multiplied out once, or a weight known by its moments
+    (`from_moments`).  A spec of infinite factors is expanded to a height at
+    which the order envelope proves that every discarded cross term sits
+    above the working order.  A spec that mixes the two is refused.
     """
 
-    def __init__(self, spec, order=60, height_hint=6, backend="auto"):
-        self.spec = spec.simplified()
+    def __init__(self, spec, order=60, height_hint=6):
+        self.spec = spec
         self.order = order
         self.height_hint = height_hint
         self._exact_product = None
@@ -563,12 +482,13 @@ class WeightEngine:
         self._moments = {}
         self._singles = {}  # e -> {e}, one block per exponent for the Grams
         self._parts = ()  # the shared cone parts this engine expanded
-        if backend == "auto" and self.spec.is_finite():
-            self._build_exact()
-        elif backend in ("auto", "series"):
+        infinite = {f.length is INF for f in spec.plus + spec.minus}
+        if len(infinite) > 1:
+            raise ValueError("a weight spec mixes finite and infinite factors")
+        if infinite == {True}:
             self._build_series()
         else:
-            raise ValueError("backend must be 'auto' or 'series'")
+            self._build_exact()
 
     @classmethod
     def from_moments(cls, weight):
@@ -958,22 +878,41 @@ def _same(a, b):
 # ---------------------------------------------------------------------------
 
 
+def _ratio(c, t, a, qhat_log):
+    """(c e^a; qh)_inf / (c t e^a; qh)_inf with qh = q^qhat_log: the finite
+    numerator factor (c e^a; qh)_k where t = qh^k, else the two infinite
+    factors."""
+    k = _qhat_power(t, qhat_log)
+    if k is not None:
+        return [PochFactor(c, a, qhat_log, k, 1)]
+    return [PochFactor(c, a, qhat_log, INF, 1),
+            PochFactor(c * t, a, qhat_log, INF, -1)]
+
+
+def _qhat_power(t, qhat_log):
+    """k >= 0 with t == q^{qhat_log * k}, else None."""
+    if len(t.num) != 1 or len(t.den) != 1 or 0 not in t.den:
+        return None
+    (e, c), = t.num.items()
+    k, r = divmod(e, 2 * qhat_log)
+    return k if c == t.den[0] and not r and k >= 0 else None
+
+
 def macdonald_sym_weight(restricted, qhat_log, t, lattice, tag=""):
     """prod_{a>0} (e^a; qh)_inf / (t e^a; qh)_inf times its reflection."""
     plus = []
     for a in restricted._positive_roots():
-        plus.append(PochFactor(ExactScalar.one(), a, qhat_log, INF, 1))
-        plus.append(PochFactor(t, a, qhat_log, INF, -1))
+        plus += _ratio(ExactScalar.one(), t, a, qhat_log)
     return WeightSpec(plus, list(plus), lattice, restricted.height2, tag=tag)
 
 
 def macdonald_nonsym_weight(restricted, qhat_log, t, lattice, tag=""):
-    """The one-sided-shifted product used for the non-W-invariant families."""
-    qh = _qpow(qhat_log)
+    """The one-sided-shifted product used for the non-W-invariant families:
+    prod_{a>0} (e^a; qh)_inf / (t e^a; qh)_inf times the reflection of
+    prod_{a>0} (qh e^a; qh)_inf / (qh t e^a; qh)_inf."""
+    qh = ExactScalar.q_power(qhat_log)
     plus, minus = [], []
     for a in restricted._positive_roots():
-        plus.append(PochFactor(ExactScalar.one(), a, qhat_log, INF, 1))
-        plus.append(PochFactor(t, a, qhat_log, INF, -1))
-        minus.append(PochFactor(qh, a, qhat_log, INF, 1))
-        minus.append(PochFactor(qh * t, a, qhat_log, INF, -1))
+        plus += _ratio(ExactScalar.one(), t, a, qhat_log)
+        minus += _ratio(qh, t, a, qhat_log)
     return WeightSpec(plus, minus, lattice, restricted.height2, tag=tag)

@@ -1,5 +1,6 @@
 """Oracles that only the tests use: the one-variable weight as a series
-spec and its functional by reduction, the constant term of a weight,
+spec and its functional by reduction, a finite weight's infinite-ratio
+form, the constant term of a weight,
 pairings through materialised products, support triangularity, a series
 weight's coefficients as sums of series products, a cone part's flat table
 by nested integer loops, series inversion by the geometric series, the
@@ -7,6 +8,7 @@ series of an exact value by long division, family members by one dense
 solve, Weyl characters by the alternating-sum formula and the ratio
 identity's rows by the per-word loop."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -27,6 +29,23 @@ def aw_plus_factors(params, qhat_log=2):
 def aw_weight(params, lattice, qhat_log=2, tag=""):
     plus = aw_plus_factors(params, qhat_log)
     return WeightSpec(plus, list(plus), lattice, lambda e: e[0], tag=tag)
+
+
+def infinite_ratio_form(spec):
+    """A spec of finite factors as infinite ratios, each (c e^a; p)_k
+    written (c e^a; p)_inf / (c p^k e^a; p)_inf: the series form of the
+    same weight, the oracle of a finite form the weight builders emit."""
+
+    def ratios(factors):
+        out = []
+        for f in factors:
+            shifted = f.coeff * ExactScalar.q_power(f.base_log * f.length)
+            out += [replace(f, length=INF),
+                    replace(f, coeff=shifted, length=INF, side=-1)]
+        return out
+
+    return WeightSpec(ratios(spec.plus), ratios(spec.minus), spec.lattice,
+                      spec.heightfn, spec.tag, spec.rank)
 
 
 def constant_term(f):
@@ -104,7 +123,7 @@ def delta0_rows_by_complements(case):
             acc = GAElement.zero(case.lattice)
             for w in words:
                 wset = {R.act_word(w, a) for a in pos}
-                term = G.weyl_act(lambda e: R.act_word(w, e))
+                term = G.map_exponents(lambda e: R.act_word(w, e))
                 for b in allroots:
                     if b not in wset:
                         term = term * factor(b)

@@ -194,9 +194,7 @@ class TestCriterion6:
         grid = [(0, 0), (1, 1), (3, 0), (0, 3)]  # dominant, height <= 3
         cols = {}
         for mu in [(1, 0), (1, 1)]:
-            table = freudenthal(datum, mu)
-            cols[mu] = [central_scalar(datum, lam, mu, table)[0]
-                        for lam in grid]
+            cols[mu] = [central_scalar(datum, lam, mu)[0] for lam in grid]
         # the non-symmetric label separates the grid on its own
         first = cols[(1, 0)]
         for i in range(len(grid)):

@@ -80,7 +80,47 @@ class TestBottomData:
                                      "DII:n=3", "BII:n=2,s=1", "CII:n=3,s=1"])
     def test_normalised_at_one(self, cid):
         case = build_case(cid)
-        case.bottom_restrictions()
+        assert case.bottom_normalisation_check() == {"status": "pass"}
+
+    # DII:n=2 with every bottom weight scaled by 2
+    SCALED = """
+import dataclasses
+from macpoly.cases import build_case
+from macpoly.scalars import ExactScalar
+case = build_case("DII:n=2")
+two = ExactScalar.from_int(2)
+case = dataclasses.replace(case, bottom_weights=[
+    [(mu, f.scale(two)) for mu, f in entries]
+    for entries in case.bottom_weights])
+result = case.bottom_normalisation_check()
+"""
+
+    WANT = {"status": "fail",
+            "detail": "bottom 0, weight (1, 0): restriction is 2 at 1, not 1"}
+
+    def test_scaled_bottom_fails(self):
+        # a failed check, not an error
+        names = {}
+        exec(self.SCALED, names)
+        assert names["result"] == self.WANT
+
+    def test_scaled_bottom_fails_without_asserts(self):
+        # the check does not rest on `assert`, so `python -O` keeps it
+        import json
+        import os
+        import subprocess
+        import sys
+
+        import macpoly
+
+        src = os.path.dirname(os.path.dirname(macpoly.__file__))
+        code = self.SCALED + (
+            "import json, sys\n"
+            "print(json.dumps([sys.flags.optimize, result]))\n")
+        done = subprocess.run([sys.executable, "-O", "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, check=True)
+        assert json.loads(done.stdout) == [1, self.WANT]
 
     def test_dii_patterns(self, ):
         case = build_case("DII:n=3")
@@ -202,7 +242,8 @@ class TestMatrixFamily:
         for b in range(3):
             f = Qm[b, b]
             for i in range(2):
-                assert f.weyl_act(lambda e: case.restricted.reflect(i, e)) == f
+                assert f.map_exponents(
+                    lambda e: case.restricted.reflect(i, e)) == f
 
     def test_pairing_symmetry(self):
         # with the exponent-flip conjugation and the reflection-symmetric

@@ -85,7 +85,7 @@ class TestMonomials:
     def test_full_orbit_invariance(self):
         m = monomial(R2, (1, 1), "2L")
         for i in range(2):
-            assert m.weyl_act(lambda e: R2.reflect(i, e)) == m
+            assert m.map_exponents(lambda e: R2.reflect(i, e)) == m
 
     def test_down_sets(self):
         below = j_dominant_below(R1, (), (-2,))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from macpoly.galg import GAElement, MatGAElement
@@ -11,13 +13,13 @@ from macpoly.weights import (
     WeightSpec,
     macdonald_nonsym_weight,
     macdonald_sym_weight,
-    simplify_factors,
 )
 
 from oracles import (
     aw_weight,
     ct_norm,
     flat_table_loop,
+    infinite_ratio_form,
     sym_pair,
     vector_pair_products,
     weight_coefficient_sum,
@@ -37,45 +39,65 @@ def mono(e, c=None, lat="2L"):
     return GAElement.monomial(e, lat, c)
 
 
-class TestSimplify:
-    def test_infinite_ratio(self):
-        # (x; q^2)_inf / (q^{2(n-1)} x; q^2)_inf -> (x; q^2)_{n-1} at n = 3
-        f = PochFactor(ONE, (2,), 2, INF, 1)
-        g = PochFactor(Q(4), (2,), 2, INF, -1)
-        out = simplify_factors([f, g])
-        assert len(out) == 1 and out[0].length == 2 and out[0].side == 1
+class TestWeightForms:
+    """The builders emit (c e^a; qh)_k where t = qh^k and the infinite ratio
+    otherwise; an engine takes a spec of one form only."""
 
-    def test_sign_merge(self):
-        # the parameter set (1, q^{1/2}, -1, -q^{1/2}) merges in sign pairs
-        # into (e^2; q^2)_inf (q e^2; q^2)_inf, with the same expansion
+    @pytest.mark.parametrize("builder", [macdonald_sym_weight,
+                                         macdonald_nonsym_weight])
+    @pytest.mark.parametrize("R,k", [(R1, 1), (R1, 3), (R2, 1), (R2, 2)],
+                             ids=["rank1-k1", "rank1-k3", "rank2-k1",
+                                  "rank2-k2"])
+    def test_finite_form_expands_as_the_ratio(self, builder, R, k):
         from macpoly.weights import ConePart
 
-        half = ExactScalar.v_power(1)
-        fs = [
-            PochFactor(ONE, (1,), 1, INF, -1),
-            PochFactor(half, (1,), 1, INF, -1),
-            PochFactor(ExactScalar.from_int(-1), (1,), 1, INF, -1),
-            PochFactor(-half, (1,), 1, INF, -1),
-        ]
-        out = simplify_factors(fs)
-        assert len(out) == 2 and set(out) == {
-            PochFactor(ONE, (2,), 2, INF, -1),
-            PochFactor(Q(1), (2,), 2, INF, -1)}
-        assert (ConePart(out, "2L", ht1).expand(8)
-                == ConePart(fs, "2L", ht1).expand(8))
+        t = Q(2 * k)
+        spec = builder(R, 2, t, "2L")
+        ratio = infinite_ratio_form(spec)
+        shift = Q(2) if builder is macdonald_nonsym_weight else ONE
+        for c, finite, infinite in ((ONE, spec.plus, ratio.plus),
+                                    (shift, spec.minus, ratio.minus)):
+            assert all(f.length == k for f in finite)
+            # the ratio form is the weight's definition: per positive root
+            # a, (c e^a; qh)_inf / (c t e^a; qh)_inf
+            assert [(f.coeff, f.exponent, f.side) for f in infinite] == [
+                (x, a, side) for a in R._positive_roots()
+                for x, side in ((c, 1), (c * t, -1))]
+            # beyond the finite product's top height the ratio's terms
+            # must cancel
+            H = sum(R.height2(f.exponent) * k for f in finite) + 2
+            got = ConePart(finite, "2L", R.height2).expand(H)
+            want = ConePart(infinite, "2L", R.height2).expand(H)
+            assert got == want
 
-    def test_simplify_preserves_expansion(self):
-        fs = [
-            PochFactor(ONE, (1,), 2, INF, 1),
-            PochFactor(Q(3), (1,), 2, INF, -1),
-        ]
-        spec_raw = WeightSpec(fs, [], "2L", ht1, rank=1)
-        spec_simp = spec_raw.simplified()
-        from macpoly.weights import ConePart
+    def test_case_forms(self):
+        from macpoly.cases import build_case
 
-        raw = ConePart(spec_raw.plus, "2L", ht1).expand(8)
-        simp = ConePart(spec_simp.plus, "2L", ht1).expand(8)
-        assert raw == simp
+        for cid in ("A2G", "AII5", "DII:n=2", "DII:n=3", "AI2"):
+            case = build_case(cid)
+            for builder in (macdonald_sym_weight, macdonald_nonsym_weight):
+                spec = builder(case.restricted, case.qhat_log, case.t,
+                               case.lattice)
+                lengths = {f.length for f in spec.plus + spec.minus}
+                if cid == "AI2":
+                    # t = q^2 is no power of qh = q^4: every root keeps its
+                    # infinite ratio, in root order, as the cache key holds it
+                    assert lengths == {INF}
+                    assert spec.plus[:2] == [
+                        PochFactor(ONE, (2, -1), 4, INF, 1),
+                        PochFactor(Q(2), (2, -1), 4, INF, -1)]
+                else:
+                    assert INF not in lengths
+                    roots = case.restricted._positive_roots()
+                    assert len(spec.plus) == len(roots)
+
+    def test_mixed_spec_is_refused(self):
+        finite = [PochFactor(ONE, (2,), 2, 2, 1)]
+        infinite = [PochFactor(ONE, (2,), 2, INF, 1),
+                    PochFactor(Q(4), (2,), 2, INF, -1)]
+        for plus, minus in ((finite, infinite), (finite + infinite, [])):
+            with pytest.raises(ValueError, match="mixes"):
+                WeightEngine(WeightSpec(plus, minus, "2L", ht1, rank=1))
 
 
 class TestExpansion:
@@ -118,25 +140,24 @@ class TestExpansion:
 
 class TestPairings:
     def test_exact_vs_series_backends(self):
-        # finite weight evaluated along both routes
+        # a finite weight paired by the exact engine, and in its
+        # infinite-ratio form by the series engine
         spec = WeightSpec(
             [PochFactor(ONE, (2,), 2, 2, 1)],
             [PochFactor(ONE, (2,), 2, 2, 1)], "2L", ht1, rank=1)
         exact_engine = WeightEngine(spec)
-        # series route: same factors, declared infinite then divided back out
-        inf_plus = [PochFactor(ONE, (2,), 2, INF, 1),
-                    PochFactor(Q(4), (2,), 2, INF, -1)]
-        series_spec = WeightSpec(
-            [PochFactor(p.coeff, p.exponent, p.base_log, INF, p.side)
-             for p in inf_plus], [f for f in inf_plus], "2L", ht1, rank=1)
-        import random
-
+        series_engine = WeightEngine(infinite_ratio_form(spec), order=30,
+                                     height_hint=4)
+        assert series_engine._exact_weight is None
         rng = random.Random(0)
         for _ in range(8):
             f = mono((rng.randint(-2, 2),)) + mono((rng.randint(-2, 2),), Q(1))
             g = mono((rng.randint(-2, 2),))
             lhs = sym_pair(f, g, exact_engine)
             assert isinstance(lhs, ExactScalar)
+            rhs = sym_pair(f, g, series_engine)
+            assert rhs.prec == series_engine._guaranteed
+            assert (rhs - lhs.to_series(rhs.prec)).is_zero()
 
     def test_sym_pair_normalized_one(self):
         spec = WeightSpec([PochFactor(ONE, (2,), 2, 1, 1)],
@@ -154,10 +175,11 @@ class TestPairings:
 
     def test_series_weight_norm_matches_exact(self):
         # an integer-parameter weight paired through the series machinery
-        # agrees with its exact finite form below the working order
-        t = Q(2)
-        spec = macdonald_sym_weight(R1, 2, t, "2L")
-        eng_series = WeightEngine(spec, order=30, height_hint=4, backend="series")
+        # in its infinite-ratio form agrees with its exact finite form below
+        # the working order
+        spec = macdonald_sym_weight(R1, 2, Q(2), "2L")
+        eng_series = WeightEngine(infinite_ratio_form(spec), order=30,
+                                  height_hint=4)
         eng_exact = WeightEngine(spec)
         for m in range(3):
             f = mono((m,)) + mono((-m,)) if m else GAElement.one("2L", 1)
@@ -191,7 +213,7 @@ class TestRank2Weights:
         spec = macdonald_sym_weight(R2, 2, Q(2), "2L")
         W = WeightEngine(spec)._exact_product
         for i in range(2):
-            assert W.weyl_act(lambda e: R2.reflect(i, e)) == W
+            assert W.map_exponents(lambda e: R2.reflect(i, e)) == W
 
 
 class TestSeriesWeightCoefficient:
@@ -204,7 +226,7 @@ class TestSeriesWeightCoefficient:
                            (1,), 1, INF, -1),
                 PochFactor(-ExactScalar.v_power(3) * third, (1,), 2, INF, -1)]
         spec = WeightSpec(plus, list(plus), "2L", ht1, rank=1)
-        eng = WeightEngine(spec, order=24, height_hint=4, backend="series")
+        eng = WeightEngine(spec, order=24, height_hint=4)
         assert len({c.den for c in eng._plus_terms.values()}) > 2
         odd = False
         for k in range(-4, 5):
@@ -252,8 +274,6 @@ class TestPackedKernel:
 
     @pytest.mark.parametrize("g", [1, 2, 4])
     def test_products_and_sums(self, g):
-        import random
-
         from macpoly.weights import _pack, _unpack
 
         # a sum of packed products on one grid is the sum of the
@@ -351,7 +371,8 @@ class TestSeriesVectorPair:
     @staticmethod
     def _engines():
         spec = macdonald_sym_weight(R1, 2, Q(2), "2L")
-        return (WeightEngine(spec, order=30, height_hint=4, backend="series"),
+        return (WeightEngine(infinite_ratio_form(spec), order=30,
+                             height_hint=4),
                 WeightEngine(spec))
 
     @staticmethod
@@ -361,8 +382,6 @@ class TestSeriesVectorPair:
         return MatGAElement([[one, f], [f, one.scale(Q(-1))]])
 
     def test_matches_exact_weight_and_products(self):
-        import random
-
         series, exact = self._engines()
         M = self._matrix()
         rng = random.Random(2)
@@ -509,21 +528,21 @@ class TestSharedParts:
         case = build_case("AI2")
         for builder in (macdonald_sym_weight, macdonald_nonsym_weight):
             spec = builder(case.restricted, case.qhat_log, case.t,
-                           case.lattice).simplified()
+                           case.lattice)
             for factors in (spec.plus, spec.minus):
                 part = cone_part(factors, spec.lattice, spec.heightfn)
                 assert len(self._check_flat(part, 8, 24)) > 1
 
-    MIXED = [PochFactor(ExactScalar.v_power(-2), (2,), 2, 2, 1),
-             PochFactor(ExactScalar.v_power(-1, 3), (1,), 2, 2, 1),
-             PochFactor(Q(1), (1,), 2, INF, -1)]
+    NEGATIVE_ORDERS = [PochFactor(ExactScalar.v_power(-2), (2,), 2, INF, 1),
+                       PochFactor(ExactScalar.v_power(-1, 3), (1,), 2, INF, 1),
+                       PochFactor(Q(1), (1,), 2, INF, -1)]
 
     def test_flat_matches_exact_negative_orders(self):
         from macpoly.weights import cone_part
 
-        # finite factors whose terms reach negative v-orders, so the
-        # running product is cut above `cut`
-        part = cone_part(self.MIXED, "2L", ht1)
+        # factors whose terms reach negative v-orders, so the running
+        # product is cut above `cut`
+        part = cone_part(self.NEGATIVE_ORDERS, "2L", ht1)
         flat = self._check_flat(part, 6, 10)
         assert min(c.min_order() for c in flat.values()) < 0
 
@@ -571,16 +590,17 @@ class TestSharedParts:
         assert seen == 2
         from macpoly.weights import cone_part
 
-        self._check_oracle(cone_part(self.MIXED, "2L", ht1), 6, 10)
+        self._check_oracle(cone_part(self.NEGATIVE_ORDERS, "2L", ht1), 6, 10)
 
     def test_series_cut_with_negative_minimum_order(self):
-        # a finite spec forced through the series backend: the plus part
+        # a finite spec paired in its infinite-ratio form: the plus part
         # reaches order -2, so the minus part is cut at work + 2, and the
         # pairings agree with the exact engine below the guaranteed order
         plus = [PochFactor(ExactScalar.v_power(-2), (2,), 2, 2, 1)]
         minus = [PochFactor(ONE, (2,), 2, 2, 1)]
         spec = WeightSpec(plus, minus, "2L", ht1, rank=1)
-        series = WeightEngine(spec, order=20, height_hint=4, backend="series")
+        series = WeightEngine(infinite_ratio_form(spec), order=20,
+                              height_hint=4)
         exact = WeightEngine(spec)
         assert min(c.min_order() for c in series._plus_terms.values()) == -2
         minus_part = series._parts[1]
