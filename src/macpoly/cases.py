@@ -22,7 +22,7 @@ from .families import (
     monomial,
     orthogonalize_step,
 )
-from .galg import GAElement, MatGAElement
+from .galg import GAElement
 from .roots import (
     RestrictedSystem,
     SatakeDatum,
@@ -163,7 +163,8 @@ class ExampleCase:
         return {"status": "pass"}
 
     def matrix_weight(self):
-        """Trace-paired matrix weight in restricted coordinates."""
+        """Trace-paired matrix weight in restricted coordinates, as a list
+        of rows."""
         return self._matrix_weight
 
     @cached_property
@@ -184,7 +185,7 @@ class ExampleCase:
                     acc = acc + self._to_restricted(prod)
                 row.append(acc)
             rows.append(row)
-        return MatGAElement(rows)
+        return rows
 
     def _to_restricted(self, f):
         out = {}
@@ -193,11 +194,7 @@ class ExampleCase:
             if r is None:
                 raise ValueError("matrix weight exponent %s outside 2L" % (e,))
             s = out.get(r)
-            s = c if s is None else s + c
-            if not s.is_zero():
-                out[r] = s
-            else:
-                out.pop(r, None)
+            out[r] = c if s is None else s + c
         return GAElement(out, self.lattice)
 
     def golden_matrix(self):
@@ -207,8 +204,8 @@ class ExampleCase:
         """Computed vs printed matrix weight, up to one global scalar."""
         M = self.matrix_weight()
         G = self.golden_matrix()
-        cells = [(i, j) for i in range(M.size) for j in range(M.size)]
-        pairs = [(M[c], G[c]) for c in cells]
+        cells = [(i, j) for i in range(len(M)) for j in range(len(M))]
+        pairs = [(M[i][j], G[i][j]) for i, j in cells]
         kappa = _ratio(pairs)
         if isinstance(kappa, int):
             return {"status": "fail",
@@ -221,19 +218,19 @@ class ExampleCase:
     def weight_symmetry_check(self):
         """Reflection-transpose symmetry, q -> 1/q invariance, W-invariance."""
         M = self.matrix_weight()
-        n = M.size
+        n = len(M)
         failures = []
         for i in range(n):
             for j in range(n):
-                if not (M[i, j].invol_inv() - M[j, i]).is_zero():
+                if not (M[i][j].invol_inv() - M[j][i]).is_zero():
                     failures.append(("transpose", i, j))
-                if not (M[i, j].invol_zero() - M[i, j]).is_zero():
+                if not (M[i][j].invol_zero() - M[i][j]).is_zero():
                     failures.append(("qinv", i, j))
         for i in range(n):
             for w in range(self.rank):
-                img = M[i, i].map_exponents(
+                img = M[i][i].map_exponents(
                     lambda e: self.restricted.reflect(w, e))
-                if not (img - M[i, i]).is_zero():
+                if not (img - M[i][i]).is_zero():
                     failures.append(("weyl", i, w))
         return {"status": "pass" if not failures else "fail",
                 "failures": failures}
@@ -247,7 +244,7 @@ class ExampleCase:
         and a, b in those of u_i and w_j: heights up to 2 * height plus the
         weight-matrix spread."""
         spread = max((abs(self.restricted.height2(e))
-                      for row in self.matrix_weight().rows for entry in row
+                      for row in self.matrix_weight() for entry in row
                       for e in entry.support()), default=0)
         return 2 * self.height + spread + 2
 
@@ -362,8 +359,7 @@ class ExampleCase:
         """Matrix polynomial whose b-th column is the (b, lam) vector member."""
         nb = len(self.bottoms)
         cols = [self.vector_member(b, lam) for b in range(nb)]
-        rows = [[cols[b].slots[i] for b in range(nb)] for i in range(nb)]
-        return MatGAElement(rows)
+        return [[cols[b].slots[i] for b in range(nb)] for i in range(nb)]
 
     def gram_block(self, lam, mu):
         """Matrix of pairings <column i of Q_lam, column j of Q_mu>."""
@@ -384,9 +380,8 @@ class ExampleCase:
         Qm = self.matrix_q(lam)
         bad = []
         unrecovered = []
-        for i in range(Qm.size):
-            for j in range(Qm.size):
-                entry = Qm[i, j]
+        for i, row in enumerate(Qm):
+            for j, entry in enumerate(row):
                 coeffs = {}
                 for e, c in entry.terms.items():
                     if isinstance(c, SeriesScalar):
@@ -619,7 +614,7 @@ class ExampleCase:
         M = self.matrix_weight()
         nb = len(self.gamma_basis)
         gb = self.gamma_bottoms
-        columns = [[(m_rows[yi][yj], M[gb[yi], gb[yj]]) for yi in range(nb)]
+        columns = [[(m_rows[yi][yj], M[gb[yi]][gb[yj]]) for yi in range(nb)]
                    for yj in range(nb)]
         diag = []
         for yj, pairs in enumerate(columns):
@@ -947,7 +942,7 @@ def _build_a2_family(tag, plan):
         mid = (m12 + one.scale(ExactScalar.from_int(2))).scale(
             ((tau_sc + tau_sc.inv()) ** 2).inv()) + one
         rows = [[three, m2, m1], [m1, mid, m2], [m2, m1, three]]
-        return MatGAElement([[e.scale(prefactor) for e in row] for row in rows])
+        return [[e.scale(prefactor) for e in row] for row in rows]
 
     # basis of the J-invariants over the W-invariants, and the column map
     e1 = GAElement.one(lat, 2)
@@ -1019,7 +1014,7 @@ def _build_dii(n, plan):
         one = case.one()
         m1 = case.m_of((1,))
         diag = one.scale(Q(n - 1) + Q(1 - n))
-        return MatGAElement([[diag, m1], [m1, diag]])
+        return [[diag, m1], [m1, diag]]
 
     v2 = _exp((1,), lat, Q(n - 1))
 
@@ -1097,7 +1092,7 @@ def _build_small_b(kind, n, s, plan):
             fac = Cc * Q(2 * n - 1 + 2 * j)
             acc = acc * (case.one() - _exp((-1,), lat, fac))
             acc = acc * (case.one() - _exp((1,), lat, fac))
-        return MatGAElement([[acc.scale((q_pochhammer(Cc, 2, s) ** 2).inv())]])
+        return [[acc.scale((q_pochhammer(Cc, 2, s) ** 2).inv())]]
 
     aw = AWParams.from_labels(*labels)
     aw_zonal = AWParams.from_labels(labels[0], labels[0] if kind == "BII"

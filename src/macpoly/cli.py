@@ -113,9 +113,8 @@ def cmd_compute(args):
     case = _planned(case, lam)
     with _open_output(args.output) as fh:
         if args.family == "matrix":
-            Qm = case.matrix_q(lam)
-            rows = [[_render_ga(Qm[i, j], args.format) for j in range(Qm.size)]
-                    for i in range(Qm.size)]
+            rows = [[_render_ga(f, args.format) for f in row]
+                    for row in case.matrix_q(lam)]
             print(json.dumps(rows, sort_keys=True) if args.format == "json"
                   else "\n".join(" | ".join(r) for r in rows), file=fh)
             return 0
@@ -157,11 +156,11 @@ def cmd_render(args):
             M = case.matrix_q(lam)
         wsym = "\\varpi"
         if args.basis == "ambient":
-            M = M.map_entries(lambda f: f.relabel(
-                "X-view", case.satake.from_restricted))
+            M = [[f.map_exponents(case.satake.from_restricted) for f in row]
+                 for row in M]
             wsym = "\\omega"
-        rows = [[_render_ga(M[i, j], args.format, "e", wsym)
-                 for j in range(M.size)] for i in range(M.size)]
+        rows = [[_render_ga(f, args.format, "e", wsym) for f in row]
+                for row in M]
         if args.format == "latex":
             body = " \\\\\n".join(" & ".join(r) for r in rows)
             text = "\\begin{pmatrix}\n%s\n\\end{pmatrix}" % body
@@ -196,10 +195,10 @@ def _identify_grid(case, H):
 
 
 def _t_inverse(case, b, lam):
+    """The rank-2 label mu with t_map(mu) == (b, lam), or None."""
     H = case.restricted.height2(case.restricted.dominant_rep(lam)) + 2
     box = range(-2 * H - 2, 2 * H + 3)
-    for mu in ([(m,) for m in box] if case.rank == 1
-               else [(x, y) for x in box for y in box]):
+    for mu in ((x, y) for x in box for y in box):
         if case.restricted.is_dominant(mu, case.J) and case.t_map(mu) == (b, tuple(lam)):
             return mu
     return None

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .galg import GAElement, MatGAElement
+from .galg import GAElement
 from .scalars import ExactScalar, exact_sum_of_products
 from .weights import WeightEngine
 
@@ -70,7 +70,7 @@ class PolyFamilySpec:
     _gram: dict = field(default_factory=dict)  # (J, nu, nu') -> <P_nu, P_nu'>
 
     def __post_init__(self):
-        self._unit = MatGAElement.identity(1, self.lattice, self.restricted.rank)
+        self._unit = [[GAElement.one(self.lattice, self.restricted.rank)]]
 
     def pair(self, f, g, symmetric):
         """ct(f flip(g) W): W-invariant families pair by Weyl orbits, the

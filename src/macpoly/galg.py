@@ -3,12 +3,15 @@
 A GAElement is a finite map from integer exponent vectors to scalars.
 Coefficients are exact rational functions (`ExactScalar`) or truncated
 series (`SeriesScalar`); mixing lattices is an error, mixing the two
-scalar types is the caller's responsibility.
+scalar types is the caller's responsibility.  Zero coefficients are
+dropped in one place, the constructor; the operations accumulate
+freely and leave that to it.
+
+There is no matrix type: a matrix weight is a list of rows of
+GAElements, read as ``M[i][j]``.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .scalars import ExactScalar
 
@@ -49,11 +52,7 @@ class GAElement:
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
+            out[e] = c if s is None else s + c
         return GAElement(out, self.lattice)
 
     def __neg__(self):
@@ -77,11 +76,7 @@ class GAElement:
                 e = tuple(x + y for x, y in zip(e1, e2))
                 p = c1 * c2
                 s = out.get(e)
-                s = p if s is None else s + p
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+                out[e] = p if s is None else s + p
         return GAElement(out, self.lattice)
 
     __rmul__ = __mul__
@@ -111,19 +106,11 @@ class GAElement:
         for e, c in self.terms.items():
             e2 = tuple(fn(e))
             s = out.get(e2)
-            s = c if s is None else s + c
-            if not s.is_zero():
-                out[e2] = s
-            else:
-                out.pop(e2, None)
+            out[e2] = c if s is None else s + c
         return GAElement(out, self.lattice)
 
     def map_coeffs(self, fn):
         return GAElement({e: fn(c) for e, c in self.terms.items()}, self.lattice)
-
-    def relabel(self, lattice, fn):
-        """The element on `lattice`, each exponent e moved to fn(e)."""
-        return GAElement({tuple(fn(e)): c for e, c in self.terms.items()}, lattice)
 
     def support(self):
         return set(self.terms)
@@ -149,14 +136,8 @@ class GAElement:
 
     def shift_act(self, pairing_doubled):
         """h-shift: e^mu -> q^{<h, mu>} e^mu, via mu -> <2h, mu> (integer)."""
-        out = {}
-        for e, c in self.terms.items():
-            d = pairing_doubled(e)
-            d = Fraction(d)
-            if d.denominator != 1:
-                raise ValueError("non-integral shift pairing at %s" % (e,))
-            out[e] = c * ExactScalar.v_power(int(d))
-        return GAElement(out, self.lattice)
+        return GAElement({e: c * ExactScalar.v_power(pairing_doubled(e))
+                          for e, c in self.terms.items()}, self.lattice)
 
     # -- division -----------------------------------------------------------
 
@@ -225,71 +206,6 @@ def ga_from_json(data, lattice):
 
     return GAElement({tuple(item["exponent"]): parse_scalar(item["coeff"])
                       for item in data}, lattice)
-
-
-class MatGAElement:
-    """Square matrix of group-algebra elements over one lattice."""
-
-    __slots__ = ("rows", "lattice")
-
-    def __init__(self, rows):
-        self.rows = [list(r) for r in rows]
-        n = len(self.rows)
-        assert all(len(r) == n for r in self.rows)
-        self.lattice = self.rows[0][0].lattice if n else None
-
-    @classmethod
-    def identity(cls, n, lattice, rank):
-        one = GAElement.one(lattice, rank)
-        zero = GAElement.zero(lattice)
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @property
-    def size(self):
-        return len(self.rows)
-
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
-
-    def __add__(self, other):
-        return MatGAElement([[a + b for a, b in zip(ra, rb)]
-                             for ra, rb in zip(self.rows, other.rows)])
-
-    def __sub__(self, other):
-        return MatGAElement([[a - b for a, b in zip(ra, rb)]
-                             for ra, rb in zip(self.rows, other.rows)])
-
-    def __mul__(self, other):
-        n = self.size
-        if isinstance(other, MatGAElement):
-            out = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    acc = GAElement.zero(self.lattice)
-                    for k in range(n):
-                        acc = acc + self.rows[i][k] * other.rows[k][j]
-                    row.append(acc)
-                out.append(row)
-            return MatGAElement(out)
-        return MatGAElement([[entry * other for entry in row] for row in self.rows])
-
-    def map_entries(self, fn):
-        return MatGAElement([[fn(entry) for entry in row] for row in self.rows])
-
-    def is_zero(self):
-        return all(entry.is_zero() for row in self.rows for entry in row)
-
-    def __eq__(self, other):
-        if not isinstance(other, MatGAElement):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("MatGAElement is unhashable")
-
-    def __repr__(self):
-        return "MatGAElement(%s)" % self.rows
 
 
 # ---------------------------------------------------------------------------

@@ -506,8 +506,7 @@ def regularity_scalar(satake, J, K, h=None):
 
     if n == 0:
         # the empty pair imposes no condition: every h is regular
-        return {"C": one, "R": one, "r_nonzero": True, "r_not_one": False,
-                "regular": True, "exponent": None}
+        return {"C": one, "R": one, "regular": True, "exponent": None}
 
     affs = []
     Kc, Jc = list(K), list(J)
@@ -521,17 +520,15 @@ def regularity_scalar(satake, J, K, h=None):
         for a in affs[1:]:
             R_aff = R_aff + a
         # R = 1 exactly on the hyperplane where its exponent vanishes
-        r_not_one = not R_aff.is_constant() or R_aff.const != 0
-        return {"C": (one, affs[0]), "R": (one, R_aff), "r_nonzero": True,
-                "r_not_one": r_not_one, "regular": r_not_one,
+        return {"C": (one, affs[0]), "R": (one, R_aff),
+                "regular": not R_aff.is_constant() or R_aff.const != 0,
                 "exceptional": R_aff.hyperplane(), "exponent": R_aff}
 
     R = one
     for a in affs:
         R = R * _eval(a)
-    r_not_one = not R.is_one()
-    return {"C": _eval(affs[0]), "R": R, "r_nonzero": True,
-            "r_not_one": r_not_one, "regular": r_not_one, "exponent": None}
+    return {"C": _eval(affs[0]), "R": R, "regular": not R.is_one(),
+            "exponent": None}
 
 
 # ---------------------------------------------------------------------------
@@ -580,24 +577,27 @@ class SatakeDatum:
         return c if self.from_restricted(c) == tuple(x) else None
 
     def check(self):
-        """Structural sanity of the stored tables."""
+        """Structural sanity of the stored tables; raises ValueError naming
+        the first condition that fails."""
         datum = self.datum
         n = datum.rank
-        # Theta is an involution and acts as -1 on 2L
         for j in range(n):
             e = tuple(int(i == j) for i in range(n))
-            assert self.theta(self.theta(e)) == e
+            if self.theta(self.theta(e)) != e:
+                raise ValueError("Theta is not an involution: Theta^2 moves %s"
+                                 % (e,))
         for v in self.pi_vectors:
-            assert self.theta(v) == tuple(-c for c in v)
+            if self.theta(v) != tuple(-c for c in v):
+                raise ValueError("Theta is not -1 on 2L at %s" % (v,))
         # the stored words act on 2L like the abstract restricted reflections
         for k, word in enumerate(self.wsigma_words):
             for idx, v in enumerate(self.pi_vectors):
                 img = datum.act_word(word, v)
                 unit = tuple(int(t == idx) for t in range(len(self.pi_vectors)))
                 abstract = self.restricted.reflect(k, unit)
-                assert img == self.from_restricted(abstract), (
-                    "restricted reflection %d mismatch" % k)
-        return True
+                if img != self.from_restricted(abstract):
+                    raise ValueError("restricted reflection %d mismatch at %s"
+                                     % (k, v))
 
 
 # ---------------------------------------------------------------------------

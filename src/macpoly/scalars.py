@@ -238,17 +238,14 @@ class ExactScalar:
 
     __slots__ = ("num", "den", "cyc")
 
-    def __init__(self, num, den=None, reduce=True):
+    def __init__(self, num, den=None):
         if den is None:
             den = {0: 1}
         num = _lp_norm(num)
         den = _lp_norm(den)
         if not den:
             raise ZeroDivisionError("zero denominator in Q(v)")
-        if reduce:
-            num, den, cyc = self._reduce(num, den)
-        else:
-            cyc = () if len(den) == 1 else phi_factors(den)
+        num, den, cyc = self._reduce(num, den)
         self.num = num
         self.den = den
         self.cyc = cyc
@@ -342,20 +339,20 @@ class ExactScalar:
 
     @classmethod
     def from_int(cls, n):
-        return cls({0: n} if n else {}, reduce=False)
+        return _make({0: n} if n else {}, {0: 1}, ())
 
     @classmethod
     def from_fraction(cls, fr):
         fr = Fraction(fr)
-        return cls({0: fr.numerator} if fr.numerator else {},
-                   {0: fr.denominator}, reduce=False)
+        return _make({0: fr.numerator} if fr.numerator else {},
+                     {0: fr.denominator}, ())
 
     @classmethod
     def v_power(cls, k, coeff=1):
         if not coeff:
             return cls.zero()
         fr = Fraction(coeff)
-        return cls({k: fr.numerator}, {0: fr.denominator}, reduce=False)
+        return _make({k: fr.numerator}, {0: fr.denominator}, ())
 
     @classmethod
     def q_power(cls, k, coeff=1):
@@ -368,11 +365,11 @@ class ExactScalar:
 
     @classmethod
     def zero(cls):
-        return cls({}, reduce=False)
+        return _make({}, {0: 1}, ())
 
     @classmethod
     def one(cls):
-        return cls({0: 1}, reduce=False)
+        return _make({0: 1}, {0: 1}, ())
 
     # -- queries ------------------------------------------------------------
 
@@ -936,7 +933,7 @@ def q_number(a, b=1):
     num = {}
     for j in range(a):
         num[2 * b * (a - 1 - 2 * j)] = sign
-    return ExactScalar(num, reduce=False)
+    return _make(num, {0: 1}, ())
 
 
 def q_pochhammer(c, base_log, n):

@@ -705,8 +705,8 @@ class WeightEngine:
                             _den=acc.den)
 
     def vector_pair(self, u, M, w, group=None):
-        """sum_{i,j} ct(u_i M_ij flip(w_j) W) for vectors u, w and matrix M,
-        from the moments m_ij(nu) = ct(e^nu M_ij W) of M.
+        """sum_{i,j} ct(u_i M_ij flip(w_j) W) for vectors u, w and matrix M
+        (a list of rows), from the moments m_ij(nu) = ct(e^nu M_ij W) of M.
 
         Each slot is cut into blocks (`_blocks`): orbits of `group` (a root
         datum, read through its `orbit`) on which its coefficient is
@@ -798,7 +798,7 @@ class WeightEngine:
         if got is None:
             distinct = []
             rows = []
-            for row in M.rows:
+            for row in M:
                 out = []
                 for f in row:
                     table = next((t for t in distinct if t.f == f), None)

@@ -83,10 +83,10 @@ def aw_reduce(L, h):
 def vector_pair_products(engine, u, M, w):
     """The vector pairing as ct_pair of each materialised product
     u_i M_ij flip(w_j); the oracle of `WeightEngine.vector_pair`."""
-    acc = engine.ct_pair(GAElement.zero(M.lattice))
+    acc = engine.ct_pair(GAElement.zero(M[0][0].lattice))
     for i, ui in enumerate(u):
         for j, wj in enumerate(w):
-            acc = acc + engine.ct_pair(ui * M[i, j] * wj.invol_inv())
+            acc = acc + engine.ct_pair(ui * M[i][j] * wj.invol_inv())
     return acc
 
 

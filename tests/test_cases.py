@@ -137,6 +137,50 @@ result = case.bottom_normalisation_check()
             assert f == GAElement.monomial(mu, f.lattice)
 
 
+class TestSatakeCheck:
+    """`SatakeDatum.check` raises a ValueError naming the failed condition."""
+
+    @pytest.mark.parametrize("change, message", [
+        ({"theta_rows": ((1, 1), (0, 1))},
+         r"Theta is not an involution: Theta\^2 moves \(0, 1\)"),
+        ({"theta_rows": ((1, 0), (0, 1))},
+         r"Theta is not -1 on 2L at \(1, 1\)"),
+        ({"wsigma_words": ((),)},
+         r"restricted reflection 0 mismatch at \(1, 1\)"),
+    ])
+    def test_failed_condition_is_named(self, change, message):
+        satake = build_case("DII:n=2").satake
+        assert satake.check() is None
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(satake, **change).check()
+
+    def test_raises_without_asserts(self):
+        # the check does not rest on `assert`, so `python -O` keeps it
+        import json
+        import os
+        import subprocess
+        import sys
+
+        import macpoly
+
+        src = os.path.dirname(os.path.dirname(macpoly.__file__))
+        code = (
+            "import dataclasses, json, sys\n"
+            "from macpoly.cases import build_case\n"
+            "satake = build_case('DII:n=2').satake\n"
+            "bad = dataclasses.replace(satake, theta_rows=((1, 0), (0, 1)))\n"
+            "try:\n"
+            "    result = ['returned', bad.check()]\n"
+            "except ValueError as exc:\n"
+            "    result = ['ValueError', str(exc)]\n"
+            "print(json.dumps([sys.flags.optimize, result]))\n")
+        done = subprocess.run([sys.executable, "-O", "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, check=True)
+        assert json.loads(done.stdout) == [
+            1, ["ValueError", "Theta is not -1 on 2L at (1, 1)"]]
+
+
 class TestMatrixWeights:
     @pytest.mark.parametrize("cid", ["AI2", "A2G", "AII5", "DII:n=2",
                                      "DII:n=3", "BII:n=2,s=2", "CII:n=3,s=2"])
@@ -154,16 +198,16 @@ class TestMatrixWeights:
     def test_dii_bottom_swap_is_theta(self):
         case = build_case("DII:n=3")
         M = case.matrix_weight()
-        assert M[0, 1] == M[1, 0].invol_inv()
-        assert M[0, 0] == M[1, 1]
+        assert M[0][1] == M[1][0].invol_inv()
+        assert M[0][0] == M[1][1]
 
     def test_negative_control(self):
         # a wrong conjugation preset must break the transpose symmetry test:
         # conjugating an off-diagonal entry by q -> 1/q only is not enough
         case = build_case("DII:n=3")
         M = case.matrix_weight()
-        tampered = M[0, 1].scale(Q(1))
-        assert not (tampered.invol_inv() - M[1, 0]).is_zero()
+        tampered = M[0][1].scale(Q(1))
+        assert not (tampered.invol_inv() - M[1][0]).is_zero()
 
 
 RATIO_CASES = ["DII:n=2", "DII:n=3", "A2G", "AII5", "AI2"]
@@ -216,9 +260,12 @@ class TestMatrixFamily:
             case = build_case(cid, height=1)
             Q0 = case.matrix_q(case.restricted.zero)
             nb = len(case.bottoms)
-            from macpoly.galg import MatGAElement
-
-            assert Q0 == MatGAElement.identity(nb, case.lattice, case.rank)
+            one = GAElement.one(case.lattice, case.rank)
+            zero = GAElement.zero(case.lattice)
+            assert len(Q0) == nb and all(len(row) == nb for row in Q0)
+            for i, row in enumerate(Q0):
+                for j, entry in enumerate(row):
+                    assert entry == (one if i == j else zero), (cid, i, j)
 
     def test_dii_first_column(self):
         case = build_case("DII:n=2")
@@ -233,14 +280,14 @@ class TestMatrixFamily:
         lam = (1, 1)
         Qm = case.matrix_q(lam)
         for b in range(3):
-            diag = Qm[b, b]
+            diag = Qm[b][b]
             assert diag.terms[lam].is_one()
 
     def test_diagonal_entries_invariant(self):
         case = build_case("AII5")
         Qm = case.matrix_q((1, 0))
         for b in range(3):
-            f = Qm[b, b]
+            f = Qm[b][b]
             for i in range(2):
                 assert f.map_exponents(
                     lambda e: case.restricted.reflect(i, e)) == f
@@ -271,12 +318,12 @@ class TestMatrixFamily:
         for cid in ("DII:n=3", "A2G", "AII5"):
             case = build_case(cid)
             M = case.matrix_weight()
-            for i in range(M.size):
-                for j in range(M.size):
-                    val = at_one(M[i, j].evaluate_at_one())
+            for i, row in enumerate(M):
+                for j, entry in enumerate(row):
+                    val = at_one(entry.evaluate_at_one())
                     assert val.denominator == 1 and val >= 0, (cid, i, j)
             # the diagonal specialises to the dimension of the bottom module
-            diag = at_one(M[0, 0].evaluate_at_one())
+            diag = at_one(M[0][0].evaluate_at_one())
             assert diag == len(case.bottom_weights[0])
 
 
@@ -309,7 +356,7 @@ class TestIdentification:
             case = build_case("BII:n=3,s=%d" % s, height=3)
             for m in range(4):
                 Qm = case.matrix_q((m,))
-                assert (Qm[0, 0] - aw_oracle(case.aw, m, case.lattice)).is_zero()
+                assert (Qm[0][0] - aw_oracle(case.aw, m, case.lattice)).is_zero()
 
 
 def _dense_gamma_expansion(case, f):
@@ -638,7 +685,7 @@ class TestAWMomentPairing:
             invariants.append([f])
         vectors = members + invariants
         # flip(w) * M once per w; the 81 products are u * (flip(w) * M)
-        flipped = [w[0].invol_inv() * M[0, 0] for w in vectors]
+        flipped = [w[0].invol_inv() * M[0][0] for w in vectors]
         for u in vectors:
             for w, wm in zip(vectors, flipped):
                 h = u[0] * wm
@@ -846,10 +893,11 @@ class TestSeriesMomentPairing:
     def test_equal_entries_share_a_table(self, ai2_pairings):
         _, eng, M, _, _ = ai2_pairings
         tables = eng._moment_tables(M)
-        cells = [(i, j) for i in range(M.size) for j in range(M.size)]
+        cells = [(i, j) for i in range(len(M)) for j in range(len(M))]
         for a in cells:
             for b in cells:
-                assert (tables[a[0]][a[1]] is tables[b[0]][b[1]]) == (M[a] == M[b])
+                assert ((tables[a[0]][a[1]] is tables[b[0]][b[1]])
+                        == (M[a[0]][a[1]] == M[b[0]][b[1]]))
         assert tables[0][0] is tables[2][2]
         filled = [m for row in tables for t in row for m in t.values.values()]
         assert filled and all(isinstance(m, SeriesScalar) for m in filled

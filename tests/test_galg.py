@@ -1,6 +1,6 @@
 import random
 
-from macpoly.galg import GAElement, MatGAElement, ga_from_json, solve_linear
+from macpoly.galg import GAElement, ga_from_json, solve_linear
 from macpoly.roots import build_root_datum
 from macpoly.scalars import ExactScalar
 
@@ -166,8 +166,3 @@ class TestLinearSolve:
         with pytest.raises(ArithmeticError, match="inconsistent"):
             solve_linear([[one], [one]], [one, ExactScalar.from_int(2)])
 
-
-class TestMatrix:
-    def test_identity(self):
-        I = MatGAElement.identity(3, "X", 2)
-        assert (I * I) == I

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from macpoly.galg import GAElement, MatGAElement
+from macpoly.galg import GAElement
 from macpoly.roots import RestrictedSystem
 from macpoly.scalars import ExactScalar, SeriesScalar
 from macpoly.weights import (
@@ -379,7 +379,7 @@ class TestSeriesVectorPair:
     def _matrix():
         one = GAElement.one("2L", 1)
         f = mono((1,)) + mono((-1,))
-        return MatGAElement([[one, f], [f, one.scale(Q(-1))]])
+        return [[one, f], [f, one.scale(Q(-1))]]
 
     def test_matches_exact_weight_and_products(self):
         series, exact = self._engines()
@@ -399,7 +399,7 @@ class TestSeriesVectorPair:
 
     def test_height_guard(self):
         series, _ = self._engines()
-        M = MatGAElement([[GAElement.one("2L", 1)]])
+        M = [[GAElement.one("2L", 1)]]
         u, w = [mono((5,))], [GAElement.one("2L", 1)]
         with pytest.raises(TruncationError, match="height"):
             series.vector_pair(u, M, w)
@@ -410,7 +410,7 @@ class TestSeriesVectorPair:
     def test_margin_guard(self):
         # the orders of the coefficients and of M together exceed the margin
         series, _ = self._engines()
-        M = MatGAElement([[mono((0,), ExactScalar.v_power(-4))]])
+        M = [[mono((0,), ExactScalar.v_power(-4))]]
         one = [GAElement.one("2L", 1)]
         deep = [mono((0,), SeriesScalar({-5: 1, -4: 2}, 30))]
         with pytest.raises(TruncationError, match="margin"):
