@@ -162,13 +162,10 @@ class ExampleCase:
                                       "%s at 1, not 1" % (b, mu, val.render())}
         return {"status": "pass"}
 
+    @cached_property
     def matrix_weight(self):
         """Trace-paired matrix weight in restricted coordinates, as a list
         of rows."""
-        return self._matrix_weight
-
-    @cached_property
-    def _matrix_weight(self):
         datum = self.datum
         nb = len(self.bottoms)
         rows = []
@@ -202,7 +199,7 @@ class ExampleCase:
 
     def matrix_weight_check(self):
         """Computed vs printed matrix weight, up to one global scalar."""
-        M = self.matrix_weight()
+        M = self.matrix_weight
         G = self.golden_matrix()
         cells = [(i, j) for i in range(len(M)) for j in range(len(M))]
         pairs = [(M[i][j], G[i][j]) for i, j in cells]
@@ -217,7 +214,7 @@ class ExampleCase:
 
     def weight_symmetry_check(self):
         """Reflection-transpose symmetry, q -> 1/q invariance, W-invariance."""
-        M = self.matrix_weight()
+        M = self.matrix_weight
         n = len(M)
         failures = []
         for i in range(n):
@@ -244,17 +241,14 @@ class ExampleCase:
         and a, b in those of u_i and w_j: heights up to 2 * height plus the
         weight-matrix spread."""
         spread = max((abs(self.restricted.height2(e))
-                      for row in self.matrix_weight() for entry in row
+                      for row in self.matrix_weight for entry in row
                       for e in entry.support()), default=0)
         return 2 * self.height + spread + 2
 
+    @cached_property
     def nabla_engine(self):
         """The zonal weight's engine; on BII/CII the one-variable moment
         functional, exact at every order."""
-        return self._nabla_engine
-
-    @cached_property
-    def _nabla_engine(self):
         if self.aw is not None:
             return WeightEngine.from_moments(
                 self.aw_functional(self.aw_zonal).weight)
@@ -263,11 +257,10 @@ class ExampleCase:
         return WeightEngine(spec, order=self.order,
                             height_hint=self.pair_hint)
 
-    def delta_engine(self):
-        return self._delta_engine
-
     @cached_property
-    def _delta_engine(self):
+    def delta_engine(self):
+        """The non-symmetric weight's engine; on BII/CII, which have none,
+        reading it raises ValueError."""
         if self.aw is not None:
             raise ValueError(
                 "case %s has no series weight: it pairs through the "
@@ -284,16 +277,13 @@ class ExampleCase:
             self._functionals[params] = AWFunctional(params, self.lattice)
         return self._functionals[params]
 
-    def family_spec(self):
-        return self._family_spec
-
     @cached_property
-    def _family_spec(self):
+    def family_spec(self):
         if self.aw is not None:
             sym = WeightEngine.from_moments(self.aw_functional(self.aw).weight)
             nonsym = None
         else:
-            sym, nonsym = self.nabla_engine(), self.delta_engine()
+            sym, nonsym = self.nabla_engine, self.delta_engine
         return PolyFamilySpec(restricted=self.restricted, lattice=self.lattice,
                               engine_sym=sym, engine_nonsym=nonsym,
                               label=self.tag)
@@ -303,8 +293,8 @@ class ExampleCase:
     def _vector_pair(self, u, w):
         """<u, w> = sum ct(u_i M_ij flip(w_j) nabla), from the moment tables
         of M on the nabla engine (exact, series or one-variable)."""
-        return self.nabla_engine().vector_pair(
-            u, self.matrix_weight(), w, self.restricted)
+        return self.nabla_engine.vector_pair(
+            u, self.matrix_weight, w, self.restricted)
 
     def _member_pair(self, x, y):
         """<P_x, P_y> between the vector members at the labels
@@ -314,10 +304,13 @@ class ExampleCase:
                                                  self.vector_member(*y))
         return self._gram[x, y]
 
-    def _pair_key(self, b_idx, lam):
+    def _ambient(self, b_idx, lam):
+        """The ambient weight of the label (b, lam): lam plus bottom b."""
         x = self.satake.from_restricted(lam)
-        total = tuple(a + b for a, b in zip(x, self.bottoms[b_idx]))
-        return (self.datum.pair_two_rho(total), lam, b_idx)
+        return tuple(a + b for a, b in zip(x, self.bottoms[b_idx]))
+
+    def _pair_key(self, b_idx, lam):
+        return (self.datum.pair_two_rho(self._ambient(b_idx, lam)), lam, b_idx)
 
     def _vector_downset(self, b_idx, lam):
         """Pairs (b', mu) strictly below (b, lam) in the ambient dominance."""
@@ -332,11 +325,8 @@ class ExampleCase:
         return [(bp, mu) for _, bp, mu in out]
 
     def _dominated(self, bp, mu, b_idx, lam):
-        xm = self.satake.from_restricted(mu)
-        xl = self.satake.from_restricted(lam)
-        lo = tuple(a + b for a, b in zip(xm, self.bottoms[bp]))
-        hi = tuple(a + b for a, b in zip(xl, self.bottoms[b_idx]))
-        return self.datum.dominance_leq(lo, hi)
+        return self.datum.dominance_leq(self._ambient(bp, mu),
+                                        self._ambient(b_idx, lam))
 
     def vector_member(self, b_idx, lam):
         """The orthogonal vector polynomial with leading m_lam in slot b."""
@@ -481,7 +471,7 @@ class ExampleCase:
 
     def identify(self, mu):
         """Match the J-invariant family member at mu with a matrix column."""
-        spec = self.family_spec()
+        spec = self.family_spec
         P = spec.family_member(self.J, mu)
         coeffs = self.expand_in_gamma_basis(P)
         b_idx, lam = self.t_map(mu)
@@ -505,21 +495,17 @@ class ExampleCase:
 
     def recurrence_coeffs(self, i, lam):
         """Expansion of P_{pi_i} * Q_lam over the matrix family."""
-        spec = self.family_spec()
+        spec = self.family_spec
         pi = tuple(int(k == i) for k in range(self.rank))
         P = spec.family_member(tuple(range(self.rank)), pi)
-        nb = len(self.bottoms)
         top = tuple(a + c for a, c in zip(lam, pi))
-        # everything at or below lam + pi in the ambient order
-        grid = self.restricted.grid(self.restricted.height2(top) + 2)
         out = {}
         residual_cols = []
-        for b in range(nb):
+        for b in range(len(self.bottoms)):
             col = self.vector_member(b, lam)
             target = _VecPoly([P * s for s in col.slots])
-            ups = sorted(((bp, mu) for mu in grid for bp in range(nb)
-                          if self._dominated(bp, mu, b, top)),
-                         key=lambda t: self._pair_key(*t))
+            # everything at or below lam + pi in the ambient order
+            ups = self._vector_downset(b, top) + [(b, top)]
             mems = [self.vector_member(bp, mu) for bp, mu in ups]
             cvec, rem = orthogonalize_step(
                 target, mems, self._vector_pair,
@@ -536,12 +522,10 @@ class ExampleCase:
             cval = coeffs.get((b, top))
             if cval is None or cval.is_zero():
                 top_ok = False
+            base = self._ambient(b, lam)
             for (bp, mu) in coeffs:
-                xm = self.satake.from_restricted(mu)
-                nu = tuple(a + c for a, c in zip(xm, self.bottoms[bp]))
-                xt = self.satake.from_restricted(lam)
-                base = tuple(a + c for a, c in zip(xt, self.bottoms[b]))
-                step = tuple(a - c for a, c in zip(nu, base))
+                step = tuple(a - c for a, c in zip(self._ambient(bp, mu),
+                                                   base))
                 if step not in wset:
                     steps_ok = False
         return {"coeffs": out, "residual_zero": all(residual_cols),
@@ -611,7 +595,7 @@ class ExampleCase:
         diagonal is reported rather than asserted.
         """
         m_rows = self.delta0_rows()
-        M = self.matrix_weight()
+        M = self.matrix_weight
         nb = len(self.gamma_basis)
         gb = self.gamma_bottoms
         columns = [[(m_rows[yi][yj], M[gb[yi]][gb[yj]]) for yi in range(nb)]

@@ -118,7 +118,7 @@ def cmd_compute(args):
             print(json.dumps(rows, sort_keys=True) if args.format == "json"
                   else "\n".join(" | ".join(r) for r in rows), file=fh)
             return 0
-        spec = case.family_spec()
+        spec = case.family_spec
         if args.family == "sym":
             out = sym_macdonald(spec, lam)
         elif args.family == "nonsym":
@@ -151,7 +151,7 @@ def cmd_render(args):
         case = _planned(case, lam)
     with _open_output(args.output) as fh:
         if args.what == "M":
-            M = case.matrix_weight()
+            M = case.matrix_weight
         else:
             M = case.matrix_q(lam)
         wsym = "\\varpi"

@@ -632,9 +632,7 @@ class RestrictedSystem(RootDatum):
 
     def height2(self, x):
         """Twice the root-coordinate sum of x (integer for lattice points)."""
-        if self.rank == 1:
-            return x[0]
-        return x[0] + x[1]  # (x+y) is the height of x wrt the simple roots
+        return sum(x)
 
     def min_coset_length(self, x):
         """Length of the minimal w with w(x) dominant."""

@@ -16,7 +16,8 @@ import math
 import os
 import weakref
 from dataclasses import dataclass
-from operator import sub
+from functools import reduce
+from operator import mul, sub
 
 from .galg import GAElement
 from .scalars import ExactScalar, SeriesScalar, exact_sum_of_products
@@ -56,11 +57,10 @@ class WeightSpec:
     image under e^mu -> e^-mu.
     """
 
-    def __init__(self, plus, minus, lattice, heightfn, tag="", rank=None):
+    def __init__(self, plus, minus, lattice, tag="", rank=None):
         self.plus = list(plus)
         self.minus = list(minus)
         self.lattice = lattice
-        self.heightfn = heightfn
         self.tag = tag
         if rank is None:
             allf = self.plus + self.minus
@@ -213,19 +213,17 @@ def _factor_env(f, kmax):
 class ConePart:
     """Height-bounded expansion of a product of positive-cone factors.
 
-    Build parts through `cone_part`, which shares one part among all
-    holders of the same factors, lattice and height function.  A part
-    keeps each envelope and expansion it has computed, so every holder
-    reads the same tables.
+    The height of an exponent is its coordinate sum.  Build parts through
+    `cone_part`, which shares one part among all holders of the same
+    factors and lattice.  A part keeps each envelope and expansion it has
+    computed, so every holder reads the same tables.
     """
 
-    def __init__(self, factors, lattice, heightfn):
+    def __init__(self, factors, lattice):
         self.factors = factors
         self.lattice = lattice
-        self.heightfn = heightfn
         for f in factors:
-            h = heightfn(f.exponent)
-            if h <= 0:
+            if sum(f.exponent) <= 0:
                 raise ValueError("factor exponent %s is not in the positive cone"
                                  % (f.exponent,))
         self._envelopes = {}
@@ -257,7 +255,7 @@ class ConePart:
         for f, hf, shape in rows:
             nxt = {}
             for e, c in acc.items():
-                he = self.heightfn(e)
+                he = sum(e)
                 for k, fc in terms[shape]:
                     if he + k * hf > H:
                         break
@@ -279,7 +277,7 @@ class ConePart:
         share one expansion of their terms, taken from that factor."""
         rows, widest = [], {}
         for f in self.factors:
-            hf = self.heightfn(f.exponent)
+            hf = sum(f.exponent)
             shape = (f.coeff, f.base_log, f.length, f.side)
             if shape not in widest or H // hf > widest[shape][1]:
                 widest[shape] = (f, H // hf)
@@ -334,7 +332,7 @@ class ConePart:
                       for k, num in table]
             nxt = {}  # exponent -> [lowest v-power, packed sum]
             for e, poly in acc.items():
-                he = self.heightfn(e)
+                he = sum(e)
                 v1 = min(poly)
                 p1 = _pack(poly, v1, g, B)
                 for k, v2, p2 in packed:
@@ -369,7 +367,7 @@ class ConePart:
         BIG = 1 << 60
         env = [0] + [BIG] * H
         for f in self.factors:
-            hf = self.heightfn(f.exponent)
+            hf = sum(f.exponent)
             fenv = _factor_env(f, H // hf)
             nxt = [BIG] * (H + 1)
             for h in range(H + 1):
@@ -390,19 +388,19 @@ class ConePart:
 _parts = weakref.WeakValueDictionary()
 
 
-def cone_part(factors, lattice, heightfn):
-    """The shared ConePart of `factors` on `lattice` under `heightfn`.
+def cone_part(factors, lattice):
+    """The shared ConePart of `factors` on `lattice`.
 
-    Parts are told apart by every field of every factor, in order, by the
-    lattice and by the height function.  The registry holds parts weakly: a
-    part lives while some holder (an engine) keeps it, and a later request
-    for the same part while it lives gets the same object.
+    Parts are told apart by every field of every factor, in order, and by
+    the lattice.  The registry holds parts weakly: a part lives while some
+    holder (an engine) keeps it, and a later request for the same part
+    while it lives gets the same object.
     """
     key = (tuple((f.coeff, f.exponent, f.base_log, f.length, f.side)
-                 for f in factors), lattice, heightfn)
+                 for f in factors), lattice)
     part = _parts.get(key)
     if part is None:
-        part = _parts[key] = ConePart(factors, lattice, heightfn)
+        part = _parts[key] = ConePart(factors, lattice)
     return part
 
 
@@ -463,22 +461,22 @@ class WeightEngine:
     """Prepared weight for constant-term pairing against finite elements.
 
     An exact engine reads the weight through one coefficient lookup
-    `_exact_weight(nu)` (None where there is no term): the terms of a spec
-    of finite factors multiplied out once, or a weight known by its moments
+    `_lookup(nu)` (None where there is no term): the terms of a spec of
+    finite factors multiplied out once, or a weight known by its moments
     (`from_moments`).  A spec of infinite factors is expanded to a height at
     which the order envelope proves that every discarded cross term sits
-    above the working order.  A spec that mixes the two is refused.
+    above the working order; its engine has no lookup.  A spec that mixes
+    the two is refused.
+
+    Every pairing takes one path for all three sources; `_coefficient`
+    (W(nu)), `_lift`, `_sum` and `_finish` hold what differs.
     """
 
     def __init__(self, spec, order=60, height_hint=6):
         self.spec = spec
         self.order = order
         self.height_hint = height_hint
-        self._exact_product = None
-        self._exact_weight = None
-        self._plus_terms = None
-        self._minus_terms = None
-        self._guaranteed = None
+        self._lookup = None
         self._moments = {}
         self._singles = {}  # e -> {e}, one block per exponent for the Grams
         self._parts = ()  # the shared cone parts this engine expanded
@@ -496,7 +494,7 @@ class WeightEngine:
         as the one-variable moment functional's `AWFunctional.weight`; it
         has no spec and expands nothing."""
         engine = cls.__new__(cls)
-        engine.spec, engine._exact_weight = None, weight
+        engine.spec, engine._lookup = None, weight
         engine._moments, engine._singles = {}, {}
         return engine
 
@@ -506,7 +504,7 @@ class WeightEngine:
         """The spec's plus and minus cone parts, shared and kept alive by
         this engine."""
         spec = self.spec
-        self._parts = tuple(cone_part(fs, spec.lattice, spec.heightfn)
+        self._parts = tuple(cone_part(fs, spec.lattice)
                             for fs in (spec.plus, spec.minus))
         return self._parts
 
@@ -514,12 +512,11 @@ class WeightEngine:
         spec = self.spec
         plus, minus = self._hold_parts()
         one = GAElement.one(spec.lattice, spec.rank)
-        Hp = sum(spec.heightfn(f.exponent) * f.length for f in spec.plus)
-        Hm = sum(spec.heightfn(f.exponent) * f.length for f in spec.minus)
+        Hp = sum(sum(f.exponent) * f.length for f in spec.plus)
+        Hm = sum(sum(f.exponent) * f.length for f in spec.minus)
         pe = plus.expand(Hp) if spec.plus else one
         me = minus.expand(Hm).invol_inv() if spec.minus else one
-        self._exact_product = pe * me
-        self._exact_weight = self._exact_product.terms.get
+        self._lookup = (pe * me).terms.get
 
     def _build_series(self):
         if _cache_dir is None:
@@ -661,48 +658,62 @@ class WeightEngine:
 
     # -- pairing --------------------------------------------------------------
 
-    def ct_pair(self, h):
-        """ct(h * W) for a finite h; exact or series per the weight."""
-        if self._exact_weight is not None:
-            return self._exact_sum(h.terms.items())
-        # series: ct(h * P * flip(M)) = sum_e h_e * W_{-e}
-        for e in h.terms:
-            self._check_height(e)
-        prec = self._work
-        worst = 0
-        for c in h.terms.values():
-            o = c.min_order() if isinstance(c, SeriesScalar) else c.v_order()
-            if o is not None and o < worst:
-                worst = o
-        self._check_slack(worst)
-        acc = SeriesScalar.zero(prec)
-        for e, c in h.terms.items():
-            ce = c if isinstance(c, SeriesScalar) else c.to_series(prec)
-            w = self._weight_coefficient(tuple(-x for x in e))
-            if not w.is_zero():
-                acc = acc + ce * w
-        return self._finish(acc)
-
-    def _check_height(self, e):
-        """Refuse a pairing exponent beyond the planned expansion height."""
-        h = abs(self.spec.heightfn(e))
+    def _coefficient(self, nu):
+        """W(nu), None where it vanishes.  A series weight refuses an
+        exponent beyond the planned expansion height."""
+        if self._lookup is not None:
+            return self._lookup(nu)
+        h = abs(sum(nu))
         if h > self.height_hint:
             raise TruncationError(
                 "pairing support height %d exceeds the planned hint %d"
                 % (h, self.height_hint))
+        w = self._weight_coefficient(nu)
+        return None if w.is_zero() else w
 
-    def _check_slack(self, worst):
-        """Refuse coefficients of v-order `worst` (<= 0) that use up more
-        than the margin."""
+    def _lift(self, c):
+        """c in the weight's ring: on a series weight, a working-order series."""
+        if self._lookup is not None or isinstance(c, SeriesScalar):
+            return c
+        return c.to_series(self._work)
+
+    def _sum(self, products):
+        """The sum of the products of the tuples of factors in `products`:
+        with one reduction per distinct denominator on an exact weight, to
+        the working order on a series weight."""
+        if self._lookup is not None:
+            return exact_sum_of_products(products)
+        acc = SeriesScalar.zero(self._work)
+        for factors in products:
+            acc = acc + reduce(mul, factors)
+        return acc
+
+    def _finish(self, acc):
+        """The pairing `acc`, on a series weight cut at the guaranteed order."""
+        if self._lookup is not None:
+            return acc
+        return SeriesScalar(acc.num, min(acc.prec, self._guaranteed),
+                            _den=acc.den)
+
+    @staticmethod
+    def _check_slack(orders):
+        """Refuse coefficients of the v-orders `orders` whose lowest uses up
+        more than the margin of a series weight."""
+        worst = min(orders, default=0)
         if -worst > MARGIN:
             raise TruncationError(
                 "coefficient orders consume %d of the %d-order margin"
                 % (-worst, MARGIN))
 
-    def _finish(self, acc):
-        """Series sum truncated at the guaranteed order."""
-        return SeriesScalar(acc.num, min(acc.prec, self._guaranteed),
-                            _den=acc.den)
+    def ct_pair(self, h):
+        """ct(h * W) = sum_e h_e W(-e) for a finite h."""
+        terms = [(self._lift(c), self._coefficient(tuple(-x for x in e)))
+                 for e, c in h.terms.items()]
+        if self._lookup is None:
+            self._check_slack(c.min_order() for c, _ in terms
+                              if not c.is_zero())
+        return self._finish(self._sum([(c, w) for c, w in terms
+                                       if w is not None]))
 
     def vector_pair(self, u, M, w, group=None):
         """sum_{i,j} ct(u_i M_ij flip(w_j) W) for vectors u, w and matrix M
@@ -713,21 +724,21 @@ class WeightEngine:
         constant, and single exponents.  By bilinearity the pairing is
         sum u_i[A] w_j[B] G_ij(A, B) over blocks A of u_i and B of w_j, with
         G_ij(A, B) the sum of m_ij(a - b) over a in A, b in B (`_gram`).
-        Exact weights sum the products with one reduction per distinct
-        denominator.  On series weights `_moment` applies the height guard
-        of `ct_pair` to each exponent it reads, and the margin guard covers
-        the orders of u_i[A], w_j[B] and M_ij.
+        On series weights every exponent read is height-guarded as in
+        `ct_pair`, and the margin guard covers, per cell, the lowest orders
+        of u_i[A] and w_j[B] plus that of M_ij.
         """
         tables = self._moment_tables(M)
-        exact = self._exact_weight is not None
         us = [self._blocks(f, group) for f in u]
         ws = [self._blocks(f, group) for f in w]
         cells = [(tables[i][j], ui, wj) for i, ui in enumerate(us)
-                 for j, wj in enumerate(ws) if tables[i][j].order is not None]
-        if not exact:
-            self._check_slack(min([0] + [
-                ca.min_order() + cb.min_order() + table.order
-                for table, ui, wj in cells for _, ca in ui for _, cb in wj]))
+                 for j, wj in enumerate(ws)
+                 if ui and wj and tables[i][j].order is not None]
+        if self._lookup is None:
+            def low(blocks):
+                return min(c.min_order() for _, c in blocks)
+            self._check_slack(low(ui) + low(wj) + table.order
+                              for table, ui, wj in cells)
         products = []
         for table, ui, wj in cells:
             for A, ca in ui:
@@ -735,18 +746,13 @@ class WeightEngine:
                     g = self._gram(table, A, B)
                     if g is not None:
                         products.append((ca, cb, g))
-        if exact:
-            return exact_sum_of_products(products)
-        acc = SeriesScalar.zero(self._work)
-        for ca, cb, g in products:
-            acc = acc + ca * cb * g
-        return self._finish(acc)
+        return self._finish(self._sum(products))
 
     def _blocks(self, f, group):
         """f as (block, coefficient) pairs: each orbit of `group` (None: no
         orbits) on which f has one coefficient is a block, and each other
-        exponent is a block of its own.  Series weights get coefficients
-        expanded to the working order."""
+        exponent is a block of its own.  Coefficients are lifted into the
+        weight's ring."""
         terms, singles = f.terms, self._singles
         out, done = [], set()
         for e, c in terms.items():
@@ -761,9 +767,7 @@ class WeightEngine:
                          for x in orbit if x in terms]
             for block, c in parts:
                 done |= block
-                if (self._exact_weight is None
-                        and not isinstance(c, SeriesScalar)):
-                    c = c.to_series(self._work)
+                c = self._lift(c)
                 if not c.is_zero():
                     out.append((block, c))
         return out
@@ -779,13 +783,9 @@ class WeightEngine:
         moments = [m for m in (self._moment(table, tuple(
             x - y for x, y in zip(a, b))) for a in A for b in B)
             if m is not None]
-        if not moments:
-            g = None
-        elif self._exact_weight is None or len(moments) == 1:
-            g = sum(moments[1:], moments[0])
-        else:
-            g = exact_sum_of_products((m,) for m in moments)
-        g = table.grams[key] = None if g is None or g.is_zero() else g
+        g = (moments[0] if len(moments) == 1
+             else self._sum((m,) for m in moments))
+        g = table.grams[key] = None if g.is_zero() else g
         return g
 
     def _moment_tables(self, M):
@@ -796,16 +796,14 @@ class WeightEngine:
         """
         got = self._moments.get(id(M))
         if got is None:
-            distinct = []
-            rows = []
+            distinct, rows = [], []
             for row in M:
                 out = []
                 for f in row:
                     table = next((t for t in distinct if t.f == f), None)
                     if table is None:
-                        table = _MomentTable(
-                            f, None if self._exact_weight is not None
-                            else self._work)
+                        table = _MomentTable(f, [(e, self._lift(c))
+                                                 for e, c in f.terms.items()])
                         distinct.append(table)
                     out.append(table)
                 rows.append(out)
@@ -813,52 +811,33 @@ class WeightEngine:
         return got[1]
 
     def _moment(self, table, nu):
-        """ct(e^nu f W) = sum_e f[e] W[-(e + nu)] for the entry f of
+        """ct(e^nu f W) = sum_e f[e] W(-(e + nu)) for the entry f of
         `table`, filled into the table once; None where it vanishes."""
         try:
             return table.values[nu]
         except KeyError:
             pass
-        if self._exact_weight is not None:
-            m = self._exact_sum(table.terms, nu)
-        else:
-            m = SeriesScalar.zero(self._work)
-            for e, c in table.terms:
-                k = tuple(-(x + y) for x, y in zip(e, nu))
-                self._check_height(k)
-                w = self._weight_coefficient(k)
-                if not w.is_zero():
-                    m = m + c * w
-        m = None if m.is_zero() else m
-        table.values[nu] = m
-        return m
-
-    def _exact_sum(self, terms, nu=None):
-        """sum_e c W(-(e + nu)) over the (e, c) in `terms` on the exact
-        weight, as one exact sum; nu = None is the zero shift."""
-        W = self._exact_weight
-        pairs = []
-        for e, c in terms:
-            if nu is not None:
-                e = tuple(x + y for x, y in zip(e, nu))
-            w = W(tuple(-x for x in e))
+        products = []
+        for e, c in table.terms:
+            w = self._coefficient(tuple(-(x + y) for x, y in zip(e, nu)))
             if w is not None:
-                pairs.append((c, w))
-        return exact_sum_of_products(pairs)
+                products.append((c, w))
+        m = self._sum(products)
+        m = table.values[nu] = None if m.is_zero() else m
+        return m
 
 
 class _MomentTable:
     """The moments of one entry f of M, nu -> ct(e^nu f W), as filled by
     `WeightEngine._moment`.  `terms` holds f's terms, with coefficients
-    expanded to order `work` on a series weight; `order` is the lowest
-    v-order among them (None for f = 0)."""
+    lifted into the weight's ring; `order` is the lowest v-order among them
+    (None for f = 0)."""
 
     __slots__ = ("f", "terms", "order", "values", "grams")
 
-    def __init__(self, f, work=None):
+    def __init__(self, f, terms):
         self.f = f
-        self.terms = [(e, c if work is None else c.to_series(work))
-                      for e, c in f.terms.items()]
+        self.terms = terms
         self.order = min((c.v_order() for c in f.terms.values()), default=None)
         self.values = {}
         self.grams = {}  # (block A, block B) -> G(A, B), from `_gram`
@@ -903,7 +882,7 @@ def macdonald_sym_weight(restricted, qhat_log, t, lattice, tag=""):
     plus = []
     for a in restricted._positive_roots():
         plus += _ratio(ExactScalar.one(), t, a, qhat_log)
-    return WeightSpec(plus, list(plus), lattice, restricted.height2, tag=tag)
+    return WeightSpec(plus, list(plus), lattice, tag=tag)
 
 
 def macdonald_nonsym_weight(restricted, qhat_log, t, lattice, tag=""):
@@ -915,4 +894,4 @@ def macdonald_nonsym_weight(restricted, qhat_log, t, lattice, tag=""):
     for a in restricted._positive_roots():
         plus += _ratio(ExactScalar.one(), t, a, qhat_log)
         minus += _ratio(qh, t, a, qhat_log)
-    return WeightSpec(plus, minus, lattice, restricted.height2, tag=tag)
+    return WeightSpec(plus, minus, lattice, tag=tag)

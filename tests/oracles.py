@@ -28,7 +28,7 @@ def aw_plus_factors(params, qhat_log=2):
 
 def aw_weight(params, lattice, qhat_log=2, tag=""):
     plus = aw_plus_factors(params, qhat_log)
-    return WeightSpec(plus, list(plus), lattice, lambda e: e[0], tag=tag)
+    return WeightSpec(plus, list(plus), lattice, tag=tag)
 
 
 def infinite_ratio_form(spec):
@@ -45,7 +45,7 @@ def infinite_ratio_form(spec):
         return out
 
     return WeightSpec(ratios(spec.plus), ratios(spec.minus), spec.lattice,
-                      spec.heightfn, spec.tag, spec.rank)
+                      spec.tag, spec.rank)
 
 
 def constant_term(f):
@@ -59,9 +59,10 @@ def constant_term(f):
 def ct_norm(engine, rank=1):
     """ct(W), the constant term of the engine's weight; `rank` is the
     exponent length of a weight known only by its moments."""
-    if engine.spec is None:
-        return engine._exact_sum([((0,) * rank, ExactScalar.one())])
-    return engine.ct_pair(GAElement.one(engine.spec.lattice, engine.spec.rank))
+    spec = engine.spec
+    if spec is None:
+        return engine.ct_pair(GAElement.one(None, rank))
+    return engine.ct_pair(GAElement.one(spec.lattice, spec.rank))
 
 
 def aw_reduce(L, h):
@@ -188,7 +189,7 @@ def flat_table_loop(part, H, cut):
         limit = cut - rest
         nxt = {}
         for e, poly in acc.items():
-            he = part.heightfn(e)
+            he = sum(e)
             items = sorted(poly.items())
             for k, v0, row in table:
                 if he + k * hf > H:

@@ -251,7 +251,7 @@ class TestCriterion8:
         count = 0
         specs = []
         for cid in ("A2G", "DII:n=2"):
-            specs.append(grid_cases[cid].family_spec())
+            specs.append(grid_cases[cid].family_spec)
         targets = {
             0: [((0, 1), (1, 1)), ((0, 1), (2, 0)), ((1,), (0, 1)),
                 ((1,), (-1, 1)), ((1,), (1, 1))],

@@ -197,7 +197,7 @@ class TestMatrixWeights:
 
     def test_dii_bottom_swap_is_theta(self):
         case = build_case("DII:n=3")
-        M = case.matrix_weight()
+        M = case.matrix_weight
         assert M[0][1] == M[1][0].invol_inv()
         assert M[0][0] == M[1][1]
 
@@ -205,7 +205,7 @@ class TestMatrixWeights:
         # a wrong conjugation preset must break the transpose symmetry test:
         # conjugating an off-diagonal entry by q -> 1/q only is not enough
         case = build_case("DII:n=3")
-        M = case.matrix_weight()
+        M = case.matrix_weight
         tampered = M[0][1].scale(Q(1))
         assert not (tampered.invol_inv() - M[1][0]).is_zero()
 
@@ -317,7 +317,7 @@ class TestMatrixFamily:
 
         for cid in ("DII:n=3", "A2G", "AII5"):
             case = build_case(cid)
-            M = case.matrix_weight()
+            M = case.matrix_weight
             for i, row in enumerate(M):
                 for j, entry in enumerate(row):
                     val = at_one(entry.evaluate_at_one())
@@ -399,7 +399,7 @@ class TestGammaPeel:
                                              ("AI2", 1, 72), ("DII:n=2", 3, 60)])
     def test_matches_dense_solve(self, cid, H, order):
         case = build_case(cid, order=order, height=H)
-        spec = case.family_spec()
+        spec = case.family_spec
         for mu in _j_labels(case, H):
             P = spec.family_member(case.J, mu)
             peeled = case.expand_in_gamma_basis(P)
@@ -607,12 +607,12 @@ class TestPlan:
         # is returned by the other
         low = build_case("AI2", order=20, height=0)
         high = build_case("AI2", order=30, height=0)
-        assert low.nabla_engine().order == low.delta_engine().order == 20
-        assert high.nabla_engine().order == high.delta_engine().order == 30
-        assert high.family_spec().engine_sym is high.nabla_engine()
+        assert low.nabla_engine.order == low.delta_engine.order == 20
+        assert high.nabla_engine.order == high.delta_engine.order == 30
+        assert high.family_spec.engine_sym is high.nabla_engine
         for name in ("nabla_engine", "delta_engine", "family_spec"):
-            assert getattr(low, name)() is getattr(low, name)()
-            assert getattr(low, name)() is not getattr(high, name)()
+            assert getattr(low, name) is getattr(low, name)
+            assert getattr(low, name) is not getattr(high, name)
         assert (low.vector_member(0, (0, 0))
                 is not high.vector_member(0, (0, 0)))
 
@@ -668,7 +668,7 @@ class TestAWMomentPairing:
         import random
 
         case = build_case(cid)
-        M = case.matrix_weight()
+        M = case.matrix_weight
         L = AWFunctional(case.aw_zonal, case.lattice)
         members = [case.vector_member(b, (m,)).slots
                    for m in range(3) for b in range(len(case.bottoms))]
@@ -708,7 +708,7 @@ class TestAWMomentPairing:
         monkeypatch.setattr(cases_mod, "AWFunctional", Counted)
         case = build_case(cid)
         # the family engines read the one functional's weight
-        assert (case.family_spec().engine_sym._exact_weight.__self__
+        assert (case.family_spec.engine_sym._lookup.__self__
                 is case.aw_functional(case.aw))
         built.clear()
         report, _ = run_verify(cid, height=1)
@@ -720,9 +720,9 @@ class TestAWMomentPairing:
         # the invariant family pairs through the moments of the exact
         # functional, an engine with no spec and nothing to expand
         case = build_case("BII:n=2,s=1")
-        engine = case.family_spec().engine_sym
+        engine = case.family_spec.engine_sym
         assert engine.spec is None
-        assert engine._exact_weight.__self__ is case.aw_functional(case.aw)
+        assert engine._lookup.__self__ is case.aw_functional(case.aw)
 
     def test_verify_expands_no_series_weight(self, monkeypatch):
         from macpoly.cli import run_verify
@@ -765,9 +765,9 @@ class TestMomentPairing:
         import random
 
         case = build_case(cid)
-        eng = case.nabla_engine()
-        assert eng._exact_weight is not None
-        M = case.matrix_weight()
+        eng = case.nabla_engine
+        assert eng._lookup is not None
+        M = case.matrix_weight
         if case.rank == 1:
             grid = [(m,) for m in range(3)]
         else:
@@ -787,7 +787,7 @@ class TestMomentPairing:
 
     def test_exact_engine_takes_moment_route(self):
         case = build_case("A2G", height=1)
-        eng = case.nabla_engine()
+        eng = case.nabla_engine
         u = [case.m_of((1, 0)), case.one(), GAElement.zero(case.lattice)]
         assert not eng._moments
         case._vector_pair(u, u)
@@ -814,8 +814,8 @@ def ai2_pairings():
     """AI2 at order 100, height 2: every unordered pair of vector members,
     paired from moment tables and through materialised products."""
     case = build_case("AI2", order=100, height=2)
-    eng = case.nabla_engine()
-    M = case.matrix_weight()
+    eng = case.nabla_engine
+    M = case.matrix_weight
     members = [case.vector_member(b, lam).slots
                for lam in case.restricted.grid(2)
                for b in range(len(case.bottoms))]
@@ -830,7 +830,7 @@ class TestSeriesMomentPairing:
 
     def test_members_match_products(self, ai2_pairings):
         _, eng, _, _, pairs = ai2_pairings
-        assert eng._exact_product is None
+        assert eng._lookup is None
         for _, _, moment, product in pairs:
             assert moment.prec >= product.prec
             assert (moment - product).is_zero()
@@ -879,7 +879,7 @@ class TestSeriesMomentPairing:
         case, eng, M, _, pairs = ai2_pairings
         higher = [(u, w, m) for u, w, m, p in pairs if m.prec > p.prec]
         assert higher
-        big = build_case("AI2", order=140, height=2).nabla_engine()
+        big = build_case("AI2", order=140, height=2).nabla_engine
         assert big.height_hint == eng.height_hint
         rng = random.Random(3)
         for u, w, moment in higher:
@@ -972,17 +972,17 @@ class TestSeriesWeightRequired:
         # the zonal engine is the exact one-variable moment functional;
         # there is no non-symmetric weight
         case = build_case(cid)
-        eng = case.nabla_engine()
-        assert eng.spec is None and eng._exact_weight is not None
-        assert case.nabla_engine() is eng
+        eng = case.nabla_engine
+        assert eng.spec is None and eng._lookup is not None
+        assert case.nabla_engine is eng
         with pytest.raises(ValueError, match="no series weight"):
-            case.delta_engine()
+            case.delta_engine
 
     @pytest.mark.parametrize("cid", ["BII:n=2,s=1", "CII:n=3,s=2"])
     def test_one_variable_ct_norm(self, cid):
         # ct(W) of the moment engine is lambda(0) = L(1) = 1, exactly
         case = build_case(cid)
-        norm = ct_norm(case.nabla_engine())
+        norm = ct_norm(case.nabla_engine)
         assert isinstance(norm, ExactScalar) and norm.is_one()
         L = AWFunctional(case.aw_zonal, case.lattice)
         assert norm == L.value(case.one())

@@ -111,7 +111,7 @@ class TestCompute:
         def no_work(*args, **kwargs):
             raise AssertionError("work ran before the output was checked")
 
-        monkeypatch.setattr(ExampleCase, method, no_work)
+        monkeypatch.setattr(ExampleCase, method, property(no_work))
         (tmp_path / "f").write_text("")
         rc = main(argv + ["--output", str(tmp_path / "f" / "out.txt")])
         assert rc == 2
@@ -254,7 +254,7 @@ class TestVerify:
         def boom(self):
             raise ArithmeticError("no weight")
 
-        monkeypatch.setattr(ExampleCase, "matrix_weight", boom)
+        monkeypatch.setattr(ExampleCase, "matrix_weight", property(boom))
         path = tmp_path / "r.json"
         rc = main(["verify", "--case", "BII:n=2,s=1", "--lambda-height", "1",
                    "--report", str(path)])

@@ -260,7 +260,7 @@ class TestPairingRoute:
         """Every pair of members of the case's J-family and of its
         W-invariant family whose labels lie in orbits of height <= H."""
         R = case.restricted
-        spec = case.family_spec()
+        spec = case.family_spec
         for J in sorted({tuple(case.J), tuple(range(case.rank))}):
             symmetric = J == tuple(range(case.rank))
             engine = spec.engine_sym if symmetric else spec.engine_nonsym
@@ -271,8 +271,10 @@ class TestPairingRoute:
                 for g in members:
                     yield spec.pair(f, g, symmetric), sym_pair(f, g, engine)
 
-    @pytest.mark.parametrize("cid", ["A2G", "AII5", "DII:n=2"])
+    @pytest.mark.parametrize("cid", ["A2G", "AII5", "DII:n=2", "BII:n=2,s=1",
+                                     "BII:n=3,s=2", "CII:n=3,s=2"])
     def test_exact_weights(self, cid):
+        # finite specs and the one-variable moment functional alike
         case = build_case(cid, height=3)
         count = 0
         for got, want in self._pairs(case):
