@@ -126,8 +126,6 @@ class ExampleCase:
     _functionals: dict = field(init=False, default_factory=dict)
     # H -> gamma-basis lead table of height H
     _gamma_tables: dict = field(init=False, default_factory=dict)
-    # i -> ambient weights of the i-th multiplier module
-    _multipliers: dict = field(init=False, default_factory=dict)
 
     # -- basic objects ------------------------------------------------------
 
@@ -168,14 +166,18 @@ class ExampleCase:
         of rows."""
         datum = self.datum
         nb = len(self.bottoms)
+        weights = [[mu for mu, _ in bw] for bw in self.bottom_weights]
+        for b, w in enumerate(weights):
+            if w != weights[0]:
+                raise ValueError("bottom %d lists the weights %s, bottom 0 "
+                                 "lists %s" % (b, w, weights[0]))
         rows = []
         for i in range(nb):
             row = []
             for j in range(nb):
                 acc = GAElement.zero(self.lattice)
                 pairs = zip(self.bottom_weights[i], self.bottom_weights[j])
-                for (mu_i, f_i), (mu_j, f_j) in pairs:
-                    assert mu_i == mu_j
+                for (_, f_i), (_, f_j) in pairs:
                     a = f_i.shift_act(lambda e: -datum.pair_two_rho(e))
                     b = f_j.shift_act(lambda e: -datum.pair_two_rho(e))
                     prod = a * b.invol_inv()
@@ -497,6 +499,10 @@ class ExampleCase:
         """Expansion of P_{pi_i} * Q_lam over the matrix family."""
         spec = self.family_spec
         pi = tuple(int(k == i) for k in range(self.rank))
+        hw = self.satake.from_restricted(pi)
+        if not self.datum.is_dominant(hw):
+            raise ValueError("multiplier highest weight %s is not dominant"
+                             % (hw,))
         P = spec.family_member(tuple(range(self.rank)), pi)
         top = tuple(a + c for a, c in zip(lam, pi))
         out = {}
@@ -515,7 +521,6 @@ class ExampleCase:
             out[b] = {t: c for t, c in zip(ups, cvec) if not c.is_zero()}
         # every step must be a weight of the multiplier module, and the top
         # coefficient must be nonzero
-        wset = self.multiplier_weights(i)
         steps_ok = True
         top_ok = True
         for b, coeffs in out.items():
@@ -526,21 +531,10 @@ class ExampleCase:
             for (bp, mu) in coeffs:
                 step = tuple(a - c for a, c in zip(self._ambient(bp, mu),
                                                    base))
-                if step not in wset:
+                if not self.datum.is_weight(hw, step):
                     steps_ok = False
         return {"coeffs": out, "residual_zero": all(residual_cols),
                 "steps_in_weights": steps_ok, "top_nonzero": top_ok}
-
-    def multiplier_weights(self, i):
-        """Ambient weights of the module generated at the i-th generator."""
-        from .roots import freudenthal
-
-        if i not in self._multipliers:
-            pi = tuple(int(k == i) for k in range(self.rank))
-            hw = self.satake.from_restricted(pi)
-            table = freudenthal(self.datum, hw)
-            self._multipliers[i] = set(table.mult)
-        return self._multipliers[i]
 
     # -- the rational weight ratio and its defining identity ---------------------
 
@@ -832,13 +826,14 @@ def _bullet_module_weights(datum, subset, hw):
     subA = tuple(tuple(datum.A[i][j] for j in subset) for i in subset)
     sub = _datum_from_cartan("sub", subA)
     sub_hw = tuple(int(datum.pair_simple(i, hw)) for i in subset)
-    table = freudenthal(sub, sub_hw)
     out = []
-    for nu, mult in table.mult.items():
+    for nu, mult in freudenthal(sub, sub_hw).items():
         # nu = sub_hw - sum c_i alpha_i in subsystem coordinates
         diff = tuple(sub_hw[t] - nu[t] for t in range(len(subset)))
         coords = sub.alpha_expansion(diff)
-        assert all(c.denominator == 1 and c >= 0 for c in coords)
+        if any(c.denominator != 1 or c < 0 for c in coords):
+            raise ArithmeticError("weight %s is not below %s by a sum of "
+                                  "simple roots" % (nu, sub_hw))
         amb = list(hw)
         for t, c in enumerate(coords):
             for j in range(datum.rank):
@@ -1044,7 +1039,9 @@ def _build_small_b(kind, n, s, plan):
         I_bullet = frozenset({0} | set(range(2, n)))
         Cc = Q(2 - n) * Q(2 - n) * ExactScalar.from_int(-1)  # -q^{4-2n}
         labels = (Fraction(2 * n - 1, 2), Fraction(3, 2) + s, n - 2, 0)
-    assert datum.pair_two_rho(datum.fundamental_weight(k_idx)) == 2 * (2 * n - 1)
+    if datum.pair_two_rho(datum.fundamental_weight(k_idx)) != 2 * (2 * n - 1):
+        raise ArithmeticError("<2 rho, omega_%d> != %d for %s"
+                              % (k_idx + 1, 2 * (2 * n - 1), tag))
 
     wb_word = _longest_word(datum, sorted(I_bullet))
     wb = _matrix_of_word(datum, wb_word)

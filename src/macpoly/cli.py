@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -185,23 +186,13 @@ def _identify_grid(case, H):
         for m in range(1, H + 1):
             out += [(m,), (-m,)]
         return out
-    out = []
-    for lam in case.restricted.grid(H - 1):
-        for b in range(len(case.bottoms)):
-            mu = _t_inverse(case, b, lam)
-            if mu is not None:
-                out.append(mu)
-    return sorted(set(out))
-
-
-def _t_inverse(case, b, lam):
-    """The rank-2 label mu with t_map(mu) == (b, lam), or None."""
-    H = case.restricted.height2(case.restricted.dominant_rep(lam)) + 2
-    box = range(-2 * H - 2, 2 * H + 3)
-    for mu in ((x, y) for x in box for y in box):
-        if case.restricted.is_dominant(mu, case.J) and case.t_map(mu) == (b, tuple(lam)):
-            return mu
-    return None
+    # the J-dominant mu whose t_map lands in the labels of height H - 1;
+    # the box holds each of their preimages
+    labels = set(case.restricted.grid(H - 1))
+    box = range(-2 * H - 4, 2 * H + 5)
+    return [mu for mu in itertools.product(box, repeat=2)
+            if case.restricted.is_dominant(mu, case.J)
+            and case.t_map(mu)[1] in labels]
 
 
 def run_verify(case_id, height=2, order=60):

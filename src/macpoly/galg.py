@@ -225,7 +225,8 @@ def solve_linear(rows, rhs):
     multi = rhs and isinstance(rhs[0], list)
     b = [list(r) for r in rhs] if multi else [[r] for r in rhs]
     m = len(rows[0]) if rows else 0
-    assert n == len(b)
+    if n != len(b):
+        raise ValueError("%d rows but %d right-hand-side rows" % (n, len(b)))
     aug = [list(rows[i]) + b[i] for i in range(n)]
     width = m + len(b[0])
     row = 0

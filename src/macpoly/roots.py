@@ -221,6 +221,15 @@ class RootDatum:
                 return False
         return True
 
+    def is_weight(self, lam, mu):
+        """mu is a weight of the simple module of dominant highest weight lam.
+
+        Its weights form a saturated set, so this holds iff the dominant
+        representative of mu lies below lam (Humphreys, *Introduction to Lie
+        Algebras*, 21.3).  The caller checks that lam is dominant.
+        """
+        return self.dominance_leq(self.dominant_rep(mu), lam)
+
     def height(self, x):
         """Root-basis coordinate sum; raises if x is not in the root lattice."""
         coords = self.alpha_expansion(x)
@@ -285,7 +294,9 @@ class RootDatum:
             num = self.bilinear(tuple(lam[i] + rho[i] for i in range(self.rank)), beta)
             den = self.bilinear(rho, beta)
             dim *= Fraction(num, den)
-        assert dim.denominator == 1
+        if dim.denominator != 1:
+            raise ArithmeticError("Weyl dimension %s of %s is not an integer"
+                                  % (dim, lam))
         return int(dim)
 
     def rho_x(self):
@@ -332,9 +343,9 @@ def _datum_from_cartan(series, A):
         raise ValueError("2*rho is not integral for %s%d" % (series, n))
     datum = RootDatum(series, n, A, eps, alpha, tuple(int(c) for c in two_rho))
     for i in range(n):
-        for j in range(n):
-            assert datum.pair_simple(i, datum.alpha_coords[j]) == A[i][j]
-        assert datum.pair_two_rho(datum.alpha_coords[i]) == 2 * eps[i]
+        if datum.pair_two_rho(alpha[i]) != 2 * eps[i]:
+            raise ArithmeticError("<2 rho, alpha_%d> != 2 eps_%d for %s"
+                                  % (i + 1, i + 1, series))
     return datum
 
 
@@ -347,16 +358,9 @@ def _datum_from_cartan(series, A):
 FREUDENTHAL_DIM_BOUND = 12000
 
 
-@dataclass
-class WeightMultTable:
-    mult: dict  # weight -> positive int
-
-    def dim(self):
-        return sum(self.mult.values())
-
-
 def freudenthal(datum, lam):
-    """Multiplicity table of the simple module with highest weight lam."""
+    """Weight multiplicities {weight: multiplicity} of the simple module
+    with highest weight lam."""
     if not datum.is_dominant(lam):
         raise ValueError("highest weight must be dominant")
     total = datum.weyl_dim(lam)
@@ -369,9 +373,9 @@ def freudenthal(datum, lam):
     lam_rho = tuple(Fraction(lam[i]) + rho[i] for i in range(n))
     norm_lr = datum.bilinear(lam_rho, lam_rho)
 
-    # candidate weights: hull points below lam, gathered by closure under
-    # positive-root steps, then processed in increasing depth so that every
-    # contributor of the recursion is already known
+    # the weights, gathered by closure under positive-root steps, then
+    # processed in increasing depth so that every contributor of the
+    # recursion is already known
     candidates = {tuple(lam): 0}
     frontier = [tuple(lam)]
     while frontier:
@@ -379,7 +383,7 @@ def freudenthal(datum, lam):
         for mu in frontier:
             for beta in pos:
                 nu = tuple(mu[i] - beta[i] for i in range(n))
-                if nu in candidates or not _in_hull(datum, lam, nu):
+                if nu in candidates or not datum.is_weight(lam, nu):
                     continue
                 candidates[nu] = datum.height(
                     tuple(lam[i] - nu[i] for i in range(n)))
@@ -397,25 +401,25 @@ def freudenthal(datum, lam):
             j = 1
             while True:
                 xi = tuple(nu[i] + j * alpha[i] for i in range(n))
-                if not _in_hull(datum, lam, xi):
+                if not datum.is_weight(lam, xi):
                     break
                 m = mult.get(xi, 0)
                 if m:
                     acc += 2 * m * datum.bilinear(xi, alpha)
                 j += 1
         if acc:
-            assert denom != 0
+            if denom == 0:
+                raise ArithmeticError("Freudenthal denominator vanishes at %s"
+                                      % (nu,))
             val = acc / denom
-            assert val.denominator == 1 and val > 0
+            if val.denominator != 1 or val <= 0:
+                raise ArithmeticError("Freudenthal multiplicity %s at %s is "
+                                      "not a positive integer" % (val, nu))
             mult[nu] = int(val)
-    table = WeightMultTable(mult)
-    assert table.dim() == total, "Freudenthal total %d != Weyl dim %d" % (
-        table.dim(), total)
-    return table
-
-
-def _in_hull(datum, lam, xi):
-    return datum.dominance_leq(datum.dominant_rep(xi), lam)
+    if sum(mult.values()) != total:
+        raise ArithmeticError("Freudenthal total %d != Weyl dim %d"
+                              % (sum(mult.values()), total))
+    return mult
 
 
 def central_scalar(datum, lam, mu):
@@ -425,11 +429,10 @@ def central_scalar(datum, lam, mu):
     corresponding element is central only in that case) but the scalar is
     still returned when the exponents close up.
     """
-    table = freudenthal(datum, mu)
     h2 = datum.h_embed_doubled(mu)
     central = all(c.denominator == 1 for c in h2)
     acc = ZERO
-    for nu, m in table.mult.items():
+    for nu, m in freudenthal(datum, mu).items():
         gexp = -2 * datum.bilinear(lam, nu) - datum.pair_two_rho(nu)
         vexp = 2 * Fraction(gexp)
         if vexp.denominator != 1:

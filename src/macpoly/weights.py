@@ -527,8 +527,7 @@ class WeightEngine:
             with open(path) as fh:
                 data = json.load(fh)
             self._set_parts(_part_from_json(data["plus"]),
-                            _part_from_json(data["minus"]), data["work"],
-                            data["guaranteed"])
+                            _part_from_json(data["minus"]), data["work"])
             return
         except (OSError, ValueError, LookupError, TypeError):
             pass  # missing, unreadable or malformed: a miss, rebuilt below
@@ -538,8 +537,7 @@ class WeightEngine:
             with open(tmp, "w") as fh:
                 json.dump({"plus": _part_to_json(self._plus_terms),
                            "minus": _part_to_json(self._minus_terms),
-                           "work": self._work,
-                           "guaranteed": self._guaranteed}, fh)
+                           "work": self._work}, fh)
             os.replace(tmp, path)
         except OSError:
             # an unwritable cache costs only the store: keep the fresh build
@@ -585,9 +583,9 @@ class WeightEngine:
         # order
         self._set_parts(plus.expand(Hp, prec=work - min(0, min_m)).terms,
                         minus.expand(Hm, prec=work - min(0, min_p)).terms,
-                        work, self.order)
+                        work)
 
-    def _set_parts(self, plus, minus, work, guaranteed):
+    def _set_parts(self, plus, minus, work):
         """Hold the expanded parts, with the common denominator of each and
         the grid of their packed coefficients (`_weight_coefficient`).
 
@@ -599,7 +597,7 @@ class WeightEngine:
         parts' numerators over their common denominators.
         """
         self._plus_terms, self._minus_terms = plus, minus
-        self._work, self._guaranteed = work, guaranteed
+        self._work = work
         self._w_dens = tuple(math.lcm(*(c.den for c in part.values()))
                              for part in (plus, minus))
         self._w_cache = {}
@@ -689,10 +687,10 @@ class WeightEngine:
         return acc
 
     def _finish(self, acc):
-        """The pairing `acc`, on a series weight cut at the guaranteed order."""
+        """The pairing `acc`, on a series weight cut at the engine's order."""
         if self._lookup is not None:
             return acc
-        return SeriesScalar(acc.num, min(acc.prec, self._guaranteed),
+        return SeriesScalar(acc.num, min(acc.prec, self.order),
                             _den=acc.den)
 
     @staticmethod

@@ -351,6 +351,18 @@ class TestIdentification:
                 if case._dominated(b1, l1, b2, l2) and (b1, l1) != (b2, l2):
                     assert R.order_key(mu1) < R.order_key(mu2), (mu1, mu2)
 
+    @pytest.mark.parametrize("cid", ["A2G", "AII5", "AI2"])
+    def test_rank2_grid_is_t_map_preimage(self, cid):
+        from macpoly.cli import _identify_grid
+
+        case = build_case(cid)
+        for H in range(1, 5):
+            grid = _identify_grid(case, H)
+            images = [case.t_map(mu) for mu in grid]
+            assert sorted(images) == [
+                (b, lam) for b in range(len(case.bottoms))
+                for lam in case.restricted.grid(H - 1)]
+
     def test_bii_quotients_are_oracle(self):
         for s in (0, 1, 2):
             case = build_case("BII:n=3,s=%d" % s, height=3)
@@ -591,6 +603,13 @@ class TestRecurrence:
         assert rep["residual_zero"]
         assert rep["steps_in_weights"]
         assert rep["top_nonzero"]
+
+    def test_non_dominant_multiplier_raises(self):
+        case = build_case("DII:n=3")
+        satake = dataclasses.replace(case.satake, pi_vectors=((-1, 0, 0),))
+        bad = dataclasses.replace(case, satake=satake)
+        with pytest.raises(ValueError, match=r"\(-1, 0, 0\) is not dominant"):
+            bad.recurrence_coeffs(0, (0,))
 
 
 class TestPlan:
@@ -836,7 +855,7 @@ class TestSeriesMomentPairing:
             assert (moment - product).is_zero()
         # the moment route is never certified lower, and sometimes higher
         assert any(m.prec > p.prec for _, _, m, p in pairs)
-        assert min(m.prec for _, _, m, _ in pairs) == eng._guaranteed
+        assert min(m.prec for _, _, m, _ in pairs) == eng.order
 
     def test_random_vectors_match_products(self, ai2_pairings):
         import random
@@ -916,7 +935,7 @@ class TestOrbitPairing:
         grams, exponent_pairs = set(), set()
         for u, w in itertools.combinations_with_replacement(members, 2):
             pair = eng.vector_pair(u, M, w, W)
-            assert pair.prec == eng._guaranteed
+            assert pair.prec == eng.order
             assert (pair - eng.vector_pair(u, M, w)).is_zero()
             for i, ui in enumerate(u):
                 blocks_u = eng._blocks(ui, W)

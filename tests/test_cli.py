@@ -408,6 +408,32 @@ class TestVerify:
         assert ((tmp_path / "warm.json").read_text()
                 == (tmp_path / "cold.json").read_text())
 
+    def test_cache_file_certifies_nothing(self, monkeypatch, tmp_path):
+        # the certified order comes from the case's plan: files that claim
+        # a higher `guaranteed` order (a key older builds wrote) are read
+        # as before, and the warm report equals the cold one
+        import macpoly.weights as wm
+
+        monkeypatch.setattr(wm, "_cache_dir", None)
+        cache = tmp_path / "cache"
+        argv = ["verify", "--case", "AI2", "--lambda-height", "1",
+                "--cache-dir", str(cache)]
+        assert main(argv + ["--report", str(tmp_path / "cold.json")]) == 0
+        files = sorted(cache.iterdir())
+        assert len(files) == 2
+        for f in files:
+            data = json.loads(f.read_text())
+            assert "guaranteed" not in data
+            data["guaranteed"] = 400
+            f.write_text(json.dumps(data))
+        assert main(argv + ["--report", str(tmp_path / "warm.json")]) == 0
+        # a hit: nothing was rebuilt or rewritten
+        assert sorted(cache.iterdir()) == files
+        assert all(json.loads(f.read_text())["guaranteed"] == 400
+                   for f in files)
+        assert ((tmp_path / "warm.json").read_text()
+                == (tmp_path / "cold.json").read_text())
+
     def test_unwritable_cache_file_is_a_miss(self, monkeypatch, tmp_path):
         # a cache path that cannot be written (here a directory) costs only
         # the store: every check passes, the report equals the one without

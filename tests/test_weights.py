@@ -152,7 +152,7 @@ class TestPairings:
             lhs = sym_pair(f, g, exact_engine)
             assert isinstance(lhs, ExactScalar)
             rhs = sym_pair(f, g, series_engine)
-            assert rhs.prec == series_engine._guaranteed
+            assert rhs.prec == series_engine.order
             assert (rhs - lhs.to_series(rhs.prec)).is_zero()
 
     def test_sym_pair_normalized_one(self):
@@ -340,7 +340,7 @@ class TestPackedWeightCoefficient:
         (loops / name).write_text(json.dumps({
             "plus": wm._part_to_json(tables[0]),
             "minus": wm._part_to_json(tables[1]),
-            "work": fresh._work, "guaranteed": fresh._guaranteed}))
+            "work": fresh._work}))
         monkeypatch.setattr(wm, "_cache_dir", str(tmp_path / "packed"))
         (tmp_path / "packed").mkdir()
         WeightEngine(spec, order=24, height_hint=4)
@@ -389,7 +389,7 @@ class TestSeriesVectorPair:
         for _ in range(8):
             u, w = vec(), vec()
             got = series.vector_pair(u, M, w)
-            assert got.prec == series._guaranteed
+            assert got.prec == series.order
             assert (got - exact.vector_pair(u, M, w).to_series(got.prec)).is_zero()
             assert (got - vector_pair_products(series, u, M, w)).is_zero()
 
@@ -607,7 +607,7 @@ class TestSharedParts:
         for m in range(-2, 3):
             f = mono((m,), ONE + Q(1))
             got = series.ct_pair(f)
-            assert got.prec == series._guaranteed
+            assert got.prec == series.order
             assert (got - exact.ct_pair(f).to_series(got.prec)).is_zero()
 
     def test_engines_share_the_plus_part(self):
