@@ -204,7 +204,7 @@ def _settle(num, cyc, lead, tests, den=None):
     otherwise it is built from the factors left.
     """
     if not num:
-        return _ZERO
+        return ZERO
     cut = _common(num, tests)
     if cut:
         cyc = _cyc_less(cyc, cut)
@@ -574,7 +574,7 @@ class ExactScalar:
 
 # the zero every reduction returns; scalars are immutable, so the zero
 # entries a Gram memo keeps share it
-_ZERO = ExactScalar.zero()
+ZERO = ExactScalar.zero()
 
 
 def exact_sum_of_products(products):
@@ -1027,6 +1027,3 @@ def rational_reconstruct(series, margin=6):
         return None
     return cand
 
-
-ZERO = ExactScalar.zero()
-ONE = ExactScalar.one()

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import weakref
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import reduce
 from operator import mul, sub
@@ -67,11 +68,6 @@ class WeightSpec:
             rank = len(allf[0].exponent) if allf else 1
         self.rank = rank
 
-    def to_json(self):
-        return {"tag": self.tag,
-                "plus": [f.to_json() for f in self.plus],
-                "minus": [f.to_json() for f in self.minus]}
-
     def __repr__(self):
         return "WeightSpec(%s: %d plus, %d minus factors)" % (
             self.tag, len(self.plus), len(self.minus))
@@ -80,6 +76,44 @@ class WeightSpec:
 # ---------------------------------------------------------------------------
 # expansion of one cone part
 # ---------------------------------------------------------------------------
+
+
+class TruncationError(ArithmeticError):
+    pass
+
+
+# optional on-disk cache for the series tables of cone parts; versioned,
+# invalidated on bump.  Version 3 stores one file per table: its integer
+# numerators over one denominator, keyed by the factors, the height and the
+# order the table is exact below.
+CACHE_VERSION = 3
+_cache_dir = None
+
+
+def set_cache_dir(path):
+    """Cache series tables under `path` (None or empty: off); unchanged on
+    error."""
+    global _cache_dir
+    if path:
+        os.makedirs(path, exist_ok=True)
+    _cache_dir = path or None
+
+
+def _part_key(factors, H, prec):
+    import hashlib  # here, not at the top: it maps libcrypto (+3.5 MB RSS)
+
+    blob = repr((CACHE_VERSION, [f.to_json() for f in factors], H, prec))
+    return hashlib.sha1(blob.encode()).hexdigest()
+
+
+def _part_to_json(terms):
+    """A flat cone-part table: its terms' integer numerators over their
+    common denominator."""
+    den = math.lcm(*(c.den for c in terms.values()))
+    return {"den": den,
+            "terms": [[list(e), [[k, n * (den // c.den)]
+                                 for k, n in sorted(c.num.items())]]
+                      for e, c in sorted(terms.items())]}
 
 
 def _factor_terms(f, kmax):
@@ -210,6 +244,20 @@ def _factor_env(f, kmax):
     return out
 
 
+def _first_gain(f):
+    """k0, the first k >= 1 whose term adds a v-order >= 0 to the infinite
+    factor's envelope (`_factor_env`).  The increments ord(c) + shift(k) are
+    nondecreasing in k, so the lowest term order is at k0 - 1.  A
+    denominator of coefficient order <= 0 never gains: TruncationError."""
+    oc = f.coeff.v_order()
+    if f.side == -1:
+        if oc <= 0:
+            raise TruncationError("denominator factor of coefficient "
+                                  "order %d never gains order" % oc)
+        return 1
+    return max(1, 1 - oc // (2 * f.base_log))
+
+
 class ConePart:
     """Height-bounded expansion of a product of positive-cone factors.
 
@@ -235,12 +283,40 @@ class ConePart:
         With `prec` every coefficient is exact below the v-order `prec`
         and carries `prec` as its order (a flat cut); terms that vanish
         below it are left out.  Computed once per (H, prec); the result
-        is shared, so holders must not change it.
+        is shared, so holders must not change it.  With a cache directory
+        set, a series table is first looked up on disk (`_cached`).
         """
         key = (H, prec)
         got = self._expansions.get(key)
         if got is None:
-            got = self._expansions[key] = self._expand(H, prec)
+            got = self._expansions[key] = (
+                self._expand(H, prec) if prec is None or _cache_dir is None
+                else self._cached(H, prec))
+        return got
+
+    def _cached(self, H, prec):
+        """The series table of (H, prec) from its file in the cache
+        directory, else expanded and stored there."""
+        path = os.path.join(_cache_dir,
+                            _part_key(self.factors, H, prec) + ".json")
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+            den = data["den"]
+            return GAElement({tuple(e): SeriesScalar(dict(num), prec, _den=den)
+                              for e, num in data["terms"]}, self.lattice)
+        except (OSError, ValueError, LookupError, TypeError):
+            pass  # missing, unreadable or malformed: a miss, rebuilt below
+        got = self._expand(H, prec)
+        tmp = "%s.%d.tmp" % (path, os.getpid())
+        try:
+            with open(tmp, "w") as fh:
+                json.dump(_part_to_json(got.terms), fh)
+            os.replace(tmp, path)
+        except OSError:
+            # an unwritable cache costs only the store: keep the fresh table
+            with suppress(OSError):
+                os.remove(tmp)
         return got
 
     def _expand(self, H, prec):
@@ -370,19 +446,40 @@ class ConePart:
             hf = sum(f.exponent)
             fenv = _factor_env(f, H // hf)
             nxt = [BIG] * (H + 1)
-            for h in range(H + 1):
-                if env[h] >= BIG:
-                    continue
-                for k, fo in enumerate(fenv):
-                    hh = h + k * hf
-                    if hh > H:
-                        break
-                    val = env[h] + fo
-                    if val < nxt[hh]:
-                        nxt[hh] = val
+            for h, o in enumerate(env):
+                if o < BIG:
+                    for k, fo in enumerate(fenv[:(H - h) // hf + 1]):
+                        nxt[h + k * hf] = min(nxt[h + k * hf], o + fo)
             env = nxt
         self._envelopes[H] = env
         return env
+
+    def lowest_order(self):
+        """The lowest v-order of any term, each factor's lowest summed (at
+        most 0, the order of the term 1)."""
+        return sum(_factor_env(f, _first_gain(f) - 1)[-1]
+                   for f in self.factors)
+
+    def cut_height(self, need):
+        """The highest height at which some term may have v-order below
+        `need`, 0 if none.
+
+        The envelope is taken to H = 16, 32, ... until H >= sum (k0_f - 1) h_f
+        over the factors f of height h_f (k0_f = `_first_gain(f)`) and it is
+        >= need at every height in (H - h_max, H].  Then it is >= need
+        beyond H: a term above H has some k_f >= k0_f, and taking out one
+        such factor at a time never raises its order and lowers its height
+        by at most h_max, until the height lands in that window.
+        """
+        floor = sum((_first_gain(f) - 1) * sum(f.exponent)
+                    for f in self.factors)
+        hmax = max((sum(f.exponent) for f in self.factors), default=1)
+        H = 16
+        env = self.order_envelope(H)
+        while H < floor or min(env[max(0, H - hmax + 1):]) < need:
+            H *= 2
+            env = self.order_envelope(H)
+        return max((h for h, o in enumerate(env) if o < need), default=0)
 
 
 _parts = weakref.WeakValueDictionary()
@@ -409,52 +506,9 @@ def cone_part(factors, lattice):
 # ---------------------------------------------------------------------------
 
 
-class TruncationError(ArithmeticError):
-    pass
-
-
-# optional on-disk cache for expanded series weights; versioned, invalidated
-# on bump.  Version 2 stores each cone part as one flat table: integer
-# numerators over one denominator, all exact below one order.
-CACHE_VERSION = 2
-_cache_dir = None
-
 # v-orders a series weight is worked beyond its certified order, which the
 # pairing coefficients' negative orders may use up
 MARGIN = 8
-
-
-def set_cache_dir(path):
-    """Cache series weights under `path` (None or empty: off); unchanged on
-    error."""
-    global _cache_dir
-    if path:
-        os.makedirs(path, exist_ok=True)
-    _cache_dir = path or None
-
-
-def _cache_key(spec, order, hint):
-    import hashlib  # here, not at the top: it maps libcrypto (+3.5 MB RSS)
-
-    blob = repr((CACHE_VERSION, spec.to_json(), order, hint, MARGIN))
-    return hashlib.sha1(blob.encode()).hexdigest()
-
-
-def _part_to_json(terms):
-    """A flat cone-part table: its terms' integer numerators over their
-    common denominator, and the order they share (None if no terms)."""
-    den = math.lcm(*(c.den for c in terms.values()))
-    return {"den": den,
-            "prec": next((c.prec for c in terms.values()), None),
-            "terms": [[list(e), [[k, n * (den // c.den)]
-                                 for k, n in sorted(c.num.items())]]
-                      for e, c in sorted(terms.items())]}
-
-
-def _part_from_json(data):
-    den, prec = data["den"], data["prec"]
-    return {tuple(e): SeriesScalar(dict(num), prec, _den=den)
-            for e, num in data["terms"]}
 
 
 class WeightEngine:
@@ -519,73 +573,22 @@ class WeightEngine:
         self._lookup = (pe * me).terms.get
 
     def _build_series(self):
-        if _cache_dir is None:
-            return self._build_series_fresh()
-        path = os.path.join(_cache_dir, _cache_key(
-            self.spec, self.order, self.height_hint) + ".json")
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-            self._set_parts(_part_from_json(data["plus"]),
-                            _part_from_json(data["minus"]), data["work"])
-            return
-        except (OSError, ValueError, LookupError, TypeError):
-            pass  # missing, unreadable or malformed: a miss, rebuilt below
-        self._build_series_fresh()
-        tmp = "%s.%d.tmp" % (path, os.getpid())
-        try:
-            with open(tmp, "w") as fh:
-                json.dump({"plus": _part_to_json(self._plus_terms),
-                           "minus": _part_to_json(self._minus_terms),
-                           "work": self._work}, fh)
-            os.replace(tmp, path)
-        except OSError:
-            # an unwritable cache costs only the store: keep the fresh build
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-
-    def _build_series_fresh(self):
+        """Plan the expansion heights and the working order from the parts'
+        order envelopes, then hold both parts expanded to that plan."""
         plus, minus = self._hold_parts()
         K = self.height_hint
         target = self.order + MARGIN
-        H_cap = 4 * (target + K) + 32
-        env_p = plus.order_envelope(H_cap)
-        env_m = minus.order_envelope(H_cap)
-        min_m = min(env_m)
-        min_p = min(env_p)
-        need_p = target - min(0, min_m) + K
-        need_q = target - min(0, min_p) + K
-
-        def choose(env, need):
-            # smallest H such that the envelope stays >= need beyond H;
-            # the per-factor envelopes are nondecreasing beyond the cap
-            # because every infinite factor gains nonnegative order per step
-            H = None
-            for h in range(len(env) - 1, -1, -1):
-                if env[h] < need:
-                    H = h
-                    break
-            if H is None:
-                return 0
-            if H >= len(env) - 1:
-                raise TruncationError(
-                    "order envelope below %d at the expansion cap %d" %
-                    (need, len(env) - 1))
-            return H
-
-        Hp = choose(env_p, need_p) + K
-        Hm = choose(env_m, need_q) + K
-        work = target - min(0, min_m) - min(0, min_p)
+        low_p, low_m = plus.lowest_order(), minus.lowest_order()
+        Hp = plus.cut_height(target - low_m + K) + K
+        Hm = minus.cut_height(target - low_p + K) + K
+        self._work = work = target - low_m - low_p
         # each part is cut flat where its products with the other part no
         # longer reach below `work`: at `work` less the other part's lowest
         # order
-        self._set_parts(plus.expand(Hp, prec=work - min(0, min_m)).terms,
-                        minus.expand(Hm, prec=work - min(0, min_p)).terms,
-                        work)
+        self._set_parts(plus.expand(Hp, prec=work - low_m).terms,
+                        minus.expand(Hm, prec=work - low_p).terms)
 
-    def _set_parts(self, plus, minus, work):
+    def _set_parts(self, plus, minus):
         """Hold the expanded parts, with the common denominator of each and
         the grid of their packed coefficients (`_weight_coefficient`).
 
@@ -597,7 +600,6 @@ class WeightEngine:
         parts' numerators over their common denominators.
         """
         self._plus_terms, self._minus_terms = plus, minus
-        self._work = work
         self._w_dens = tuple(math.lcm(*(c.den for c in part.values()))
                              for part in (plus, minus))
         self._w_cache = {}

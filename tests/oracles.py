@@ -3,10 +3,11 @@ spec and its functional by reduction, a finite weight's infinite-ratio
 form, the constant term of a weight,
 pairings through materialised products, support triangularity, a series
 weight's coefficients as sums of series products, a cone part's flat table
-by nested integer loops, series inversion by the geometric series, the
-series of an exact value by long division, family members by one dense
-solve, Weyl characters by the alternating-sum formula and the ratio
-identity's rows by the per-word loop."""
+by nested integer loops, a series plan from envelopes taken to a fixed
+cap, series inversion by the geometric series, the series of an exact
+value by long division, family members by one dense solve, Weyl
+characters by the alternating-sum formula and the ratio identity's rows
+by the per-word loop."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -210,6 +211,33 @@ def flat_table_loop(part, H, cut):
             if poly:
                 acc[ee] = poly
     return {e: SeriesScalar(poly, cut, _den=den) for e, poly in acc.items()}
+
+
+def capped_plan(spec, order, hint):
+    """A series engine's plan (Hp, Hm, work, (plus cut, minus cut)) from
+    order envelopes taken to the fitted cap 4 (order + MARGIN + hint) + 32,
+    beyond which they were taken to rise; a plan that would reach the cap
+    raises TruncationError."""
+    from macpoly.weights import MARGIN, TruncationError, cone_part
+
+    target = order + MARGIN
+    cap = 4 * (target + hint) + 32
+    env_p, env_m = (cone_part(fs, spec.lattice).order_envelope(cap)
+                    for fs in (spec.plus, spec.minus))
+    low_p, low_m = min(0, min(env_p)), min(0, min(env_m))
+
+    def choose(env, need):
+        # the highest height whose envelope is below need, 0 if none
+        H = max((h for h, o in enumerate(env) if o < need), default=0)
+        if H >= cap:
+            raise TruncationError("order envelope below %d at the "
+                                  "expansion cap %d" % (need, cap))
+        return H
+
+    work = target - low_m - low_p
+    return (choose(env_p, target - low_m + hint) + hint,
+            choose(env_m, target - low_p + hint) + hint,
+            work, (work - low_m, work - low_p))
 
 
 def series_inv_geometric(x):

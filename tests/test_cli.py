@@ -409,9 +409,11 @@ class TestVerify:
                 == (tmp_path / "cold.json").read_text())
 
     def test_cache_file_certifies_nothing(self, monkeypatch, tmp_path):
-        # the certified order comes from the case's plan: files that claim
-        # a higher `guaranteed` order (a key older builds wrote) are read
-        # as before, and the warm report equals the cold one
+        # the plan and the certified order come from the case, never from a
+        # file: files that claim a lower working order `work` and table
+        # order `prec`, or a higher `guaranteed` order (keys older builds
+        # wrote), are read as before, and the warm report equals the cold
+        # one
         import macpoly.weights as wm
 
         monkeypatch.setattr(wm, "_cache_dir", None)
@@ -421,18 +423,22 @@ class TestVerify:
         assert main(argv + ["--report", str(tmp_path / "cold.json")]) == 0
         files = sorted(cache.iterdir())
         assert len(files) == 2
+        edit = {"work": 40, "prec": 40, "guaranteed": 400}
         for f in files:
             data = json.loads(f.read_text())
-            assert "guaranteed" not in data
-            data["guaranteed"] = 400
+            assert not edit.keys() & data.keys()
+            data.update(edit)
             f.write_text(json.dumps(data))
         assert main(argv + ["--report", str(tmp_path / "warm.json")]) == 0
         # a hit: nothing was rebuilt or rewritten
         assert sorted(cache.iterdir()) == files
-        assert all(json.loads(f.read_text())["guaranteed"] == 400
+        assert all(json.loads(f.read_text()).items() >= edit.items()
                    for f in files)
-        assert ((tmp_path / "warm.json").read_text()
-                == (tmp_path / "cold.json").read_text())
+        warm = (tmp_path / "warm.json").read_text()
+        assert warm == (tmp_path / "cold.json").read_text()
+        ortho = next(c for c in json.loads(warm)["checks"]
+                     if c["name"] == "orthogonality")
+        assert ortho["certified_order"] == 100
 
     def test_unwritable_cache_file_is_a_miss(self, monkeypatch, tmp_path):
         # a cache path that cannot be written (here a directory) costs only

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from macpoly.weights import (
 
 from oracles import (
     aw_weight,
+    capped_plan,
     ct_norm,
     flat_table_loop,
     infinite_ratio_form,
@@ -33,6 +35,23 @@ R2 = RestrictedSystem(2)
 
 def mono(e, c=None, lat="2L"):
     return GAElement.monomial(e, lat, c)
+
+
+# a finite spec whose plus coefficient v^-2 has negative order
+NEGATIVE_MINIMUM = WeightSpec(
+    [PochFactor(ExactScalar.v_power(-2), (2,), 2, 2, 1)],
+    [PochFactor(ONE, (2,), 2, 2, 1)], "2L", rank=1)
+
+
+def _no_expansion(*args):
+    raise AssertionError("a cache hit expands nothing")
+
+
+def _expansion_key(part, terms):
+    """The (H, prec) of the part's expansion whose table is `terms`; the
+    part may be shared, and so hold other holders' expansions."""
+    (key,) = [k for k, got in part._expansions.items() if got.terms is terms]
+    return key
 
 
 class TestWeightForms:
@@ -319,40 +338,40 @@ class TestPackedWeightCoefficient:
             assert 0 < len(packs_p) < len(eng._plus_terms)
 
     def test_cache_of_the_loops_reads_back(self, tmp_path, monkeypatch):
-        import json
-
         import macpoly.weights as wm
 
-        # a version-2 cache file written from the nested loops' tables is
+        # a version-3 file per part written from the nested loops' table is
         # the file this build writes, and reads back to the same W(nu)
         spec = macdonald_nonsym_weight(R2, 2, Q(3), "2L")
         monkeypatch.setattr(wm, "_cache_dir", None)
         fresh = WeightEngine(spec, order=24, height_hint=4)
-        tables = []
+        loops, packed = tmp_path / "loops", tmp_path / "packed"
+        loops.mkdir()
+        packed.mkdir()
+        names = []
         for part, terms in zip(fresh._parts, (fresh._plus_terms,
                                               fresh._minus_terms)):
-            (key,) = [k for k, v in part._expansions.items()
-                      if v.terms is terms]
-            tables.append(flat_table_loop(part, *key))
-        name = wm._cache_key(fresh.spec, 24, 4) + ".json"
-        loops = tmp_path / "loops"
-        loops.mkdir()
-        (loops / name).write_text(json.dumps({
-            "plus": wm._part_to_json(tables[0]),
-            "minus": wm._part_to_json(tables[1]),
-            "work": fresh._work}))
-        monkeypatch.setattr(wm, "_cache_dir", str(tmp_path / "packed"))
-        (tmp_path / "packed").mkdir()
-        WeightEngine(spec, order=24, height_hint=4)
-        assert ((tmp_path / "packed" / name).read_bytes()
-                == (loops / name).read_bytes())
+            key = _expansion_key(part, terms)
+            names.append(wm._part_key(part.factors, *key) + ".json")
+            (loops / names[-1]).write_text(json.dumps(
+                wm._part_to_json(flat_table_loop(part, *key))))
+        assert len(set(names)) == 2
 
-        def no_expansion(*args):
-            raise AssertionError("a cache hit expands nothing")
+        def rebuild():
+            # the parts outlive `fresh`'s build, so forget their tables
+            for part in fresh._parts:
+                part._expansions.clear()
+            return WeightEngine(spec, order=24, height_hint=4)
 
-        monkeypatch.setattr(wm.ConePart, "_expand", no_expansion)
+        monkeypatch.setattr(wm, "_cache_dir", str(packed))
+        rebuild()
+        assert sorted(p.name for p in packed.iterdir()) == sorted(names)
+        for name in names:
+            assert (packed / name).read_bytes() == (loops / name).read_bytes()
+
+        monkeypatch.setattr(wm.ConePart, "_expand", _no_expansion)
         monkeypatch.setattr(wm, "_cache_dir", str(loops))
-        cached = WeightEngine(spec, order=24, height_hint=4)
+        cached = rebuild()
         for a in range(-4, 5):
             for b in range(-4, 5):
                 got = cached._weight_coefficient((a, b))
@@ -428,41 +447,108 @@ class TestSeriesVectorPair:
 
 
 class TestCacheKey:
-    """Every input of a series expansion is in its disk-cache key."""
+    """A series table's disk-cache key holds every input of its expansion:
+    each field of each factor, the height H and the order prec.  The
+    engine's order, hint and MARGIN reach it only through H and prec."""
 
-    @staticmethod
-    def _spec(plus=None):
-        plus = plus or [PochFactor(ONE, (2,), 2, INF, 1),
-                        PochFactor(Q(2), (2,), 2, INF, -1)]
-        return WeightSpec(plus, list(plus), "2L", rank=1)
+    FACTORS = [PochFactor(ONE, (2,), 2, INF, 1),
+               PochFactor(Q(2), (2,), 2, INF, -1)]
 
     def test_version(self, monkeypatch):
         import macpoly.weights as wm
 
-        key = wm._cache_key(self._spec(), 60, 6)
+        key = wm._part_key(self.FACTORS, 20, 60)
         monkeypatch.setattr(wm, "CACHE_VERSION", wm.CACHE_VERSION + 1)
-        assert wm._cache_key(self._spec(), 60, 6) != key
+        assert wm._part_key(self.FACTORS, 20, 60) != key
 
-    def test_every_field(self, monkeypatch):
+    def test_every_field(self):
         from dataclasses import replace
 
         import macpoly.weights as wm
 
-        base = self._spec()
-        keys = {wm._cache_key(base, 60, 6)}
-        # finite factors are numerator factors: the length goes on plus[0]
+        base = self.FACTORS
+        keys = {wm._part_key(base, 20, 60)}
+        # finite factors are numerator factors: the length goes on base[0]
         for i, change in ((1, {"coeff": Q(4)}), (1, {"exponent": (4,)}),
                           (1, {"base_log": 4}), (0, {"length": 3}),
                           (1, {"side": 1})):
-            plus = list(base.plus)
-            plus[i] = replace(plus[i], **change)
-            keys.add(wm._cache_key(self._spec(plus), 60, 6))
-        keys |= {wm._cache_key(base, 61, 6), wm._cache_key(base, 60, 7)}
+            factors = list(base)
+            factors[i] = replace(factors[i], **change)
+            keys.add(wm._part_key(factors, 20, 60))
+        keys |= {wm._part_key(base, 21, 60), wm._part_key(base, 20, 61)}
+        assert len(keys) == 8
+        assert wm._part_key(list(base), 20, 60) in keys
+
+    def test_plan_reaches_the_key(self, monkeypatch):
+        import macpoly.weights as wm
+
+        spec = WeightSpec(self.FACTORS, list(self.FACTORS), "2L", rank=1)
+
+        def plan_and_key(order, hint):
+            eng = WeightEngine(spec, order=order, height_hint=hint)
+            assert eng._minus_terms is eng._plus_terms
+            part = eng._parts[0]
+            plan = _expansion_key(part, eng._plus_terms)
+            return plan, wm._part_key(part.factors, *plan)
+
+        base = plan_and_key(60, 6)
+        order, hint = plan_and_key(61, 6), plan_and_key(60, 7)
         monkeypatch.setattr(wm, "MARGIN", wm.MARGIN + 1)
-        keys.add(wm._cache_key(base, 60, 6))
-        assert len(keys) == 9
-        monkeypatch.undo()
-        assert wm._cache_key(self._spec(), 60, 6) in keys
+        margin = plan_and_key(60, 6)
+        # a higher order raises prec, a higher hint raises H
+        assert order[0][1] > base[0][1] and hint[0][0] > base[0][0]
+        assert len({base[1], order[1], hint[1]}) == 3
+        # order and MARGIN enter the plan only through their sum
+        assert margin == order
+
+
+class TestSeriesPlan:
+    """A series engine's plan (Hp, Hm, work and the two cuts), with each
+    envelope stopped by the proven rule of `ConePart.cut_height`, equals
+    the plan from envelopes taken to the old fixed cap (`capped_plan`)."""
+
+    @staticmethod
+    def _check(eng):
+        (Hp, cut_p), (Hm, cut_m) = (
+            _expansion_key(part, terms) for part, terms in
+            zip(eng._parts, (eng._plus_terms, eng._minus_terms)))
+        assert (Hp, Hm, eng._work, (cut_p, cut_m)) == capped_plan(
+            eng.spec, eng.order, eng.height_hint)
+
+    @pytest.mark.parametrize("height", [1, 2, 3])
+    @pytest.mark.parametrize("order", [60, 100, 150])
+    def test_ai2(self, order, height):
+        from macpoly.cases import build_case
+
+        case = build_case("AI2", order=order, height=height)
+        self._check(case.nabla_engine)
+        self._check(case.delta_engine)
+
+    def test_negative_orders(self):
+        from macpoly.weights import _first_gain
+
+        factors = TestSharedParts.NEGATIVE_ORDERS
+        self._check(WeightEngine(WeightSpec(factors, factors, "2L", rank=1),
+                                 order=20, height_hint=4))
+        spec = infinite_ratio_form(NEGATIVE_MINIMUM)
+        # the plus coefficient v^-2 against the base's v^4: the terms fall
+        # once, then rise
+        assert _first_gain(spec.plus[0]) == 2
+        self._check(WeightEngine(spec, order=20, height_hint=4))
+
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_denominator_that_never_gains(self, order):
+        # a denominator factor whose coefficient has order <= 0 adds a
+        # term of order <= 0 at every step, so no height bounds the
+        # expansion: refused at once, where the capped plan ran to its cap
+        spec = WeightSpec([PochFactor(ONE, (2,), 2, INF, 1),
+                           PochFactor(ExactScalar.v_power(order), (1,), 2,
+                                      INF, -1)], [], "2L", rank=1)
+        with pytest.raises(TruncationError, match="never gains"):
+            WeightEngine(spec, order=20, height_hint=4)
+        if order == 0:
+            with pytest.raises(TruncationError, match="cap"):
+                capped_plan(spec, 20, 4)
 
 
 class TestSharedParts:
@@ -591,17 +677,13 @@ class TestSharedParts:
         # a finite spec paired in its infinite-ratio form: the plus part
         # reaches order -2, so the minus part is cut at work + 2, and the
         # pairings agree with the exact engine below the guaranteed order
-        plus = [PochFactor(ExactScalar.v_power(-2), (2,), 2, 2, 1)]
-        minus = [PochFactor(ONE, (2,), 2, 2, 1)]
-        spec = WeightSpec(plus, minus, "2L", rank=1)
+        spec = NEGATIVE_MINIMUM
         series = WeightEngine(infinite_ratio_form(spec), order=20,
                               height_hint=4)
         exact = WeightEngine(spec)
         assert min(c.min_order() for c in series._plus_terms.values()) == -2
         minus_part = series._parts[1]
-        # the part may be shared, and so hold other holders' expansions
-        (H, cut), = [k for k, got in minus_part._expansions.items()
-                     if got.terms is series._minus_terms]
+        H, cut = _expansion_key(minus_part, series._minus_terms)
         assert cut == series._work + 2
         self._check_flat(minus_part, H, cut)
         for m in range(-2, 3):
@@ -610,13 +692,29 @@ class TestSharedParts:
             assert got.prec == series.order
             assert (got - exact.ct_pair(f).to_series(got.prec)).is_zero()
 
-    def test_engines_share_the_plus_part(self):
+    def test_engines_share_the_plus_part(self, tmp_path, monkeypatch):
+        # built cold, and warm from the files the cold build wrote
+        import gc
+        import weakref
+
+        import macpoly.weights as wm
         from macpoly.cases import build_case
 
-        case = build_case("AI2")
-        nabla, delta = case.nabla_engine, case.delta_engine
-        assert nabla._plus_terms is delta._plus_terms
-        assert nabla._plus_terms is nabla._minus_terms
+        monkeypatch.setattr(wm, "_cache_dir", str(tmp_path))
+        refs = []
+        for warm in (False, True):
+            if warm:
+                # the cold parts are gone, so their tables are read back
+                gc.collect()
+                assert all(r() is None for r in refs)
+                assert len(list(tmp_path.iterdir())) == 2
+                monkeypatch.setattr(wm.ConePart, "_expand", _no_expansion)
+            case = build_case("AI2")
+            nabla, delta = case.nabla_engine, case.delta_engine
+            assert nabla._plus_terms is delta._plus_terms
+            assert nabla._plus_terms is nabla._minus_terms
+            refs = [weakref.ref(p) for p in nabla._parts + delta._parts]
+            del case, nabla, delta
 
     def test_cold_ai2_verify_expands_two_parts(self, monkeypatch):
         import macpoly.weights as wm
@@ -634,6 +732,21 @@ class TestSharedParts:
         report, status = run_verify("AI2", height=1)
         assert status == 0
         assert len(calls) == 2
+
+    def test_warm_ai2_verify_expands_nothing(self, monkeypatch, tmp_path):
+        import macpoly.weights as wm
+        from macpoly.cli import run_verify
+
+        monkeypatch.setattr(wm, "_cache_dir", str(tmp_path))
+        cold, status = run_verify("AI2", height=1)
+        assert status == 0
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert len(names) == 2
+        monkeypatch.setattr(wm.ConePart, "_expand", _no_expansion)
+        warm, status = run_verify("AI2", height=1)
+        assert status == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        assert json.dumps(warm) == json.dumps(cold)
 
     def test_parts_die_with_their_case(self):
         import gc
