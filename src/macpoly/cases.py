@@ -255,7 +255,7 @@ class ExampleCase:
             return WeightEngine.from_moments(
                 self.aw_functional(self.aw_zonal).weight)
         spec = macdonald_sym_weight(self.restricted, self.qhat_log, self.t,
-                                    self.lattice, tag="zonal:" + self.tag)
+                                    self.lattice)
         return WeightEngine(spec, order=self.order,
                             height_hint=self.pair_hint)
 
@@ -268,7 +268,7 @@ class ExampleCase:
                 "case %s has no series weight: it pairs through the "
                 "one-variable moment functional" % self.tag)
         spec = macdonald_nonsym_weight(self.restricted, self.qhat_log, self.t,
-                                       self.lattice, tag="nonsym:" + self.tag)
+                                       self.lattice)
         return WeightEngine(spec, order=self.order,
                             height_hint=self.pair_hint)
 

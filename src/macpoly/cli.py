@@ -74,6 +74,12 @@ def _render_ga(f, fmt, symbol="e", wsym="\\varpi"):
     return f.render(symbol)
 
 
+def _matrix_json(M):
+    """A matrix as JSON rows of its cells' `to_json` lists."""
+    return json.dumps([[f.to_json() for f in row] for row in M],
+                      sort_keys=True)
+
+
 def _build_case(case_id, order=60):
     try:
         return build_case(case_id, order=order)
@@ -114,10 +120,11 @@ def cmd_compute(args):
     case = _planned(case, lam)
     with _open_output(args.output) as fh:
         if args.family == "matrix":
-            rows = [[_render_ga(f, args.format) for f in row]
-                    for row in case.matrix_q(lam)]
-            print(json.dumps(rows, sort_keys=True) if args.format == "json"
-                  else "\n".join(" | ".join(r) for r in rows), file=fh)
+            M = case.matrix_q(lam)
+            print(_matrix_json(M) if args.format == "json"
+                  else "\n".join(" | ".join(_render_ga(f, args.format)
+                                            for f in row) for row in M),
+                  file=fh)
             return 0
         spec = case.family_spec
         if args.family == "sym":
@@ -160,15 +167,16 @@ def cmd_render(args):
             M = [[f.map_exponents(case.satake.from_restricted) for f in row]
                  for row in M]
             wsym = "\\omega"
-        rows = [[_render_ga(f, args.format, "e", wsym) for f in row]
-                for row in M]
-        if args.format == "latex":
-            body = " \\\\\n".join(" & ".join(r) for r in rows)
-            text = "\\begin{pmatrix}\n%s\n\\end{pmatrix}" % body
-        elif args.format == "json":
-            text = json.dumps(rows, sort_keys=True)
+        if args.format == "json":
+            text = _matrix_json(M)
         else:
-            text = "\n".join(" | ".join(r) for r in rows)
+            rows = [[_render_ga(f, args.format, "e", wsym) for f in row]
+                    for row in M]
+            if args.format == "latex":
+                body = " \\\\\n".join(" & ".join(r) for r in rows)
+                text = "\\begin{pmatrix}\n%s\n\\end{pmatrix}" % body
+            else:
+                text = "\n".join(" | ".join(r) for r in rows)
         print(text, file=fh)
     return 0
 

@@ -2,10 +2,10 @@
 
 A weight is a product P * flip(P') of two positive-cone parts; the second
 part is reflected into the negative cone (e^mu -> e^-mu).  A spec's
-factors are all finite numerator factors, which expand to exact Laurent
-polynomials, or all infinite, numerators over denominators, which are
-paired in truncated series with explicit accounting of the v-order lost to
-truncation.  The weight builders pick the form: (c e^a; qh)_k where
+factors are all finite numerator factors, which multiply out to an exact
+Laurent polynomial, or all infinite, numerators over denominators, which
+are paired in truncated series with explicit accounting of the v-order lost
+to truncation.  The weight builders pick the form: (c e^a; qh)_k where
 t = qh^k, the infinite ratio (c e^a; qh)_inf / (c t e^a; qh)_inf otherwise.
 """
 
@@ -58,19 +58,14 @@ class WeightSpec:
     image under e^mu -> e^-mu.
     """
 
-    def __init__(self, plus, minus, lattice, tag="", rank=None):
+    def __init__(self, plus, minus, lattice, rank=None):
         self.plus = list(plus)
         self.minus = list(minus)
         self.lattice = lattice
-        self.tag = tag
         if rank is None:
             allf = self.plus + self.minus
             rank = len(allf[0].exponent) if allf else 1
         self.rank = rank
-
-    def __repr__(self):
-        return "WeightSpec(%s: %d plus, %d minus factors)" % (
-            self.tag, len(self.plus), len(self.minus))
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +78,10 @@ class TruncationError(ArithmeticError):
 
 
 # optional on-disk cache for the series tables of cone parts; versioned,
-# invalidated on bump.  Version 3 stores one file per table: its integer
-# numerators over one denominator, keyed by the factors, the height and the
-# order the table is exact below.
-CACHE_VERSION = 3
+# invalidated on bump.  Version 4 stores one file per table: its integer
+# numerators over one denominator, named by and holding its key, a hash of
+# the factors, the height and the order the table is exact below.
+CACHE_VERSION = 4
 _cache_dir = None
 
 
@@ -106,53 +101,15 @@ def _part_key(factors, H, prec):
     return hashlib.sha1(blob.encode()).hexdigest()
 
 
-def _part_to_json(terms):
-    """A flat cone-part table: its terms' integer numerators over their
+def _part_to_json(key, terms):
+    """The cache file of the flat cone-part table `terms` under `key`
+    (`_part_key`): the key, and the terms' integer numerators over their
     common denominator."""
     den = math.lcm(*(c.den for c in terms.values()))
-    return {"den": den,
+    return {"key": key, "den": den,
             "terms": [[list(e), [[k, n * (den // c.den)]
                                  for k, n in sorted(c.num.items())]]
                       for e, c in sorted(terms.items())]}
-
-
-def _factor_terms(f, kmax):
-    """Terms (k, scalar) of the factor's e^{k * exponent} expansion."""
-    p = 2 * f.base_log  # v-exponent of the base
-    out = []
-    if f.length is not INF:
-        # expand the finite (numerator) product directly
-        poly = {0: ExactScalar.one()}
-        for j in range(f.length):
-            fac = f.coeff * ExactScalar.v_power(p * j)
-            nxt = dict(poly)
-            for k, c in poly.items():
-                add = -(c * fac)
-                s = nxt.get(k + 1)
-                s = add if s is None else s + add
-                if s.is_zero():
-                    nxt.pop(k + 1, None)
-                else:
-                    nxt[k + 1] = s
-            poly = nxt
-        return [(k, c) for k, c in sorted(poly.items()) if k <= kmax]
-    # infinite factors, Euler expansions
-    pfac = ExactScalar.one()
-    ppow = ExactScalar.one()
-    step = ExactScalar.v_power(p)
-    coe = ExactScalar.one()
-    out.append((0, ExactScalar.one()))
-    for k in range(1, kmax + 1):
-        ppow = ppow * step  # q^{bk}
-        pfac = pfac * (ExactScalar.one() - ppow)  # (p;p)_k
-        coe = coe * f.coeff
-        if f.side == -1:
-            out.append((k, coe / pfac))
-        else:
-            sign = -1 if k % 2 else 1
-            out.append((k, ExactScalar.v_power(p * (k * (k - 1) // 2),
-                                               sign) * coe / pfac))
-    return out
 
 
 def _euler_shifts(f, kmax):
@@ -259,11 +216,12 @@ def _first_gain(f):
 
 
 class ConePart:
-    """Height-bounded expansion of a product of positive-cone factors.
+    """The series tables of a product of infinite positive-cone factors,
+    each cut at a height and a v-order.
 
     The height of an exponent is its coordinate sum.  Build parts through
     `cone_part`, which shares one part among all holders of the same
-    factors and lattice.  A part keeps each envelope and expansion it has
+    factors and lattice.  A part keeps each envelope and table it has
     computed, so every holder reads the same tables.
     """
 
@@ -274,44 +232,50 @@ class ConePart:
             if sum(f.exponent) <= 0:
                 raise ValueError("factor exponent %s is not in the positive cone"
                                  % (f.exponent,))
+            if f.length is not INF:
+                raise ValueError("a cone part takes infinite factors, got "
+                                 "length %s" % f.length)
         self._envelopes = {}
         self._expansions = {}
 
-    def expand(self, H, prec=None):
-        """All terms of height <= H; exact, or series coefficients if prec.
+    def expand(self, H, prec):
+        """All terms of height <= H, as series coefficients exact below the
+        v-order `prec`.
 
-        With `prec` every coefficient is exact below the v-order `prec`
-        and carries `prec` as its order (a flat cut); terms that vanish
-        below it are left out.  Computed once per (H, prec); the result
-        is shared, so holders must not change it.  With a cache directory
-        set, a series table is first looked up on disk (`_cached`).
+        Every coefficient carries `prec` as its order (a flat cut); terms
+        that vanish below it are left out.  Computed once per (H, prec); the
+        result is shared, so holders must not change it.  With a cache
+        directory set, the table is first looked up on disk (`_cached`).
         """
         key = (H, prec)
         got = self._expansions.get(key)
         if got is None:
             got = self._expansions[key] = (
-                self._expand(H, prec) if prec is None or _cache_dir is None
+                self._expand(H, prec) if _cache_dir is None
                 else self._cached(H, prec))
         return got
 
     def _cached(self, H, prec):
         """The series table of (H, prec) from its file in the cache
-        directory, else expanded and stored there."""
-        path = os.path.join(_cache_dir,
-                            _part_key(self.factors, H, prec) + ".json")
+        directory, else expanded and stored there.  A file that holds
+        another key is a miss."""
+        key = _part_key(self.factors, H, prec)
+        path = os.path.join(_cache_dir, key + ".json")
         try:
             with open(path) as fh:
                 data = json.load(fh)
-            den = data["den"]
-            return GAElement({tuple(e): SeriesScalar(dict(num), prec, _den=den)
-                              for e, num in data["terms"]}, self.lattice)
+            if data["key"] == key:
+                den = data["den"]
+                return GAElement({tuple(e): SeriesScalar(dict(num), prec,
+                                                         _den=den)
+                                  for e, num in data["terms"]}, self.lattice)
         except (OSError, ValueError, LookupError, TypeError):
             pass  # missing, unreadable or malformed: a miss, rebuilt below
         got = self._expand(H, prec)
         tmp = "%s.%d.tmp" % (path, os.getpid())
         try:
             with open(tmp, "w") as fh:
-                json.dump(_part_to_json(got.terms), fh)
+                json.dump(_part_to_json(key, got.terms), fh)
             os.replace(tmp, path)
         except OSError:
             # an unwritable cache costs only the store: keep the fresh table
@@ -321,40 +285,17 @@ class ConePart:
 
     def _expand(self, H, prec):
         rows, widest = self._shapes(H)
-        if prec is not None:
-            return GAElement(self._flat_table(H, prec, rows, widest),
-                             self.lattice)
-        terms = {shape: _factor_terms(f, kmax)
-                 for shape, (f, kmax) in widest.items()}
-        rank = len(self.factors[0].exponent) if self.factors else 1
-        acc = {(0,) * rank: ExactScalar.one()}
-        for f, hf, shape in rows:
-            nxt = {}
-            for e, c in acc.items():
-                he = sum(e)
-                for k, fc in terms[shape]:
-                    if he + k * hf > H:
-                        break
-                    ee = tuple(x + k * y for x, y in zip(e, f.exponent))
-                    prod = c * fc
-                    s = nxt.get(ee)
-                    s = prod if s is None else s + prod
-                    if s.is_zero():
-                        nxt.pop(ee, None)
-                    else:
-                        nxt[ee] = s
-            acc = nxt
-        return GAElement(acc, self.lattice)
+        return GAElement(self._flat_table(H, prec, rows, widest), self.lattice)
 
     def _shapes(self, H):
         """Each factor as (factor, height, shape), and for each shape
-        (coeff, base_log, length, side) the factor with the most terms below
-        height H.  Factors of one shape differ only in their exponent and
+        (coeff, base_log, side) the factor with the most terms below height
+        H.  Factors of one shape differ only in their exponent and
         share one expansion of their terms, taken from that factor."""
         rows, widest = [], {}
         for f in self.factors:
             hf = sum(f.exponent)
-            shape = (f.coeff, f.base_log, f.length, f.side)
+            shape = (f.coeff, f.base_log, f.side)
             if shape not in widest or H // hf > widest[shape][1]:
                 widest[shape] = (f, H // hf)
             rows.append((f, hf, shape))
@@ -533,7 +474,6 @@ class WeightEngine:
         self._lookup = None
         self._moments = {}
         self._singles = {}  # e -> {e}, one block per exponent for the Grams
-        self._parts = ()  # the shared cone parts this engine expanded
         infinite = {f.length is INF for f in spec.plus + spec.minus}
         if len(infinite) > 1:
             raise ValueError("a weight spec mixes finite and infinite factors")
@@ -554,28 +494,27 @@ class WeightEngine:
 
     # -- construction --------------------------------------------------------
 
-    def _hold_parts(self):
-        """The spec's plus and minus cone parts, shared and kept alive by
-        this engine."""
-        spec = self.spec
-        self._parts = tuple(cone_part(fs, spec.lattice)
-                            for fs in (spec.plus, spec.minus))
-        return self._parts
-
     def _build_exact(self):
+        """Multiply the finite factors out: (c e^a; p)_k is the product of
+        1 - c p^j e^a over j < k, with e^-a for a factor of the minus part."""
         spec = self.spec
-        plus, minus = self._hold_parts()
         one = GAElement.one(spec.lattice, spec.rank)
-        Hp = sum(sum(f.exponent) * f.length for f in spec.plus)
-        Hm = sum(sum(f.exponent) * f.length for f in spec.minus)
-        pe = plus.expand(Hp) if spec.plus else one
-        me = minus.expand(Hm).invol_inv() if spec.minus else one
-        self._lookup = (pe * me).terms.get
+        W = one
+        for sign, factors in ((1, spec.plus), (-1, spec.minus)):
+            for f in factors:
+                a = tuple(sign * x for x in f.exponent)
+                for j in range(f.length):
+                    c = f.coeff * ExactScalar.q_power(f.base_log * j)
+                    W = W * (one - GAElement.monomial(a, spec.lattice, c))
+        self._lookup = W.terms.get
 
     def _build_series(self):
         """Plan the expansion heights and the working order from the parts'
-        order envelopes, then hold both parts expanded to that plan."""
-        plus, minus = self._hold_parts()
+        order envelopes, then hold both parts, shared through `cone_part`,
+        expanded to that plan."""
+        spec = self.spec
+        plus, minus = self._parts = tuple(cone_part(fs, spec.lattice)
+                                          for fs in (spec.plus, spec.minus))
         K = self.height_hint
         target = self.order + MARGIN
         low_p, low_m = plus.lowest_order(), minus.lowest_order()
@@ -877,15 +816,15 @@ def _qhat_power(t, qhat_log):
     return k if c == t.den[0] and not r and k >= 0 else None
 
 
-def macdonald_sym_weight(restricted, qhat_log, t, lattice, tag=""):
+def macdonald_sym_weight(restricted, qhat_log, t, lattice):
     """prod_{a>0} (e^a; qh)_inf / (t e^a; qh)_inf times its reflection."""
     plus = []
     for a in restricted._positive_roots():
         plus += _ratio(ExactScalar.one(), t, a, qhat_log)
-    return WeightSpec(plus, list(plus), lattice, tag=tag)
+    return WeightSpec(plus, list(plus), lattice)
 
 
-def macdonald_nonsym_weight(restricted, qhat_log, t, lattice, tag=""):
+def macdonald_nonsym_weight(restricted, qhat_log, t, lattice):
     """The one-sided-shifted product used for the non-W-invariant families:
     prod_{a>0} (e^a; qh)_inf / (t e^a; qh)_inf times the reflection of
     prod_{a>0} (qh e^a; qh)_inf / (qh t e^a; qh)_inf."""
@@ -894,4 +833,4 @@ def macdonald_nonsym_weight(restricted, qhat_log, t, lattice, tag=""):
     for a in restricted._positive_roots():
         plus += _ratio(ExactScalar.one(), t, a, qhat_log)
         minus += _ratio(qh, t, a, qhat_log)
-    return WeightSpec(plus, minus, lattice, tag=tag)
+    return WeightSpec(plus, minus, lattice)

@@ -1,6 +1,7 @@
 """Oracles that only the tests use: the one-variable weight as a series
 spec and its functional by reduction, a finite weight's infinite-ratio
-form, the constant term of a weight,
+form, the exact expansion of a product of factors to a height, the
+constant term of a weight,
 pairings through materialised products, support triangularity, a series
 weight's coefficients as sums of series products, a cone part's flat table
 by nested integer loops, a series plan from envelopes taken to a fixed
@@ -27,9 +28,9 @@ def aw_plus_factors(params, qhat_log=2):
     return out
 
 
-def aw_weight(params, lattice, qhat_log=2, tag=""):
+def aw_weight(params, lattice, qhat_log=2):
     plus = aw_plus_factors(params, qhat_log)
-    return WeightSpec(plus, list(plus), lattice, tag=tag)
+    return WeightSpec(plus, list(plus), lattice)
 
 
 def infinite_ratio_form(spec):
@@ -46,7 +47,67 @@ def infinite_ratio_form(spec):
         return out
 
     return WeightSpec(ratios(spec.plus), ratios(spec.minus), spec.lattice,
-                      spec.tag, spec.rank)
+                      spec.rank)
+
+
+def _factor_terms(f, kmax):
+    """Terms (k, scalar), k <= kmax, of the factor's expansion in powers of
+    e^exponent: a finite factor multiplied out, an infinite one by Euler's
+    expansions."""
+    p = 2 * f.base_log  # v-exponent of the base
+    if f.length is not INF:
+        poly = {0: ExactScalar.one()}
+        for j in range(f.length):
+            fac = f.coeff * ExactScalar.v_power(p * j)
+            nxt = dict(poly)
+            for k, c in poly.items():
+                s = nxt.get(k + 1, ExactScalar.zero()) - c * fac
+                if s.is_zero():
+                    nxt.pop(k + 1, None)
+                else:
+                    nxt[k + 1] = s
+            poly = nxt
+        return [(k, c) for k, c in sorted(poly.items()) if k <= kmax]
+    pfac = ppow = coe = ExactScalar.one()
+    step = ExactScalar.v_power(p)
+    out = [(0, ExactScalar.one())]
+    for k in range(1, kmax + 1):
+        ppow = ppow * step  # q^{bk}
+        pfac = pfac * (ExactScalar.one() - ppow)  # (p;p)_k
+        coe = coe * f.coeff
+        if f.side == -1:
+            out.append((k, coe / pfac))
+        else:
+            sign = -1 if k % 2 else 1
+            out.append((k, ExactScalar.v_power(p * (k * (k - 1) // 2),
+                                               sign) * coe / pfac))
+    return out
+
+
+def exact_expansion(factors, H):
+    """The terms {exponent: ExactScalar} of height (coordinate sum) <= H of
+    a product of positive-cone factors, finite or infinite, each expanded
+    exactly: the reference for the series tables of `ConePart.expand` and
+    for an exact weight multiplied out."""
+    rank = len(factors[0].exponent) if factors else 1
+    acc = {(0,) * rank: ExactScalar.one()}
+    for f in factors:
+        hf = sum(f.exponent)
+        terms = _factor_terms(f, H // hf)
+        nxt = {}
+        for e, c in acc.items():
+            he = sum(e)
+            for k, fc in terms:
+                if he + k * hf > H:
+                    break
+                ee = tuple(x + k * y for x, y in zip(e, f.exponent))
+                s = nxt.get(ee, ExactScalar.zero()) + c * fc
+                if s.is_zero():
+                    nxt.pop(ee, None)
+                else:
+                    nxt[ee] = s
+        acc = nxt
+    return acc
 
 
 def constant_term(f):

@@ -156,6 +156,26 @@ class TestRender:
         assert rc == 0
         json.loads(capsys.readouterr().out)
 
+    @pytest.mark.parametrize("argv, case_id, series", [
+        (["render", "--case", "A2G", "--what", "M"], "A2G", False),
+        (["compute", "--case", "AI2", "--family", "matrix", "--lam", "1,1"],
+         "AI2", True)], ids=["exact", "series"])
+    def test_json_matrix_cells_round_trip(self, capsys, argv, case_id,
+                                          series):
+        # each cell is its element's `to_json` list, decoded once
+        from macpoly.cases import build_case
+        from macpoly.galg import ga_from_json
+        from macpoly.scalars import SeriesScalar
+
+        assert main(argv + ["--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        lattice = build_case(case_id).lattice
+        cells = [ga_from_json(cell, lattice) for row in rows for cell in row]
+        assert [c.to_json() for c in cells] == [cell for row in rows
+                                                for cell in row]
+        assert series == any(isinstance(x, SeriesScalar) for c in cells
+                             for x in c.terms.values())
+
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -407,6 +427,25 @@ class TestVerify:
         assert [f.read_bytes() for f in files] == good
         assert ((tmp_path / "warm.json").read_text()
                 == (tmp_path / "cold.json").read_text())
+
+    def test_swapped_cache_files_are_misses(self, monkeypatch, tmp_path):
+        # each file holds its key: with the two files' contents swapped,
+        # both are misses, rebuilt and rewritten, and the warm report equals
+        # the cold one
+        import macpoly.weights as wm
+
+        monkeypatch.setattr(wm, "_cache_dir", str(tmp_path))
+        cold, status = run_verify("AI2", height=1)
+        assert status == 0
+        files = sorted(tmp_path.iterdir())
+        assert len(files) == 2
+        good = [f.read_bytes() for f in files]
+        files[0].write_bytes(good[1])
+        files[1].write_bytes(good[0])
+        warm, status = run_verify("AI2", height=1)
+        assert status == 0
+        assert json.dumps(warm) == json.dumps(cold)
+        assert [f.read_bytes() for f in sorted(tmp_path.iterdir())] == good
 
     def test_cache_file_certifies_nothing(self, monkeypatch, tmp_path):
         # the plan and the certified order come from the case, never from a
