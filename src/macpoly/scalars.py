@@ -27,7 +27,7 @@ inverse of its denominator.  These two types are the whole scalar layer.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, inf
 
 from .cyclotomic import div_monic, phi_factors, phi_multiplicity, phi_product
 
@@ -659,6 +659,107 @@ def exact_sum_of_products(products):
     return _settle(_lp_norm(total), top, lcm, top)
 
 
+def _pack(num, low, g, B):
+    """{v-power: int} as one integer (Kronecker substitution): the
+    coefficient of v^(low + g*i) in the signed B-bit slot i.  Every power
+    must be low plus a multiple of g >= 0, and every coefficient below
+    2^(B-1) in absolute value; a product or sum of packs of one low grid
+    then holds its coefficients in the same slots while they stay in range."""
+    total = 0
+    for e, c in num.items():
+        total += c << (B * ((e - low) // g))
+    return total
+
+
+def _unpack(total, low, g, B, limit):
+    """The inverse of `_pack`, read below the v-power `limit`: the signed
+    B-bit slots of `total` as {low + g*i: coefficient}, zeros left out."""
+    out = {}
+    mask, half, full = (1 << B) - 1, 1 << (B - 1), 1 << B
+    e = low
+    while total and e < limit:
+        c = total & mask
+        total >>= B
+        if c >= half:  # a negative slot borrowed one from the slot above
+            c -= full
+            total += 1
+        if c:
+            out[e] = c
+        e += g
+    return out
+
+
+def series_sum_of_products(products, prec):
+    """Sum over `products` (tuples of SeriesScalar factors) of each product,
+    added to the zero series of precision `prec`.
+
+    The series twin of `exact_sum_of_products`: num, den and prec equal
+    those of the term-by-term sum.  Each product's lowest order and
+    certified precision follow the chain rule of `SeriesScalar.__mul__`
+    from its factors' lowest orders, without multiplying; a zero factor
+    still lowers the precision to the min of the precisions.  The products
+    that reach below the final precision are Kronecker products (`_pack`)
+    on one v-grid over the lcm of their denominators.  Its stride divides
+    every factor's offsets from its lowest power and every product's
+    order, and a slot holds the sum of the products' l1 norms, so the
+    shifted products add up in one integer that one `_unpack` reads.
+    """
+    lows = {}  # id(factor) -> (factor, lowest order or None for a zero)
+    live = []  # (order, factors) of the nonzero products
+    for factors in products:
+        p = o = None
+        for f in factors:
+            got = lows.get(id(f))
+            if got is None:
+                got = lows[id(f)] = (f, min(f.num) if f.num else None)
+            fo = got[1]
+            if p is None:
+                p, o = f.prec, fo
+            elif o is None or fo is None:
+                p, o = min(p, f.prec), None
+            else:
+                p, o = min(p + fo, f.prec + o), o + fo
+        if p < prec:
+            prec = p
+        if o is not None:
+            live.append((o, factors))
+    live = [(o, factors) for o, factors in live if o < prec]
+    if not live:
+        return SeriesScalar({}, prec)
+    base = min(o for o, _ in live)
+    g, den = 0, 1
+    norms = {}  # id(factor) -> l1 norm of its numerator
+    rows = []  # (order, factors, denominator, l1 norm bound) per product
+    for o, factors in live:
+        g = int_gcd(g, o - base)
+        d = norm = 1
+        for f in factors:
+            n = norms.get(id(f))
+            if n is None:
+                low = lows[id(f)][1]
+                g = int_gcd(g, *(e - low for e in f.num))
+                n = norms[id(f)] = sum(map(abs, f.num.values()))
+            d *= f.den
+            norm *= n
+        den = den * d // int_gcd(den, d)
+        rows.append((o, factors, d, norm))
+    g = g or 1
+    B = sum(norm * (den // d) for _, _, d, norm in rows).bit_length() + 2
+    packs = {}  # id(factor) -> its pack
+    total = 0
+    for o, factors, d, _ in rows:
+        t = 1
+        for f in factors:
+            pf = packs.get(id(f))
+            if pf is None:
+                pf = packs[id(f)] = _pack(f.num, lows[id(f)][1], g, B)
+            t *= pf
+        if d != den:
+            t *= den // d
+        total += t << (B * ((o - base) // g))
+    return SeriesScalar(_unpack(total, base, g, B, prec), prec, _den=den)
+
+
 def _by_gcd(num, den):
     """The reduced num / den by the pseudo-remainder gcd: the route for a
     denominator not known to be a product of cyclotomic polynomials."""
@@ -744,8 +845,9 @@ class SeriesScalar:
 
     Coefficients at exponents >= prec are unknown and never stored.  All
     operations propagate the validity order conservatively.  Internally the
-    coefficients are integers over one common denominator, which keeps the
-    hot convolution loops in plain integer arithmetic.
+    coefficients are integers over one common denominator, so a product
+    is one Kronecker product of packed integers: `__mul__` is the
+    one-product case of `series_sum_of_products`.
     """
 
     __slots__ = ("num", "den", "prec")
@@ -821,24 +923,7 @@ class SeriesScalar:
         return self._coerce(other).__sub__(self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if not self.num or not other.num:
-            return SeriesScalar({}, min(self.prec, other.prec))
-        oa = min(self.num)
-        ob = min(other.num)
-        prec = min(self.prec + ob, other.prec + oa)
-        out = {}
-        for e1, c1 in self.num.items():
-            for e2, c2 in other.num.items():
-                e = e1 + e2
-                if e >= prec:
-                    continue
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return SeriesScalar(out, prec, _den=self.den * other.den)
+        return series_sum_of_products([(self, self._coerce(other))], inf)
 
     __rmul__ = __mul__
 

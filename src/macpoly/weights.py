@@ -17,11 +17,11 @@ import os
 import weakref
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import reduce
-from operator import mul, sub
+from operator import sub
 
 from .galg import GAElement
-from .scalars import ExactScalar, SeriesScalar, exact_sum_of_products
+from .scalars import (ExactScalar, SeriesScalar, _pack, _unpack,
+                      exact_sum_of_products, series_sum_of_products)
 
 INF = None  # length tag for infinite Pochhammer factors
 
@@ -158,36 +158,6 @@ def _over_one_minus(x, step):
         if c:
             out[e] = c
     return SeriesScalar(out, x.prec, _den=x.den)
-
-
-def _pack(num, low, g, B):
-    """{v-power: int} as one integer (Kronecker substitution): the
-    coefficient of v^(low + g*i) in the signed B-bit slot i.  Every power
-    must be low plus a multiple of g >= 0, and every coefficient below
-    2^(B-1) in absolute value; a product or sum of packs of one low grid
-    then holds its coefficients in the same slots while they stay in range."""
-    total = 0
-    for e, c in num.items():
-        total += c << (B * ((e - low) // g))
-    return total
-
-
-def _unpack(total, low, g, B, limit):
-    """The inverse of `_pack`, read below the v-power `limit`: the signed
-    B-bit slots of `total` as {low + g*i: coefficient}, zeros left out."""
-    out = {}
-    mask, half, full = (1 << B) - 1, 1 << (B - 1), 1 << B
-    e = low
-    while total and e < limit:
-        c = total & mask
-        total >>= B
-        if c >= half:  # a negative slot borrowed one from the slot above
-            c -= full
-            total += 1
-        if c:
-            out[e] = c
-        e += g
-    return out
 
 
 def _factor_env(f, kmax):
@@ -622,10 +592,7 @@ class WeightEngine:
         the working order on a series weight."""
         if self._lookup is not None:
             return exact_sum_of_products(products)
-        acc = SeriesScalar.zero(self._work)
-        for factors in products:
-            acc = acc + reduce(mul, factors)
-        return acc
+        return series_sum_of_products(products, self._work)
 
     def _finish(self, acc):
         """The pairing `acc`, on a series weight cut at the engine's order."""

@@ -3,7 +3,8 @@ spec and its functional by reduction, a finite weight's infinite-ratio
 form, the exact expansion of a product of factors to a height, the
 constant term of a weight,
 pairings through materialised products, support triangularity, a series
-weight's coefficients as sums of series products, a cone part's flat table
+weight's coefficients as sums of series products, series products and sums
+of products by term-by-term loops, a cone part's flat table
 by nested integer loops, a series plan from envelopes taken to a fixed
 cap, series inversion by the geometric series, the series of an exact
 value by long division, family members by one dense solve, Weyl
@@ -12,6 +13,7 @@ by the per-word loop."""
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 
 from macpoly.families import j_dominant_below, monomial_J
@@ -216,7 +218,35 @@ def weight_coefficient_sum(engine, nu):
         op, om = pc.min_order(), mc.min_order()
         if op is None or om is None or op + om >= work:
             continue
-        acc = acc + pc * mc
+        acc = acc + series_mul_loop(pc, mc)
+    return acc
+
+
+def series_mul_loop(a, b):
+    """a * b for SeriesScalars by the double loop over their terms, cut at
+    min(a.prec + ord b, b.prec + ord a); a zero operand gives the zero of
+    the lower precision.  The oracle of `SeriesScalar.__mul__`."""
+    if not a.num or not b.num:
+        return SeriesScalar({}, min(a.prec, b.prec))
+    oa, ob = min(a.num), min(b.num)
+    prec = min(a.prec + ob, b.prec + oa)
+    out = {}
+    for e1, c1 in a.num.items():
+        for e2, c2 in b.num.items():
+            e = e1 + e2
+            if e < prec:
+                out[e] = out.get(e, 0) + c1 * c2
+    return SeriesScalar(out, prec, _den=a.den * b.den)
+
+
+def series_sum_loop(products, prec):
+    """The sum of the products of the tuples of SeriesScalars in
+    `products`, term by term from the zero of precision `prec`, each
+    product by `series_mul_loop`.  The oracle of
+    `scalars.series_sum_of_products`."""
+    acc = SeriesScalar.zero(prec)
+    for factors in products:
+        acc = acc + reduce(series_mul_loop, factors)
     return acc
 
 

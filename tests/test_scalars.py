@@ -16,9 +16,15 @@ from macpoly.scalars import (
     parse_scalar,
     q_number,
     q_pochhammer,
+    series_sum_of_products,
 )
 
-from oracles import series_inv_geometric, to_series_by_long_division
+from oracles import (
+    series_inv_geometric,
+    series_mul_loop,
+    series_sum_loop,
+    to_series_by_long_division,
+)
 
 Q = ExactScalar.q_power
 V = ExactScalar.v_power
@@ -121,6 +127,24 @@ class TestRendering:
             assert parse_scalar(f.render()) == f
 
 
+def rand_series(rng):
+    """A SeriesScalar on a v-grid of stride 1, 2 or 4, with a negative or
+    positive lowest order and a denominator, or one tenth of the time a
+    zero of some precision."""
+    if rng.random() < 0.1:
+        return SeriesScalar.zero(rng.randint(-6, 20))
+    g = rng.choice([1, 2, 4])
+    low = rng.randint(-6, 6)
+    num = {low + g * i: rng.randint(-40, 40) for i in range(rng.randint(0, 9))}
+    num[low] = rng.choice([1, -1, 3, -7])
+    return SeriesScalar(num, low + rng.randint(1, 30),
+                        _den=rng.choice([1, 2, 3, 12]))
+
+
+def _same(got, want):
+    assert (got.num, got.den, got.prec) == (want.num, want.den, want.prec)
+
+
 class TestSeries:
     def test_exact_agreement_random(self):
         rng = random.Random(11)
@@ -130,6 +154,30 @@ class TestSeries:
             lhs = h.to_series(25)
             rhs = f.to_series(25) * g.to_series(25) + f.to_series(25) - g.to_series(25)
             assert (lhs - rhs).is_zero()
+
+    def test_product_matches_loop(self):
+        # the packed kernel's one-product case against the double loop
+        rng = random.Random(3)
+        kinds = set()
+        for _ in range(500):
+            a, b = rand_series(rng), rand_series(rng)
+            got = a * b
+            _same(got, series_mul_loop(a, b))
+            # a product of nonzero series keeps its lowest term, whose
+            # order is below the product's precision
+            assert bool(got.num) == bool(a.num and b.num)
+            kinds |= {("zero", not (a.num and b.num)),
+                      ("den", a.den * b.den != 1),
+                      ("neg", bool(got.num) and min(got.num) < 0)}
+        assert {("zero", True), ("den", True), ("neg", True)} <= kinds
+        # a zero of the lower precision; one known coefficient on each
+        # side leaves one term; an int coerces
+        x, y = SeriesScalar({2: 1}, 3), SeriesScalar({4: -5, 5: 1}, 5)
+        for a, b in ((SeriesScalar.zero(1), y), (y, SeriesScalar.zero(-2)),
+                     (x, y), (y, x), (y, y)):
+            _same(a * b, series_mul_loop(a, b))
+        assert (x * y).num == {6: -5} and (x * y).prec == 7
+        _same(y * 6, series_mul_loop(y, SeriesScalar({0: 6}, y.prec)))
 
     def test_division(self):
         f = (1 - Q(1)).to_series(30)
@@ -202,6 +250,103 @@ class TestSeries:
         assert SeriesScalar({}, 5).render() == "0 + O(v^5)"
         assert (SeriesScalar({0: 1, 3: -2}, 6, _den=2).render()
                 == "(1 - 2*v^3) / 2 + O(v^6)")
+
+
+class TestSeriesSumOfProducts:
+    """`series_sum_of_products` against the term-by-term sum: exact
+    equality of num, den and prec."""
+
+    @staticmethod
+    def _check(products, prec):
+        got = series_sum_of_products(products, prec)
+        want = series_sum_loop(products, prec)
+        _same(got, want)
+        return got
+
+    def test_empty(self):
+        got = self._check([], 7)
+        assert (got.num, got.den, got.prec) == ({}, 1, 7)
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_tuples(self, size):
+        # negative exponents, mixed denominators and strides, zeros
+        rng = random.Random(size)
+        for _ in range(200):
+            products = [tuple(rand_series(rng) for _ in range(size))
+                        for _ in range(rng.randint(1, 6))]
+            self._check(products, rng.randint(-4, 40))
+
+    def test_mixed_tuple_sizes_and_shared_factors(self):
+        rng = random.Random(9)
+        for _ in range(200):
+            pool = [rand_series(rng) for _ in range(4)]
+            products = [tuple(rng.choice(pool)
+                              for _ in range(rng.randint(1, 3)))
+                        for _ in range(rng.randint(1, 8))]
+            self._check(products, rng.randint(-4, 40))
+
+    def test_zero_factor_lowers_the_precision(self):
+        a = SeriesScalar({-2: 3, 2: 1}, 20, _den=2)
+        b = SeriesScalar({0: 1, 4: -1}, 30)
+        for zero in (SeriesScalar.zero(9), SeriesScalar.zero(-3)):
+            for product in ((zero,), (zero, a), (a, zero), (a, b, zero),
+                            (a, zero, b), (zero, a, b)):
+                got = self._check([(b,), product], 40)
+                assert got.prec <= zero.prec
+
+    def test_product_cut_by_another_precision(self):
+        # a product whose order is at or above the precision another
+        # product sets adds no term
+        low = SeriesScalar({0: 1, 1: 2}, 3)
+        high = SeriesScalar({3: 5, 4: 1}, 9)
+        for products in ([(low,), (high,)], [(high, low), (low,)],
+                         [(high, high), (low, low)], [(low, low), (high,)]):
+            self._check(products, 50)
+        got = self._check([(high,), (high, low), (SeriesScalar({0: 1}, 3),)],
+                          50)
+        assert got.num == {0: 1} and got.prec == 3
+
+    def test_strides_mixed_across_products(self, monkeypatch):
+        # products on v-grids of stride 4, 2 and 1 share one pack grid,
+        # whose stride falls to their gcd
+        strides = []
+        pack = scalars._pack
+
+        def recorded(num, low, g, B):
+            strides.append(g)
+            return pack(num, low, g, B)
+
+        monkeypatch.setattr(scalars, "_pack", recorded)
+        rng = random.Random(4)
+        for grids, want in (((4, 4), 4), ((4, 2), 2), ((4, 2, 1), 1),
+                            ((2, 4, 4), 2)):
+            for _ in range(20):
+                products = []
+                for g in grids:
+                    a = SeriesScalar({g * i: rng.randint(-9, 9)
+                                      for i in range(1, 6)} | {0: 1}, 40)
+                    b = SeriesScalar({4 + g * i: rng.randint(-9, 9)
+                                      for i in range(1, 4)} | {4: -2}, 44)
+                    products.append((a, b))
+                strides.clear()
+                self._check(products, 60)
+                assert set(strides) == {want}
+
+    def test_negative_top_slot(self):
+        # the highest coefficient below the precision is negative, so the
+        # packed sum is a negative integer
+        a = SeriesScalar({0: 1, 4: -3}, 10, _den=3)
+        b = SeriesScalar({-4: 2, 0: 5, 8: -7}, 12, _den=2)
+        for products in ([(a,)], [(a, b)], [(a,), (a, b), (b, b, a)]):
+            got = self._check(products, 40)
+            assert got.num[max(got.num)] < 0
+
+    def test_cap_below_every_order(self):
+        a = SeriesScalar({-3: 2, 1: 1}, 10)
+        b = SeriesScalar({2: 1}, 7, _den=5)
+        for cap in (-20, -7, -6):
+            got = self._check([(a, a), (b,), (a, b)], cap)
+            assert (got.num, got.den, got.prec) == ({}, 1, cap)
 
 
 class TestToSeries:

@@ -23,6 +23,7 @@ from oracles import (
     exact_expansion,
     flat_table_loop,
     infinite_ratio_form,
+    series_sum_loop,
     sym_pair,
     vector_pair_products,
     weight_coefficient_sum,
@@ -285,7 +286,7 @@ class TestPackedKernel:
     @pytest.mark.parametrize("g", [1, 2, 4])
     @pytest.mark.parametrize("low", [-7, 0, 5])
     def test_round_trip(self, g, low):
-        from macpoly.weights import _pack, _unpack
+        from macpoly.scalars import _pack, _unpack
 
         B, top = self.B, self.TOP
         # extreme slots next to each other, runs of zero slots, and a
@@ -305,14 +306,14 @@ class TestPackedKernel:
                     e: c for e, c in num.items() if e < limit}
 
     def test_empty(self):
-        from macpoly.weights import _pack, _unpack
+        from macpoly.scalars import _pack, _unpack
 
         assert _pack({}, 3, 2, self.B) == 0
         assert _unpack(0, 3, 2, self.B, 100) == {}
 
     @pytest.mark.parametrize("g", [1, 2, 4])
     def test_products_and_sums(self, g):
-        from macpoly.weights import _pack, _unpack
+        from macpoly.scalars import _pack, _unpack
 
         # a sum of packed products on one grid is the sum of the
         # convolutions, while the slot bound holds
@@ -359,6 +360,31 @@ class TestPackedWeightCoefficient:
             # only the coefficients some product read were packed
             packs_p, packs_m = eng._packs
             assert 0 < len(packs_p) < len(eng._plus_terms)
+
+    def test_ai2_verify_sums_match_the_loop(self, tmp_path, monkeypatch):
+        import macpoly.weights as wm
+        from macpoly.cli import run_verify
+
+        # every pairing sum of a cold and a warm AI2 verify, against the
+        # term-by-term sum
+        kernel, calls = wm.series_sum_of_products, []
+
+        def checked(products, prec):
+            products = list(products)
+            got = kernel(products, prec)
+            want = series_sum_loop(products, prec)
+            assert (got.num, got.den, got.prec) == (
+                want.num, want.den, want.prec)
+            calls.append(len(products))
+            return got
+
+        monkeypatch.setattr(wm, "series_sum_of_products", checked)
+        monkeypatch.setattr(wm, "_cache_dir", str(tmp_path))
+        for _ in ("cold", "warm"):
+            calls.clear()
+            _, status = run_verify("AI2", height=1)
+            assert status == 0
+            assert len(calls) > 100 and max(calls) > 1
 
     def test_cache_of_the_loops_reads_back(self, tmp_path, monkeypatch):
         import macpoly.weights as wm
