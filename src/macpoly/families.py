@@ -9,10 +9,13 @@ serve as oracles.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from math import gcd, prod
 
 from .galg import GAElement
-from .scalars import ExactScalar, exact_sum_of_products
+from .scalars import (ZERO, ExactScalar, _cyc_dict, _lp_shift, _make,
+                      exact_sum_of_products)
 from .weights import WeightEngine
 
 ONE = ExactScalar.one()
@@ -164,12 +167,16 @@ class AWParams:
     d: ExactScalar
     qhat_log: int = 2
 
+    def __post_init__(self):
+        for name in "abcd":
+            x = getattr(self, name)
+            if x.den != {0: 1} or [abs(c) for c in x.num.values()] != [1]:
+                raise ValueError("Askey-Wilson parameter %s = %s is not +-v^k"
+                                 % (name, x.render()))
+
     @property
     def qhat(self):
         return ExactScalar.q_power(self.qhat_log)
-
-    def abcd(self):
-        return self.a * self.b * self.c * self.d
 
     @classmethod
     def from_labels(cls, l1, l2, l3, l4, qhat_log=2):
@@ -183,33 +190,72 @@ class AWParams:
                    mk(Fraction(l4) + Fraction(1, 2), -1), qhat_log)
 
 
-def _aw_A(params, m):
-    a, b, c, d = params.a, params.b, params.c, params.d
-    qh = params.qhat
-    abcd = params.abcd()
-    num = ((ONE - a * b * qh ** m) * (ONE - a * c * qh ** m) *
-           (ONE - a * d * qh ** m) * (ONE - abcd * qh ** (m - 1)))
-    den = a * (ONE - abcd * qh ** (2 * m - 1)) * (ONE - abcd * qh ** (2 * m))
-    return num / den
+def _aw_binomial(c, n):
+    """1 - c v^n for c = +-1 as (coeff, v-shift, Counter of Phi_k), by
+    v^n - 1 = prod_{d | n} Phi_d and v^n + 1 = prod_{d | 2n, d not | n} Phi_d.
+    For n < 0 the factor -c v^n comes out first; n = 0 gives 0 or 2."""
+    if n < 0:
+        coeff, _, phis = _aw_binomial(c, -n)
+        return -c * coeff, n, phis
+    top = n if c == 1 else 2 * n
+    return -c if n else 1 - c, 0, Counter(
+        d for d in range(1, top + 1) if top % d == 0 and (c == 1 or n % d))
 
 
-def _aw_C(params, m):
-    a, b, c, d = params.a, params.b, params.c, params.d
-    qh = params.qhat
-    abcd = params.abcd()
-    num = (a * (ONE - qh ** m) * (ONE - b * c * qh ** (m - 1)) *
-           (ONE - b * d * qh ** (m - 1)) * (ONE - c * d * qh ** (m - 1)))
-    den = (ONE - abcd * qh ** (2 * m - 2)) * (ONE - abcd * qh ** (2 * m - 1))
-    return num / den
+def _aw_quotient(num, den):
+    """prod num / prod den, lists of `_aw_binomial` factors, reduced: the
+    Phi_k are monic, irreducible and pairwise distinct, so cancelling them
+    by multiset min and the coefficients by their gcd leaves lowest terms."""
+    cn, cd = prod(f[0] for f in num), prod(f[0] for f in den)
+    if not cd:
+        raise ZeroDivisionError("zero Askey-Wilson denominator factor")
+    if not cn:
+        return ZERO
+    top = sum((f[2] for f in num), Counter())
+    bottom = sum((f[2] for f in den), Counter())
+    shift = sum(f[1] for f in num) - sum(f[1] for f in den)
+    common = top & bottom
+    g = gcd(cn, cd) if cd > 0 else -gcd(cn, cd)
+    pairs = tuple(sorted((bottom - common).items()))
+    return _make(_lp_shift(_cyc_dict(sorted((top - common).items()), cn // g),
+                           shift), _cyc_dict(pairs, cd // g), pairs)
+
+
+def _aw_factors(params, m):
+    """A_m and C_m as (numerator, denominator) factor lists, in the base qh
+    of the weight (Koekoek-Lesky-Swarttouw, section 14.1):
+    A_m = (1-ab qh^m)(1-ac qh^m)(1-ad qh^m)(1-abcd qh^(m-1))
+          / (a (1-abcd qh^(2m-1))(1-abcd qh^(2m))),
+    C_m = a (1-qh^m)(1-bc qh^(m-1))(1-bd qh^(m-1))(1-cd qh^(m-1))
+          / ((1-abcd qh^(2m-2))(1-abcd qh^(2m-1)))."""
+    a, b, c, d = [next(iter(x.num.items()))
+                  for x in (params.a, params.b, params.c, params.d)]
+    step = 2 * params.qhat_log  # qh = v^step
+
+    def f(j, *xs):  # 1 - prod(xs) qh^j, each x = (k, sign) for sign v^k
+        return _aw_binomial(prod(x[1] for x in xs),
+                            sum(x[0] for x in xs) + step * j)
+
+    unit_a = (a[1], a[0], Counter())
+    A = ([f(m, a, b), f(m, a, c), f(m, a, d), f(m - 1, a, b, c, d)],
+         [unit_a, f(2 * m - 1, a, b, c, d), f(2 * m, a, b, c, d)])
+    C = ([unit_a, f(m), f(m - 1, b, c), f(m - 1, b, d), f(m - 1, c, d)],
+         [f(2 * m - 2, a, b, c, d), f(2 * m - 1, a, b, c, d)])
+    return A, C
 
 
 def aw_recurrence(params, m):
-    """(b_m, c_m) with (z + 1/z) P_m = P_{m+1} + b_m P_m + c_m P_{m-1}."""
-    Am = _aw_A(params, m)
-    Cm = _aw_C(params, m)
-    bm = params.a + params.a.inv() - Am - Cm
-    cm = ExactScalar.zero() if m == 0 else _aw_A(params, m - 1) * Cm
-    return bm, cm
+    """(b_m, c_m) with (z + 1/z) P_m = P_{m+1} + b_m P_m + c_m P_{m-1}:
+    b_m = a + 1/a - A_m - C_m, and c_m = A_{m-1} C_m as one quotient of the
+    joined factor lists."""
+    A, C = _aw_factors(params, m)
+    [(k, sign)] = params.a.num.items()
+    bm = (params.a + ExactScalar.v_power(-k, sign) - _aw_quotient(*A)
+          - _aw_quotient(*C))
+    if not m:
+        return bm, ZERO
+    num, den = _aw_factors(params, m - 1)[0]
+    return bm, _aw_quotient(num + C[0], den + C[1])
 
 
 def aw_oracle(params, m, lattice="aw"):
@@ -299,8 +345,8 @@ def aw_operator(params, lattice):
 
 
 def aw_eigenvalue(params, m):
-    qh = params.qhat
-    return (qh ** (-m)) * (ONE - qh ** m) * (ONE - params.abcd() * qh ** (m - 1))
+    qh, abcd = params.qhat, params.a * params.b * params.c * params.d
+    return (qh ** (-m)) * (ONE - qh ** m) * (ONE - abcd * qh ** (m - 1))
 
 
 class AWFunctional:

@@ -1,5 +1,6 @@
 """Oracles that only the tests use: the one-variable weight as a series
-spec and its functional by reduction, a finite weight's infinite-ratio
+spec, its functional by reduction and its recurrence coefficients by
+division, a finite weight's infinite-ratio
 form, the exact expansion of a product of factors to a height, the
 constant term of a weight,
 pairings through materialised products, support triangularity, a series
@@ -143,6 +144,32 @@ def aw_reduce(L, h):
             raise ValueError("functional argument is not W-invariant")
         rem = rem - L.member(k).scale(lead)
     return ExactScalar.zero()
+
+
+def aw_coefficients_by_division(params, m):
+    """(A_m, C_m, b_m, c_m) of the one-variable recurrence with each of
+    A_m, C_m multiplied out as scalars and divided, b_m = a + 1/a - A_m - C_m
+    and c_m = A_{m-1} C_m: the oracle of the closed form in `families`."""
+    one = ExactScalar.one()
+    a, b, c, d = params.a, params.b, params.c, params.d
+    qh, abcd = params.qhat, a * b * c * d
+
+    def A(m):
+        num = ((one - a * b * qh ** m) * (one - a * c * qh ** m) *
+               (one - a * d * qh ** m) * (one - abcd * qh ** (m - 1)))
+        den = a * (one - abcd * qh ** (2 * m - 1)) * (one - abcd * qh ** (2 * m))
+        return num / den
+
+    def C(m):
+        num = (a * (one - qh ** m) * (one - b * c * qh ** (m - 1)) *
+               (one - b * d * qh ** (m - 1)) * (one - c * d * qh ** (m - 1)))
+        den = ((one - abcd * qh ** (2 * m - 2))
+               * (one - abcd * qh ** (2 * m - 1)))
+        return num / den
+
+    Am, Cm = A(m), C(m)
+    cm = ExactScalar.zero() if m == 0 else A(m - 1) * Cm
+    return Am, Cm, a + a.inv() - Am - Cm, cm
 
 
 def vector_pair_products(engine, u, M, w):

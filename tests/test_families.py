@@ -1,13 +1,20 @@
+import random
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from macpoly import cyclotomic, scalars
 from macpoly.cases import build_case
 from macpoly.families import (
     AWFunctional,
     AWParams,
     PolyFamilySpec,
+    _aw_binomial,
+    _aw_factors,
     _aw_operator_direct,
+    _aw_quotient,
     aw_eigenvalue,
     aw_operator,
     aw_oracle,
@@ -30,6 +37,7 @@ from macpoly.weights import (
 )
 
 from oracles import (
+    aw_coefficients_by_division,
     aw_reduce,
     aw_weight,
     ct_norm,
@@ -127,6 +135,95 @@ class TestAWOracle:
         for m in range(4):
             P = aw_oracle(p, m, "2L")
             assert operator(P) == P.scale(aw_eigenvalue(p, m))
+
+
+def _outcome(coefficients):
+    """(num, den, cyc) of each scalar coefficients() returns, or the
+    ZeroDivisionError class if it raised one."""
+    try:
+        return [(x.num, x.den, x.cyc) for x in coefficients()]
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+def _closed_form(params, m):
+    """A_m, C_m, b_m and c_m as the closed form builds them."""
+    return ([_aw_quotient(*f) for f in _aw_factors(params, m)]
+            + list(aw_recurrence(params, m)))
+
+
+class TestAWClosedForm:
+    """The recurrence coefficients built from their cyclotomic factors."""
+
+    @pytest.mark.parametrize("c", [1, -1])
+    def test_binomial_factors(self, c):
+        for n in range(-64, 65):
+            coeff, shift, phis = _aw_binomial(c, n)
+            pairs = tuple(sorted(phis.items()))
+            got = {i + shift: coeff * x for i, x
+                   in enumerate(cyclotomic.phi_product(pairs)) if coeff * x}
+            want = {0: 1}
+            want[n] = want.get(n, 0) - c
+            assert got == {e: x for e, x in want.items() if x}, n
+            if n > 0:
+                # phi_factors splits off the lead -c as the helper does
+                assert (shift, coeff) == (0, -c)
+                assert cyclotomic.phi_factors(want) == pairs, n
+
+    @pytest.mark.parametrize("cid", ONE_VARIABLE)
+    def test_case_parameters_match_division(self, cid):
+        case = build_case(cid)
+        for p in (case.aw, case.aw_zonal):
+            for m in range(13):
+                want = _outcome(lambda: aw_coefficients_by_division(p, m))
+                assert want is not ZeroDivisionError, m
+                assert _outcome(lambda: _closed_form(p, m)) == want, m
+
+    def test_random_labels_match_division(self):
+        rng = random.Random(25)
+        raised = 0
+        for k in range(100):
+            labels = [Fraction(rng.randint(-4, 4), 2) for _ in range(4)]
+            p = AWParams.from_labels(*labels, qhat_log=rng.randint(1, 3))
+            if k % 2:
+                # any signs: the coefficients 2 and -2 reach both sides
+                p = replace(p, **{x: getattr(p, x) * rng.choice((1, -1))
+                                  for x in "abcd"})
+            for m in range(13):
+                want = _outcome(lambda: aw_coefficients_by_division(p, m))
+                assert _outcome(lambda: _closed_form(p, m)) == want, (
+                    labels, p.qhat_log, m)
+                raised += want is ZeroDivisionError
+        assert raised  # zero denominators are among the labels drawn
+
+    def test_no_factor_search(self, monkeypatch):
+        cases = [build_case(cid) for cid in ONE_VARIABLE]
+        params = [p for case in cases for p in (case.aw, case.aw_zonal)]
+        calls, search = [], cyclotomic.phi_factors
+
+        def counted(p):
+            calls.append(p)
+            return search(p)
+
+        monkeypatch.setattr(cyclotomic, "phi_factors", counted)
+        monkeypatch.setattr(scalars, "phi_factors", counted)
+        for p in params:
+            for m in range(13):
+                aw_recurrence(p, m)
+        assert calls == []
+        aw_coefficients_by_division(params[0], 3)
+        assert calls  # the wrapper sees the division route's searches
+
+    @pytest.mark.parametrize("bad", [ExactScalar.v_power(3, 2),
+                                     ExactScalar({0: 1, 1: 1}),
+                                     ExactScalar({1: 1}, {0: 2})],
+                             ids=["2v^3", "1+v", "v/2"])
+    @pytest.mark.parametrize("name", "abcd")
+    def test_rejects_non_unit_parameter(self, name, bad):
+        p = AWParams.from_labels(Fraction(3, 2), Fraction(5, 2), 0, 0)
+        with pytest.raises(ValueError, match=re.escape(
+                "parameter %s = %s is not" % (name, bad.render()))):
+            replace(p, **{name: bad})
 
 
 class TestAWColumnOperator:
