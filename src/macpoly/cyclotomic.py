@@ -8,13 +8,23 @@ reduces those by Phi_k, and `phi_multiplicity` repeats the test on
 derivatives, Phi_k being squarefree.  `phi_factors` writes a polynomial as
 lead * prod Phi_k^e by a search over every k with phi(k) at most its
 degree, or says it is no such product.  Polynomials are dense integer
-lists, low to high.  Each Phi_k is built on first use and kept.
+lists, low to high.
+
+Three tables keep what is built, each a pure function of its key, for the
+life of the process: each Phi_k, each product prod Phi_k^e by its (k, e)
+pairs, and each factorisation (or None) by the polynomial's sorted terms.
+A case's denominators are products of few distinct factor lists, so each is
+multiplied out and searched once; the tables hold immutable tuples, and the
+public functions hand out copies where a caller could change them.
 """
 
 from operator import add, sub
 
 _TOTIENTS = [0, 1]  # Euler's phi(k) at index k, extended on demand
 _PHI = {}  # k -> (phi(k), nonzero (j, c) of Phi_k below its monic lead)
+_PRODUCTS = {}  # tuple of (k, e) pairs -> product_coeffs' answer
+_FACTORS = {}  # sorted (exponent, coeff) items -> phi_factors' answer
+_MISSING = object()  # no _FACTORS entry; () and None are both answers
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
@@ -83,8 +93,18 @@ def div_monic(a, d, low):
 
 def phi_product(pairs):
     """prod Phi_k^e over the (k, e) pairs, as a dense monic list."""
+    return list(product_coeffs(pairs))
+
+
+def product_coeffs(pairs):
+    """prod Phi_k^e over the (k, e) pairs as a dense tuple, multiplied out
+    on the first call for these pairs and kept."""
+    key = tuple(pairs)
+    got = _PRODUCTS.get(key)
+    if got is not None:
+        return got
     out = [1]
-    for k, e in pairs:
+    for k, e in key:
         d, low = phi_terms(k)
         for _ in range(e):
             n = len(out)
@@ -98,7 +118,8 @@ def phi_product(pairs):
                 else:
                     new[j:j + n] = [s + c * x for s, x in zip(seg, out)]
             out = new
-    return out
+    got = _PRODUCTS[key] = tuple(out)
+    return got
 
 
 def phi_divides(al, lo, k):
@@ -139,10 +160,22 @@ def phi_multiplicity(al, lo, k, cap):
 def phi_factors(p):
     """Sorted (k, e) pairs with p = lead * prod Phi_k^e, or None.
 
-    p is a polynomial dict with a nonzero constant term.  A product of
-    cyclotomic polynomials is palindromic up to sign, which rejects most
-    other polynomials at once; the rest is a search over every k with
-    phi(k) at most the degree left.
+    p is a polynomial dict with a nonzero constant term.  Each distinct p
+    is searched once (`_search_factors`) and its answer kept.
+    """
+    key = tuple(sorted(p.items()))
+    got = _FACTORS.get(key, _MISSING)
+    if got is _MISSING:
+        got = _FACTORS[key] = _search_factors(p)
+    return got
+
+
+def _search_factors(p):
+    """phi_factors without the table.
+
+    A product of cyclotomic polynomials is palindromic up to sign, which
+    rejects most other polynomials at once; the rest is a search over every
+    k with phi(k) at most the degree left.
     """
     n = max(p)
     if not n:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as int_gcd, inf
 
-from .cyclotomic import div_monic, phi_factors, phi_multiplicity, phi_product
+from .cyclotomic import div_monic, phi_factors, phi_multiplicity, product_coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +159,13 @@ def _lp_gcd(a, b):
 
 def _cyc_dict(pairs, scale=1):
     """scale * prod Phi_k^e as a Laurent polynomial dict."""
-    return {i: c * scale for i, c in enumerate(phi_product(pairs)) if c}
+    return {i: c * scale for i, c in enumerate(product_coeffs(pairs)) if c}
 
 
 def _lp_div_cyc(a, pairs):
     """Exact quotient of the Laurent polynomial a by prod Phi_k^e."""
     al, sh = _lp_to_list(a)
-    g = phi_product(pairs)
+    g = product_coeffs(pairs)
     q = div_monic(al, len(g) - 1, [(j, c) for j, c in enumerate(g[:-1]) if c])
     return {i + sh: c for i, c in enumerate(q) if c}
 
@@ -544,8 +544,23 @@ class ExactScalar:
                      tuple(sorted(self.den.items()))))
 
     def bar(self):
-        """Substitute v -> 1/v (equivalently q -> 1/q) and renormalise."""
-        return ExactScalar(_lp_flip(self.num), _lp_flip(self.den))
+        """Substitute v -> 1/v (equivalently q -> 1/q) and renormalise.
+
+        A denominator lead * prod Phi_k^e of degree D > 0 needs no new
+        reduction: each Phi_k with k >= 2 is palindromic and Phi_1(1/v) =
+        -v^-1 Phi_1(v), so with e_1 the exponent of Phi_1, den(1/v) =
+        (-1)^e_1 v^-D den(v).  The result keeps den and cyc over the
+        numerator (-1)^e_1 v^D num(1/v), already reduced.  A constant
+        denominator, which the constructor reduces by its integer content
+        alone, and one that is no such product go through the constructor.
+        """
+        cyc = self.cyc
+        if not cyc:
+            return ExactScalar(_lp_flip(self.num), _lp_flip(self.den))
+        s = -1 if cyc[0][0] == 1 and cyc[0][1] & 1 else 1
+        top = max(self.den)
+        return _make({top - e: s * c for e, c in self.num.items()},
+                     self.den, cyc)
 
     # -- rendering ----------------------------------------------------------
 

@@ -78,11 +78,13 @@ class TruncationError(ArithmeticError):
 
 
 # optional on-disk cache for the series tables of cone parts; versioned,
-# invalidated on bump.  Version 4 stores one file per table: its integer
+# invalidated on bump.  Version 5 stores one file per table: its integer
 # numerators over one denominator, named by and holding its key, a hash of
-# the factors, the height and the order the table is exact below.
-CACHE_VERSION = 4
+# the factors, the height and the order the table is exact below, and next
+# to the key the sha1 of the table's text, so an edited table is a miss.
+CACHE_VERSION = 5
 _cache_dir = None
+_TABLE_SEP = b'", "table": '  # between a file's digest and its table
 
 
 def set_cache_dir(path):
@@ -94,22 +96,45 @@ def set_cache_dir(path):
     _cache_dir = path or None
 
 
-def _part_key(factors, H, prec):
+def _sha1(data):
     import hashlib  # here, not at the top: it maps libcrypto (+3.5 MB RSS)
 
+    return hashlib.sha1(data).hexdigest()
+
+
+def _part_key(factors, H, prec):
     blob = repr((CACHE_VERSION, [f.to_json() for f in factors], H, prec))
-    return hashlib.sha1(blob.encode()).hexdigest()
+    return _sha1(blob.encode())
 
 
-def _part_to_json(key, terms):
+def _part_text(key, terms):
     """The cache file of the flat cone-part table `terms` under `key`
-    (`_part_key`): the key, and the terms' integer numerators over their
-    common denominator."""
+    (`_part_key`), a JSON object: the key, the sha1 of the table's text, and
+    the table, the terms' integer numerators over their common
+    denominator."""
     den = math.lcm(*(c.den for c in terms.values()))
-    return {"key": key, "den": den,
-            "terms": [[list(e), [[k, n * (den // c.den)]
-                                 for k, n in sorted(c.num.items())]]
-                      for e, c in sorted(terms.items())]}
+    # encoded row by row: json.dumps of the whole table gives the same text
+    # but holds every row's lists and encoded pieces at once
+    table = '{"den": %d, "terms": [%s]}' % (den, ", ".join(json.dumps(
+        [list(e), [[k, n * (den // c.den)] for k, n in sorted(c.num.items())]])
+        for e, c in sorted(terms.items())))
+    return '{"key": "%s", "sha1": "%s", "table": %s}' % (
+        key, _sha1(table.encode()), table)
+
+
+def _part_table(raw, key):
+    """The table of the cache file bytes `raw` (`_part_text`), or None if
+    the file holds another key or its table's text, as read, does not hash
+    to the digest stored next to the key.  Bytes that are not such a file
+    raise ValueError."""
+    head = b'{"key": "%s", "sha1": "' % key.encode()
+    mid = len(head) + 40
+    start = mid + len(_TABLE_SEP)
+    if raw[:len(head)] != head or raw[mid:start] != _TABLE_SEP:
+        return None
+    table, end = json.JSONDecoder().raw_decode(raw.decode("ascii"), start)
+    return table if _sha1(raw[start:end]).encode() == raw[len(head):mid] \
+        else None
 
 
 def _euler_shifts(f, kmax):
@@ -228,24 +253,25 @@ class ConePart:
     def _cached(self, H, prec):
         """The series table of (H, prec) from its file in the cache
         directory, else expanded and stored there.  A file that holds
-        another key is a miss."""
+        another key, or a table that does not match its digest, is a
+        miss."""
         key = _part_key(self.factors, H, prec)
         path = os.path.join(_cache_dir, key + ".json")
         try:
-            with open(path) as fh:
-                data = json.load(fh)
-            if data["key"] == key:
-                den = data["den"]
+            with open(path, "rb") as fh:
+                table = _part_table(fh.read(), key)
+            if table is not None:
+                den = table["den"]
                 return GAElement({tuple(e): SeriesScalar(dict(num), prec,
                                                          _den=den)
-                                  for e, num in data["terms"]}, self.lattice)
+                                  for e, num in table["terms"]}, self.lattice)
         except (OSError, ValueError, LookupError, TypeError):
             pass  # missing, unreadable or malformed: a miss, rebuilt below
         got = self._expand(H, prec)
         tmp = "%s.%d.tmp" % (path, os.getpid())
         try:
             with open(tmp, "w") as fh:
-                json.dump(_part_to_json(key, got.terms), fh)
+                fh.write(_part_text(key, got.terms))
             os.replace(tmp, path)
         except OSError:
             # an unwritable cache costs only the store: keep the fresh table

@@ -10,7 +10,7 @@ by nested integer loops, a series plan from envelopes taken to a fixed
 cap, series inversion by the geometric series, the series of an exact
 value by long division, family members by one dense solve, Weyl
 characters by the alternating-sum formula and the ratio identity's rows
-by the per-word loop."""
+by the per-word loop, and v -> 1/v of an exact value by reduction."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -19,7 +19,7 @@ from math import lcm
 
 from macpoly.families import j_dominant_below, monomial_J
 from macpoly.galg import GAElement, solve_linear
-from macpoly.scalars import ExactScalar, SeriesScalar
+from macpoly.scalars import ExactScalar, SeriesScalar, _lp_flip
 from macpoly.weights import INF, PochFactor, WeightSpec
 
 
@@ -488,3 +488,9 @@ def weyl_character(datum, lam):
         assert fr.denominator == 1
         out[tuple(x // 2 for x in e)] = int(fr)
     return out
+
+
+def bar_by_reduction(x):
+    """x with v -> 1/v, its flipped numerator and denominator reduced as a
+    new fraction: the oracle of the closed form `ExactScalar.bar`."""
+    return ExactScalar(_lp_flip(x.num), _lp_flip(x.den))

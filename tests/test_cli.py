@@ -447,6 +447,34 @@ class TestVerify:
         assert json.dumps(warm) == json.dumps(cold)
         assert [f.read_bytes() for f in sorted(tmp_path.iterdir())] == good
 
+    def test_edited_cache_numbers_are_misses(self, monkeypatch, tmp_path):
+        # each file holds the digest of its table's text: with the lowest
+        # coefficient of the [0, 0] row raised by the denominator in both
+        # files, both are misses, rebuilt and rewritten, and the warm report
+        # is byte-identical to the cold one
+        import macpoly.weights as wm
+
+        monkeypatch.setattr(wm, "_cache_dir", None)
+        cache = tmp_path / "cache"
+        argv = ["verify", "--case", "AI2", "--lambda-height", "1",
+                "--cache-dir", str(cache)]
+        assert main(argv + ["--report", str(tmp_path / "cold.json")]) == 0
+        files = sorted(cache.iterdir())
+        assert len(files) == 2
+        good = [f.read_bytes() for f in files]
+        for f in files:
+            data = json.loads(f.read_text())
+            table = data["table"]
+            row = next(num for e, num in table["terms"] if e == [0, 0])
+            row[0][1] += table["den"]
+            f.write_text(json.dumps(data))
+        assert [f.read_bytes() for f in files] != good
+        assert main(argv + ["--report", str(tmp_path / "warm.json")]) == 0
+        assert sorted(cache.iterdir()) == files
+        assert [f.read_bytes() for f in files] == good
+        assert ((tmp_path / "warm.json").read_bytes()
+                == (tmp_path / "cold.json").read_bytes())
+
     def test_cache_file_certifies_nothing(self, monkeypatch, tmp_path):
         # the plan and the certified order come from the case, never from a
         # file: files that claim a lower working order `work` and table

@@ -20,6 +20,7 @@ from macpoly.scalars import (
 )
 
 from oracles import (
+    bar_by_reduction,
     series_inv_geometric,
     series_mul_loop,
     series_sum_loop,
@@ -95,6 +96,35 @@ class TestBar:
             f, g = rand_scalar(rng), rand_scalar(rng)
             assert f.bar().bar() == f
             assert (f * g).bar() == f.bar() * g.bar()
+
+    def test_closed_form_matches_reduction(self):
+        # odd and even powers of Phi_1 and Phi_2 (only Phi_1 flips the
+        # sign), other Phi_k, leads > 1, numerators with negative
+        # exponents, integer denominators, zero, and a denominator that is
+        # no product of Phi_k
+        rng = random.Random(26)
+        values = [ExactScalar.zero(), V(-3, Fraction(2, 3)),
+                  ExactScalar({0: 1}, {0: 1, 1: 3, 2: 1}),
+                  ExactScalar({-2: 1, 3: 2}, {0: 2, 1: 1, 4: 1})]
+        for e1 in range(4):
+            for e2 in range(4):
+                pairs = [(k, e) for k, e in ((1, e1), (2, e2)) if e]
+                pairs += sorted({rng.randint(3, 24): rng.randint(1, 2)
+                                 for _ in range(rng.randint(0, 2))}.items())
+                for lead in (1, 2, 6):
+                    num = {rng.randint(-5, 5): rng.randint(-4, 4)
+                           for _ in range(rng.randint(1, 4))}
+                    values.append(ExactScalar(
+                        num, scalars._cyc_dict(pairs, lead)))
+        assert {x.cyc is None for x in values} == {True, False}
+        assert any(x.cyc and x.cyc[0] == (1, 3) for x in values)
+        assert any(x.cyc and x.den[max(x.den)] > 1 for x in values)
+        for x in values:
+            got, want = x.bar(), bar_by_reduction(x)
+            assert (got.num, got.den, got.cyc) == (want.num, want.den,
+                                                   want.cyc), x
+            _consistent(got)
+            assert got.bar() == x
 
 
 class TestFieldAxioms:
@@ -499,6 +529,65 @@ class TestCyclotomicHelpers:
         assert cyclotomic.phi_multiplicity(al, lo, 12, 9) == 3
         assert cyclotomic.phi_multiplicity(al, lo, 12, 2) == 2
         assert cyclotomic.phi_multiplicity(al, lo, 4, 9) == 0
+
+
+class TestCyclotomicMemo:
+    """The product and factorisation tables of `cyclotomic`."""
+
+    def test_product_copies_are_fresh(self):
+        pairs = [(1, 2), (6, 1)]
+        first = cyclotomic.phi_product(pairs)
+        want = list(first)
+        first[0] += 5
+        first.append(7)
+        assert cyclotomic.phi_product(pairs) == want
+        assert cyclotomic.phi_product(tuple(pairs)) == want
+        assert cyclotomic.product_coeffs(pairs) == tuple(want)
+
+    @staticmethod
+    def _searches(monkeypatch):
+        """Empty tables, and the list of the polynomials the uncached
+        factor search is run on from now, as sorted items."""
+        monkeypatch.setattr(cyclotomic, "_FACTORS", {})
+        monkeypatch.setattr(cyclotomic, "_PRODUCTS", {})
+        calls, search = [], cyclotomic._search_factors
+
+        def counted(p):
+            calls.append(tuple(sorted(p.items())))
+            return search(p)
+
+        monkeypatch.setattr(cyclotomic, "_search_factors", counted)
+        return calls
+
+    def test_factors_ignore_insertion_order(self, monkeypatch):
+        calls = self._searches(monkeypatch)
+        p = scalars._cyc_dict([(2, 1), (3, 2), (10, 1)], 3)
+        flipped = dict(reversed(list(p.items())))
+        assert list(flipped) != list(p)
+        want = ((2, 1), (3, 2), (10, 1))
+        assert cyclotomic.phi_factors(p) == cyclotomic.phi_factors(
+            flipped) == want
+        assert len(calls) == 1
+
+    def test_none_is_kept_apart_from_empty(self, monkeypatch):
+        calls = self._searches(monkeypatch)
+        odd = {0: 1, 4: -1, 12: 2, 20: -1, 24: 1}
+        for _ in range(2):
+            assert cyclotomic.phi_factors(odd) is None
+            assert cyclotomic.phi_factors({0: 3}) == ()
+        assert len(calls) == 2
+        assert cyclotomic._FACTORS == {tuple(sorted(odd.items())): None,
+                                       ((0, 3),): ()}
+
+    def test_one_variable_searches_once_per_polynomial(self, monkeypatch):
+        from macpoly.cli import run_verify
+
+        calls = self._searches(monkeypatch)
+        for base in ("BII:n=2", "BII:n=3", "CII:n=3"):
+            for s in range(3):
+                _, status = run_verify("%s,s=%d" % (base, s), height=2)
+                assert status == 0
+        assert len(set(calls)) == len(calls) <= 70
 
 
 class TestCyclotomicReduction:

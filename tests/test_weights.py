@@ -389,7 +389,7 @@ class TestPackedWeightCoefficient:
     def test_cache_of_the_loops_reads_back(self, tmp_path, monkeypatch):
         import macpoly.weights as wm
 
-        # a version-4 file per part written from the nested loops' table is
+        # a version-5 file per part written from the nested loops' table is
         # the file this build writes, and reads back to the same W(nu)
         spec = macdonald_nonsym_weight(R2, 2, Q(3), "2L")
         monkeypatch.setattr(wm, "_cache_dir", None)
@@ -402,8 +402,8 @@ class TestPackedWeightCoefficient:
                                               fresh._minus_terms)):
             key = _expansion_key(part, terms)
             names.append(wm._part_key(part.factors, *key) + ".json")
-            (loops / names[-1]).write_text(json.dumps(wm._part_to_json(
-                names[-1][:-5], flat_table_loop(part, *key))))
+            (loops / names[-1]).write_text(wm._part_text(
+                names[-1][:-5], flat_table_loop(part, *key)))
         assert len(set(names)) == 2
 
         def rebuild():
