@@ -69,16 +69,13 @@ def parse_case_id(text):
     return head, params
 
 
-def build_case(case_id, order=60, height=2):
-    """The case `case_id`, planned for one v-order `order` and for the
-    members of family height <= `height`; ValueError for a bad id or plan.
-    A second plan is a second case."""
+def build_case(case_id, order=60):
+    """The case `case_id`, planned for one v-order `order`; ValueError for
+    a bad id or order.  A second order is a second case."""
     if order <= 0:
         raise ValueError("order must be > 0, got %d" % order)
-    if height < 0:
-        raise ValueError("height must be >= 0, got %d" % height)
     head, params = parse_case_id(case_id)
-    plan = {"order": order, "height": height}
+    plan = {"order": order}
     if head in ("AI2", "A2G", "AII5"):
         return _build_a2_family(head, plan)
     if head == "DII":
@@ -97,8 +94,8 @@ def list_cases():
 @dataclass(frozen=True, eq=False)
 class ExampleCase:
     """One case, planned once: its engines, family spec and vector members
-    are built for one v-order and one family height, so every memo is keyed
-    by labels only.  Re-plan with `build_case` or `dataclasses.replace`."""
+    are built for one v-order, so every memo is keyed by labels only.
+    Re-plan with `build_case` or `dataclasses.replace`."""
 
     tag: str
     satake: SatakeDatum
@@ -117,7 +114,6 @@ class ExampleCase:
     aw_zonal: AWParams = None
     extra: dict = field(default_factory=dict)
     order: int = 60  # working v-order of the series engines
-    height: int = 2  # family height the pairings are planned for
     # (b, lam) -> vector member
     _members: dict = field(init=False, default_factory=dict)
     # ((b, lam), (b', mu)) -> <vector member, vector member>
@@ -237,17 +233,6 @@ class ExampleCase:
     # -- pairings and polynomial families -------------------------------------
 
     @cached_property
-    def pair_hint(self):
-        """The expansion height of the series engines.  A vector pairing
-        reads the weight at exponents e + a - b for e in the support of M_ij
-        and a, b in those of u_i and w_j: heights up to 2 * height plus the
-        weight-matrix spread."""
-        spread = max((abs(self.restricted.height2(e))
-                      for row in self.matrix_weight for entry in row
-                      for e in entry.support()), default=0)
-        return 2 * self.height + spread + 2
-
-    @cached_property
     def nabla_engine(self):
         """The zonal weight's engine; on BII/CII the one-variable moment
         functional, exact at every order."""
@@ -256,8 +241,7 @@ class ExampleCase:
                 self.aw_functional(self.aw_zonal).weight)
         spec = macdonald_sym_weight(self.restricted, self.qhat_log, self.t,
                                     self.lattice)
-        return WeightEngine(spec, order=self.order,
-                            height_hint=self.pair_hint)
+        return WeightEngine(spec, order=self.order)
 
     @cached_property
     def delta_engine(self):
@@ -269,8 +253,7 @@ class ExampleCase:
                 "one-variable moment functional" % self.tag)
         spec = macdonald_nonsym_weight(self.restricted, self.qhat_log, self.t,
                                        self.lattice)
-        return WeightEngine(spec, order=self.order,
-                            height_hint=self.pair_hint)
+        return WeightEngine(spec, order=self.order)
 
     def aw_functional(self, params):
         """The one-variable moment functional for `params`, one per case and

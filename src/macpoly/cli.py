@@ -13,7 +13,6 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import replace
 
 from . import weights as weights_mod
 from .cases import (
@@ -93,12 +92,6 @@ def cmd_cases(args):
     return 0
 
 
-def _planned(case, lam):
-    """`case` re-planned for the members up to the height of `lam`."""
-    R = case.restricted
-    return replace(case, height=R.height2(R.dominant_rep(lam)) + 1)
-
-
 def cmd_compute(args):
     case = _build_case(args.case, args.order)
     if args.family == "intermediate":
@@ -117,7 +110,6 @@ def cmd_compute(args):
         raise ConfigError("case %s has only W-invariant families: it pairs "
                           "through the one-variable moment functional"
                           % case.tag)
-    case = _planned(case, lam)
     with _open_output(args.output) as fh:
         if args.family == "matrix":
             M = case.matrix_q(lam)
@@ -156,7 +148,6 @@ def cmd_render(args):
     case = _build_case(args.case)
     if args.what == "Q":
         lam = _parse_label(case, args.lam, range(case.rank))
-        case = _planned(case, lam)
     with _open_output(args.output) as fh:
         if args.what == "M":
             M = case.matrix_weight
@@ -205,11 +196,12 @@ def _identify_grid(case, H):
 
 def run_verify(case_id, height=2, order=60):
     try:
+        if height < 0:
+            raise ValueError("height must be >= 0, got %d" % height)
         # the exact rational reconstruction behind AI2's q -> 1/q check
         # needs a comfortable working order
         raised = 0 < order < 100 and parse_case_id(case_id)[0] == "AI2"
-        case = build_case(case_id, order=100 if raised else order,
-                          height=height)
+        case = build_case(case_id, order=100 if raised else order)
     except ValueError as exc:
         return {"error": str(exc)}, CONFIG_ERROR
     if raised:
@@ -238,10 +230,10 @@ def run_verify(case_id, height=2, order=60):
         record("ratio_identity", case.delta0_identity_check)
 
     try:
-        case.pair_hint  # plans the pairings from the matrix weight
+        case.matrix_weight  # every pairing reads it
         grid = case.restricted.grid(height)
     except Exception as exc:
-        # the checks over the label grid need the pairing plan: record why
+        # the checks over the label grid need the matrix weight: record why
         # they are skipped and run the others
         checks.append({"name": "grid_setup", **error(exc)})
         grid = None
@@ -374,7 +366,7 @@ def run_verify(case_id, height=2, order=60):
 
     status = 0 if all(c["status"] == "pass" for c in checks) else CHECK_FAILED
     report = {"case": case.tag, "order": case.order,
-              "height": case.height, "checks": checks}
+              "height": height, "checks": checks}
     return report, status
 
 

@@ -91,11 +91,6 @@ def div_monic(a, d, low):
     return a[d:]
 
 
-def phi_product(pairs):
-    """prod Phi_k^e over the (k, e) pairs, as a dense monic list."""
-    return list(product_coeffs(pairs))
-
-
 def product_coeffs(pairs):
     """prod Phi_k^e over the (k, e) pairs as a dense tuple, multiplied out
     on the first call for these pairs and kept."""

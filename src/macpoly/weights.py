@@ -78,11 +78,11 @@ class TruncationError(ArithmeticError):
 
 
 # optional on-disk cache for the series tables of cone parts; versioned,
-# invalidated on bump.  Version 5 stores one file per table: its integer
+# invalidated on bump.  Version 6 stores one file per table: its integer
 # numerators over one denominator, named by and holding its key, a hash of
-# the factors, the height and the order the table is exact below, and next
-# to the key the sha1 of the table's text, so an edited table is a miss.
-CACHE_VERSION = 5
+# the factors and the order the table is exact below, and next to the key
+# the sha1 of the table's text, so an edited table is a miss.
+CACHE_VERSION = 6
 _cache_dir = None
 _TABLE_SEP = b'", "table": '  # between a file's digest and its table
 
@@ -102,8 +102,8 @@ def _sha1(data):
     return hashlib.sha1(data).hexdigest()
 
 
-def _part_key(factors, H, prec):
-    blob = repr((CACHE_VERSION, [f.to_json() for f in factors], H, prec))
+def _part_key(factors, prec):
+    blob = repr((CACHE_VERSION, [f.to_json() for f in factors], prec))
     return _sha1(blob.encode())
 
 
@@ -210,14 +210,25 @@ def _first_gain(f):
     return max(1, 1 - oc // (2 * f.base_log))
 
 
+def _last_term(f, need):
+    """The last k whose term of the infinite factor may have v-order below
+    `need` by its envelope (`_factor_env`), and at least k0 - 1
+    (`_first_gain`).  The envelope falls until k0 - 1 and rises after it,
+    so the walk starts there and stops before the first term at `need` or
+    above."""
+    k = _first_gain(f) - 1
+    while _factor_env(f, k + 1)[-1] < need:
+        k += 1
+    return k
+
+
 class ConePart:
     """The series tables of a product of infinite positive-cone factors,
-    each cut at a height and a v-order.
+    each cut at a v-order.
 
-    The height of an exponent is its coordinate sum.  Build parts through
-    `cone_part`, which shares one part among all holders of the same
-    factors and lattice.  A part keeps each envelope and table it has
-    computed, so every holder reads the same tables.
+    Build parts through `cone_part`, which shares one part among all
+    holders of the same factors and lattice.  A part keeps each table it
+    has computed, so every holder reads the same tables.
     """
 
     def __init__(self, factors, lattice):
@@ -230,32 +241,29 @@ class ConePart:
             if f.length is not INF:
                 raise ValueError("a cone part takes infinite factors, got "
                                  "length %s" % f.length)
-        self._envelopes = {}
         self._expansions = {}
 
-    def expand(self, H, prec):
-        """All terms of height <= H, as series coefficients exact below the
-        v-order `prec`.
+    def expand(self, prec):
+        """All terms that may have v-order below `prec`, as series
+        coefficients exact below it.
 
         Every coefficient carries `prec` as its order (a flat cut); terms
-        that vanish below it are left out.  Computed once per (H, prec); the
+        that vanish below it are left out.  Computed once per `prec`; the
         result is shared, so holders must not change it.  With a cache
         directory set, the table is first looked up on disk (`_cached`).
         """
-        key = (H, prec)
-        got = self._expansions.get(key)
+        got = self._expansions.get(prec)
         if got is None:
-            got = self._expansions[key] = (
-                self._expand(H, prec) if _cache_dir is None
-                else self._cached(H, prec))
+            got = self._expansions[prec] = (
+                self._expand(prec) if _cache_dir is None
+                else self._cached(prec))
         return got
 
-    def _cached(self, H, prec):
-        """The series table of (H, prec) from its file in the cache
-        directory, else expanded and stored there.  A file that holds
-        another key, or a table that does not match its digest, is a
-        miss."""
-        key = _part_key(self.factors, H, prec)
+    def _cached(self, prec):
+        """The series table of `prec` from its file in the cache directory,
+        else expanded and stored there.  A file that holds another key, or
+        a table that does not match its digest, is a miss."""
+        key = _part_key(self.factors, prec)
         path = os.path.join(_cache_dir, key + ".json")
         try:
             with open(path, "rb") as fh:
@@ -267,7 +275,7 @@ class ConePart:
                                   for e, num in table["terms"]}, self.lattice)
         except (OSError, ValueError, LookupError, TypeError):
             pass  # missing, unreadable or malformed: a miss, rebuilt below
-        got = self._expand(H, prec)
+        got = self._expand(prec)
         tmp = "%s.%d.tmp" % (path, os.getpid())
         try:
             with open(tmp, "w") as fh:
@@ -279,26 +287,17 @@ class ConePart:
                 os.remove(tmp)
         return got
 
-    def _expand(self, H, prec):
-        rows, widest = self._shapes(H)
-        return GAElement(self._flat_table(H, prec, rows, widest), self.lattice)
+    def _expand(self, prec):
+        return GAElement(self._flat_table(prec), self.lattice)
 
-    def _shapes(self, H):
-        """Each factor as (factor, height, shape), and for each shape
-        (coeff, base_log, side) the factor with the most terms below height
-        H.  Factors of one shape differ only in their exponent and
-        share one expansion of their terms, taken from that factor."""
-        rows, widest = [], {}
-        for f in self.factors:
-            hf = sum(f.exponent)
-            shape = (f.coeff, f.base_log, f.side)
-            if shape not in widest or H // hf > widest[shape][1]:
-                widest[shape] = (f, H // hf)
-            rows.append((f, hf, shape))
-        return rows, widest
-
-    def _flat_table(self, H, cut, rows, widest):
+    def _flat_table(self, cut):
         """The expansion as exponent -> SeriesScalar, exact below `cut`.
+
+        A term of the product takes one term of each factor, and the other
+        factors add at least the part's lowest order less this factor's
+        lowest, so each factor's terms run to its `_last_term` below `cut`
+        less that.  Factors of one shape (coeff, base_log, side) differ
+        only in their exponent and share one expansion of their terms.
 
         The product is accumulated as exponent -> {v-power: int} over one
         common denominator.  Factor terms may have negative v-order, so the
@@ -314,10 +313,15 @@ class ConePart:
         coefficient it sums: the largest l1 norm of a running polynomial
         times the l1 norm of all the factor's terms.
         """
-        lows, series = {}, {}
-        for shape, (f, kmax) in widest.items():
-            lows[shape], series[shape] = _flat_factor_terms(f, kmax)
-        rest = total = sum(lows[shape] for _, _, shape in rows)
+        rest = total = self.lowest_order()
+        rows, lows, series = [], {}, {}
+        for f in self.factors:
+            shape = (f.coeff, f.base_log, f.side)
+            if shape not in lows:
+                low = _factor_env(f, _first_gain(f) - 1)[-1]
+                lows[shape], series[shape] = _flat_factor_terms(
+                    f, _last_term(f, cut - total + low))
+            rows.append((f, shape))
         tables, g = {}, 0
         for shape, low in lows.items():
             terms = [(k, s) for k, s in series[shape](cut - total + low)
@@ -333,7 +337,7 @@ class ConePart:
         rank = len(self.factors[0].exponent) if self.factors else 1
         acc = {(0,) * rank: {0: 1}}
         den = 1
-        for f, hf, shape in rows:
+        for f, shape in rows:
             fden, table, mass = tables[shape]
             den *= fden
             rest -= lows[shape]
@@ -345,12 +349,9 @@ class ConePart:
                       for k, num in table]
             nxt = {}  # exponent -> [lowest v-power, packed sum]
             for e, poly in acc.items():
-                he = sum(e)
                 v1 = min(poly)
                 p1 = _pack(poly, v1, g, B)
                 for k, v2, p2 in packed:
-                    if he + k * hf > H:
-                        break
                     low = v1 + v2
                     if low >= limit:
                         continue
@@ -371,52 +372,11 @@ class ConePart:
                     acc[ee] = poly
         return {e: SeriesScalar(poly, cut, _den=den) for e, poly in acc.items()}
 
-    def order_envelope(self, H):
-        """env[h]: lower bound for the v-order of any term at height h;
-        computed once per H."""
-        got = self._envelopes.get(H)
-        if got is not None:
-            return got
-        BIG = 1 << 60
-        env = [0] + [BIG] * H
-        for f in self.factors:
-            hf = sum(f.exponent)
-            fenv = _factor_env(f, H // hf)
-            nxt = [BIG] * (H + 1)
-            for h, o in enumerate(env):
-                if o < BIG:
-                    for k, fo in enumerate(fenv[:(H - h) // hf + 1]):
-                        nxt[h + k * hf] = min(nxt[h + k * hf], o + fo)
-            env = nxt
-        self._envelopes[H] = env
-        return env
-
     def lowest_order(self):
         """The lowest v-order of any term, each factor's lowest summed (at
         most 0, the order of the term 1)."""
         return sum(_factor_env(f, _first_gain(f) - 1)[-1]
                    for f in self.factors)
-
-    def cut_height(self, need):
-        """The highest height at which some term may have v-order below
-        `need`, 0 if none.
-
-        The envelope is taken to H = 16, 32, ... until H >= sum (k0_f - 1) h_f
-        over the factors f of height h_f (k0_f = `_first_gain(f)`) and it is
-        >= need at every height in (H - h_max, H].  Then it is >= need
-        beyond H: a term above H has some k_f >= k0_f, and taking out one
-        such factor at a time never raises its order and lowers its height
-        by at most h_max, until the height lands in that window.
-        """
-        floor = sum((_first_gain(f) - 1) * sum(f.exponent)
-                    for f in self.factors)
-        hmax = max((sum(f.exponent) for f in self.factors), default=1)
-        H = 16
-        env = self.order_envelope(H)
-        while H < floor or min(env[max(0, H - hmax + 1):]) < need:
-            H *= 2
-            env = self.order_envelope(H)
-        return max((h for h, o in enumerate(env) if o < need), default=0)
 
 
 _parts = weakref.WeakValueDictionary()
@@ -454,19 +414,17 @@ class WeightEngine:
     An exact engine reads the weight through one coefficient lookup
     `_lookup(nu)` (None where there is no term): the terms of a spec of
     finite factors multiplied out once, or a weight known by its moments
-    (`from_moments`).  A spec of infinite factors is expanded to a height at
-    which the order envelope proves that every discarded cross term sits
-    above the working order; its engine has no lookup.  A spec that mixes
-    the two is refused.
+    (`from_moments`).  A spec of infinite factors is expanded to every term
+    that may reach below the working order, so every W(nu) is exact below
+    it; its engine has no lookup.  A spec that mixes the two is refused.
 
     Every pairing takes one path for all three sources; `_coefficient`
     (W(nu)), `_lift`, `_sum` and `_finish` hold what differs.
     """
 
-    def __init__(self, spec, order=60, height_hint=6):
+    def __init__(self, spec, order=60):
         self.spec = spec
         self.order = order
-        self.height_hint = height_hint
         self._lookup = None
         self._moments = {}
         self._singles = {}  # e -> {e}, one block per exponent for the Grams
@@ -505,23 +463,18 @@ class WeightEngine:
         self._lookup = W.terms.get
 
     def _build_series(self):
-        """Plan the expansion heights and the working order from the parts'
-        order envelopes, then hold both parts, shared through `cone_part`,
-        expanded to that plan."""
+        """Set the working order from the parts' lowest orders, then hold
+        both parts, shared through `cone_part`, expanded to it."""
         spec = self.spec
         plus, minus = self._parts = tuple(cone_part(fs, spec.lattice)
                                           for fs in (spec.plus, spec.minus))
-        K = self.height_hint
-        target = self.order + MARGIN
         low_p, low_m = plus.lowest_order(), minus.lowest_order()
-        Hp = plus.cut_height(target - low_m + K) + K
-        Hm = minus.cut_height(target - low_p + K) + K
-        self._work = work = target - low_m - low_p
+        self._work = work = self.order + MARGIN - low_m - low_p
         # each part is cut flat where its products with the other part no
         # longer reach below `work`: at `work` less the other part's lowest
         # order
-        self._set_parts(plus.expand(Hp, prec=work - low_m).terms,
-                        minus.expand(Hm, prec=work - low_p).terms)
+        self._set_parts(plus.expand(work - low_m).terms,
+                        minus.expand(work - low_p).terms)
 
     def _set_parts(self, plus, minus):
         """Hold the expanded parts, with the common denominator of each and
@@ -594,15 +547,9 @@ class WeightEngine:
     # -- pairing --------------------------------------------------------------
 
     def _coefficient(self, nu):
-        """W(nu), None where it vanishes.  A series weight refuses an
-        exponent beyond the planned expansion height."""
+        """W(nu), None where it vanishes."""
         if self._lookup is not None:
             return self._lookup(nu)
-        h = abs(sum(nu))
-        if h > self.height_hint:
-            raise TruncationError(
-                "pairing support height %d exceeds the planned hint %d"
-                % (h, self.height_hint))
         w = self._weight_coefficient(nu)
         return None if w.is_zero() else w
 
@@ -656,9 +603,8 @@ class WeightEngine:
         constant, and single exponents.  By bilinearity the pairing is
         sum u_i[A] w_j[B] G_ij(A, B) over blocks A of u_i and B of w_j, with
         G_ij(A, B) the sum of m_ij(a - b) over a in A, b in B (`_gram`).
-        On series weights every exponent read is height-guarded as in
-        `ct_pair`, and the margin guard covers, per cell, the lowest orders
-        of u_i[A] and w_j[B] plus that of M_ij.
+        On series weights the margin guard covers, per cell, the lowest
+        orders of u_i[A] and w_j[B] plus that of M_ij.
         """
         tables = self._moment_tables(M)
         us = [self._blocks(f, group) for f in u]

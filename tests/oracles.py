@@ -6,8 +6,8 @@ constant term of a weight,
 pairings through materialised products, support triangularity, a series
 weight's coefficients as sums of series products, series products and sums
 of products by term-by-term loops, a cone part's flat table
-by nested integer loops, a series plan from envelopes taken to a fixed
-cap, series inversion by the geometric series, the series of an exact
+by nested integer loops, a series plan from exact factor terms, series
+inversion by the geometric series, the series of an exact
 value by long division, family members by one dense solve, Weyl
 characters by the alternating-sum formula and the ratio identity's rows
 by the per-word loop, and v -> 1/v of an exact value by reduction."""
@@ -280,31 +280,30 @@ def series_sum_loop(products, prec):
 def flat_table_loop(part, H, cut):
     """A cone part's flat table (`ConePart._flat_table`) by the nested
     integer loops of the running product: every product of a running
-    polynomial and a factor term, term by term, cut at each row's limit."""
+    polynomial and a factor term of height <= H, term by term, cut at each
+    row's limit.  Taken past the top height of `ConePart.expand(cut)`, it
+    is that table."""
     import math
 
     from macpoly.weights import _flat_factor_terms
 
-    rows, widest = part._shapes(H)
-    lows, series = {}, {}
-    for shape, (f, kmax) in widest.items():
-        lows[shape], series[shape] = _flat_factor_terms(f, kmax)
-    rest = total = sum(lows[shape] for _, _, shape in rows)
-    tables = {}
-    for shape, low in lows.items():
-        terms = series[shape](cut - total + low)
-        fden = math.lcm(*(s.den for _, s in terms))
-        tables[shape] = fden, [
-            (k, min(s.num),
-             sorted((v, n * (fden // s.den)) for v, n in s.num.items()))
-            for k, s in terms if s.num]
+    rows = []
+    for f in part.factors:
+        hf = sum(f.exponent)
+        low, series = _flat_factor_terms(f, H // hf)
+        rows.append((f, hf, low, series))
+    rest = total = sum(low for _, _, low, _ in rows)
     rank = len(part.factors[0].exponent) if part.factors else 1
     acc = {(0,) * rank: {0: 1}}
     den = 1
-    for f, hf, shape in rows:
-        fden, table = tables[shape]
+    for f, hf, low, series in rows:
+        terms = series(cut - total + low)
+        fden = math.lcm(*(s.den for _, s in terms))
+        table = [(k, min(s.num),
+                  sorted((v, n * (fden // s.den)) for v, n in s.num.items()))
+                 for k, s in terms if s.num]
         den *= fden
-        rest -= lows[shape]
+        rest -= low
         limit = cut - rest
         nxt = {}
         for e, poly in acc.items():
@@ -331,31 +330,20 @@ def flat_table_loop(part, H, cut):
     return {e: SeriesScalar(poly, cut, _den=den) for e, poly in acc.items()}
 
 
-def capped_plan(spec, order, hint):
-    """A series engine's plan (Hp, Hm, work, (plus cut, minus cut)) from
-    order envelopes taken to the fitted cap 4 (order + MARGIN + hint) + 32,
-    beyond which they were taken to rise; a plan that would reach the cap
-    raises TruncationError."""
-    from macpoly.weights import MARGIN, TruncationError, cone_part
+def series_plan(spec, order, kmax=8):
+    """A series engine's (work, (plus cut, minus cut)): each part's lowest
+    order is the sum of its factors' lowest term orders, read from their
+    exact terms (`_factor_terms`) k <= kmax; the tests' factors reach
+    their lowest term by k = 2."""
+    from macpoly.weights import MARGIN
 
-    target = order + MARGIN
-    cap = 4 * (target + hint) + 32
-    env_p, env_m = (cone_part(fs, spec.lattice).order_envelope(cap)
-                    for fs in (spec.plus, spec.minus))
-    low_p, low_m = min(0, min(env_p)), min(0, min(env_m))
+    def lowest(factors):
+        return sum(min(c.v_order() for _, c in _factor_terms(f, kmax))
+                   for f in factors)
 
-    def choose(env, need):
-        # the highest height whose envelope is below need, 0 if none
-        H = max((h for h, o in enumerate(env) if o < need), default=0)
-        if H >= cap:
-            raise TruncationError("order envelope below %d at the "
-                                  "expansion cap %d" % (need, cap))
-        return H
-
-    work = target - low_m - low_p
-    return (choose(env_p, target - low_m + hint) + hint,
-            choose(env_m, target - low_p + hint) + hint,
-            work, (work - low_m, work - low_p))
+    low_p, low_m = lowest(spec.plus), lowest(spec.minus)
+    work = order + MARGIN - low_m - low_p
+    return work, (work - low_m, work - low_p)
 
 
 def series_inv_geometric(x):

@@ -51,7 +51,7 @@ def grid_cases():
     out = {}
     for cid, order in [("DII:n=2", 60), ("A2G", 60), ("AII5", 60),
                        ("AI2", 72), ("BII:n=2,s=1", 60), ("CII:n=3,s=1", 60)]:
-        case = build_case(cid, order=order, height=3)
+        case = build_case(cid, order=order)
         for lam in case.restricted.grid(3):
             for b in range(len(case.bottoms)):
                 case.vector_member(b, lam)
@@ -130,7 +130,7 @@ class TestCriterion3:
             count += 1
         # small-B quotients against the recurrence oracle
         for cid in SMALL_B_RANGE:
-            case = build_case(cid, height=3)
+            case = build_case(cid)
             for m in range(4):
                 Qm = case.matrix_q((m,))
                 diff = Qm[0][0] - aw_oracle(case.aw, m, case.lattice)
@@ -150,7 +150,7 @@ class TestCriterion4:
                 res = case.qinv_check(lam)
                 ok = ok and res["status"] == "pass"
             details.append(cid)
-        big = build_case("AI2", order=150, height=3)
+        big = build_case("AI2", order=150)
         for lam in big.restricted.grid(3):
             res = big.qinv_check(lam)
             ok = ok and res["status"] == "pass"
@@ -309,7 +309,7 @@ class TestCriterion8:
         case = build_case("BII:n=2,s=1")
         eng = WeightEngine(aw_weight(
             (case.aw.a, case.aw.b, case.aw.c, case.aw.d), case.lattice),
-            order=60, height_hint=8)
+            order=60)
         norm = ct_norm(eng)
         ok = True
         for m in range(1, 5):

@@ -257,7 +257,7 @@ class TestRatioIdentity:
 class TestMatrixFamily:
     def test_q0_identity(self):
         for cid in ["DII:n=2", "A2G"]:
-            case = build_case(cid, height=1)
+            case = build_case(cid)
             Q0 = case.matrix_q(case.restricted.zero)
             nb = len(case.bottoms)
             one = GAElement.one(case.lattice, case.rank)
@@ -329,7 +329,7 @@ class TestMatrixFamily:
 
 class TestIdentification:
     def test_dii_grid(self):
-        case = build_case("DII:n=2", height=3)
+        case = build_case("DII:n=2")
         for m in (0, 1, -1, 2):
             res = case.identify((m,))
             assert res["status"] == "pass", res
@@ -365,7 +365,7 @@ class TestIdentification:
 
     def test_bii_quotients_are_oracle(self):
         for s in (0, 1, 2):
-            case = build_case("BII:n=3,s=%d" % s, height=3)
+            case = build_case("BII:n=3,s=%d" % s)
             for m in range(4):
                 Qm = case.matrix_q((m,))
                 assert (Qm[0][0] - aw_oracle(case.aw, m, case.lattice)).is_zero()
@@ -410,7 +410,7 @@ class TestGammaPeel:
     @pytest.mark.parametrize("cid,H,order", [("A2G", 3, 60), ("AII5", 3, 60),
                                              ("AI2", 1, 72), ("DII:n=2", 3, 60)])
     def test_matches_dense_solve(self, cid, H, order):
-        case = build_case(cid, order=order, height=H)
+        case = build_case(cid, order=order)
         spec = case.family_spec
         for mu in _j_labels(case, H):
             P = spec.family_member(case.J, mu)
@@ -598,7 +598,7 @@ class TestRecurrence:
     @pytest.mark.parametrize("cid,lam", [("DII:n=2", (1,)), ("DII:n=3", (0,)),
                                          ("A2G", (0, 0))])
     def test_expansion(self, cid, lam):
-        case = build_case(cid, height=sum(abs(x) for x in lam) + 2)
+        case = build_case(cid)
         rep = case.recurrence_coeffs(0, lam)
         assert rep["residual_zero"]
         assert rep["steps_in_weights"]
@@ -613,9 +613,9 @@ class TestRecurrence:
 
 
 class TestPlan:
-    """A case is built for one order and one height, and keeps them."""
+    """A case is built for one order, and keeps it."""
 
-    @pytest.mark.parametrize("name", ["order", "height"])
+    @pytest.mark.parametrize("name", ["order"])
     def test_plan_is_fixed(self, name):
         case = build_case("DII:n=2")
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -624,8 +624,8 @@ class TestPlan:
     def test_two_orders_share_nothing(self):
         # a second plan is a second case: no engine, spec or member of one
         # is returned by the other
-        low = build_case("AI2", order=20, height=0)
-        high = build_case("AI2", order=30, height=0)
+        low = build_case("AI2", order=20)
+        high = build_case("AI2", order=30)
         assert low.nabla_engine.order == low.delta_engine.order == 20
         assert high.nabla_engine.order == high.delta_engine.order == 30
         assert high.family_spec.engine_sym is high.nabla_engine
@@ -636,17 +636,16 @@ class TestPlan:
                 is not high.vector_member(0, (0, 0)))
 
     def test_replace_shares_no_memo(self):
-        case = build_case("DII:n=2", height=1)
+        case = build_case("DII:n=2")
         member = case.vector_member(0, (1,))
         other = dataclasses.replace(case, order=40)
-        assert other.order == 40 and other.height == 1
+        assert other.order == 40
         assert other.vector_member(0, (1,)) is not member
         assert case.vector_member(0, (1,)) is member
 
     @pytest.mark.parametrize("plan, message", [
         ({"order": 0}, "order must be > 0, got 0"),
-        ({"order": -3}, "order must be > 0, got -3"),
-        ({"height": -1}, "height must be >= 0, got -1")])
+        ({"order": -3}, "order must be > 0, got -3")])
     def test_bad_plan(self, plan, message):
         with pytest.raises(ValueError, match=message):
             build_case("DII:n=2", **plan)
@@ -805,7 +804,7 @@ class TestMomentPairing:
                         vector_pair_products(eng, u, M, w))
 
     def test_exact_engine_takes_moment_route(self):
-        case = build_case("A2G", height=1)
+        case = build_case("A2G")
         eng = case.nabla_engine
         u = [case.m_of((1, 0)), case.one(), GAElement.zero(case.lattice)]
         assert not eng._moments
@@ -832,7 +831,7 @@ def _perturb_tail(f, rng, extra=40):
 def ai2_pairings():
     """AI2 at order 100, height 2: every unordered pair of vector members,
     paired from moment tables and through materialised products."""
-    case = build_case("AI2", order=100, height=2)
+    case = build_case("AI2", order=100)
     eng = case.nabla_engine
     M = case.matrix_weight
     members = [case.vector_member(b, lam).slots
@@ -898,8 +897,7 @@ class TestSeriesMomentPairing:
         case, eng, M, _, pairs = ai2_pairings
         higher = [(u, w, m) for u, w, m, p in pairs if m.prec > p.prec]
         assert higher
-        big = build_case("AI2", order=140, height=2).nabla_engine
-        assert big.height_hint == eng.height_hint
+        big = build_case("AI2", order=140).nabla_engine
         rng = random.Random(3)
         for u, w, moment in higher:
             for _ in range(2):

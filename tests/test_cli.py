@@ -181,7 +181,8 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 class TestGoldenReports:
-    """`verify` reports and stderr, byte for byte, against tests/golden.
+    """`verify` reports and stderr, and `compute` and `render` outputs,
+    byte for byte, against tests/golden.
 
     The files pin what the program writes; a change that keeps the
     reports as they are leaves them as they are."""
@@ -213,6 +214,23 @@ class TestGoldenReports:
             assert done.stderr == fh.read()
         with open(base + ".json", "rb") as fh:
             assert report.read_bytes() == fh.read()
+
+
+    @pytest.mark.parametrize("argv, name", [
+        (["compute", "--case", "AI2", "--family", "matrix", "--lam", "1,1",
+          "--format", "json"], "compute-AI2-matrix-1-1.json"),
+        (["compute", "--case", "AI2", "--family", "sym", "--lam", "3,0",
+          "--order", "40", "--format", "latex"], "compute-AI2-sym-3-0-o40.tex"),
+        (["render", "--case", "AI2", "--what", "Q", "--lam", "2,0",
+          "--format", "text", "--basis", "ambient"],
+         "render-AI2-Q-2-0-ambient.txt"),
+    ])
+    def test_compute_and_render(self, argv, name, capsys):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        with open(os.path.join(GOLDEN, name), "rb") as fh:
+            assert out.encode() == fh.read()
 
 
 class TestVerify:
@@ -249,7 +267,7 @@ class TestVerify:
         from macpoly.weights import TruncationError
 
         def boom(self, mu):
-            raise TruncationError("planned height exceeded")
+            raise TruncationError("coefficient orders consume 9 of the 8-order margin")
 
         monkeypatch.setattr(ExampleCase, "identify", boom)
         path = tmp_path / "r.json"
@@ -260,7 +278,7 @@ class TestVerify:
         names = [c["name"] for c in checks]
         entry = checks[names.index("identification")]
         assert entry == {"name": "identification", "status": "error",
-                         "detail": "TruncationError: planned height exceeded"}
+                         "detail": "TruncationError: coefficient orders consume 9 of the 8-order margin"}
         later = names[names.index("identification") + 1:]
         assert later == ["q_inversion", "recurrence"]
         assert all(c["status"] == "pass" for c in checks if c is not entry)

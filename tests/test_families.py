@@ -66,8 +66,8 @@ def rank1_spec(k, with_functional=False, params=None):
     nonsym = macdonald_nonsym_weight(R1, 2, t, "2L")
     return PolyFamilySpec(
         restricted=R1, lattice="2L",
-        engine_sym=WeightEngine(sym, height_hint=8),
-        engine_nonsym=WeightEngine(nonsym, height_hint=8),
+        engine_sym=WeightEngine(sym),
+        engine_nonsym=WeightEngine(nonsym),
         label="rank1-k%d" % k)
 
 
@@ -161,7 +161,7 @@ class TestAWClosedForm:
             coeff, shift, phis = _aw_binomial(c, n)
             pairs = tuple(sorted(phis.items()))
             got = {i + shift: coeff * x for i, x
-                   in enumerate(cyclotomic.phi_product(pairs)) if coeff * x}
+                   in enumerate(cyclotomic.product_coeffs(pairs)) if coeff * x}
             want = {0: 1}
             want[n] = want.get(n, 0) - c
             assert got == {e: x for e, x in want.items() if x}, n
@@ -281,7 +281,7 @@ class TestAWFunctional:
         p = AWParams.from_labels(Fraction(3, 2), Fraction(5, 2), 0, 0)
         L = AWFunctional(p, "2L")
         eng = WeightEngine(aw_weight((p.a, p.b, p.c, p.d), "2L"),
-                           order=40, height_hint=6)
+                           order=40)
         norm = ct_norm(eng)
         for k in range(1, 4):
             mk = mono((k,)) + mono((-k,))
@@ -372,7 +372,7 @@ class TestPairingRoute:
                                      "BII:n=3,s=2", "CII:n=3,s=2"])
     def test_exact_weights(self, cid):
         # finite specs and the one-variable moment functional alike
-        case = build_case(cid, height=3)
+        case = build_case(cid)
         count = 0
         for got, want in self._pairs(case):
             assert isinstance(got, ExactScalar) and got == want
@@ -384,7 +384,7 @@ class TestPairingRoute:
         # vector_pair guards the block orders plus the table order, ct_pair
         # the orders of the product's terms: neither refuses a pair here,
         # and the moment route certifies at least the product's order
-        case = build_case("AI2", order=order, height=3)
+        case = build_case("AI2", order=order)
         count = 0
         for got, want in self._pairs(case):
             assert got.prec >= want.prec
@@ -402,7 +402,7 @@ class TestGramSchmidtCalibration:
         spec = PolyFamilySpec(
             restricted=R1, lattice="2L",
             engine_sym=WeightEngine(aw_weight((p.a, p.b, p.c, p.d), "2L"),
-                                    order=50, height_hint=8),
+                                    order=50),
             label="aw-series")
         for m in range(3):
             P = sym_macdonald(spec, (m,))

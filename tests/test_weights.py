@@ -18,11 +18,11 @@ from macpoly.weights import (
 
 from oracles import (
     aw_weight,
-    capped_plan,
     ct_norm,
     exact_expansion,
     flat_table_loop,
     infinite_ratio_form,
+    series_plan,
     series_sum_loop,
     sym_pair,
     vector_pair_products,
@@ -46,14 +46,21 @@ NEGATIVE_MINIMUM = WeightSpec(
 
 
 def _no_expansion(*args):
-    raise AssertionError("a cache hit expands nothing")
+    raise AssertionError("a table expanded where one was expected read")
 
 
 def _expansion_key(part, terms):
-    """The (H, prec) of the part's expansion whose table is `terms`; the
-    part may be shared, and so hold other holders' expansions."""
+    """The cut of the part's expansion whose table is `terms`; the part may
+    be shared, and so hold other holders' expansions."""
     (key,) = [k for k, got in part._expansions.items() if got.terms is terms]
     return key
+
+
+def _past_top(part, table):
+    """A height past the top of `table`, a table of `part`, by twice the
+    part's tallest factor."""
+    return (max(map(sum, table), default=0)
+            + 2 * max(sum(f.exponent) for f in part.factors))
 
 
 class TestWeightForms:
@@ -161,20 +168,22 @@ class TestExpansion:
         f = exact_expansion(factors, 2)
         assert f[(0,)].is_one()
         assert f[(2,)] == Q(1) / (1 - Q(2))
-        table = ConePart(factors, "2L").expand(2, prec=20).terms
+        table = ConePart(factors, "2L").expand(20).terms
         assert (table[(2,)] - f[(2,)].to_series(20)).is_zero()
 
     def test_heights_agree(self):
+        # exact expansions taken to two heights agree where both reach, and
+        # the series table agrees with them below its cut
         from macpoly.weights import ConePart
 
         factors = [PochFactor(Q(1), (1,), 2, INF, -1),
                    PochFactor(ONE, (2,), 2, INF, 1)]
         part = ConePart(factors, "2L")
         small, big = exact_expansion(factors, 4), exact_expansion(factors, 7)
-        flat = part.expand(4, prec=20).terms, part.expand(7, prec=20).terms
+        flat = part.expand(20).terms
         for e, c in small.items():
             assert big[e] == c
-            assert (flat[0][e] - flat[1][e]).is_zero()
+            assert (flat[e] - c.to_series(20)).is_zero()
 
 
 class TestPairings:
@@ -185,8 +194,7 @@ class TestPairings:
             [PochFactor(ONE, (2,), 2, 2, 1)],
             [PochFactor(ONE, (2,), 2, 2, 1)], "2L", rank=1)
         exact_engine = WeightEngine(spec)
-        series_engine = WeightEngine(infinite_ratio_form(spec), order=30,
-                                     height_hint=4)
+        series_engine = WeightEngine(infinite_ratio_form(spec), order=30)
         assert series_engine._lookup is None
         rng = random.Random(0)
         for _ in range(8):
@@ -217,8 +225,7 @@ class TestPairings:
         # in its infinite-ratio form agrees with its exact finite form below
         # the working order
         spec = macdonald_sym_weight(R1, 2, Q(2), "2L")
-        eng_series = WeightEngine(infinite_ratio_form(spec), order=30,
-                                  height_hint=4)
+        eng_series = WeightEngine(infinite_ratio_form(spec), order=30)
         eng_exact = WeightEngine(spec)
         for m in range(3):
             f = mono((m,)) + mono((-m,)) if m else GAElement.one("2L", 1)
@@ -226,12 +233,40 @@ class TestPairings:
             rhs = eng_exact.ct_pair(f).to_series(lhs.prec)
             assert (lhs - rhs).is_zero()
 
-    def test_truncation_guard(self):
-        spec = aw_weight((Q(1), -Q(2), Q(3), -Q(1)), "aw")
-        eng = WeightEngine(spec, order=20, height_hint=2)
-        tall = mono((9,), lat="aw")
-        with pytest.raises(TruncationError):
-            eng.ct_pair(tall)
+    @pytest.mark.parametrize("order", [20, 40])
+    def test_aw_series_weight_matches_functional(self, order):
+        # the one-variable weight as a series engine pairs every e^k + e^-k
+        # to the moment functional's value, far above the degrees a family
+        # of low degree reads
+        from fractions import Fraction
+
+        from macpoly.families import AWFunctional, AWParams
+
+        p = AWParams.from_labels(Fraction(3, 2), Fraction(5, 2), 0, 0)
+        L = AWFunctional(p, "2L")
+        eng = WeightEngine(aw_weight((p.a, p.b, p.c, p.d), "2L"),
+                           order=order)
+        norm = ct_norm(eng)
+        for k in range(1, 16):
+            mk = mono((k,)) + mono((-k,))
+            got = eng.ct_pair(mk) / norm
+            assert got.prec == order
+            assert (L.value(mk).to_series(order) - got).is_zero(), k
+
+    def test_negative_minimum_matches_exact_everywhere(self):
+        # the infinite-ratio form of a finite weight pairs every monomial as
+        # the exact engine does, also beyond the finite weight's support
+        series = WeightEngine(infinite_ratio_form(NEGATIVE_MINIMUM), order=20)
+        exact = WeightEngine(NEGATIVE_MINIMUM)
+        beyond = 0
+        for m in range(-12, 13):
+            f = mono((m,), ONE + Q(1))
+            want = exact.ct_pair(f)
+            beyond += want.is_zero()
+            got = series.ct_pair(f)
+            assert got.prec == series.order
+            assert (got - want.to_series(got.prec)).is_zero(), m
+        assert beyond > 10
 
 
 class TestRank2Weights:
@@ -265,7 +300,7 @@ class TestSeriesWeightCoefficient:
                            (1,), 1, INF, -1),
                 PochFactor(-ExactScalar.v_power(3) * third, (1,), 2, INF, -1)]
         spec = WeightSpec(plus, list(plus), "2L", rank=1)
-        eng = WeightEngine(spec, order=24, height_hint=4)
+        eng = WeightEngine(spec, order=24)
         assert len({c.den for c in eng._plus_terms.values()}) > 2
         odd = False
         for k in range(-4, 5):
@@ -275,6 +310,23 @@ class TestSeriesWeightCoefficient:
                                                     want.prec)
             odd = odd or any(e % 2 for e in got.num)
         assert odd
+
+
+class TestSeriesWeightOrders:
+    def test_ai2_orders_agree_below_the_lower_work(self):
+        # W(nu) of AI2's zonal weight from the order-60 and the order-100
+        # engines agree below the order-60 engine's working order, on a box
+        # of exponents far above the heights a low family reads
+        from macpoly.cases import build_case
+
+        low = build_case("AI2", order=60).nabla_engine
+        high = build_case("AI2", order=100).nabla_engine
+        assert low._work == 68
+        box = range(-14, 15)
+        for nu in ((a, b) for a in box for b in box):
+            got = low._weight_coefficient(nu)
+            assert got.prec == low._work
+            assert (got - high._weight_coefficient(nu)).is_zero(), nu
 
 
 class TestPackedKernel:
@@ -389,28 +441,29 @@ class TestPackedWeightCoefficient:
     def test_cache_of_the_loops_reads_back(self, tmp_path, monkeypatch):
         import macpoly.weights as wm
 
-        # a version-5 file per part written from the nested loops' table is
+        # a version-6 file per part written from the nested loops' table is
         # the file this build writes, and reads back to the same W(nu)
         spec = macdonald_nonsym_weight(R2, 2, Q(3), "2L")
         monkeypatch.setattr(wm, "_cache_dir", None)
-        fresh = WeightEngine(spec, order=24, height_hint=4)
+        fresh = WeightEngine(spec, order=24)
         loops, packed = tmp_path / "loops", tmp_path / "packed"
         loops.mkdir()
         packed.mkdir()
         names = []
         for part, terms in zip(fresh._parts, (fresh._plus_terms,
                                               fresh._minus_terms)):
-            key = _expansion_key(part, terms)
-            names.append(wm._part_key(part.factors, *key) + ".json")
+            cut = _expansion_key(part, terms)
+            names.append(wm._part_key(part.factors, cut) + ".json")
             (loops / names[-1]).write_text(wm._part_text(
-                names[-1][:-5], flat_table_loop(part, *key)))
+                names[-1][:-5],
+                flat_table_loop(part, _past_top(part, terms), cut)))
         assert len(set(names)) == 2
 
         def rebuild():
             # the parts outlive `fresh`'s build, so forget their tables
             for part in fresh._parts:
                 part._expansions.clear()
-            return WeightEngine(spec, order=24, height_hint=4)
+            return WeightEngine(spec, order=24)
 
         monkeypatch.setattr(wm, "_cache_dir", str(packed))
         rebuild()
@@ -435,8 +488,7 @@ class TestSeriesVectorPair:
     @staticmethod
     def _engines():
         spec = macdonald_sym_weight(R1, 2, Q(2), "2L")
-        return (WeightEngine(infinite_ratio_form(spec), order=30,
-                             height_hint=4),
+        return (WeightEngine(infinite_ratio_form(spec), order=30),
                 WeightEngine(spec))
 
     @staticmethod
@@ -460,16 +512,6 @@ class TestSeriesVectorPair:
             assert got.prec == series.order
             assert (got - exact.vector_pair(u, M, w).to_series(got.prec)).is_zero()
             assert (got - vector_pair_products(series, u, M, w)).is_zero()
-
-    def test_height_guard(self):
-        series, _ = self._engines()
-        M = [[GAElement.one("2L", 1)]]
-        u, w = [mono((5,))], [GAElement.one("2L", 1)]
-        with pytest.raises(TruncationError, match="height"):
-            series.vector_pair(u, M, w)
-        with pytest.raises(TruncationError, match="height"):
-            vector_pair_products(series, u, M, w)
-        series.vector_pair([mono((4,))], M, w)
 
     def test_margin_guard(self):
         # the orders of the coefficients and of M together exceed the margin
@@ -497,8 +539,8 @@ class TestSeriesVectorPair:
 
 class TestCacheKey:
     """A series table's disk-cache key holds every input of its expansion:
-    each field of each factor, the height H and the order prec.  The
-    engine's order, hint and MARGIN reach it only through H and prec."""
+    each field of each factor and the order prec.  The engine's order and
+    MARGIN reach it only through prec."""
 
     FACTORS = [PochFactor(ONE, (2,), 2, INF, 1),
                PochFactor(Q(2), (2,), 2, INF, -1)]
@@ -506,9 +548,10 @@ class TestCacheKey:
     def test_version(self, monkeypatch):
         import macpoly.weights as wm
 
-        key = wm._part_key(self.FACTORS, 20, 60)
+        assert wm.CACHE_VERSION == 6
+        key = wm._part_key(self.FACTORS, 60)
         monkeypatch.setattr(wm, "CACHE_VERSION", wm.CACHE_VERSION + 1)
-        assert wm._part_key(self.FACTORS, 20, 60) != key
+        assert wm._part_key(self.FACTORS, 60) != key
 
     def test_every_field(self):
         from dataclasses import replace
@@ -516,93 +559,94 @@ class TestCacheKey:
         import macpoly.weights as wm
 
         base = self.FACTORS
-        keys = {wm._part_key(base, 20, 60)}
+        keys = {wm._part_key(base, 60)}
         # finite factors are numerator factors: the length goes on base[0]
         for i, change in ((1, {"coeff": Q(4)}), (1, {"exponent": (4,)}),
                           (1, {"base_log": 4}), (0, {"length": 3}),
                           (1, {"side": 1})):
             factors = list(base)
             factors[i] = replace(factors[i], **change)
-            keys.add(wm._part_key(factors, 20, 60))
-        keys |= {wm._part_key(base, 21, 60), wm._part_key(base, 20, 61)}
-        assert len(keys) == 8
-        assert wm._part_key(list(base), 20, 60) in keys
+            keys.add(wm._part_key(factors, 60))
+        keys.add(wm._part_key(base, 61))
+        assert len(keys) == 7
+        assert wm._part_key(list(base), 60) in keys
 
     def test_plan_reaches_the_key(self, monkeypatch):
         import macpoly.weights as wm
 
         spec = WeightSpec(self.FACTORS, list(self.FACTORS), "2L", rank=1)
 
-        def plan_and_key(order, hint):
-            eng = WeightEngine(spec, order=order, height_hint=hint)
+        def plan_and_key(order):
+            eng = WeightEngine(spec, order=order)
             assert eng._minus_terms is eng._plus_terms
             part = eng._parts[0]
-            plan = _expansion_key(part, eng._plus_terms)
-            return plan, wm._part_key(part.factors, *plan)
+            cut = _expansion_key(part, eng._plus_terms)
+            return cut, wm._part_key(part.factors, cut)
 
-        base = plan_and_key(60, 6)
-        order, hint = plan_and_key(61, 6), plan_and_key(60, 7)
+        base, order = plan_and_key(60), plan_and_key(61)
         monkeypatch.setattr(wm, "MARGIN", wm.MARGIN + 1)
-        margin = plan_and_key(60, 6)
-        # a higher order raises prec, a higher hint raises H
-        assert order[0][1] > base[0][1] and hint[0][0] > base[0][0]
-        assert len({base[1], order[1], hint[1]}) == 3
-        # order and MARGIN enter the plan only through their sum
+        margin = plan_and_key(60)
+        # a higher order raises the cut, and with it the key
+        assert order[0] > base[0] and order[1] != base[1]
+        # order and MARGIN enter the cut only through their sum
         assert margin == order
 
 
 class TestSeriesPlan:
-    """A series engine's plan (Hp, Hm, work and the two cuts), with each
-    envelope stopped by the proven rule of `ConePart.cut_height`, equals
-    the plan from envelopes taken to the old fixed cap (`capped_plan`)."""
+    """A series engine's plan, its working order and the two cuts, equals
+    the plan from the lowest orders of the factors' exact terms
+    (`series_plan`)."""
 
     @staticmethod
     def _check(eng):
-        (Hp, cut_p), (Hm, cut_m) = (
-            _expansion_key(part, terms) for part, terms in
-            zip(eng._parts, (eng._plus_terms, eng._minus_terms)))
-        assert (Hp, Hm, eng._work, (cut_p, cut_m)) == capped_plan(
-            eng.spec, eng.order, eng.height_hint)
+        cuts = tuple(_expansion_key(part, terms) for part, terms in
+                     zip(eng._parts, (eng._plus_terms, eng._minus_terms)))
+        assert (eng._work, cuts) == series_plan(eng.spec, eng.order)
 
     @pytest.mark.parametrize("height", [1, 2, 3])
     @pytest.mark.parametrize("order", [60, 100, 150])
-    def test_ai2(self, order, height):
+    def test_ai2(self, order, height, monkeypatch):
+        # the plan depends on the order alone: the vector members up to
+        # family height `height` pair from the planned tables, with no
+        # refusal and no further expansion
+        import macpoly.weights as wm
         from macpoly.cases import build_case
 
-        case = build_case("AI2", order=order, height=height)
+        case = build_case("AI2", order=order)
         self._check(case.nabla_engine)
         self._check(case.delta_engine)
+        monkeypatch.setattr(wm.ConePart, "_expand", _no_expansion)
+        for lam in case.restricted.grid(height):
+            for b in range(len(case.bottoms)):
+                case.vector_member(b, lam)
 
     def test_negative_orders(self):
         from macpoly.weights import _first_gain
 
         factors = TestSharedParts.NEGATIVE_ORDERS
         self._check(WeightEngine(WeightSpec(factors, factors, "2L", rank=1),
-                                 order=20, height_hint=4))
+                                 order=20))
         spec = infinite_ratio_form(NEGATIVE_MINIMUM)
         # the plus coefficient v^-2 against the base's v^4: the terms fall
         # once, then rise
         assert _first_gain(spec.plus[0]) == 2
-        self._check(WeightEngine(spec, order=20, height_hint=4))
+        self._check(WeightEngine(spec, order=20))
 
     @pytest.mark.parametrize("order", [0, -1])
     def test_denominator_that_never_gains(self, order):
         # a denominator factor whose coefficient has order <= 0 adds a
-        # term of order <= 0 at every step, so no height bounds the
-        # expansion: refused at once, where the capped plan ran to its cap
+        # term of order <= 0 at every step, so no cut bounds its terms:
+        # refused at build
         spec = WeightSpec([PochFactor(ONE, (2,), 2, INF, 1),
                            PochFactor(ExactScalar.v_power(order), (1,), 2,
                                       INF, -1)], [], "2L", rank=1)
         with pytest.raises(TruncationError, match="never gains"):
-            WeightEngine(spec, order=20, height_hint=4)
-        if order == 0:
-            with pytest.raises(TruncationError, match="cap"):
-                capped_plan(spec, 20, 4)
+            WeightEngine(spec, order=20)
 
 
 class TestSharedParts:
-    """One cone part per (factors, lattice), held weakly,
-    with one envelope and one expansion per argument tuple."""
+    """One cone part per (factors, lattice), held weakly, with one
+    expansion per cut."""
 
     FACTORS = [PochFactor(Q(1), (1,), 2, INF, -1), PochFactor(ONE, (2,), 2, INF, 1)]
 
@@ -624,21 +668,22 @@ class TestSharedParts:
         from macpoly.weights import cone_part
 
         part = cone_part(self.FACTORS, "2L")
-        assert part.order_envelope(6) is part.order_envelope(6)
-        assert part.order_envelope(6) is not part.order_envelope(7)
-        got = part.expand(4, prec=20)
-        assert part.expand(4, prec=20) is got
-        variants = [part.expand(5, prec=20), part.expand(4, prec=21)]
+        got = part.expand(20)
+        assert part.expand(20) is got
+        variants = [part.expand(21), part.expand(30)]
         assert all(v is not got for v in variants)
-        assert variants[0].terms.keys() > got.terms.keys()
-        assert {c.prec for c in variants[1].terms.values()} == {21}
+        assert {c.prec for c in variants[0].terms.values()} == {21}
+        # a higher cut keeps more of the terms
+        assert (sum(len(c.num) for c in variants[1].terms.values())
+                > sum(len(c.num) for c in got.terms.values()))
 
     @staticmethod
-    def _check_flat(part, H, cut):
-        # the flat table equals the exact expansion cut at `cut`, term by
-        # term, and holds no term that vanishes below the cut
-        flat = part.expand(H, prec=cut).terms
-        exact = exact_expansion(part.factors, H)
+    def _check_flat(part, cut):
+        # the flat table equals the exact expansion, taken past its top
+        # height, cut at `cut`, term by term, and holds no term that
+        # vanishes below the cut
+        flat = part.expand(cut).terms
+        exact = exact_expansion(part.factors, _past_top(part, flat))
         kept = 0
         for e, c in exact.items():
             s = c.to_series(cut)
@@ -660,7 +705,7 @@ class TestSharedParts:
                            case.lattice)
             for factors in (spec.plus, spec.minus):
                 part = cone_part(factors, spec.lattice)
-                assert len(self._check_flat(part, 8, 24)) > 1
+                assert len(self._check_flat(part, 24)) > 1
 
     NEGATIVE_ORDERS = [PochFactor(ExactScalar.v_power(-2), (2,), 2, INF, 1),
                        PochFactor(ExactScalar.v_power(-1, 3), (1,), 2, INF, 1),
@@ -672,14 +717,15 @@ class TestSharedParts:
         # factors whose terms reach negative v-orders, so the running
         # product is cut above `cut`
         part = cone_part(self.NEGATIVE_ORDERS, "2L")
-        flat = self._check_flat(part, 6, 10)
+        flat = self._check_flat(part, 10)
         assert min(c.min_order() for c in flat.values()) < 0
 
     @staticmethod
-    def _check_oracle(part, H, cut):
-        # the flat table equals the nested loops' table in num, den and prec
-        got = part.expand(H, prec=cut).terms
-        want = flat_table_loop(part, H, cut)
+    def _check_oracle(part, cut):
+        # the flat table equals the nested loops' table, taken past its top
+        # height, in num, den and prec
+        got = part.expand(cut).terms
+        want = flat_table_loop(part, _past_top(part, got), cut)
         assert got.keys() == want.keys()
         for e, c in got.items():
             w = want[e]
@@ -697,8 +743,13 @@ class TestSharedParts:
                    PochFactor(ONE, (2,), 2, INF, 1),
                    PochFactor(ExactScalar.v_power(2, -1), (1,), 2, INF, -1)]
         part = cone_part(factors, "2L")
-        flat = self._check_flat(part, 10, cut)
-        self._check_oracle(part, 10, cut)
+        self._check_oracle(part, cut)
+        # the exact expansion, too slow to take past the top height here,
+        # agrees on the heights <= 10
+        flat = part.expand(cut).terms
+        for e, c in exact_expansion(factors, 10).items():
+            s = c.to_series(cut)
+            assert (flat[e] - s).is_zero() if e in flat else s.is_zero()
         lows = {c.min_order() % 4 for c in flat.values()}
         assert len(lows) > 2
 
@@ -712,27 +763,26 @@ class TestSharedParts:
         parts = {id(p): p for eng in engines for p in eng._parts}
         seen = 0
         for part in parts.values():
-            for H, cut in list(part._expansions):
-                self._check_oracle(part, H, cut)
+            for cut in list(part._expansions):
+                self._check_oracle(part, cut)
                 seen += 1
         assert seen == 2
         from macpoly.weights import cone_part
 
-        self._check_oracle(cone_part(self.NEGATIVE_ORDERS, "2L"), 6, 10)
+        self._check_oracle(cone_part(self.NEGATIVE_ORDERS, "2L"), 10)
 
     def test_series_cut_with_negative_minimum_order(self):
         # a finite spec paired in its infinite-ratio form: the plus part
         # reaches order -2, so the minus part is cut at work + 2, and the
         # pairings agree with the exact engine below the guaranteed order
         spec = NEGATIVE_MINIMUM
-        series = WeightEngine(infinite_ratio_form(spec), order=20,
-                              height_hint=4)
+        series = WeightEngine(infinite_ratio_form(spec), order=20)
         exact = WeightEngine(spec)
         assert min(c.min_order() for c in series._plus_terms.values()) == -2
         minus_part = series._parts[1]
-        H, cut = _expansion_key(minus_part, series._minus_terms)
+        cut = _expansion_key(minus_part, series._minus_terms)
         assert cut == series._work + 2
-        self._check_flat(minus_part, H, cut)
+        self._check_flat(minus_part, cut)
         for m in range(-2, 3):
             f = mono((m,), ONE + Q(1))
             got = series.ct_pair(f)
@@ -763,6 +813,20 @@ class TestSharedParts:
             refs = [weakref.ref(p) for p in nabla._parts + delta._parts]
             del case, nabla, delta
 
+    def test_second_case_expands_nothing(self, monkeypatch):
+        # while one AI2 case lives, a second case of the same order finds
+        # its tables in the parts' memo, which is keyed by the cut alone
+        import macpoly.weights as wm
+        from macpoly.cases import build_case
+
+        monkeypatch.setattr(wm, "_cache_dir", None)
+        first = build_case("AI2")
+        eng = first.nabla_engine
+        monkeypatch.setattr(wm.ConePart, "_expand", _no_expansion)
+        second = build_case("AI2")
+        assert second.nabla_engine is not eng
+        assert second.nabla_engine._plus_terms is eng._plus_terms
+
     def test_cold_ai2_verify_expands_two_parts(self, monkeypatch):
         import macpoly.weights as wm
         from macpoly.cli import run_verify
@@ -771,9 +835,9 @@ class TestSharedParts:
         calls = []
         expand = wm.ConePart._expand
 
-        def counted(self, H, prec):
-            calls.append((H, prec))
-            return expand(self, H, prec)
+        def counted(self, prec):
+            calls.append(prec)
+            return expand(self, prec)
 
         monkeypatch.setattr(wm.ConePart, "_expand", counted)
         report, status = run_verify("AI2", height=1)
@@ -828,7 +892,7 @@ class TestSharedParts:
 
         gc.disable()
         try:
-            case = build_case(cid, height=1)
+            case = build_case(cid)
             spec = case.family_spec
             for lam in case.restricted.grid(1):
                 for b in range(len(case.bottoms)):
