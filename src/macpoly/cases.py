@@ -75,12 +75,11 @@ def build_case(case_id, order=60):
     if order <= 0:
         raise ValueError("order must be > 0, got %d" % order)
     head, params = parse_case_id(case_id)
-    plan = {"order": order}
     if head in ("AI2", "A2G", "AII5"):
-        return _build_a2_family(head, plan)
+        return _build_a2_family(head, order)
     if head == "DII":
-        return _build_dii(params.get("n", 2), plan)
-    return _build_small_b(head, params.get("n", 2), params.get("s", 0), plan)
+        return _build_dii(params.get("n", 2), order)
+    return _build_small_b(head, params.get("n", 2), params.get("s", 0), order)
 
 
 def list_cases():
@@ -825,7 +824,7 @@ def _bullet_module_weights(datum, subset, hw):
     return out
 
 
-def _build_a2_family(tag, plan):
+def _build_a2_family(tag, order):
     lat = "2L:" + tag
     restricted = RestrictedSystem(2)
     if tag == "AI2":
@@ -925,11 +924,11 @@ def _build_a2_family(tag, plan):
         qhat_log=qhat_log, t=t,
         bottom_weights=bottom_weights, golden_matrix_fn=golden,
         gamma_basis=[e1, es1, es2s1], gamma_bottoms=[2, 1, 0],
-        t_map=t_map, J=(1,), **plan)
+        t_map=t_map, J=(1,), order=order)
     return case
 
 
-def _build_dii(n, plan):
+def _build_dii(n, order):
     if n < 2:
         raise ValueError("the 2-vector one-variable case needs n >= 2")
     tag = "DII:n=%d" % n
@@ -963,11 +962,8 @@ def _build_dii(n, plan):
     satake = SatakeDatum(datum, theta_rows, restricted, pi, wwords, bottoms)
     satake.check()
 
-    def theta(mu):
-        return satake.theta(mu)
-
     psi_id = [(mu, _exp(mu, xlat)) for mu in mus]
-    psi_theta = [(mu, _exp(theta(mu), xlat)) for mu in mus]
+    psi_theta = [(mu, _exp(satake.theta(mu), xlat)) for mu in mus]
     bottom_weights = [None, None]
     bottom_weights[id_slot] = psi_id
     bottom_weights[theta_slot] = psi_theta
@@ -986,22 +982,20 @@ def _build_dii(n, plan):
             return id_slot, (m - 1,)
         return theta_slot, (-m,)
 
-    gamma_bottoms = [None, None]
     basis = [None, None]
     basis[theta_slot] = GAElement.one(lat, 1)  # v1 maps to the theta bottom
     basis[id_slot] = v2
-    gamma = [basis[0], basis[1]]
 
     case = ExampleCase(
         tag=tag, satake=satake, restricted=restricted, lattice=lat,
         qhat_log=2, t=Q(2 * (n - 1)),
         bottom_weights=bottom_weights, golden_matrix_fn=golden,
-        gamma_basis=gamma, gamma_bottoms=[0, 1],
-        t_map=t_map, J=(), **plan)
+        gamma_basis=basis, gamma_bottoms=[0, 1],
+        t_map=t_map, J=(), order=order)
     return case
 
 
-def _build_small_b(kind, n, s, plan):
+def _build_small_b(kind, n, s, order):
     if kind == "BII" and n < 2:
         raise ValueError("BII needs n >= 2")
     if kind == "CII" and n <= 2:
@@ -1072,6 +1066,6 @@ def _build_small_b(kind, n, s, plan):
         gamma_basis=[GAElement.one(lat, 1)], gamma_bottoms=[0],
         t_map=t_map, J=(0,),
         aw=aw, aw_zonal=aw_zonal,
-        extra={"n": n, "s": s, "kind": kind}, **plan)
+        extra={"n": n, "s": s, "kind": kind}, order=order)
     return case
 

@@ -23,12 +23,7 @@ from .cases import (
     list_cases,
     parse_case_id,
 )
-from .families import (
-    eigen_check,
-    intermediate_macdonald,
-    nonsym_macdonald,
-    sym_macdonald,
-)
+from .families import eigen_check
 from .roots import central_scalar, regularity_scalar
 from .scalars import SeriesScalar
 
@@ -118,13 +113,7 @@ def cmd_compute(args):
                                             for f in row) for row in M),
                   file=fh)
             return 0
-        spec = case.family_spec
-        if args.family == "sym":
-            out = sym_macdonald(spec, lam)
-        elif args.family == "nonsym":
-            out = nonsym_macdonald(spec, lam[0])
-        else:
-            out = intermediate_macdonald(spec, J, lam)
+        out = case.family_spec.family_member(J, lam)
         print(_render_ga(out, args.format), file=fh)
     return 0
 
@@ -328,9 +317,8 @@ def run_verify(case_id, height=2, order=60):
         def regularity():
             hyper = []
             ok = True
-            seqs = [((0,),), ((1,),), ((0, 0),), ((0, 1),), ((1, 0),), ((1, 1),)]
-            for (K,) in seqs:
-                rep = regularity_scalar(case.satake, tuple(() for _ in K), K)
+            for K in ((0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)):
+                rep = regularity_scalar(case.satake, K)
                 if rep["exponent"].is_constant() and rep["exponent"].const == 0:
                     ok = False
                 hyper.append({"K": list(K), "locus": rep.get("exceptional")})

@@ -43,11 +43,18 @@ def monomial_J(restricted, J, lam, lattice):
 
 
 def j_dominant_below(restricted, J, mu):
-    """Strictly lower J-dominant weights for the construction order."""
-    rep = restricted.dominant_rep(mu)
+    """Strictly lower J-dominant weights for the construction order.
+
+    The candidates are the orbits of the dominant labels up to mu's height
+    (`grid`): a height-bounded chain, not the dominance cone, since the
+    one-variable lattices carry nonreduced weights whose families walk down
+    in single steps, and extra candidates are harmless for the
+    orthogonalisation.  An orbit whose dominant label comes after mu's in
+    the order only holds keys above mu's, which the test below drops.
+    """
     key_mu = restricted.order_key(mu)
     out = set()
-    for d in restricted.dominant_below(rep):
+    for d in restricted.grid(key_mu[0]):  # key_mu[0]: the height of mu
         for x in restricted.weyl_orbit(d):
             if restricted.is_dominant(x, J) and restricted.order_key(x) < key_mu:
                 out.add(x)
@@ -133,23 +140,6 @@ def orthogonalize_step(lead, prevs, pair, gram, what=""):
     for c, p in zip(coeffs, prevs):
         out = out - p.scale(c)
     return coeffs, out
-
-
-def sym_macdonald(spec, lam):
-    """Monic W-invariant member with leading orbit sum at dominant lam."""
-    return spec.family_member(tuple(range(spec.restricted.rank)), lam)
-
-
-def nonsym_macdonald(spec, m):
-    """Rank-1 non-symmetric member E_m, leading term e^{m}."""
-    if spec.restricted.rank != 1:
-        raise ValueError("non-symmetric families implemented in rank 1 only")
-    return spec.family_member((), (m,))
-
-
-def intermediate_macdonald(spec, J, mu):
-    """The W_J-invariant member with leading J-orbit sum at mu."""
-    return spec.family_member(tuple(J), mu)
 
 
 # ---------------------------------------------------------------------------

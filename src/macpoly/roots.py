@@ -173,14 +173,24 @@ class RootDatum:
         return all(self.pair_simple(i, x) >= 0 for i in idx)
 
     def dominant_rep(self, x):
+        return self._dominant_walk(x)[0]
+
+    def _dominant_walk(self, x):
+        """(dominant representative of x, number of steps): reflect in the
+        first simple root x pairs negatively with until none is left.  A
+        step in alpha_i drops alpha_i from the positive roots x pairs
+        negatively with and permutes the rest, so the count is that number
+        of roots, the length of the minimal w with w(x) dominant."""
         x = tuple(x)
+        steps = 0
         while True:
             for i in range(self.rank):
                 if self.pair_simple(i, x) < 0:
                     x = self.reflect(i, x)
+                    steps += 1
                     break
             else:
-                return x
+                return x, steps
 
     def _alpha_inverse(self):
         """Inverse of the matrix with the alpha_coords as columns (Fractions)."""
@@ -469,31 +479,25 @@ class AffineExponent:
         return "%s = %s" % (" + ".join(terms) if terms else "0", -self.const)
 
 
-def regularity_scalar(satake, J, K, h=None):
+def regularity_scalar(satake, K, h=None):
     """Certificate scalars (C, R) for a regular pair, plus a regularity flag.
 
-    K is a sequence of I_circ indices, J a matching sequence of I_bullet
-    index sequences.  C and R are q powers with prefactor 1.  With h=None
-    each is returned symbolically as (prefactor, AffineExponent) in the
+    K is a sequence of I_circ indices, each with an empty I_bullet
+    sequence.  C and R are q powers with prefactor 1.  With h=None each is
+    returned symbolically as (prefactor, AffineExponent) in the
     h-coordinates; otherwise h is an integer h-coordinate vector and exact
     scalars are returned.
     """
     datum = satake.datum
     n = len(K)
-    if len(J) != n:
-        raise ValueError("J and K must have equal length")
     one = ExactScalar.one()
 
-    def C_exp(Kseq, Jseq):
+    def C_exp(Kseq):
         i1 = Kseq[0]
-        # sum over later entries of <eps_{i1} h_{i1}, -Theta(alpha_{i_j} + wt(J_j))>
+        # sum over later entries of <eps_{i1} h_{i1}, -Theta(alpha_{i_j})>
         total = Fraction(0)
-        for pos in range(1, len(Kseq)):
-            w = list(datum.alpha_coords[Kseq[pos]])
-            for jb in Jseq[pos]:
-                for t in range(datum.rank):
-                    w[t] += datum.alpha_coords[jb][t]
-            th = satake.theta(tuple(w))
+        for k in Kseq[1:]:
+            th = satake.theta(datum.alpha_coords[k])
             total += -datum.eps[i1] * datum.pair_simple(i1, th)
         a1 = datum.alpha_coords[i1]
         th_a1 = satake.theta(a1)
@@ -512,11 +516,10 @@ def regularity_scalar(satake, J, K, h=None):
         return {"C": one, "R": one, "regular": True, "exponent": None}
 
     affs = []
-    Kc, Jc = list(K), list(J)
+    Kc = list(K)
     for _ in range(n):
-        affs.append(C_exp(Kc, Jc))
+        affs.append(C_exp(Kc))
         Kc = Kc[1:] + Kc[:1]
-        Jc = Jc[1:] + Jc[:1]
 
     if h is None:
         R_aff = affs[0]
@@ -637,41 +640,17 @@ class RestrictedSystem(RootDatum):
         """Twice the root-coordinate sum of x (integer for lattice points)."""
         return sum(x)
 
-    def min_coset_length(self, x):
-        """Length of the minimal w with w(x) dominant."""
-        x = tuple(x)
-        length = 0
-        while True:
-            for i in range(self.rank):
-                if self.pair_simple(i, x) < 0:
-                    x = self.reflect(i, x)
-                    length += 1
-                    break
-            else:
-                return length
-
     def order_key(self, x):
         """Total refinement of the polynomial-family order.
 
         Dominant representatives are compared by height (then lex as a
         deterministic tie-break across incomparable weights); elements of
         one orbit are compared by minimal coset length, the antidominant
-        element being largest.
+        element being largest.  One walk to the dominant chamber
+        (`_dominant_walk`) gives both.
         """
-        rep = self.dominant_rep(x)
-        return (self.height2(rep), rep, self.min_coset_length(x), x)
-
-    def dominant_below(self, lam):
-        """Dominant weights weakly below lam in the construction order.
-
-        This is the height-bounded chain (not the dominance cone): the
-        one-variable lattices carry nonreduced weights whose families walk
-        down in single steps, and extra candidates are harmless for the
-        orthogonalisation.
-        """
-        key = self.order_key(lam)
-        out = [x for x in self.grid(self.height2(lam)) if self.order_key(x) <= key]
-        return sorted(out, key=self.order_key)
+        rep, length = self._dominant_walk(x)
+        return (self.height2(rep), rep, length, x)
 
     def grid(self, H):
         """Dominant labels with height2 <= H, in lexicographic order."""

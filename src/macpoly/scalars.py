@@ -296,13 +296,10 @@ class ExactScalar:
             gl, gsh = _lp_to_list(g)
             num = ExactScalar._exact_list_div(num, gl, gsh)
             den = ExactScalar._exact_list_div(den, gl, gsh)
-        # sign and content normalisation
+        # sign and content normalisation; g divides den, whose constant
+        # term is nonzero, so den / g keeps lowest exponent 0
         if den[max(den)] < 0:
             num, den = _lp_neg(num), _lp_neg(den)
-        shift = _lp_ord(den)
-        if shift:
-            den = _lp_shift(den, -shift)
-            num = _lp_shift(num, -shift)
         cg = int_gcd(_lp_content(num), _lp_content(den))
         if cg > 1:
             num = {e: x // cg for e, x in num.items()}
@@ -406,8 +403,6 @@ class ExactScalar:
         fa, fb = self.cyc, other.cyc
         a, b = self.den, other.den
         if fa is None or fb is None:
-            if a == b:
-                return _by_gcd(_lp_add(self.num, other.num), a)
             return _by_gcd(_lp_add(_lp_mul(self.num, b), _lp_mul(other.num, a)),
                            _lp_mul(a, b))
         ca, cb = a[max(a)], b[max(b)]

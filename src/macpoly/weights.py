@@ -137,42 +137,45 @@ def _part_table(raw, key):
         else None
 
 
-def _euler_shifts(f, kmax):
-    """The v-shifts of an infinite factor's term recurrence (k <= kmax):
-    term_k = term_{k-1} * sign * c * v^shift(k) / (1 - v^{pk}), with p the
-    base's v-exponent (the Euler expansions)."""
-    p = 2 * f.base_log
-    return [0 if f.side == -1 else p * (k - 1) for k in range(kmax + 1)]
+def _term_order(f, k):
+    """The v-order of term k of the infinite factor's Euler expansion
+    (Gasper-Rahman, *Basic Hypergeometric Series*, 1.3): c^k over
+    (qh; qh)_k on a denominator, times (-1)^k qh^(k(k-1)/2) on a numerator,
+    with qh = v^(2 base_log).  So k ord(c), plus base_log k(k-1) on a
+    numerator."""
+    order = k * f.coeff.v_order()
+    return order if f.side == -1 else order + f.base_log * k * (k - 1)
 
 
-def _flat_factor_terms(f, kmax):
-    """(low, series) for the infinite factor's terms k <= kmax: `low` <= 0
-    bounds their v-orders from below, and series(prec) lists them as
-    (k, SeriesScalar) exact below prec.
+def _lowest(f):
+    """The lowest v-order of any term of the infinite factor: that of term
+    k0 - 1 (`_first_gain`)."""
+    return _term_order(f, _first_gain(f) - 1)
 
-    The terms follow the recurrence of `_euler_shifts`, so they are computed
-    in the series ring, and their orders k ord(c) + sum shift(j) are known
-    before any term is.
+
+def _factor_terms(f, kmax, prec):
+    """The infinite factor's terms k <= kmax as (k, SeriesScalar), exact
+    below prec.
+
+    Term k is term k - 1 times -side c v^shift / (1 - v^{pk}), with p the
+    base's v-exponent and shift p (k - 1) on a numerator, 0 on a
+    denominator (the Euler expansions), so the terms are computed in the
+    series ring.
     """
     p = 2 * f.base_log
-    shifts = _euler_shifts(f, kmax)
-    low = min(_factor_env(f, kmax))
-
-    def series(prec):
-        # a coefficient of negative order costs that much precision per step
-        work = prec + kmax * max(0, -f.coeff.v_order())
-        step = f.coeff.to_series(work) * -f.side
-        term = SeriesScalar.one(work)
-        out = [(0, term)]
-        for k in range(1, kmax + 1):
-            t = term * step
-            t = SeriesScalar({e + shifts[k]: n for e, n in t.num.items()},
-                             t.prec + shifts[k], _den=t.den)
-            term = _over_one_minus(t, p * k)
-            out.append((k, term))
-        return out
-
-    return low, series
+    # a coefficient of negative order costs that much precision per step
+    work = prec + kmax * max(0, -f.coeff.v_order())
+    step = f.coeff.to_series(work) * -f.side
+    term = SeriesScalar.one(work)
+    out = [(0, term)]
+    for k in range(1, kmax + 1):
+        shift = 0 if f.side == -1 else p * (k - 1)
+        t = term * step
+        t = SeriesScalar({e + shift: n for e, n in t.num.items()},
+                         t.prec + shift, _den=t.den)
+        term = _over_one_minus(t, p * k)
+        out.append((k, term))
+    return out
 
 
 def _over_one_minus(x, step):
@@ -185,21 +188,11 @@ def _over_one_minus(x, step):
     return SeriesScalar(out, x.prec, _den=x.den)
 
 
-def _factor_env(f, kmax):
-    """Lower bounds on the v-orders of the infinite factor's terms
-    k <= kmax."""
-    oc = f.coeff.v_order()
-    shifts = _euler_shifts(f, kmax)
-    out = [0]
-    for k in range(1, kmax + 1):
-        out.append(out[-1] + oc + shifts[k])
-    return out
-
-
 def _first_gain(f):
-    """k0, the first k >= 1 whose term adds a v-order >= 0 to the infinite
-    factor's envelope (`_factor_env`).  The increments ord(c) + shift(k) are
-    nondecreasing in k, so the lowest term order is at k0 - 1.  A
+    """k0, the first k >= 1 whose term of the infinite factor has v-order
+    at least that of term k - 1 (`_term_order`).  The increments
+    ord(c) + 2 base_log (k - 1) on a numerator, ord(c) on a denominator,
+    are nondecreasing in k, so the lowest term order is at k0 - 1.  A
     denominator of coefficient order <= 0 never gains: TruncationError."""
     oc = f.coeff.v_order()
     if f.side == -1:
@@ -211,13 +204,12 @@ def _first_gain(f):
 
 
 def _last_term(f, need):
-    """The last k whose term of the infinite factor may have v-order below
-    `need` by its envelope (`_factor_env`), and at least k0 - 1
-    (`_first_gain`).  The envelope falls until k0 - 1 and rises after it,
-    so the walk starts there and stops before the first term at `need` or
-    above."""
+    """The last k whose term of the infinite factor has v-order below
+    `need` (`_term_order`), and at least k0 - 1 (`_first_gain`).  The
+    orders fall until k0 - 1 and rise after it, so the walk starts there
+    and stops before the first term at `need` or above."""
     k = _first_gain(f) - 1
-    while _factor_env(f, k + 1)[-1] < need:
+    while _term_order(f, k + 1) < need:
         k += 1
     return k
 
@@ -313,34 +305,31 @@ class ConePart:
         coefficient it sums: the largest l1 norm of a running polynomial
         times the l1 norm of all the factor's terms.
         """
-        rest = total = self.lowest_order()
-        rows, lows, series = [], {}, {}
+        total = self.lowest_order()
+        tables, g = {}, 0
         for f in self.factors:
             shape = (f.coeff, f.base_log, f.side)
-            if shape not in lows:
-                low = _factor_env(f, _first_gain(f) - 1)[-1]
-                lows[shape], series[shape] = _flat_factor_terms(
-                    f, _last_term(f, cut - total + low))
-            rows.append((f, shape))
-        tables, g = {}, 0
-        for shape, low in lows.items():
-            terms = [(k, s) for k, s in series[shape](cut - total + low)
-                     if s.num]
+            if shape in tables:
+                continue
+            low = _lowest(f)
+            prec = cut - total + low
+            terms = [(k, s) for k, s in _factor_terms(
+                f, _last_term(f, prec), prec) if s.num]
             fden = math.lcm(*(s.den for _, s in terms))
             table = [(k, {v: n * (fden // s.den) for v, n in s.num.items()})
                      for k, s in terms]
             for _, num in table:
                 g = math.gcd(g, *num)
-            tables[shape] = fden, table, sum(
+            tables[shape] = low, fden, table, sum(
                 abs(n) for _, num in table for n in num.values())
         g = g or 1
         rank = len(self.factors[0].exponent) if self.factors else 1
         acc = {(0,) * rank: {0: 1}}
-        den = 1
-        for f, shape in rows:
-            fden, table, mass = tables[shape]
+        den, rest = 1, total
+        for f in self.factors:
+            flow, fden, table, mass = tables[f.coeff, f.base_log, f.side]
             den *= fden
-            rest -= lows[shape]
+            rest -= flow
             limit = cut - rest
             B = (mass * max((sum(map(abs, poly.values()))
                              for poly in acc.values()), default=0)
@@ -375,8 +364,7 @@ class ConePart:
     def lowest_order(self):
         """The lowest v-order of any term, each factor's lowest summed (at
         most 0, the order of the term 1)."""
-        return sum(_factor_env(f, _first_gain(f) - 1)[-1]
-                   for f in self.factors)
+        return sum(_lowest(f) for f in self.factors)
 
 
 _parts = weakref.WeakValueDictionary()

@@ -6,7 +6,8 @@ constant term of a weight,
 pairings through materialised products, support triangularity, a series
 weight's coefficients as sums of series products, series products and sums
 of products by term-by-term loops, a cone part's flat table
-by nested integer loops, a series plan from exact factor terms, series
+by nested integer loops, a factor's term orders by their recurrence, a
+series plan from exact factor terms, series
 inversion by the geometric series, the series of an exact
 value by long division, family members by one dense solve, Weyl
 characters by the alternating-sum formula and the ratio identity's rows
@@ -285,19 +286,15 @@ def flat_table_loop(part, H, cut):
     is that table."""
     import math
 
-    from macpoly.weights import _flat_factor_terms
+    from macpoly import weights
 
-    rows = []
-    for f in part.factors:
-        hf = sum(f.exponent)
-        low, series = _flat_factor_terms(f, H // hf)
-        rows.append((f, hf, low, series))
-    rest = total = sum(low for _, _, low, _ in rows)
+    rows = [(f, sum(f.exponent), weights._lowest(f)) for f in part.factors]
+    rest = total = sum(low for _, _, low in rows)
     rank = len(part.factors[0].exponent) if part.factors else 1
     acc = {(0,) * rank: {0: 1}}
     den = 1
-    for f, hf, low, series in rows:
-        terms = series(cut - total + low)
+    for f, hf, low in rows:
+        terms = weights._factor_terms(f, H // hf, cut - total + low)
         fden = math.lcm(*(s.den for _, s in terms))
         table = [(k, min(s.num),
                   sorted((v, n * (fden // s.den)) for v, n in s.num.items()))
@@ -328,6 +325,19 @@ def flat_table_loop(part, H, cut):
             if poly:
                 acc[ee] = poly
     return {e: SeriesScalar(poly, cut, _den=den) for e, poly in acc.items()}
+
+
+def factor_env_loop(f, kmax):
+    """The v-orders of an infinite factor's terms k <= kmax by the
+    recurrence of its Euler expansion: term k adds ord(c), plus
+    2 base_log (k - 1) on a numerator, to the order of term k - 1.  The
+    oracle of `weights._term_order`."""
+    oc = f.coeff.v_order()
+    out = [0]
+    for k in range(1, kmax + 1):
+        shift = 0 if f.side == -1 else 2 * f.base_log * (k - 1)
+        out.append(out[-1] + oc + shift)
+    return out
 
 
 def series_plan(spec, order, kmax=8):

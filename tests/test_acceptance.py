@@ -217,21 +217,20 @@ class TestCriterion7:
         loci = []
         seqs = [(0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
         for K in seqs:
-            J = tuple(() for _ in K)
-            rep = regularity_scalar(case.satake, J, K)
+            rep = regularity_scalar(case.satake, K)
             exp = rep["exponent"]
             # R is a q power: nonzero everywhere, equal to 1 exactly on one
             # affine hyperplane, which we exhibit and probe on both sides
             ok = ok and not exp.is_constant()
             loci.append("K=%s: %s" % (list(K), rep["exceptional"]))
             on_h = _solve_on_locus(exp)
-            val_on = regularity_scalar(case.satake, J, K, h=on_h)
+            val_on = regularity_scalar(case.satake, K, h=on_h)
             ok = ok and val_on["R"].is_one()
             off_h = tuple(x + 1 for x in on_h)
-            val_off = regularity_scalar(case.satake, J, K, h=off_h)
+            val_off = regularity_scalar(case.satake, K, h=off_h)
             if not val_off["regular"]:
                 off_h = tuple(x + 2 for x in on_h)
-                val_off = regularity_scalar(case.satake, J, K, h=off_h)
+                val_off = regularity_scalar(case.satake, K, h=off_h)
             ok = ok and val_off["regular"]
         _announce(7, "regularity certificates", ok, "; ".join(loci))
 

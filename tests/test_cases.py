@@ -566,12 +566,12 @@ class TestRegularity:
     def test_empty_sequence(self):
         # the empty pair leaves every h regular
         case = build_case("AI2")
-        rep = regularity_scalar(case.satake, (), ())
+        rep = regularity_scalar(case.satake, ())
         assert rep["C"].is_one() and rep["regular"]
 
     def test_single_root_symbolic(self):
         case = build_case("AI2")
-        rep = regularity_scalar(case.satake, ((),), (0,))
+        rep = regularity_scalar(case.satake, (0,))
         pref, aff = rep["C"]
         assert pref.is_one()
         # exponent -<h, 2 alpha_1>: coefficients -2 a_{i,1}
@@ -581,16 +581,16 @@ class TestRegularity:
     def test_numeric_values(self):
         case = build_case("AI2")
         # on the exceptional locus R = 1; off it, regular
-        on = regularity_scalar(case.satake, ((),), (0,), h=(0, 0))
+        on = regularity_scalar(case.satake, (0,), h=(0, 0))
         assert on["R"].is_one() and not on["regular"]
-        off = regularity_scalar(case.satake, ((),), (0,), h=(1, 0))
+        off = regularity_scalar(case.satake, (0,), h=(1, 0))
         assert off["regular"]
 
     def test_cyclic_product(self):
         case = build_case("AI2")
-        two = regularity_scalar(case.satake, ((), ()), (0, 1), h=(2, 1))
-        c1 = regularity_scalar(case.satake, ((), ()), (0, 1), h=(2, 1))["C"]
-        c2 = regularity_scalar(case.satake, ((), ()), (1, 0), h=(2, 1))["C"]
+        two = regularity_scalar(case.satake, (0, 1), h=(2, 1))
+        c1 = regularity_scalar(case.satake, (0, 1), h=(2, 1))["C"]
+        c2 = regularity_scalar(case.satake, (1, 0), h=(2, 1))["C"]
         assert two["R"] == c1 * c2
 
 

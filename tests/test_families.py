@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from dataclasses import replace
@@ -20,12 +21,9 @@ from macpoly.families import (
     aw_oracle,
     aw_recurrence,
     eigen_check,
-    intermediate_macdonald,
     j_dominant_below,
     monomial,
     monomial_J,
-    nonsym_macdonald,
-    sym_macdonald,
 )
 from macpoly.galg import GAElement
 from macpoly.roots import RestrictedSystem, build_root_datum
@@ -100,6 +98,24 @@ class TestMonomials:
         assert below == [(0,), (1,), (-1,), (2,)]
         # the one-variable lattice is nonreduced: all lower orbit sums occur
         assert j_dominant_below(R1, (0,), (2,)) == [(0,), (1,)]
+
+    @pytest.mark.parametrize("R", [R1, R2], ids=["rank1", "rank2"])
+    def test_down_sets_by_brute_force(self, R):
+        # every J-dominant x with a key below mu's; the labels of mu in
+        # [-3, 3]^rank have dominant points of height <= 6, whose orbits
+        # lie in [-6, 6]^rank
+        box = list(itertools.product(range(-6, 7), repeat=R.rank))
+        keys = {x: R.order_key(x) for x in box}
+        for J in itertools.chain.from_iterable(
+                itertools.combinations(range(R.rank), k)
+                for k in range(R.rank + 1)):
+            for mu in itertools.product(range(-3, 4), repeat=R.rank):
+                if not R.is_dominant(mu, J):
+                    continue
+                assert keys[mu][0] <= 6
+                want = sorted((x for x in box if R.is_dominant(x, J)
+                               and keys[x] < keys[mu]), key=keys.get)
+                assert j_dominant_below(R, J, mu) == want, (J, mu)
 
 
 class TestAWOracle:
@@ -405,7 +421,7 @@ class TestGramSchmidtCalibration:
                                     order=50),
             label="aw-series")
         for m in range(3):
-            P = sym_macdonald(spec, (m,))
+            P = spec.family_member((0,), (m,))
             O = aw_oracle(p, m, "2L")
             for e, c in P.terms.items():
                 oc = O.terms.get(e, ExactScalar.zero())
@@ -422,27 +438,27 @@ class TestGramSchmidtCalibration:
             engine_sym=WeightEngine.from_moments(AWFunctional(p, "2L").weight),
             label="aw-exact")
         for m in range(5):
-            assert sym_macdonald(spec, (m,)) == aw_oracle(p, m, "2L")
+            assert spec.family_member((0,), (m,)) == aw_oracle(p, m, "2L")
 
 
 class TestRank1Families:
     def test_ultraspherical_p1(self):
         spec = rank1_spec(2)
-        P1 = sym_macdonald(spec, (1,))
+        P1 = spec.family_member((0,), (1,))
         assert P1 == mono((1,)) + mono((-1,))
 
     def test_nonsym_first_members(self):
         spec = rank1_spec(2)
-        assert nonsym_macdonald(spec, 0) == GAElement.one("2L", 1)
-        assert nonsym_macdonald(spec, 1) == mono((1,))
-        Em = nonsym_macdonald(spec, -1)
+        assert spec.family_member((), (0,)) == GAElement.one("2L", 1)
+        assert spec.family_member((), (1,)) == mono((1,))
+        Em = spec.family_member((), (-1,))
         expected = mono((-1,)) + mono((1,), ONE / (1 + Q(2)))
         assert Em == expected
 
     def test_nonsym_orthogonality(self):
         spec = rank1_spec(3)
         grid = [(0,), (1,), (-1,), (2,), (-2,)]
-        polys = {m: nonsym_macdonald(spec, m[0]) for m in grid}
+        polys = {m: spec.family_member((), m) for m in grid}
         for i, m in enumerate(grid):
             for k in grid[:i]:
                 v = spec.pair(polys[m], polys[k], symmetric=False)
@@ -452,26 +468,17 @@ class TestRank1Families:
         # a combination a E_m + E_{-m} reproduces P_m
         spec = rank1_spec(2)
         for m in (1, 2, 3):
-            Em = nonsym_macdonald(spec, m)
-            Emm = nonsym_macdonald(spec, -m)
-            Pm = sym_macdonald(spec, (m,))
+            Em = spec.family_member((), (m,))
+            Emm = spec.family_member((), (-m,))
+            Pm = spec.family_member((0,), (m,))
             rem = Pm - Emm  # fixes the e^{-m} coefficient
             a = rem.terms.get((m,), ExactScalar.zero())
             assert (rem - Em.scale(a)).is_zero()
 
-    def test_degenerations(self):
-        spec = rank1_spec(2)
-        for m in range(4):
-            assert intermediate_macdonald(spec, (0,), (m,)) == \
-                sym_macdonald(spec, (m,))
-        for m in (0, 1, -1, 2):
-            assert intermediate_macdonald(spec, (), (m,)) == \
-                nonsym_macdonald(spec, m)
-
     def test_triangularity(self):
         spec = rank1_spec(3)
         for m in (0, 1, -1, 2, -2):
-            E = nonsym_macdonald(spec, m)
+            E = spec.family_member((), (m,))
             assert support_triangular(R1, E, (m,))
 
     def test_dense_solve_oracle(self):
@@ -482,7 +489,7 @@ class TestRank1Families:
     def test_qinv_of_symmetric_family(self):
         spec = rank1_spec(2)
         for m in range(4):
-            P = sym_macdonald(spec, (m,))
+            P = spec.family_member((0,), (m,))
             assert P.invol_zero() == P
 
 
@@ -500,7 +507,7 @@ class TestRank2Families:
         spec = self.a2_group_spec()
         datum = build_root_datum("A", 2)
         for lam in [(1, 0), (0, 1), (1, 1), (2, 0)]:
-            P = sym_macdonald(spec, lam)
+            P = spec.family_member((0, 1), lam)
             ch = weyl_character(datum, lam)
             expected = GAElement(
                 {e: ExactScalar.from_int(m) for e, m in ch.items()}, "2L")
@@ -508,16 +515,15 @@ class TestRank2Families:
 
     def test_intermediate_members(self):
         spec = self.a2_group_spec()
-        assert intermediate_macdonald(spec, (1,), (0, 0)) == \
-            GAElement.one("2L", 2)
-        P = intermediate_macdonald(spec, (1,), (1, 0))
+        assert spec.family_member((1,), (0, 0)) == GAElement.one("2L", 2)
+        P = spec.family_member((1,), (1, 0))
         assert P.terms[(1, 0)].is_one()
         assert support_triangular(R2, P, (1, 0))
 
     def test_intermediate_orthogonality(self):
         spec = self.a2_group_spec()
         grid = [(0, 0), (1, 0), (-1, 1), (0, 1)]
-        polys = {mu: intermediate_macdonald(spec, (1,), mu) for mu in grid}
+        polys = {mu: spec.family_member((1,), mu) for mu in grid}
         for i, mu in enumerate(grid):
             for nu in grid[:i]:
                 v = spec.pair(polys[mu], polys[nu], symmetric=False)

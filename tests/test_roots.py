@@ -260,18 +260,15 @@ class TestRestrictedSystem:
         assert r.dominance_leq((0, 0), (1, 1))
         assert not r.dominance_leq((1, 0), (0, 1))
 
-    def test_dominant_below(self):
-        r = RestrictedSystem(2)
-        below = r.dominant_below((1, 1))
-        assert (0, 0) in below and (1, 1) in below
-        assert all(r.order_key(mu) <= r.order_key((1, 1)) for mu in below)
-        below = r.dominant_below((2, 2))
-        assert (1, 1) in below and (0, 0) in below
-
-    def test_min_coset_length(self):
-        r = RestrictedSystem(2)
-        assert r.min_coset_length((1, 1)) == 0
-        assert r.min_coset_length((-1, -1)) == 3
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_order_key_walk_is_shortest(self, rank):
+        # the walk ends at the dominant point of x's orbit after as many
+        # steps as the shortest Weyl word taking x there has letters
+        r = RestrictedSystem(rank)
+        words = sorted(r.weyl_elements(), key=len)
+        for x in itertools.product(range(-6, 7), repeat=rank):
+            w = next(w for w in words if r.is_dominant(r.act_word(w, x)))
+            assert r.order_key(x)[1:3] == (r.act_word(w, x), len(w)), x
 
     @pytest.mark.parametrize("rank", [1, 2])
     def test_agrees_with_type_a_datum(self, rank):

@@ -20,6 +20,7 @@ from oracles import (
     aw_weight,
     ct_norm,
     exact_expansion,
+    factor_env_loop,
     flat_table_loop,
     infinite_ratio_form,
     series_plan,
@@ -590,6 +591,50 @@ class TestCacheKey:
         assert order[0] > base[0] and order[1] != base[1]
         # order and MARGIN enter the cut only through their sum
         assert margin == order
+
+
+class TestTermOrders:
+    """The closed-form term orders of an infinite factor (`_term_order`)
+    against their recurrence (`factor_env_loop`), and the lowest and last
+    terms read from them."""
+
+    FACTORS = [PochFactor(ExactScalar.v_power(oc), (1,), base_log, INF, side)
+               for oc in range(-6, 7) for base_log in range(1, 5)
+               for side in (1, -1)]
+
+    def test_closed_form(self):
+        from macpoly.weights import _term_order
+
+        for f in self.FACTORS:
+            assert ([_term_order(f, k) for k in range(31)]
+                    == factor_env_loop(f, 30)), f
+
+    def test_lowest_and_last_term(self):
+        from macpoly.weights import _last_term, _lowest
+
+        for f in self.FACTORS:
+            env = factor_env_loop(f, 80)
+            if f.side == -1 and f.coeff.v_order() <= 0:
+                with pytest.raises(TruncationError, match="never gains"):
+                    _lowest(f)
+                continue
+            assert _lowest(f) == min(env), f
+            # the last term below `need`, and no earlier than the lowest
+            first_low = env.index(min(env))
+            for need in range(min(env) - 2, 40):
+                want = max([first_low] + [k for k, o in enumerate(env)
+                                          if o < need])
+                assert want < 80 and _last_term(f, need) == want, (f, need)
+
+    def test_orders_of_the_exact_terms(self):
+        from macpoly.weights import _term_order
+
+        from oracles import _factor_terms
+
+        for f in self.FACTORS:
+            if abs(f.coeff.v_order()) <= 2 and f.base_log <= 2:
+                for k, c in _factor_terms(f, 6):
+                    assert c.v_order() == _term_order(f, k), (f, k)
 
 
 class TestSeriesPlan:
