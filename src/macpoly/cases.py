@@ -115,7 +115,8 @@ class ExampleCase:
     order: int = 60  # working v-order of the series engines
     # (b, lam) -> vector member
     _members: dict = field(init=False, default_factory=dict)
-    # ((b, lam), (b', mu)) -> <vector member, vector member>
+    # ((b, lam), (b', mu)) -> <vector member, vector member>, and
+    # ((b, lam), None) -> 1 / <vector member, itself>
     _gram: dict = field(init=False, default_factory=dict)
     # AWParams -> its one-variable moment functional
     _functionals: dict = field(init=False, default_factory=dict)
@@ -288,6 +289,12 @@ class ExampleCase:
                                                  self.vector_member(*y))
         return self._gram[x, y]
 
+    def _member_inverse(self, x):
+        """1 / <P_x, P_x> at the label x = (b, lam), inverted once."""
+        if (x, None) not in self._gram:
+            self._gram[x, None] = self._member_pair(x, x).inv()
+        return self._gram[x, None]
+
     def _ambient(self, b_idx, lam):
         """The ambient weight of the label (b, lam): lam plus bottom b."""
         x = self.satake.from_restricted(lam)
@@ -325,6 +332,7 @@ class ExampleCase:
             _VecPoly(lead), [self.vector_member(*a) for a in below],
             self._vector_pair,
             lambda j, k: self._member_pair(below[j], below[k]),
+            lambda k: self._member_inverse(below[k]),
             "%s vector (%s, %s)" % (self.tag, b_idx, lam))
         self._members[key] = vec
         return vec
@@ -498,6 +506,7 @@ class ExampleCase:
             cvec, rem = orthogonalize_step(
                 target, mems, self._vector_pair,
                 lambda j, k: self._member_pair(ups[j], ups[k]),
+                lambda k: self._member_inverse(ups[k]),
                 "%s recurrence (%s, %s)" % (self.tag, b, lam))
             residual_cols.append(all(s.is_zero() for s in rem.slots))
             out[b] = {t: c for t, c in zip(ups, cvec) if not c.is_zero()}

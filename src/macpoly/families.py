@@ -77,7 +77,8 @@ class PolyFamilySpec:
     engine_nonsym: WeightEngine = None  # weight for the non-invariant families
     label: str = ""
     _cache: dict = field(default_factory=dict)
-    _gram: dict = field(default_factory=dict)  # (J, nu, nu') -> <P_nu, P_nu'>
+    # (J, nu, nu') -> <P_nu, P_nu'>, and (J, nu, None) -> 1 / <P_nu, P_nu>
+    _gram: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self._unit = [[GAElement.one(self.lattice, self.restricted.rank)]]
@@ -112,30 +113,37 @@ class PolyFamilySpec:
                 self._gram[key] = pair(prevs[j], prevs[k])
             return self._gram[key]
 
-        _, member = orthogonalize_step(m, prevs, pair, gram, "%s/%s at %s"
-                                       % (self.label, J, mu))
+        def inverse(k):
+            key = (J, cands[k], None)
+            if key not in self._gram:
+                self._gram[key] = gram(k, k).inv()
+            return self._gram[key]
+
+        _, member = orthogonalize_step(m, prevs, pair, gram, inverse,
+                                       "%s/%s at %s" % (self.label, J, mu))
         return member
 
 
-def orthogonalize_step(lead, prevs, pair, gram, what=""):
+def orthogonalize_step(lead, prevs, pair, gram, inverse, what=""):
     """Project lead onto prevs, lead in the left slot of the pairing.
 
     Returns (coeffs, residual) with residual = lead - sum coeffs[k] prevs[k].
-    `gram(j, k)` = <prevs[j], prevs[k]> (j <= k) comes from the callers'
-    label-keyed memos.  The pairing need not be symmetric; the family
-    satisfies <P_i, P_j> = 0 for j earlier than i, which makes the Gram
-    matrix of `prevs` triangular, so the projection coefficients come from
-    one forward substitution.
+    `gram(j, k)` = <prevs[j], prevs[k]> (j <= k) and `inverse(k)` =
+    1 / gram(k, k) come from the callers' label-keyed memos, so each norm
+    is inverted once per label; `inverse` is asked only for a nonzero norm.
+    The pairing need not be symmetric; the family satisfies <P_i, P_j> = 0
+    for j earlier than i, which makes the Gram matrix of `prevs`
+    triangular, so the projection coefficients come from one forward
+    substitution.
     """
     coeffs = []
     for k, p in enumerate(prevs):
-        norm = gram(k, k)
-        if norm.is_zero():
+        if gram(k, k).is_zero():
             raise ArithmeticError("degenerate Gram entry (%s)" % what)
         acc = pair(lead, p)
         for j in range(k):
             acc = acc - coeffs[j] * gram(j, k)
-        coeffs.append(acc / norm)
+        coeffs.append(acc * inverse(k))
     out = lead
     for c, p in zip(coeffs, prevs):
         out = out - p.scale(c)

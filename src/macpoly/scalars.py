@@ -109,18 +109,24 @@ def _list_strip(xs):
     return xs
 
 
-def _list_prem(a, b):
-    """Pseudo-remainder of dense integer polynomials (low-to-high)."""
-    a = list(a)
+def _list_pdivmod(a, b):
+    """Pseudo-division of dense integer polynomials (low to high), b
+    nonzero: (q, r, s) with lc(b)^s a = q b + r and deg r < deg b, s the
+    number of reduction steps taken."""
     db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and a:
-        da = len(a) - 1
-        la = a[-1]
-        a = [c * lb for c in a]
-        for i, bc in enumerate(b):
-            a[da - db + i] -= la * bc
-        _list_strip(a)
-    return a
+    r = list(a)
+    q = [0] * max(0, len(r) - db)
+    s = 0
+    while len(r) > db:
+        d, lr = len(r) - 1 - db, r[-1]
+        r = [x * lb for x in r]
+        for i, x in enumerate(b):
+            r[d + i] -= lr * x
+        q = [x * lb for x in q]
+        q[d] += lr
+        s += 1
+        _list_strip(r)
+    return q, r, s
 
 
 def _list_primitive(a):
@@ -146,7 +152,7 @@ def _lp_gcd(a, b):
     if len(la) < len(lb):
         la, lb = lb, la
     while lb:
-        la, lb = lb, _list_primitive(_list_prem(la, lb))
+        la, lb = lb, _list_primitive(_list_pdivmod(la, lb)[1])
     if la[-1] < 0:
         la = [-c for c in la]
     return {i: c for i, c in enumerate(la) if c}
@@ -1047,13 +1053,42 @@ def q_pochhammer(c, base_log, n):
     return out
 
 
+def _euclid_step(r0, r1, t0, t1):
+    """One step of the extended Euclidean algorithm in integers, on dense
+    polynomials (low to high) with r1 nonzero.
+
+    Pseudo-division gives lc(r1)^s r0 = q r1 + r, and the cofactor
+    follows as lc(r1)^s t0 - q t1.  The pair is divided by the gcd of both
+    contents, so it stays a nonzero integer multiple of the step over Q.
+    """
+    q, r, s = _list_pdivmod(r0, r1)
+    scale = r1[-1] ** s
+    t = [x * scale for x in t0] + [0] * max(0, len(q) + len(t1) - 1 - len(t0))
+    for i, x in enumerate(q):
+        if x:
+            for j, y in enumerate(t1):
+                t[i + j] -= x * y
+    _list_strip(t)
+    g = int_gcd(*r, *t)
+    if g > 1:
+        r = [x // g for x in r]
+        t = [x // g for x in t]
+    return r, t
+
+
 def rational_reconstruct(series, margin=6):
     """Recover the exact rational function behind a truncated series.
 
-    Runs the extended Euclidean algorithm on (v^N, c(v)) and stops at the
-    balanced degree split; the result is verified against the input to its
-    full working order and returned as an ExactScalar, or None when no
-    fraction of admissible degree matches.
+    Runs the extended Euclidean algorithm on (v^N, c(v)), c the integer
+    numerator of v^-m * series, and stops at the balanced degree split.
+    Each step is a pseudo-division in integers that carries the cofactor t
+    alongside the remainder r (`_euclid_step`; Brown, J. ACM 18 (1971);
+    von zur Gathen and Gerhard, Modern Computer Algebra, 5.7 and 6.12), so
+    every (r, t) is a multiple of the pair over Q: the degrees, and so the
+    stop, are the same, and the fraction is v^m r / (den t).  The result
+    is verified against the input to its full working order and returned
+    as an ExactScalar, or None when no fraction of admissible degree
+    matches.
     """
     if series.is_zero():
         return ExactScalar.zero()
@@ -1062,55 +1097,20 @@ def rational_reconstruct(series, margin=6):
     half = (N - margin) // 2
     if half < 1:
         return None
-    # dense power-series coefficients of v^{-m} * series
-    c = [Fraction(0)] * N
-    for e, co in series.coeffs.items():
+    c = [0] * N
+    for e, co in series.num.items():
         c[e - m] = co
-
-    def poly_mul(a, b):
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] += x * y
-        return _list_strip(out)
-
-    def poly_sub(a, b):
-        out = list(a) + [Fraction(0)] * (len(b) - len(a))
-        for i, y in enumerate(b):
-            out[i] -= y
-        return _list_strip(out)
-
-    def poly_divmod(a, b):
-        a = list(a)
-        qout = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-        while len(a) >= len(b) and a:
-            f = a[-1] / b[-1]
-            d = len(a) - len(b)
-            qout[d] = f
-            for i in range(len(b)):
-                a[d + i] -= f * b[i]
-            _list_strip(a)
-        return qout, a
-
-    r0 = [Fraction(0)] * N + [Fraction(1)]  # v^N
-    r1 = _list_strip(list(c))
-    t0, t1 = [], [Fraction(1)]
+    r0, r1 = [0] * N + [1], _list_strip(c)  # v^N and c
+    t0, t1 = [], [1]
     while r1 and len(r1) - 1 > half:
-        qpoly, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        t0, t1 = t1, poly_sub(t0, poly_mul(qpoly, t1))
+        r, t = _euclid_step(r0, r1, t0, t1)
+        r0, r1, t0, t1 = r1, r, t1, t
     if not r1 or not t1:
         return None
     if len(t1) - 1 > N - half - margin:
         return None
-    # clear rational content into integers
-    den = 1
-    for x in r1 + t1:
-        den = den * x.denominator // int_gcd(den, x.denominator)
-    num_d = {i + m: int(x * den) for i, x in enumerate(r1) if x}
-    den_d = {i: int(x * den) for i, x in enumerate(t1) if x}
+    num_d = {i + m: x for i, x in enumerate(r1) if x}
+    den_d = {i: x * series.den for i, x in enumerate(t1) if x}
     try:
         cand = ExactScalar(num_d, den_d)
     except ZeroDivisionError:
@@ -1121,4 +1121,3 @@ def rational_reconstruct(series, margin=6):
     if not (check - series).is_zero():
         return None
     return cand
-

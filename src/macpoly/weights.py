@@ -465,8 +465,9 @@ class WeightEngine:
                         minus.expand(work - low_p).terms)
 
     def _set_parts(self, plus, minus):
-        """Hold the expanded parts, with the common denominator of each and
-        the grid of their packed coefficients (`_weight_coefficient`).
+        """Hold the expanded parts, with the common denominator of each, the
+        grid of their packed coefficients and each nonzero coefficient's
+        lowest v-power (`_weight_coefficient`).
 
         The stride g is the gcd of every v-power's offset from its part's
         lowest one, so each coefficient packs on a grid of stride g from its
@@ -479,11 +480,16 @@ class WeightEngine:
         self._w_dens = tuple(math.lcm(*(c.den for c in part.values()))
                              for part in (plus, minus))
         self._w_cache = {}
+        lows_p = {mu: (c, min(c.num)) for mu, c in plus.items() if c.num}
+        lows_m = lows_p if minus is plus else {
+            mk: (c, min(c.num)) for mk, c in minus.items() if c.num}
+        self._plus_lows = [(mu, c, low) for mu, (c, low) in lows_p.items()]
+        self._minus_lows = lows_m
         g, norms = 0, []
-        for part, d in zip((plus, minus), self._w_dens):
-            low = min((min(c.num) for c in part.values() if c.num), default=0)
+        for lows, d in zip((lows_p, lows_m), self._w_dens):
+            low = min((o for _, o in lows.values()), default=0)
             norm = 0
-            for c in part.values():
+            for c, _ in lows.values():
                 g = math.gcd(g, *(e - low for e in c.num))
                 norm = max(norm, sum(map(abs, c.num.values())) * (d // c.den))
             norms.append(norm)
@@ -497,39 +503,47 @@ class WeightEngine:
         """Series coefficient sum_mu plus[mu] minus[mu - nu] of the weight at
         exponent nu (lazily cached).  The products are packed integers
         (`_pack`) over the parts' common denominators, summed on the grid of
-        the lowest product and cut at the order the series products and
-        their sum would certify."""
+        the lowest product.
+
+        The sum is exact below `work`: each part is cut flat at `work` less
+        the other part's lowest order, and a product of a plus term of
+        lowest order op and a minus term of order om is exact below
+        min(cut_p + om, cut_m + op) >= work.  Products of order >= work are
+        left out.
+
+        When the two parts are one (`minus is plus`), mu -> mu - nu maps the
+        products of W(-nu) one to one onto those of W(nu), so W(-nu) is
+        served from W(nu) when that is cached.
+        """
         got = self._w_cache.get(nu)
         if got is not None:
             return got
-        work = prec = self._work
-        minus = self._minus_terms
+        if self._minus_terms is self._plus_terms:
+            got = self._w_cache.get(tuple(-x for x in nu))
+            if got is not None:
+                self._w_cache[nu] = got
+                return got
+        work, minus = self._work, self._minus_lows
         pairs = []
-        for mu, pc in self._plus_terms.items():
+        for mu, pc, op in self._plus_lows:
             mk = tuple(map(sub, mu, nu))
-            mc = minus.get(mk)
-            if mc is None or not pc.num or not mc.num:
-                continue
-            op, om = min(pc.num), min(mc.num)
-            if op + om < work:
-                prec = min(prec, pc.prec + om, mc.prec + op)
-                pairs.append((op + om, mu, pc, mk, mc))
+            hit = minus.get(mk)
+            if hit is not None and op + hit[1] < work:
+                pairs.append((mu, pc, op, mk, *hit))
         g, B = self._stride, self._width
         (dp, dm), (packs_p, packs_m) = self._w_dens, self._packs
-        base = min((p[0] for p in pairs), default=prec)
+        base = min((op + om for _, _, op, _, _, om in pairs), default=work)
         total = 0
-        for o, mu, pc, mk, mc in pairs:
+        for mu, pc, op, mk, mc, om in pairs:
             p1 = packs_p.get(mu)
             if p1 is None:
-                p1 = packs_p[mu] = _pack(pc.num, min(pc.num), g, B) * (
-                    dp // pc.den)
+                p1 = packs_p[mu] = _pack(pc.num, op, g, B) * (dp // pc.den)
             p2 = packs_m.get(mk)
             if p2 is None:
-                p2 = packs_m[mk] = _pack(mc.num, min(mc.num), g, B) * (
-                    dm // mc.den)
-            total += (p1 * p2) << (B * ((o - base) // g))
+                p2 = packs_m[mk] = _pack(mc.num, om, g, B) * (dm // mc.den)
+            total += (p1 * p2) << (B * ((op + om - base) // g))
         got = self._w_cache[nu] = SeriesScalar(
-            _unpack(total, base, g, B, prec), prec, _den=dp * dm)
+            _unpack(total, base, g, B, work), work, _den=dp * dm)
         return got
 
     # -- pairing --------------------------------------------------------------

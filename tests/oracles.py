@@ -11,16 +11,20 @@ series plan from exact factor terms, series
 inversion by the geometric series, the series of an exact
 value by long division, family members by one dense solve, Weyl
 characters by the alternating-sum formula and the ratio identity's rows
-by the per-word loop, and v -> 1/v of an exact value by reduction."""
+by the per-word loop, v -> 1/v of an exact value by reduction, a series
+weight's coefficient by the scan over every plus term, and rational
+reconstruction by Euclid over the rationals."""
 
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import gcd, lcm
+from operator import sub
 
 from macpoly.families import j_dominant_below, monomial_J
 from macpoly.galg import GAElement, solve_linear
-from macpoly.scalars import ExactScalar, SeriesScalar, _lp_flip
+from macpoly.scalars import (ExactScalar, SeriesScalar, _list_strip,
+                             _lp_flip, _pack, _unpack)
 from macpoly.weights import INF, PochFactor, WeightSpec
 
 
@@ -492,3 +496,102 @@ def bar_by_reduction(x):
     """x with v -> 1/v, its flipped numerator and denominator reduced as a
     new fraction: the oracle of the closed form `ExactScalar.bar`."""
     return ExactScalar(_lp_flip(x.num), _lp_flip(x.den))
+
+
+def weight_coefficient_scan(engine, nu):
+    """A series weight's coefficient at nu from packed products, scanning
+    every plus term and taking each pair's lowest orders with `min`, its
+    order the lowest of `work` and every product's: the oracle of
+    `WeightEngine._weight_coefficient`, uncached."""
+    work = prec = engine._work
+    minus = engine._minus_terms
+    pairs = []
+    for mu, pc in engine._plus_terms.items():
+        mk = tuple(map(sub, mu, nu))
+        mc = minus.get(mk)
+        if mc is None or not pc.num or not mc.num:
+            continue
+        op, om = min(pc.num), min(mc.num)
+        if op + om < work:
+            prec = min(prec, pc.prec + om, mc.prec + op)
+            pairs.append((op + om, pc, mc))
+    g, B = engine._stride, engine._width
+    dp, dm = engine._w_dens
+    base = min((p[0] for p in pairs), default=prec)
+    total = 0
+    for o, pc, mc in pairs:
+        p1 = _pack(pc.num, min(pc.num), g, B) * (dp // pc.den)
+        p2 = _pack(mc.num, min(mc.num), g, B) * (dm // mc.den)
+        total += (p1 * p2) << (B * ((o - base) // g))
+    return SeriesScalar(_unpack(total, base, g, B, prec), prec, _den=dp * dm)
+
+
+def rational_reconstruct_fractions(series, margin=6):
+    """The rational function behind a truncated series by the extended
+    Euclidean algorithm over Fractions on (v^N, c(v)), stopped at the
+    balanced degree split and verified against the series; None when no
+    fraction of admissible degree matches.  The oracle of
+    `scalars.rational_reconstruct`."""
+    if series.is_zero():
+        return ExactScalar.zero()
+    m = series.min_order()
+    N = series.prec - m
+    half = (N - margin) // 2
+    if half < 1:
+        return None
+    c = [Fraction(0)] * N
+    for e, co in series.coeffs.items():
+        c[e - m] = co
+
+    def poly_mul(a, b):
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        out[i + j] += x * y
+        return _list_strip(out)
+
+    def poly_sub(a, b):
+        out = list(a) + [Fraction(0)] * (len(b) - len(a))
+        for i, y in enumerate(b):
+            out[i] -= y
+        return _list_strip(out)
+
+    def poly_divmod(a, b):
+        a = list(a)
+        qout = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+        while len(a) >= len(b) and a:
+            f = a[-1] / b[-1]
+            d = len(a) - len(b)
+            qout[d] = f
+            for i in range(len(b)):
+                a[d + i] -= f * b[i]
+            _list_strip(a)
+        return qout, a
+
+    r0 = [Fraction(0)] * N + [Fraction(1)]  # v^N
+    r1 = _list_strip(list(c))
+    t0, t1 = [], [Fraction(1)]
+    while r1 and len(r1) - 1 > half:
+        qpoly, r = poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        t0, t1 = t1, poly_sub(t0, poly_mul(qpoly, t1))
+    if not r1 or not t1:
+        return None
+    if len(t1) - 1 > N - half - margin:
+        return None
+    den = 1
+    for x in r1 + t1:
+        den = den * x.denominator // gcd(den, x.denominator)
+    num_d = {i + m: int(x * den) for i, x in enumerate(r1) if x}
+    den_d = {i: int(x * den) for i, x in enumerate(t1) if x}
+    try:
+        cand = ExactScalar(num_d, den_d)
+    except ZeroDivisionError:
+        return None
+    if den_d.get(0, 0) == 0:
+        return None
+    if not (cand.to_series(series.prec) - series).is_zero():
+        return None
+    return cand

@@ -192,6 +192,7 @@ class TestGoldenReports:
         ("DII:n=2", 2, "DII-n2-h2"),
         ("BII:n=2,s=1", 2, "BII-n2-s1-h2"),
         ("AI2", 1, "AI2-h1"),
+        ("AI2", 2, "AI2-h2"),
     ])
     def test_report_and_stderr(self, tmp_path, case, height, name):
         import subprocess

@@ -27,7 +27,7 @@ from macpoly.families import (
 )
 from macpoly.galg import GAElement
 from macpoly.roots import RestrictedSystem, build_root_datum
-from macpoly.scalars import ExactScalar
+from macpoly.scalars import ExactScalar, SeriesScalar
 from macpoly.weights import (
     WeightEngine,
     macdonald_nonsym_weight,
@@ -408,6 +408,75 @@ class TestPairingRoute:
             assert diff.is_zero() and diff.prec == want.prec
             count += 1
         assert count > 0
+
+
+class TestGramInverse:
+    """Each Gram norm is inverted once per label, in the callers' memos
+    (`ExampleCase._gram`, `PolyFamilySpec._gram`), and a zero norm is still
+    the typed degenerate-entry error."""
+
+    @pytest.mark.parametrize("cid, kind", [("DII:n=2", ExactScalar),
+                                           ("AI2", SeriesScalar)])
+    def test_zero_norm_is_degenerate(self, cid, kind, monkeypatch):
+        from macpoly.cases import ExampleCase
+
+        # every member pairs to zero with itself, exactly or in series
+        vector_pair, family_pair = ExampleCase._vector_pair, PolyFamilySpec.pair
+
+        def zero_norms(pair):
+            def paired(self, f, g, *rest):
+                got = pair(self, f, g, *rest)
+                return got - got if f is g else got
+            return paired
+
+        monkeypatch.setattr(ExampleCase, "_vector_pair",
+                            zero_norms(vector_pair))
+        monkeypatch.setattr(PolyFamilySpec, "pair", zero_norms(family_pair))
+        case = build_case(cid)
+        spec, grid = case.family_spec, case.restricted.grid(2)
+        with pytest.raises(ArithmeticError,
+                           match=r"^degenerate Gram entry \(.* vector "):
+            for lam in grid:
+                for b in range(len(case.bottoms)):
+                    case.vector_member(b, lam)
+        with pytest.raises(ArithmeticError,
+                           match=r"^degenerate Gram entry \(.*/\(0,.*\) at "):
+            for mu in grid:
+                spec.family_member(tuple(range(case.rank)), mu)
+        # the zero norms were paired, and none was inverted
+        for memo in (case._gram, spec._gram):
+            norms = [v for k, v in memo.items() if k[-1] is not None]
+            assert norms and all(isinstance(n, kind) and n.is_zero()
+                                 for n in norms)
+            assert all(k[-1] is not None for k in memo)
+
+    @pytest.mark.parametrize("cid, kind", [("DII:n=2", ExactScalar),
+                                           ("AI2", SeriesScalar)])
+    def test_one_inverse_per_label(self, cid, kind, monkeypatch):
+        import sys
+
+        calls = []
+        inv = kind.inv
+
+        def counted(self):
+            if sys._getframe(1).f_code.co_name in ("_member_inverse",
+                                                   "inverse"):
+                calls.append(self)
+            return inv(self)
+
+        monkeypatch.setattr(kind, "inv", counted)
+        case = build_case(cid, order=100)
+        spec = case.family_spec
+        for lam in case.restricted.grid(2):
+            case.recurrence_coeffs(0, lam)
+        kept = 0
+        for memo in (case._gram, spec._gram):
+            for key, value in memo.items():
+                if key[-1] is None:
+                    norm = memo[key[:-1] + key[-2:-1]]
+                    assert (value * norm - 1).is_zero()
+                    kept += 1
+        assert kept > 5 and len(calls) == kept
 
 
 class TestGramSchmidtCalibration:

@@ -21,6 +21,7 @@ from macpoly.scalars import (
 
 from oracles import (
     bar_by_reduction,
+    rational_reconstruct_fractions,
     series_inv_geometric,
     series_mul_loop,
     series_sum_loop,
@@ -419,6 +420,71 @@ class TestToSeries:
                  (ExactScalar({-1: 2}, {0: -3, 2: 7}), 150)]
         for f, prec in cases:
             self._same_series(f, prec)
+
+
+class TestRationalReconstruct:
+    """`rational_reconstruct` in integers against Euclid over Fractions:
+    the same ExactScalar, or None where the oracle gives None."""
+
+    @staticmethod
+    def _same(series):
+        got = scalars.rational_reconstruct(series)
+        want = rational_reconstruct_fractions(series)
+        if want is None:
+            assert got is None, series
+        else:
+            assert got is not None, series
+            assert (got.num, got.den, got.cyc) == (want.num, want.den,
+                                                   want.cyc)
+        return got
+
+    @pytest.mark.parametrize("order, height, failing", [(60, 2, 7),
+                                                         (100, 3, 6)])
+    def test_ai2_matrix_entries(self, order, height, failing):
+        # every series entry of Q_lam up to the height, failures included:
+        # order 60 is too short for 7 entries at height 2 (so verify runs
+        # AI2 at 100), and at order 100 the height-3 labels (1, 2) and
+        # (2, 1) have three entries each that neither reconstructs
+        from macpoly.cases import build_case
+
+        case = build_case("AI2", order=order)
+        seen = failed = 0
+        for lam in case.restricted.grid(height):
+            for row in case.matrix_q(lam):
+                for entry in row:
+                    for c in entry.terms.values():
+                        if isinstance(c, SeriesScalar):
+                            seen += 1
+                            failed += self._same(c) is None
+        assert seen > 50 and failed == failing
+
+    def test_random_fractions(self):
+        # products of Phi_k over integer leads, and one non-cyclotomic
+        # denominator, expanded to an order that recovers them
+        rng = random.Random(47)
+        dens = [scalars._cyc_dict(sorted({(k, rng.randint(1, 2)) for k in
+                                          rng.sample(range(1, 13), 3)}),
+                                  rng.choice([1, 2, 3]))
+                for _ in range(8)]
+        dens.append({0: 3, 1: -1, 4: 2})
+        assert cyclotomic.phi_factors(dens[-1]) is None
+        for den in dens:
+            for _ in range(5):
+                num = {rng.randint(-3, 6): rng.randint(-9, 9)
+                       for _ in range(rng.randint(1, 5))}
+                x = ExactScalar(num, den)
+                if x.is_zero():
+                    continue
+                span = max(x.num) - min(x.num) + max(x.den)
+                got = self._same(x.to_series(x.v_order() + 2 * span + 10))
+                assert got == x
+
+    def test_edges(self):
+        # zero; a negative lowest order; a series too short for half >= 1
+        assert self._same(SeriesScalar.zero(20)).is_zero()
+        x = ExactScalar({-3: 2, -1: -1}, {0: 1, 3: -1})
+        assert self._same(x.to_series(30)) == x
+        assert self._same(x.to_series(-3 + 7)) is None
 
 
 class TestAgainstSympy:

@@ -27,6 +27,7 @@ from oracles import (
     series_sum_loop,
     sym_pair,
     vector_pair_products,
+    weight_coefficient_scan,
     weight_coefficient_sum,
 )
 
@@ -481,6 +482,46 @@ class TestPackedWeightCoefficient:
                 want = fresh._weight_coefficient((a, b))
                 assert (got.num, got.den, got.prec) == (
                     want.num, want.den, want.prec)
+
+
+class TestWeightCoefficientScan:
+    """`_weight_coefficient` over the order table `_set_parts` keeps, on
+    AI2's symmetric (nabla) and nonsymmetric (delta) engines."""
+
+    @pytest.mark.parametrize("which, symmetric", [("nabla_engine", True),
+                                                  ("delta_engine", False)])
+    def test_ai2_box(self, which, symmetric):
+        # every nu in the box against the scan over all plus terms with
+        # min(); every W(nu) is exact to `work`, and W(-nu) is served from
+        # W(nu) exactly when the two parts are one
+        from macpoly.cases import build_case
+
+        eng = getattr(build_case("AI2", order=100), which)
+        assert (eng._minus_terms is eng._plus_terms) == symmetric
+        box = range(-12, 13)
+        served = 0
+        for nu in ((a, b) for a in box for b in box):
+            neg = (-nu[0], -nu[1])
+            before = eng._w_cache.get(neg)
+            got = eng._weight_coefficient(nu)
+            want = weight_coefficient_scan(eng, nu)
+            assert (got.num, got.den, got.prec) == (want.num, want.den,
+                                                    want.prec), nu
+            assert got.prec == eng._work
+            if before is not None and nu != neg:
+                assert (got is before) == symmetric, nu
+                served += 1
+        assert served == (len(box) ** 2 - 1) // 2
+
+    def test_served_negation_skips_the_scan(self):
+        # a symmetric engine answers W(-nu) from its cache alone
+        from macpoly.cases import build_case
+
+        eng = build_case("AI2", order=100).nabla_engine
+        got = eng._weight_coefficient((3, -2))
+        eng._plus_lows = []  # a scan would now find no products
+        assert eng._weight_coefficient((-3, 2)) is got
+        assert eng._weight_coefficient((1, 1)).is_zero()
 
 
 class TestSeriesVectorPair:
