@@ -11,6 +11,7 @@ Case identifiers: "BII:n=<int>,s=<int>", "CII:n=<int>,s=<int>",
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -18,6 +19,7 @@ from fractions import Fraction
 from .families import (
     AWFunctional,
     AWParams,
+    GramSchmidt,
     PolyFamilySpec,
     monomial,
     orthogonalize_step,
@@ -26,10 +28,18 @@ from .galg import GAElement
 from .roots import (
     RestrictedSystem,
     SatakeDatum,
+    _datum_from_cartan,
     build_composite_datum,
     build_root_datum,
+    freudenthal,
 )
-from .scalars import ExactScalar, q_number, q_pochhammer
+from .scalars import (
+    ExactScalar,
+    SeriesScalar,
+    q_number,
+    q_pochhammer,
+    rational_reconstruct,
+)
 from .weights import (
     WeightEngine,
     macdonald_nonsym_weight,
@@ -92,9 +102,11 @@ def list_cases():
 
 @dataclass(frozen=True, eq=False)
 class ExampleCase:
-    """One case, planned once: its engines, family spec and vector members
+    """One case, planned once: its engines, family spec and vector family
     are built for one v-order, so every memo is keyed by labels only.
-    Re-plan with `build_case` or `dataclasses.replace`."""
+    The vector family is one `GramSchmidt` driver over the labels
+    (b, lam), whose members are lists with one slot per bottom.  Re-plan
+    with `build_case` or `dataclasses.replace`."""
 
     tag: str
     satake: SatakeDatum
@@ -113,11 +125,6 @@ class ExampleCase:
     aw_zonal: AWParams = None
     extra: dict = field(default_factory=dict)
     order: int = 60  # working v-order of the series engines
-    # (b, lam) -> vector member
-    _members: dict = field(init=False, default_factory=dict)
-    # ((b, lam), (b', mu)) -> <vector member, vector member>, and
-    # ((b, lam), None) -> 1 / <vector member, itself>
-    _gram: dict = field(init=False, default_factory=dict)
     # AWParams -> its one-variable moment functional
     _functionals: dict = field(init=False, default_factory=dict)
     # H -> gamma-basis lead table of height H
@@ -281,19 +288,23 @@ class ExampleCase:
         return self.nabla_engine.vector_pair(
             u, self.matrix_weight, w, self.restricted)
 
-    def _member_pair(self, x, y):
-        """<P_x, P_y> between the vector members at the labels
-        x = (b, lam) and y = (b', mu), paired once."""
-        if (x, y) not in self._gram:
-            self._gram[x, y] = self._vector_pair(self.vector_member(*x),
-                                                 self.vector_member(*y))
-        return self._gram[x, y]
+    @cached_property
+    def _family(self):
+        """The vector family over the labels (b, lam).  It reaches the case
+        through a weak proxy, since the case holds it: a reference cycle
+        would keep the case and its engines alive until the cyclic gc."""
+        case = weakref.proxy(self)
+        return GramSchmidt(lambda x: case._vector_lead(x),
+                           lambda x: case._vector_downset(*x),
+                           lambda u, w: case._vector_pair(u, w),
+                           "%s vector" % self.tag)
 
-    def _member_inverse(self, x):
-        """1 / <P_x, P_x> at the label x = (b, lam), inverted once."""
-        if (x, None) not in self._gram:
-            self._gram[x, None] = self._member_pair(x, x).inv()
-        return self._gram[x, None]
+    def _vector_lead(self, x):
+        """m_lam in slot b and zero elsewhere, at the label x = (b, lam)."""
+        b_idx, lam = x
+        lead = [GAElement.zero(self.lattice)] * len(self.bottoms)
+        lead[b_idx] = self.m_of(lam)
+        return lead
 
     def _ambient(self, b_idx, lam):
         """The ambient weight of the label (b, lam): lam plus bottom b."""
@@ -320,34 +331,21 @@ class ExampleCase:
                                         self._ambient(b_idx, lam))
 
     def vector_member(self, b_idx, lam):
-        """The orthogonal vector polynomial with leading m_lam in slot b."""
-        key = (b_idx, tuple(lam))
-        if key in self._members:
-            return self._members[key]
-        nb = len(self.bottoms)
-        lead = [GAElement.zero(self.lattice)] * nb
-        lead[b_idx] = self.m_of(lam)
-        below = self._vector_downset(b_idx, lam)
-        _, vec = orthogonalize_step(
-            _VecPoly(lead), [self.vector_member(*a) for a in below],
-            self._vector_pair,
-            lambda j, k: self._member_pair(below[j], below[k]),
-            lambda k: self._member_inverse(below[k]),
-            "%s vector (%s, %s)" % (self.tag, b_idx, lam))
-        self._members[key] = vec
-        return vec
+        """The orthogonal vector polynomial with leading m_lam in slot b,
+        as its list of slots."""
+        return self._family.member((b_idx, tuple(lam)))
 
     def matrix_q(self, lam):
         """Matrix polynomial whose b-th column is the (b, lam) vector member."""
         nb = len(self.bottoms)
         cols = [self.vector_member(b, lam) for b in range(nb)]
-        return [[cols[b].slots[i] for b in range(nb)] for i in range(nb)]
+        return [[cols[b][i] for b in range(nb)] for i in range(nb)]
 
     def gram_block(self, lam, mu):
         """Matrix of pairings <column i of Q_lam, column j of Q_mu>."""
         lam, mu = tuple(lam), tuple(mu)
         nb = len(self.bottoms)
-        return [[self._member_pair((i, lam), (j, mu)) for j in range(nb)]
+        return [[self._family.pairing((i, lam), (j, mu)) for j in range(nb)]
                 for i in range(nb)]
 
     def qinv_check(self, lam):
@@ -357,8 +355,6 @@ class ExampleCase:
         rational functions (and the reconstruction is verified against the
         series to its full working order).
         """
-        from .scalars import SeriesScalar, rational_reconstruct
-
         Qm = self.matrix_q(lam)
         bad = []
         unrecovered = []
@@ -467,7 +463,7 @@ class ExampleCase:
         P = spec.family_member(self.J, mu)
         coeffs = self.expand_in_gamma_basis(P)
         b_idx, lam = self.t_map(mu)
-        col = self.vector_member(b_idx, lam).slots
+        col = self.vector_member(b_idx, lam)
         target = [GAElement.zero(self.lattice)] * len(self.bottoms)
         for yi, c in enumerate(coeffs):
             target[self.gamma_bottoms[yi]] = target[self.gamma_bottoms[yi]] + c
@@ -481,7 +477,7 @@ class ExampleCase:
         residual_zero = all((c.scale(C) - t).is_zero() for c, t in pairs)
         return {"status": "pass" if residual_zero else "fail", "mu": mu,
                 "column": (b_idx, lam),
-                "constant": C.render() if hasattr(C, "render") else repr(C)}
+                "constant": C.render()}
 
     # -- recurrence ------------------------------------------------------------
 
@@ -495,20 +491,19 @@ class ExampleCase:
                              % (hw,))
         P = spec.family_member(tuple(range(self.rank)), pi)
         top = tuple(a + c for a, c in zip(lam, pi))
+        family = self._family
         out = {}
         residual_cols = []
         for b in range(len(self.bottoms)):
-            col = self.vector_member(b, lam)
-            target = _VecPoly([P * s for s in col.slots])
+            target = [P * s for s in self.vector_member(b, lam)]
             # everything at or below lam + pi in the ambient order
             ups = self._vector_downset(b, top) + [(b, top)]
-            mems = [self.vector_member(bp, mu) for bp, mu in ups]
             cvec, rem = orthogonalize_step(
-                target, mems, self._vector_pair,
-                lambda j, k: self._member_pair(ups[j], ups[k]),
-                lambda k: self._member_inverse(ups[k]),
+                target, [family.member(x) for x in ups], self._vector_pair,
+                lambda j, k: family.pairing(ups[j], ups[k]),
+                lambda k: family.inverse(ups[k]),
                 "%s recurrence (%s, %s)" % (self.tag, b, lam))
-            residual_cols.append(all(s.is_zero() for s in rem.slots))
+            residual_cols.append(all(s.is_zero() for s in rem))
             out[b] = {t: c for t, c in zip(ups, cvec) if not c.is_zero()}
         # every step must be a weight of the multiplier module, and the top
         # coefficient must be nonzero
@@ -743,25 +738,6 @@ def _ratio(pairs):
     return None
 
 
-class _VecPoly:
-    """Vector of restricted-lattice polynomials with scale/sub support;
-    iterates over its slots, so it pairs like a list of them."""
-
-    __slots__ = ("slots",)
-
-    def __init__(self, slots):
-        self.slots = list(slots)
-
-    def scale(self, c):
-        return _VecPoly([s.scale(c) for s in self.slots])
-
-    def __sub__(self, other):
-        return _VecPoly([a - b for a, b in zip(self.slots, other.slots)])
-
-    def __iter__(self):
-        return iter(self.slots)
-
-
 # ---------------------------------------------------------------------------
 # case builders
 # ---------------------------------------------------------------------------
@@ -811,8 +787,6 @@ def _bullet_module_weights(datum, subset, hw):
     weight table comes from the multiplicity recursion on the subsystem,
     transported back along the simple roots.
     """
-    from .roots import _datum_from_cartan, freudenthal
-
     subset = list(subset)
     subA = tuple(tuple(datum.A[i][j] for j in subset) for i in subset)
     sub = _datum_from_cartan("sub", subA)

@@ -60,10 +60,10 @@ def _render_ga(f, fmt, symbol="e", wsym="\\varpi"):
     if fmt == "latex":
         parts = []
         for e, c in f.sorted_items():
-            cr = c.render() if hasattr(c, "render") else repr(c)
             exps = "+".join("%d%s_%d" % (x, wsym, i + 1)
                             for i, x in enumerate(e) if x) or "0"
-            parts.append("\\left(%s\\right) %s^{%s}" % (cr, symbol, exps))
+            parts.append("\\left(%s\\right) %s^{%s}"
+                         % (c.render(), symbol, exps))
         return " + ".join(parts) or "0"
     return f.render(symbol)
 

@@ -9,8 +9,10 @@ serve as oracles.
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import gcd, prod
 
 from .galg import GAElement
@@ -68,7 +70,11 @@ def j_dominant_below(restricted, J, mu):
 
 @dataclass
 class PolyFamilySpec:
-    """Everything needed to build one family of orthogonal polynomials.  It
+    """Everything needed to build one family of orthogonal polynomials.
+
+    Each parabolic subset J gets its own `GramSchmidt` driver over the
+    J-dominant labels, with the one-slot leads `[monomial_J(mu)]` and the
+    candidates `j_dominant_below`; `family_member` returns slot 0.  It
     pairs through `WeightEngine.vector_pair` with the 1x1 unit it holds."""
 
     restricted: object
@@ -76,9 +82,8 @@ class PolyFamilySpec:
     engine_sym: WeightEngine = None  # W-invariant pairing weight
     engine_nonsym: WeightEngine = None  # weight for the non-invariant families
     label: str = ""
-    _cache: dict = field(default_factory=dict)
-    # (J, nu, nu') -> <P_nu, P_nu'>, and (J, nu, None) -> 1 / <P_nu, P_nu>
-    _gram: dict = field(default_factory=dict)
+    # J -> the GramSchmidt driver of the J-invariant family
+    _families: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self._unit = [[GAElement.one(self.lattice, self.restricted.rank)]]
@@ -93,48 +98,76 @@ class PolyFamilySpec:
                                   self.restricted if symmetric else None)
 
     def family_member(self, J, mu):
-        J = tuple(sorted(J))
-        mu = tuple(mu)
-        key = (J, mu)
-        if key not in self._cache:
-            self._cache[key] = self._construct(J, mu)
-        return self._cache[key]
+        return self._family(tuple(sorted(J))).member(tuple(mu))[0]
 
-    def _construct(self, J, mu):
-        symmetric = J == tuple(range(self.restricted.rank))
-        m = monomial_J(self.restricted, J, mu, self.lattice)
-        cands = j_dominant_below(self.restricted, J, mu)
-        prevs = [self.family_member(J, nu) for nu in cands]
-        pair = lambda f, g: self.pair(f, g, symmetric)
+    def _family(self, J):
+        """The driver of the family invariant under the parabolic on J."""
+        if J not in self._families:
+            # through a weak proxy: the spec holds the driver, and a
+            # reference cycle would keep both alive until the cyclic gc
+            R, lattice = self.restricted, self.lattice
+            spec = weakref.proxy(self)
+            symmetric = J == tuple(range(R.rank))
+            self._families[J] = GramSchmidt(
+                lambda mu: [monomial_J(R, J, mu, lattice)],
+                lambda mu: j_dominant_below(R, J, mu),
+                lambda u, w: spec.pair(u[0], w[0], symmetric),
+                "%s/%s at" % (self.label, J))
+        return self._families[J]
 
-        def gram(j, k):
-            key = (J, cands[j], cands[k])
-            if key not in self._gram:
-                self._gram[key] = pair(prevs[j], prevs[k])
-            return self._gram[key]
 
-        def inverse(k):
-            key = (J, cands[k], None)
-            if key not in self._gram:
-                self._gram[key] = gram(k, k).inv()
-            return self._gram[key]
+class GramSchmidt:
+    """One family built by Gram-Schmidt, member by member, keyed by labels.
 
-        _, member = orthogonalize_step(m, prevs, pair, gram, inverse,
-                                       "%s/%s at %s" % (self.label, J, mu))
-        return member
+    `member(x)` projects `lead(x)` off the members at the labels `below(x)`
+    (`orthogonalize_step`).  Every member is a list of slots: a vector
+    family has one slot per bottom, a scalar family one slot.  The driver
+    keeps, by label, each member, each pairing `<P_x, P_y>` and each
+    inverse norm `1 / <P_x, P_x>`, computed once; `pair(u, w)` pairs two
+    lists of slots, and `what` prefixes a label in error messages.
+    """
+
+    def __init__(self, lead, below, pair, what):
+        self.lead, self.below, self.pair, self.what = lead, below, pair, what
+        self._built = {}  # x -> P_x
+        self._paired = {}  # (x, y) -> <P_x, P_y>
+        self._inverted = {}  # x -> 1 / <P_x, P_x>
+
+    def member(self, x):
+        """P_x, built once."""
+        if x not in self._built:
+            lead, below = self.lead(x), self.below(x)
+            _, self._built[x] = orthogonalize_step(
+                lead, [self.member(y) for y in below], self.pair,
+                lambda j, k: self.pairing(below[j], below[k]),
+                lambda k: self.inverse(below[k]), "%s %s" % (self.what, x))
+        return self._built[x]
+
+    def pairing(self, x, y):
+        """<P_x, P_y>, paired once."""
+        if (x, y) not in self._paired:
+            self._paired[x, y] = self.pair(self.member(x), self.member(y))
+        return self._paired[x, y]
+
+    def inverse(self, x):
+        """1 / <P_x, P_x>, inverted once."""
+        if x not in self._inverted:
+            self._inverted[x] = self.pairing(x, x).inv()
+        return self._inverted[x]
 
 
 def orthogonalize_step(lead, prevs, pair, gram, inverse, what=""):
     """Project lead onto prevs, lead in the left slot of the pairing.
 
-    Returns (coeffs, residual) with residual = lead - sum coeffs[k] prevs[k].
+    `lead` and each of `prevs` are lists of slots.  Returns (coeffs,
+    residual) with residual = lead - sum coeffs[k] prevs[k], slot by slot.
     `gram(j, k)` = <prevs[j], prevs[k]> (j <= k) and `inverse(k)` =
-    1 / gram(k, k) come from the callers' label-keyed memos, so each norm
-    is inverted once per label; `inverse` is asked only for a nonzero norm.
-    The pairing need not be symmetric; the family satisfies <P_i, P_j> = 0
-    for j earlier than i, which makes the Gram matrix of `prevs`
-    triangular, so the projection coefficients come from one forward
-    substitution.
+    1 / gram(k, k) come from a `GramSchmidt` driver's label-keyed memo, so
+    each norm is inverted once per label; `inverse` is asked only for a
+    nonzero norm.  The pairing need not be symmetric; the family satisfies
+    <P_i, P_j> = 0 for j earlier than i, which makes the Gram matrix of
+    `prevs` triangular, so the projection coefficients come from one
+    forward substitution.
     """
     coeffs = []
     for k, p in enumerate(prevs):
@@ -146,7 +179,7 @@ def orthogonalize_step(lead, prevs, pair, gram, inverse, what=""):
         coeffs.append(acc * inverse(k))
     out = lead
     for c, p in zip(coeffs, prevs):
-        out = out - p.scale(c)
+        out = [o - s.scale(c) for o, s in zip(out, p)]
     return coeffs, out
 
 
@@ -179,8 +212,6 @@ class AWParams:
     @classmethod
     def from_labels(cls, l1, l2, l3, l4, qhat_log=2):
         """Half-integer labels, mapped via (qh^l1, -qh^l2, qh^{l3+1/2}, -qh^{l4+1/2})."""
-        from fractions import Fraction
-
         qh = Fraction(qhat_log)
         mk = lambda e, s: ExactScalar.q_power(qh * Fraction(e), s)
         return cls(mk(l1, 1), mk(l2, -1),

@@ -13,7 +13,7 @@ GAElements, read as ``M[i][j]``.
 
 from __future__ import annotations
 
-from .scalars import ExactScalar
+from .scalars import ExactScalar, parse_scalar
 
 
 class GAElement:
@@ -189,8 +189,7 @@ class GAElement:
             return "0"
         parts = []
         for e, c in self.sorted_items():
-            cr = c.render() if hasattr(c, "render") else repr(c)
-            parts.append("(%s)*%s^%s" % (cr, symbol, list(e)))
+            parts.append("(%s)*%s^%s" % (c.render(), symbol, list(e)))
         return " + ".join(parts)
 
     def to_json(self):
@@ -202,8 +201,6 @@ class GAElement:
 
 
 def ga_from_json(data, lattice):
-    from .scalars import parse_scalar
-
     return GAElement({tuple(item["exponent"]): parse_scalar(item["coeff"])
                       for item in data}, lattice)
 

@@ -1107,16 +1107,11 @@ def rational_reconstruct(series, margin=6):
         r0, r1, t0, t1 = r1, r, t1, t
     if not r1 or not t1:
         return None
-    if len(t1) - 1 > N - half - margin:
+    # t must be a unit mod v^N: t(0) != 0
+    if len(t1) - 1 > N - half - margin or not t1[0]:
         return None
-    num_d = {i + m: x for i, x in enumerate(r1) if x}
-    den_d = {i: x * series.den for i, x in enumerate(t1) if x}
-    try:
-        cand = ExactScalar(num_d, den_d)
-    except ZeroDivisionError:
-        return None
-    if den_d.get(0, 0) == 0:
-        return None
+    cand = ExactScalar({i + m: x for i, x in enumerate(r1) if x},
+                       {i: x * series.den for i, x in enumerate(t1) if x})
     check = cand.to_series(series.prec)
     if not (check - series).is_zero():
         return None

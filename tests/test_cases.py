@@ -269,7 +269,7 @@ class TestMatrixFamily:
 
     def test_dii_first_column(self):
         case = build_case("DII:n=2")
-        col = case.vector_member(1, (1,)).slots
+        col = case.vector_member(1, (1,))
         expected0 = GAElement.monomial((0,), case.lattice,
                                        -(ExactScalar.one() / (Q(1) + Q(-1))))
         assert col[0] == expected0
@@ -688,7 +688,7 @@ class TestAWMomentPairing:
         case = build_case(cid)
         M = case.matrix_weight
         L = AWFunctional(case.aw_zonal, case.lattice)
-        members = [case.vector_member(b, (m,)).slots
+        members = [case.vector_member(b, (m,))
                    for m in range(3) for b in range(len(case.bottoms))]
         rng = random.Random(7)
         den = ExactScalar.one() + Q(1)
@@ -790,7 +790,7 @@ class TestMomentPairing:
             grid = [(m,) for m in range(3)]
         else:
             grid = [(x, y) for x in range(3) for y in range(3 - x)]
-        members = [case.vector_member(b, lam).slots
+        members = [case.vector_member(b, lam)
                    for lam in grid for b in range(len(case.bottoms))]
         for u, w in itertools.combinations_with_replacement(members, 2):
             assert (eng.vector_pair(u, M, w) ==
@@ -834,7 +834,7 @@ def ai2_pairings():
     case = build_case("AI2", order=100)
     eng = case.nabla_engine
     M = case.matrix_weight
-    members = [case.vector_member(b, lam).slots
+    members = [case.vector_member(b, lam)
                for lam in case.restricted.grid(2)
                for b in range(len(case.bottoms))]
     pairs = [(u, w, eng.vector_pair(u, M, w),

@@ -308,9 +308,9 @@ class TestVerify:
     def test_q_inversion_failure_keeps_detail(self, monkeypatch):
         # every failing label is reported with qinv_check's detail and
         # entries; Q_0 is the identity, exact, so its label still passes
-        import macpoly.scalars as scalars_mod
+        import macpoly.cases as cases_mod
 
-        monkeypatch.setattr(scalars_mod, "rational_reconstruct",
+        monkeypatch.setattr(cases_mod, "rational_reconstruct",
                             lambda series, margin=6: None)
         report, status = run_verify("AI2", height=1)
         assert status == 1

@@ -11,6 +11,7 @@ from macpoly.cases import build_case
 from macpoly.families import (
     AWFunctional,
     AWParams,
+    GramSchmidt,
     PolyFamilySpec,
     _aw_binomial,
     _aw_factors,
@@ -411,9 +412,13 @@ class TestPairingRoute:
 
 
 class TestGramInverse:
-    """Each Gram norm is inverted once per label, in the callers' memos
-    (`ExampleCase._gram`, `PolyFamilySpec._gram`), and a zero norm is still
-    the typed degenerate-entry error."""
+    """Each Gram norm is inverted once per label, in the `GramSchmidt`
+    drivers' memos (the case's vector family, the spec's family per J),
+    and a zero norm is still the typed degenerate-entry error."""
+
+    @staticmethod
+    def _drivers(case):
+        return [case._family, *case.family_spec._families.values()]
 
     @pytest.mark.parametrize("cid, kind", [("DII:n=2", ExactScalar),
                                            ("AI2", SeriesScalar)])
@@ -444,11 +449,13 @@ class TestGramInverse:
             for mu in grid:
                 spec.family_member(tuple(range(case.rank)), mu)
         # the zero norms were paired, and none was inverted
-        for memo in (case._gram, spec._gram):
-            norms = [v for k, v in memo.items() if k[-1] is not None]
+        drivers = self._drivers(case)
+        assert len(drivers) == 2
+        for family in drivers:
+            norms = list(family._paired.values())
             assert norms and all(isinstance(n, kind) and n.is_zero()
                                  for n in norms)
-            assert all(k[-1] is not None for k in memo)
+            assert not family._inverted
 
     @pytest.mark.parametrize("cid, kind", [("DII:n=2", ExactScalar),
                                            ("AI2", SeriesScalar)])
@@ -459,24 +466,56 @@ class TestGramInverse:
         inv = kind.inv
 
         def counted(self):
-            if sys._getframe(1).f_code.co_name in ("_member_inverse",
-                                                   "inverse"):
+            if sys._getframe(1).f_code.co_name == "inverse":
                 calls.append(self)
             return inv(self)
 
         monkeypatch.setattr(kind, "inv", counted)
         case = build_case(cid, order=100)
-        spec = case.family_spec
         for lam in case.restricted.grid(2):
             case.recurrence_coeffs(0, lam)
         kept = 0
-        for memo in (case._gram, spec._gram):
-            for key, value in memo.items():
-                if key[-1] is None:
-                    norm = memo[key[:-1] + key[-2:-1]]
-                    assert (value * norm - 1).is_zero()
-                    kept += 1
+        for family in self._drivers(case):
+            for x, value in family._inverted.items():
+                assert (value * family._paired[x, x] - 1).is_zero()
+                kept += 1
         assert kept > 5 and len(calls) == kept
+
+
+class TestGramSchmidt:
+    """The driver alone, over the vector labels (b, lam) of DII:n=2."""
+
+    def test_members_orthogonal_and_paired_once(self):
+        case = build_case("DII:n=2")
+        seen = []
+
+        def pair(u, w):
+            seen.append((u, w))  # keeps the arguments alive for `is`
+            return case._vector_pair(u, w)
+
+        family = GramSchmidt(case._vector_lead,
+                             lambda x: case._vector_downset(*x), pair,
+                             "DII vector")
+        labels = [(b, lam) for lam in case.restricted.grid(3)
+                  for b in range(len(case.bottoms))]
+        below = 0
+        for x in labels:
+            P = family.member(x)
+            assert len(P) == len(case.bottoms)
+            for y in family.below(x):
+                # asked twice, paired once
+                assert family.pairing(x, y).is_zero()
+                assert family.pairing(x, y).is_zero()
+                below += 1
+            assert not family.pairing(x, x).is_zero()
+        assert below > len(labels)
+        # the pair calls between two members, by label: each label pair
+        # once, and exactly the pairings the driver keeps
+        label_of = {id(m): x for x, m in family._built.items()}
+        paired = [(label_of[id(u)], label_of[id(w)]) for u, w in seen
+                  if id(u) in label_of and id(w) in label_of]
+        assert len(paired) == len(set(paired))
+        assert set(paired) == set(family._paired)
 
 
 class TestGramSchmidtCalibration:
