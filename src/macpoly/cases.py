@@ -129,6 +129,8 @@ class ExampleCase:
     _functionals: dict = field(init=False, default_factory=dict)
     # H -> gamma-basis lead table of height H
     _gamma_tables: dict = field(init=False, default_factory=dict)
+    # label (b, lam) -> (its ambient weight, its pair key)
+    _labels: dict = field(init=False, default_factory=dict)
 
     # -- basic objects ------------------------------------------------------
 
@@ -311,24 +313,27 @@ class ExampleCase:
         x = self.satake.from_restricted(lam)
         return tuple(a + b for a, b in zip(x, self.bottoms[b_idx]))
 
-    def _pair_key(self, b_idx, lam):
-        return (self.datum.pair_two_rho(self._ambient(b_idx, lam)), lam, b_idx)
+    def _label(self, b_idx, lam):
+        """(ambient weight, pair key) of the label (b, lam), computed once
+        per case."""
+        got = self._labels.get((b_idx, lam))
+        if got is None:
+            x = self._ambient(b_idx, lam)
+            got = self._labels[b_idx, lam] = (
+                x, (self.datum.pair_two_rho(x), lam, b_idx))
+        return got
 
     def _vector_downset(self, b_idx, lam):
         """Pairs (b', mu) strictly below (b, lam) in the ambient dominance."""
-        key = self._pair_key(b_idx, lam)
+        top, key = self._label(b_idx, lam)
         out = []
         for mu in self.restricted.grid(self.restricted.height2(lam) + 2):
             for bp in range(len(self.bottoms)):
-                k = self._pair_key(bp, mu)
-                if k < key and self._dominated(bp, mu, b_idx, lam):
+                x, k = self._label(bp, mu)
+                if k < key and self.datum.dominance_leq(x, top):
                     out.append((k, bp, mu))
         out.sort()
         return [(bp, mu) for _, bp, mu in out]
-
-    def _dominated(self, bp, mu, b_idx, lam):
-        return self.datum.dominance_leq(self._ambient(bp, mu),
-                                        self._ambient(b_idx, lam))
 
     def vector_member(self, b_idx, lam):
         """The orthogonal vector polynomial with leading m_lam in slot b,
@@ -513,9 +518,9 @@ class ExampleCase:
             cval = coeffs.get((b, top))
             if cval is None or cval.is_zero():
                 top_ok = False
-            base = self._ambient(b, lam)
+            base = self._label(b, tuple(lam))[0]
             for (bp, mu) in coeffs:
-                step = tuple(a - c for a, c in zip(self._ambient(bp, mu),
+                step = tuple(a - c for a, c in zip(self._label(bp, mu)[0],
                                                    base))
                 if not self.datum.is_weight(hw, step):
                     steps_ok = False
@@ -603,7 +608,7 @@ class ExampleCase:
 def qkrawtchouk(i, y, p, N):
     """Terminating basic hypergeometric sum in base q^{-2}, evaluated at y."""
     acc = ExactScalar.zero()
-    for k in range(0, min(i, N) + 1):
+    for k in range(min(i, N) + 1):
         num = (q_pochhammer(Q(2 * i), -2, k) *
                q_pochhammer(y, -2, k) *
                q_pochhammer(-(p * Q(-2 * i)), -2, k))
@@ -715,7 +720,7 @@ def kravchuk_consistency(case):
     s = data["s"]
     a2, Cc = data["a2"], data["C"]
     ok = True
-    for r in range(0, s + 2):
+    for r in range(s + 2):
         lhs = data["c_r"](s + 1 - r)
         rhs = (Cc * Q(2 * s) / a2) * (
             (ONE - Q(-2 * r)) * (ONE - Q(-2 * r + 2 * s + 2)))
@@ -902,13 +907,12 @@ def _build_a2_family(tag, order):
             return 1, (-a, a + b - 1)
         return 2, (b, -a - b)
 
-    case = ExampleCase(
+    return ExampleCase(
         tag=tag, satake=satake, restricted=restricted, lattice=lat,
         qhat_log=qhat_log, t=t,
         bottom_weights=bottom_weights, golden_matrix_fn=golden,
         gamma_basis=[e1, es1, es2s1], gamma_bottoms=[2, 1, 0],
         t_map=t_map, J=(1,), order=order)
-    return case
 
 
 def _build_dii(n, order):
@@ -969,13 +973,12 @@ def _build_dii(n, order):
     basis[theta_slot] = GAElement.one(lat, 1)  # v1 maps to the theta bottom
     basis[id_slot] = v2
 
-    case = ExampleCase(
+    return ExampleCase(
         tag=tag, satake=satake, restricted=restricted, lattice=lat,
         qhat_log=2, t=Q(2 * (n - 1)),
         bottom_weights=bottom_weights, golden_matrix_fn=golden,
         gamma_basis=basis, gamma_bottoms=[0, 1],
         t_map=t_map, J=(), order=order)
-    return case
 
 
 def _build_small_b(kind, n, s, order):
@@ -1042,7 +1045,7 @@ def _build_small_b(kind, n, s, order):
     def t_map(mu):
         return 0, mu
 
-    case = ExampleCase(
+    return ExampleCase(
         tag=tag, satake=satake, restricted=restricted, lattice=lat,
         qhat_log=2, t=None,
         bottom_weights=bottom_weights, golden_matrix_fn=golden,
@@ -1050,5 +1053,4 @@ def _build_small_b(kind, n, s, order):
         t_map=t_map, J=(0,),
         aw=aw, aw_zonal=aw_zonal,
         extra={"n": n, "s": s, "kind": kind}, order=order)
-    return case
 

@@ -88,6 +88,8 @@ def cmd_cases(args):
 
 
 def cmd_compute(args):
+    if args.J is not None and args.family != "intermediate":
+        raise ConfigError("--J applies to --family intermediate only")
     case = _build_case(args.case, args.order)
     if args.family == "intermediate":
         J = _parse_coords(args.J, "--J") if args.J else case.J
@@ -134,9 +136,12 @@ def _path_error(exc):
 
 
 def cmd_render(args):
+    if args.lam is not None and args.what != "Q":
+        raise ConfigError("--lam applies to --what Q only")
     case = _build_case(args.case)
     if args.what == "Q":
-        lam = _parse_label(case, args.lam, range(case.rank))
+        lam = _parse_label(case, "0" if args.lam is None else args.lam,
+                           range(case.rank))
     with _open_output(args.output) as fh:
         if args.what == "M":
             M = case.matrix_weight
@@ -406,7 +411,7 @@ def main(argv=None):
     p = sub.add_parser("render", help="render the weight matrix or a member")
     p.add_argument("--case", required=True)
     p.add_argument("--what", default="M", choices=["M", "Q"])
-    p.add_argument("--lam", "--lambda", dest="lam", default="0")
+    p.add_argument("--lam", "--lambda", dest="lam", default=None)
     p.add_argument("--format", default="latex", choices=["text", "json", "latex"])
     p.add_argument("--basis", default="restricted",
                    choices=["restricted", "ambient"],

@@ -416,6 +416,7 @@ class WeightEngine:
         self._lookup = None
         self._moments = {}
         self._singles = {}  # e -> {e}, one block per exponent for the Grams
+        self._cuts = {}  # (id(f), id(group)) -> (f, group, blocks of f)
         infinite = {f.length is INF for f in spec.plus + spec.minus}
         if len(infinite) > 1:
             raise ValueError("a weight spec mixes finite and infinite factors")
@@ -431,7 +432,7 @@ class WeightEngine:
         has no spec and expands nothing."""
         engine = cls.__new__(cls)
         engine.spec, engine._lookup = None, weight
-        engine._moments, engine._singles = {}, {}
+        engine._moments, engine._singles, engine._cuts = {}, {}, {}
         return engine
 
     # -- construction --------------------------------------------------------
@@ -600,13 +601,13 @@ class WeightEngine:
         """sum_{i,j} ct(u_i M_ij flip(w_j) W) for vectors u, w and matrix M
         (a list of rows), from the moments m_ij(nu) = ct(e^nu M_ij W) of M.
 
-        Each slot is cut into blocks (`_blocks`): orbits of `group` (a root
-        datum, read through its `orbit`) on which its coefficient is
-        constant, and single exponents.  By bilinearity the pairing is
-        sum u_i[A] w_j[B] G_ij(A, B) over blocks A of u_i and B of w_j, with
-        G_ij(A, B) the sum of m_ij(a - b) over a in A, b in B (`_gram`).
-        On series weights the margin guard covers, per cell, the lowest
-        orders of u_i[A] and w_j[B] plus that of M_ij.
+        Each slot is cut into blocks once per engine (`_blocks`): orbits of
+        `group` (a root datum, read through its `orbit`) on which its
+        coefficient is constant, and single exponents.  By bilinearity the
+        pairing is sum u_i[A] w_j[B] G_ij(A, B) over blocks A of u_i and B of
+        w_j, with G_ij(A, B) the sum of m_ij(a - b) over a in A, b in B
+        (`_gram`).  On series weights the margin guard covers, per cell, the
+        lowest orders of u_i[A] and w_j[B] plus that of M_ij.
         """
         tables = self._moment_tables(M)
         us = [self._blocks(f, group) for f in u]
@@ -629,6 +630,18 @@ class WeightEngine:
         return self._finish(self._sum(products))
 
     def _blocks(self, f, group):
+        """The blocks of f under `group` (`_cut`), cut once per engine.
+
+        Keyed by the ids of f and `group`; the entry holds both, so the ids
+        stay theirs while kept.
+        """
+        got = self._cuts.get((id(f), id(group)))
+        if got is None:
+            got = self._cuts[id(f), id(group)] = (f, group,
+                                                  self._cut(f, group))
+        return got[2]
+
+    def _cut(self, f, group):
         """f as (block, coefficient) pairs: each orbit of `group` (None: no
         orbits) on which f has one coefficient is a block, and each other
         exponent is a block of its own.  Coefficients are lifted into the

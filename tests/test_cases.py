@@ -348,7 +348,8 @@ class TestIdentification:
                 if (b1, l1) == (b2, l2):
                     assert mu1 == mu2
                     continue
-                if case._dominated(b1, l1, b2, l2) and (b1, l1) != (b2, l2):
+                x1, x2 = case._label(b1, l1)[0], case._label(b2, l2)[0]
+                if case.datum.dominance_leq(x1, x2) and (b1, l1) != (b2, l2):
                     assert R.order_key(mu1) < R.order_key(mu2), (mu1, mu2)
 
     @pytest.mark.parametrize("cid", ["A2G", "AII5", "AI2"])
@@ -674,6 +675,45 @@ class TestCaches:
         report, status = run_verify("A2G", height=2)
         assert status == 0
         assert held and not repeated
+
+    def test_each_argument_cut_and_each_label_placed_once(self, monkeypatch):
+        # over one verify, the engines cut one block list per distinct
+        # (element, group) they are asked for, and the case computes one
+        # ambient weight per distinct label
+        from macpoly.cases import ExampleCase
+        from macpoly.cli import run_verify
+        from macpoly.weights import WeightEngine
+
+        asked, cuts, looked, placed = [], [], [], []
+        blocks, cut = WeightEngine._blocks, WeightEngine._cut
+        label, ambient = ExampleCase._label, ExampleCase._ambient
+
+        def counted_blocks(self, f, group):
+            asked.append((self, f, group))  # keeps every id taken
+            return blocks(self, f, group)
+
+        def counted_cut(self, f, group):
+            cuts.append(1)
+            return cut(self, f, group)
+
+        def counted_label(self, b, lam):
+            looked.append((self, b, lam))
+            return label(self, b, lam)
+
+        def counted_ambient(self, b, lam):
+            placed.append(1)
+            return ambient(self, b, lam)
+
+        monkeypatch.setattr(WeightEngine, "_blocks", counted_blocks)
+        monkeypatch.setattr(WeightEngine, "_cut", counted_cut)
+        monkeypatch.setattr(ExampleCase, "_label", counted_label)
+        monkeypatch.setattr(ExampleCase, "_ambient", counted_ambient)
+        report, status = run_verify("A2G", height=1)
+        assert status == 0
+        distinct = {(id(e), id(f), id(g)) for e, f, g in asked}
+        assert len(cuts) == len(distinct) < len(asked)
+        labels = {(id(c), b, lam) for c, b, lam in looked}
+        assert len(placed) == len(labels) < len(looked)
 
 
 class TestAWMomentPairing:

@@ -80,6 +80,24 @@ class TestCompute:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("family", ["sym", "nonsym", "matrix"])
+    @pytest.mark.parametrize("J", ["0,x", "5", "0"])
+    def test_J_outside_intermediate_exit_code(self, family, J, monkeypatch,
+                                              capsys):
+        # only the intermediate family reads --J; the others refuse it
+        # before any work
+        import macpoly.cli as cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before --J was refused")
+
+        monkeypatch.setattr(cli, "build_case", no_work)
+        rc = main(["compute", "--case", "A2G", "--family", family,
+                   "--lam", "1,0", "--J", J])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --J") and err.count("\n") == 1
+
     @pytest.mark.parametrize("cid, J", [("A2G", "0,1,1"), ("AI2", "1,0,1")])
     def test_repeated_J_index_exit_code(self, cid, J, capsys):
         # a repeated index would rebuild a family under a second key
@@ -141,6 +159,29 @@ class TestRender:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("lam", ["1,x", "0", ""])
+    def test_lam_with_weight_matrix_exit_code(self, lam, monkeypatch,
+                                              capsys):
+        # the weight matrix takes no label: an explicit --lam is refused
+        # before any work
+        import macpoly.cli as cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before --lam was refused")
+
+        monkeypatch.setattr(cli, "build_case", no_work)
+        rc = main(["render", "--case", "A2G", "--what", "M", "--lam", lam])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --lam") and err.count("\n") == 1
+
+    def test_member_label_defaults_to_zero(self, capsys):
+        assert main(["render", "--case", "DII:n=2", "--what", "Q"]) == 0
+        default = capsys.readouterr().out
+        assert main(["render", "--case", "DII:n=2", "--what", "Q",
+                     "--lam", "0"]) == 0
+        assert capsys.readouterr().out == default
 
     @pytest.mark.parametrize("lam", ["--lam=1", "--lam=-1,0"])
     def test_bad_label_exit_code(self, lam, capsys):

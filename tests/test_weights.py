@@ -995,3 +995,64 @@ class TestSharedParts:
             assert all(r() is None for r in refs)
         finally:
             gc.enable()
+
+
+def _fields(x):
+    """A scalar's stored fields, so two results compare term by term (a
+    series by its numerator, denominator and precision)."""
+    return (type(x).__name__, x.num, x.den, getattr(x, "prec", None))
+
+
+def _pairings_at_height_one(case):
+    """Every Gram entry and every recurrence coefficient of the vector
+    family over the labels of height <= 1, as stored fields."""
+    grid = case.restricted.grid(1)
+    grams = [[[_fields(x) for x in row] for row in case.gram_block(l, m)]
+             for l in grid for m in grid]
+    recs = [{b: {x: _fields(c) for x, c in coeffs.items()}
+             for b, coeffs in case.recurrence_coeffs(0, l)["coeffs"].items()}
+            for l in grid]
+    return grams, recs
+
+
+class TestBlockMemo:
+    """The blocks of `vector_pair` are cut once per engine per argument."""
+
+    @pytest.mark.parametrize("cid", ["A2G", "AI2", "BII:n=2,s=1"])
+    def test_pairings_match_an_engine_without_the_memo(self, cid,
+                                                       monkeypatch):
+        # exact, series and moment engines: the memo changes no value
+        from macpoly.cases import ExampleCase, build_case
+
+        def fresh_label(case, b, lam):
+            x = case._ambient(b, lam)
+            return x, (case.datum.pair_two_rho(x), lam, b)
+
+        monkeypatch.setattr(WeightEngine, "_blocks",
+                            lambda self, f, group: self._cut(f, group))
+        monkeypatch.setattr(ExampleCase, "_label", fresh_label)
+        fresh = build_case(cid)
+        want = _pairings_at_height_one(fresh)
+        assert not fresh.nabla_engine._cuts and not fresh._labels
+        monkeypatch.undo()
+        case = build_case(cid)
+        assert _pairings_at_height_one(case) == want
+        assert case.nabla_engine._cuts and case._labels
+
+    def test_group_is_part_of_the_key(self):
+        # one element paired with and without the group: each call reads
+        # the blocks of its own cut
+        from macpoly.cases import build_case
+
+        case = build_case("A2G")
+        eng, W = case.nabla_engine, case.restricted
+        f = case.m_of((1, 0))
+        with_group = eng._blocks(f, W)
+        without = eng._blocks(f, None)
+        assert with_group == eng._cut(f, W) and len(with_group) == 1
+        assert without == eng._cut(f, None) and len(without) == len(f.terms)
+        assert eng._blocks(f, W) is with_group
+        assert eng._blocks(f, None) is without
+        unit = [[GAElement.one(case.lattice, case.rank)]]
+        assert eng.vector_pair([f], unit, [f], W) == eng.vector_pair(
+            [f], unit, [f])
