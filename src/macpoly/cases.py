@@ -358,7 +358,11 @@ class ExampleCase:
 
         Series-backend coefficients are first reconstructed as exact
         rational functions (and the reconstruction is verified against the
-        series to its full working order).
+        series to its full working order).  A coefficient that does not
+        reconstruct is a shortfall of the working order, not a broken
+        identity: "shortfall" lists those `entries` with the `order`, and
+        "fail" lists the recovered entries that break q -> 1/q in
+        `failures`, next to any shortfall.
         """
         Qm = self.matrix_q(lam)
         bad = []
@@ -368,20 +372,19 @@ class ExampleCase:
                 coeffs = {}
                 for e, c in entry.terms.items():
                     if isinstance(c, SeriesScalar):
-                        rec = rational_reconstruct(c)
-                        if rec is None:
+                        c = rational_reconstruct(c)
+                        if c is None:
                             unrecovered.append((i, j, e))
                             continue
-                        coeffs[e] = rec
-                    else:
-                        coeffs[e] = c
+                    coeffs[e] = c
                 exact = GAElement(coeffs, entry.lattice)
                 if not (exact.invol_zero() - exact).is_zero():
                     bad.append((i, j))
+        out = {"status": "fail" if bad else "shortfall" if unrecovered
+               else "pass", "failures": bad}
         if unrecovered:
-            return {"status": "fail", "detail": "reconstruction failed",
-                    "entries": unrecovered}
-        return {"status": "pass" if not bad else "fail", "failures": bad}
+            out.update(entries=unrecovered, order=self.order)
+        return out
 
     # -- identification ---------------------------------------------------------
 

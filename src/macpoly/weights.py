@@ -15,9 +15,10 @@ import json
 import math
 import os
 import weakref
+from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass
-from operator import sub
+from operator import eq, sub
 
 from .galg import GAElement
 from .scalars import (ExactScalar, SeriesScalar, _pack, _unpack,
@@ -411,12 +412,8 @@ class WeightEngine:
     """
 
     def __init__(self, spec, order=60):
-        self.spec = spec
+        self._memos(spec)
         self.order = order
-        self._lookup = None
-        self._moments = {}
-        self._singles = {}  # e -> {e}, one block per exponent for the Grams
-        self._cuts = {}  # (id(f), id(group)) -> (f, group, blocks of f)
         infinite = {f.length is INF for f in spec.plus + spec.minus}
         if len(infinite) > 1:
             raise ValueError("a weight spec mixes finite and infinite factors")
@@ -431,9 +428,21 @@ class WeightEngine:
         as the one-variable moment functional's `AWFunctional.weight`; it
         has no spec and expands nothing."""
         engine = cls.__new__(cls)
-        engine.spec, engine._lookup = None, weight
-        engine._moments, engine._singles, engine._cuts = {}, {}, {}
+        engine._memos(None)
+        engine._lookup = weight
         return engine
+
+    def _memos(self, spec):
+        """What both constructors set: the spec, no lookup yet, and the
+        pairing memos and orbit proofs, all empty.  `_shape` is what a proof
+        of W-invariance reads (`_prove`); the builders set it, and an engine
+        over moments alone has none, so it shares nothing across orbits."""
+        self.spec, self._lookup, self._shape = spec, None, None
+        self._moments = {}  # id(M) -> (M, moment tables of M)
+        self._singles = {}  # e -> {e}, one block per exponent for the Grams
+        self._cuts = {}  # (id(f), id(group)) -> (f, group, blocks of f)
+        self._proofs = {}  # id(group) -> (group, W constant on its orbits)
+        self._orbits = None  # the first group W is proven constant on
 
     # -- construction --------------------------------------------------------
 
@@ -449,12 +458,21 @@ class WeightEngine:
                 for j in range(f.length):
                     c = f.coeff * ExactScalar.q_power(f.base_log * j)
                     W = W * (one - GAElement.monomial(a, spec.lattice, c))
+        self._shape = W.terms
         self._lookup = W.terms.get
 
     def _build_series(self):
         """Set the working order from the parts' lowest orders, then hold
         both parts, shared through `cone_part`, expanded to it."""
         spec = self.spec
+        # the factors as the weight holds them, minus on -a: exponent ->
+        # multiset of the other fields
+        self._shape = {}
+        for sign, factors in ((1, spec.plus), (-1, spec.minus)):
+            for f in factors:
+                self._shape.setdefault(tuple(sign * x for x in f.exponent),
+                                       Counter())[
+                    f.coeff, f.base_log, f.length, f.side] += 1
         plus, minus = self._parts = tuple(cone_part(fs, spec.lattice)
                                           for fs in (spec.plus, spec.minus))
         low_p, low_m = plus.lowest_order(), minus.lowest_order()
@@ -502,7 +520,32 @@ class WeightEngine:
 
     def _weight_coefficient(self, nu):
         """Series coefficient sum_mu plus[mu] minus[mu - nu] of the weight at
-        exponent nu (lazily cached).  The products are packed integers
+        exponent nu, scanned (`_scan`) once at its canonical exponent
+        (`_canonical`) and cached under both."""
+        got = self._w_cache.get(nu)
+        if got is None:
+            key = self._canonical(nu)
+            got = self._w_cache.get(key)
+            if got is None:
+                got = self._w_cache[key] = self._scan(key)
+            self._w_cache[nu] = got
+        return got
+
+    def _canonical(self, nu):
+        """The exponent W(nu) is scanned at: the dominant representative of
+        nu once W is proven constant on the Weyl orbits (`_prove`), else nu;
+        when the two parts are one (`minus is plus`), the least of that of
+        nu and that of -nu, since mu -> mu - nu maps the products of W(-nu)
+        one to one onto those of W(nu)."""
+        orbits = self._orbits
+        rep = nu if orbits is None else orbits.dominant_rep(nu)
+        if self._minus_terms is not self._plus_terms:
+            return rep
+        neg = tuple(-x for x in nu)
+        return min(rep, neg if orbits is None else orbits.dominant_rep(neg))
+
+    def _scan(self, nu):
+        """W(nu) over all plus terms.  The products are packed integers
         (`_pack`) over the parts' common denominators, summed on the grid of
         the lowest product.
 
@@ -510,20 +553,9 @@ class WeightEngine:
         the other part's lowest order, and a product of a plus term of
         lowest order op and a minus term of order om is exact below
         min(cut_p + om, cut_m + op) >= work.  Products of order >= work are
-        left out.
-
-        When the two parts are one (`minus is plus`), mu -> mu - nu maps the
-        products of W(-nu) one to one onto those of W(nu), so W(-nu) is
-        served from W(nu) when that is cached.
+        left out.  So W(nu) and W(w nu) are one series wherever the weight
+        is constant on orbits.
         """
-        got = self._w_cache.get(nu)
-        if got is not None:
-            return got
-        if self._minus_terms is self._plus_terms:
-            got = self._w_cache.get(tuple(-x for x in nu))
-            if got is not None:
-                self._w_cache[nu] = got
-                return got
         work, minus = self._work, self._minus_lows
         pairs = []
         for mu, pc, op in self._plus_lows:
@@ -543,9 +575,8 @@ class WeightEngine:
             if p2 is None:
                 p2 = packs_m[mk] = _pack(mc.num, om, g, B) * (dm // mc.den)
             total += (p1 * p2) << (B * ((op + om - base) // g))
-        got = self._w_cache[nu] = SeriesScalar(
-            _unpack(total, base, g, B, work), work, _den=dp * dm)
-        return got
+        return SeriesScalar(_unpack(total, base, g, B, work), work,
+                            _den=dp * dm)
 
     # -- pairing --------------------------------------------------------------
 
@@ -608,7 +639,12 @@ class WeightEngine:
         w_j, with G_ij(A, B) the sum of m_ij(a - b) over a in A, b in B
         (`_gram`).  On series weights the margin guard covers, per cell, the
         lowest orders of u_i[A] and w_j[B] plus that of M_ij.
+
+        The weight's invariance under `group` is proven once (`_prove`)
+        before M's tables are made, so they can share moments by orbit.
         """
+        if group is not None and id(group) not in self._proofs:
+            self._prove(group)
         tables = self._moment_tables(M)
         us = [self._blocks(f, group) for f in u]
         ws = [self._blocks(f, group) for f in w]
@@ -628,6 +664,18 @@ class WeightEngine:
                     if g is not None:
                         products.append((ca, cb, g))
         return self._finish(self._sum(products))
+
+    def _prove(self, group):
+        """Decide once per group whether W is constant on its Weyl orbits:
+        the spec's factors (minus on -a) of a series weight, the terms of an
+        exact one, are permuted by every simple reflection (`_stable`).  The
+        first group that passes is kept in `_orbits`; W(nu) is then scanned
+        at one exponent per orbit (`_canonical`), and the moment tables made
+        afterwards test their own entries (`_moment_tables`)."""
+        stable = self._shape is not None and _stable(group, self._shape, eq)
+        self._proofs[id(group)] = (group, stable)
+        if stable and self._orbits is None:
+            self._orbits = group
 
     def _blocks(self, f, group):
         """The blocks of f under `group` (`_cut`), cut once per engine.
@@ -683,7 +731,8 @@ class WeightEngine:
 
     def _moment_tables(self, M):
         """Per-entry moment tables of M against this weight; equal entries
-        share one table.
+        share one table.  A table whose entry is constant on the orbits of
+        `_orbits` fills its moments once per orbit (`_moment`).
 
         Keyed by id(M); the entry holds M, so the id stays M's while kept.
         """
@@ -695,8 +744,13 @@ class WeightEngine:
                 for f in row:
                     table = next((t for t in distinct if t.f == f), None)
                     if table is None:
+                        orbits = self._orbits
+                        if orbits is not None and not _stable(
+                                orbits, f.terms, _same):
+                            orbits = None
                         table = _MomentTable(f, [(e, self._lift(c))
-                                                 for e, c in f.terms.items()])
+                                                 for e, c in f.terms.items()],
+                                             orbits)
                         distinct.append(table)
                     out.append(table)
                 rows.append(out)
@@ -705,18 +759,25 @@ class WeightEngine:
 
     def _moment(self, table, nu):
         """ct(e^nu f W) = sum_e f[e] W(-(e + nu)) for the entry f of
-        `table`, filled into the table once; None where it vanishes."""
+        `table`, filled into the table once; None where it vanishes.  When
+        f and W are constant on the orbits of `table.orbits`, so is the
+        moment, and it is filled only at dominant exponents."""
         try:
             return table.values[nu]
         except KeyError:
             pass
-        products = []
-        for e, c in table.terms:
-            w = self._coefficient(tuple(-(x + y) for x, y in zip(e, nu)))
-            if w is not None:
-                products.append((c, w))
-        m = self._sum(products)
-        m = table.values[nu] = None if m.is_zero() else m
+        orbits = table.orbits
+        if orbits is not None and not orbits.is_dominant(nu):
+            m = self._moment(table, orbits.dominant_rep(nu))
+        else:
+            products = []
+            for e, c in table.terms:
+                w = self._coefficient(tuple(-(x + y) for x, y in zip(e, nu)))
+                if w is not None:
+                    products.append((c, w))
+            m = self._sum(products)
+            m = None if m.is_zero() else m
+        table.values[nu] = m
         return m
 
 
@@ -724,16 +785,27 @@ class _MomentTable:
     """The moments of one entry f of M, nu -> ct(e^nu f W), as filled by
     `WeightEngine._moment`.  `terms` holds f's terms, with coefficients
     lifted into the weight's ring; `order` is the lowest v-order among them
-    (None for f = 0)."""
+    (None for f = 0); `orbits` is the group on whose orbits f and W are
+    both constant, or None."""
 
-    __slots__ = ("f", "terms", "order", "values", "grams")
+    __slots__ = ("f", "terms", "orbits", "order", "values", "grams")
 
-    def __init__(self, f, terms):
+    def __init__(self, f, terms, orbits=None):
         self.f = f
         self.terms = terms
+        self.orbits = orbits
         self.order = min((c.v_order() for c in f.terms.values()), default=None)
         self.values = {}
         self.grams = {}  # (block A, block B) -> G(A, B), from `_gram`
+
+
+def _stable(group, terms, same):
+    """Every simple reflection of `group` maps each exponent of `terms`
+    (exponent -> value) to one whose value is the `same`.  The reflections
+    are bijections, so they then permute the terms, and what the terms add
+    or multiply up to is constant on the Weyl orbits."""
+    return all(same(terms.get(group.reflect(i, e)), c)
+               for i in range(group.rank) for e, c in terms.items())
 
 
 def _same(a, b):

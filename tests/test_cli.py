@@ -4,6 +4,7 @@ import os
 import pytest
 
 from macpoly.cli import main, run_verify
+from macpoly.scalars import ExactScalar
 
 
 class TestCompute:
@@ -234,6 +235,7 @@ class TestGoldenReports:
         ("BII:n=2,s=1", 2, "BII-n2-s1-h2"),
         ("AI2", 1, "AI2-h1"),
         ("AI2", 2, "AI2-h2"),
+        ("AII5", 2, "AII5-h2"),
     ])
     def test_report_and_stderr(self, tmp_path, case, height, name):
         import subprocess
@@ -347,8 +349,9 @@ class TestVerify:
         assert checks[3]["detail"] == "ArithmeticError: no weight"
 
     def test_q_inversion_failure_keeps_detail(self, monkeypatch):
-        # every failing label is reported with qinv_check's detail and
-        # entries; Q_0 is the identity, exact, so its label still passes
+        # no coefficient reconstructs: every label with a series entry is a
+        # shortfall at the working order, with its entries and no broken
+        # identity; Q_0 is the identity, exact, so its label still passes
         import macpoly.cases as cases_mod
 
         monkeypatch.setattr(cases_mod, "rational_reconstruct",
@@ -356,12 +359,40 @@ class TestVerify:
         report, status = run_verify("AI2", height=1)
         assert status == 1
         entry = next(c for c in report["checks"] if c["name"] == "q_inversion")
-        assert entry["status"] == "fail"
+        assert entry["status"] == "shortfall"
         failed = entry["failed_labels"]
         assert sorted(f["lambda"] for f in failed) == [[0, 1], [1, 0]]
         for f in failed:
-            assert f["detail"] == "reconstruction failed"
-            assert f["entries"]
+            assert f["status"] == "shortfall"
+            assert f["entries"] and f["failures"] == []
+            assert f["order"] == 100
+        json.dumps(report)
+
+    def test_q_inversion_broken_identity_keeps_both(self, monkeypatch):
+        # recovered entries that break q -> 1/q are a failure, reported
+        # next to the entries that did not reconstruct
+        import macpoly.cases as cases_mod
+
+        real = cases_mod.rational_reconstruct
+        calls = []
+
+        def flaky(series, margin=6):
+            # every other coefficient reconstructs, shifted by v: v * x is
+            # not fixed by q -> 1/q unless x is zero
+            calls.append(None)
+            if len(calls) % 2:
+                return None
+            got = real(series, margin)
+            return got * ExactScalar.v_power(1)
+
+        monkeypatch.setattr(cases_mod, "rational_reconstruct", flaky)
+        report, status = run_verify("AI2", height=1)
+        assert status == 1
+        entry = next(c for c in report["checks"] if c["name"] == "q_inversion")
+        assert entry["status"] == "fail"
+        for f in entry["failed_labels"]:
+            assert f["status"] == "fail"
+            assert f["failures"] and f["entries"] and f["order"] == 100
         json.dumps(report)
 
     def test_q_inversion_pass_is_bare(self):

@@ -490,14 +490,16 @@ class TestWeightCoefficientScan:
 
     @pytest.mark.parametrize("which, symmetric", [("nabla_engine", True),
                                                   ("delta_engine", False)])
-    def test_ai2_box(self, which, symmetric):
+    def test_ai2_box(self, which, symmetric, monkeypatch):
         # every nu in the box against the scan over all plus terms with
-        # min(); every W(nu) is exact to `work`, and W(-nu) is served from
-        # W(nu) exactly when the two parts are one
+        # min(); every W(nu) is exact to `work`, W(-nu) is served from
+        # W(nu) exactly when the two parts are one, and the engine scans
+        # once per canonical exponent
         from macpoly.cases import build_case
 
         eng = getattr(build_case("AI2", order=100), which)
         assert (eng._minus_terms is eng._plus_terms) == symmetric
+        scans = _count_scans(monkeypatch)
         box = range(-12, 13)
         served = 0
         for nu in ((a, b) for a in box for b in box):
@@ -511,7 +513,8 @@ class TestWeightCoefficientScan:
             if before is not None and nu != neg:
                 assert (got is before) == symmetric, nu
                 served += 1
-        assert served == (len(box) ** 2 - 1) // 2
+        assert sorted(scans) == sorted({eng._canonical((a, b))
+                                        for a in box for b in box})
 
     def test_served_negation_skips_the_scan(self):
         # a symmetric engine answers W(-nu) from its cache alone
@@ -1003,10 +1006,10 @@ def _fields(x):
     return (type(x).__name__, x.num, x.den, getattr(x, "prec", None))
 
 
-def _pairings_at_height_one(case):
+def _pairings(case, height=1):
     """Every Gram entry and every recurrence coefficient of the vector
-    family over the labels of height <= 1, as stored fields."""
-    grid = case.restricted.grid(1)
+    family over the labels up to `height`, as stored fields."""
+    grid = case.restricted.grid(height)
     grams = [[[_fields(x) for x in row] for row in case.gram_block(l, m)]
              for l in grid for m in grid]
     recs = [{b: {x: _fields(c) for x, c in coeffs.items()}
@@ -1032,11 +1035,11 @@ class TestBlockMemo:
                             lambda self, f, group: self._cut(f, group))
         monkeypatch.setattr(ExampleCase, "_label", fresh_label)
         fresh = build_case(cid)
-        want = _pairings_at_height_one(fresh)
+        want = _pairings(fresh)
         assert not fresh.nabla_engine._cuts and not fresh._labels
         monkeypatch.undo()
         case = build_case(cid)
-        assert _pairings_at_height_one(case) == want
+        assert _pairings(case) == want
         assert case.nabla_engine._cuts and case._labels
 
     def test_group_is_part_of_the_key(self):
@@ -1056,3 +1059,204 @@ class TestBlockMemo:
         unit = [[GAElement.one(case.lattice, case.rank)]]
         assert eng.vector_pair([f], unit, [f], W) == eng.vector_pair(
             [f], unit, [f])
+
+
+def _count_scans(monkeypatch):
+    """Count the calls of `WeightEngine._scan` from now on."""
+    calls = []
+    scan = WeightEngine._scan
+
+    def counted(self, nu):
+        calls.append(nu)
+        return scan(self, nu)
+
+    monkeypatch.setattr(WeightEngine, "_scan", counted)
+    return calls
+
+
+def _box(r):
+    return [(a, b) for a in range(-r, r + 1) for b in range(-r, r + 1)]
+
+
+def _prove_by_pairing(case, eng):
+    """Pair 1 with 1 through `eng` with the case's Weyl group, the way
+    every pairing of the vector family passes it."""
+    one = case.one()
+    eng.vector_pair([one], [[one]], [one], case.restricted)
+
+
+class TestOrbitSharing:
+    """W(nu) and the moments of a W-invariant weight are computed once per
+    Weyl orbit, and every value equals the one computed without sharing."""
+
+    @pytest.mark.parametrize("cid", ["AI2", "A2G", "AII5"])
+    def test_pairings_match_an_engine_without_sharing(self, cid,
+                                                      monkeypatch):
+        # series (AI2 at its verify order 100) and exact weights, every
+        # Gram entry and recurrence coefficient at heights <= 2
+        from macpoly.cases import build_case
+
+        def refuse(self, group):
+            self._proofs[id(group)] = (group, False)
+
+        monkeypatch.setattr(WeightEngine, "_prove", refuse)
+        monkeypatch.setattr(WeightEngine, "_canonical", lambda self, nu: nu)
+        fresh = build_case(cid, order=100 if cid == "AI2" else 60)
+        want = _pairings(fresh, 2)
+        assert fresh.nabla_engine._orbits is None
+        monkeypatch.undo()
+        case = build_case(cid, order=fresh.order)
+        assert _pairings(case, 2) == want
+        eng = case.nabla_engine
+        assert eng._orbits is case.restricted
+        for _, rows in eng._moments.values():
+            assert all(t.orbits is case.restricted for row in rows
+                       for t in row)
+
+    def test_weight_coefficients_in_a_box(self, monkeypatch):
+        # once proven, every W(nu) of AI2's zonal weight in a 25 x 25 box
+        # equals the uncached scan, and the engine scans once per canonical
+        # exponent: the least dominant representative of nu and -nu
+        from macpoly.cases import build_case
+
+        case = build_case("AI2", order=100)
+        eng, R = case.nabla_engine, case.restricted
+        _prove_by_pairing(case, eng)
+        assert eng._orbits is R
+        eng._w_cache.clear()
+        scans = _count_scans(monkeypatch)
+        reps = set()
+        for nu in _box(12):
+            got = eng._weight_coefficient(nu)
+            want = weight_coefficient_scan(eng, nu)
+            assert (got.num, got.den, got.prec) == (want.num, want.den,
+                                                    want.prec), nu
+            reps.add(min(R.dominant_rep(nu),
+                         R.dominant_rep(tuple(-x for x in nu))))
+        assert sorted(scans) == sorted(reps)
+        assert all(R.is_dominant(nu) for nu in scans)
+        assert len(scans) < len(_box(12)) // 6
+
+    @pytest.mark.parametrize("cid", ["AI2", "A2G", "AII5"])
+    def test_moments_in_a_box(self, cid):
+        # every moment of every entry of M in a box, filled once per orbit,
+        # equals the moment filled at every exponent
+        from macpoly.cases import build_case
+        from macpoly.weights import _MomentTable
+
+        case = build_case(cid, order=100 if cid == "AI2" else 60)
+        eng, R = case.nabla_engine, case.restricted
+        _prove_by_pairing(case, eng)
+        tables = {id(t): t for row in eng._moment_tables(case.matrix_weight)
+                  for t in row}
+        box = _box(4)
+        for table in tables.values():
+            assert table.orbits is R
+            plain = _MomentTable(table.f, table.terms)
+            for nu in box:
+                got, want = eng._moment(table, nu), eng._moment(plain, nu)
+                assert (got is None) == (want is None), nu
+                if got is not None:
+                    assert _fields(got) == _fields(want), nu
+            assert len(plain.values) == len(box)
+            reps = {R.dominant_rep(nu) for nu in box}
+            filled = {id(m) for m in table.values.values() if m is not None}
+            assert len(filled) <= len(reps) < len(box)
+            assert set(table.values) == set(box) | reps
+
+
+class TestOrbitRefusal:
+    """Weights and entries that are not W-invariant share nothing across
+    orbits: the engine proves invariance itself and refuses these."""
+
+    def test_delta_engine(self, monkeypatch):
+        # AI2's non-symmetric weight, paired with the Weyl group: every
+        # W(nu) is scanned at nu itself and equals the scan
+        from macpoly.cases import build_case
+
+        case = build_case("AI2", order=100)
+        eng = case.delta_engine
+        _prove_by_pairing(case, eng)
+        assert eng._proofs[id(case.restricted)] == (case.restricted, False)
+        assert eng._orbits is None
+        eng._w_cache.clear()
+        scans = _count_scans(monkeypatch)
+        for nu in _box(6):
+            got = eng._weight_coefficient(nu)
+            want = weight_coefficient_scan(eng, nu)
+            assert (got.num, got.den, got.prec) == (want.num, want.den,
+                                                    want.prec), nu
+        assert sorted(scans) == sorted(_box(6))
+
+    @pytest.mark.parametrize("cid", ["AI2", "A2G"])
+    def test_symmetric_spec_with_one_factor_dropped(self, cid, monkeypatch):
+        # the zonal spec less its first plus factor (series on AI2, finite
+        # on A2G): no proof, so no W(nu) and no moment is shared
+        from macpoly.cases import build_case
+
+        case = build_case(cid)
+        spec = macdonald_sym_weight(case.restricted, case.qhat_log, case.t,
+                                    case.lattice)
+        eng = WeightEngine(WeightSpec(spec.plus[1:], spec.minus,
+                                      spec.lattice), order=24)
+        scans = _count_scans(monkeypatch)
+        _prove_by_pairing(case, eng)
+        assert eng._orbits is None
+        assert not eng._proofs[id(case.restricted)][1]
+        (table,), = eng._moment_tables([[case.matrix_weight[0][0]]])
+        assert table.orbits is None
+        if eng._lookup is None:
+            for nu in _box(6):
+                got = eng._weight_coefficient(nu)
+                want = weight_coefficient_scan(eng, nu)
+                assert (got.num, got.den, got.prec) == (
+                    want.num, want.den, want.prec), nu
+            assert set(_box(6)) <= set(scans)
+            assert len(scans) == len(set(scans))
+
+    def test_entry_that_is_not_invariant(self):
+        # a hand-made entry on A2G's proven exact weight: its table fills
+        # every exponent, and each moment is ct(e^nu f W)
+        from macpoly.cases import build_case
+
+        case = build_case("A2G")
+        eng = case.nabla_engine
+        _prove_by_pairing(case, eng)
+        assert eng._orbits is case.restricted
+        f = mono((1, 0), lat=case.lattice) + mono((0, 2), Q(1),
+                                                  lat=case.lattice)
+        (table,), = eng._moment_tables([[f]])
+        assert table.orbits is None
+        for nu in _box(3):
+            got = eng._moment(table, nu)
+            want = eng.ct_pair(mono(nu, lat=case.lattice) * f)
+            assert (got is None and want.is_zero()) or got == want, nu
+        assert len(table.values) == len(_box(3))
+
+
+class TestMemoInitialiser:
+    """Both constructors set the pairing memos and orbit fields in one
+    place (`_memos`)."""
+
+    def test_pairs_through_both_kinds_of_engine(self):
+        # an exact engine and an engine over its coefficient lookup alone
+        # pair alike; only the engine with a spec proves W-invariance
+        spec = macdonald_sym_weight(R2, 1, Q(2), "2L")
+        exact = WeightEngine(spec)
+        assert exact._lookup is not None
+        moments = WeightEngine.from_moments(exact._lookup)
+        assert set(vars(moments)) <= set(vars(exact))
+        for eng in (exact, moments):
+            assert (eng._moments, eng._singles, eng._cuts, eng._proofs,
+                    eng._orbits) == ({}, {}, {}, {}, None)
+        one = GAElement.one("2L", 2)
+        m = mono((1, 0)) + mono((-1, 1)) + mono((0, -1))
+        M = [[one, m], [m, one]]
+        u = [m, one + mono((1, 1))]
+        w = [one, m]
+        got = [eng.vector_pair(u, M, w, R2) for eng in (exact, moments)]
+        assert got[0] == got[1]
+        assert exact._orbits is R2 and moments._orbits is None
+        assert moments._proofs[id(R2)] == (R2, False)
+        for eng in (exact, moments):
+            assert eng._moments and eng._cuts
