@@ -26,6 +26,7 @@ from .families import (
 )
 from .galg import GAElement
 from .roots import (
+    FREUDENTHAL_DIM_BOUND,
     RestrictedSystem,
     SatakeDatum,
     _datum_from_cartan,
@@ -919,8 +920,9 @@ def _build_a2_family(tag, order):
 
 
 def _build_dii(n, order):
-    if n < 2:
-        raise ValueError("the 2-vector one-variable case needs n >= 2")
+    if n < 2 or 2 ** (n - 1) > FREUDENTHAL_DIM_BOUND:
+        raise ValueError("the 2-vector one-variable case needs n >= 2 and "
+                         "2^(n-1) <= %d spin weights" % FREUDENTHAL_DIM_BOUND)
     tag = "DII:n=%d" % n
     lat = "2L:" + tag
     xlat = "X:" + tag
@@ -952,19 +954,16 @@ def _build_dii(n, order):
     satake = SatakeDatum(datum, theta_rows, restricted, pi, wwords, bottoms)
     satake.check()
 
-    psi_id = [(mu, _exp(mu, xlat)) for mu in mus]
-    psi_theta = [(mu, _exp(satake.theta(mu), xlat)) for mu in mus]
     bottom_weights = [None, None]
-    bottom_weights[id_slot] = psi_id
-    bottom_weights[theta_slot] = psi_theta
+    bottom_weights[id_slot] = [(mu, _exp(mu, xlat)) for mu in mus]
+    bottom_weights[theta_slot] = [(mu, _exp(satake.theta(mu), xlat))
+                                  for mu in mus]
 
     def golden(case):
         one = case.one()
         m1 = case.m_of((1,))
         diag = one.scale(Q(n - 1) + Q(1 - n))
         return [[diag, m1], [m1, diag]]
-
-    v2 = _exp((1,), lat, Q(n - 1))
 
     def t_map(mu):
         (m,) = mu
@@ -974,7 +973,7 @@ def _build_dii(n, order):
 
     basis = [None, None]
     basis[theta_slot] = GAElement.one(lat, 1)  # v1 maps to the theta bottom
-    basis[id_slot] = v2
+    basis[id_slot] = _exp((1,), lat, Q(n - 1))
 
     return ExampleCase(
         tag=tag, satake=satake, restricted=restricted, lattice=lat,
@@ -1005,15 +1004,16 @@ def _build_small_b(kind, n, s, order):
         I_bullet = frozenset({0} | set(range(2, n)))
         Cc = Q(2 - n) * Q(2 - n) * ExactScalar.from_int(-1)  # -q^{4-2n}
         labels = (Fraction(2 * n - 1, 2), Fraction(3, 2) + s, n - 2, 0)
-    if datum.pair_two_rho(datum.fundamental_weight(k_idx)) != 2 * (2 * n - 1):
+    omega = datum.fundamental_weight(k_idx)
+    if datum.pair_two_rho(omega) != 2 * (2 * n - 1):
         raise ArithmeticError("<2 rho, omega_%d> != %d for %s"
                               % (k_idx + 1, 2 * (2 * n - 1), tag))
 
     wb_word = _longest_word(datum, sorted(I_bullet))
     wb = _matrix_of_word(datum, wb_word)
     theta_rows = tuple(tuple(-wb[i][j] for j in range(n)) for i in range(n))
-    pi = (datum.fundamental_weight(k_idx),)
-    wwords = (datum.reflection_word(datum.fundamental_weight(k_idx)),)
+    pi = (omega,)
+    wwords = (datum.reflection_word(omega),)
     bottoms = ((0,) * n,)  # single bottom, stored at the zero representative
 
     satake = SatakeDatum(datum, theta_rows, restricted, pi, wwords, bottoms)
@@ -1021,7 +1021,7 @@ def _build_small_b(kind, n, s, order):
 
     # restriction: e^mu prod_{j<s} (1 - C q^{2j} e^{-w_k}) / (C; q^2)_s,
     # one diagonal entry per weight mu of the bottom module
-    neg = tuple(-x for x in datum.fundamental_weight(k_idx))
+    neg = tuple(-x for x in omega)
     f = GAElement.one(xlat, n)
     for j in range(s):
         f = f * (GAElement.one(xlat, n) -

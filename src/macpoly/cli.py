@@ -92,7 +92,7 @@ def cmd_compute(args):
         raise ConfigError("--J applies to --family intermediate only")
     case = _build_case(args.case, args.order)
     if args.family == "intermediate":
-        J = _parse_coords(args.J, "--J") if args.J else case.J
+        J = case.J if args.J is None else _parse_coords(args.J, "--J")
     else:
         J = () if args.family == "nonsym" else tuple(range(case.rank))
     if not all(j in range(case.rank) for j in J):
@@ -101,7 +101,7 @@ def cmd_compute(args):
     if len(set(J)) != len(J):
         raise ConfigError("--J repeats an index: %s" % list(J))
     lam = _parse_label(case, args.lam, J)
-    if args.family == "nonsym" and case.rank != 1:
+    if not J and case.rank != 1:
         raise ConfigError("non-symmetric family is rank-1 only")
     if case.aw is not None and J != tuple(range(case.rank)):
         raise ConfigError("case %s has only W-invariant families: it pairs "

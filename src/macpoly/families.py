@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 from .galg import GAElement
-from .scalars import (ZERO, ExactScalar, _cyc_dict, _lp_shift, _make,
+from .scalars import (ZERO, ExactScalar, _cyc_dict, _den, _lp_shift, _make,
                       exact_sum_of_products)
 from .weights import WeightEngine
 
@@ -247,7 +247,7 @@ def _aw_quotient(num, den):
     g = gcd(cn, cd) if cd > 0 else -gcd(cn, cd)
     pairs = tuple(sorted((bottom - common).items()))
     return _make(_lp_shift(_cyc_dict(sorted((top - common).items()), cn // g),
-                           shift), _cyc_dict(pairs, cd // g), pairs)
+                           shift), _den(pairs, cd // g), pairs)
 
 
 def _aw_factors(params, m):

@@ -7,15 +7,17 @@ and positive leading coefficient, and gcd(num, den) = 1 holds after every
 operation.
 
 Denominators built from factors like (1 - q^k t^m) are products of
-cyclotomic polynomials Phi_k(v), and each `ExactScalar` carries that
-factorisation, den = lead * prod Phi_k^e_k, next to its denominator.  The
-gcd of num and den is then prod Phi_k^min(e_k, v_k(num)), so reduction needs
-no polynomial gcd: the exact divisibility tests of `cyclotomic` give each
-multiplicity, and the exact divisions that follow verify the result.  Sums
-and products test only the Phi_k that can cancel (gcd-pruned fraction
-arithmetic, Henrici 1956).  A denominator that is not such a product, or a
-divisor whose numerator is not one, falls back to the pseudo-remainder gcd
-`_lp_gcd`.
+cyclotomic polynomials Phi_k(v), and each `ExactScalar` reads its
+denominator from that factorisation, den = lead * prod Phi_k^e_k: sums and
+products keep only the pairs (k, e_k) and the integer lead, and `den` is
+the one dict of the shared table `_DENS` for them.  The gcd of num and den
+is prod Phi_k^min(e_k, v_k(num)), so reduction needs no polynomial gcd:
+the exact divisibility tests of `cyclotomic` give each multiplicity, and
+the exact divisions that follow verify the result.  Sums and products test
+only the Phi_k that can cancel (gcd-pruned fraction arithmetic, Henrici
+1956).  Every other fraction goes through the constructor, which factors
+its denominator; one that is not such a product falls back to the
+pseudo-remainder gcd `_lp_gcd`.
 
 A truncated Laurent-series backend (`SeriesScalar`) mirrors the same
 arithmetic modulo O(v^prec) and is used wherever infinite products have to
@@ -73,10 +75,6 @@ def _lp_mul(a, b):
 
 def _lp_shift(a, k):
     return {e + k: c for e, c in a.items()}
-
-
-def _lp_ord(a):
-    return min(a) if a else None
 
 
 def _lp_content(a):
@@ -168,6 +166,19 @@ def _cyc_dict(pairs, scale=1):
     return {i: c * scale for i, c in enumerate(product_coeffs(pairs)) if c}
 
 
+# (cyc, lead) -> lead * prod Phi_k^e, the one dict of every scalar over it
+_DENS = {}
+
+
+def _den(cyc, lead=1):
+    """The denominator dict of the factors `cyc` (a tuple of (k, e) pairs)
+    over the integer lead, built on first use and shared; no one changes it."""
+    got = _DENS.get((cyc, lead))
+    if got is None:
+        got = _DENS[cyc, lead] = _cyc_dict(cyc, lead)
+    return got
+
+
 def _lp_div_cyc(a, pairs):
     """Exact quotient of the Laurent polynomial a by prod Phi_k^e."""
     al, sh = _lp_to_list(a)
@@ -202,12 +213,11 @@ def _cyc_less(cyc, cut):
                  for p in cyc if p[1] != m.get(p[0]))
 
 
-def _settle(num, cyc, lead, tests, den=None):
+def _settle(num, cyc, lead, tests):
     """The reduced form of num / (lead * prod Phi_k^e over the pairs of cyc).
 
     Only the Phi_k of `tests`, (k, cap) pairs, and the integer content can
-    cancel.  `den` is the denominator's polynomial if the caller has it;
-    otherwise it is built from the factors left.
+    cancel; the denominator is read from the factors and the lead left.
     """
     if not num:
         return ZERO
@@ -215,18 +225,12 @@ def _settle(num, cyc, lead, tests, den=None):
     if cut:
         cyc = _cyc_less(cyc, cut)
         num = _lp_div_cyc(num, cut)
-        if den is not None:
-            den = _lp_div_cyc(den, cut)
     if lead > 1:
         cg = int_gcd(_lp_content(num), lead)
         if cg > 1:
             num = {e: x // cg for e, x in num.items()}
             lead //= cg
-            if den is not None:
-                den = {e: x // cg for e, x in den.items()}
-    if den is None:
-        den = _cyc_dict(cyc, lead)
-    return _make(num, den, cyc)
+    return _make(num, _den(cyc, lead), cyc)
 
 
 def _lp_scale(a, m):
@@ -239,66 +243,39 @@ class ExactScalar:
     `cyc` factors the denominator as den = lead * prod Phi_k^e: sorted
     (k, e) pairs, () for an integer denominator, None when den is not a
     product of cyclotomic polynomials (then every operation on the value
-    reduces with the pseudo-remainder gcd).
+    goes through the constructor and reduces with the pseudo-remainder
+    gcd).  With `cyc` known, `den` is `_den(cyc, lead)`, shared with every
+    value over the same factors and lead, and never changed.
     """
 
     __slots__ = ("num", "den", "cyc")
 
     def __init__(self, num, den=None):
-        if den is None:
-            den = {0: 1}
         num = _lp_norm(num)
-        den = _lp_norm(den)
+        den = {0: 1} if den is None else _lp_norm(den)
         if not den:
             raise ZeroDivisionError("zero denominator in Q(v)")
-        num, den, cyc = self._reduce(num, den)
-        self.num = num
-        self.den = den
-        self.cyc = cyc
-
-    @staticmethod
-    def _reduce(num, den):
-        """(num, den, cyc) of the reduced fraction num / den."""
         # pull the denominator's lowest v-power into the numerator
-        shift = _lp_ord(den)
+        shift = min(den)
         if shift:
             den = _lp_shift(den, -shift)
             num = _lp_shift(num, -shift)
-        if not num:
-            return {}, {0: 1}, ()
-        if len(den) == 1:
-            c = den[0]
-            if c < 0:
-                c = -c
-                num = _lp_neg(num)
-            g = int_gcd(_lp_content(num), c)
-            if g > 1:
-                num = {e: x // g for e, x in num.items()}
-                c //= g
-            return num, {0: c}, ()
         if den[max(den)] < 0:
             num, den = _lp_neg(num), _lp_neg(den)
-        cyc = phi_factors(den)
-        if cyc is not None:
-            r = _settle(num, cyc, den[max(den)], cyc, den)
-            return r.num, r.den, r.cyc
-        return ExactScalar._gcd_reduce(num, den)
+        cyc = phi_factors(den) if num else ()
+        if cyc is None:
+            self.num, self.den, self.cyc = self._gcd_reduce(num, den)
+        else:
+            r = _settle(num, cyc, den[max(den)], cyc)
+            self.num, self.den, self.cyc = r.num, r.den, r.cyc
 
     @staticmethod
     def _gcd_reduce(num, den):
-        """(num, den, cyc) of num / den by the pseudo-remainder gcd; den has
-        lowest exponent 0 and more than one term."""
-        if len(num) == 1:
-            # den starts at order 0, so only integer content can cancel
-            if den[max(den)] < 0:
-                num, den = _lp_neg(num), _lp_neg(den)
-            cg = int_gcd(_lp_content(num), _lp_content(den))
-            if cg > 1:
-                num = {e: x // cg for e, x in num.items()}
-                den = {e: x // cg for e, x in den.items()}
-            return num, den, None
+        """(num, den, cyc) of num / den by the pseudo-remainder gcd; num is
+        nonzero and den has lowest exponent 0.  The gcd is primitive with a
+        positive lead and divides den, so it is 1 or has more than one term."""
         g = _lp_gcd(num, den)
-        if len(g) > 1 or _lp_ord(g) != 0 or g.get(0) != 1:
+        if len(g) > 1:
             gl, gsh = _lp_to_list(g)
             num = ExactScalar._exact_list_div(num, gl, gsh)
             den = ExactScalar._exact_list_div(den, gl, gsh)
@@ -311,7 +288,8 @@ class ExactScalar:
             num = {e: x // cg for e, x in num.items()}
             den = {e: x // cg for e, x in den.items()}
         # the gcd may have taken the non-cyclotomic part of den away
-        return num, den, (phi_factors(den) if len(g) > 1 else None)
+        cyc = phi_factors(den) if len(g) > 1 else None
+        return num, (den if cyc is None else _den(cyc, den[max(den)])), cyc
 
     @staticmethod
     def _exact_list_div(a, bl, bsh):
@@ -342,20 +320,20 @@ class ExactScalar:
 
     @classmethod
     def from_int(cls, n):
-        return _make({0: n} if n else {}, {0: 1}, ())
+        return _make({0: n} if n else {}, _den(()), ())
 
     @classmethod
     def from_fraction(cls, fr):
         fr = Fraction(fr)
         return _make({0: fr.numerator} if fr.numerator else {},
-                     {0: fr.denominator}, ())
+                     _den((), fr.denominator), ())
 
     @classmethod
     def v_power(cls, k, coeff=1):
         if not coeff:
             return cls.zero()
         fr = Fraction(coeff)
-        return _make({k: fr.numerator}, {0: fr.denominator}, ())
+        return _make({k: fr.numerator}, _den((), fr.denominator), ())
 
     @classmethod
     def q_power(cls, k, coeff=1):
@@ -368,11 +346,11 @@ class ExactScalar:
 
     @classmethod
     def zero(cls):
-        return _make({}, {0: 1}, ())
+        return _make({}, _den(()), ())
 
     @classmethod
     def one(cls):
-        return _make({0: 1}, {0: 1}, ())
+        return _make({0: 1}, _den(()), ())
 
     # -- queries ------------------------------------------------------------
 
@@ -384,9 +362,7 @@ class ExactScalar:
 
     def v_order(self):
         """Lowest v-exponent of the value; None for 0."""
-        if not self.num:
-            return None
-        return _lp_ord(self.num)
+        return min(self.num) if self.num else None
 
     def as_fraction(self):
         """The value as a rational number, if it is constant in v."""
@@ -409,20 +385,19 @@ class ExactScalar:
         fa, fb = self.cyc, other.cyc
         a, b = self.den, other.den
         if fa is None or fb is None:
-            return _by_gcd(_lp_add(_lp_mul(self.num, b), _lp_mul(other.num, a)),
-                           _lp_mul(a, b))
+            return ExactScalar(_lp_add(_lp_mul(self.num, b),
+                                       _lp_mul(other.num, a)), _lp_mul(a, b))
         ca, cb = a[max(a)], b[max(b)]
         g = int_gcd(ca, cb)
         ma, mb = cb // g, ca // g
         if fa == fb:
             num = _lp_add(_lp_scale(self.num, ma), _lp_scale(other.num, mb))
-            return _settle(num, fa, ca * ma, fa, _lp_scale(a, ma))
+            return _settle(num, fa, ca * ma, fa)
         # over the lcm: only a Phi_k at the same power in both can cancel
         ea, eb = dict(fa), dict(fb)
         up_a = [(k, e - ea.get(k, 0)) for k, e in fb if e > ea.get(k, 0)]
         up_b = [(k, e - eb.get(k, 0)) for k, e in fa if e > eb.get(k, 0)]
-        cof_a = _cyc_dict(up_a, ma)
-        num = _lp_add(_lp_mul(self.num, cof_a),
+        num = _lp_add(_lp_mul(self.num, _cyc_dict(up_a, ma)),
                       _lp_mul(other.num, _cyc_dict(up_b, mb)))
         tests = [(k, e) for k, e in fa if eb.get(k) == e]
         top = {p[0]: p for p in fa}
@@ -430,7 +405,7 @@ class ExactScalar:
             if p[1] > ea.get(p[0], 0):
                 top[p[0]] = p
         return _settle(num, tuple(top[k] for k in sorted(top)), ca * ma,
-                       tests, _lp_mul(a, cof_a))
+                       tests)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -458,37 +433,38 @@ class ExactScalar:
             return self
         fa, fb = self.cyc, other.cyc
         if fa is None or fb is None:
-            return _by_gcd(_lp_mul(self.num, other.num),
-                           _lp_mul(self.den, other.den))
+            return ExactScalar(_lp_mul(self.num, other.num),
+                               _lp_mul(self.den, other.den))
         a, b, c, d = self.num, self.den, other.num, other.den
-        # a/b and c/d are reduced, so only a against the Phi_k of d alone
-        # and c against those of b alone can cancel
+        lb, ld = b[max(b)], d[max(d)]
+        # a/b and c/d are reduced, so only a against the Phi_k and lead of
+        # d alone and c against those of b alone can cancel
         cut_a = _common(a, fb, dict(fa))
         cut_c = _common(c, fa, dict(fb))
         if cut_a:
-            a, d = _lp_div_cyc(a, cut_a), _lp_div_cyc(d, cut_a)
+            a = _lp_div_cyc(a, cut_a)
             fb = _cyc_less(fb, cut_a)
         if cut_c:
-            c, b = _lp_div_cyc(c, cut_c), _lp_div_cyc(b, cut_c)
+            c = _lp_div_cyc(c, cut_c)
             fa = _cyc_less(fa, cut_c)
-        lb, ld = b[max(b)], d[max(d)]
         if ld > 1:
             g = int_gcd(_lp_content(a), ld)
             if g > 1:
                 a = {e: x // g for e, x in a.items()}
-                d = {e: x // g for e, x in d.items()}
+                ld //= g
         if lb > 1:
             g = int_gcd(_lp_content(c), lb)
             if g > 1:
                 c = {e: x // g for e, x in c.items()}
-                b = {e: x // g for e, x in b.items()}
+                lb //= g
         if fa and fb:
             both = {p[0]: p for p in fa}
             for p in fb:
                 q = both.get(p[0])
                 both[p[0]] = p if q is None else (p[0], q[1] + p[1])
             fa = tuple(both[k] for k in sorted(both))
-        return _make(_lp_mul(a, c), _lp_mul(b, d), fa or fb)
+        cyc = fa or fb
+        return _make(_lp_mul(a, c), _den(cyc, lb * ld), cyc)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -512,8 +488,10 @@ class ExactScalar:
                 d = other.den
             cyc = () if len(p) == 1 else phi_factors(p)
             if cyc is not None:
-                return self.__mul__(_make(_lp_shift(d, -s), p, cyc))
-        return _by_gcd(_lp_mul(self.num, other.den), _lp_mul(self.den, other.num))
+                return self.__mul__(_make(_lp_shift(d, -s),
+                                          _den(cyc, p[max(p)]), cyc))
+        return ExactScalar(_lp_mul(self.num, other.den),
+                           _lp_mul(self.den, other.num))
 
     def __rtruediv__(self, other):
         return _coerce(other).__truediv__(self)
@@ -776,18 +754,6 @@ def series_sum_of_products(products, prec):
     return SeriesScalar(_unpack(total, base, g, B, prec), prec, _den=den)
 
 
-def _by_gcd(num, den):
-    """The reduced num / den by the pseudo-remainder gcd: the route for a
-    denominator not known to be a product of cyclotomic polynomials."""
-    shift = _lp_ord(den)
-    if shift:
-        den = _lp_shift(den, -shift)
-        num = _lp_shift(num, -shift)
-    if not num or len(den) == 1:
-        return ExactScalar(num, den)
-    return _make(*ExactScalar._gcd_reduce(num, den))
-
-
 def _coerce(x):
     if isinstance(x, ExactScalar):
         return x
@@ -1034,7 +1000,7 @@ def q_number(a, b=1):
     num = {}
     for j in range(a):
         num[2 * b * (a - 1 - 2 * j)] = sign
-    return _make(num, {0: 1}, ())
+    return _make(num, _den(()), ())
 
 
 def q_pochhammer(c, base_log, n):

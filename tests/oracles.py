@@ -11,7 +11,8 @@ series plan from exact factor terms, series
 inversion by the geometric series, the series of an exact
 value by long division, family members by one dense solve, Weyl
 characters by the alternating-sum formula and the ratio identity's rows
-by the per-word loop, v -> 1/v of an exact value by reduction, a series
+by the per-word loop, a fraction by the pseudo-remainder gcd alone,
+v -> 1/v of an exact value by reduction, a series
 weight's coefficient by the scan over every plus term, and rational
 reconstruction by Euclid over the rationals."""
 
@@ -24,7 +25,8 @@ from operator import sub
 from macpoly.families import j_dominant_below, monomial_J
 from macpoly.galg import GAElement, solve_linear
 from macpoly.scalars import (ExactScalar, SeriesScalar, _list_strip,
-                             _lp_flip, _pack, _unpack)
+                             _lp_flip, _lp_norm, _lp_shift, _make, _pack,
+                             _unpack)
 from macpoly.weights import INF, PochFactor, WeightSpec
 
 
@@ -490,6 +492,19 @@ def weyl_character(datum, lam):
         assert fr.denominator == 1
         out[tuple(x // 2 for x in e)] = int(fr)
     return out
+
+
+def gcd_route(num, den):
+    """num / den reduced by the pseudo-remainder gcd alone
+    (`ExactScalar._gcd_reduce`), never by the cyclotomic route: den is
+    shifted to lowest exponent 0 first.  The reference of the constructor
+    and of the operations on reduced values."""
+    num, den = _lp_norm(num), _lp_norm(den)
+    shift = min(den)
+    num, den = _lp_shift(num, -shift), _lp_shift(den, -shift)
+    if not num:
+        return ExactScalar.zero()
+    return _make(*ExactScalar._gcd_reduce(num, den))
 
 
 def bar_by_reduction(x):

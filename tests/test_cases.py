@@ -60,6 +60,28 @@ class TestCaseIds:
         with pytest.raises(ValueError):
             build_case("DII:n=1")
 
+    def test_dii_spin_orbit_bound(self, monkeypatch, capsys):
+        # DII:n has 2^(n-1) spin weights, refused over the Freudenthal
+        # bound before any is enumerated
+        import macpoly.cases as cases
+        from macpoly.cli import main
+
+        def no_work(*args):
+            raise AssertionError("the root datum was built")
+
+        monkeypatch.setattr(cases, "build_root_datum", no_work)
+        with pytest.raises(ValueError, match="2\\^\\(n-1\\) <= 12000"):
+            build_case("DII:n=15")
+        assert main(["verify", "--case", "DII:n=15"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        # the bound is where the orbit outgrows it
+        monkeypatch.undo()
+        monkeypatch.setattr(cases, "FREUDENTHAL_DIM_BOUND", 4)
+        assert build_case("DII:n=3").tag == "DII:n=3"
+        with pytest.raises(ValueError):
+            build_case("DII:n=4")
+
 
 class TestRestrictedCoordinates:
     # per case, one ambient weight off 2L: a non-integral or an out-of-span one

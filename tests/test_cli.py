@@ -119,6 +119,21 @@ class TestCompute:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("J", [",", ""])
+    def test_empty_J_is_the_rank_one_family(self, J, capsys):
+        # J = () is the non-symmetric family, however it is spelled
+        argv = ["compute", "--case", "A2G", "--family", "intermediate",
+                "--J", J, "--lam", "1,0"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: non-symmetric family is rank-1 only\n"
+        assert main(["compute", "--case", "DII:n=2", "--family", "nonsym",
+                     "--lam", "-1"]) == 0
+        want = capsys.readouterr().out
+        assert main(["compute", "--case", "DII:n=2", "--family",
+                     "intermediate", "--J", J, "--lam", "-1"]) == 0
+        assert capsys.readouterr().out == want
+
     @pytest.mark.parametrize("argv, method", [
         (["compute", "--case", "DII:n=2", "--lam", "1"], "family_spec"),
         (["render", "--case", "DII:n=2", "--what", "M"], "matrix_weight")])
@@ -233,6 +248,7 @@ class TestGoldenReports:
         ("A2G", 1, "A2G-h1"),
         ("DII:n=2", 2, "DII-n2-h2"),
         ("BII:n=2,s=1", 2, "BII-n2-s1-h2"),
+        ("BII:n=2,s=2", 2, "BII-n2-s2-h2"),
         ("AI2", 1, "AI2-h1"),
         ("AI2", 2, "AI2-h2"),
         ("AII5", 2, "AII5-h2"),

@@ -21,6 +21,7 @@ from macpoly.scalars import (
 
 from oracles import (
     bar_by_reduction,
+    gcd_route,
     rational_reconstruct_fractions,
     series_inv_geometric,
     series_mul_loop,
@@ -540,20 +541,15 @@ def _lp_pow(p, n):
     return out
 
 
-def _gcd_route(num, den):
-    """The reference: reduce num / den with the pseudo-remainder gcd."""
-    return scalars._by_gcd(scalars._lp_norm(num), scalars._lp_norm(den))
-
-
 def _gcd_op(op, a, b):
     """op(a, b) from unreduced numerator and denominator, by the gcd."""
     mul = scalars._lp_mul
     if op == "mul":
-        return _gcd_route(mul(a.num, b.num), mul(a.den, b.den))
+        return gcd_route(mul(a.num, b.num), mul(a.den, b.den))
     if op == "div":
-        return _gcd_route(mul(a.num, b.den), mul(a.den, b.num))
+        return gcd_route(mul(a.num, b.den), mul(a.den, b.num))
     bn = b.num if op == "add" else scalars._lp_neg(b.num)
-    return _gcd_route(scalars._lp_add(mul(a.num, b.den), mul(bn, a.den)),
+    return gcd_route(scalars._lp_add(mul(a.num, b.den), mul(bn, a.den)),
                       mul(a.den, b.den))
 
 
@@ -712,7 +708,7 @@ class TestCyclotomicReduction:
         def run(x, y):
             a, b = ExactScalar(*x), ExactScalar(*y)
             for z, (num, den) in ((a, x), (b, y)):
-                ref = _gcd_route(num, den)
+                ref = gcd_route(num, den)
                 assert (z.num, z.den) == (ref.num, ref.den)
                 assert z.cyc is not None
                 _consistent(z)
@@ -785,3 +781,82 @@ class TestCyclotomicReduction:
         assert z.cyc is None and z.den == scalars._lp_mul(y.den, p.num)
         _consistent(z)
         assert z * p == y and (z + y) - y == z
+
+
+class TestSharedDenominators:
+    """A value over known factors reads its denominator from `(cyc, lead)`:
+    one shared dict per pair, which no operation changes."""
+
+    @staticmethod
+    def _pool(rng):
+        pool = [ExactScalar.from_int(3), V(-2, Fraction(5, 6)),
+                ExactScalar({0: 1, 2: 1}, {0: 3, 1: -1, 4: 2})]
+        for _ in range(12):
+            pairs = sorted({rng.randint(1, 12): rng.randint(1, 2)
+                            for _ in range(rng.randint(1, 3))}.items())
+            num = {rng.randint(-3, 4): rng.randint(-5, 5)
+                   for _ in range(rng.randint(1, 3))}
+            pool.append(ExactScalar(num, scalars._cyc_dict(
+                pairs, rng.choice([1, 2, 6]))))
+        return [x for x in pool if not x.is_zero()]
+
+    def test_equal_factors_share_one_den(self):
+        one = ExactScalar.one()
+        assert one.den is ExactScalar.zero().den is ExactScalar.from_int(7).den
+        assert (ExactScalar.from_fraction(Fraction(2, 3)).den
+                is V(4, Fraction(-1, 3)).den is ExactScalar({1: 5}, {0: -3}).den)
+        x = ExactScalar({0: 2}, {0: 1, 2: -1})  # 2 / (1 - v^2)
+        y = ExactScalar({1: 1}, {0: 1, 1: 1}) * ExactScalar({0: 4}, {0: 2, 1: -2})
+        z = one / ExactScalar({0: 1, 1: -1}) + one / ExactScalar({0: 1, 1: 1})
+        assert x.cyc == y.cyc == z.cyc == ((1, 1), (2, 1))
+        assert x.den is y.den is z.den
+        assert exact_sum_of_products([(x, x), (y,)]).den is (x * x + y).den
+
+    def test_random_operations_leave_the_table_as_built(self):
+        rng = random.Random(33)
+        pool = self._pool(rng)
+        seen = []
+        for _ in range(300):
+            a, b = rng.choice(pool), rng.choice(pool)
+            op = rng.choice([operator.add, operator.sub, operator.mul,
+                             operator.truediv])
+            got = op(a, b)
+            seen.append(got)
+            if not got.is_zero() and len(pool) < 40:
+                pool.append(got)
+        assert {x.cyc is None for x in seen} == {True, False}
+        for x in seen:
+            if x.cyc is not None:
+                assert x.den is scalars._DENS[x.cyc, x.den[max(x.den)]]
+        for (cyc, lead), den in scalars._DENS.items():
+            assert den == scalars._cyc_dict(cyc, lead), (cyc, lead)
+
+    @pytest.mark.parametrize("num, den", [
+        ({0: 6, 3: -4}, {0: -8}),        # negative lead, content 2
+        ({-2: 9}, {2: -6}),              # a monomial over a negative one
+        ({1: -5, 2: 10}, {-1: -15}),
+        ({0: 4}, {0: 6, 1: -2, 4: 4}),   # monomials over 2 (3 - v + 2 v^4)
+        ({3: -1}, {1: 1, 2: 3, 3: 1}),   # v (1 + 3 v + v^2)
+        ({-1: 6}, {0: -9, 2: 3, 5: -3}),
+    ])
+    def test_constructor_matches_the_gcd_route(self, num, den):
+        got, ref = ExactScalar(num, den), gcd_route(num, den)
+        assert (got.num, got.den) == (ref.num, ref.den)
+        assert got.cyc == (() if len(den) == 1 else None)
+        _consistent(got)
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    def test_mixed_operands_match_the_gcd_route(self, op):
+        rng = random.Random(34)
+        pool = self._pool(rng)
+        fn = getattr(operator, op if op != "div" else "truediv")
+        mixed = 0
+        for a in pool:
+            for b in pool:
+                if (a.cyc is None) == (b.cyc is None):
+                    continue
+                mixed += 1
+                got, ref = fn(a, b), _gcd_op(op, a, b)
+                assert (got.num, got.den) == (ref.num, ref.den), (a, b)
+                _consistent(got)
+        assert mixed >= 20
