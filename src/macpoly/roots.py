@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .galg import solve_linear
-from .scalars import ExactScalar, ZERO
+from .scalars import ExactScalar
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +165,15 @@ class RootDatum:
         got = self._cache.get(key)
         if got is None:
             got = self._cache[key] = frozenset(self.weyl_orbit(x))
+        return got
+
+    def multiplicities(self, mu):
+        """The (weight, multiplicity) pairs of L(mu) (`freudenthal`) as a
+        tuple, computed once per mu."""
+        key = ("multiplicities", mu)
+        got = self._cache.get(key)
+        if got is None:
+            got = self._cache[key] = tuple(freudenthal(self, mu).items())
         return got
 
     def is_dominant(self, x, J=None):
@@ -441,14 +450,15 @@ def central_scalar(datum, lam, mu):
     """
     h2 = datum.h_embed_doubled(mu)
     central = all(c.denominator == 1 for c in h2)
-    acc = ZERO
-    for nu, m in freudenthal(datum, mu).items():
+    acc = {}  # the scalar as a Laurent polynomial {v-exponent: coefficient}
+    for nu, m in datum.multiplicities(mu):
         gexp = -2 * datum.bilinear(lam, nu) - datum.pair_two_rho(nu)
         vexp = 2 * Fraction(gexp)
         if vexp.denominator != 1:
             raise ValueError("non-integral exponent for lam=%s, mu=%s" % (lam, mu))
-        acc = acc + ExactScalar.v_power(int(vexp), m)
-    return acc, central
+        k = int(vexp)
+        acc[k] = acc.get(k, 0) + m
+    return ExactScalar(acc), central
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,9 @@ class TruncationError(ArithmeticError):
 # invalidated on bump.  Version 6 stores one file per table: its integer
 # numerators over one denominator, named by and holding its key, a hash of
 # the factors and the order the table is exact below, and next to the key
-# the sha1 of the table's text, so an edited table is a miss.
+# the hash of the table's text, so an edited table is a miss.  Both hashes
+# are hex SHA-1 (`_digest`), taken from the interpreter's built-in module
+# so that a cached run maps no crypto library.
 CACHE_VERSION = 6
 _cache_dir = None
 _TABLE_SEP = b'", "table": '  # between a file's digest and its table
@@ -97,15 +99,20 @@ def set_cache_dir(path):
     _cache_dir = path or None
 
 
-def _sha1(data):
-    import hashlib  # here, not at the top: it maps libcrypto (+3.5 MB RSS)
-
-    return hashlib.sha1(data).hexdigest()
+def _digest(data):
+    """The hex SHA-1 digest of the bytes `data`, from CPython's built-in
+    `_sha1`: the digest `hashlib.sha1` gives, without the OpenSSL libcrypto
+    that the first import of hashlib maps (+3.6 MB RSS)."""
+    try:
+        from _sha1 import sha1
+    except ImportError:  # an interpreter built without the module
+        from hashlib import sha1
+    return sha1(data).hexdigest()
 
 
 def _part_key(factors, prec):
     blob = repr((CACHE_VERSION, [f.to_json() for f in factors], prec))
-    return _sha1(blob.encode())
+    return _digest(blob.encode())
 
 
 def _part_text(key, terms):
@@ -120,7 +127,7 @@ def _part_text(key, terms):
         [list(e), [[k, n * (den // c.den)] for k, n in sorted(c.num.items())]])
         for e, c in sorted(terms.items())))
     return '{"key": "%s", "sha1": "%s", "table": %s}' % (
-        key, _sha1(table.encode()), table)
+        key, _digest(table.encode()), table)
 
 
 def _part_table(raw, key):
@@ -134,7 +141,7 @@ def _part_table(raw, key):
     if raw[:len(head)] != head or raw[mid:start] != _TABLE_SEP:
         return None
     table, end = json.JSONDecoder().raw_decode(raw.decode("ascii"), start)
-    return table if _sha1(raw[start:end]).encode() == raw[len(head):mid] \
+    return table if _digest(raw[start:end]).encode() == raw[len(head):mid] \
         else None
 
 

@@ -10,7 +10,8 @@ by nested integer loops, a factor's term orders by their recurrence, a
 series plan from exact factor terms, series
 inversion by the geometric series, the series of an exact
 value by long division, family members by one dense solve, Weyl
-characters by the alternating-sum formula and the ratio identity's rows
+characters by the alternating-sum formula, a central scalar by chained
+sums over a fresh multiplicity table, the ratio identity's rows
 by the per-word loop, a fraction by the pseudo-remainder gcd alone,
 v -> 1/v of an exact value by reduction, a series
 weight's coefficient by the scan over every plus term, and rational
@@ -24,6 +25,7 @@ from operator import sub
 
 from macpoly.families import j_dominant_below, monomial_J
 from macpoly.galg import GAElement, solve_linear
+from macpoly.roots import freudenthal
 from macpoly.scalars import (ExactScalar, SeriesScalar, _list_strip,
                              _lp_flip, _lp_norm, _lp_shift, _make, _pack,
                              _unpack)
@@ -492,6 +494,21 @@ def weyl_character(datum, lam):
         assert fr.denominator == 1
         out[tuple(x // 2 for x in e)] = int(fr)
     return out
+
+
+def central_scalar_chained(datum, lam, mu):
+    """`roots.central_scalar` by one reduced sum per weight of L(mu), over a
+    multiplicity table recomputed on every call: its oracle."""
+    h2 = datum.h_embed_doubled(mu)
+    central = all(c.denominator == 1 for c in h2)
+    acc = ExactScalar.zero()
+    for nu, m in freudenthal(datum, mu).items():
+        gexp = -2 * datum.bilinear(lam, nu) - datum.pair_two_rho(nu)
+        vexp = 2 * Fraction(gexp)
+        if vexp.denominator != 1:
+            raise ValueError("non-integral exponent for lam=%s, mu=%s" % (lam, mu))
+        acc = acc + ExactScalar.v_power(int(vexp), m)
+    return acc, central
 
 
 def gcd_route(num, den):

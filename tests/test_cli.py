@@ -655,3 +655,55 @@ class TestVerify:
             (cache / name).unlink()
         assert main(argv) == 0
         assert os.listdir(cache) == []
+
+    def test_cache_files_and_no_crypto_library(self, tmp_path):
+        # AI2 at h0, cold then warm on one directory, each in a fresh
+        # process: the cold run writes the two files that every build of
+        # format version 6 names, the warm run reads them and writes none,
+        # and neither run loads OpenSSL's libcrypto (hashlib's _hashlib)
+        import subprocess
+        import sys
+
+        import macpoly
+
+        src = os.path.dirname(os.path.dirname(macpoly.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("MACPOLY_CACHE", None)
+        cache = tmp_path / "cache"
+        script = (
+            "import json, sys\n"
+            "from macpoly.cli import main\n"
+            "rc = main(['verify', '--case', 'AI2', '--lambda-height', '0',\n"
+            "           '--cache-dir', sys.argv[1], '--report', sys.argv[2]])\n"
+            "try:\n"
+            "    import _sha1\n"
+            "except ImportError:\n"
+            "    _sha1 = None\n"
+            "print(json.dumps([rc, _sha1 is not None,\n"
+            "                  '_hashlib' in sys.modules]))\n")
+
+        def run(name):
+            done = subprocess.run(
+                [sys.executable, "-c", script, str(cache),
+                 str(tmp_path / name)],
+                env=env, cwd=tmp_path, capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            return json.loads(done.stdout)
+
+        def files():
+            return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns,
+                             p.read_bytes()) for p in cache.iterdir()}
+
+        cold = run("cold.json")
+        written = files()
+        assert sorted(written) == [
+            "e500421174b16f52a2fb33aee04dfb6650accee2.json",
+            "f45f8202e4eacab3cb2cc48cbd3b43c25601983d.json"]
+        warm = run("warm.json")
+        assert files() == written
+        assert ((tmp_path / "warm.json").read_bytes()
+                == (tmp_path / "cold.json").read_bytes())
+        assert cold[0] == warm[0] == 0
+        if not cold[1]:
+            pytest.skip("this interpreter has no built-in _sha1 module")
+        assert not cold[2] and not warm[2]

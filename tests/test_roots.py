@@ -12,7 +12,7 @@ from macpoly.roots import (
 )
 from macpoly.scalars import ExactScalar
 
-from oracles import weyl_character
+from oracles import central_scalar_chained, weyl_character
 
 Q = ExactScalar.q_power
 
@@ -207,6 +207,62 @@ class TestCentralScalar:
         d = build_root_datum("A", 2)
         with pytest.raises(ValueError):
             central_scalar(d, (1, 0), (1, 0))
+
+    @pytest.mark.parametrize("case_id, lams, mus", [
+        # AI2's central_spectrum grid and columns
+        ("AI2", [(0, 0), (1, 1), (3, 0), (0, 3)], [(1, 0), (1, 1)]),
+        # pairs of weights on A2G's A2xA2; a lam with (1, 0) in the factor
+        # that mu moves gives non-integral exponents, which both routes
+        # refuse
+        ("A2G", [a + b for a in [(0, 0), (1, 1), (3, 0), (1, 0)]
+                 for b in [(0, 0), (1, 1), (0, 3)]],
+         [(1, 0, 0, 0), (0, 0, 0, 1), (1, 1, 0, 0), (1, 0, 1, 0)]),
+    ])
+    def test_matches_chained_sums(self, case_id, lams, mus):
+        from macpoly.cases import build_case
+
+        d = build_case(case_id).datum
+        refused = 0
+        for mu in mus:
+            for lam in lams:
+                try:
+                    want = central_scalar_chained(d, lam, mu)
+                except ValueError:
+                    refused += 1
+                    with pytest.raises(ValueError):
+                        central_scalar(d, lam, mu)
+                    continue
+                got = central_scalar(d, lam, mu)
+                assert got == want, (lam, mu)
+                assert (got[0].den, got[0].cyc) == (want[0].den, want[0].cyc)
+        assert refused < len(lams) * len(mus)
+
+    def test_one_table_per_highest_weight(self, monkeypatch):
+        # AI2's central_spectrum asks for 8 scalars over 2 highest weights:
+        # the multiplicity recursion runs once per highest weight
+        import macpoly.roots as roots
+        from macpoly.cli import run_verify
+
+        calls = []
+        fresh = roots.freudenthal
+
+        def counted(datum, lam):
+            calls.append(lam)
+            return fresh(datum, lam)
+
+        monkeypatch.setattr(roots, "freudenthal", counted)
+        report, status = run_verify("AI2", height=0)
+        assert status == 0
+        assert [c["status"] for c in report["checks"]
+                if c["name"] == "central_spectrum"] == ["pass"]
+        assert sorted(calls) == [(1, 0), (1, 1)]
+
+    def test_shared_table_is_read_only(self):
+        d = build_root_datum("A", 2)
+        table = d.multiplicities((1, 1))
+        assert isinstance(table, tuple)
+        assert d.multiplicities((1, 1)) is table
+        assert dict(table) == freudenthal(d, (1, 1))
 
 
 def _dominance_by_fractions(d, mu, lam):

@@ -637,6 +637,55 @@ class TestCacheKey:
         assert margin == order
 
 
+class TestDigest:
+    """Both cache digests, the file key and the table's, are the hex SHA-1
+    that hashlib gives (hashlib is only the oracle here), with or without
+    the interpreter's built-in SHA-1 module."""
+
+    @staticmethod
+    def _file():
+        """The key's input, the key, the table text and the file text of a
+        real cone-part table."""
+        import macpoly.weights as wm
+
+        eng = WeightEngine(macdonald_nonsym_weight(R2, 2, Q(3), "2L"),
+                           order=24)
+        part = eng._parts[0]
+        cut = _expansion_key(part, eng._plus_terms)
+        blob = repr((wm.CACHE_VERSION, [f.to_json() for f in part.factors],
+                     cut)).encode()
+        key = wm._part_key(part.factors, cut)
+        text = wm._part_text(key, eng._plus_terms).encode()
+        table = text[text.index(wm._TABLE_SEP) + len(wm._TABLE_SEP):-1]
+        assert table.startswith(b'{"den": ') and len(table) > 1000
+        return blob, key, table, text
+
+    @pytest.mark.parametrize("builtin", [True, False])
+    def test_equals_hashlib(self, monkeypatch, builtin):
+        import hashlib
+        import sys
+
+        import macpoly.weights as wm
+
+        if not builtin:
+            # as on an interpreter built without the module
+            monkeypatch.setitem(sys.modules, "_sha1", None)
+        blob, _, table, text = self._file()
+        for data in (b"", b"abc", blob, table, text):
+            assert wm._digest(data) == hashlib.sha1(data).hexdigest()
+
+    def test_file_holds_hashlib_digests(self):
+        import hashlib
+
+        import macpoly.weights as wm
+
+        blob, key, table, text = self._file()
+        assert key == hashlib.sha1(blob).hexdigest()
+        assert text.startswith(b'{"key": "%s", "sha1": "%s"' % (
+            key.encode(), hashlib.sha1(table).hexdigest().encode()))
+        assert wm._part_table(text, key) is not None
+
+
 class TestTermOrders:
     """The closed-form term orders of an infinite factor (`_term_order`)
     against their recurrence (`factor_env_loop`), and the lowest and last
