@@ -16,14 +16,11 @@ from fractions import Fraction
 from math import gcd, prod
 
 from .galg import GAElement
-from .scalars import (ZERO, ExactScalar, _cyc_dict, _den, _lp_shift, _make,
-                      exact_sum_of_products)
+from .scalars import (ZERO, ExactScalar, _cyc_dict, _den, _lp_add, _lp_mul,
+                      _lp_shift, _make, exact_sum_of_products)
 from .weights import WeightEngine
 
 ONE = ExactScalar.one()
-# -s_k of (z + 1/z) n_k = n_{k+1} + s_k n_{k-1}: -2 at k = 1, -1 for k >= 2
-_MINUS_TWO = ExactScalar.from_int(-2)
-_MINUS_ONE = ExactScalar.from_int(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +247,14 @@ def _aw_quotient(num, den):
                            shift), _den(pairs, cd // g), pairs)
 
 
+def _aw_term(params, j, names=""):
+    """1 - prod(names) qh^j as an `_aw_binomial` factor, `names` a string
+    of parameters out of "abcd", each +-v^k."""
+    units = [next(iter(getattr(params, x).num.items())) for x in names]
+    return _aw_binomial(prod(s for _, s in units),
+                        sum(k for k, _ in units) + 2 * params.qhat_log * j)
+
+
 def _aw_factors(params, m):
     """A_m and C_m as (numerator, denominator) factor lists, in the base qh
     of the weight (Koekoek-Lesky-Swarttouw, section 14.1):
@@ -257,19 +262,13 @@ def _aw_factors(params, m):
           / (a (1-abcd qh^(2m-1))(1-abcd qh^(2m))),
     C_m = a (1-qh^m)(1-bc qh^(m-1))(1-bd qh^(m-1))(1-cd qh^(m-1))
           / ((1-abcd qh^(2m-2))(1-abcd qh^(2m-1)))."""
-    a, b, c, d = [next(iter(x.num.items()))
-                  for x in (params.a, params.b, params.c, params.d)]
-    step = 2 * params.qhat_log  # qh = v^step
-
-    def f(j, *xs):  # 1 - prod(xs) qh^j, each x = (k, sign) for sign v^k
-        return _aw_binomial(prod(x[1] for x in xs),
-                            sum(x[0] for x in xs) + step * j)
-
-    unit_a = (a[1], a[0], Counter())
-    A = ([f(m, a, b), f(m, a, c), f(m, a, d), f(m - 1, a, b, c, d)],
-         [unit_a, f(2 * m - 1, a, b, c, d), f(2 * m, a, b, c, d)])
-    C = ([unit_a, f(m), f(m - 1, b, c), f(m - 1, b, d), f(m - 1, c, d)],
-         [f(2 * m - 2, a, b, c, d), f(2 * m - 1, a, b, c, d)])
+    f = lambda j, names="": _aw_term(params, j, names)
+    [(k, sign)] = params.a.num.items()
+    unit_a = (sign, k, Counter())
+    A = ([f(m, "ab"), f(m, "ac"), f(m, "ad"), f(m - 1, "abcd")],
+         [unit_a, f(2 * m - 1, "abcd"), f(2 * m, "abcd")])
+    C = ([unit_a, f(m), f(m - 1, "bc"), f(m - 1, "bd"), f(m - 1, "cd")],
+         [f(2 * m - 2, "abcd"), f(2 * m - 1, "abcd")])
     return A, C
 
 
@@ -301,39 +300,14 @@ def aw_oracle(params, m, lattice="aw"):
     return cur
 
 
-def _aw_operator_direct(params, lattice):
-    """The q-difference operator applied directly, as a map f -> D f:
-    `up`/`down` times the shifted differences of f over Q(v), then one exact
-    division.  Builds the columns of `aw_operator`, and is the tests' oracle
-    on general f.
-    """
-    qh = params.qhat
-    one = GAElement.one(lattice, 1)
-
-    def lin(p, e):
-        return one - GAElement.monomial(e, lattice, p)
-
-    def quartic(e):
-        return (lin(params.a, e) * lin(params.b, e) * lin(params.c, e)
-                * lin(params.d, e))
-
-    def dfac(e):
-        return lin(ONE, e) * lin(qh, e)
-
-    Dplus, Dminus = dfac((2,)), dfac((-2,))
-    up = quartic((1,)) * Dminus
-    down = quartic((-1,)) * Dplus
-    den = Dplus * Dminus
-
-    def shift(g, sgn):
-        return GAElement({e: c * (qh ** (sgn * e[0]))
-                          for e, c in g.terms.items()}, lattice)
-
-    def apply(f):
-        num = up * (shift(f, 1) - f) + down * (shift(f, -1) - f)
-        return num.exact_div(den)
-
-    return apply
+def _zv_mul(f, g, out=None):
+    """out + f g for integer Laurent polynomials in (e, v), each
+    {e-exponent: {v-exponent: int}} with no zero entry."""
+    out = dict(out or {})
+    for z1, p1 in f.items():
+        for z2, p2 in g.items():
+            out[z1 + z2] = _lp_add(out.get(z1 + z2, {}), _lp_mul(p1, p2))
+    return {z: p for z, p in out.items() if p}
 
 
 def aw_operator(params, lattice):
@@ -341,21 +315,44 @@ def aw_operator(params, lattice):
     as a map f -> D f applied by linearity on n_k = e^k + e^-k.
 
     Each column D(n_k) is computed once per operator, on first use, by the
-    direct route on the integer input n_k, so its coefficients have no
-    denominator; D f = sum_{k>0} f_k D(n_k) is then one exact sum of
-    products per output exponent.  A non-symmetric f raises ValueError.
+    direct formula (Koekoek-Lesky-Swarttouw, section 14.1)
+    D f = (up (f(qh e) - f) + down (f(e / qh) - f)) / (Dplus Dminus), with
+    Dplus = (1 - e^2)(1 - qh e^2), Dminus its flip, up = Dminus times the
+    product of (1 - x e) over x = a, b, c, d and down the flip of up.  All
+    are integer Laurent polynomials in (e, v), so a column is one exact
+    long division in integers by the unit lead qh e^4 of Dplus Dminus, and
+    has no denominator.  D f = sum_{k>0} f_k D(n_k) is then one exact sum
+    of products per output exponent.  A non-symmetric f raises ValueError.
 
     Constants are eigenfunctions with eigenvalue 0; the m-th family member
     has eigenvalue q^{-m}(1-q^m)(1-abcd q^{m-1}) in the base q of the weight.
     """
-    direct = _aw_operator_direct(params, lattice)
+    step = 2 * params.qhat_log  # qh = v^step
+    lin = lambda k, s, z: {0: {0: 1}, z: {k: -s}}  # 1 - s v^k e^z
+    down = Dplus = _zv_mul(lin(0, 1, 2), lin(step, 1, 2))
+    up = Dminus = _zv_mul(lin(0, 1, -2), lin(step, 1, -2))
+    for x in (params.a, params.b, params.c, params.d):
+        [(k, s)] = x.num.items()
+        up, down = _zv_mul(up, lin(k, s, 1)), _zv_mul(down, lin(k, s, -1))
+    # -Dplus Dminus, e^-4 .. e^4: the lead of Dplus Dminus is qh e^4
+    minus_den = _zv_mul(_zv_mul(Dplus, Dminus), {0: {0: -1}})
     columns = {}
 
     def column(k):
         col = columns.get(k)
         if col is None:
-            n_k = GAElement({(k,): ONE, (-k,): ONE}, lattice)
-            col = columns[k] = direct(n_k).terms
+            rise, fall = {step * k: 1, 0: -1}, {-step * k: 1, 0: -1}
+            num = _zv_mul(down, {k: fall, -k: rise},
+                          _zv_mul(up, {k: rise, -k: fall}))
+            col = {}
+            for z in range(max(num) - 4, min(num) + 3, -1):  # top down
+                q = col[z] = _lp_shift(num.get(z + 4, {}), -step)
+                for zd, p in minus_den.items():
+                    num[z + zd] = _lp_add(num.get(z + zd, {}), _lp_mul(q, p))
+            if any(num.values()):
+                raise ArithmeticError("inexact Askey-Wilson column")
+            col = columns[k] = {(z,): _make(q, _den(()), ())
+                                for z, q in col.items() if q}
         return col
 
     def apply(f):
@@ -379,22 +376,21 @@ def aw_eigenvalue(params, m):
 
 
 class AWFunctional:
-    """Exact moment functional of the one-variable weight.
+    """Exact moment functional of the one-variable weight, L(1) = 1.
 
-    Built from the three-term recurrence
-    (z + 1/z) P_j = P_{j+1} + b_j P_j + c_j P_{j-1}.  The moment
-    mu_k = L(e^k + e^-k) is the constant coefficient a_{k,0} of the
-    expansion n_k = e^k + e^-k = sum_j a_{k,j} P_j (n_0 = 1).  The rows of
-    that expansion grow by the scalar recurrence
-    a_{k+1,j} = a_{k,j-1} + b_j a_{k,j} + c_{j+1} a_{k,j+1} - s_k a_{k-1,j},
-    with s_0 = 0, s_1 = 2 and s_k = 1 for k >= 2 (from
-    (z + 1/z) n_k = n_{k+1} + s_k n_{k-1}), one exact sum of products per
-    entry (the modified Chebyshev algorithm; Gautschi, Orthogonal
-    Polynomials, 2004, 2.1.7).  L(h) = h_0 + sum_{k>0} h_k mu_k, normalised
-    so that L(1) = 1.  On W-invariants L is the constant-term pairing with
-    the flip-symmetric weight lambda(0) = 1, lambda(+-k) = mu_k / 2
-    (`weight`).  The recurrence family itself (`member`) grows only when
-    asked for.
+    The moments mu_n = L(e^n + e^-n) come from the Askey-Wilson q-beta
+    integral (Askey and Wilson, Mem. AMS 54 (1985) no. 319):
+    L(phi_n) = (ab, ac, ad; qh)_n / (abcd; qh)_n on phi_n = (a e, a/e; qh)_n,
+    one `_aw_quotient` of factor lists that grow with n.  phi_n is kept as
+    integer Laurent polynomials in (e, v), one factor
+    (1 + a^2 qh^2n) - a qh^n (e + 1/e) per step, and its lead at e^n is the
+    unit (-a)^n qh^(n(n-1)/2): mu_n is L(phi_n) less phi_n's lower
+    coefficients against mu_0..mu_{n-1}, over that unit, in one exact sum
+    of products.  L(h) = h_0 + sum_{k>0} h_k mu_k; on W-invariants it is
+    the constant-term pairing with the flip-symmetric weight
+    lambda(0) = 1, lambda(+-k) = mu_k / 2 (`weight`).  The three-term
+    recurrence family (`member`) does not enter the moments, and grows
+    only when asked for.
     """
 
     def __init__(self, params, lattice="aw"):
@@ -405,8 +401,8 @@ class AWFunctional:
         self._family = [GAElement.one(lattice, 1)]
         self._recurrence = []
         self._moments = [ONE]
-        # the last two rows a_{k-1}, a_k of the expansion of n_k
-        self._rows = ([], [ONE])
+        # phi_n at e^0..e^n, (ab, ac, ad; qh)_n and (abcd; qh)_n
+        self._phi = ([{0: 1}], [], [])
         self._weight = [ONE]
 
     def _coeffs(self, j):
@@ -433,20 +429,24 @@ class AWFunctional:
     def _moment(self, k):
         """mu_k = L(e^k + e^-k) for k > 0, and mu_0 = L(1) = 1."""
         while len(self._moments) <= k:
-            k0 = len(self._moments) - 1
-            prev, cur = self._rows
-            minus_s = _MINUS_TWO if k0 == 1 else _MINUS_ONE
-            row = []
-            for j in range(k0 + 2):
-                products = [(cur[j - 1],)] if j else []
-                if j <= k0:
-                    products.append((self._coeffs(j)[0], cur[j]))
-                if j < k0:
-                    products.append((self._coeffs(j + 1)[1], cur[j + 1]))
-                    products.append((minus_s, prev[j]))
-                row.append(exact_sum_of_products(products))
-            self._rows = (cur, row)
-            self._moments.append(row[0])
+            n, p = len(self._moments), self.params
+            f, num, den = self._phi
+            [(j, s)] = p.a.num.items()
+            j += 2 * p.qhat_log * (n - 1)  # a qh^(n-1) = s v^j
+            f = f + [{}, {}]
+            f = [_lp_add(_lp_add(f[i], _lp_shift(f[i], 2 * j)),
+                         {e + j: -s * x for e, x in
+                          _lp_add(f[abs(i - 1)], f[i + 1]).items()})
+                 for i in range(n + 1)]
+            num = num + [_aw_term(p, n - 1, x) for x in ("ab", "ac", "ad")]
+            den = den + [_aw_term(p, n - 1, "abcd")]
+            [(lead, sign)] = f[n].items()
+            products = [(_aw_quotient(num, den + [(sign, lead, Counter())]),)]
+            products += [(_make({e - lead: -sign * x for e, x in f[i].items()},
+                                _den(()), ()), self._moments[i])
+                         for i in range(n) if f[i]]
+            self._moments.append(exact_sum_of_products(products))
+            self._phi = (f, num, den)
         return self._moments[k]
 
     def weight(self, nu):

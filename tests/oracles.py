@@ -1,6 +1,8 @@
 """Oracles that only the tests use: the one-variable weight as a series
-spec, its functional by reduction and its recurrence coefficients by
-division, a finite weight's infinite-ratio
+spec, its functional by reduction, its moments by the recurrence's
+connection-coefficient rows, its recurrence coefficients by division and
+its q-difference operator by products and division over Q(v), a finite
+weight's infinite-ratio
 form, the exact expansion of a product of factors to a height, the
 constant term of a weight,
 pairings through materialised products, support triangularity, a series
@@ -23,12 +25,12 @@ from functools import reduce
 from math import gcd, lcm
 from operator import sub
 
-from macpoly.families import j_dominant_below, monomial_J
+from macpoly.families import aw_recurrence, j_dominant_below, monomial_J
 from macpoly.galg import GAElement, solve_linear
 from macpoly.roots import freudenthal
 from macpoly.scalars import (ExactScalar, SeriesScalar, _list_strip,
                              _lp_flip, _lp_norm, _lp_shift, _make, _pack,
-                             _unpack)
+                             _unpack, exact_sum_of_products)
 from macpoly.weights import INF, PochFactor, WeightSpec
 
 
@@ -153,6 +155,74 @@ def aw_reduce(L, h):
             raise ValueError("functional argument is not W-invariant")
         rem = rem - L.member(k).scale(lead)
     return ExactScalar.zero()
+
+
+def aw_moments_by_rows(params, K):
+    """mu_0..mu_K of the one-variable functional by its recurrence: the
+    modified Chebyshev algorithm (Gautschi, Orthogonal Polynomials, 2004,
+    2.1.7).  The rows of n_k = e^k + e^-k = sum_j a_{k,j} P_j (n_0 = 1) grow
+    by a_{k+1,j} = a_{k,j-1} + b_j a_{k,j} + c_{j+1} a_{k,j+1} - s_k a_{k-1,j},
+    with s_1 = 2 and s_k = 1 for k >= 2 (from
+    (z + 1/z) n_k = n_{k+1} + s_k n_{k-1}), one exact sum of products per
+    entry, and mu_k = a_{k,0}.  The oracle of the q-beta moments of
+    `AWFunctional`; b_j and c_j are computed as the rows first need them."""
+    coeffs = {}
+
+    def bc(j):
+        if j not in coeffs:
+            coeffs[j] = aw_recurrence(params, j)
+        return coeffs[j]
+
+    prev, cur = [], [ExactScalar.one()]
+    out = [cur[0]]
+    for k in range(K):
+        minus_s = ExactScalar.from_int(-2 if k == 1 else -1)
+        row = []
+        for j in range(k + 2):
+            products = [(cur[j - 1],)] if j else []
+            if j <= k:
+                products.append((bc(j)[0], cur[j]))
+            if j < k:
+                products.append((bc(j + 1)[1], cur[j + 1]))
+                products.append((minus_s, prev[j]))
+            row.append(exact_sum_of_products(products))
+        prev, cur = cur, row
+        out.append(row[0])
+    return out
+
+
+def aw_operator_direct(params, lattice):
+    """The q-difference operator applied directly, as a map f -> D f:
+    `up`/`down` times the shifted differences of f over Q(v), then one
+    exact division in the group algebra.  The oracle of `aw_operator`'s
+    integer columns, and of the operator on general f."""
+    qh = params.qhat
+    one = GAElement.one(lattice, 1)
+
+    def lin(p, e):
+        return one - GAElement.monomial(e, lattice, p)
+
+    def quartic(e):
+        return (lin(params.a, e) * lin(params.b, e) * lin(params.c, e)
+                * lin(params.d, e))
+
+    def dfac(e):
+        return lin(ExactScalar.one(), e) * lin(qh, e)
+
+    Dplus, Dminus = dfac((2,)), dfac((-2,))
+    up = quartic((1,)) * Dminus
+    down = quartic((-1,)) * Dplus
+    den = Dplus * Dminus
+
+    def shift(g, sgn):
+        return GAElement({e: c * (qh ** (sgn * e[0]))
+                          for e, c in g.terms.items()}, lattice)
+
+    def apply(f):
+        num = up * (shift(f, 1) - f) + down * (shift(f, -1) - f)
+        return num.exact_div(den)
+
+    return apply
 
 
 def aw_coefficients_by_division(params, m):

@@ -249,6 +249,7 @@ class TestGoldenReports:
         ("DII:n=2", 2, "DII-n2-h2"),
         ("BII:n=2,s=1", 2, "BII-n2-s1-h2"),
         ("BII:n=2,s=2", 2, "BII-n2-s2-h2"),
+        ("CII:n=3,s=2", 2, "CII-n3-s2-h2"),
         ("AI2", 1, "AI2-h1"),
         ("AI2", 2, "AI2-h2"),
         ("AII5", 2, "AII5-h2"),

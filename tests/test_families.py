@@ -15,7 +15,6 @@ from macpoly.families import (
     PolyFamilySpec,
     _aw_binomial,
     _aw_factors,
-    _aw_operator_direct,
     _aw_quotient,
     aw_eigenvalue,
     aw_operator,
@@ -37,6 +36,8 @@ from macpoly.weights import (
 
 from oracles import (
     aw_coefficients_by_division,
+    aw_moments_by_rows,
+    aw_operator_direct,
     aw_reduce,
     aw_weight,
     ct_norm,
@@ -154,6 +155,36 @@ class TestAWOracle:
             assert operator(P) == P.scale(aw_eigenvalue(p, m))
 
 
+def _case_params():
+    """The (params, lattice) of the nine one-variable cases, `aw` and
+    `aw_zonal` each."""
+    cases = [build_case(cid) for cid in ONE_VARIABLE]
+    return [(p, case.lattice) for case in cases
+            for p in (case.aw, case.aw_zonal)]
+
+
+def _random_params(seed, count):
+    """`count` seeded AWParams.from_labels, half of them with random signs
+    on a, b, c, d."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        labels = [Fraction(rng.randint(-4, 4), 2) for _ in range(4)]
+        p = AWParams.from_labels(*labels, qhat_log=rng.randint(1, 3))
+        if k % 2:
+            p = replace(p, **{x: getattr(p, x) * rng.choice((1, -1))
+                              for x in "abcd"})
+        out.append(p)
+    return out
+
+
+def _n(k, lattice="2L"):
+    """n_k = e^k + e^-k, and n_0 = 1."""
+    if k == 0:
+        return GAElement.one(lattice, 1)
+    return mono((k,), lat=lattice) + mono((-k,), lat=lattice)
+
+
 def _outcome(coefficients):
     """(num, den, cyc) of each scalar coefficients() returns, or the
     ZeroDivisionError class if it raised one."""
@@ -197,19 +228,12 @@ class TestAWClosedForm:
                 assert _outcome(lambda: _closed_form(p, m)) == want, m
 
     def test_random_labels_match_division(self):
-        rng = random.Random(25)
+        # any signs: the coefficients 2 and -2 reach both sides
         raised = 0
-        for k in range(100):
-            labels = [Fraction(rng.randint(-4, 4), 2) for _ in range(4)]
-            p = AWParams.from_labels(*labels, qhat_log=rng.randint(1, 3))
-            if k % 2:
-                # any signs: the coefficients 2 and -2 reach both sides
-                p = replace(p, **{x: getattr(p, x) * rng.choice((1, -1))
-                                  for x in "abcd"})
+        for p in _random_params(25, 100):
             for m in range(13):
                 want = _outcome(lambda: aw_coefficients_by_division(p, m))
-                assert _outcome(lambda: _closed_form(p, m)) == want, (
-                    labels, p.qhat_log, m)
+                assert _outcome(lambda: _closed_form(p, m)) == want, (p, m)
                 raised += want is ZeroDivisionError
         assert raised  # zero denominators are among the labels drawn
 
@@ -244,24 +268,34 @@ class TestAWClosedForm:
 
 
 class TestAWColumnOperator:
-    """The operator applied by columns against the direct route."""
+    """The operator applied by integer columns against the direct route
+    over Q(v) (`aw_operator_direct`)."""
 
     @pytest.mark.parametrize("cid", ONE_VARIABLE)
     def test_members(self, cid):
         case = build_case(cid)
         L = AWFunctional(case.aw, case.lattice)
         operator = aw_operator(case.aw, case.lattice)
-        direct = _aw_operator_direct(case.aw, case.lattice)
+        direct = aw_operator_direct(case.aw, case.lattice)
         for m in range(6):
             P = L.member(m)
             assert operator(P) == direct(P), m
+
+    def test_columns_match_direct(self):
+        params = _case_params() + [(p, "2L") for p in _random_params(35, 12)]
+        for p, lattice in params:
+            operator = aw_operator(p, lattice)
+            direct = aw_operator_direct(p, lattice)
+            for k in range(9):
+                assert operator(_n(k, lattice)) == direct(_n(k, lattice)), (
+                    p, k)
 
     def test_random_symmetric(self):
         import random
 
         p = AWParams.from_labels(Fraction(5, 2), Fraction(3, 2), 1, 0)
         operator = aw_operator(p, "2L")
-        direct = _aw_operator_direct(p, "2L")
+        direct = aw_operator_direct(p, "2L")
         rng = random.Random(11)
         for _ in range(12):
             f = TestAWFunctional._random_invariant(rng)
@@ -343,19 +377,57 @@ class TestAWFunctional:
             assert L.value(h) == aw_reduce(oracle, h)
         assert len(L._moments) == 9
 
+    @staticmethod
+    def _check_moments(p, lattice):
+        """mu_0..mu_8 by the q-beta integral against the connection rows
+        and against reduction over the recurrence family; where the rows
+        divide by zero, the q-beta route does so exactly when
+        (abcd; qh)_8 = 0."""
+        L = AWFunctional(p, lattice)
+        try:
+            rows = aw_moments_by_rows(p, 8)
+        except ZeroDivisionError:
+            abcd = p.a * p.b * p.c * p.d
+            vanish = any((ONE - abcd * p.qhat ** j).is_zero()
+                         for j in range(8))
+            try:
+                L._moment(8)
+            except ZeroDivisionError:
+                assert vanish, p
+            else:
+                assert not vanish, p
+            return False
+        oracle = AWFunctional(p, lattice)
+        for k in range(9):
+            want = aw_reduce(oracle, _n(k, lattice))
+            assert L._moment(k) == rows[k] == want, (p, k)
+        assert len(L._family) == 1
+        return True
+
     @pytest.mark.parametrize("cid", ONE_VARIABLE)
     def test_moments_match_reduction(self, cid):
-        # the connection-coefficient rows against reduction over the family
         case = build_case(cid)
         for params in (case.aw, case.aw_zonal):
-            L = AWFunctional(params, case.lattice)
-            oracle = AWFunctional(params, case.lattice)
-            for k in range(9):
-                n_k = (GAElement.one(case.lattice, 1) if k == 0 else
-                       mono((k,), lat=case.lattice)
-                       + mono((-k,), lat=case.lattice))
-                assert L._moment(k) == aw_reduce(oracle, n_k), (params, k)
-            assert len(L._family) == 1
+            assert self._check_moments(params, case.lattice)
+
+    def test_random_moments_match_reduction(self):
+        done = [self._check_moments(p, "2L") for p in _random_params(36, 16)]
+        assert sum(done) >= 8 and not all(done)  # both branches are taken
+
+    @pytest.mark.parametrize("j", [0, 2])
+    def test_zero_denominator_raises(self, j):
+        # abcd qh^j = 1 at qh = v^4: a = v^2, b = -v^2, c = v^(-2-2j),
+        # d = -c; only library callers can build such parameters
+        p = AWParams(Q(1), Q(1, -1), Q(-1 - j), Q(-1 - j, -1))
+        L = AWFunctional(p, "2L")
+        message = "^zero Askey-Wilson denominator factor$"
+        kept = L._moment(j)
+        for _ in range(2):
+            with pytest.raises(ZeroDivisionError, match=message):
+                L.value(_n(j + 1))
+        assert L._moments[j:] == [kept]  # nothing kept past mu_j
+        with pytest.raises(ZeroDivisionError, match=message):
+            aw_moments_by_rows(p, j + 1)
 
     def test_family_grows_by_recurrence(self):
         p = AWParams.from_labels(Fraction(5, 2), Fraction(3, 2), 1, 0)
