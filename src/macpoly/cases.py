@@ -24,7 +24,7 @@ from .families import (
     monomial,
     orthogonalize_step,
 )
-from .galg import GAElement
+from .galg import GAElement, scalar_ratio
 from .roots import (
     FREUDENTHAL_DIM_BOUND,
     RestrictedSystem,
@@ -211,7 +211,7 @@ class ExampleCase:
         G = self.golden_matrix()
         cells = [(i, j) for i in range(len(M)) for j in range(len(M))]
         pairs = [(M[i][j], G[i][j]) for i, j in cells]
-        kappa = _ratio(pairs)
+        kappa = scalar_ratio(pairs)
         if isinstance(kappa, int):
             return {"status": "fail",
                     "detail": "support mismatch at %s" % (cells[kappa],)}
@@ -467,26 +467,30 @@ class ExampleCase:
         return coeffs
 
     def identify(self, mu):
-        """Match the J-invariant family member at mu with a matrix column."""
-        spec = self.family_spec
-        P = spec.family_member(self.J, mu)
-        coeffs = self.expand_in_gamma_basis(P)
-        b_idx, lam = self.t_map(mu)
+        """Match the J-invariant family member P^J_mu with the column at
+        t_map(mu).  An exact J-pairing decides from the column's gamma-image
+        sum_y col[gamma_bottoms[y]] g_y alone (`match_member`); a series one
+        builds P^J_mu and peels it over the gamma basis."""
+        spec, (b_idx, lam) = self.family_spec, self.t_map(mu)
         col = self.vector_member(b_idx, lam)
+        out = {"mu": mu, "column": (b_idx, lam)}
+        if spec.exact(self.J):
+            return dict(out, **spec.match_member(self.J, mu, zip(
+                (col[b] for b in self.gamma_bottoms), self.gamma_basis)))
+        coeffs = self.expand_in_gamma_basis(spec.family_member(self.J, mu))
         target = [GAElement.zero(self.lattice)] * len(self.bottoms)
-        for yi, c in enumerate(coeffs):
-            target[self.gamma_bottoms[yi]] = target[self.gamma_bottoms[yi]] + c
+        for c, b in zip(coeffs, self.gamma_bottoms):
+            target[b] = target[b] + c
         # proportionality: target = C_mu * col
         pairs = list(zip(col, target))
-        C = _ratio(pairs)
+        C = scalar_ratio(pairs)
         if isinstance(C, int):
-            return {"status": "fail", "mu": mu, "detail": "support mismatch"}
+            return dict(out, status="fail", detail="support mismatch")
         if C is None:
-            return {"status": "fail", "mu": mu, "detail": "no usable entry"}
+            return dict(out, status="fail", detail="no usable entry")
         residual_zero = all((c.scale(C) - t).is_zero() for c, t in pairs)
-        return {"status": "pass" if residual_zero else "fail", "mu": mu,
-                "column": (b_idx, lam),
-                "constant": C.render()}
+        return dict(out, status="pass" if residual_zero else "fail",
+                    constant=C.render())
 
     # -- recurrence ------------------------------------------------------------
 
@@ -591,7 +595,7 @@ class ExampleCase:
                    for yj in range(nb)]
         diag = []
         for yj, pairs in enumerate(columns):
-            d = _ratio(pairs)
+            d = scalar_ratio(pairs)
             if isinstance(d, int):
                 return {"status": "fail",
                         "detail": "support (%d,%d)" % (d, yj)}
@@ -731,20 +735,6 @@ def kravchuk_consistency(case):
         if not (lhs - rhs).is_zero():
             ok = False
     return ok
-
-
-def _ratio(pairs):
-    """The scalar c with target = c * source, read at the first term of the
-    first nonzero source over (source, target) pairs of GAElements.
-
-    Returns the index of that pair instead when its target lacks the term,
-    and None when every source vanishes.  The caller checks the residual.
-    """
-    for k, (source, target) in enumerate(pairs):
-        for e, c in source.terms.items():
-            t = target.terms.get(e)
-            return k if t is None else t / c
-    return None
 
 
 # ---------------------------------------------------------------------------

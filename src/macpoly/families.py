@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
 
-from .galg import GAElement
+from .galg import GAElement, leading_minors_nonzero
 from .scalars import (ZERO, ExactScalar, _cyc_dict, _den, _lp_add, _lp_mul,
                       _lp_shift, _make, exact_sum_of_products)
 from .weights import WeightEngine
@@ -81,18 +81,95 @@ class PolyFamilySpec:
     label: str = ""
     # J -> the GramSchmidt driver of the J-invariant family
     _families: dict = field(default_factory=dict)
+    # (J, x) -> m^J_x; (J, x, y) -> <m^J_x, m^J_y>; J -> the longest list
+    # of labels whose Gram is certified (`certify_j_gram`)
+    _leads: dict = field(default_factory=dict)
+    _grams: dict = field(default_factory=dict)
+    _certified: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self._unit = [[GAElement.one(self.lattice, self.restricted.rank)]]
 
-    def pair(self, f, g, symmetric):
-        """ct(f flip(g) W): W-invariant families pair by Weyl orbits, the
-        others exponent by exponent."""
+    def _engine(self, symmetric):
         engine = self.engine_sym if symmetric else self.engine_nonsym
         if engine is None:
             raise ValueError("no pairing configured for this family")
-        return engine.vector_pair([f], self._unit, [g],
-                                  self.restricted if symmetric else None)
+        return engine
+
+    def pair(self, f, g, symmetric):
+        """ct(f flip(g) W): W-invariant families pair by Weyl orbits, the
+        others exponent by exponent."""
+        return self._engine(symmetric).vector_pair(
+            [f], self._unit, [g], self.restricted if symmetric else None)
+
+    def exact(self, J):
+        """Whether the J-invariant family pairs exactly in Q(v)."""
+        return self._engine(J == tuple(range(self.restricted.rank))).exact
+
+    def match_member(self, J, mu, image):
+        """Whether G = sum c g over the (c, g) pairs of `image` is
+        P^J_mu / C, decided without building P^J_mu:
+        {"status": "pass", "constant": C rendered} when
+        1. G is W_J-invariant, its J-dominant exponents lie in {mu} and
+           below(mu) (`j_dominant_below`), and mu is among them;
+        2. <G, m^J_nu> = 0 for every nu in below(mu), G in the left slot,
+           where Gram-Schmidt puts P;
+        3. the Gram of the m^J_nu has nonzero leading minors
+           (`certify_j_gram`), so that P^J_mu exists and is unique;
+        then C = 1 / G[e^mu].  Else {"status": "fail"} with a detail
+        naming the failed condition.  For an exact J-pairing only: a
+        truncated series that reads zero is zero only to its order."""
+        R = self.restricted
+        symmetric = J == tuple(range(R.rank))
+        G = GAElement.zero(self.lattice)
+        for c, g in image:
+            G = G + c * g
+        below, terms = j_dominant_below(R, J, mu), G.terms
+        tops = {e: R.weyl_orbit(e, J) for e in terms if R.is_dominant(e, J)}
+        if (mu not in tops or not set(tops) <= {mu, *below}
+                or sum(map(len, tops.values())) != len(terms)
+                or any(terms.get(e) != terms[x]
+                       for x, orbit in tops.items() for e in orbit)):
+            return {"status": "fail", "detail": "the column's image is not "
+                    "W_J-invariant over %s and the labels below it" % (mu,)}
+        for nu in below:
+            if not self.pair(G, self.j_lead(J, nu), symmetric).is_zero():
+                return {"status": "fail", "detail": "the column's image is "
+                        "not orthogonal to m^J_%s" % (nu,)}
+        self.certify_j_gram(J, below)
+        return {"status": "pass", "constant": terms[mu].inv().render()}
+
+    def j_lead(self, J, x):
+        """m^J_x, built once per spec, so its blocks are cut once."""
+        got = self._leads.get((J, x))
+        if got is None:
+            got = self._leads[J, x] = monomial_J(self.restricted, J, x,
+                                                 self.lattice)
+        return got
+
+    def certify_j_gram(self, J, below):
+        """Prove every leading minor of the Gram <m^J_x, m^J_y> over the
+        key-ordered labels `below` nonzero (`leading_minors_nonzero`), so
+        that Gram-Schmidt over them meets no zero norm and each P^J over
+        them is unique; ArithmeticError where that cannot be proven.  Each
+        entry is paired once.  The longest certified list serves each of
+        its prefixes; a list that is not one is certified on its own."""
+        done = self._certified.setdefault(J, [])
+        if below == done[:len(below)]:
+            return
+        gram, symmetric = self._grams, J == tuple(range(self.restricted.rank))
+        for x in below:
+            for y in below:
+                if (J, x, y) not in gram:
+                    gram[J, x, y] = self.pair(self.j_lead(J, x),
+                                              self.j_lead(J, y), symmetric)
+        if not leading_minors_nonzero([[gram[J, x, y] for y in below]
+                                       for x in below]):
+            raise ArithmeticError(
+                "%s/%s: no point certifies the leading minors of the Gram "
+                "over %s" % (self.label, J, below))
+        if len(below) > len(done):
+            done[:] = below
 
     def family_member(self, J, mu):
         return self._family(tuple(sorted(J))).member(tuple(mu))[0]

@@ -205,6 +205,20 @@ def ga_from_json(data, lattice):
                       for item in data}, lattice)
 
 
+def scalar_ratio(pairs):
+    """The scalar c with target = c * source, read at the first term of the
+    first nonzero source over (source, target) pairs of GAElements.
+
+    Returns the index of that pair instead when its target lacks the term,
+    and None when every source vanishes.  The caller checks the residual.
+    """
+    for k, (source, target) in enumerate(pairs):
+        for e, c in source.terms.items():
+            t = target.terms.get(e)
+            return k if t is None else t / c
+    return None
+
+
 # ---------------------------------------------------------------------------
 # exact linear algebra over any of the scalar backends
 # ---------------------------------------------------------------------------
@@ -253,3 +267,43 @@ def solve_linear(rows, rhs):
     for r, col in enumerate(pivots):
         sol[col] = aug[r][m:] if multi else aug[r][m]
     return sol
+
+
+# the field GF(GF_P) of `leading_minors_nonzero`, and its points in turn
+GF_P = (1 << 61) - 1
+GF_POINTS = (3, 5, 7)
+
+
+def _mod_p(x, v0):
+    """The ExactScalar x at v = v0 in GF(GF_P); None where its denominator
+    vanishes there."""
+    den = sum(c * pow(v0, e, GF_P) for e, c in x.den.items()) % GF_P
+    if den:
+        num = sum(c * pow(v0, e, GF_P) for e, c in x.num.items())
+        return num * pow(den, -1, GF_P) % GF_P
+    return None
+
+
+def leading_minors_nonzero(rows):
+    """Whether every leading minor of the square matrix `rows` of
+    ExactScalars is proven nonzero at a point v0 of GF_POINTS: where every
+    denominator is a unit at v0, v -> v0 is a ring map into GF(GF_P), so a
+    minor nonzero there is nonzero in Q(v).  The elimination makes none of
+    `solve_linear`'s row swaps: its k-th pivot is the k-th leading minor
+    over the one before.  A point where a pivot or a denominator vanishes
+    proves nothing, and the next is tried."""
+    for v0 in GF_POINTS:
+        a = [[_mod_p(x, v0) for x in row] for row in rows]
+        if any(None in row for row in a):
+            continue
+        for k, top in enumerate(a):
+            if not top[k]:
+                break
+            inv = pow(top[k], -1, GF_P)
+            for row in a[k + 1:]:
+                f = row[k] * inv % GF_P
+                row[k + 1:] = [(x - f * t) % GF_P
+                               for x, t in zip(row[k + 1:], top[k + 1:])]
+        else:
+            return True
+    return False

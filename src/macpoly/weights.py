@@ -587,6 +587,11 @@ class WeightEngine:
 
     # -- pairing --------------------------------------------------------------
 
+    @property
+    def exact(self):
+        """Whether pairings are exact in Q(v), not truncated series."""
+        return self._lookup is not None
+
     def _coefficient(self, nu):
         """W(nu), None where it vanishes."""
         if self._lookup is not None:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from macpoly import cases, families, galg
 from macpoly.cases import (
     build_case,
     kravchuk_consistency,
@@ -15,7 +16,7 @@ from macpoly.cases import (
     parse_case_id,
     qkrawtchouk,
 )
-from macpoly.families import AWFunctional, aw_oracle
+from macpoly.families import AWFunctional, PolyFamilySpec, aw_oracle
 from macpoly.galg import GAElement, solve_linear
 from macpoly.roots import regularity_scalar
 from macpoly.scalars import ExactScalar, SeriesScalar, q_number
@@ -507,6 +508,174 @@ class TestGammaPeel:
         with pytest.raises(ArithmeticError, match=re.escape(
                 "columns (0, (0,)) and (2, (0,)) share the lead")):
             case.expand_in_gamma_basis(case.one())
+
+
+def _identify_labels(case, H):
+    from macpoly.cli import _identify_grid
+
+    return _identify_grid(case, H)
+
+
+def _phi_root(d):
+    """A root of Phi_d in GF(p) for a prime d dividing p - 1."""
+    p = galg.GF_P
+    for a in itertools.count(2):
+        x = pow(a, (p - 1) // d, p)
+        if x != 1:
+            return x
+
+
+_unperturbed = cases.ExampleCase.vector_member
+
+
+class TestGammaImage:
+    """`identify` through the column's gamma-image, against the peel of the
+    Gram-Schmidt-built J-member, the route of series J-pairings and the
+    oracle here."""
+
+    @pytest.mark.parametrize("cid,H", [
+        ("A2G", 3), ("AII5", 3), ("DII:n=2", 3), ("DII:n=3", 3),
+        ("BII:n=2,s=1", 2), ("CII:n=3,s=2", 2)])
+    def test_matches_peel_route(self, cid, H):
+        new, old = build_case(cid), build_case(cid)
+        old.family_spec.exact = lambda J: False  # the peel, as on AI2
+        for h in range(1, H + 1):
+            for mu in _identify_labels(new, h):
+                got, want = new.identify(mu), old.identify(mu)
+                assert got["status"] == want["status"] == "pass", (cid, mu)
+                assert got["column"] == want["column"], (cid, mu)
+                assert got["constant"] == want["constant"], (cid, mu)
+        J = new.J
+        assert new.family_spec._certified[J]
+        assert J not in old.family_spec._certified
+
+    def test_series_pairing_keeps_the_peel(self):
+        case = build_case("AI2")
+        spec = case.family_spec
+        assert not case.delta_engine.exact and not spec.exact(case.J)
+        for mu in _identify_labels(case, 1):
+            assert case.identify(mu)["status"] == "pass"
+        assert not spec._grams and not spec._certified
+        assert case.J in spec._families
+
+    @pytest.mark.parametrize("cid", [
+        "A2G", "AII5", "AI2", "DII:n=2", "DII:n=3", "BII:n=2,s=0",
+        "BII:n=3,s=2", "CII:n=3,s=1"])
+    def test_below_sets_nest(self, cid):
+        # one certificate over the longest below-set serves every label
+        case = build_case(cid)
+        R = case.restricted
+        for H in range(1, 4):
+            belows = [families.j_dominant_below(R, case.J, mu)
+                      for mu in _identify_labels(case, H)]
+            longest = max(belows, key=len)
+            assert longest == sorted(longest, key=R.order_key)
+            for below in belows:
+                assert below == longest[:len(below)], (cid, H)
+
+    @staticmethod
+    def _with_column_added(monkeypatch, mu, extra):
+        """identify(mu) on A2G with extra(case), a list of slots, added to
+        mu's column."""
+        case = build_case("A2G")
+        assert case.identify(mu)["status"] == "pass"
+        target = case.t_map(mu)
+
+        def perturbed(self, b_idx, lam):
+            col = _unperturbed(self, b_idx, lam)
+            if (b_idx, tuple(lam)) != target:
+                return col
+            return [c + d for c, d in zip(col, extra(self))]
+
+        monkeypatch.setattr(cases.ExampleCase, "vector_member", perturbed)
+        return build_case("A2G").identify(mu)
+
+    def test_lower_member_added_fails_orthogonality(self, monkeypatch):
+        mu = (1, 1)
+        R = build_case("A2G").restricted
+        nu = families.j_dominant_below(R, (1,), mu)[-1]
+        res = self._with_column_added(
+            monkeypatch, mu,
+            lambda case: _unperturbed(case, *case.t_map(nu)))
+        assert res["status"] == "fail"
+        assert res["detail"] == ("the column's image is not orthogonal to "
+                                 "m^J_%s" % (nu,))
+
+    @pytest.mark.parametrize("extra", [
+        # orthogonal to every lead below (1, 1), but with a J-dominant
+        # exponent above it
+        lambda case: _unperturbed(case, *case.t_map((2, 1))),
+        # e^(0, 1) without its J-orbit partner e^(1, -1): g_0 is 1
+        lambda case: [GAElement.monomial((0, 1), case.lattice)
+                      if b == case.gamma_bottoms[0]
+                      else GAElement.zero(case.lattice) for b in range(3)],
+    ], ids=["higher-member", "not-W_J-invariant"])
+    def test_column_off_the_j_span_fails(self, monkeypatch, extra):
+        res = self._with_column_added(monkeypatch, (1, 1), extra)
+        assert res["status"] == "fail"
+        assert res["detail"] == ("the column's image is not W_J-invariant "
+                                 "over (1, 1) and the labels below it")
+
+    def test_zero_leading_minor_is_refused(self, monkeypatch):
+        # <m_1, m_1> set so that the second leading minor vanishes while
+        # the Gram stays regular: a pivot search with row swaps would pass
+        case = build_case("A2G")
+        R, J, lat, mu = case.restricted, case.J, case.lattice, (1, 1)
+        x0, x1 = families.j_dominant_below(R, J, mu)[:2]
+        m0, m1 = (families.monomial_J(R, J, x, lat).terms for x in (x0, x1))
+        pair = PolyFamilySpec.pair
+
+        def tampered(self, f, g, symmetric):
+            if f.terms == g.terms == m1:
+                a = [[pair(self, GAElement(s, lat), GAElement(t, lat),
+                           symmetric) for t in (m0, m1)] for s in (m0, m1)]
+                return a[1][0] * a[0][1] / a[0][0]
+            return pair(self, f, g, symmetric)
+
+        monkeypatch.setattr(PolyFamilySpec, "pair", tampered)
+        case = build_case("A2G")
+        with pytest.raises(ArithmeticError, match="no point certifies"):
+            case.identify(mu)
+        spec, below = case.family_spec, families.j_dominant_below(R, J, mu)
+        rows = [[spec._grams[J, x, y] for y in below] for x in below]
+        assert solve_linear(rows, [ExactScalar.one()] * len(below))
+        assert not spec._certified[J]
+        from macpoly.cli import run_verify
+
+        report, rc = run_verify("A2G", 2)
+        [ident] = [c for c in report["checks"]
+                   if c["name"] == "identification"]
+        assert ident["status"] == "error" and rc == 1
+
+    def test_only_prefixes_share_a_certificate(self):
+        case = build_case("A2G")
+        spec, J = case.family_spec, case.J
+        x0, x1 = families.j_dominant_below(case.restricted, J, (1, 1))[:2]
+        spec.certify_j_gram(J, [x0, x1])
+        spec._grams[J, x1, x1] = ExactScalar.zero()
+        spec.certify_j_gram(J, [x0])  # a prefix: certified with [x0, x1]
+        with pytest.raises(ArithmeticError, match="no point certifies"):
+            spec.certify_j_gram(J, [x1, x0])
+
+    def test_vanishing_denominator_is_retried(self, monkeypatch):
+        case = build_case("BII:n=2,s=1")
+        root = _phi_root(5)
+        labels = _identify_labels(case, 3)
+        for mu in labels:
+            case.identify(mu)
+        spec = case.family_spec
+        assert any(galg._mod_p(x, root) is None for x in spec._grams.values())
+        below = spec._certified[case.J]
+        rows = [[spec._grams[case.J, x, y] for y in below] for x in below]
+        monkeypatch.setattr(galg, "GF_POINTS", (root,))
+        assert not galg.leading_minors_nonzero(rows)
+        with pytest.raises(ArithmeticError, match="no point certifies"):
+            build_case("BII:n=2,s=1").identify(labels[-1])
+        monkeypatch.setattr(galg, "GF_POINTS", (root, 3))
+        assert galg.leading_minors_nonzero(rows)
+        fresh = build_case("BII:n=2,s=1")
+        assert [fresh.identify(mu) for mu in labels] == [
+            case.identify(mu) for mu in labels]
 
 
 class TestKravchuk:

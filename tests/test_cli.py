@@ -246,6 +246,7 @@ class TestGoldenReports:
 
     @pytest.mark.parametrize("case, height, name", [
         ("A2G", 1, "A2G-h1"),
+        ("A2G", 2, "A2G-h2"),
         ("DII:n=2", 2, "DII-n2-h2"),
         ("BII:n=2,s=1", 2, "BII-n2-s1-h2"),
         ("BII:n=2,s=2", 2, "BII-n2-s2-h2"),

@@ -1,6 +1,8 @@
 import random
 
-from macpoly.galg import GAElement, ga_from_json, solve_linear
+from macpoly import galg
+from macpoly.galg import (GAElement, ga_from_json, leading_minors_nonzero,
+                         solve_linear)
 from macpoly.roots import build_root_datum
 from macpoly.scalars import ExactScalar
 
@@ -166,3 +168,42 @@ class TestLinearSolve:
         with pytest.raises(ArithmeticError, match="inconsistent"):
             solve_linear([[one], [one]], [one, ExactScalar.from_int(2)])
 
+
+class TestLeadingMinors:
+    """The GF(p) certificate that every leading minor is nonzero."""
+
+    V = staticmethod(ExactScalar.v_power)
+
+    def test_value_mod_p(self):
+        p, V, v0 = galg.GF_P, self.V, 5
+        x = (V(3) - ExactScalar.from_int(2)) / (ONE + V(-1))
+        want = (pow(v0, 3, p) - 2) * pow(1 + pow(v0, -1, p), -1, p) % p
+        assert galg._mod_p(x, v0) == want
+        assert galg._mod_p(x, p - 1) is None  # 1 + v^-1 vanishes at -1
+
+    def test_zero_leading_minor_of_a_regular_matrix(self):
+        zero, V = ExactScalar.zero(), self.V
+        swapped = [[zero, ONE], [ONE, V(1)]]
+        assert solve_linear(swapped, [ONE, ONE])
+        assert not leading_minors_nonzero(swapped)
+        # the second minor 1 * v^2 - v * v vanishes identically
+        assert not leading_minors_nonzero([[ONE, V(1)], [V(1), V(2)]])
+        assert leading_minors_nonzero([[ONE, V(1)], [V(1), V(3)]])
+        assert leading_minors_nonzero([])
+
+    def test_root_of_a_minor_is_retried(self, monkeypatch):
+        # the minor v - 3 vanishes at the first point only
+        rows = [[self.V(1) - ExactScalar.from_int(3)]]
+        monkeypatch.setattr(galg, "GF_POINTS", (3,))
+        assert not leading_minors_nonzero(rows)
+        monkeypatch.setattr(galg, "GF_POINTS", (3, 5))
+        assert leading_minors_nonzero(rows)
+
+    def test_vanishing_denominator_is_retried(self, monkeypatch):
+        # 1 / (1 + v) has no value at v = -1
+        rows = [[(ONE + self.V(1)).inv()]]
+        p = galg.GF_P
+        monkeypatch.setattr(galg, "GF_POINTS", (p - 1,))
+        assert not leading_minors_nonzero(rows)
+        monkeypatch.setattr(galg, "GF_POINTS", (p - 1, 3))
+        assert leading_minors_nonzero(rows)
