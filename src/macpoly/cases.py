@@ -59,15 +59,15 @@ _CASE_KEYS = {"BII": ("n", "s"), "CII": ("n", "s"), "DII": ("n",),
 
 def parse_case_id(text):
     """(head, {key: int}); ValueError for an unknown case, a key the case
-    does not take or that is given twice, or a value not an integer >= 0."""
+    does not take, given twice or missing, or a value not an integer >= 0."""
     head, _, rest = text.partition(":")
     head = head.strip()
     if head not in _CASE_KEYS:
         raise ValueError("unknown case id %r" % (text,))
-    params = {}
+    params, keys = {}, _CASE_KEYS[head]
     for item in rest.split(",") if rest else ():
         k, _, v = item.partition("=")
-        k, keys = k.strip(), _CASE_KEYS[head]
+        k = k.strip()
         if k not in keys or k in params:
             raise ValueError("case %s: unknown or repeated parameter %r (it "
                              "takes %s)"
@@ -77,6 +77,10 @@ def parse_case_id(text):
             raise ValueError("case %s: %s must be an integer >= 0, got %r"
                              % (head, k, v))
         params[k] = int(v)
+    missing = [k for k in keys if k not in params]
+    if missing:
+        raise ValueError("case %s: missing parameter %s"
+                         % (head, ", ".join(missing)))
     return head, params
 
 
@@ -89,8 +93,8 @@ def build_case(case_id, order=60):
     if head in ("AI2", "A2G", "AII5"):
         return _build_a2_family(head, order)
     if head == "DII":
-        return _build_dii(params.get("n", 2), order)
-    return _build_small_b(head, params.get("n", 2), params.get("s", 0), order)
+        return _build_dii(params["n"], order)
+    return _build_small_b(head, params["n"], params["s"], order)
 
 
 def list_cases():
@@ -111,8 +115,6 @@ class ExampleCase:
 
     tag: str
     satake: SatakeDatum
-    restricted: RestrictedSystem
-    lattice: str
     qhat_log: int
     t: ExactScalar  # deformation scalar of the restricted weight
     bottom_weights: list  # per bottom: list of (mu in X-coords, GAElement in X)
@@ -124,7 +126,6 @@ class ExampleCase:
     J: tuple = ()  # parabolic subset of the restricted simple reflections
     aw: AWParams = None  # one-variable data (small-B cases)
     aw_zonal: AWParams = None
-    extra: dict = field(default_factory=dict)
     order: int = 60  # working v-order of the series engines
     # AWParams -> its one-variable moment functional
     _functionals: dict = field(init=False, default_factory=dict)
@@ -142,6 +143,18 @@ class ExampleCase:
     @property
     def bottoms(self):
         return self.satake.bottoms
+
+    @property
+    def restricted(self):
+        return self.satake.restricted
+
+    @cached_property
+    def lattice(self):
+        return "2L:" + self.tag
+
+    @cached_property
+    def extra(self):
+        return parse_case_id(self.tag)[1]
 
     @property
     def rank(self):
@@ -202,13 +215,10 @@ class ExampleCase:
             out[r] = c if s is None else s + c
         return GAElement(out, self.lattice)
 
-    def golden_matrix(self):
-        return self.golden_matrix_fn(self)
-
     def matrix_weight_check(self):
         """Computed vs printed matrix weight, up to one global scalar."""
         M = self.matrix_weight
-        G = self.golden_matrix()
+        G = self.golden_matrix_fn(self)
         cells = [(i, j) for i in range(len(M)) for j in range(len(M))]
         pairs = [(M[i][j], G[i][j]) for i, j in cells]
         kappa = scalar_ratio(pairs)
@@ -632,8 +642,8 @@ def kravchuk_data(case):
     The off-diagonal constant is a = x / w with w^2 = disc on BII and a = x
     on CII.  Only x and a2 = a^2 are kept; both lie in Q(v).
     """
-    kind = case.extra["kind"]
-    n, s = case.extra["n"], case.extra["s"]
+    kind, params = parse_case_id(case.tag)
+    n, s = params["n"], params["s"]
     two = q_number(2, 1)
     dq = Q(1) - Q(-1)  # q - 1/q
     if kind == "BII":
@@ -746,8 +756,7 @@ def _ga(terms, lattice):
     return GAElement({tuple(e): c for e, c in terms}, lattice)
 
 
-def _exp(e, lattice, c=None):
-    return GAElement.monomial(e, lattice, c)
+_exp = GAElement.monomial
 
 
 def _balanced(u, w, lattice, tau_log):
@@ -788,7 +797,7 @@ def _bullet_module_weights(datum, subset, hw):
     """
     subset = list(subset)
     subA = tuple(tuple(datum.A[i][j] for j in subset) for i in subset)
-    sub = _datum_from_cartan("sub", subA)
+    sub = _datum_from_cartan(subA)
     sub_hw = tuple(int(datum.pair_simple(i, hw)) for i in subset)
     out = []
     for nu, mult in freudenthal(sub, sub_hw).items():
@@ -807,7 +816,7 @@ def _bullet_module_weights(datum, subset, hw):
 
 
 def _build_a2_family(tag, order):
-    lat = "2L:" + tag
+    lat, xlat = "2L:" + tag, "X:" + tag
     restricted = RestrictedSystem(2)
     if tag == "AI2":
         datum = build_root_datum("A", 2)
@@ -817,7 +826,6 @@ def _build_a2_family(tag, order):
         bottoms = ((1, 0), (1, 1), (0, 1))
         mus = [(1, 0), (-1, 1), (0, -1)]
         a1, a2, a12 = (2, -1), (-1, 2), (1, 1)
-        xlat = "X:" + tag
         psi1 = [_exp(mu, xlat) for mu in mus]
         psi2 = [_balanced(a2, tuple(-x for x in a2), xlat, 1),
                 _balanced(a12, tuple(-x for x in a12), xlat, 1),
@@ -834,7 +842,6 @@ def _build_a2_family(tag, order):
         wwords = ((0, 2), (1, 3))
         bottoms = ((1, 0, 0, 0), (0, 1, 1, 0), (0, 0, 0, 1))
         mus = [(1, 0, 0, 0), (-1, 1, 0, 0), (0, -1, 0, 0)]
-        xlat = "X:" + tag
         psi1 = [_exp(mu, xlat) for mu in mus]
         psi2 = [_balanced((0, 1, -1, 1), (1, -1, 0, -1), xlat, 1),
                 _balanced((0, 1, 1, 0), (-1, 0, 0, -1), xlat, 1),
@@ -853,7 +860,6 @@ def _build_a2_family(tag, order):
         bottoms = ((1, 0, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 0, 1))
         mus = [(1, 0, 0, 0, 0), (-1, 1, 0, 0, 0), (0, -1, 1, 0, 0),
                (0, 0, -1, 1, 0), (0, 0, 0, -1, 1), (0, 0, 0, 0, -1)]
-        xlat = "X:" + tag
         psi1 = [_exp(mu, xlat) for mu in mus]
         psi2 = [_balanced((1, -1, 0, 1, 0), (1, 0, 0, -1, 0), xlat, 2),
                 _balanced((-1, 0, 0, 1, 0), (-1, 1, 0, -1, 0), xlat, 2),
@@ -902,8 +908,7 @@ def _build_a2_family(tag, order):
         return 2, (b, -a - b)
 
     return ExampleCase(
-        tag=tag, satake=satake, restricted=restricted, lattice=lat,
-        qhat_log=qhat_log, t=t,
+        tag=tag, satake=satake, qhat_log=qhat_log, t=t,
         bottom_weights=bottom_weights, golden_matrix_fn=golden,
         gamma_basis=[e1, es1, es2s1], gamma_bottoms=[2, 1, 0],
         t_map=t_map, J=(1,), order=order)
@@ -966,8 +971,7 @@ def _build_dii(n, order):
     basis[id_slot] = _exp((1,), lat, Q(n - 1))
 
     return ExampleCase(
-        tag=tag, satake=satake, restricted=restricted, lattice=lat,
-        qhat_log=2, t=Q(2 * (n - 1)),
+        tag=tag, satake=satake, qhat_log=2, t=Q(2 * (n - 1)),
         bottom_weights=bottom_weights, golden_matrix_fn=golden,
         gamma_basis=basis, gamma_bottoms=[0, 1],
         t_map=t_map, J=(), order=order)
@@ -1039,11 +1043,8 @@ def _build_small_b(kind, n, s, order):
         return 0, mu
 
     return ExampleCase(
-        tag=tag, satake=satake, restricted=restricted, lattice=lat,
-        qhat_log=2, t=None,
+        tag=tag, satake=satake, qhat_log=2, t=None,
         bottom_weights=bottom_weights, golden_matrix_fn=golden,
         gamma_basis=[GAElement.one(lat, 1)], gamma_bottoms=[0],
-        t_map=t_map, J=(0,),
-        aw=aw, aw_zonal=aw_zonal,
-        extra={"n": n, "s": s, "kind": kind}, order=order)
+        t_map=t_map, J=(0,), aw=aw, aw_zonal=aw_zonal, order=order)
 

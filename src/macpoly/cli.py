@@ -11,7 +11,6 @@ import argparse
 import contextlib
 import itertools
 import json
-import os
 import sys
 
 from . import weights as weights_mod
@@ -54,7 +53,7 @@ def _parse_label(case, text, J):
     return lam
 
 
-def _render_ga(f, fmt, symbol="e", wsym="\\varpi"):
+def _render_ga(f, fmt, wsym="\\varpi"):
     if fmt == "json":
         return json.dumps(f.to_json(), sort_keys=True)
     if fmt == "latex":
@@ -62,10 +61,9 @@ def _render_ga(f, fmt, symbol="e", wsym="\\varpi"):
         for e, c in f.sorted_items():
             exps = "+".join("%d%s_%d" % (x, wsym, i + 1)
                             for i, x in enumerate(e) if x) or "0"
-            parts.append("\\left(%s\\right) %s^{%s}"
-                         % (c.render(), symbol, exps))
+            parts.append("\\left(%s\\right) e^{%s}" % (c.render(), exps))
         return " + ".join(parts) or "0"
-    return f.render(symbol)
+    return f.render()
 
 
 def _matrix_json(M):
@@ -155,7 +153,7 @@ def cmd_render(args):
         if args.format == "json":
             text = _matrix_json(M)
         else:
-            rows = [[_render_ga(f, args.format, "e", wsym) for f in row]
+            rows = [[_render_ga(f, args.format, wsym) for f in row]
                     for row in M]
             if args.format == "latex":
                 body = " \\\\\n".join(" & ".join(r) for r in rows)
@@ -260,10 +258,13 @@ def run_verify(case_id, height=2, order=60):
         record("orthogonality", orthogonality)
 
     def identification():
+        # why each failing label failed; a passing check has no such key
         idents = [case.identify(mu) for mu in _identify_grid(case, height)]
-        return {"status": ("pass" if all(r["status"] == "pass" for r in idents)
-                           else "fail"),
-                "constants": {str(r["mu"]): r.get("constant") for r in idents}}
+        failures = {str(r["mu"]): r.get("detail") for r in idents
+                    if r["status"] != "pass"}
+        return {"status": "fail" if failures else "pass",
+                "constants": {str(r["mu"]): r.get("constant") for r in idents},
+                **({"failures": failures} if failures else {})}
 
     if grid is not None:
         record("identification", identification)
@@ -407,7 +408,7 @@ def main(argv=None):
     p.add_argument("--lambda-height", type=int, default=2)
     p.add_argument("--order", type=int, default=60)
     p.add_argument("--report", default=None)
-    p.add_argument("--cache-dir", default=os.environ.get("MACPOLY_CACHE"))
+    p.add_argument("--cache-dir")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("render", help="render the weight matrix or a member")
@@ -421,6 +422,11 @@ def main(argv=None):
     p.add_argument("--output", default=None)
     p.set_defaults(fn=cmd_render)
 
+    # argparse reads a label such as -1,2 as an option: join it to its flag
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--lam", "--lambda") and argv[i][1:2].isdigit():
+            argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

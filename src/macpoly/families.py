@@ -476,18 +476,10 @@ class AWFunctional:
         self._x = (GAElement.monomial((1,), lattice)
                    + GAElement.monomial((-1,), lattice))
         self._family = [GAElement.one(lattice, 1)]
-        self._recurrence = []
         self._moments = [ONE]
         # phi_n at e^0..e^n, (ab, ac, ad; qh)_n and (abcd; qh)_n
         self._phi = ([{0: 1}], [], [])
         self._weight = [ONE]
-
-    def _coeffs(self, j):
-        """(b_j, c_j) of the three-term recurrence, computed once each."""
-        while len(self._recurrence) <= j:
-            self._recurrence.append(
-                aw_recurrence(self.params, len(self._recurrence)))
-        return self._recurrence[j]
 
     def _extend(self, m):
         """Grow the recurrence family one step at a time up to degree m."""
@@ -495,7 +487,7 @@ class AWFunctional:
             k = len(self._family) - 1
             cur = self._family[k]
             prev = self._family[k - 1] if k else GAElement.zero(self.lattice)
-            bk, ck = self._coeffs(k)
+            bk, ck = aw_recurrence(self.params, k)
             self._family.append(self._x * cur - cur.scale(bk) - prev.scale(ck))
 
     def member(self, m):

@@ -95,9 +95,6 @@ class GAElement:
             return False
         return (self - other).is_zero()
 
-    def __hash__(self):
-        raise TypeError("GAElement is unhashable")
-
     # -- structure maps -----------------------------------------------------
 
     def map_exponents(self, fn):
@@ -184,12 +181,12 @@ class GAElement:
     def sorted_items(self):
         return sorted(self.terms.items(), key=lambda t: t[0])
 
-    def render(self, symbol="e"):
+    def render(self):
         if not self.terms:
             return "0"
         parts = []
         for e, c in self.sorted_items():
-            parts.append("(%s)*%s^%s" % (c.render(), symbol, list(e)))
+            parts.append("(%s)*e^%s" % (c.render(), list(e)))
         return " + ".join(parts)
 
     def to_json(self):

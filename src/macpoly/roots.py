@@ -22,7 +22,7 @@ from .scalars import ExactScalar
 
 
 # ---------------------------------------------------------------------------
-# Cartan matrices; rows/cols follow Bourbaki labelling
+# Cartan matrices of types A-D; rows/cols follow Bourbaki labelling
 # ---------------------------------------------------------------------------
 
 
@@ -56,22 +56,6 @@ def cartan_matrix(series, rank):
             raise ValueError("type D needs rank >= 3")
         chain((i, i + 1) for i in range(n - 2))
         chain([(n - 3, n - 1)])
-    elif series == "E":
-        if n not in (6, 7, 8):
-            raise ValueError("type E needs rank 6, 7 or 8")
-        # node 1 attaches to node 3; node 2 attaches to node 4 (Bourbaki)
-        chain([(0, 2), (2, 3), (1, 3)] + [(i, i + 1) for i in range(3, n - 1)])
-    elif series == "F":
-        if n != 4:
-            raise ValueError("type F needs rank 4")
-        chain([(0, 1), (2, 3)])
-        A[1][2] = -2
-        A[2][1] = -1
-    elif series == "G":
-        if n != 2:
-            raise ValueError("type G needs rank 2")
-        A[0][1] = -3
-        A[1][0] = -1
     else:
         raise ValueError("unknown series %r" % (series,))
     return tuple(tuple(row) for row in A)
@@ -111,7 +95,6 @@ def _mat_inv_fractions(A):
 
 @dataclass(frozen=True)
 class RootDatum:
-    series: str
     rank: int
     A: tuple
     eps: tuple
@@ -341,15 +324,14 @@ def build_composite_datum(parts):
             for j, v in enumerate(row):
                 A[off + i][off + j] = v
         off += len(b)
-    return _datum_from_cartan("x".join("%s%d" % p for p in parts),
-                              tuple(tuple(r) for r in A))
+    return _datum_from_cartan(tuple(tuple(r) for r in A))
 
 
 def build_root_datum(series, rank):
-    return _datum_from_cartan(series, cartan_matrix(series, rank))
+    return _datum_from_cartan(cartan_matrix(series, rank))
 
 
-def _datum_from_cartan(series, A):
+def _datum_from_cartan(A):
     n = len(A)
     eps = symmetrizers(A)
     # alpha_j = sum_i <h_i, alpha_j> omega_i, the j-th column of A
@@ -359,12 +341,12 @@ def _datum_from_cartan(series, A):
     inv = _mat_inv_fractions(AT)
     two_rho = tuple(sum(inv[i][j] * 2 * eps[j] for j in range(n)) for i in range(n))
     if any(c.denominator != 1 for c in two_rho):
-        raise ValueError("2*rho is not integral for %s%d" % (series, n))
-    datum = RootDatum(series, n, A, eps, alpha, tuple(int(c) for c in two_rho))
+        raise ValueError("2*rho is not integral for %s" % (A,))
+    datum = RootDatum(n, A, eps, alpha, tuple(int(c) for c in two_rho))
     for i in range(n):
         if datum.pair_two_rho(alpha[i]) != 2 * eps[i]:
             raise ArithmeticError("<2 rho, alpha_%d> != 2 eps_%d for %s"
-                                  % (i + 1, i + 1, series))
+                                  % (i + 1, i + 1, A))
     return datum
 
 
@@ -633,8 +615,7 @@ class RestrictedSystem(RootDatum):
         if rank not in (1, 2):
             raise ValueError("restricted systems implemented for rank 1 and 2")
         a = build_root_datum("A", rank)
-        super().__init__(a.series, a.rank, a.A, a.eps, a.alpha_coords,
-                         a.two_rho)
+        super().__init__(a.rank, a.A, a.eps, a.alpha_coords, a.two_rho)
 
     # bound in this class too: perfbench/tracer.py times
     # RestrictedSystem.dominance_leq by name

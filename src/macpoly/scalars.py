@@ -955,9 +955,6 @@ class SeriesScalar:
             return NotImplemented
         return (self - other).is_zero()
 
-    def __hash__(self):
-        raise TypeError("SeriesScalar is unhashable")
-
     def _coerce(self, x):
         if isinstance(x, SeriesScalar):
             return x
@@ -1042,7 +1039,11 @@ def _euclid_step(r0, r1, t0, t1):
     return r, t
 
 
-def rational_reconstruct(series, margin=6):
+# trailing coefficients `rational_reconstruct` leaves to check its fraction
+RECONSTRUCT_MARGIN = 6
+
+
+def rational_reconstruct(series):
     """Recover the exact rational function behind a truncated series.
 
     Runs the extended Euclidean algorithm on (v^N, c(v)), c the integer
@@ -1060,7 +1061,7 @@ def rational_reconstruct(series, margin=6):
         return ExactScalar.zero()
     m = series.min_order()
     N = series.prec - m
-    half = (N - margin) // 2
+    half = (N - RECONSTRUCT_MARGIN) // 2
     if half < 1:
         return None
     c = [0] * N
@@ -1074,7 +1075,7 @@ def rational_reconstruct(series, margin=6):
     if not r1 or not t1:
         return None
     # t must be a unit mod v^N: t(0) != 0
-    if len(t1) - 1 > N - half - margin or not t1[0]:
+    if len(t1) - 1 > N - half - RECONSTRUCT_MARGIN or not t1[0]:
         return None
     cand = ExactScalar({i + m: x for i, x in enumerate(r1) if x},
                        {i: x * series.den for i, x in enumerate(t1) if x})

@@ -227,13 +227,12 @@ class ConePart:
     each cut at a v-order.
 
     Build parts through `cone_part`, which shares one part among all
-    holders of the same factors and lattice.  A part keeps each table it
-    has computed, so every holder reads the same tables.
+    holders of the same factors.  A part keeps each table it has computed,
+    so every holder reads the same tables.
     """
 
-    def __init__(self, factors, lattice):
+    def __init__(self, factors):
         self.factors = factors
-        self.lattice = lattice
         for f in factors:
             if sum(f.exponent) <= 0:
                 raise ValueError("factor exponent %s is not in the positive cone"
@@ -244,8 +243,8 @@ class ConePart:
         self._expansions = {}
 
     def expand(self, prec):
-        """All terms that may have v-order below `prec`, as series
-        coefficients exact below it.
+        """All terms that may have v-order below `prec`, as exponent ->
+        SeriesScalar, exact below it.
 
         Every coefficient carries `prec` as its order (a flat cut); terms
         that vanish below it are left out.  Computed once per `prec`; the
@@ -270,16 +269,15 @@ class ConePart:
                 table = _part_table(fh.read(), key)
             if table is not None:
                 den = table["den"]
-                return GAElement({tuple(e): SeriesScalar(dict(num), prec,
-                                                         _den=den)
-                                  for e, num in table["terms"]}, self.lattice)
+                return {tuple(e): SeriesScalar(dict(num), prec, _den=den)
+                        for e, num in table["terms"]}
         except (OSError, ValueError, LookupError, TypeError):
             pass  # missing, unreadable or malformed: a miss, rebuilt below
         got = self._expand(prec)
         tmp = "%s.%d.tmp" % (path, os.getpid())
         try:
             with open(tmp, "w") as fh:
-                fh.write(_part_text(key, got.terms))
+                fh.write(_part_text(key, got))
             os.replace(tmp, path)
         except OSError:
             # an unwritable cache costs only the store: keep the fresh table
@@ -287,10 +285,7 @@ class ConePart:
                 os.remove(tmp)
         return got
 
-    def _expand(self, prec):
-        return GAElement(self._flat_table(prec), self.lattice)
-
-    def _flat_table(self, cut):
+    def _expand(self, cut):
         """The expansion as exponent -> SeriesScalar, exact below `cut`.
 
         A term of the product takes one term of each factor, and the other
@@ -378,19 +373,19 @@ class ConePart:
 _parts = weakref.WeakValueDictionary()
 
 
-def cone_part(factors, lattice):
-    """The shared ConePart of `factors` on `lattice`.
+def cone_part(factors):
+    """The shared ConePart of `factors`.
 
-    Parts are told apart by every field of every factor, in order, and by
-    the lattice.  The registry holds parts weakly: a part lives while some
-    holder (an engine) keeps it, and a later request for the same part
-    while it lives gets the same object.
+    Parts are told apart by every field of every factor, in order.  The
+    registry holds parts weakly: a part lives while some holder (an engine)
+    keeps it, and a later request for the same part while it lives gets
+    the same object.
     """
-    key = (tuple((f.coeff, f.exponent, f.base_log, f.length, f.side)
-                 for f in factors), lattice)
+    key = tuple((f.coeff, f.exponent, f.base_log, f.length, f.side)
+                for f in factors)
     part = _parts.get(key)
     if part is None:
-        part = _parts[key] = ConePart(factors, lattice)
+        part = _parts[key] = ConePart(factors)
     return part
 
 
@@ -480,15 +475,15 @@ class WeightEngine:
                 self._shape.setdefault(tuple(sign * x for x in f.exponent),
                                        Counter())[
                     f.coeff, f.base_log, f.length, f.side] += 1
-        plus, minus = self._parts = tuple(cone_part(fs, spec.lattice)
+        plus, minus = self._parts = tuple(cone_part(fs)
                                           for fs in (spec.plus, spec.minus))
         low_p, low_m = plus.lowest_order(), minus.lowest_order()
         self._work = work = self.order + MARGIN - low_m - low_p
         # each part is cut flat where its products with the other part no
         # longer reach below `work`: at `work` less the other part's lowest
         # order
-        self._set_parts(plus.expand(work - low_m).terms,
-                        minus.expand(work - low_p).terms)
+        self._set_parts(plus.expand(work - low_m),
+                        minus.expand(work - low_p))
 
     def _set_parts(self, plus, minus):
         """Hold the expanded parts, with the common denominator of each, the

@@ -357,7 +357,7 @@ def series_sum_loop(products, prec):
 
 
 def flat_table_loop(part, H, cut):
-    """A cone part's flat table (`ConePart._flat_table`) by the nested
+    """A cone part's flat table (`ConePart._expand`) by the nested
     integer loops of the running product: every product of a running
     polynomial and a factor term of height <= H, term by term, cut at each
     row's limit.  Taken past the top height of `ConePart.expand(cut)`, it

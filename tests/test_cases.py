@@ -37,6 +37,21 @@ class TestCaseIds:
         assert parse_case_id("BII:n=2,s=1") == ("BII", {"n": 2, "s": 1})
         assert parse_case_id("AI2") == ("AI2", {})
 
+    @pytest.mark.parametrize("cid, missing", [("CII", "n, s"),
+                                              ("BII:s=1", "n"),
+                                              ("DII", "n")])
+    def test_missing_parameter(self, cid, missing):
+        # every parameter is named in the id; none has a default
+        with pytest.raises(ValueError, match="missing parameter %s$"
+                           % missing):
+            parse_case_id(cid)
+
+    def test_derived_fields(self):
+        case = build_case("BII:n=3,s=2")
+        assert case.extra == {"n": 3, "s": 2}
+        assert case.lattice == "2L:BII:n=3,s=2"
+        assert case.restricted is case.satake.restricted
+
     def test_unknown(self):
         with pytest.raises(ValueError):
             build_case("ZII:n=2")
@@ -600,6 +615,26 @@ class TestGammaImage:
         assert res["status"] == "fail"
         assert res["detail"] == ("the column's image is not orthogonal to "
                                  "m^J_%s" % (nu,))
+
+    def test_report_says_why_a_label_fails(self, monkeypatch):
+        # the perturbation above, through verify: the report keeps the
+        # detail, which names the nu, for the failing label alone
+        from macpoly.cli import run_verify
+
+        mu = (1, 1)
+        R = build_case("A2G").restricted
+        nu = families.j_dominant_below(R, (1,), mu)[-1]
+        self._with_column_added(
+            monkeypatch, mu,
+            lambda case: _unperturbed(case, *case.t_map(nu)))
+        report, status = run_verify("A2G", height=2)
+        assert status == 1
+        entry = next(c for c in report["checks"]
+                     if c["name"] == "identification")
+        assert entry["status"] == "fail"
+        assert entry["constants"][str(mu)] is None
+        assert entry["failures"] == {
+            str(mu): "the column's image is not orthogonal to m^J_%s" % (nu,)}
 
     @pytest.mark.parametrize("extra", [
         # orthogonal to every lead below (1, 1), but with a J-dominant

@@ -99,6 +99,17 @@ class TestCompute:
         err = capsys.readouterr().err
         assert err.startswith("error: --J") and err.count("\n") == 1
 
+    def test_label_with_negative_lead_coordinate(self, capsys):
+        # argparse takes -1,2 for an option; the label still reaches --lam,
+        # under either spelling of the flag, as --lam=-1,2 does
+        argv = ["compute", "--case", "A2G", "--family", "intermediate"]
+        assert main(argv + ["--lam=-1,2"]) == 0
+        want = capsys.readouterr()
+        assert want.out.startswith("(1)*e^[-1, 2] + ") and want.err == ""
+        for flag in ("--lam", "--lambda"):
+            assert main(argv + [flag, "-1,2"]) == 0
+            assert capsys.readouterr() == want
+
     @pytest.mark.parametrize("cid, J", [("A2G", "0,1,1"), ("AI2", "1,0,1")])
     def test_repeated_J_index_exit_code(self, cid, J, capsys):
         # a repeated index would rebuild a family under a second key
@@ -263,7 +274,6 @@ class TestGoldenReports:
 
         src = os.path.dirname(os.path.dirname(macpoly.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        env.pop("MACPOLY_CACHE", None)
         report = tmp_path / "report.json"
         done = subprocess.run(
             [sys.executable, "-m", "macpoly.cli", "verify", "--case", case,
@@ -373,7 +383,7 @@ class TestVerify:
         import macpoly.cases as cases_mod
 
         monkeypatch.setattr(cases_mod, "rational_reconstruct",
-                            lambda series, margin=6: None)
+                            lambda series: None)
         report, status = run_verify("AI2", height=1)
         assert status == 1
         entry = next(c for c in report["checks"] if c["name"] == "q_inversion")
@@ -394,13 +404,13 @@ class TestVerify:
         real = cases_mod.rational_reconstruct
         calls = []
 
-        def flaky(series, margin=6):
+        def flaky(series):
             # every other coefficient reconstructs, shifted by v: v * x is
             # not fixed by q -> 1/q unless x is zero
             calls.append(None)
             if len(calls) % 2:
                 return None
-            got = real(series, margin)
+            got = real(series)
             return got * ExactScalar.v_power(1)
 
         monkeypatch.setattr(cases_mod, "rational_reconstruct", flaky)
@@ -441,6 +451,18 @@ class TestVerify:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: case ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("cid, missing", [("CII", "n, s"),
+                                              ("BII:n=2", "s"),
+                                              ("DII", "n")])
+    def test_missing_case_parameter_exit_code(self, cid, missing, capsys):
+        # no default stands in for a parameter nobody typed: the message
+        # names what is missing, and no check runs
+        rc = main(["verify", "--case", cid])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: case %s: missing parameter %s\n" % (
+            cid.partition(":")[0], missing)
 
     @pytest.mark.parametrize("cid, value", [("BII:n=2,s=-1", "-1"),
                                             ("BII:n=2,s=x", "x")])
@@ -498,20 +520,16 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err == "error: order must be > 0, got %s\n" % order
 
-    def test_cache_reproducibility(self, tmp_path):
-        env = os.environ.get("MACPOLY_CACHE")
+    def test_cache_reproducibility(self, monkeypatch, tmp_path):
         cache = str(tmp_path / "cache")
-        r1, s1 = None, None
         import macpoly.weights as wm
 
+        monkeypatch.setattr(wm, "_cache_dir", None)
         wm.set_cache_dir(cache)
-        try:
-            # AI2 is the case whose verify expands a series weight, the only
-            # thing the cache holds
-            r1, s1 = run_verify("AI2", height=0)
-            r2, s2 = run_verify("AI2", height=0)
-        finally:
-            wm.set_cache_dir(env)
+        # AI2 is the case whose verify expands a series weight, the only
+        # thing the cache holds
+        r1, s1 = run_verify("AI2", height=0)
+        r2, s2 = run_verify("AI2", height=0)
         assert s1 == s2 == 0
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
         assert os.listdir(cache)
@@ -623,7 +641,6 @@ class TestVerify:
         import macpoly.weights as wm
 
         monkeypatch.setattr(wm, "_cache_dir", None)
-        monkeypatch.delenv("MACPOLY_CACHE", raising=False)
         cache = tmp_path / "cache"
         argv = ["verify", "--case", "AI2", "--lambda-height", "0"]
         assert main(argv + ["--report", str(tmp_path / "plain.json")]) == 0
@@ -640,14 +657,26 @@ class TestVerify:
         assert ((tmp_path / "blocked.json").read_text()
                 == (tmp_path / "plain.json").read_text())
 
+    def test_cache_dir_is_a_flag_only(self, monkeypatch, tmp_path):
+        # the environment names no cache directory: a verify without
+        # --cache-dir writes no file, wherever MACPOLY_CACHE points
+        import macpoly.weights as wm
+
+        monkeypatch.setattr(wm, "_cache_dir", None)
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("MACPOLY_CACHE", str(cache))
+        assert main(["verify", "--case", "AI2", "--lambda-height", "0",
+                     "--report", str(tmp_path / "r.json")]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["r.json"]
+        assert wm._cache_dir is None
+
     def test_verify_without_cache_dir_uses_no_cache(self, monkeypatch,
                                                      tmp_path):
-        # a verify without --cache-dir (and no MACPOLY_CACHE) neither reads
+        # a verify without --cache-dir neither reads
         # nor writes the directory an earlier verify in the process used
         import macpoly.weights as wm
 
         monkeypatch.setattr(wm, "_cache_dir", None)
-        monkeypatch.delenv("MACPOLY_CACHE", raising=False)
         cache = tmp_path / "cache"
         argv = ["verify", "--case", "AI2", "--lambda-height", "0",
                 "--report", str(tmp_path / "r.json")]
@@ -670,7 +699,6 @@ class TestVerify:
 
         src = os.path.dirname(os.path.dirname(macpoly.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        env.pop("MACPOLY_CACHE", None)
         cache = tmp_path / "cache"
         script = (
             "import json, sys\n"

@@ -54,7 +54,7 @@ def _no_expansion(*args):
 def _expansion_key(part, terms):
     """The cut of the part's expansion whose table is `terms`; the part may
     be shared, and so hold other holders' expansions."""
-    (key,) = [k for k, got in part._expansions.items() if got.terms is terms]
+    (key,) = [k for k, got in part._expansions.items() if got is terms]
     return key
 
 
@@ -147,7 +147,7 @@ class TestExpansion:
         from macpoly.weights import ConePart
 
         with pytest.raises(ValueError, match="infinite factors"):
-            ConePart([PochFactor(ONE, (2,), 2, 3, 1)], "2L")
+            ConePart([PochFactor(ONE, (2,), 2, 3, 1)])
 
     def test_empty(self):
         spec = WeightSpec([], [], "2L", rank=1)
@@ -170,7 +170,7 @@ class TestExpansion:
         f = exact_expansion(factors, 2)
         assert f[(0,)].is_one()
         assert f[(2,)] == Q(1) / (1 - Q(2))
-        table = ConePart(factors, "2L").expand(20).terms
+        table = ConePart(factors).expand(20)
         assert (table[(2,)] - f[(2,)].to_series(20)).is_zero()
 
     def test_heights_agree(self):
@@ -180,9 +180,9 @@ class TestExpansion:
 
         factors = [PochFactor(Q(1), (1,), 2, INF, -1),
                    PochFactor(ONE, (2,), 2, INF, 1)]
-        part = ConePart(factors, "2L")
+        part = ConePart(factors)
         small, big = exact_expansion(factors, 4), exact_expansion(factors, 7)
-        flat = part.expand(20).terms
+        flat = part.expand(20)
         for e, c in small.items():
             assert big[e] == c
             assert (flat[e] - c.to_series(20)).is_zero()
@@ -783,8 +783,8 @@ class TestSeriesPlan:
 
 
 class TestSharedParts:
-    """One cone part per (factors, lattice), held weakly, with one
-    expansion per cut."""
+    """One cone part per list of factors, held weakly, with one expansion
+    per cut."""
 
     FACTORS = [PochFactor(Q(1), (1,), 2, INF, -1), PochFactor(ONE, (2,), 2, INF, 1)]
 
@@ -793,34 +793,43 @@ class TestSharedParts:
 
         from macpoly.weights import cone_part
 
-        part = cone_part(self.FACTORS, "2L")
-        assert cone_part(list(self.FACTORS), "2L") is part
-        others = [cone_part([self.FACTORS[0], replace(self.FACTORS[1], **c)],
-                            "2L")
+        part = cone_part(self.FACTORS)
+        assert cone_part(list(self.FACTORS)) is part
+        others = [cone_part([self.FACTORS[0], replace(self.FACTORS[1], **c)])
                   for c in ({"coeff": Q(2)}, {"exponent": (4,)},
                             {"base_log": 4}, {"side": -1})]
-        others.append(cone_part(self.FACTORS, "aw"))
-        assert len({id(p) for p in [part] + others}) == 6
+        assert len({id(p) for p in [part] + others}) == 5
+
+    def test_equal_factor_lists_share_one_part(self):
+        from macpoly.weights import cone_part
+
+        # the factors rebuilt field by field: equal, not the same objects
+        part = cone_part(self.FACTORS)
+        rebuilt = [PochFactor(Q(1), (1,), 2, INF, -1),
+                   PochFactor(ExactScalar.one(), (2,), 2, INF, 1)]
+        assert rebuilt == self.FACTORS
+        assert cone_part(rebuilt) is part
+        assert cone_part(tuple(rebuilt)) is part
 
     def test_memo_keys(self):
         from macpoly.weights import cone_part
 
-        part = cone_part(self.FACTORS, "2L")
+        part = cone_part(self.FACTORS)
         got = part.expand(20)
         assert part.expand(20) is got
         variants = [part.expand(21), part.expand(30)]
         assert all(v is not got for v in variants)
-        assert {c.prec for c in variants[0].terms.values()} == {21}
+        assert {c.prec for c in variants[0].values()} == {21}
         # a higher cut keeps more of the terms
-        assert (sum(len(c.num) for c in variants[1].terms.values())
-                > sum(len(c.num) for c in got.terms.values()))
+        assert (sum(len(c.num) for c in variants[1].values())
+                > sum(len(c.num) for c in got.values()))
 
     @staticmethod
     def _check_flat(part, cut):
         # the flat table equals the exact expansion, taken past its top
         # height, cut at `cut`, term by term, and holds no term that
         # vanishes below the cut
-        flat = part.expand(cut).terms
+        flat = part.expand(cut)
         exact = exact_expansion(part.factors, _past_top(part, flat))
         kept = 0
         for e, c in exact.items():
@@ -842,7 +851,7 @@ class TestSharedParts:
             spec = builder(case.restricted, case.qhat_log, case.t,
                            case.lattice)
             for factors in (spec.plus, spec.minus):
-                part = cone_part(factors, spec.lattice)
+                part = cone_part(factors)
                 assert len(self._check_flat(part, 24)) > 1
 
     NEGATIVE_ORDERS = [PochFactor(ExactScalar.v_power(-2), (2,), 2, INF, 1),
@@ -854,7 +863,7 @@ class TestSharedParts:
 
         # factors whose terms reach negative v-orders, so the running
         # product is cut above `cut`
-        part = cone_part(self.NEGATIVE_ORDERS, "2L")
+        part = cone_part(self.NEGATIVE_ORDERS)
         flat = self._check_flat(part, 10)
         assert min(c.min_order() for c in flat.values()) < 0
 
@@ -862,7 +871,7 @@ class TestSharedParts:
     def _check_oracle(part, cut):
         # the flat table equals the nested loops' table, taken past its top
         # height, in num, den and prec
-        got = part.expand(cut).terms
+        got = part.expand(cut)
         want = flat_table_loop(part, _past_top(part, got), cut)
         assert got.keys() == want.keys()
         for e, c in got.items():
@@ -880,11 +889,11 @@ class TestSharedParts:
         factors = [PochFactor(ExactScalar.v_power(1), (1,), 2, INF, -1),
                    PochFactor(ONE, (2,), 2, INF, 1),
                    PochFactor(ExactScalar.v_power(2, -1), (1,), 2, INF, -1)]
-        part = cone_part(factors, "2L")
+        part = cone_part(factors)
         self._check_oracle(part, cut)
         # the exact expansion, too slow to take past the top height here,
         # agrees on the heights <= 10
-        flat = part.expand(cut).terms
+        flat = part.expand(cut)
         for e, c in exact_expansion(factors, 10).items():
             s = c.to_series(cut)
             assert (flat[e] - s).is_zero() if e in flat else s.is_zero()
@@ -907,7 +916,7 @@ class TestSharedParts:
         assert seen == 2
         from macpoly.weights import cone_part
 
-        self._check_oracle(cone_part(self.NEGATIVE_ORDERS, "2L"), 10)
+        self._check_oracle(cone_part(self.NEGATIVE_ORDERS), 10)
 
     def test_series_cut_with_negative_minimum_order(self):
         # a finite spec paired in its infinite-ratio form: the plus part
