@@ -3,8 +3,10 @@
 Families are constructed by Gram-Schmidt against the orbit-sum monomial
 basis, ordered by a total refinement of the triangularity order (dominant
 representatives by dominance, antidominant largest inside an orbit).  An
-independent dense-solve path and the one-variable three-term recurrence
-serve as oracles.
+independent dense-solve path serves as their oracle.  In rank one, the
+q-difference operator, the Askey-Wilson polynomials it diagonalises and
+the moment functional are built in integer Laurent arithmetic in (e, v);
+the three-term recurrence (`aw_oracle`) is their oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from math import gcd, prod
 
 from .galg import GAElement, leading_minors_nonzero
 from .scalars import (ZERO, ExactScalar, _cyc_dict, _den, _lp_add, _lp_mul,
-                      _lp_shift, _make, exact_sum_of_products)
+                      _lp_neg, _lp_shift, _make, exact_sum_of_products)
 from .weights import WeightEngine
 
 ONE = ExactScalar.one()
@@ -258,7 +260,8 @@ def orthogonalize_step(lead, prevs, pair, gram, inverse, what=""):
 
 
 # ---------------------------------------------------------------------------
-# one-variable family data: recurrence, operator, exact functional
+# one-variable family data: recurrence, operator, Askey-Wilson
+# polynomials, exact functional
 # ---------------------------------------------------------------------------
 
 
@@ -324,12 +327,23 @@ def _aw_quotient(num, den):
                            shift), _den(pairs, cd // g), pairs)
 
 
-def _aw_term(params, j, names=""):
-    """1 - prod(names) qh^j as an `_aw_binomial` factor, `names` a string
-    of parameters out of "abcd", each +-v^k."""
+def _aw_unit(params, names=""):
+    """prod(names) = sign v^k as (sign, k), `names` a string of parameters
+    out of "abcd", each +-v^k."""
     units = [next(iter(getattr(params, x).num.items())) for x in names]
-    return _aw_binomial(prod(s for _, s in units),
-                        sum(k for k, _ in units) + 2 * params.qhat_log * j)
+    return prod(s for _, s in units), sum(k for k, _ in units)
+
+
+def _aw_term(params, j, names=""):
+    """1 - prod(names) qh^j as an `_aw_binomial` factor."""
+    sign, k = _aw_unit(params, names)
+    return _aw_binomial(sign, k + 2 * params.qhat_log * j)
+
+
+def _aw_lin(params, j, names=""):
+    """1 - prod(names) qh^j as an integer Laurent polynomial in v."""
+    sign, k = _aw_unit(params, names)
+    return _lp_add({0: 1}, {k + 2 * params.qhat_log * j: -sign})
 
 
 def _aw_factors(params, m):
@@ -387,22 +401,19 @@ def _zv_mul(f, g, out=None):
     return {z: p for z, p in out.items() if p}
 
 
-def aw_operator(params, lattice):
-    """Second-order q-difference operator on symmetric Laurent polynomials,
-    as a map f -> D f applied by linearity on n_k = e^k + e^-k.
+def aw_columns(params):
+    """The second-order q-difference operator D on symmetric Laurent
+    polynomials, by its columns: `column(k)` is D(n_k) on n_k = e^k + e^-k,
+    as an integer Laurent polynomial in (e, v), built once per k on first use.
 
-    Each column D(n_k) is computed once per operator, on first use, by the
-    direct formula (Koekoek-Lesky-Swarttouw, section 14.1)
+    The direct formula (Koekoek-Lesky-Swarttouw, section 14.1) is
     D f = (up (f(qh e) - f) + down (f(e / qh) - f)) / (Dplus Dminus), with
     Dplus = (1 - e^2)(1 - qh e^2), Dminus its flip, up = Dminus times the
     product of (1 - x e) over x = a, b, c, d and down the flip of up.  All
     are integer Laurent polynomials in (e, v), so a column is one exact
     long division in integers by the unit lead qh e^4 of Dplus Dminus, and
-    has no denominator.  D f = sum_{k>0} f_k D(n_k) is then one exact sum
-    of products per output exponent.  A non-symmetric f raises ValueError.
-
-    Constants are eigenfunctions with eigenvalue 0; the m-th family member
-    has eigenvalue q^{-m}(1-q^m)(1-abcd q^{m-1}) in the base q of the weight.
+    has no denominator.  D f = sum_{k>0} f_k D(n_k), since D 1 = 0; the
+    degree-m Askey-Wilson polynomial has eigenvalue `aw_eigenvalue`.
     """
     step = 2 * params.qhat_log  # qh = v^step
     lin = lambda k, s, z: {0: {0: 1}, z: {k: -s}}  # 1 - s v^k e^z
@@ -428,28 +439,80 @@ def aw_operator(params, lattice):
                     num[z + zd] = _lp_add(num.get(z + zd, {}), _lp_mul(q, p))
             if any(num.values()):
                 raise ArithmeticError("inexact Askey-Wilson column")
-            col = columns[k] = {(z,): _make(q, _den(()), ())
-                                for z, q in col.items() if q}
+            col = columns[k] = {z: q for z, q in col.items() if q}
         return col
 
-    def apply(f):
-        terms = f.terms
-        products = {}
-        for (k,), c in terms.items():
-            if terms.get((-k,)) != c:
-                raise ValueError("operator argument is not W-invariant")
-            if k > 0:
-                for e, d in column(k).items():
-                    products.setdefault(e, []).append((c, d))
-        return GAElement({e: exact_sum_of_products(p)
-                          for e, p in products.items()}, lattice)
-
-    return apply
+    return column
 
 
 def aw_eigenvalue(params, m):
-    qh, abcd = params.qhat, params.a * params.b * params.c * params.d
-    return (qh ** (-m)) * (ONE - qh ** m) * (ONE - abcd * qh ** (m - 1))
+    """lambda_m = qh^-m (1 - qh^m)(1 - abcd qh^(m-1)), the operator's
+    eigenvalue on the degree-m member, from its integer Laurent polynomial
+    in v."""
+    lam = _lp_mul(_lp_add({-2 * params.qhat_log * m: 1}, {0: -1}),
+                  _aw_lin(params, m - 1, "abcd"))
+    return _make(lam, _den(()), ())
+
+
+def _aw_phi_step(params, f, n):
+    """f (1 - a qh^n e)(1 - a qh^n / e), one factor of
+    phi_k = (a e, a/e; qh)_k, for a symmetric f by its coefficients at
+    e^0..e^d (e^-i has that of e^i), integer Laurent polynomials in v:
+    the factor is (1 + a^2 qh^2n) - a qh^n (e + 1/e)."""
+    [(j, s)] = params.a.num.items()
+    j += 2 * params.qhat_log * n  # a qh^n = s v^j
+    d = len(f) - 1
+    f = f + [{}, {}]
+    return [_lp_add(_lp_add(f[i], _lp_shift(f[i], 2 * j)),
+                    {e + j: -s * x for e, x in
+                     _lp_add(f[abs(i - 1)], f[i + 1]).items()})
+            for i in range(d + 2)]
+
+
+def aw_numerators(params, upto):
+    """The Askey-Wilson polynomials p_0..p_upto in integer Laurent
+    arithmetic: p_m by its coefficients at e^0..e^m (p_m is symmetric),
+    each an integer Laurent polynomial in v.
+
+    p_m = a^-m (ab, ac, ad; qh)_m
+          4phi3(qh^-m, abcd qh^(m-1), a e, a/e; ab, ac, ad; qh, qh)
+    (Askey and Wilson, Mem. AMS 54 (1985) no. 319) is sum_k c_mk phi_k over
+    phi_k = (a e, a/e; qh)_k, and by
+    (qh^-m; qh)_k / (qh; qh)_k = (-1)^k qh^(k(k-1)/2 - mk) [m, k]_qh,
+    c_mk = (-1)^k a^-m qh^(k(k+1)/2 - mk) [m, k]_qh (abcd qh^(m-1); qh)_k
+           (ab qh^k, ac qh^k, ad qh^k; qh)_(m-k):
+    a Gaussian binomial times binomials 1 - (+-v^N), so p_m has integer
+    coefficients.  The sum runs by Horner's rule over the factors of
+    phi_k (`_aw_phi_step`).  The lead of p_m at e^m is
+    (abcd qh^(m-1); qh)_m, and p_m / lead is the monic member of the
+    three-term recurrence (`aw_oracle`); where abcd qh^j = 1 makes a lead
+    vanish, p_m raises
+    `ZeroDivisionError("zero Askey-Wilson denominator factor")`.
+    """
+    step = 2 * params.qhat_log
+    sign_a, k_a = _aw_unit(params, "a")
+    gauss, out = [{0: 1}], []
+    for m in range(upto + 1):
+        if m:  # [m, k] = [m-1, k-1] + qh^k [m-1, k]
+            gauss = [_lp_add(gauss[k - 1] if k else {},
+                             _lp_shift(gauss[k], step * k) if k < m else {})
+                     for k in range(m + 1)]
+        lead = [_aw_lin(params, m - 1 + i, "abcd") for i in range(m)]
+        if not all(lead):
+            raise ZeroDivisionError("zero Askey-Wilson denominator factor")
+        p = [{}]
+        for k in range(m, -1, -1):
+            c = gauss[k]
+            for f in lead[:k] + [_aw_lin(params, j, x) for j in range(k, m)
+                                 for x in ("ab", "ac", "ad")]:
+                c = _lp_mul(c, f)
+            sign = sign_a ** m * (-1) ** k
+            shift = step * (k * (k + 1) // 2 - m * k) - m * k_a
+            if k < m:
+                p = _aw_phi_step(params, p, k)
+            p[0] = _lp_add(p[0], {e + shift: sign * x for e, x in c.items()})
+        out.append(p)
+    return out
 
 
 class AWFunctional:
@@ -459,54 +522,29 @@ class AWFunctional:
     integral (Askey and Wilson, Mem. AMS 54 (1985) no. 319):
     L(phi_n) = (ab, ac, ad; qh)_n / (abcd; qh)_n on phi_n = (a e, a/e; qh)_n,
     one `_aw_quotient` of factor lists that grow with n.  phi_n is kept as
-    integer Laurent polynomials in (e, v), one factor
-    (1 + a^2 qh^2n) - a qh^n (e + 1/e) per step, and its lead at e^n is the
-    unit (-a)^n qh^(n(n-1)/2): mu_n is L(phi_n) less phi_n's lower
-    coefficients against mu_0..mu_{n-1}, over that unit, in one exact sum
-    of products.  L(h) = h_0 + sum_{k>0} h_k mu_k; on W-invariants it is
-    the constant-term pairing with the flip-symmetric weight
-    lambda(0) = 1, lambda(+-k) = mu_k / 2 (`weight`).  The three-term
-    recurrence family (`member`) does not enter the moments, and grows
-    only when asked for.
+    integer Laurent polynomials in (e, v) (`_aw_phi_step`), and its lead at
+    e^n is the unit (-a)^n qh^(n(n-1)/2): mu_n is L(phi_n) less phi_n's
+    lower coefficients against mu_0..mu_{n-1}, over that unit, in one exact
+    sum of products.  L(h) = h_0 + sum_{k>0} h_k mu_k; on W-invariants it
+    is the constant-term pairing with the flip-symmetric weight
+    lambda(0) = 1, lambda(+-k) = mu_k / 2 (`weight`).  The polynomials the
+    functional annihilates are checked against it by `eigen_check`.
     """
 
     def __init__(self, params, lattice="aw"):
         self.params = params
         self.lattice = lattice
-        self._x = (GAElement.monomial((1,), lattice)
-                   + GAElement.monomial((-1,), lattice))
-        self._family = [GAElement.one(lattice, 1)]
         self._moments = [ONE]
         # phi_n at e^0..e^n, (ab, ac, ad; qh)_n and (abcd; qh)_n
         self._phi = ([{0: 1}], [], [])
         self._weight = [ONE]
-
-    def _extend(self, m):
-        """Grow the recurrence family one step at a time up to degree m."""
-        while len(self._family) <= m:
-            k = len(self._family) - 1
-            cur = self._family[k]
-            prev = self._family[k - 1] if k else GAElement.zero(self.lattice)
-            bk, ck = aw_recurrence(self.params, k)
-            self._family.append(self._x * cur - cur.scale(bk) - prev.scale(ck))
-
-    def member(self, m):
-        """The degree-m member of the recurrence family."""
-        self._extend(m)
-        return self._family[m]
 
     def _moment(self, k):
         """mu_k = L(e^k + e^-k) for k > 0, and mu_0 = L(1) = 1."""
         while len(self._moments) <= k:
             n, p = len(self._moments), self.params
             f, num, den = self._phi
-            [(j, s)] = p.a.num.items()
-            j += 2 * p.qhat_log * (n - 1)  # a qh^(n-1) = s v^j
-            f = f + [{}, {}]
-            f = [_lp_add(_lp_add(f[i], _lp_shift(f[i], 2 * j)),
-                         {e + j: -s * x for e, x in
-                          _lp_add(f[abs(i - 1)], f[i + 1]).items()})
-                 for i in range(n + 1)]
+            f = _aw_phi_step(p, f, n - 1)
             num = num + [_aw_term(p, n - 1, x) for x in ("ab", "ac", "ad")]
             den = den + [_aw_term(p, n - 1, "abcd")]
             [(lead, sign)] = f[n].items()
@@ -538,19 +576,31 @@ class AWFunctional:
 
 
 def eigen_check(family, upto):
-    """The one-variable operator on the members of `family` (an
-    AWFunctional) up to degree `upto`: rows (m, eigenvalue), whether every
-    residual vanishes, whether the eigenvalues are distinct and whether
-    L(P_m) = <P_m, 1> = 0 for m > 0 (the moments against the family)."""
-    operator = aw_operator(family.params, family.lattice)
+    """The one-variable operator on the Askey-Wilson polynomials
+    p_0..p_upto of `family` (an AWFunctional), all in integer Laurent
+    arithmetic (`aw_numerators`, `aw_columns`): rows (m, eigenvalue),
+    whether every residual sum_{k>0} p_m[k] D(n_k) - lambda_m p_m vanishes,
+    whether the eigenvalues are distinct and whether
+    L(p_m) = <p_m, 1> = 0 for m > 0 (the moments against the family).
+    p_m is its nonzero lead times the monic member, so each test reads the
+    same on the member."""
+    params = family.params
+    column = aw_columns(params)
     rows, exact, distinct, annihilated = [], True, True, True
-    for m in range(upto + 1):
-        P = family.member(m)
-        lam = aw_eigenvalue(family.params, m)
-        exact = exact and (operator(P) - P.scale(lam)).is_zero()
-        distinct = distinct and all(not (lam - r["eigenvalue"]).is_zero()
-                                    for r in rows)
-        annihilated = annihilated and (m == 0 or family.value(P).is_zero())
+    for m, p in enumerate(aw_numerators(params, upto)):
+        lam = aw_eigenvalue(params, m)
+        if exact:  # D p_m = sum_{k>0} p_m[k] D(n_k), since D 1 = 0
+            res = _zv_mul({0: _lp_neg(lam.num)},
+                          {z: p[abs(z)] for z in range(-m, m + 1)})
+            for k in range(1, m + 1):
+                res = _zv_mul({0: p[k]}, column(k), res)
+            exact = not res
+        distinct = distinct and all(lam != r["eigenvalue"] for r in rows)
+        if m and annihilated:
+            coeffs = [_make(c, _den(()), ()) for c in p]
+            annihilated = family.value(GAElement(
+                {(s * k,): c for k, c in enumerate(coeffs) for s in (1, -1)},
+                family.lattice)).is_zero()
         rows.append({"m": m, "eigenvalue": lam})
     return {"rows": rows, "residual_zero": exact, "distinct": distinct,
             "annihilated": annihilated}

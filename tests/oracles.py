@@ -1,7 +1,8 @@
 """Oracles that only the tests use: the one-variable weight as a series
 spec, its functional by reduction, its moments by the recurrence's
-connection-coefficient rows, its recurrence coefficients by division and
-its q-difference operator by products and division over Q(v), a finite
+connection-coefficient rows, its recurrence coefficients by division, its
+q-difference operator as a group-algebra map over the integer columns and
+by products and division over Q(v), a finite
 weight's infinite-ratio
 form, the exact expansion of a product of factors to a height, the
 constant term of a weight,
@@ -21,14 +22,15 @@ reconstruction by Euclid over the rationals."""
 
 from dataclasses import replace
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import gcd, lcm
 from operator import sub
 
-from macpoly.families import aw_recurrence, j_dominant_below, monomial_J
+from macpoly.families import (aw_columns, aw_oracle, aw_recurrence,
+                              j_dominant_below, monomial_J)
 from macpoly.galg import GAElement, solve_linear
 from macpoly.roots import freudenthal
-from macpoly.scalars import (ExactScalar, SeriesScalar, _list_strip,
+from macpoly.scalars import (ExactScalar, SeriesScalar, _den, _list_strip,
                              _lp_flip, _lp_norm, _lp_shift, _make, _pack,
                              _unpack, exact_sum_of_products)
 from macpoly.weights import INF, PochFactor, WeightSpec
@@ -141,10 +143,15 @@ def ct_norm(engine, rank=1):
     return engine.ct_pair(GAElement.one(spec.lattice, spec.rank))
 
 
+# each recurrence member once per parameter set, for the reductions
+_aw_member = lru_cache(maxsize=None)(aw_oracle)
+
+
 def aw_reduce(L, h):
-    """L(h) for the one-variable functional L by reduction against its
-    recurrence family, term by term: the oracle of its moment table.  Only
-    the top exponent is compared with its mirror at each step."""
+    """L(h) for the one-variable functional L by reduction against the
+    recurrence family (`aw_oracle`), term by term: the oracle of its moment
+    table.  Only the top exponent is compared with its mirror at each
+    step."""
     rem = h
     while not rem.is_zero():
         k = max(0, max(e[0] for e in rem.terms))
@@ -153,7 +160,7 @@ def aw_reduce(L, h):
         lead = rem.terms.get((k,))
         if lead is None or rem.terms.get((-k,)) != lead:
             raise ValueError("functional argument is not W-invariant")
-        rem = rem - L.member(k).scale(lead)
+        rem = rem - _aw_member(L.params, k, L.lattice).scale(lead)
     return ExactScalar.zero()
 
 
@@ -191,11 +198,35 @@ def aw_moments_by_rows(params, K):
     return out
 
 
+def aw_operator(params, lattice):
+    """The q-difference operator as a map f -> D f on symmetric f, applied
+    by linearity on the integer columns D(n_k) of `aw_columns`: one exact
+    sum of products per output exponent.  A non-symmetric f raises
+    ValueError.  It carries the columns into the group algebra, where
+    `aw_operator_direct` checks them."""
+    column = aw_columns(params)
+    one = _den(())
+
+    def apply(f):
+        terms = f.terms
+        products = {}
+        for (k,), c in terms.items():
+            if terms.get((-k,)) != c:
+                raise ValueError("operator argument is not W-invariant")
+            if k > 0:
+                for z, d in column(k).items():
+                    products.setdefault((z,), []).append((c, _make(d, one, ())))
+        return GAElement({e: exact_sum_of_products(p)
+                          for e, p in products.items()}, lattice)
+
+    return apply
+
+
 def aw_operator_direct(params, lattice):
     """The q-difference operator applied directly, as a map f -> D f:
     `up`/`down` times the shifted differences of f over Q(v), then one
-    exact division in the group algebra.  The oracle of `aw_operator`'s
-    integer columns, and of the operator on general f."""
+    exact division in the group algebra.  The oracle of the integer
+    columns of `aw_columns`, and of the operator on general f."""
     qh = params.qhat
     one = GAElement.one(lattice, 1)
 

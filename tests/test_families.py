@@ -17,7 +17,7 @@ from macpoly.families import (
     _aw_factors,
     _aw_quotient,
     aw_eigenvalue,
-    aw_operator,
+    aw_numerators,
     aw_oracle,
     aw_recurrence,
     eigen_check,
@@ -37,6 +37,7 @@ from macpoly.weights import (
 from oracles import (
     aw_coefficients_by_division,
     aw_moments_by_rows,
+    aw_operator,
     aw_operator_direct,
     aw_reduce,
     aw_weight,
@@ -274,11 +275,10 @@ class TestAWColumnOperator:
     @pytest.mark.parametrize("cid", ONE_VARIABLE)
     def test_members(self, cid):
         case = build_case(cid)
-        L = AWFunctional(case.aw, case.lattice)
         operator = aw_operator(case.aw, case.lattice)
         direct = aw_operator_direct(case.aw, case.lattice)
         for m in range(6):
-            P = L.member(m)
+            P = aw_oracle(case.aw, m, case.lattice)
             assert operator(P) == direct(P), m
 
     def test_columns_match_direct(self):
@@ -308,6 +308,124 @@ class TestAWColumnOperator:
             operator(mono((2,)))
         with pytest.raises(ValueError):
             operator(mono((1,)) + mono((-1,), Q(1)))
+
+
+class TestAWNumerators:
+    """The Askey-Wilson polynomials in integer Laurent arithmetic
+    (`aw_numerators`) against the recurrence family, and the operator
+    check that reads them (`eigen_check`)."""
+
+    @staticmethod
+    def _lead(p, m):
+        """(abcd qh^(m-1); qh)_m over Q(v)."""
+        abcd = p.a * p.b * p.c * p.d
+        out = ONE
+        for i in range(m):
+            out = out * (ONE - abcd * p.qhat ** (m - 1 + i))
+        return out
+
+    @staticmethod
+    def _element(coeffs, lattice):
+        """The symmetric Laurent polynomial with coefficient coeffs[i] at
+        e^i and e^-i."""
+        terms = {}
+        for i, c in enumerate(coeffs):
+            if c:
+                terms[(i,)] = terms[(-i,)] = ExactScalar(c)
+        return GAElement(terms, lattice)
+
+    def _check(self, p, lattice):
+        """p_m = lead_m * P_m for m <= 8 where the recurrence has no zero
+        denominator; p_m raises exactly when some factor of its lead or
+        of an earlier one vanishes.  Returns the degrees compared."""
+        leads = [self._lead(p, m) for m in range(9)]
+        compared = 0
+        for m in range(9):
+            vanish = any(x.is_zero() for x in leads[:m + 1])
+            try:
+                got = aw_numerators(p, m)[m]
+            except ZeroDivisionError as err:
+                assert vanish and str(err) == (
+                    "zero Askey-Wilson denominator factor"), (p, m)
+                continue
+            assert not vanish, (p, m)
+            assert len(got) == m + 1
+            try:
+                want = aw_oracle(p, m, lattice).scale(leads[m])
+            except ZeroDivisionError:
+                continue
+            assert self._element(got, lattice) == want, (p, m)
+            compared += 1
+        return compared
+
+    @pytest.mark.parametrize("cid", ONE_VARIABLE)
+    def test_case_numerators_match_recurrence(self, cid):
+        case = build_case(cid)
+        for p in (case.aw, case.aw_zonal):
+            assert self._check(p, case.lattice) == 9
+
+    def test_random_numerators_match_recurrence(self):
+        counts = [self._check(p, "2L") for p in _random_params(38, 24)]
+        assert sum(c == 9 for c in counts) >= 12
+        assert min(counts) < 9  # parameters with zero factors are drawn
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("at", ["constant", "top", "middle"])
+    def test_perturbed_numerator_fails(self, m, at, monkeypatch):
+        import macpoly.families as families_mod
+
+        build = families_mod.aw_numerators
+
+        def perturbed(params, upto):
+            out = build(params, upto)
+            i = {"constant": 0, "top": m, "middle": m // 2}[at]
+            out[m][i] = scalars._lp_add(out[m][i], {2: 1})
+            return out
+
+        p = TestAWOracle.PARAMS
+        assert eigen_check(AWFunctional(p), 4)["residual_zero"]
+        monkeypatch.setattr(families_mod, "aw_numerators", perturbed)
+        assert not eigen_check(AWFunctional(p), 4)["residual_zero"]
+
+    def test_repeated_eigenvalue_is_reported(self, monkeypatch):
+        # lambda_m = lambda_n only where abcd qh^(m+n-1) = 1, which makes
+        # the lead of p_n vanish and raises first: only a wrong eigenvalue
+        # reaches the test
+        import macpoly.families as families_mod
+
+        build = families_mod.aw_eigenvalue
+        monkeypatch.setattr(families_mod, "aw_eigenvalue",
+                            lambda params, m: build(params, min(m, 1)))
+        report = eigen_check(AWFunctional(TestAWOracle.PARAMS), 4)
+        assert not report["distinct"] and not report["residual_zero"]
+
+    @pytest.mark.parametrize("j", [0, 1, 2, 4, 6, 8])
+    def test_vanishing_lead_raises(self, j):
+        # abcd qh^j = 1 at qh = v^4, as in the functional's zero
+        # denominator test: the lead of p_m vanishes for m - 1 <= j <= 2m - 2
+        p = AWParams(Q(1), Q(1, -1), Q(-1 - j), Q(-1 - j, -1))
+        first = (j + 3) // 2  # the least m with j <= 2m - 2
+        message = "^zero Askey-Wilson denominator factor$"
+        assert len(aw_numerators(p, first - 1)) == first
+        with pytest.raises(ZeroDivisionError, match=message):
+            aw_numerators(p, first)
+        if first <= 4:
+            with pytest.raises(ZeroDivisionError, match=message):
+                eigen_check(AWFunctional(p, "2L"), 4)
+        else:
+            report = eigen_check(AWFunctional(p, "2L"), 4)
+            assert report["residual_zero"] and report["annihilated"]
+
+    def test_eigenvalue_in_integers(self):
+        params = [p for p, _ in _case_params()] + _random_params(39, 12)
+        for p in params:
+            abcd = p.a * p.b * p.c * p.d
+            qh = p.qhat
+            for m in range(9):
+                lam = aw_eigenvalue(p, m)
+                want = (qh ** (-m)) * (ONE - qh ** m) * (
+                    ONE - abcd * qh ** (m - 1))
+                assert lam == want and lam.den == {0: 1}, (p, m)
 
 
 class TestAWFunctional:
@@ -370,11 +488,10 @@ class TestAWFunctional:
 
         p = AWParams.from_labels(*labels)
         L = AWFunctional(p, "2L")
-        oracle = AWFunctional(p, "2L")
         rng = random.Random(7)
         for _ in range(12):
             h = self._random_invariant(rng)
-            assert L.value(h) == aw_reduce(oracle, h)
+            assert L.value(h) == aw_reduce(L, h)
         assert len(L._moments) == 9
 
     @staticmethod
@@ -397,11 +514,9 @@ class TestAWFunctional:
             else:
                 assert not vanish, p
             return False
-        oracle = AWFunctional(p, lattice)
         for k in range(9):
-            want = aw_reduce(oracle, _n(k, lattice))
+            want = aw_reduce(L, _n(k, lattice))
             assert L._moment(k) == rows[k] == want, (p, k)
-        assert len(L._family) == 1
         return True
 
     @pytest.mark.parametrize("cid", ONE_VARIABLE)
@@ -428,13 +543,6 @@ class TestAWFunctional:
         assert L._moments[j:] == [kept]  # nothing kept past mu_j
         with pytest.raises(ZeroDivisionError, match=message):
             aw_moments_by_rows(p, j + 1)
-
-    def test_family_grows_by_recurrence(self):
-        p = AWParams.from_labels(Fraction(5, 2), Fraction(3, 2), 1, 0)
-        L = AWFunctional(p, "2L")
-        assert L.member(8) == aw_oracle(p, 8, "2L")
-        for m in range(9):
-            assert L._family[m] == aw_oracle(p, m, "2L")
 
 
 class TestPairingRoute:
