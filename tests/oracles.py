@@ -12,7 +12,8 @@ of products by term-by-term loops, a cone part's flat table
 by nested integer loops, a factor's term orders by their recurrence, a
 series plan from exact factor terms, series
 inversion by the geometric series, the series of an exact
-value by long division, family members by one dense solve, Weyl
+value by long division, family members by one dense solve, the vector
+family's recurrence by projection, Weyl
 characters by the alternating-sum formula, a central scalar by chained
 sums over a fresh multiplicity table, the ratio identity's rows
 by the per-word loop, a fraction by the pseudo-remainder gcd alone,
@@ -27,7 +28,8 @@ from math import gcd, lcm
 from operator import sub
 
 from macpoly.families import (aw_columns, aw_oracle, aw_recurrence,
-                              j_dominant_below, monomial_J)
+                              j_dominant_below, monomial_J,
+                              orthogonalize_step)
 from macpoly.galg import GAElement, solve_linear
 from macpoly.roots import freudenthal
 from macpoly.scalars import (ExactScalar, SeriesScalar, _den, _list_strip,
@@ -550,6 +552,29 @@ def dense_solve_member(spec, J, mu):
     for c, b in zip(sol, basis):
         out = out + b.scale(c)
     return out
+
+
+def recurrence_by_projection(case, i, lam):
+    """({b: {y: c_y}}, residual_zero) of P_{pi_i} * Q_lam over the vector
+    members y at or below (b, lam + pi), by projecting each column onto
+    those members (`orthogonalize_step` with the family's memoised pairings
+    and inverse norms) instead of peeling their leads."""
+    pi = tuple(int(k == i) for k in range(case.rank))
+    P = case.family_spec.family_member(tuple(range(case.rank)), pi)
+    top = tuple(a + c for a, c in zip(lam, pi))
+    family = case._family
+    out = {}
+    residual_zero = True
+    for b in range(len(case.bottoms)):
+        target = [P * s for s in case.vector_member(b, lam)]
+        ups = case._vector_downset(b, top) + [(b, top)]
+        cvec, rem = orthogonalize_step(
+            target, [family.member(x) for x in ups], case._vector_pair,
+            lambda j, k: family.pairing(ups[j], ups[k]),
+            lambda k: family.inverse(ups[k]), "recurrence (%s, %s)" % (b, lam))
+        residual_zero = residual_zero and all(s.is_zero() for s in rem)
+        out[b] = {y: c for y, c in zip(ups, cvec) if not c.is_zero()}
+    return out, residual_zero
 
 
 def weyl_character(datum, lam):

@@ -25,6 +25,7 @@ from oracles import (
     aw_reduce,
     ct_norm,
     delta0_rows_by_complements,
+    recurrence_by_projection,
     vector_pair_products,
     weight_coefficient_sum,
 )
@@ -837,6 +838,145 @@ class TestRecurrence:
         bad = dataclasses.replace(case, satake=satake)
         with pytest.raises(ValueError, match=r"\(-1, 0, 0\) is not dominant"):
             bad.recurrence_coeffs(0, (0,))
+
+    @pytest.mark.parametrize("cid, height, order", [
+        ("A2G", 2, 60), ("AII5", 2, 60), ("DII:n=3", 2, 60),
+        ("BII:n=3,s=2", 2, 60), ("CII:n=3,s=1", 2, 60), ("AI2", 1, 100)])
+    def test_peel_matches_projection(self, cid, height, order):
+        # the peel against the projection onto every member at or below
+        # lam + pi, for each i whose pi is dominant: exact engines give
+        # equal coefficients; AI2's series agree to the projection's
+        # precision, and its top coefficient is exactly 1
+        case = build_case(cid, order=order)
+        expansions = 0
+        for i in range(case.rank):
+            pi = tuple(int(k == i) for k in range(case.rank))
+            if not case.datum.is_dominant(case.satake.from_restricted(pi)):
+                continue
+            for lam in case.restricted.grid(height):
+                rep = case.recurrence_coeffs(i, lam)
+                want, residual_zero = recurrence_by_projection(case, i, lam)
+                assert rep["residual_zero"] and residual_zero
+                assert rep["coeffs"].keys() == want.keys()
+                top = tuple(a + c for a, c in zip(lam, pi))
+                for b, coeffs in rep["coeffs"].items():
+                    one = coeffs[b, top]
+                    assert type(one) is ExactScalar and one.is_one()
+                    if cid != "AI2":
+                        assert coeffs == want[b]
+                        continue
+                    assert coeffs.keys() == want[b].keys()
+                    for y, c in coeffs.items():
+                        proj = want[b][y]
+                        assert getattr(c, "prec", proj.prec) >= proj.prec
+                        assert (proj - c).is_zero()
+                expansions += 1
+        assert expansions == {"A2G": 12, "AII5": 12, "DII:n=3": 3,
+                              "BII:n=3,s=2": 3, "CII:n=3,s=1": 3,
+                              "AI2": 6}[cid]
+
+    @staticmethod
+    def _above_grid(monkeypatch, change):
+        """A2G at height 1 with `change(case, member, top)` applied to the
+        column-0 member at the top label (0, lam + pi) of verify's
+        recurrence, which lies above the grid; verify runs on that case."""
+        from macpoly import cli
+
+        case = build_case("A2G", order=60)
+        lam = case.restricted.grid(1)[1]
+        top = (lam[0] + 1, lam[1])
+        assert top not in case.restricted.grid(1)
+        change(case, case._family.member((0, top)), top)
+        monkeypatch.setattr(cli, "build_case", lambda *a, **k: case)
+        report, rc = cli.run_verify("A2G", 1)
+        statuses = {c["name"]: c["status"] for c in report["checks"]}
+        rec = statuses.pop("recurrence")
+        assert set(statuses.values()) == {"pass"}
+        return case, lam, top, rec, report, rc
+
+    @pytest.mark.parametrize("lead", [
+        ExactScalar.from_int(2), SeriesScalar.one(100)], ids=["2", "series"])
+    def test_member_not_one_at_its_lead_raises(self, monkeypatch, lead):
+        # 2, or 1 only to a v-order, at the member's lead
+        def change_the_lead(case, member, top):
+            member[0] = GAElement({**member[0].terms, top: lead},
+                                  case.lattice)
+
+        case, lam, top, rec, report, rc = self._above_grid(
+            monkeypatch, change_the_lead)
+        msg = "A2G recurrence: member (0, %s) is not 1 at its lead" % (top,)
+        with pytest.raises(ArithmeticError, match="^%s$" % re.escape(msg)):
+            case.recurrence_coeffs(0, lam)
+        # verify records the typed error and still writes the report
+        assert rec == "error" and rc == 1
+        [entry] = [c for c in report["checks"] if c["name"] == "recurrence"]
+        assert entry["detail"] == "ArithmeticError: " + msg
+
+    def test_perturbed_member_above_the_grid_fails(self, monkeypatch):
+        # one lower coefficient doubled, at an exponent that is no label's
+        # lead: the peel leaves it in the residual
+        def doubled_below(case, member, top):
+            e = next(e for e in member[0].terms
+                     if not case.restricted.is_dominant(e))
+            member[0] = member[0] + GAElement.monomial(
+                e, case.lattice, member[0].terms[e])
+
+        case, lam, top, rec, report, rc = self._above_grid(
+            monkeypatch, doubled_below)
+        assert not case.recurrence_coeffs(0, lam)["residual_zero"]
+        assert rec == "fail" and rc == 1
+
+    def test_target_off_the_labels_leaves_a_residual(self, monkeypatch):
+        # one extra monomial e^nu in the product, at a label (0, nu) that
+        # is not at or below (0, lam + pi)
+        case = build_case("A2G", order=60)
+        lam, top, nu = (1, 0), (2, 0), (4, 0)
+        assert (0, nu) not in case._vector_downset(0, top) + [(0, top)]
+        extra = GAElement.monomial(nu, case.lattice)
+        member = PolyFamilySpec.family_member
+
+        class PlusOnce:
+            # P_pi, whose first product with a slot gains e^nu
+            def __init__(self, P):
+                self.P, self.left = P, True
+
+            def __mul__(self, s):
+                out, self.left = self.P * s + extra * self.left, False
+                return out
+
+        monkeypatch.setattr(PolyFamilySpec, "family_member",
+                            lambda self, J, mu: PlusOnce(member(self, J, mu)))
+        rep = case.recurrence_coeffs(0, lam)
+        assert not rep["residual_zero"]
+        assert rep["steps_in_weights"] and rep["top_nonzero"]
+
+    @pytest.mark.parametrize("cid, order", [
+        ("A2G", 60), ("AI2", 100), ("BII:n=3,s=2", 60)])
+    def test_pairs_nothing(self, cid, order, monkeypatch):
+        # with P_pi, Q_lam and every member at or below lam + pi built,
+        # the expansion pairs nothing and inverts no norm
+        from macpoly.families import GramSchmidt
+        from macpoly.weights import WeightEngine
+
+        case = build_case(cid, order=order)
+        pi = (1,) + (0,) * (case.rank - 1)
+        lam = case.restricted.grid(1)[1]
+        top = tuple(a + c for a, c in zip(lam, pi))
+        case.family_spec.family_member(tuple(range(case.rank)), pi)
+        for b in range(len(case.bottoms)):
+            case.vector_member(b, lam)
+            for y in case._vector_downset(b, top) + [(b, top)]:
+                case._family.member(y)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the recurrence paired or inverted")
+
+        monkeypatch.setattr(WeightEngine, "vector_pair", refuse)
+        monkeypatch.setattr(GramSchmidt, "pairing", refuse)
+        monkeypatch.setattr(GramSchmidt, "inverse", refuse)
+        rep = case.recurrence_coeffs(0, lam)
+        assert rep["residual_zero"] and rep["top_nonzero"]
+        assert rep["steps_in_weights"]
 
 
 class TestPlan:

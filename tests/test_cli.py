@@ -259,6 +259,7 @@ class TestGoldenReports:
         ("A2G", 1, "A2G-h1"),
         ("A2G", 2, "A2G-h2"),
         ("DII:n=2", 2, "DII-n2-h2"),
+        ("DII:n=3", 2, "DII-n3-h2"),
         ("BII:n=2,s=1", 2, "BII-n2-s1-h2"),
         ("BII:n=2,s=2", 2, "BII-n2-s2-h2"),
         ("BII:n=3,s=1", 2, "BII-n3-s1-h2"),
